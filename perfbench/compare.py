@@ -20,8 +20,8 @@ fixes for it:
 Traced records (--trace 1) are checked for the simulated per-layer
 counts, which must repeat exactly for a given workload and seed. The
 exit status is 1 when a verdict reads worse, a single set's spread
-exceeds a bound (setup_s excepted, as the benchmark contract does), a
-simulated count differs, or a record reports incorrect output.
+exceeds a bound, a simulated count differs, or a record reports
+incorrect output.
 """
 
 import argparse
@@ -122,7 +122,7 @@ def compare(base, new, bench, catalogue, out=sys.stdout):
             if new is None:
                 if not bv:
                     continue
-                over = m["name"] != "setup_s" and spread(bv) > m["bound"]
+                over = spread(bv) > m["bound"]
                 failures += over
                 row.append("%s=%s" % (m["name"], "SPREAD" if over
                                       else "steady"))

@@ -52,19 +52,30 @@ PRESETS = ("gzip", "vpr", "gcc", "crafty", "parser", "eon", "perlbmk",
 FAMILIES = ("loops", "server", "thrash", "phased")
 # A p95 needs this many samples beyond it before it is reported.
 TAIL_SAMPLES = 10
-# Throughputs are the median of per-window rates, so a burst of host
-# noise costs one window instead of shifting the whole run.
+# Daemon throughputs are the median of per-window rates, so a burst of
+# host noise costs one window instead of shifting the whole run.
 WINDOW_S = 2.0
 # The shared hosts this runs on drift in speed by tens of percent over
 # minutes. Every end-to-end time is therefore scaled to a reference
-# host: seconds x (host speed measured around it / REF_SPEED), and
-# rates inversely. Speed is sfbench's calibration units per second per
-# thread; REF_SPEED is roughly the 4-core development container's.
+# host: seconds x (host speed / REF_SPEED), and rates inversely. The
+# host speed is the mean of sfbench's two samples, before and after
+# its measured phase, in calibration units per second per thread;
+# REF_SPEED is roughly the 4-core development container's.
 REF_SPEED = 9000.0
 
 
-def speed_factor(speed):
-    return speed / REF_SPEED
+def scaled(e2e, speeds):
+    """{name: (value, samples)} at the reference host speed."""
+    f = statistics.mean(speeds) / REF_SPEED
+    out = {}
+    for name, (value, n) in e2e.items():
+        unit = CATALOGUE["end_to_end"][name]["unit"]
+        if unit == "s":
+            value *= f
+        elif unit.endswith("/s"):
+            value /= f
+        out[name] = (value, n)
+    return out
 
 
 class BenchError(Exception):
@@ -192,6 +203,40 @@ def self_times(spans):
                 covered += c1 - c0
                 end = c1
         out[s[0]] = (t1 - t0) - covered
+    return out
+
+
+def span_errors(spans, measured, slack):
+    """Seconds by which each traced root's span tree fails to account
+    for its job's interval as measured outside the span recorder.
+
+    measured: {job: (start, wall, threads)}; slack: what recording one
+    span costs. Every span of the tree must lie inside the interval
+    and the tree's self times must add up to the wall. Serial children
+    (threads 1) must tile it: a gap shows as root self time, an
+    overlap as self times beyond the wall. Parallel children may add
+    up to threads x wall, no more. Returns {job: error} for trees
+    whose error exceeds slack per span."""
+    kids = {}
+    for s in spans:
+        kids.setdefault(s[1], []).append(s)
+    selfs = self_times(spans)
+    out = {}
+    for root in kids.get(0, []):
+        if root[2] not in measured:
+            continue
+        start, wall, threads = measured[root[2]]
+        tree = [root] + kids.get(root[0], [])
+        err = sum(max(0.0, start - s[4]) + max(0.0, s[5] - start - wall)
+                  for s in tree)
+        total = sum(selfs[s[0]] for s in tree)
+        if threads == 1:
+            err += abs(total - wall) + selfs[root[0]]
+        else:
+            err += abs(root[5] - root[4] - wall) \
+                + max(0.0, total - threads * wall)
+        if err > slack * len(tree):
+            out[root[2]] = err
     return out
 
 
@@ -395,7 +440,6 @@ def run_harness(cmd, cwd, timeout=170):
 # seed varies which layout each job gets and the order of the jobs.
 # Offline it picks the points re-run live; the grid keeps its order,
 # because the order moves when each row lands.
-OFFLINE_BENCHES = ("gzip", "loops", "server", "thrash", "phased", "gcc")
 WARM_BENCHES = ("gzip", "gcc", "server", "phased")
 FANOUT_BENCHES = ("gzip", "gcc", "loops")
 FANOUT_CHUNK = 4
@@ -450,13 +494,17 @@ def churn_requests(rng):
 def fanout_requests(rng):
     """30 twelve-point grids: each bench pair of a three-bench hot set
     with each engine triple (x widths 4 and 8). Chunks of 4 points
-    spread each grid over the 3 workers."""
+    spread each grid over the 3 workers. Points are long enough (a job
+    takes about 50 ms) that a time slice one worker loses to the host
+    does not set the job's tail: at half this length the quartile
+    spread of the p95 over ten runs reached 23% on a shared 4-core
+    host."""
     pairs = list(itertools.combinations(FANOUT_BENCHES, 2))
     triples = list(itertools.combinations(ENGINES, 3))
     combos = [(p, t) for p in pairs for t in triples]
     reqs = []
     for (pair, engines), layout in zip(combos, halves(rng, len(combos))):
-        reqs.append([point(b, e, w, layout, 40000, 8000)
+        reqs.append([point(b, e, w, layout, 80000, 16000)
                      for b in pair for e in engines for w in (4, 8)])
     rng.shuffle(reqs)
     return reqs
@@ -472,22 +520,16 @@ def write_requests(path, reqs):
 # Workloads
 # ---------------------------------------------------------------------
 
-SETUP_REPS = {"offline_sweep": 7, "serve_warm": 5, "serve_churn": 5,
-              "fanout": 5}
+# Daemon set-ups timed per run (offline the harness fixes its own).
+SERVE_SETUP_REPS = 5
 
 
 def run_offline(args, bins, rundir):
-    nproc = os.cpu_count() or 1
-    insts, warmup = 500000, 100000
+    """The grid, its run lengths and the set-up sampling are constants
+    of sfbench offline; the seed picks the points re-run live."""
     out = run_harness(
-        [bins["sfbench"], "offline", "--bench", ",".join(OFFLINE_BENCHES),
-         "--arch", ",".join(ENGINES), "--widths", "4,8",
-         "--layouts", "base,opt", "--insts", str(insts),
-         "--warmup", str(warmup), "--jobs", str(nproc),
-         "--seconds", str(args.seconds),
-         "--setup-reps", str(SETUP_REPS["offline_sweep"]),
-         "--verify", "4", "--seed", str(args.seed),
-         "--trace", str(args.trace)], rundir)
+        [bins["sfbench"], "offline", "--seconds", str(args.seconds),
+         "--seed", str(args.seed), "--trace", str(args.trace)], rundir)
 
     rows = out["rows"]
 
@@ -506,31 +548,28 @@ def run_offline(args, bins, rundir):
                       for r in rows if r)
     samples += [sample(v["point"], v["wall"], False) for v in out["live"]]
 
-    setups = out["setups"]
+    # Each set-up sample is several cold set-ups back to back; figures
+    # below are per set-up.
+    per = out["setups_per_sample"]
+    setups = [{k: v // per if isinstance(v, int) else v / per
+               for k, v in s.items()} for s in out["setups"]]
     mid = sorted(setups, key=lambda s: s["wall"])[len(setups) // 2]
     failed = out["mismatched"] + out["missing"]
 
-    def e2e(scaled):
-        # Sweeps are the windows here: throughputs are per-sweep
-        # medians, each sweep scaled by the host speed around it.
-        lat, inst_rates, point_rates = [], [], []
-        for sw in out["sweeps"]:
-            f = speed_factor(sw["speed"]) if scaled else 1.0
-            lat += [t * f for _, t, _ in sw["rows"]]
-            inst_rates.append(sweep_insts / (sw["wall"] * f))
-            point_rates.append(len(sw["rows"]) / (sw["wall"] * f))
-        f = speed_factor(out["setup_speed"]) if scaled else 1.0
-        return {
-            "setup_s": (f * statistics.median(s["wall"] for s in setups),
-                        len(setups)),
-            "sim_minsts_per_s": (statistics.median(inst_rates) / 1e6,
-                                 len(inst_rates)),
-            "job_latency_s": lat,
-            "first_row_s": lat,
-            "jobs_per_s": (statistics.median(point_rates),
-                           len(point_rates)),
-            "peak_rss_mb": (out["peak_rss_mb"], 1),
-        }
+    # Sweeps are the windows here: throughputs are per-sweep medians.
+    lat = [t for sw in out["sweeps"] for _, t, _ in sw["rows"]]
+    e2e = {
+        "setup_s": (mid["wall"], len(setups)),
+        "sim_minsts_per_s": (statistics.median(
+            sweep_insts / sw["wall"] for sw in out["sweeps"]) / 1e6,
+            len(out["sweeps"])),
+        "job_latency_s": lat,
+        "first_row_s": lat,
+        "jobs_per_s": (statistics.median(
+            len(sw["rows"]) / sw["wall"] for sw in out["sweeps"]),
+            len(out["sweeps"])),
+        "peak_rss_mb": (out["peak_rss_mb"], 1),
+    }
     layer = {
         "workload.build_s": mid["build_s"],
         "workload.builds": mid["builds"],
@@ -558,28 +597,21 @@ def run_offline(args, bins, rundir):
               "no_missing_rows": out["missing"] == 0,
               "live_sample_matches_arena": all(v["match"]
                                                for v in out["live"])}
-    return {"e2e": e2e(True), "e2e_raw": e2e(False), "layer": layer,
+    # The sweep's pipeline.run spans come from the driver's own row
+    # wall_seconds, so they are checked against the harness's wall.
+    measured = {sw["sweep"]: (sw["start"], sw["wall"], out["jobs"])
+                for sw in out["sweeps"] if sw["traced"]}
+    return {"e2e": e2e, "speeds": out["speeds"], "layer": layer,
             "attempted": out["attempted"],
             "failed": failed, "checks": checks, "spans": out["spans"],
-            "span_cost_s": out["span_cost_s"]}
+            "measured": measured, "span_cost_s": out["span_cost_s"]}
 
 
 def client_cmd(bins, addr, reqfile, clients, seconds, trace, reference):
     cmd = [bins["sfbench"], "client", "--connect", addr,
            "--requests", reqfile, "--clients", str(clients),
-           "--seconds", str(seconds), "--trace", str(trace),
-           "--segments", str(windows(seconds))]
-    if reference:
-        cmd += ["--reference", "--ref-jobs", str(os.cpu_count() or 1)]
-    return cmd
-
-
-def windows(seconds):
-    return max(1, int(seconds // WINDOW_S))
-
-
-def host_speed(bins, rundir):
-    return run_harness([bins["sfbench"], "calibrate"], rundir)["speed"]
+           "--seconds", str(seconds), "--trace", str(trace)]
+    return cmd + ["--reference"] if reference else cmd
 
 
 def stats_sum(addrs):
@@ -629,10 +661,8 @@ def run_serve(args, bins, rundir, rng):
                               "16", "--chunk-points", str(FANOUT_CHUNK)])
         return front, workers
 
-    reps = SETUP_REPS[wl]
-    setup_walls, setup_speeds = [], []
-    for rep in range(reps):
-        setup_speeds.append(host_speed(bins, rundir))
+    setup_walls = []
+    for rep in range(SERVE_SETUP_REPS):
         with Daemons(bins["sfetchd"], rundir) as daemons:
             t0 = time.monotonic()
             front, backends = start(daemons, rep)
@@ -644,7 +674,7 @@ def run_serve(args, bins, rundir, rng):
             bad = [j for j in warm["jobs"] if j["outcome"] != "done"]
             if bad:
                 raise BenchError("warm-up job failed: %s" % bad[0])
-            if rep + 1 < reps:
+            if rep + 1 < SERVE_SETUP_REPS:
                 continue
             before = stats_sum(backends)
             front_before = request(front, {"verb": "stats"})
@@ -654,12 +684,11 @@ def run_serve(args, bins, rundir, rng):
             after = stats_sum(backends)
             front_after = request(front, {"verb": "stats"})
             rss = daemons.peak_rss_mb()
-    setup = (setup_walls, setup_speeds)
-    return serve_metrics(args, out, setup, before, after, front_before,
-                         front_after, rss)
+    return serve_metrics(args, out, setup_walls, before, after,
+                         front_before, front_after, rss)
 
 
-def serve_metrics(args, out, setup, before, after, front_before,
+def serve_metrics(args, out, setup_walls, before, after, front_before,
                   front_after, rss):
     wl = args.workload
     jobs = out["jobs"]
@@ -673,36 +702,28 @@ def serve_metrics(args, out, setup, before, after, front_before,
     failed = (len(jobs) - len(ok)) + out["repeat_mismatched"] \
         + out["ref_mismatched"]
 
-    def e2e(scaled):
-        # The closed loop ran in segments of one window each, with the
-        # host speed sampled between them (out["speeds"]).
-        n, width = out["segments"], args.seconds / out["segments"]
-        factor = [speed_factor((a + b) / 2) if scaled else 1.0
-                  for a, b in zip(out["speeds"], out["speeds"][1:])]
-        done_jobs, done_insts = [0] * n, [0] * n
-        latency, first = [], []
-        for j in ok:
-            f = factor[j["segment"]]
-            latency.append((j["done"] - j["send"]) * f)
-            first.append((j["first"] - j["send"]) * f)
-            done_jobs[j["segment"]] += 1
-            done_insts[j["segment"]] += sum(r[2] for r in j["row_stats"])
-        walls, speeds = setup
-        return {
-            "setup_s": (statistics.median(
-                w * (speed_factor(s) if scaled else 1.0)
-                for w, s in zip(walls, speeds)), len(walls)),
-            "sim_minsts_per_s": (statistics.median(
-                i / (width * f) for i, f in zip(done_insts, factor)) / 1e6,
-                n),
-            "job_latency_s": latency,
-            "first_row_s": first,
-            "jobs_per_s": (statistics.median(
-                c / (width * f) for c, f in zip(done_jobs, factor)), n),
-            "peak_rss_mb": (rss, 1 if wl != "fanout" else 4),
-        }
+    # Throughput windows by completion time; jobs still in flight at
+    # the deadline finish after the last window and count only in the
+    # latencies.
+    n = max(1, int(args.seconds // WINDOW_S))
+    width = args.seconds / n
+    done_jobs, done_insts = [0] * n, [0] * n
+    for j in ok:
+        k = int((j["done"] - out["start"]) / width)
+        if k < n:
+            done_jobs[k] += 1
+            done_insts[k] += sum(r[2] for r in j["row_stats"])
+    e2e = {
+        "setup_s": (statistics.median(setup_walls), len(setup_walls)),
+        "sim_minsts_per_s": (statistics.median(done_insts) / width / 1e6,
+                             n),
+        "job_latency_s": [j["done"] - j["send"] for j in ok],
+        "first_row_s": [j["first"] - j["send"] for j in ok],
+        "jobs_per_s": (statistics.median(done_jobs) / width, n),
+        "peak_rss_mb": (rss, 1 if wl != "fanout" else 4),
+    }
 
-    latency = [j["done"] - j["send"] for j in ok]
+    latency = e2e["job_latency_s"]
     rows_wall = sum(j["rows_wall"] for j in ok)
     n_workers = 3 if wl == "fanout" else 1
     # The simulation on a job's critical path: one daemon runs a job's
@@ -776,9 +797,12 @@ def serve_metrics(args, out, setup, before, after, front_before,
             out["ref_checked"] == out["distinct_served"],
         "no_client_errors": not out["errors"],
     }
-    return {"e2e": e2e(True), "e2e_raw": e2e(False), "layer": layer,
+    measured = {j["seq"]: (j["send"], j["done"] - j["send"], 1)
+                for j in ok if j["traced"]}
+    return {"e2e": e2e, "speeds": out["speeds"], "layer": layer,
             "attempted": len(jobs), "failed": failed, "checks": checks,
-            "spans": out["spans"], "span_cost_s": out["span_cost_s"]}
+            "spans": out["spans"], "measured": measured,
+            "span_cost_s": out["span_cost_s"]}
 
 
 # ---------------------------------------------------------------------
@@ -887,13 +911,16 @@ def main(argv):
         finally:
             subprocess.run(["rm", "-rf", rundir])
         omitted = {}
-        e2e = end_to_end_metrics(res["e2e"], omitted)
-        raw = end_to_end_metrics(res["e2e_raw"], {})
+        raw = end_to_end_metrics(res["e2e"], omitted)
+        e2e = scaled(raw, res["speeds"])
         layer, not_applicable = layer_metrics(res, args.workload)
     except (BenchError, subprocess.TimeoutExpired, OSError) as e:
         log("perfbench: %s" % e)
         return 1
 
+    if res["spans"]:
+        res["checks"]["spans_account_for_measured_walls"] = not span_errors(
+            res["spans"], res["measured"], res["span_cost_s"])
     correct = res["failed"] == 0 and all(res["checks"].values())
     error_rate = ratio(res["failed"], res["attempted"])
 
@@ -939,6 +966,8 @@ def main(argv):
     if args.spans:
         with open(args.spans, "w") as f:
             json.dump({"span_cost_s": res["span_cost_s"],
+                       "measured": [[job] + list(m) for job, m
+                                    in res["measured"].items()],
                        "spans": res["spans"]}, f)
     print(line, flush=True)
     return 0 if correct else 1

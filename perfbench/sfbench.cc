@@ -4,12 +4,13 @@
  * builds and drives it). It times calls into the simulator's public
  * API from outside and writes one JSON document to stdout.
  *
- *   sfbench offline ...  In-process sweep. Set-up is WorkloadCache::get
- *                        for every bench plus PlacedWorkload::arena for
- *                        every (bench, layout), repeated --setup-reps
- *                        times on a cleared cache. The measured phase
- *                        calls SweepDriver::run over the grid until
- *                        --seconds have passed, timing each row's
+ *   sfbench offline ...  In-process sweep of the fixed grid below.
+ *                        Set-up is WorkloadCache::get for every bench
+ *                        plus PlacedWorkload::arena for every (bench,
+ *                        layout) on a cleared cache, timed in samples of
+ *                        several back-to-back cold set-ups. The measured
+ *                        phase calls SweepDriver::run over the grid
+ *                        until --seconds have passed, timing each row's
  *                        arrival through the RowCallback. Every repeat
  *                        sweep must reproduce the first one's rows, and
  *                        a seeded sample of points re-run live through
@@ -24,15 +25,14 @@
  *                        every served row must equal it byte for byte
  *                        (wall_seconds masked).
  *
- *   sfbench calibrate    Host speed (see hostSpeed()); offline and
- *                        client also sample it next to their timings.
- *
- * With --trace 1 spans are recorded around those calls, kept in memory
- * and written with the result: workload.build, layout.decode,
- * sim.setup, sim.sweep and pipeline.run offline; serve.submit with
- * serve.ack / serve.row / serve.done children on the client. Only
- * every other sweep or job is traced, so the result also carries the
- * untraced twin that the tracing overhead is measured against.
+ * Both sample the host speed (see hostSpeed()) before and after their
+ * measured phase. With --trace 1 spans are recorded around those calls,
+ * kept in memory and written with the result: workload.build,
+ * layout.decode, sim.setup, sim.sweep and pipeline.run offline;
+ * serve.submit with serve.ack / serve.row / serve.done children on the
+ * client. Only every other sweep or job is traced, so the result also
+ * carries the untraced twin that the tracing overhead is measured
+ * against.
  */
 
 #include <sys/resource.h>
@@ -83,6 +83,12 @@ std::string
 num(std::uint64_t v)
 {
     return std::to_string(v);
+}
+
+unsigned
+cores()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 /** Host peak resident set of this process, MiB. */
@@ -174,7 +180,7 @@ class Tracer
 Tracer gTracer;
 
 /** Seconds one record() costs, measured on a scratch store: the
- * tracing overhead bound the self-time check is held to. */
+ * tracing overhead bound the span checks are held to. */
 double
 spanCostSeconds()
 {
@@ -222,18 +228,17 @@ calibrationUnit(const std::vector<std::uint32_t> &table, std::uint64_t x)
     return x;
 }
 
-/** Seconds one host-speed sample takes. */
-constexpr double kSpeedSampleSeconds = 0.25;
-
 /**
- * Host speed: calibration units per second per thread, measured on
- * @p threads threads. The benchmark runs on shared machines whose
- * speed drifts by tens of percent over minutes; timings are scaled by
- * this figure, taken next to them, to cancel the drift.
+ * Host speed: calibration units per second per thread, measured for
+ * half a second on every core. The benchmark runs on shared machines
+ * whose speed drifts by tens of percent over minutes; run.py scales
+ * timings by this figure, taken before and after them, to cancel the
+ * drift.
  */
 double
-hostSpeed(unsigned threads)
+hostSpeed()
 {
+    constexpr double kSampleSeconds = 0.5;
     static const std::vector<std::uint32_t> table = [] {
         std::vector<std::uint32_t> t(std::size_t(1) << 12);
         std::mt19937 rng(1);
@@ -244,10 +249,10 @@ hostSpeed(unsigned threads)
     std::atomic<std::uint64_t> units{0}, sink{0};
     const double t0 = now();
     std::vector<std::thread> pool;
-    for (unsigned t = 0; t < std::max(1u, threads); ++t)
+    for (unsigned t = 0; t < cores(); ++t)
         pool.emplace_back([&, t] {
             std::uint64_t x = t + 1, n = 0;
-            while (now() - t0 < kSpeedSampleSeconds) {
+            while (now() - t0 < kSampleSeconds) {
                 x = calibrationUnit(table, x);
                 ++n;
             }
@@ -256,7 +261,7 @@ hostSpeed(unsigned threads)
         });
     for (std::thread &t : pool)
         t.join();
-    return double(units.load()) / (now() - t0) / std::max(1u, threads);
+    return double(units.load()) / (now() - t0) / cores();
 }
 
 std::string
@@ -273,45 +278,45 @@ pointKey(const SweepPoint &p)
 // offline
 // ---------------------------------------------------------------------
 
-struct OfflinePlan
-{
-    std::vector<std::string> benches;
-    std::vector<SimConfig> archs;
-    std::vector<unsigned> widths{4, 8};
-    std::vector<bool> layouts{false, true};
-    InstCount insts = 500'000;
-    InstCount warmup = 100'000;
-    unsigned jobs = 0;
-    double seconds = 10.0;
-    unsigned setupReps = 3;
-    unsigned verify = 4;
-    std::uint64_t seed = 1;
-    bool trace = false;
-};
+// The offline grid: one bench per family plus gcc, every engine, both
+// paper widths and both layouts, at paper-like run lengths.
+const char *const kOfflineBenches[] = {"gzip",  "loops",  "server",
+                                       "thrash", "phased", "gcc"};
+const char *const kEngines = "ev8,ftb,stream,trace,seq";
+const unsigned kWidths[] = {4, 8};
+const bool kLayouts[] = {false, true};
+constexpr InstCount kInsts = 500'000;
+constexpr InstCount kWarmup = 100'000;
+// One cold set-up takes about 0.1 s, too short to time alone against
+// scheduler noise, so each set-up sample is this many back to back.
+constexpr unsigned kSetupSamples = 5;
+constexpr unsigned kSetupsPerSample = 4;
+// Points re-run on live generation and compared with their arena rows.
+constexpr unsigned kVerify = 4;
 
-struct SetupResult
+struct SetupSample
 {
     double wall = 0, buildSeconds = 0, decodeSeconds = 0;
     std::size_t builds = 0, decodes = 0;
     std::uint64_t arenaBytes = 0, arenaInsts = 0;
 };
 
-/** One cold set-up: build every workload, then decode every
- * (workload, layout) arena the sweep will replay, each phase on the
- * sweep's thread count. */
-SetupResult
-coldSetup(const OfflinePlan &plan, bool traced)
+/** One cold set-up, added to @p r: build every workload, then decode
+ * every (workload, layout) arena the sweep will replay, each phase on
+ * the sweep's thread count. */
+void
+coldSetup(const std::vector<std::string> &benches, unsigned jobs,
+          bool traced, SetupSample &r)
 {
     WorkloadCache &cache = WorkloadCache::instance();
     cache.clear();
-    SetupResult r;
     const std::uint64_t root = gTracer.newId();
     const double t0 = now();
     std::mutex mu;
 
-    parallelFor(plan.benches.size(), plan.jobs, [&](std::size_t i) {
+    parallelFor(benches.size(), jobs, [&](std::size_t i) {
         const double b0 = now();
-        cache.get(plan.benches[i]);
+        cache.get(benches[i]);
         const double b1 = now();
         std::lock_guard<std::mutex> lock(mu);
         r.buildSeconds += b1 - b0;
@@ -321,12 +326,12 @@ coldSetup(const OfflinePlan &plan, bool traced)
                            b0, b1);
     });
 
-    const InstCount total = plan.insts + plan.warmup + kFetchAheadMargin;
-    const std::size_t nl = plan.layouts.size();
-    parallelFor(plan.benches.size() * nl, plan.jobs, [&](std::size_t i) {
+    const InstCount total = kInsts + kWarmup + kFetchAheadMargin;
+    const std::size_t nl = std::size(kLayouts);
+    parallelFor(benches.size() * nl, jobs, [&](std::size_t i) {
         const double d0 = now();
-        auto arena = cache.get(plan.benches[i / nl])
-                         .arena(plan.layouts[i % nl], total);
+        auto arena =
+            cache.get(benches[i / nl]).arena(kLayouts[i % nl], total);
         const double d1 = now();
         std::lock_guard<std::mutex> lock(mu);
         r.decodeSeconds += d1 - d0;
@@ -337,103 +342,56 @@ coldSetup(const OfflinePlan &plan, bool traced)
             gTracer.record(gTracer.newId(), root, 0, "layout.decode", d0,
                            d1);
     });
-    r.wall = now() - t0;
+    const double t1 = now();
+    r.wall += t1 - t0;
     if (traced)
-        gTracer.record(root, 0, 0, "sim.setup", t0, t0 + r.wall);
-    return r;
+        gTracer.record(root, 0, 0, "sim.setup", t0, t1);
 }
 
 int
 runOffline(int argc, char **argv)
 {
-    OfflinePlan plan;
+    double seconds = 10.0;
+    std::uint64_t seed = 1;
+    bool trace = false;
     CliParser cli("sfbench offline",
                   "time workload builds, arena decodes and repeated "
                   "SweepDriver sweeps of one grid");
-    cli.addOption("--bench", "SPEC[,SPEC]", "workload specs",
-                  [&](const std::string &v) {
-                      plan.benches = parseBenchSpecList(v);
-                  });
-    cli.addOption("--arch", "SPEC[,SPEC]", "engine specs",
-                  [&](const std::string &v) {
-                      plan.archs = parseArchSpecList(v);
-                  });
-    cli.addOption("--widths", "W[,W]", "pipe widths",
-                  [&](const std::string &v) {
-                      plan.widths = CliParser::parseUnsignedList(v);
-                  });
-    cli.addOption("--layouts", "base,opt", "code layouts",
-                  [&](const std::string &v) {
-                      plan.layouts.clear();
-                      for (const std::string &l :
-                           CliParser::parseNameList(v)) {
-                          if (l != "base" && l != "opt")
-                              throw std::invalid_argument(
-                                  "layout must be base or opt");
-                          plan.layouts.push_back(l == "opt");
-                      }
-                  });
-    cli.addOption("--insts", "N", "measured instructions per point",
-                  [&](const std::string &v) {
-                      plan.insts = CliParser::parseU64(v);
-                  });
-    cli.addOption("--warmup", "N", "warmup instructions per point",
-                  [&](const std::string &v) {
-                      plan.warmup = CliParser::parseU64(v);
-                  });
-    cli.addOption("--jobs", "N", "sweep threads (0 = all cores)",
-                  [&](const std::string &v) {
-                      plan.jobs = unsigned(CliParser::parseU64(v));
-                  });
     cli.addOption("--seconds", "S", "measured-phase length",
-                  [&](const std::string &v) {
-                      plan.seconds = std::stod(v);
-                  });
-    cli.addOption("--setup-reps", "N", "cold set-ups to time",
-                  [&](const std::string &v) {
-                      plan.setupReps = unsigned(CliParser::parseU64(v));
-                  });
-    cli.addOption("--verify", "N", "points re-run live and compared",
-                  [&](const std::string &v) {
-                      plan.verify = unsigned(CliParser::parseU64(v));
-                  });
+                  [&](const std::string &v) { seconds = std::stod(v); });
     cli.addOption("--seed", "N", "seed of the live re-run sample",
                   [&](const std::string &v) {
-                      plan.seed = CliParser::parseU64(v);
+                      seed = CliParser::parseU64(v);
                   });
     cli.addOption("--trace", "0|1", "record spans",
-                  [&](const std::string &v) { plan.trace = v == "1"; });
+                  [&](const std::string &v) { trace = v == "1"; });
     cli.parseOrExit(argc, argv);
-    if (plan.benches.empty() || plan.archs.empty())
-        throw std::invalid_argument("--bench and --arch are required");
-    if (plan.jobs == 0)
-        plan.jobs = std::max(1u, std::thread::hardware_concurrency());
+    const unsigned jobs = cores();
 
+    std::vector<std::string> benches;
+    for (const char *b : kOfflineBenches)
+        benches.push_back(canonicalBenchSpec(b));
     std::vector<SweepPoint> points;
-    for (const std::string &bench : plan.benches)
-        for (bool opt : plan.layouts)
-            for (unsigned w : plan.widths)
-                for (const SimConfig &arch : plan.archs) {
+    for (const std::string &bench : benches)
+        for (bool opt : kLayouts)
+            for (unsigned w : kWidths)
+                for (const SimConfig &arch : parseArchSpecList(kEngines)) {
                     SimConfig cfg = arch;
                     cfg.width = w;
                     cfg.optimizedLayout = opt;
-                    cfg.insts = plan.insts;
-                    cfg.warmupInsts = plan.warmup;
-                    points.push_back({canonicalBenchSpec(bench), cfg});
+                    cfg.insts = kInsts;
+                    cfg.warmupInsts = kWarmup;
+                    points.push_back({bench, cfg});
                 }
-    for (std::string &b : plan.benches)
-        b = canonicalBenchSpec(b);
-    std::mt19937_64 rng(plan.seed);
+    std::mt19937_64 rng(seed);
 
-    const double spanCost = plan.trace ? spanCostSeconds() : 0.0;
+    const double spanCost = trace ? spanCostSeconds() : 0.0;
+    std::vector<double> speeds{hostSpeed()};
 
-    // Host speed is sampled around the set-ups and between sweeps
-    // (see hostSpeed()).
-    std::vector<double> setupSpeeds{hostSpeed(plan.jobs)};
-    std::vector<SetupResult> setups;
-    for (unsigned r = 0; r < std::max(1u, plan.setupReps); ++r)
-        setups.push_back(coldSetup(plan, plan.trace));
-    setupSpeeds.push_back(hostSpeed(plan.jobs));
+    std::vector<SetupSample> setups(kSetupSamples);
+    for (SetupSample &s : setups)
+        for (unsigned r = 0; r < kSetupsPerSample; ++r)
+            coldSetup(benches, jobs, trace, s);
 
     // One untimed sweep first: it faults the cached arenas in and
     // records the rows every later sweep must reproduce. Then the
@@ -446,7 +404,7 @@ runOffline(int argc, char **argv)
     auto sweep = [&](std::uint64_t s, bool traced) {
         const std::uint64_t root = gTracer.newId();
         std::string lat;
-        SweepDriver driver(plan.jobs);
+        SweepDriver driver(jobs);
         driver.setQuiet(true);
         const double t0 = now();
         ResultSet rs = driver.run(
@@ -471,7 +429,8 @@ runOffline(int argc, char **argv)
         if (traced)
             gTracer.record(root, 0, s, "sim.sweep", t0, t1);
         missing += points.size() - rs.size();
-        return std::string("{\"traced\": ") + (traced ? "true" : "false") +
+        return std::string("{\"sweep\": ") + num(s) + ", \"traced\": " +
+               (traced ? "true" : "false") + ", \"start\": " + num(t0) +
                ", \"wall\": " + num(t1 - t0) + ", \"rows\": [" + lat +
                "]}";
     };
@@ -480,16 +439,9 @@ runOffline(int argc, char **argv)
     const std::uint64_t hits0 = cache.hits(), misses0 = cache.misses(),
                         evictions0 = cache.evictions();
     std::string sweeps = "[";
-    double speed = hostSpeed(plan.jobs);
     const double phase0 = now();
-    for (std::uint64_t s = 1; s == 1 || now() - phase0 < plan.seconds;
-         ++s) {
-        std::string one = sweep(s, plan.trace && s % 2 == 1);
-        const double after = hostSpeed(plan.jobs);
-        one.back() = ',';
-        sweeps += (s > 1 ? ",\n  " : "\n  ") + one + " \"speed\": " +
-                  num((speed + after) / 2) + "}";
-        speed = after;
+    for (std::uint64_t s = 1; s == 1 || now() - phase0 < seconds; ++s) {
+        sweeps += (s > 1 ? ",\n  " : "\n  ") + sweep(s, trace && s % 2);
         attempted += points.size();
     }
     sweeps += "]";
@@ -500,7 +452,7 @@ runOffline(int argc, char **argv)
     // A seeded sample of points re-run on live generation: the arena
     // rows above must be exactly what the generator produces.
     std::string live = "[";
-    for (unsigned k = 0; k < plan.verify; ++k) {
+    for (unsigned k = 0; k < kVerify; ++k) {
         const std::size_t i = rng() % points.size();
         const SweepPoint &p = points[i];
         ResultRow row;
@@ -509,7 +461,7 @@ runOffline(int argc, char **argv)
         const double t0 = now();
         row.stats = runOn(cache.get(p.bench), p.cfg);
         row.wallSeconds = now() - t0;
-        if (plan.trace)
+        if (trace)
             gTracer.record(gTracer.newId(), 0, 0, "pipeline.run", t0,
                            t0 + row.wallSeconds);
         ++attempted;
@@ -521,10 +473,11 @@ runOffline(int argc, char **argv)
                 ", \"wall\": " + num(row.wallSeconds) + "}";
     }
     live += "]";
+    speeds.push_back(hostSpeed());
 
     std::string setupJson = "[";
     for (std::size_t r = 0; r < setups.size(); ++r) {
-        const SetupResult &s = setups[r];
+        const SetupSample &s = setups[r];
         setupJson += std::string(r ? ", " : "") + "{\"wall\": " +
                      num(s.wall) + ", \"build_s\": " +
                      num(s.buildSeconds) + ", \"decode_s\": " +
@@ -545,14 +498,15 @@ runOffline(int argc, char **argv)
 
     std::printf(
         "{\"mode\": \"offline\", \"jobs\": %u, \"points\": %zu,\n"
-        "\"setups\": %s,\n\"setup_speed\": %s,\n"
+        "\"setups\": %s, \"setups_per_sample\": %u,\n"
+        "\"speeds\": [%s, %s],\n"
         "\"attempted\": %llu, \"mismatched\": %llu, \"missing\": %llu,\n"
         "\"cache\": {\"hits\": %llu, \"misses\": %llu, "
         "\"evictions\": %llu, \"resident_bytes\": %llu},\n"
         "\"peak_rss_mb\": %s, \"span_cost_s\": %s,\n"
         "\"live\": %s,\n\"sweeps\": %s,\n\"rows\": %s,\n\"spans\": %s}\n",
-        plan.jobs, points.size(), setupJson.c_str(),
-        num((setupSpeeds[0] + setupSpeeds[1]) / 2).c_str(),
+        jobs, points.size(), setupJson.c_str(), kSetupsPerSample,
+        num(speeds[0]).c_str(), num(speeds[1]).c_str(),
         (unsigned long long)attempted,
         (unsigned long long)mismatched, (unsigned long long)missing,
         (unsigned long long)hits, (unsigned long long)misses,
@@ -607,7 +561,6 @@ struct JobRecord
 {
     std::uint64_t seq = 0;
     std::size_t req = 0;
-    unsigned segment = 0;
     bool traced = false;
     double tSend = 0, tAck = -1, tFirst = -1, tDone = -1;
     std::string outcome = "lost"; //!< done|rejected|failed|stuck|lost
@@ -635,7 +588,9 @@ struct ServedRows
     }
 };
 
-/** Submit one request and consume its stream into @p rec. */
+/** Submit one request and consume its stream into @p rec. A traced
+ * job's serve.submit span covers submit sent to done received, the
+ * interval its latency is measured over, and its children tile it. */
 void
 runJob(ServeClient &client, const Request &req, JobRecord &rec,
        ServedRows &served)
@@ -691,15 +646,16 @@ runJob(ServeClient &client, const Request &req, JobRecord &rec,
         }
         return true;
     });
-    if (rec.traced)
-        gTracer.record(root, 0, rec.seq, "serve.submit", rec.tSend, now());
+    if (rec.traced && rec.tDone >= 0)
+        gTracer.record(root, 0, rec.seq, "serve.submit", rec.tSend,
+                       rec.tDone);
 }
 
 int
 runClient(int argc, char **argv)
 {
     std::string address, requestsPath;
-    unsigned clients = 1, refJobs = 0, segments = 1;
+    unsigned clients = 1;
     double seconds = 0.0;
     bool trace = false, reference = false;
     CliParser cli("sfbench client",
@@ -721,15 +677,6 @@ runClient(int argc, char **argv)
     cli.addFlag("--reference",
                 "run every distinct point offline and compare rows",
                 [&] { reference = true; });
-    cli.addOption("--ref-jobs", "N", "threads of the offline reference",
-                  [&](const std::string &v) {
-                      refJobs = unsigned(CliParser::parseU64(v));
-                  });
-    cli.addOption("--segments", "N",
-                  "closed-loop segments, host speed measured between",
-                  [&](const std::string &v) {
-                      segments = unsigned(CliParser::parseU64(v));
-                  });
     cli.parseOrExit(argc, argv);
     if (address.empty() || requestsPath.empty())
         throw std::invalid_argument("--connect and --requests are required");
@@ -740,58 +687,47 @@ runClient(int argc, char **argv)
     std::atomic<std::uint64_t> next{0};
     const std::size_t nClients = std::max(1u, clients);
     std::vector<std::vector<JobRecord>> perClient(nClients);
-    std::vector<std::unique_ptr<ServeClient>> conns(nClients);
     std::vector<std::string> errors(nClients);
-    // The closed loop runs in segments; between two segments no job is
-    // in flight and the host speed is measured, so every segment's
-    // timings can be scaled by the speed the host had around them.
     const bool timed = seconds > 0;
-    segments = timed ? std::max(1u, segments) : 1;
-    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
     std::vector<double> speeds;
     if (timed)
-        speeds.push_back(hostSpeed(cores));
+        speeds.push_back(hostSpeed());
     const double t0 = now();
-    for (unsigned seg = 0; seg < segments; ++seg) {
-        const double deadline = now() + seconds / segments;
-        std::vector<std::thread> threads;
-        for (std::size_t c = 0; c < nClients; ++c)
-            threads.emplace_back([&, c, seg, deadline] {
-                std::unique_ptr<ServeClient> &client = conns[c];
-                while (!timed || now() < deadline) {
-                    const std::uint64_t seq = next.fetch_add(1);
-                    if (!timed && seq >= requests.size())
-                        return;
-                    JobRecord rec;
-                    rec.seq = seq;
-                    rec.segment = seg;
-                    rec.req = seq % requests.size();
-                    rec.traced = trace && seq % 2 == 0;
-                    try {
-                        if (!client)
-                            client = std::make_unique<ServeClient>(
-                                address,
-                                ServeClient::ConnectRetry{5, 20, 200,
-                                                          seq + 1});
-                        runJob(*client, requests[rec.req], rec, served);
-                    } catch (const std::exception &e) {
-                        // A lost connection fails this job; the next
-                        // one reconnects.
-                        client.reset();
-                        rec.reason = e.what();
-                        if (errors[c].empty())
-                            errors[c] = e.what();
-                    }
-                    perClient[c].push_back(std::move(rec));
+    const double deadline = t0 + seconds;
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < nClients; ++c)
+        threads.emplace_back([&, c] {
+            std::unique_ptr<ServeClient> client;
+            while (!timed || now() < deadline) {
+                const std::uint64_t seq = next.fetch_add(1);
+                if (!timed && seq >= requests.size())
+                    return;
+                JobRecord rec;
+                rec.seq = seq;
+                rec.req = seq % requests.size();
+                rec.traced = trace && seq % 2 == 0;
+                try {
+                    if (!client)
+                        client = std::make_unique<ServeClient>(
+                            address,
+                            ServeClient::ConnectRetry{5, 20, 200, seq + 1});
+                    runJob(*client, requests[rec.req], rec, served);
+                } catch (const std::exception &e) {
+                    // A lost connection fails this job; the next one
+                    // reconnects.
+                    client.reset();
+                    rec.reason = e.what();
+                    if (errors[c].empty())
+                        errors[c] = e.what();
                 }
-            });
-        for (std::thread &t : threads)
-            t.join();
-        if (timed)
-            speeds.push_back(hostSpeed(cores));
-    }
+                perClient[c].push_back(std::move(rec));
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
     const double wall = now() - t0;
-    conns.clear();
+    if (timed)
+        speeds.push_back(hostSpeed());
     std::string speedJson = "[";
     for (std::size_t i = 0; i < speeds.size(); ++i)
         speedJson += (i ? ", " : "") + num(speeds[i]);
@@ -809,7 +745,7 @@ runClient(int argc, char **argv)
             for (const SweepPoint &p : r.points)
                 if (seen.emplace(pointKey(p), true).second)
                     points.push_back(p);
-        SweepDriver driver(refJobs);
+        SweepDriver driver(cores());
         driver.setQuiet(true);
         ResultSet rs = driver.run(points);
         for (std::size_t i = 0; i < rs.size(); ++i) {
@@ -825,21 +761,18 @@ runClient(int argc, char **argv)
     }
     refRows += "]";
 
+    // Times are on the harness clock, the one the spans use.
     std::string jobs = "[";
     std::size_t n = 0;
     for (const auto &list : perClient)
         for (const JobRecord &r : list)
             jobs += std::string(n++ ? ",\n  " : "\n  ") +
                     "{\"seq\": " + num(r.seq) + ", \"req\": " +
-                    num(std::uint64_t(r.req)) + ", \"segment\": " +
-                    num(std::uint64_t(r.segment)) + ", \"traced\": " +
+                    num(std::uint64_t(r.req)) + ", \"traced\": " +
                     (r.traced ? "true" : "false") + ", \"send\": " +
-                    num(r.tSend - t0) + ", \"ack\": " +
-                    num(r.tAck < 0 ? -1.0 : r.tAck - t0) +
-                    ", \"first\": " +
-                    num(r.tFirst < 0 ? -1.0 : r.tFirst - t0) +
-                    ", \"done\": " +
-                    num(r.tDone < 0 ? -1.0 : r.tDone - t0) +
+                    num(r.tSend) + ", \"ack\": " + num(r.tAck) +
+                    ", \"first\": " + num(r.tFirst) +
+                    ", \"done\": " + num(r.tDone) +
                     ", \"outcome\": " + jsonQuote(r.outcome) +
                     ", \"reason\": " + jsonQuote(r.reason) +
                     ", \"rows\": " + num(std::uint64_t(r.rows)) +
@@ -856,31 +789,18 @@ runClient(int argc, char **argv)
             errs += (errs.size() > 1 ? ", " : "") + jsonQuote(e);
     errs += "]";
 
-    std::printf("{\"mode\": \"client\", \"clients\": %zu, \"wall\": %s, "
-                "\"segments\": %u, \"speeds\": %s,\n"
+    std::printf("{\"mode\": \"client\", \"clients\": %zu, \"start\": %s, "
+                "\"wall\": %s, \"speeds\": %s,\n"
                 "\"span_cost_s\": %s, \"distinct_served\": %zu,\n"
                 "\"repeat_mismatched\": %llu, \"ref_checked\": %llu, "
                 "\"ref_mismatched\": %llu,\n\"errors\": %s,\n"
                 "\"jobs\": %s,\n\"ref_rows\": %s,\n\"spans\": %s}\n",
-                nClients, num(wall).c_str(), segments, speedJson.c_str(),
-                num(spanCost).c_str(), served.first.size(),
-                (unsigned long long)served.mismatched,
+                nClients, num(t0).c_str(), num(wall).c_str(),
+                speedJson.c_str(), num(spanCost).c_str(),
+                served.first.size(), (unsigned long long)served.mismatched,
                 (unsigned long long)refChecked,
                 (unsigned long long)refMismatched, errs.c_str(),
                 jobs.c_str(), refRows.c_str(), gTracer.json().c_str());
-    return 0;
-}
-
-int
-runCalibrate(int argc, char **argv)
-{
-    CliParser("sfbench calibrate",
-              "host speed on every core: calibration units per second "
-              "per thread")
-        .parseOrExit(argc, argv);
-    const unsigned cores =
-        std::max(1u, std::thread::hardware_concurrency());
-    std::printf("{\"speed\": %s}\n", num(hostSpeed(cores)).c_str());
     return 0;
 }
 
@@ -895,8 +815,6 @@ main(int argc, char **argv)
             return runOffline(argc - 1, argv + 1);
         if (mode == "client")
             return runClient(argc - 1, argv + 1);
-        if (mode == "calibrate")
-            return runCalibrate(argc - 1, argv + 1);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "sfbench %s: %s\n", mode.c_str(), e.what());
         return 1;

@@ -108,6 +108,12 @@ class Comparator(unittest.TestCase):
         self.assertIn("setup_s=agree", summary[0])
         self.assertIn("setup_s=worse", summary[1])
         self.assertEqual(failures, 1)
+        # One set: every metric's spread is held to its bound.
+        noisy = self.records("a", "setup_s", [1.0, 1.6, 0.6, 1.3, 0.8])
+        out = Out()
+        self.assertEqual(compare.compare(noisy, None, bench, run.CATALOGUE,
+                                         out), 1)
+        self.assertIn("setup_s=SPREAD", "".join(out))
 
 
 class SelfTimes(unittest.TestCase):
@@ -119,6 +125,45 @@ class SelfTimes(unittest.TestCase):
         st = run.self_times(spans)
         self.assertAlmostEqual(st[1], 10.0 - (5.0 + 2.0))
         self.assertAlmostEqual(st[2], 3.0)
+
+    @staticmethod
+    def job(children, root=(0.0, 3.0)):
+        """A serve.submit tree measured as sent at 0 and done at 3."""
+        spans = [[1, 0, 7, "serve.submit", root[0], root[1]]]
+        spans += [[2 + i, 1, 7, "serve.row", t0, t1]
+                  for i, (t0, t1) in enumerate(children)]
+        return spans, {7: (0.0, 3.0, 1)}
+
+    def test_span_check_accepts_a_tiled_job(self):
+        spans, measured = self.job([(0.0, 1.0), (1.0, 2.5), (2.5, 3.0)])
+        self.assertEqual(run.span_errors(spans, measured, 1e-6), {})
+
+    def test_span_check_finds_gap_overlap_and_escape(self):
+        cases = {
+            "gap": ([(0.0, 1.0), (1.5, 3.0)], (0.0, 3.0), 0.5),
+            "overlap": ([(0.0, 2.0), (1.5, 3.0)], (0.0, 3.0), 0.5),
+            "child outside": ([(0.0, 1.0), (1.0, 3.4)], (0.0, 3.0), 0.8),
+            "late root": ([(0.2, 3.0)], (0.2, 3.0), 0.2),
+        }
+        for name, (children, root, err) in cases.items():
+            with self.subTest(case=name):
+                spans, measured = self.job(children, root)
+                got = run.span_errors(spans, measured, 1e-6)
+                self.assertEqual(list(got), [7])
+                self.assertAlmostEqual(got[7], err)
+
+    def test_span_check_bounds_parallel_children(self):
+        # Two threads: four 1 s points in a 2 s sweep fit, a fifth does
+        # not.
+        spans = [[1, 0, 3, "sim.sweep", 0.0, 2.0]]
+        rows = [(0.0, 1.0), (0.0, 1.0), (1.0, 2.0), (1.0, 2.0)]
+        spans += [[2 + i, 1, 3, "pipeline.run", t0, t1]
+                  for i, (t0, t1) in enumerate(rows)]
+        measured = {3: (0.0, 2.0, 2)}
+        self.assertEqual(run.span_errors(spans, measured, 1e-6), {})
+        spans.append([9, 1, 3, "pipeline.run", 0.5, 1.5])
+        self.assertAlmostEqual(
+            run.span_errors(spans, measured, 1e-6)[3], 1.0)
 
 
 class Runs(unittest.TestCase):
@@ -161,34 +206,27 @@ class Runs(unittest.TestCase):
         self.assertIsNone(record)
 
     def test_traced_self_times_sum_to_span_wall(self):
+        # Each traced job's (or sweep's) span tree is held against the
+        # interval measured outside the span recorder: the client's
+        # send-to-done latency, the harness's sweep wall.
         for workload in ("serve_warm", "offline_sweep"):
             with tempfile.TemporaryDirectory() as tmp, \
                     self.subTest(workload=workload):
                 path = os.path.join(tmp, "spans.json")
-                code, _, _ = bench_run(workload, 1,
-                                       extra=("--spans", path))
+                code, _, record = bench_run(workload, 1,
+                                            extra=("--spans", path))
                 self.assertEqual(code, 0)
+                self.assertTrue(
+                    record["checks"]["spans_account_for_measured_walls"])
                 with open(path) as f:
                     dump = json.load(f)
-                spans = dump["spans"]
-                self.assertTrue(spans)
-                selfs = run.self_times(spans)
-                kids = {}
-                for s in spans:
-                    kids.setdefault(s[1], []).append(s)
-                for root in kids[0]:
-                    tree = [root] + kids.get(root[0], [])
-                    wall = root[5] - root[4]
-                    self.assertGreaterEqual(selfs[root[0]], -1e-9)
-                    if root[3] != "serve.submit":
-                        continue
-                    # Client spans tile the job serially: their self
-                    # times add up to the job's wall, off by at most
-                    # what recording the spans cost.
-                    slack = len(tree) * dump["span_cost_s"] + 1e-6
-                    self.assertAlmostEqual(
-                        sum(selfs[s[0]] for s in tree), wall,
-                        delta=slack)
+                measured = {m[0]: tuple(m[1:]) for m in dump["measured"]}
+                self.assertTrue(measured)
+                roots = [s for s in dump["spans"] if s[2] in measured
+                         and s[1] == 0]
+                self.assertEqual(len(roots), len(measured))
+                self.assertEqual(run.span_errors(
+                    dump["spans"], measured, dump["span_cost_s"]), {})
 
     def test_simulated_counts_repeat(self):
         _, lines_a, _ = bench_run("serve_warm", 1, seed=3)
