@@ -45,7 +45,6 @@ main(int argc, char **argv)
     }
 
     SweepDriver driver(opts.jobs);
-    driver.setArenaMode(opts.arena);
     ResultSet rs = driver.run(SweepDriver::grid(opts.benches, cfgs));
     if (emitMachineReadable(rs, opts.format))
         return 0;

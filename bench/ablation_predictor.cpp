@@ -55,7 +55,6 @@ main(int argc, char **argv)
             opts.stamped(SimConfig::fromSpec(v.spec), 8, true));
 
     SweepDriver driver(opts.jobs);
-    driver.setArenaMode(opts.arena);
     ResultSet rs = driver.run(SweepDriver::grid(opts.benches, cfgs));
     if (emitMachineReadable(rs, opts.format))
         return 0;

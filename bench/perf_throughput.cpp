@@ -22,15 +22,15 @@
  *    (stddev/mean) of the rep wall-clocks, so a consumer can tell a
  *    quiet measurement from a noisy one instead of trusting the
  *    best-rep point blindly;
- *  - a `batched` boolean per row records which replay core ran
- *    (--scalar-replay measures the scalar reference loop);
  *  - a `gates` object embeds the allocation budgets the binaries
  *    enforce (util/alloc_gates.hh), so the CI gate reads the same
  *    numbers the unit test asserts.
  * From v2: one row per (bench, engine, oracle mode) with the default
  * bench set covering every registered workload family, and the
  * `sweep` amortization object (3 engines x 2 widths through
- * SweepDriver, live vs arena, decode cost included).
+ * SweepDriver, live vs arena, decode cost included). A row with
+ * `"arena": false` generates live into the run's private
+ * committed-path window; `"arena": true` replays the shared arena.
  *
  * Methodology: each (benchmark, engine) point is run `--reps` times
  * serially on a cached workload after one untimed warmup run; the
@@ -40,7 +40,7 @@
  *
  * Usage: perf_throughput [--insts N] [--warmup N] [--bench name,...]
  *                        [--arch SPEC,...] [--reps N] [--out FILE]
- *                        [--no-sweep] [--scalar-replay]
+ *                        [--no-sweep]
  */
 
 #include <chrono>
@@ -70,7 +70,6 @@ struct Row
     unsigned width = 0;
     bool optimized = true;
     bool arena = false;
-    bool batched = true;
     std::uint64_t cycles = 0;
     std::uint64_t committed = 0;
     double bestSeconds = 0.0;
@@ -127,7 +126,6 @@ measure(const PlacedWorkload &work, const SimConfig &cfg,
     row.width = cfg.width;
     row.optimized = cfg.optimizedLayout;
     row.arena = arena != nullptr;
-    row.batched = tuning.batchedReplay;
 
     runOn(work, cfg, nullptr, arena, tuning); // untimed warmup run
 
@@ -258,7 +256,6 @@ writeJson(const std::string &path, const std::vector<Row> &rows,
             f,
             "    {\"bench\": \"%s\", \"spec\": \"%s\", "
             "\"width\": %u, \"layout\": \"%s\", \"arena\": %s, "
-            "\"batched\": %s, "
             "\"cycles\": %llu, \"committed_insts\": %llu, "
             "\"best_seconds\": %.6f, \"cov_seconds\": %.4f, "
             "\"minsts_per_sec\": %.3f, \"mcycles_per_sec\": %.3f, "
@@ -266,7 +263,6 @@ writeJson(const std::string &path, const std::vector<Row> &rows,
             r.bench.c_str(), r.spec.c_str(), r.width,
             r.optimized ? "opt" : "base",
             r.arena ? "true" : "false",
-            r.batched ? "true" : "false",
             static_cast<unsigned long long>(r.cycles),
             static_cast<unsigned long long>(r.committed),
             r.bestSeconds, r.covSeconds,
@@ -340,10 +336,6 @@ main(int argc, char **argv)
     cli.addFlag("--no-sweep",
                 "skip the multi-point sweep amortization measurement",
                 [&] { do_sweep = false; });
-    cli.addFlag("--scalar-replay",
-                "measure the scalar reference loop instead of the "
-                "batched replay core (A/B comparison)",
-                [&] { tuning.batchedReplay = false; });
     cli.parseOrExit(argc, argv);
     opts.benches = resolveBenches(opts.benches);
     if (reps == 0)

@@ -32,8 +32,7 @@ main(int argc, char **argv)
                   "both layouts");
     cli.addStandard(&opts, CliParser::kInsts | CliParser::kBench |
                                CliParser::kJobs | CliParser::kFormat |
-                               CliParser::kArch |
-                               CliParser::kArena);
+                               CliParser::kArch);
     cli.addOption("--width", "2|4|8", "pipe width (default 8)",
                   [&](const std::string &v) {
                       width = CliParser::parseUnsignedList(v).at(0);
@@ -73,7 +72,6 @@ main(int argc, char **argv)
             cfgs.push_back(opts.stamped(arch, width, opt));
 
     SweepDriver driver(opts.jobs);
-    driver.setArenaMode(opts.arena);
     ResultSet rs = driver.run(SweepDriver::grid({bench}, cfgs));
     if (emitMachineReadable(rs, opts.format))
         return 0;

@@ -63,8 +63,7 @@ main(int argc, char **argv)
                   "what the layout optimizer does to one workload, "
                   "and how the stream engine responds");
     cli.addStandard(&opts, CliParser::kInsts | CliParser::kBench |
-                               CliParser::kJobs |
-                               CliParser::kArena);
+                               CliParser::kJobs);
     cli.onPositional("[benchmark]", "suite benchmark (default gcc)",
                      [&](const std::string &v) {
                          opts.benches = {v};
@@ -107,7 +106,6 @@ main(int argc, char **argv)
     for (bool opt : {false, true})
         cfgs.push_back(opts.stamped(SimConfig("stream"), 8, opt));
     SweepDriver driver(opts.jobs);
-    driver.setArenaMode(opts.arena);
     driver.setQuiet(true);
     ResultSet rs = driver.run(SweepDriver::grid({bench}, cfgs));
 

@@ -126,7 +126,6 @@ main(int argc, char **argv)
         }
     } else {
         SweepDriver driver(opts.jobs);
-        driver.setArenaMode(opts.arena);
         rs = driver.run(SweepDriver::grid(opts.benches, cfgs));
     }
     if (emitMachineReadable(rs, opts.format))

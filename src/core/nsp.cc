@@ -25,12 +25,12 @@ NextStreamPredictor::NextStreamPredictor(const NspConfig &cfg)
     assert(cfg_.secondEntries % cfg_.secondAssoc == 0);
     first_.numSets = cfg_.firstEntries / cfg_.firstAssoc;
     first_.assoc = cfg_.firstAssoc;
-    first_.resize(cfg_.firstEntries);
+    first_.resize(cfg_.firstEntries, cfg_.counterBits);
     second_.numSets = cfg_.secondEntries / cfg_.secondAssoc;
     while ((1ULL << secondIndexBits_) < second_.numSets)
         ++secondIndexBits_;
     second_.assoc = cfg_.secondAssoc;
-    second_.resize(cfg_.secondEntries);
+    second_.resize(cfg_.secondEntries, cfg_.counterBits);
     assert(isPow2(first_.numSets));
     assert(isPow2(second_.numSets));
 }

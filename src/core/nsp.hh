@@ -128,11 +128,13 @@ class NextStreamPredictor
         unsigned assoc = 0;
 
         void
-        resize(std::size_t entries)
+        resize(std::size_t entries, unsigned counter_bits)
         {
             tags.assign(entries, 0);
             valid.assign(entries, 0);
-            ways.assign(entries, Entry{});
+            Entry blank;
+            blank.counter = SatCounter(counter_bits, 0);
+            ways.assign(entries, blank);
         }
 
         /**

@@ -11,42 +11,32 @@ namespace sfetch
 OracleStream::OracleStream(const CodeImage &image,
                            const WorkloadModel &model,
                            std::uint64_t seed,
-                           const RecordedTrace *replay,
-                           const OracleArena *arena)
+                           const RecordedTrace *replay)
     : image_(&image), gen_(image.program(), model, seed),
-      replay_(replay), arena_(arena)
+      replay_(replay)
 {
-    if (replay_ && arena_)
-        throw std::invalid_argument(
-            "OracleStream: a recorded-trace replay and an arena "
-            "replay are mutually exclusive");
     ret_stack_.reserve(TraceGenerator::kMaxCallDepth);
 }
 
-ControlRecord
-OracleStream::nextRecord()
+void
+OracleStream::throwReplayExhausted() const
 {
-    if (!replay_)
-        return gen_.next();
-    if (replayPos_ >= replay_->records.size())
-        throw std::runtime_error(
-            "trace replay exhausted after " +
-            std::to_string(replayPos_) +
-            " records; record the trace with more margin");
-    return replay_->records[replayPos_++];
+    throw std::runtime_error(
+        "trace replay exhausted after " + std::to_string(replayPos_) +
+        " records; record the trace with more margin");
 }
 
-OracleInst
-OracleStream::generate()
+bool
+OracleStream::generate(OracleInst &oi)
 {
-    OracleInst oi;
     for (;;) {
         if (tryEmitInBlock(oi))
-            return oi;
+            return true;
         if (inBlock_) {
             // Terminator, then any stub walk scheduled after it.
             inBlock_ = false;
-            return term_;
+            oi = term_;
+            return true;
         }
 
         if (stubPc_ != stubStop_) {
@@ -58,20 +48,27 @@ OracleStream::generate()
             oi.btype = BranchType::Jump;
             oi.taken = true;
             oi.nextPc = image_->takenTarget(stubPc_);
-            oi.block = kNoBlock;
             stubPc_ = oi.nextPc;
-            return oi;
+            return true;
         }
 
-        startBlock();
+        if (!startBlock())
+            return false;
     }
 }
 
-void
+bool
 OracleStream::startBlock()
 {
+    ControlRecord rec;
+    if (!replay_)
+        rec = gen_.next();
+    else if (replayPos_ < replay_->records.size())
+        rec = replay_->records[replayPos_++];
+    else
+        return false;
+
     const Program &prog = image_->program();
-    ControlRecord rec = nextRecord();
     const BasicBlock &b = prog.block(rec.block);
     const Addr block_start = image_->blockAddr(rec.block);
     const Addr succ_addr = image_->blockAddr(rec.next);
@@ -86,7 +83,6 @@ OracleStream::startBlock()
     term = OracleInst{};
     term.pc = block_start + instsToBytes(b.numInsts - 1);
     term.cls = b.insts[b.numInsts - 1];
-    term.block = b.id;
     term.nextPc = term.pc + kInstBytes;
 
     const Addr seq = image_->seqAfter(b.id);
@@ -148,6 +144,7 @@ OracleStream::startBlock()
         term.nextPc = succ_addr;
         break;
     }
+    return true;
 }
 
 } // namespace sfetch

@@ -5,7 +5,9 @@
  * CodeImage (addresses, taken/not-taken directions after layout
  * polarization, stub jumps, return addresses). This is the
  * architectural path the processor model retires; the fetch engines
- * race ahead of it speculatively.
+ * race ahead of it speculatively. The processor never reads it
+ * directly: OracleDecoder (layout/oracle_arena.hh) packs it into the
+ * pre-decoded windows the pipeline consumes.
  */
 
 #ifndef SFETCH_LAYOUT_ORACLE_HH
@@ -14,8 +16,6 @@
 #include <vector>
 
 #include "layout/code_image.hh"
-#include "layout/oracle_arena.hh"
-#include "layout/oracle_inst.hh"
 #include "workload/trace_gen.hh"
 
 namespace sfetch
@@ -23,15 +23,28 @@ namespace sfetch
 
 struct RecordedTrace;
 
+/** One committed-path instruction. */
+struct OracleInst
+{
+    Addr pc = kNoAddr;
+    InstClass cls = InstClass::IntAlu;
+    BranchType btype = BranchType::None;
+    bool taken = false;  //!< meaningful when btype != None
+    Addr nextPc = kNoAddr; //!< committed successor instruction
+
+    bool isBranch() const { return btype != BranchType::None; }
+};
+
 /**
- * Infinite committed instruction stream. Deterministic given
- * (image, model, seed); two OracleStreams with the same arguments
- * produce identical sequences, which the simulator relies on when
- * comparing fetch architectures.
+ * Committed instruction stream: infinite when generated live, as
+ * long as the trace when replayed. Deterministic given (image, model,
+ * seed); two OracleStreams with the same arguments produce identical
+ * sequences, which the simulator relies on when comparing fetch
+ * architectures.
  *
  * Instructions are generated incrementally — a cursor into the
  * current basic block plus an in-progress stub walk — instead of
- * expanding whole blocks into a queue, so next()/peek() never
+ * expanding whole blocks into a queue, so next()/tryNext() never
  * allocate (the return-address stack reserves its bounded depth up
  * front).
  */
@@ -42,119 +55,51 @@ class OracleStream
      * @param replay When non-null, the committed control path is
      * read from the recorded trace (which must outlive the stream)
      * instead of being generated live; @p model and @p seed then
-     * only drive the data-address side held elsewhere. A replay that
-     * runs past the end of the trace throws std::runtime_error —
-     * record with enough margin (see recordTrace()).
-     * @param arena When non-null, the fully pre-decoded committed
-     * path (which must outlive the stream and have been built from
-     * the same image/model/seed) is replayed with a bounds-checked
-     * pointer bump — nothing is generated at all. Mutually exclusive
-     * with @p replay.
+     * only drive the data-address side held elsewhere.
      */
     OracleStream(const CodeImage &image, const WorkloadModel &model,
                  std::uint64_t seed,
-                 const RecordedTrace *replay = nullptr,
-                 const OracleArena *arena = nullptr);
+                 const RecordedTrace *replay = nullptr);
 
     /**
-     * Next committed instruction. The in-block fast path is inline
-     * (one instruction per call on the hot path); block boundaries
-     * and stub walks go through generate().
+     * Write the next committed instruction into @p out (every field
+     * assigned) and return true; return false, leaving the stream
+     * unchanged, once a recorded trace has run out. The in-block fast
+     * path is inline; block boundaries and stub walks go through
+     * generate().
+     */
+    bool
+    tryNext(OracleInst &out)
+    {
+        if (!tryEmitInBlock(out) && !generate(out))
+            return false;
+        ++count_;
+        return true;
+    }
+
+    /**
+     * Next committed instruction. Running past the end of a recorded
+     * trace throws std::runtime_error — record with enough margin
+     * (see recordTrace()).
      */
     OracleInst
     next()
     {
-        ++count_;
-        if (haveLook_) {
-            haveLook_ = false;
-            return look_;
-        }
-        if (arena_) {
-            OracleInst oi;
-            arena_->read(arenaPos_++, oi);
-            return oi;
-        }
-        return produce();
-    }
-
-    /**
-     * next(), writing straight into caller-owned storage (the fetch
-     * buffer slot) instead of returning through a temporary. Every
-     * field of @p out is assigned.
-     */
-    void
-    nextInto(OracleInst &out)
-    {
-        ++count_;
-        if (haveLook_) {
-            haveLook_ = false;
-            out = look_;
-            return;
-        }
-        if (arena_) {
-            arena_->read(arenaPos_++, out);
-            return;
-        }
-        if (!tryEmitInBlock(out))
-            out = generate();
-    }
-
-    /** Peek without consuming. */
-    const OracleInst &
-    peek()
-    {
-        if (!haveLook_) {
-            if (arena_)
-                arena_->read(arenaPos_++, look_);
-            else
-                look_ = produce();
-            haveLook_ = true;
-        }
-        return look_;
+        OracleInst oi;
+        if (!tryNext(oi))
+            throwReplayExhausted();
+        return oi;
     }
 
     std::uint64_t instCount() const { return count_; }
-
-    // Bulk arena-cursor interface for the batched replay core. The
-    // processor verifies a whole fetch bundle against the arena's
-    // raw pcOffsets() span and then consumes the matched run with
-    // one bulkAdvance() — one bounds check per bundle instead of the
-    // per-instruction check inside nextInto().
-
-    /**
-     * True when the stream can be consumed in bulk straight from the
-     * arena arrays: arena-backed, and no pending peek() lookahead
-     * (a peek holds one already-consumed instruction in look_, which
-     * a raw-array reader would otherwise replay twice).
-     */
-    bool bulkReplayable() const { return arena_ && !haveLook_; }
-
-    /** The backing arena (null for live/trace-replay streams). */
-    const OracleArena *arena() const { return arena_; }
-
-    /** Index into the arena of the next unconsumed instruction. */
-    std::uint64_t arenaPos() const { return arenaPos_; }
-
-    /**
-     * Consume @p n instructions that the caller has already decoded
-     * from the arena's raw spans. The caller has bounds-checked the
-     * run (arenaPos() + @p n <= arena()->size()); only valid while
-     * bulkReplayable().
-     */
-    void
-    bulkAdvance(std::uint64_t n)
-    {
-        count_ += n;
-        arenaPos_ += n;
-    }
 
   private:
     /**
      * The in-block fast path: emit the next non-terminator
      * instruction of the current block, assigning every field of
-     * @p out. The single definition shared by next()/nextInto()/
-     * peek() and generate() — the bit-identity guarantee depends on
-     * all paths emitting exactly the same instructions.
+     * @p out. Shared by tryNext() and generate() — the bit-identity
+     * guarantee depends on both emitting exactly the same
+     * instructions.
      */
     bool
     tryEmitInBlock(OracleInst &out)
@@ -166,33 +111,19 @@ class OracleStream
         out.btype = BranchType::None;
         out.taken = false;
         out.nextPc = out.pc + kInstBytes;
-        out.block = block_->id;
         ++idx_;
         return true;
     }
 
-    /** Produce the next instruction (fast path inline). */
-    OracleInst
-    produce()
-    {
-        OracleInst oi;
-        if (tryEmitInBlock(oi))
-            return oi;
-        return generate();
-    }
-
-    OracleInst generate();
-    void startBlock();
-
-    /** The next committed control record: live or replayed. */
-    ControlRecord nextRecord();
+    bool generate(OracleInst &out);
+    /** Enter the next committed block; false when the trace ran out. */
+    bool startBlock();
+    [[noreturn]] void throwReplayExhausted() const;
 
     const CodeImage *image_;
     TraceGenerator gen_;
     const RecordedTrace *replay_ = nullptr;
     std::size_t replayPos_ = 0;
-    const OracleArena *arena_ = nullptr;
-    std::uint64_t arenaPos_ = 0;
 
     // Incremental expansion state: the block being emitted, its
     // precomputed terminator, and the stub walk that follows it.
@@ -203,10 +134,6 @@ class OracleStream
     OracleInst term_;       //!< the block's terminator instruction
     Addr stubPc_ = kNoAddr; //!< in-progress stub walk; == stubStop_
     Addr stubStop_ = kNoAddr; //!< when there is nothing to walk
-
-    // One-instruction lookahead backing peek().
-    OracleInst look_;
-    bool haveLook_ = false;
 
     std::vector<Addr> ret_stack_;
     std::uint64_t count_ = 0;

@@ -1,40 +1,44 @@
 /**
  * @file
- * OracleArena: a flat, immutable, SoA pre-decode of a workload's
- * committed path. The paper's experiments are sweeps — the same
- * benchmark fed through every fetch engine, pipe width, and layout —
- * yet live generation re-walks the CFG (RNG draws, branch-model
- * lookups, stub walks) once per sweep point. The arena runs the
- * generator exactly once and stores the expanded instruction stream
- * in parallel arrays; every sweep point then replays it with a
- * bounds-checked pointer bump, sharing one read-only arena across
- * all threads (gem5-style decode-once / simulate-many).
+ * The pre-decoded committed path: the only form in which the
+ * processor reads the oracle.
  *
- * Storage is structure-of-arrays and packed for sequential streaming:
+ * One decode loop (OracleDecoder) expands an OracleStream — the live
+ * generator or a recorded trace — into flat structure-of-arrays
+ * storage, packed for sequential streaming:
  *
- *   - pcOff_[i]   u32 byte offset of instruction i from the image
- *                 base (the committed path never leaves the image);
- *                 entry size()+1 exists so nextPc is pcOff_[i+1] —
- *                 the committed successor of instruction i *is* the
- *                 next committed instruction, so nextPc needs no
- *                 array of its own.
- *   - meta_[i]    u8: InstClass (bits 0-2), BranchType (bits 3-5),
- *                 taken (bit 6).
- *   - block_[i]   u32 owning BlockId (kNoBlock for layout stubs).
- *   - dataAddr_[k] u64 address of the k-th data access: the back
- *                 end's synthetic address stream is part of the
- *                 workload model (independent of the fetch engine),
- *                 so it is pre-generated alongside the control path.
+ *   - pcOff[i]   u32 byte offset of instruction i from the image
+ *                base (the committed path never leaves the image);
+ *                one entry past the last instruction holds its
+ *                successor, so nextPc is pcOff[i+1] — the committed
+ *                successor of instruction i *is* the next committed
+ *                instruction, so nextPc needs no array of its own.
+ *   - meta[i]    u8: InstClass (bits 0-2), BranchType (bits 3-5),
+ *                taken (bit 6).
+ *   - data[k]    u64 address of the k-th data access: the back
+ *                end's synthetic address stream is part of the
+ *                workload model (independent of the fetch engine),
+ *                so it is decoded alongside the control path.
  *
- * Memory cost: 9 bytes per committed instruction plus 8 bytes per
- * load/store, i.e. ~11-12 MB per million instructions for typical
- * instruction mixes. An arena for a full paper-scale run (2M + 0.3M
- * warmup) is ~28 MB, built once per (bench, layout, run length).
+ * Two owners hold that storage. An OracleArena decodes a whole run
+ * once and is shared read-only by every sweep point of one (bench,
+ * layout, run length) — gem5-style decode-once / simulate-many. An
+ * OracleWindow is a run's private, constant-size window that the
+ * same loop refills as the run advances; the arena is simply a
+ * window that is never refilled. Both hand the processor an
+ * OracleView, so one pipeline serves every run.
  *
- * Bit-identity: the arena is built by running the live OracleStream
- * and recording exactly what it produced, so an arena-backed replay
- * is bit-identical to live generation by construction; the golden
- * stats suite pins this for every engine.
+ * Memory cost: 5 bytes per committed instruction plus 8 bytes per
+ * load/store. An arena reserves data room for half its instructions
+ * (the suite's mixes run ~30-40% loads/stores), so it holds 9 bytes
+ * per instruction: ~21 MB for a full paper-scale run (2M + 0.3M
+ * warmup), built once per (bench, layout, run length). A window
+ * costs 13 bytes per entry but has a fixed entry count.
+ *
+ * Bit-identity: every form is what the live OracleStream produced,
+ * so arena replay, windowed generation and windowed trace replay are
+ * bit-identical by construction; the golden stats and the window
+ * invariance suite pin this for every engine.
  */
 
 #ifndef SFETCH_LAYOUT_ORACLE_ARENA_HH
@@ -43,25 +47,71 @@
 #include <cstdint>
 #include <vector>
 
-#include "layout/code_image.hh"
-#include "layout/oracle_inst.hh"
-#include "workload/branch_model.hh"
+#include "layout/oracle.hh"
 
 namespace sfetch
 {
 
 /**
  * A priori per-instruction estimate of an arena's heap cost, for
- * admission decisions made *before* any decode: 9 B/inst of control
- * path (u32 pc offset + meta byte + u32 block id) plus 8 B per
- * load/store of pre-generated data address; the suite's instruction
- * mixes run ~30-40% memory operations, so 12 B/inst bounds the real
- * cost (~11-12 B/inst measured) from above. sfetchd's memory
- * governor budgets `insts * kArenaBytesPerInstEstimate` per decode.
+ * admission decisions made *before* any decode: 5 B/inst of control
+ * path (u32 pc offset + meta byte) plus 8 B per load/store of
+ * pre-generated data address; the suite's instruction mixes run
+ * ~30-40% memory operations, so 12 B/inst bounds the real cost
+ * (9 B/inst measured, data room reserved for half the instructions)
+ * from above. sfetchd's memory governor budgets
+ * `insts * kArenaBytesPerInstEstimate` per decode.
  */
 constexpr std::size_t kArenaBytesPerInstEstimate = 12;
 
-/** Immutable pre-decoded committed path (see file comment). */
+/** Meta-byte bits holding the branch type (nonzero for branches). */
+constexpr std::uint8_t kMetaBranchBits = 0x38;
+
+/**
+ * Read-only view of committed-path positions [first, last) in the
+ * packed form (see file comment). Positions are absolute indices
+ * into the run's committed path; the arrays start at @c first.
+ */
+struct OracleView
+{
+    Addr base = 0;                        //!< image base address
+    const std::uint32_t *pcOff = nullptr; //!< [first, last] (+successor)
+    const std::uint8_t *meta = nullptr;   //!< [first, last)
+    const Addr *data = nullptr;           //!< [dataFirst, dataLast)
+    std::uint64_t first = 0, last = 0;
+    std::uint64_t dataFirst = 0, dataLast = 0;
+};
+
+/**
+ * The one decode loop: expands an OracleStream (live, or replaying
+ * a recorded trace) into the packed form and draws one data address
+ * per load/store. Successive decode() calls continue the same path.
+ */
+class OracleDecoder
+{
+  public:
+    OracleDecoder(const CodeImage &image, const WorkloadModel &model,
+                  std::uint64_t seed,
+                  const RecordedTrace *replay = nullptr);
+
+    /**
+     * Decode up to @p n instructions into pcOff[0..n) and meta[0..n),
+     * appending one address to @p data per load/store, then write the
+     * successor of the last one to pcOff[count]. Returns the count,
+     * which falls short of @p n only once a recorded trace has run
+     * out.
+     */
+    std::size_t decode(std::uint32_t *pcOff, std::uint8_t *meta,
+                       std::vector<Addr> &data, std::size_t n);
+
+  private:
+    OracleStream path_;
+    DataAddressStream data_;
+    Addr base_;
+    Addr next_ = kNoAddr; //!< successor of the last decoded instruction
+};
+
+/** A whole run's committed path, decoded once and shared. */
 class OracleArena
 {
   public:
@@ -91,6 +141,9 @@ class OracleArena
     /** Number of pre-generated data-access addresses. */
     std::uint64_t dataCount() const { return dataAddr_.size(); }
 
+    /** The whole decoded path, positions [0, size()). */
+    OracleView view() const;
+
     /** Approximate heap footprint in bytes. */
     std::size_t bytes() const;
 
@@ -108,82 +161,7 @@ class OracleArena
     OracleArena(const OracleArena &) = delete;
     OracleArena &operator=(const OracleArena &) = delete;
 
-    /**
-     * Read instruction @p i into @p out (every field assigned): the
-     * arena-backed OracleStream::nextInto(). Reading past the end
-     * throws std::runtime_error — build with more margin.
-     */
-    void
-    read(std::uint64_t i, OracleInst &out) const
-    {
-        if (i >= size_)
-            throwExhausted(i);
-        readUnchecked(i, out);
-    }
-
-    // Raw SoA spans for the batched replay core: the processor's
-    // bulk oracle verify compares a whole fetch bundle against
-    // pcOffsets() with one range compare, then decodes the matched
-    // run straight from meta()/blocks() with the bounds check hoisted
-    // to one test per bundle (via readUnchecked()).
-
-    /** Image base address every pcOffsets() entry is relative to. */
-    Addr base() const { return base_; }
-
-    /** size()+1 u32 byte offsets; entry i+1 is instruction i's nextPc. */
-    const std::uint32_t *pcOffsets() const { return pcOff_.data(); }
-
-    /** size() packed meta bytes: class bits 0-2, branch type bits
-     *  3-5, taken bit 6. */
-    const std::uint8_t *meta() const { return meta_.data(); }
-
-    /** size() owning block ids (kNoBlock for layout stubs). */
-    const BlockId *blocks() const { return block_.data(); }
-
-    /** The pointer-bump read itself (bounds already checked). */
-    void
-    readUnchecked(std::uint64_t i, OracleInst &out) const
-    {
-        out.pc = base_ + pcOff_[i];
-        out.nextPc = base_ + pcOff_[i + 1];
-        const std::uint8_t m = meta_[i];
-        out.cls = static_cast<InstClass>(m & 0x07);
-        out.btype = static_cast<BranchType>((m >> 3) & 0x07);
-        out.taken = (m & 0x40) != 0;
-        out.block = block_[i];
-    }
-
-    /** The replay-past-the-end diagnostic, shared with bulk readers. */
-    [[noreturn]] void throwExhausted(std::uint64_t i) const;
-
-    /**
-     * Address of the @p k-th data access (the k-th load or store on
-     * the committed path, in dispatch order). Reading past the end
-     * throws std::runtime_error.
-     */
-    Addr
-    dataAddr(std::uint64_t k) const
-    {
-        if (k >= dataAddr_.size())
-            throwDataExhausted(k);
-        return dataAddr_[k];
-    }
-
-    /**
-     * Non-throwing peek at the @p k-th data address (0 past the
-     * end): feeds the processor's host-side cache-model prefetch of
-     * upcoming accesses, a lookahead only the pre-decoded path can
-     * provide.
-     */
-    Addr
-    peekDataAddr(std::uint64_t k) const
-    {
-        return k < dataAddr_.size() ? dataAddr_[k] : 0;
-    }
-
   private:
-    [[noreturn]] void throwDataExhausted(std::uint64_t k) const;
-
     /** bytes() at registration time, subtracted by the destructor. */
     std::size_t registeredBytes_ = 0;
 
@@ -193,8 +171,43 @@ class OracleArena
     std::uint64_t size_ = 0;
     std::vector<std::uint32_t> pcOff_; //!< size_+1 entries
     std::vector<std::uint8_t> meta_;
-    std::vector<BlockId> block_;
     std::vector<Addr> dataAddr_;
+};
+
+/**
+ * A run's private committed-path window of constant capacity, kept
+ * full by the decode loop as the run advances. Its heap cost is fixed
+ * at construction, whatever the run length.
+ */
+class OracleWindow
+{
+  public:
+    /**
+     * Decode the first @p capacity instructions of (@p image,
+     * @p model, @p seed), or of @p replay when non-null (which must
+     * outlive the window).
+     */
+    OracleWindow(const CodeImage &image, const WorkloadModel &model,
+                 std::uint64_t seed, const RecordedTrace *replay,
+                 std::size_t capacity);
+
+    const OracleView &view() const { return view_; }
+
+    /**
+     * Drop positions before @p keep_from and data accesses before
+     * @p keep_data_from, move the rest to the front, and decode until
+     * the window is full again. Returns false when nothing new could
+     * be decoded (the recorded trace has run out).
+     */
+    bool refill(std::uint64_t keep_from, std::uint64_t keep_data_from);
+
+  private:
+    OracleDecoder decoder_;
+    std::size_t capacity_;
+    std::vector<std::uint32_t> pcOff_; //!< capacity_+1 entries
+    std::vector<std::uint8_t> meta_;
+    std::vector<Addr> data_; //!< reserved once; never reallocates
+    OracleView view_;
 };
 
 } // namespace sfetch

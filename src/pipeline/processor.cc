@@ -14,12 +14,8 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
                      MemoryHierarchy *mem, std::uint64_t seed,
                      const RecordedTrace *replay,
                      const OracleArena *arena)
-    : cfg_(cfg), engine_(engine), image_(&image), mem_(mem),
-      oracle_(image, model, seed, replay, arena),
-      dstream_(model.data(), seed ^ kDataStreamSeedSalt),
-      arena_(arena),
-      expectedPc_(image.entryAddr()),
-      buffer_(cfg.fetchBufferInsts), rob_(cfg.robSize)
+    : cfg_(cfg), engine_(engine), mem_(mem),
+      expectedPc_(image.entryAddr()), rob_(cfg.robSize)
 {
     // Runtime check, not an assert: the width comes from user
     // configuration, and overrunning the inline FetchBundle array in
@@ -30,15 +26,24 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
             " exceeds the supported fetch width " +
             std::to_string(FetchBundle::kCapacity));
     }
+    if (replay && arena)
+        throw std::invalid_argument(
+            "Processor: a recorded-trace replay and a shared arena "
+            "are mutually exclusive");
 
     batched_ = cfg_.batchedReplay;
-    // The bundle-at-once oracle verify needs the flat committed-path
-    // arrays; live and trace-replay streams fall back to the scalar
-    // per-instruction compare (commit/dispatch still batch).
-    batchedFetch_ = batched_ && arena_ != nullptr;
-
-    bufRecs_ = std::make_unique<OracleInst[]>(buffer_.slotCapacity());
-    robRecs_ = std::make_unique<OracleInst[]>(rob_.slotCapacity());
+    if (arena) {
+        path_ = arena->view();
+    } else {
+        if (minWindowInsts(cfg_) > kOracleWindowInsts / 2)
+            throw std::invalid_argument(
+                "ProcessorConfig: ROB plus fetch buffer exceed half "
+                "the committed-path window (" +
+                std::to_string(kOracleWindowInsts) + " entries)");
+        window_ = std::make_unique<OracleWindow>(
+            image, model, seed, replay, kOracleWindowInsts);
+        path_ = window_->view();
+    }
 
     for (auto &l : latByCls_)
         l = cfg_.latAlu;
@@ -51,25 +56,27 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
 }
 
 Cycle
-Processor::execLatency(const OracleInst &rec)
-{
-    const unsigned cls = static_cast<unsigned>(rec.cls) & 0x07;
-    if (cls == static_cast<unsigned>(InstClass::Load))
-        return mem_->accessData(nextDataAddr());
-    if (cls == static_cast<unsigned>(InstClass::Store))
-        nextDataAddr(); // stores allocate but retire immediately
-    return latByCls_[cls];
-}
-
-Cycle
 Processor::execLatencyMeta(std::uint8_t mb)
 {
     const unsigned cls = mb & 0x07;
-    if (cls == static_cast<unsigned>(InstClass::Load))
-        return mem_->accessData(nextDataAddr());
+    if (cls == static_cast<unsigned>(InstClass::Load)) {
+        assert(dataPos_ < path_.dataLast);
+        return mem_->accessData(path_.data[dataPos_++ - path_.dataFirst]);
+    }
     if (cls == static_cast<unsigned>(InstClass::Store))
-        nextDataAddr(); // stores allocate but retire immediately
+        ++dataPos_; // stores allocate but retire immediately
     return latByCls_[cls];
+}
+
+CommittedBranch
+Processor::committedBranch(std::uint64_t pos, std::uint8_t mb) const
+{
+    CommittedBranch cb;
+    cb.pc = pcAt(pos);
+    cb.type = static_cast<BranchType>((mb >> 3) & 0x07);
+    cb.taken = (mb & 0x40) != 0;
+    cb.target = pcAt(pos + 1);
+    return cb;
 }
 
 void
@@ -79,21 +86,14 @@ Processor::commitStep(SimStats &st)
     while (!rob_.empty() && n < cfg_.width &&
            totalCommitted_ < stopAt_ &&
            rob_.front().completeAt <= now_) {
-        const RobEntry &e = rob_.front();
         ++n;
-        lastCommittedSeq_ = e.seqNo;
-        ++totalCommitted_;
-
+        const std::uint64_t pos = totalCommitted_++;
         if (measuring_)
             ++st.committedInsts;
 
-        const OracleInst &rec = robRecs_[rob_.slotOf(0)];
-        if (rec.isBranch()) {
-            CommittedBranch cb;
-            cb.pc = rec.pc;
-            cb.type = rec.btype;
-            cb.taken = rec.taken;
-            cb.target = rec.nextPc;
+        const std::uint8_t mb = metaAt(pos);
+        if (mb & kMetaBranchBits) {
+            const CommittedBranch cb = committedBranch(pos, mb);
             engine_->trainCommit(cb);
             if (measuring_) {
                 ++st.committedBranches;
@@ -109,8 +109,10 @@ Processor::commitStep(SimStats &st)
  * Batched commit: find the ready run at the ROB head first (ready
  * entries are the common case, so the scan is a short branch-free
  * walk over at most `width` contiguous entries), then retire it with
- * one bulk pop and one set of counter updates. Per-branch training
- * happens in run order, exactly as the scalar loop interleaved it.
+ * one bulk pop and one set of counter updates. The run is
+ * consecutive committed positions, so one movemask over the packed
+ * meta span finds every branch; only those entries are touched, in
+ * run order, exactly as the scalar loop interleaved them.
  */
 void
 Processor::commitStepBatched(SimStats &st)
@@ -124,169 +126,89 @@ Processor::commitStepBatched(SimStats &st)
     if (n == 0)
         return;
 
-    const std::uint64_t a0 = rob_.at(0).arenaIdx;
-    if (a0 != kNoArenaIdx && rob_.at(n - 1).arenaIdx == a0 + n - 1) {
-        // The whole run is consecutive arena positions (the steady
-        // state: arena-ingested entries carry monotonically
-        // increasing indices, and kNoArenaIdx can never equal
-        // a0+n-1). One movemask over the packed meta span finds
-        // every branch; only those entries are touched, with the
-        // committed fields read straight from the SoA arrays —
-        // sequential bytes commit walks a few hundred cycles behind
-        // fetch's verify of the same span.
-        const std::uint8_t *meta = arena_->meta() + a0;
-        const std::uint32_t *offs = arena_->pcOffsets() + a0;
-        const Addr base = arena_->base();
-        std::uint32_t bmask =
-            simd::maskTestU8(meta, static_cast<unsigned>(n), 0x38);
-        while (bmask) {
-            const unsigned j = simd::bottomBit(bmask);
-            bmask &= bmask - 1;
-            const std::uint8_t mb = meta[j];
-            CommittedBranch cb;
-            cb.pc = base + offs[j];
-            cb.type = static_cast<BranchType>((mb >> 3) & 0x07);
-            cb.taken = (mb & 0x40) != 0;
-            cb.target = base + offs[j + 1];
-            engine_->trainCommit(cb);
-            if (measuring_) {
-                ++st.committedBranches;
-                if (cb.type == BranchType::CondDirect)
-                    ++st.committedCondBranches;
-            }
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            const RobEntry &e = rob_.at(i);
-            CommittedBranch cb;
-            if (e.arenaIdx != kNoArenaIdx) {
-                const std::uint8_t mb = arena_->meta()[e.arenaIdx];
-                if ((mb & 0x38) == 0)
-                    continue;
-                const std::uint32_t *offs = arena_->pcOffsets();
-                cb.pc = arena_->base() + offs[e.arenaIdx];
-                cb.type = static_cast<BranchType>((mb >> 3) & 0x07);
-                cb.taken = (mb & 0x40) != 0;
-                cb.target = arena_->base() + offs[e.arenaIdx + 1];
-            } else {
-                const OracleInst &rec = robRecs_[rob_.slotOf(i)];
-                if (!rec.isBranch())
-                    continue;
-                cb.pc = rec.pc;
-                cb.type = rec.btype;
-                cb.taken = rec.taken;
-                cb.target = rec.nextPc;
-            }
-            engine_->trainCommit(cb);
-            if (measuring_) {
-                ++st.committedBranches;
-                if (cb.type == BranchType::CondDirect)
-                    ++st.committedCondBranches;
-            }
+    const std::uint64_t a0 = totalCommitted_;
+    const std::uint8_t *meta = path_.meta + (a0 - path_.first);
+    std::uint32_t bmask = simd::maskTestU8(
+        meta, static_cast<unsigned>(n), kMetaBranchBits);
+    while (bmask) {
+        const unsigned j = simd::bottomBit(bmask);
+        bmask &= bmask - 1;
+        const CommittedBranch cb = committedBranch(a0 + j, meta[j]);
+        engine_->trainCommit(cb);
+        if (measuring_) {
+            ++st.committedBranches;
+            if (cb.type == BranchType::CondDirect)
+                ++st.committedCondBranches;
         }
     }
-    lastCommittedSeq_ = rob_.at(n - 1).seqNo;
     totalCommitted_ += n;
     if (measuring_)
         st.committedInsts += n;
     rob_.pop_front_n(n);
 }
 
+/**
+ * Host-side hint: the addresses of upcoming data accesses are known,
+ * so the (host) cache lines of the d-cache tag state they will touch
+ * can be fetched ahead of the dependent model lookups — those sets
+ * are effectively random, making them the model's main memory
+ * stalls. No modelled state changes.
+ */
+void
+Processor::prefetchData()
+{
+    const std::uint64_t end = std::min<std::uint64_t>(
+        dataPos_ + kDataPrefetchAhead, path_.dataLast);
+    for (std::uint64_t k = std::max(dataPrefetched_, dataPos_); k < end;
+         ++k)
+        mem_->prefetchData(path_.data[k - path_.dataFirst]);
+    dataPrefetched_ = std::max(dataPrefetched_, end);
+}
+
+void
+Processor::dispatchOne(std::uint64_t pos)
+{
+    RobEntry &re = rob_.push_back_slot();
+    re.dispatchedAt = now_;
+    const std::uint8_t mb = metaAt(pos);
+    re.completeAt = now_ + execLatencyMeta(mb);
+
+    // A declared divergence awaits its faulting branch's dispatch to
+    // schedule the redirect.
+    if ((mb & kMetaBranchBits) && diverged_ && !redirectTimeKnown_ &&
+        pos == faultingPos_) {
+        redirectAt_ = now_ + cfg_.branchResolveLat;
+        redirectTimeKnown_ = true;
+        redirectPending_ = true;
+    }
+}
+
 void
 Processor::dispatchStep(SimStats &)
 {
-    // Arena replay knows the addresses of upcoming data accesses, so
-    // the (host) cache lines of the d-cache tag state they will
-    // touch can be fetched ahead of the dependent model lookups —
-    // those sets are effectively random, making them the model's
-    // main memory stalls. Pure host-side hint; no modelled state.
-    if (arena_) {
-        while (dataPrefetched_ < dataPos_ + kDataPrefetchAhead)
-            mem_->prefetchData(
-                arena_->peekDataAddr(dataPrefetched_++));
-    }
-
+    prefetchData();
     unsigned n = 0;
-    while (!buffer_.empty() && n < cfg_.width && !rob_.full()) {
-        const BufEntry &e = buffer_.front();
-        const OracleInst &rec = bufRecs_[buffer_.slotOf(0)];
+    while (dispatchPos_ < fetchPos_ && n < cfg_.width && !rob_.full()) {
         ++n;
-
-        RobEntry &re = rob_.push_back_slot();
-        robRecs_[rob_.slotOf(rob_.size() - 1)] = rec;
-        re.seqNo = e.seqNo;
-        re.arenaIdx = kNoArenaIdx;
-        re.completeAt = now_ + execLatency(rec);
-        re.dispatchedAt = now_;
-
-        if (rec.isBranch()) {
-            if (diverged_ && !redirectTimeKnown_ &&
-                re.seqNo == faultingSeq_) {
-                redirectAt_ = now_ + cfg_.branchResolveLat;
-                redirectTimeKnown_ = true;
-                redirectPending_ = true;
-            }
-        }
-        buffer_.pop_front();
+        dispatchOne(dispatchPos_++);
     }
 }
 
 /**
  * Batched dispatch: the admissible run length (width, buffer
- * occupancy, ROB space) is computed once, the per-entry loop runs
- * without those checks, and the divergence bookkeeping test is
- * hoisted — it can only fire while a declared divergence awaits its
- * faulting branch, which is off the steady-state path.
+ * occupancy, ROB space) is computed once and the per-entry loop runs
+ * without those checks.
  */
 void
 Processor::dispatchStepBatched(SimStats &)
 {
-    if (arena_) {
-        while (dataPrefetched_ < dataPos_ + kDataPrefetchAhead)
-            mem_->prefetchData(
-                arena_->peekDataAddr(dataPrefetched_++));
-    }
-
-    const std::size_t n = std::min<std::size_t>(
-        {static_cast<std::size_t>(cfg_.width), buffer_.size(),
-         static_cast<std::size_t>(cfg_.robSize) - rob_.size()});
-    if (n == 0)
-        return;
-
-    // Once the faulting branch has dispatched (redirectTimeKnown_),
-    // no younger entry can match its seqNo, so the hoisted flag
-    // cannot go stale within the run.
-    const bool await_fault = diverged_ && !redirectTimeKnown_;
-    for (std::size_t i = 0; i < n; ++i) {
-        const BufEntry &e = buffer_.at(i);
-        RobEntry &re = rob_.push_back_slot();
-        re.seqNo = e.seqNo;
-        re.arenaIdx = e.arenaIdx;
-        re.dispatchedAt = now_;
-
-        bool is_branch;
-        if (e.arenaIdx != kNoArenaIdx) {
-            // Arena-indexed entry: latency and the branch test come
-            // from the packed meta byte; the decoded record is never
-            // materialized.
-            const std::uint8_t mb = arena_->meta()[e.arenaIdx];
-            re.completeAt = now_ + execLatencyMeta(mb);
-            is_branch = (mb & 0x38) != 0;
-        } else {
-            const OracleInst &rec = bufRecs_[buffer_.slotOf(i)];
-            robRecs_[rob_.slotOf(rob_.size() - 1)] = rec;
-            re.completeAt = now_ + execLatency(rec);
-            is_branch = rec.isBranch();
-        }
-
-        if (await_fault && !redirectTimeKnown_ && is_branch &&
-            re.seqNo == faultingSeq_) {
-            redirectAt_ = now_ + cfg_.branchResolveLat;
-            redirectTimeKnown_ = true;
-            redirectPending_ = true;
-        }
-    }
-    buffer_.pop_front_n(n);
+    prefetchData();
+    const std::uint64_t n = std::min<std::uint64_t>(
+        {cfg_.width, fetchPos_ - dispatchPos_,
+         static_cast<std::uint64_t>(cfg_.robSize) - rob_.size()});
+    for (std::uint64_t i = 0; i < n; ++i)
+        dispatchOne(dispatchPos_ + i);
+    dispatchPos_ += n;
 }
 
 void
@@ -301,6 +223,25 @@ Processor::redirectStep()
     redirectTimeKnown_ = false;
     expectedPc_ = faulting_.target;
     // The faulting branch remains the newest correct-path fetch.
+}
+
+void
+Processor::ensureFetchWindow()
+{
+    if (window_ && fetchPos_ + cfg_.width > path_.last) {
+        window_->refill(totalCommitted_, dataPos_);
+        path_ = window_->view();
+    }
+}
+
+void
+Processor::throwPathExhausted() const
+{
+    throw std::runtime_error(
+        "committed path exhausted at instruction " +
+        std::to_string(path_.last) +
+        ": the shared arena or recorded trace ends there; decode or "
+        "record it with more margin");
 }
 
 void
@@ -320,8 +261,9 @@ Processor::fetchStep(SimStats &st)
         return;
     }
 
-    std::size_t space = cfg_.fetchBufferInsts > buffer_.size()
-        ? cfg_.fetchBufferInsts - buffer_.size() : 0;
+    const std::uint64_t held = fetchPos_ - dispatchPos_;
+    std::size_t space =
+        cfg_.fetchBufferInsts > held ? cfg_.fetchBufferInsts - held : 0;
     if (space == 0)
         return;
 
@@ -337,7 +279,7 @@ Processor::fetchStep(SimStats &st)
     if (measuring_ && full_opportunity && !out.empty())
         ++st.fetchCyclesAttempted;
 
-    if (batchedFetch_ && oracle_.bulkReplayable())
+    if (batched_)
         verifyBundleBatched(st, full_opportunity);
     else
         verifyBundleScalar(st, full_opportunity);
@@ -356,28 +298,28 @@ Processor::fetchStep(SimStats &st)
 }
 
 void
+Processor::checkpointBranch(std::uint64_t pos, std::uint64_t token)
+{
+    const CommittedBranch cb = committedBranch(pos, metaAt(pos));
+    prev_.pos = pos;
+    prev_.resolved = {cb.pc, cb.type, cb.taken, cb.target, token};
+    havePrev_ = true;
+}
+
+void
 Processor::verifyBundleScalar(SimStats &st, bool full_opportunity)
 {
+    if (!diverged_)
+        ensureFetchWindow();
     for (const FetchedInst &fi : bundle_) {
         if (!diverged_ && fi.pc == expectedPc_) {
-            BufEntry &be = buffer_.push_back_slot();
-            OracleInst &rec =
-                bufRecs_[buffer_.slotOf(buffer_.size() - 1)];
-            be.seqNo = nextSeq_++;
-            be.arenaIdx = kNoArenaIdx;
-            oracle_.nextInto(rec);
-            assert(rec.pc == fi.pc);
-            expectedPc_ = rec.nextPc;
-            if (rec.isBranch()) {
-                prev_.pc = fi.pc;
-                prev_.token = fi.token;
-                prev_.seqNo = be.seqNo;
-                prev_.rec = rec;
-                havePrev_ = true;
-                lastWasBranch_ = true;
-            } else {
-                lastWasBranch_ = false;
-            }
+            if (fetchPos_ >= path_.last)
+                throwPathExhausted();
+            const std::uint64_t pos = fetchPos_++;
+            expectedPc_ = pcAt(pos + 1);
+            lastWasBranch_ = (metaAt(pos) & kMetaBranchBits) != 0;
+            if (lastWasBranch_)
+                checkpointBranch(pos, fi.token);
             if (measuring_) {
                 ++st.fetchedCorrect;
                 if (full_opportunity)
@@ -395,18 +337,17 @@ Processor::verifyBundleScalar(SimStats &st, bool full_opportunity)
 }
 
 /**
- * Bundle-at-once oracle verify over the arena's SoA spans.
+ * Bundle-at-once oracle verify.
  *
- * The scalar loop compares each fetched PC against expectedPc_ and
- * reads one OracleInst (bounds check included) per instruction. On
- * the arena the committed path is a flat u32 offset span, so the
- * whole bundle reduces to one range compare against pcOffsets() —
- * the matched prefix length *is* the number of correct-path
+ * The scalar loop compares each fetched PC against expectedPc_ one
+ * instruction at a time. The committed path is a flat u32 offset
+ * span, so the whole bundle reduces to one range compare against it
+ * — the matched prefix length *is* the number of correct-path
  * instructions, and the first mismatch index is the divergence
- * point. The matched run is then ingested with the bounds check
- * hoisted (one test per bundle), branch bookkeeping driven by a
- * movemask over the packed meta bytes rather than a branchy
- * per-instruction test, and bulk statistics updates.
+ * point. The matched run is then ingested by advancing fetchPos_,
+ * with branch bookkeeping driven by a movemask over the packed meta
+ * bytes rather than a branchy per-instruction test, and bulk
+ * statistics updates.
  */
 void
 Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
@@ -417,63 +358,39 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
 
     unsigned m = 0; // correct-path prefix length
     if (!diverged_) {
-        const OracleArena &ar = *arena_;
-        const Addr base = ar.base();
-        const std::uint64_t pos = oracle_.arenaPos();
-        // pcOffsets() holds size()+1 entries; matching the sentinel
-        // entry at index size() means the committed path ran out
-        // mid-bundle (diagnosed below), so include it in the compare
-        // window — exactly the instructions the scalar loop would
-        // have tried to read.
-        const std::uint64_t entries = ar.size() + 1 - pos;
+        ensureFetchWindow();
+        const std::uint64_t pos = fetchPos_;
+        // Entries [pos, last] are readable, the last being the
+        // successor of the final instruction: matching it means the
+        // committed path ran out mid-bundle (diagnosed below), so it
+        // is part of the compare — exactly the instructions the
+        // scalar loop would have tried to ingest.
         const unsigned lim = static_cast<unsigned>(
-            std::min<std::uint64_t>(n, entries));
+            std::min<std::uint64_t>(n, path_.last + 1 - pos));
 
         // Fused range compare: each fetched PC against the committed
         // offset span, widened to the full address — one pass, no
         // staging buffer, and a wrong-path PC that left the image
         // simply mismatches (no u32 aliasing to guard against).
-        const std::uint32_t *poffs = ar.pcOffsets() + pos;
-        while (m < lim &&
-               bundle_[m].pc == base + Addr(poffs[m]))
+        const Addr base = path_.base;
+        const std::uint32_t *offs = path_.pcOff + (pos - path_.first);
+        while (m < lim && bundle_[m].pc == base + Addr(offs[m]))
             ++m;
-        // Matching entry size() is the scalar path's read(size()):
-        // the arena is exhausted, not diverged.
-        if (pos + m > ar.size())
-            ar.throwExhausted(ar.size());
+        if (pos + m > path_.last)
+            throwPathExhausted();
 
         if (m > 0) {
-            const std::uint32_t *offs = ar.pcOffsets() + pos;
-            const std::uint8_t *meta = ar.meta() + pos;
-            const std::uint64_t seq0 = nextSeq_;
-            // Index-carrying ingest: the entries point back into the
-            // arena's SoA arrays instead of carrying a decoded
-            // OracleInst — dispatch and commit read the packed spans
-            // directly, so the per-instruction decode and the double
-            // record copy (bundle -> buffer -> ROB) vanish from the
-            // replay path.
-            for (unsigned i = 0; i < m; ++i) {
-                BufEntry &be = buffer_.push_back_slot();
-                be.seqNo = seq0 + i;
-                be.arenaIdx = pos + i;
-            }
-            nextSeq_ += m;
-            oracle_.bulkAdvance(m);
+            fetchPos_ += m;
             expectedPc_ = base + offs[m];
 
             // Branch positions of the whole run in one meta scan:
             // only the last branch matters for the divergence
-            // checkpoint (the scalar loop overwrote prev_ at each),
-            // so only that one record is materialized.
-            const std::uint32_t bmask =
-                simd::maskTestU8(meta, m, 0x38);
+            // checkpoint (the scalar loop overwrote prev_ at each).
+            const std::uint32_t bmask = simd::maskTestU8(
+                path_.meta + (pos - path_.first), m, kMetaBranchBits);
             if (bmask) {
                 const unsigned j = simd::topBit(bmask);
-                prev_.pc = base + offs[j];
-                prev_.token = bundle_[j].token;
-                prev_.seqNo = seq0 + j;
-                ar.readUnchecked(pos + j, prev_.rec);
-                havePrev_ = true;
+                checkpointBranch(pos + j, bundle_[j].token);
             }
             lastWasBranch_ = ((bmask >> (m - 1)) & 1u) != 0;
 
@@ -502,12 +419,8 @@ Processor::declareDivergence(SimStats &st)
             "preceding branch");
     }
     diverged_ = true;
-    faulting_.pc = prev_.rec.pc;
-    faulting_.type = prev_.rec.btype;
-    faulting_.taken = prev_.rec.taken;
-    faulting_.target = prev_.rec.nextPc;
-    faulting_.token = prev_.token;
-    faultingSeq_ = prev_.seqNo;
+    faulting_ = prev_.resolved;
+    faultingPos_ = prev_.pos;
     silentFetchCycles_ = 0;
 
     if (measuring_) {
@@ -517,23 +430,18 @@ Processor::declareDivergence(SimStats &st)
         st.mispredictsByType[static_cast<unsigned>(faulting_.type)]++;
     }
 
-    // The ROB holds consecutive seqNos in dispatch order, so the
-    // faulting branch — if it is in flight — sits at a fixed offset
-    // from the head; its entry carries the dispatch cycle that the
-    // retired branchDispatchAt_ map used to record.
-    if (!rob_.empty() && faultingSeq_ >= rob_.front().seqNo &&
-        faultingSeq_ <= rob_.back().seqNo) {
+    if (faultingPos_ >= totalCommitted_ && faultingPos_ < dispatchPos_) {
+        // In flight: the ROB holds consecutive positions, so the
+        // faulting branch sits at a fixed offset from the head, and
+        // its entry carries the dispatch cycle.
         const RobEntry &e = rob_.at(
-            static_cast<std::size_t>(faultingSeq_ -
-                                     rob_.front().seqNo));
-        assert(e.seqNo == faultingSeq_ &&
-               "ROB seqNos must be consecutive");
+            static_cast<std::size_t>(faultingPos_ - totalCommitted_));
         redirectAt_ = e.dispatchedAt + cfg_.branchResolveLat;
         if (redirectAt_ <= now_)
             redirectAt_ = now_ + 1;
         redirectTimeKnown_ = true;
         redirectPending_ = true;
-    } else if (faultingSeq_ <= lastCommittedSeq_) {
+    } else if (faultingPos_ < totalCommitted_) {
         // Already committed and resolved long ago (fetch was stalled
         // meanwhile): deliver the latched resolution next cycle.
         redirectAt_ = now_ + 1;

@@ -23,7 +23,7 @@
 #define SFETCH_PIPELINE_PROCESSOR_HH
 
 #include "fetch/fetch_engine.hh"
-#include "layout/oracle.hh"
+#include "layout/oracle_arena.hh"
 #include "util/fixed_ring.hh"
 #include "util/stats.hh"
 
@@ -55,8 +55,9 @@ struct ProcessorConfig
      * Batched replay core: process fetch/dispatch/commit in runs
      * over contiguous memory instead of one instruction per loop
      * iteration. Bit-identical to the scalar paths by construction
-     * (enforced by the differential sweep in test_workload_diff.cc);
-     * off switches every batch stage back to the scalar reference.
+     * (enforced by the window invariance suite in
+     * test_workload_diff.cc); off switches every batch stage back to
+     * the scalar reference, which reads the same committed path.
      */
     bool batchedReplay = true;
 
@@ -163,6 +164,25 @@ class Processor
 {
   public:
     /**
+     * Entries of the private committed-path window a run owns when it
+     * does not replay a shared arena. A refill keeps everything from
+     * the ROB head on (the ROB, the fetch buffer and the rest of the
+     * current bundle) and must leave room for the next bundle; the
+     * constructor demands that this bound, minWindowInsts(), fit in
+     * half the window, so every refill decodes at least half a window
+     * of new instructions.
+     */
+    static constexpr std::size_t kOracleWindowInsts = 16 * 1024;
+
+    /** Window entries a refill must be able to hold for @p cfg. */
+    static std::size_t
+    minWindowInsts(const ProcessorConfig &cfg)
+    {
+        return std::size_t(cfg.robSize) + cfg.fetchBufferInsts +
+            2 * FetchBundle::kCapacity;
+    }
+
+    /**
      * @param cfg Back-end configuration.
      * @param engine Front end under test (not owned).
      * @param image Placed binary (not owned).
@@ -171,16 +191,14 @@ class Processor
      * @param seed Oracle/data-stream seed (the `ref` input).
      * @param replay Optional recorded control trace (not owned; must
      *        outlive the processor). When set, the committed path is
-     *        replayed from it instead of generated live; with
-     *        matching @p seed the run is bit-identical to live
-     *        generation.
-     * @param arena Optional pre-decoded committed path (not owned;
-     *        must outlive the processor and have been built from the
-     *        same image/model/@p seed). When set, both the oracle
-     *        stream and the data-address stream are replayed from
-     *        flat memory — bit-identical to live generation, with no
-     *        workload-model work per instruction. Mutually exclusive
-     *        with @p replay.
+     *        decoded from it instead of generated live; with matching
+     *        @p seed the run is bit-identical to live generation.
+     * @param arena Optional shared pre-decoded committed path (not
+     *        owned; must outlive the processor and have been built
+     *        from the same image/model/@p seed). When set, the run
+     *        reads it instead of decoding a private window —
+     *        bit-identical, with no workload-model work per
+     *        instruction. Mutually exclusive with @p replay.
      */
     Processor(const ProcessorConfig &cfg, FetchEngine *engine,
               const CodeImage &image, const WorkloadModel &model,
@@ -200,41 +218,18 @@ class Processor
 
   private:
     /**
-     * Sentinel arenaIdx: the entry's committed-path record lives in
-     * the ring's parallel rec side array (live/trace oracle, or the
-     * scalar reference verify). Any other value indexes the arena's
-     * SoA arrays and no record is materialized at all — the batched
-     * pipeline reads the packed meta/offset spans directly instead
-     * of copying a decoded OracleInst through the fetch buffer and
-     * the ROB.
+     * ROB entry. The ROB holds consecutive committed-path positions
+     * [totalCommitted_, dispatchPos_), so an entry needs no index of
+     * its own; the committed-path fields are read from path_.
      */
-    static constexpr std::uint64_t kNoArenaIdx = ~std::uint64_t(0);
-
-    /**
-     * Fetch-buffer entry, 16 bytes. The decoded record for
-     * non-arena entries lives out-of-line in bufRecs_ (indexed by
-     * the ring's raw slot), so the arena replay path streams through
-     * dense 16-byte slots and never touches the cold 32-byte
-     * records.
-     */
-    struct BufEntry
-    {
-        std::uint64_t seqNo;
-        std::uint64_t arenaIdx; //!< kNoArenaIdx => rec side array
-    };
-
-    /** ROB entry, 32 bytes; records out-of-line in robRecs_. */
     struct RobEntry
     {
         Cycle completeAt;
         /**
          * Dispatch cycle, carried in the entry so a divergence can
-         * schedule the redirect without a side-table lookup (the ROB
-         * holds consecutive seqNos, making the entry O(1) to find).
+         * schedule the redirect without a side-table lookup.
          */
         Cycle dispatchedAt;
-        std::uint64_t seqNo;
-        std::uint64_t arenaIdx; //!< kNoArenaIdx => rec side array
     };
 
     /**
@@ -243,46 +238,59 @@ class Processor
      */
     struct PrevBranch
     {
-        Addr pc;
-        std::uint64_t token;
-        std::uint64_t seqNo;
-        OracleInst rec;
+        std::uint64_t pos; //!< committed-path position
+        ResolvedBranch resolved; //!< what a redirect to it delivers
     };
 
-    /**
-     * Address of the next data access: pre-generated when replaying
-     * from an arena, drawn from the live stream otherwise. Dispatch
-     * is in-order over the committed path, so the consumption order
-     * (and thus the sequence) is identical either way.
-     */
-    Addr
-    nextDataAddr()
+    std::uint8_t
+    metaAt(std::uint64_t pos) const
     {
-        return arena_ ? arena_->dataAddr(dataPos_++)
-                      : dstream_.next();
+        return path_.meta[pos - path_.first];
     }
+
+    /** Address of committed position @p pos (pos == last included). */
+    Addr
+    pcAt(std::uint64_t pos) const
+    {
+        return path_.base + path_.pcOff[pos - path_.first];
+    }
+
+    /** The committed branch at @p pos, as the engine learns it. */
+    CommittedBranch committedBranch(std::uint64_t pos,
+                                    std::uint8_t mb) const;
+
+    /**
+     * Make positions up to fetchPos_ + width readable: refill the
+     * private window when it runs short. A shared arena is never
+     * refilled; its end is where the committed path ends.
+     */
+    void ensureFetchWindow();
+    [[noreturn]] void throwPathExhausted() const;
 
     void commitStep(SimStats &st);
     void commitStepBatched(SimStats &st);
     void dispatchStep(SimStats &st);
     void dispatchStepBatched(SimStats &st);
+    /** Dispatch committed position @p pos into a fresh ROB entry. */
+    void dispatchOne(std::uint64_t pos);
+    void prefetchData();
     void redirectStep();
     void fetchStep(SimStats &st);
-    /** Bundle-at-once oracle verify + ingest over the arena spans. */
+    /** Bundle-at-once oracle verify + ingest. */
     void verifyBundleBatched(SimStats &st, bool full_opportunity);
     /** Per-instruction verify + ingest (the scalar reference). */
     void verifyBundleScalar(SimStats &st, bool full_opportunity);
+    /** Checkpoint the branch at @p pos fetched with @p token. */
+    void checkpointBranch(std::uint64_t pos, std::uint64_t token);
     void declareDivergence(SimStats &st);
-    Cycle execLatency(const OracleInst &rec);
-    /** execLatency on a packed arena meta byte (class in bits 0-2). */
+    /** Execute latency of a packed meta byte (class in bits 0-2). */
     Cycle execLatencyMeta(std::uint8_t mb);
 
     /**
      * Fixed execute latency per InstClass, filled from the config at
      * construction. Loads are the one class whose latency is not
-     * fixed (d-cache access); stores are fixed but still walk the
-     * oracle's data-address cursor. Both are special-cased before
-     * the table lookup.
+     * fixed (d-cache access); stores are fixed but still consume a
+     * data address. Both are special-cased before the table lookup.
      */
     Cycle latByCls_[8] = {};
 
@@ -291,38 +299,34 @@ class Processor
 
     ProcessorConfig cfg_;
     FetchEngine *engine_;
-    const CodeImage *image_;
     MemoryHierarchy *mem_;
-    OracleStream oracle_;
-    DataAddressStream dstream_;
-    /** Arena replay: pre-generated data addresses (else dstream_). */
-    const OracleArena *arena_ = nullptr;
+
+    /** The committed path as the pipeline reads it. */
+    OracleView path_;
+    /** Private window behind path_; null when replaying an arena. */
+    std::unique_ptr<OracleWindow> window_;
+    /** Next data access to dispatch (index into path_.data). */
     std::uint64_t dataPos_ = 0;
     /** How far ahead of dataPos_ the d-cache tag prefetch runs. */
     static constexpr std::uint64_t kDataPrefetchAhead = 12;
     std::uint64_t dataPrefetched_ = 0;
 
     Cycle now_ = 0;
-    std::uint64_t nextSeq_ = 1;
     Addr expectedPc_;
-    /** Fetch buffer and ROB: capacities fixed by ProcessorConfig. */
-    FixedRing<BufEntry> buffer_;
-    FixedRing<RobEntry> rob_;
     /**
-     * Out-of-line decoded records for non-arena ring entries,
-     * parallel to buffer_/rob_ (indexed by FixedRing::slotOf).
-     * Written only on the live/trace paths; the arena replay never
-     * touches them.
+     * The fetch buffer holds committed positions [dispatchPos_,
+     * fetchPos_); the ROB holds [totalCommitted_, dispatchPos_).
      */
-    std::unique_ptr<OracleInst[]> bufRecs_;
-    std::unique_ptr<OracleInst[]> robRecs_;
+    std::uint64_t fetchPos_ = 0;
+    std::uint64_t dispatchPos_ = 0;
+    FixedRing<RobEntry> rob_;
     /** Reused every cycle; never reallocates. */
     FetchBundle bundle_;
 
     // Divergence / redirect state.
     bool diverged_ = false;
     ResolvedBranch faulting_;
-    std::uint64_t faultingSeq_ = 0;
+    std::uint64_t faultingPos_ = 0;
     bool redirectPending_ = false;
     Cycle redirectAt_ = 0;
     bool redirectTimeKnown_ = false;
@@ -331,14 +335,12 @@ class Processor
      * Divergence attribution state. A divergence can only legally
      * follow a branch, so only branches are checkpointed into prev_;
      * lastWasBranch_ tracks whether the newest correct-path fetch
-     * actually was that branch (the protocol check the full
-     * every-instruction copy used to provide).
+     * actually was that branch.
      */
     bool havePrev_ = false;
     bool lastWasBranch_ = false;
     PrevBranch prev_;
 
-    std::uint64_t lastCommittedSeq_ = 0;
     InstCount totalCommitted_ = 0;
     Cycle silentFetchCycles_ = 0;
 
@@ -346,8 +348,6 @@ class Processor
 
     /** Batch stages enabled (ProcessorConfig::batchedReplay). */
     bool batched_ = true;
-    /** Bundle-at-once oracle verify: batched_ and arena-backed. */
-    bool batchedFetch_ = false;
     /** Commit cap for exactInstStop; no bound when disabled. */
     InstCount stopAt_ = ~InstCount(0);
 };

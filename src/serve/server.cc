@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
-#include <tuple>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -36,28 +35,18 @@ errorReply(const std::string &reason, const std::string &what)
 }
 
 /**
- * The daemon's copy of the driver's arena-grouping rule: groups of
- * (canonical bench, layout, run length) with at least two points get
- * one decoded arena of (run length + fetch-ahead margin) entries, at
- * kArenaBytesPerInstEstimate bytes each. This is the governor's
- * admission estimate; the true cost is OracleArena::bytes() after
- * decode, which the estimate intentionally over-approximates.
+ * The governor's admission estimate for a job: one decoded arena per
+ * sharedArenaGroups() group, at kArenaBytesPerInstEstimate bytes per
+ * entry. The true cost is OracleArena::bytes() after decode, which
+ * the estimate intentionally over-approximates.
  */
 std::size_t
 estimateArenaBytes(const std::vector<SweepPoint> &points)
 {
-    using Key = std::tuple<std::string, bool, InstCount>;
-    std::map<Key, std::size_t> group_sizes;
-    for (const SweepPoint &p : points)
-        ++group_sizes[Key{canonicalBenchSpec(p.bench),
-                          p.cfg.optimizedLayout,
-                          p.cfg.insts + p.cfg.warmupInsts}];
     std::size_t est = 0;
-    for (const auto &[key, n] : group_sizes)
-        if (n >= 2)
-            est += static_cast<std::size_t>(std::get<2>(key) +
-                                            kFetchAheadMargin) *
-                   kArenaBytesPerInstEstimate;
+    for (const ArenaGroup &g : sharedArenaGroups(points))
+        est += static_cast<std::size_t>(g.entries) *
+               kArenaBytesPerInstEstimate;
     return est;
 }
 
@@ -1061,17 +1050,15 @@ Server::runJob(const std::shared_ptr<Job> &job)
     // entries, so another job's governor can never pull a workload
     // out from under this sweep.
     std::vector<std::shared_ptr<const PlacedWorkload>> pins;
-    bool used_arena = false;
     try {
         pins.reserve(job->benches.size());
         for (const std::string &bench : job->benches)
             pins.push_back(
                 WorkloadCache::instance().getShared(bench));
 
-        used_arena = decideArena(job);
         SweepDriver driver(job->sweepJobs);
         driver.setQuiet(true);
-        driver.setArenaMode(used_arena);
+        driver.setArenaMode(decideArena(job));
         driver.setStopFlag(&job->cancel);
         ResultSet rs = driver.run(
             job->points,
@@ -1085,18 +1072,23 @@ Server::runJob(const std::shared_ptr<Job> &job)
                     .field("point",
                            static_cast<std::uint64_t>(point))
                     .field("of", static_cast<std::uint64_t>(of))
-                    .field("arena", used_arena)
+                    .field("arena", row.sharedArena)
                     .raw("row", rowJson(row));
                 pushLine(job, w.str());
             });
         releaseReservation(job);
+        // The summary's `arena`: every point ran and replayed a
+        // shared arena.
+        bool all_shared = rs.size() == job->pointCount;
+        for (const ResultRow &row : rs.rows())
+            all_shared = all_shared && row.sharedArena;
         finishJob(job,
                   job->cancel.load() ? JobState::Cancelled
                                      : JobState::Done,
-                  "", rs.wallSeconds(), used_arena);
+                  "", rs.wallSeconds(), all_shared);
     } catch (const std::exception &e) {
         releaseReservation(job);
-        finishJob(job, JobState::Failed, e.what(), 0.0, used_arena);
+        finishJob(job, JobState::Failed, e.what(), 0.0, false);
     }
     // The sweep is over (only now is the grid certain to be idle —
     // a watchdog finalize can land while the driver still runs, so

@@ -13,12 +13,15 @@
  *    "insts":50000,"warmup":10000,"widths":[4,8],"layout":"opt",
  *    "jobs":1,"arena":"auto","token":"nightly-42"}
  *     -> {"ok":true,"job":1,"points":8,"arena":true}
+ *        ("arena": the governor's plan for the job)
  *     -> one framed row per finished sweep point, as it finishes:
  *        {"job":1,"point":0,"of":8,"arena":true,"row":{...}}
  *        where "row" is exactly ResultSet's per-row JSON (rowJson)
+ *        and "arena" says whether this point replayed a shared arena
  *     -> a summary terminator:
  *        {"job":1,"done":true,"state":"done","points_done":8,
  *         "of":8,"arena":true,"wall_seconds":...}
+ *        ("arena": every point ran and replayed a shared arena)
  *   {"verb":"status","job":1}   -> state + points_done/of
  *   {"verb":"cancel","job":1}   -> cancels a queued or running job
  *   {"verb":"stats"}            -> cumulative counters (see below)
@@ -36,13 +39,13 @@
  * client identity (SO_PEERCRED; reject "over_quota"), at most
  * maxConns concurrent connections (reject "busy"). Memory governor:
  * each submit's arena cost is pre-estimated from the arena formula
- * (kArenaBytesPerInstEstimate per instruction, per >=2-point decode
+ * (kArenaBytesPerInstEstimate per instruction, per sharedArenaGroups()
  * group); a job whose estimate cannot fit even an empty cache is
  * rejected "over_budget" when it demands arenas ("arena":"require"),
  * and otherwise the governor first evicts single-layout arenas (then
- * whole workloads) LRU-first, then falls back to live generation
- * ("arena":false in the framing) — the budget is never exceeded to
- * satisfy a decode. Rows are bit-identical either way.
+ * whole workloads) LRU-first, then falls back to private windows for
+ * every point ("arena":false in the framing) — the budget is never
+ * exceeded to satisfy a decode. Rows are bit-identical either way.
  *
  * Fault tolerance: with a --state-dir, every submit/start/finish is
  * journalled (serve/journal.hh) and unfinished jobs are re-queued on
@@ -333,7 +336,7 @@ class Server
      * global point order; a lost chunk's undelivered points re-queue
      * immediately. */
     void runJobSharded(const std::shared_ptr<Job> &job);
-    /** Governor: evict/reserve/fallback; true = replay from arenas. */
+    /** Governor: evict/reserve/fallback; true = share arenas. */
     bool decideArena(const std::shared_ptr<Job> &job);
     /** Return a decideArena() reservation to the budget pool. */
     void releaseReservation(const std::shared_ptr<Job> &job);

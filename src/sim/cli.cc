@@ -156,13 +156,6 @@ CliParser::addStandard(CliOptions *opts, unsigned mask)
                     std::exit(0);
                 });
     }
-    if (mask & kArena)
-        addFlag("--no-arena",
-                "disable committed-path arena sharing: every sweep "
-                "point regenerates its oracle stream live (slower; "
-                "for measurement baselines and debugging — results "
-                "are bit-identical either way)",
-                [opts] { opts->arena = false; });
     if (mask & kJobs)
         addOption("--jobs", "N",
                   "worker threads (default: all hardware threads)",

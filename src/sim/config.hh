@@ -1,10 +1,10 @@
 /**
  * @file
  * SimConfig: one fully-specified experiment as (engine token, engine
- * ParamSet, engine-agnostic knobs). The engine-specific surface that
- * used to be one-off RunConfig booleans lives in the owning engine's
- * ParamSpec; the knobs every run has — pipe width, code layout,
- * instruction counts — stay typed fields.
+ * ParamSet, engine-agnostic knobs). The engine-specific surface —
+ * line size, FTQ depth, ablation switches — lives in the owning
+ * engine's ParamSpec; the knobs every run has — pipe width, code
+ * layout, instruction counts — stay typed fields.
  *
  * The textual form is the spec grammar shared by the CLI, CSV and
  * JSON emitters:

@@ -46,6 +46,29 @@ stderrIsTty()
 
 } // namespace
 
+std::vector<ArenaGroup>
+sharedArenaGroups(const std::vector<SweepPoint> &points)
+{
+    using Key = std::tuple<std::string, bool, InstCount>;
+    std::map<Key, std::vector<std::size_t>> by_key;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const SimConfig &cfg = points[i].cfg;
+        by_key[Key{canonicalBenchSpec(points[i].bench),
+                   cfg.optimizedLayout,
+                   cfg.insts + cfg.warmupInsts}]
+            .push_back(i);
+    }
+    std::vector<ArenaGroup> groups;
+    for (auto &[key, members] : by_key) {
+        if (members.size() < 2)
+            continue;
+        groups.push_back({std::get<0>(key), std::get<1>(key),
+                          std::get<2>(key) + kFetchAheadMargin,
+                          std::move(members)});
+    }
+    return groups;
+}
+
 SweepDriver::SweepDriver(unsigned jobs) : jobs_(jobs)
 {
     if (jobs_ == 0) {
@@ -65,17 +88,6 @@ SweepDriver::grid(const std::vector<std::string> &benches,
         for (const SimConfig &cfg : cfgs)
             points.push_back({bench, cfg});
     return points;
-}
-
-std::vector<SweepPoint>
-SweepDriver::grid(const std::vector<std::string> &benches,
-                  const std::vector<RunConfig> &cfgs)
-{
-    std::vector<SimConfig> converted;
-    converted.reserve(cfgs.size());
-    for (const RunConfig &cfg : cfgs)
-        converted.push_back(toSimConfig(cfg));
-    return grid(benches, converted);
 }
 
 void
@@ -149,51 +161,30 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
     });
     double prep = secondsSince(t0);
 
-    // Phase 1.5: decode each shared committed path exactly once.
-    // Points are grouped by (canonical workload, layout, run
-    // length); a group with two or more points amortizes one decode
-    // pass across all of them, so every such group gets the
-    // workload's shared read-only arena and its points replay from
-    // flat memory instead of re-walking the CFG per point.
-    using ArenaKey = std::tuple<std::string, bool, InstCount>;
-    std::map<ArenaKey, std::size_t> group_sizes;
-    std::vector<ArenaKey> point_keys;
-    point_keys.reserve(points.size());
-    for (const SweepPoint &p : points) {
-        ArenaKey key{canonicalBenchSpec(p.bench),
-                     p.cfg.optimizedLayout,
-                     p.cfg.insts + p.cfg.warmupInsts};
-        ++group_sizes[key];
-        point_keys.push_back(std::move(key));
-    }
-    std::map<ArenaKey, std::shared_ptr<const OracleArena>> arenas;
-    if (arenaMode_) {
-        std::vector<const ArenaKey *> to_build;
-        for (const auto &[key, n] : group_sizes)
-            if (n >= 2)
-                to_build.push_back(&key);
-        // Materialize the map entries before the parallel build so
-        // workers only ever write pre-existing slots.
-        for (const ArenaKey *key : to_build)
-            arenas[*key] = nullptr;
-        parallelFor(to_build.size(), [&](std::size_t i) {
-            if (stopped())
-                return;
-            const ArenaKey &key = *to_build[i];
-            try {
-                arenas[key] = WorkloadCache::instance()
-                                  .get(std::get<0>(key))
-                                  .arena(std::get<1>(key),
-                                         std::get<2>(key) +
-                                             kFetchAheadMargin);
-            } catch (const std::bad_alloc &) {
-                // Decode memory was not to be had: leave the slot
-                // null and this group's points run on live
-                // generation instead — slower, bit-identical rows.
-                arenas[key] = nullptr;
-            }
-        });
-    }
+    // Phase 1.5: decode each shared committed path exactly once;
+    // its group's points then replay it from flat memory instead of
+    // each decoding a private window.
+    std::vector<ArenaGroup> groups;
+    if (arenaMode_)
+        groups = sharedArenaGroups(points);
+    std::vector<std::shared_ptr<const OracleArena>> arenas(groups.size());
+    parallelFor(groups.size(), [&](std::size_t i) {
+        if (stopped())
+            return;
+        try {
+            arenas[i] = WorkloadCache::instance()
+                            .get(groups[i].bench)
+                            .arena(groups[i].optimized,
+                                   groups[i].entries);
+        } catch (const std::bad_alloc &) {
+            // Decode memory was not to be had: this group's points
+            // decode private windows instead — bit-identical rows.
+        }
+    });
+    std::vector<const OracleArena *> point_arena(points.size(), nullptr);
+    for (std::size_t g = 0; g < groups.size(); ++g)
+        for (std::size_t i : groups[g].points)
+            point_arena[i] = arenas[g].get();
     double decode = secondsSince(t0) - prep;
 
     // Phase 2: the sweep itself. Rows are written by point index, so
@@ -209,9 +200,7 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
         const SweepPoint &p = points[i];
         const PlacedWorkload &work =
             WorkloadCache::instance().get(p.bench);
-        const OracleArena *arena = nullptr;
-        if (auto it = arenas.find(point_keys[i]); it != arenas.end())
-            arena = it->second.get();
+        const OracleArena *arena = point_arena[i];
         auto rt0 = std::chrono::steady_clock::now();
         SimStats st = runOn(work, p.cfg, nullptr, arena);
         ResultRow &row = rows[i];
@@ -219,6 +208,7 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
         row.cfg = p.cfg;
         row.stats = st;
         row.wallSeconds = secondsSince(rt0);
+        row.sharedArena = arena != nullptr;
         finished[i] = 1;
         if (onRow || progress) {
             // Deliver and print under one lock so callbacks are
@@ -252,8 +242,8 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
                      "(workload build %.2fs, arena decode %.2fs, "
                      "%zu arena%s)\n",
                      points.size(), jobs_, jobs_ == 1 ? "" : "s",
-                     lastWall_, prep, decode, arenas.size(),
-                     arenas.size() == 1 ? "" : "s");
+                     lastWall_, prep, decode, groups.size(),
+                     groups.size() == 1 ? "" : "s");
     return rs;
 }
 

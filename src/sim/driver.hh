@@ -32,6 +32,31 @@ struct SweepPoint
     SimConfig cfg;
 };
 
+/**
+ * One committed-path arena a sweep shares: the points (indices into
+ * the sweep) that agree on canonical workload, layout and run length,
+ * and the arena entries they need.
+ */
+struct ArenaGroup
+{
+    std::string bench; //!< canonical bench spec
+    bool optimized = true;
+    InstCount entries = 0; //!< insts + warmup + kFetchAheadMargin
+    std::vector<std::size_t> points;
+};
+
+/**
+ * The share-or-window rule, in one place: points are grouped by
+ * (canonical workload, layout, insts + warmup), and every group of
+ * two or more points shares one decoded arena. Every other point
+ * decodes a private window as it runs — a shared decode would cost
+ * exactly one generation pass and save none. The sweep driver builds
+ * these groups' arenas; sfetchd's memory governor budgets its
+ * admission estimate from the same groups.
+ */
+std::vector<ArenaGroup>
+sharedArenaGroups(const std::vector<SweepPoint> &points);
+
 class SweepDriver
 {
   public:
@@ -48,13 +73,12 @@ class SweepDriver
 
     /**
      * Enable/disable committed-path arena sharing (default on).
-     * When enabled, run() groups its points by (workload, layout,
-     * insts + warmup); every group with at least two points gets the
+     * When enabled, every sharedArenaGroups() group gets the
      * workload's shared OracleArena — the committed path is decoded
-     * once and each point replays it from flat memory, bit-identical
-     * to live generation. Single-point groups always generate live
-     * (decoding would cost exactly one generation pass and save
-     * none). Off forces live generation everywhere.
+     * once and each point replays it from flat memory. The other
+     * points, and every point when disabled, decode a private window
+     * as they run. Rows are bit-identical either way; each row's
+     * sharedArena records which one it ran on.
      */
     void setArenaMode(bool enabled) { arenaMode_ = enabled; }
     bool arenaMode() const { return arenaMode_; }
@@ -63,11 +87,6 @@ class SweepDriver
     static std::vector<SweepPoint>
     grid(const std::vector<std::string> &benches,
          const std::vector<SimConfig> &cfgs);
-
-    /** Legacy-config overload (converted via toSimConfig()). */
-    static std::vector<SweepPoint>
-    grid(const std::vector<std::string> &benches,
-         const std::vector<RunConfig> &cfgs);
 
     /**
      * Per-row completion callback for the streaming run() overload:

@@ -8,100 +8,6 @@
 namespace sfetch
 {
 
-namespace
-{
-
-const EngineDescriptor &
-descriptorOf(ArchKind kind)
-{
-    return EngineRegistry::instance().find(archToken(kind));
-}
-
-} // namespace
-
-std::string
-archName(ArchKind kind)
-{
-    return descriptorOf(kind).displayName;
-}
-
-std::string
-archToken(ArchKind kind)
-{
-    switch (kind) {
-      case ArchKind::Ev8: return "ev8";
-      case ArchKind::Ftb: return "ftb";
-      case ArchKind::Stream: return "stream";
-      case ArchKind::Trace: return "trace";
-    }
-    return "?";
-}
-
-ArchKind
-parseArch(const std::string &token)
-{
-    // Resolve aliases through the registry, then map the canonical
-    // token onto the legacy enum.
-    const std::string &canon =
-        EngineRegistry::instance().find(token).token;
-    for (ArchKind kind : allArchs())
-        if (archToken(kind) == canon)
-            return kind;
-    throw std::invalid_argument(
-        "engine '" + canon +
-        "' has no legacy ArchKind; use SimConfig / registry tokens");
-}
-
-bool
-operator==(const RunConfig &a, const RunConfig &b)
-{
-    return a.arch == b.arch && a.width == b.width &&
-        a.optimizedLayout == b.optimizedLayout && a.insts == b.insts &&
-        a.warmupInsts == b.warmupInsts &&
-        a.lineBytesOverride == b.lineBytesOverride &&
-        a.ftqEntriesOverride == b.ftqEntriesOverride &&
-        a.streamSingleTable == b.streamSingleTable &&
-        a.streamNoHysteresis == b.streamNoHysteresis &&
-        a.tracePartialMatching == b.tracePartialMatching;
-}
-
-const std::vector<ArchKind> &
-allArchs()
-{
-    static const std::vector<ArchKind> kinds = {
-        ArchKind::Ev8, ArchKind::Ftb, ArchKind::Stream,
-        ArchKind::Trace,
-    };
-    return kinds;
-}
-
-SimConfig
-toSimConfig(const RunConfig &cfg)
-{
-    SimConfig sc(archToken(cfg.arch));
-    sc.width = cfg.width;
-    sc.optimizedLayout = cfg.optimizedLayout;
-    sc.insts = cfg.insts;
-    sc.warmupInsts = cfg.warmupInsts;
-
-    ParamSet &p = sc.params();
-    if (cfg.lineBytesOverride)
-        p.setInt("line", cfg.lineBytesOverride);
-    // Engine-specific legacy fields apply only where the engine
-    // declares the matching parameter (the old switch ignored them
-    // elsewhere).
-    if (cfg.ftqEntriesOverride && p.spec().find("ftq"))
-        p.setInt("ftq",
-                 static_cast<std::int64_t>(cfg.ftqEntriesOverride));
-    if (cfg.streamSingleTable && p.spec().find("single_table"))
-        p.setBool("single_table", true);
-    if (cfg.streamNoHysteresis && p.spec().find("no_hysteresis"))
-        p.setBool("no_hysteresis", true);
-    if (cfg.tracePartialMatching && p.spec().find("partial_match"))
-        p.setBool("partial_match", true);
-    return sc;
-}
-
 PlacedWorkload::PlacedWorkload(const std::string &bench_spec)
     : name_(canonicalBenchSpec(bench_spec)),
       work_(buildBenchWorkload(name_))
@@ -212,13 +118,6 @@ PlacedWorkload::evictArena(bool optimized) const
     return bytes;
 }
 
-std::unique_ptr<FetchEngine>
-makeEngine(const RunConfig &cfg, const CodeImage &image,
-           MemoryHierarchy *mem)
-{
-    return toSimConfig(cfg).makeEngine(image, mem);
-}
-
 SimStats
 runOn(const PlacedWorkload &work, const SimConfig &cfg,
       const RecordedTrace *replay, const OracleArena *arena,
@@ -271,22 +170,10 @@ recordBenchTrace(const PlacedWorkload &work, InstCount insts,
 }
 
 SimStats
-runOn(const PlacedWorkload &work, const RunConfig &cfg)
-{
-    return runOn(work, toSimConfig(cfg));
-}
-
-SimStats
 runBenchmark(const std::string &bench_name, const SimConfig &cfg)
 {
     PlacedWorkload work(bench_name);
     return runOn(work, cfg);
-}
-
-SimStats
-runBenchmark(const std::string &bench_name, const RunConfig &cfg)
-{
-    return runBenchmark(bench_name, toSimConfig(cfg));
 }
 
 } // namespace sfetch

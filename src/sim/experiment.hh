@@ -4,13 +4,8 @@
  * instantiates any registered fetch architecture over any suite
  * workload (base or optimized layout, any pipe width), runs the
  * simulation, and aggregates suite-level results. All bench binaries
- * and examples go through this API.
- *
- * The engine surface lives in sim/config.hh (SimConfig over the
- * EngineRegistry). The ArchKind enum and RunConfig struct below are
- * the legacy closed API, kept as a thin conversion shim: they cover
- * exactly the paper's four architectures and the historical ablation
- * flags, and translate 1:1 into SimConfig parameter sets.
+ * and examples go through this API; the engine surface lives in
+ * sim/config.hh (SimConfig over the EngineRegistry).
  */
 
 #ifndef SFETCH_SIM_EXPERIMENT_HH
@@ -37,78 +32,11 @@ namespace sfetch
  * Committed-path margin beyond (insts + warmup) that any pre-decoded
  * or recorded oracle must cover: the oracle is consumed once per
  * correct-path *fetched* instruction, which runs ahead of commit by
- * at most the fetch buffer, the ROB, and one instruction of
- * lookahead. 4096 covers the largest configuration with an order of
- * magnitude to spare.
+ * at most the fetch buffer, the ROB, and one fetch bundle. 4096
+ * covers the largest configuration with an order of magnitude to
+ * spare.
  */
 constexpr InstCount kFetchAheadMargin = 4096;
-
-/**
- * The four fetch architectures of the paper's evaluation (legacy
- * shim; registry tokens are the open-ended replacement).
- */
-enum class ArchKind
-{
-    Ev8,     //!< EV8 + 2bcgskew
-    Ftb,     //!< FTB + perceptron
-    Stream,  //!< the paper's stream fetch architecture
-    Trace,   //!< trace cache + next trace predictor
-};
-
-/** Display name matching the paper's figures (from the registry). */
-std::string archName(ArchKind kind);
-
-/** Stable machine-readable token: "ev8", "ftb", "stream", "trace". */
-std::string archToken(ArchKind kind);
-
-/** Inverse of archToken(); accepts the registry aliases. Only the
- * four paper architectures have an ArchKind; use the registry for
- * anything else. */
-ArchKind parseArch(const std::string &token);
-
-/** All four paper architectures in plotting order. */
-const std::vector<ArchKind> &allArchs();
-
-/**
- * One fully-specified experiment, legacy form. The engine-specific
- * fields correspond to engine parameters: lineBytesOverride ->
- * `line`, ftqEntriesOverride -> `ftq`, streamSingleTable ->
- * `stream:single_table`, streamNoHysteresis ->
- * `stream:no_hysteresis`, tracePartialMatching ->
- * `trace:partial_match`.
- */
-struct RunConfig
-{
-    ArchKind arch = ArchKind::Stream;
-    unsigned width = 8;          //!< pipe width: 2, 4, or 8
-    bool optimizedLayout = true; //!< spike-style layout vs baseline
-    InstCount insts = 2'000'000; //!< measured instructions
-    InstCount warmupInsts = 300'000;
-    /** Overridable i-cache line size; 0 = 4x width (Table 2). */
-    unsigned lineBytesOverride = 0;
-    /** Overridable FTQ depth; 0 = default (4). */
-    std::size_t ftqEntriesOverride = 0;
-    /** Stream-predictor ablation: disable the path-indexed table. */
-    bool streamSingleTable = false;
-    /** Stream-predictor ablation: 1-bit hysteresis-free counters. */
-    bool streamNoHysteresis = false;
-    /** Trace-cache ablation: enable partial matching (footnote 3). */
-    bool tracePartialMatching = false;
-};
-
-bool operator==(const RunConfig &a, const RunConfig &b);
-inline bool
-operator!=(const RunConfig &a, const RunConfig &b)
-{
-    return !(a == b);
-}
-
-/**
- * Translate a legacy RunConfig into the equivalent SimConfig.
- * Guaranteed to produce bit-identical SimStats (asserted by
- * tests/test_config.cc).
- */
-SimConfig toSimConfig(const RunConfig &cfg);
 
 /**
  * A reusable placed workload: program + behaviour + both layouts.
@@ -210,11 +138,6 @@ class PlacedWorkload
     mutable std::uint64_t arenaUse_[2] = {0, 0}; //!< LRU stamps
 };
 
-/** Build the fetch engine for a legacy run (registry-backed). */
-std::unique_ptr<FetchEngine> makeEngine(const RunConfig &cfg,
-                                        const CodeImage &image,
-                                        MemoryHierarchy *mem);
-
 /**
  * Execution knobs for runOn() that are not part of the modelled
  * machine configuration.
@@ -224,8 +147,9 @@ struct RunTuning
     /**
      * Run the batched replay core (bulk oracle verify, run-drained
      * commit/dispatch, SIMD meta scans). Off = the scalar reference
-     * loop. Pure host-side choice: SimStats are bit-identical either
-     * way (proven by the golden and differential suites).
+     * loop over the same committed path. Pure host-side choice:
+     * SimStats are bit-identical either way (proven by the golden
+     * and window invariance suites).
      */
     bool batchedReplay = true;
     /**
@@ -241,26 +165,22 @@ struct RunTuning
 };
 
 /**
- * Run one experiment on a prepared workload. When @p replay is
- * non-null the committed path comes from the recorded trace instead
- * of live generation (the trace's bench spec must match the
- * workload; std::invalid_argument otherwise). A trace recorded via
- * recordBenchTrace() with the default seed replays bit-identically
- * to live generation on every engine.
- *
- * When @p arena is non-null the committed path *and* the data
- * address stream are replayed from the pre-decoded arena (which must
- * come from this workload's arena()/cachedArena(), i.e. be decoded
- * with the `ref` seed on the configured layout) — bit-identical to
- * live generation, pointer-bump cheap. Mutually exclusive with
- * @p replay. The sweep driver passes an arena automatically when
+ * Run one experiment on a prepared workload. When @p arena is
+ * non-null the run reads the committed path *and* the data-address
+ * stream from that shared pre-decode (which must come from this
+ * workload's arena()/cachedArena(), i.e. be decoded with the `ref`
+ * seed on the configured layout); the sweep driver passes one when
  * several points share one (workload, layout, run length).
+ * Otherwise the run decodes a private, constant-size window as it
+ * goes: from @p replay when non-null (the trace's bench spec must
+ * match the workload; std::invalid_argument otherwise), else from the
+ * live generator. All three are bit-identical; @p replay and
+ * @p arena are mutually exclusive.
  */
 SimStats runOn(const PlacedWorkload &work, const SimConfig &cfg,
                const RecordedTrace *replay = nullptr,
                const OracleArena *arena = nullptr,
                const RunTuning &tuning = RunTuning{});
-SimStats runOn(const PlacedWorkload &work, const RunConfig &cfg);
 
 /**
  * Capture the committed control path of @p work for a run of
@@ -275,8 +195,6 @@ RecordedTrace recordBenchTrace(const PlacedWorkload &work,
 /** Convenience: prepare the workload and run. */
 SimStats runBenchmark(const std::string &bench_name,
                       const SimConfig &cfg);
-SimStats runBenchmark(const std::string &bench_name,
-                      const RunConfig &cfg);
 
 } // namespace sfetch
 

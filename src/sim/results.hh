@@ -44,6 +44,12 @@ struct ResultRow
     SimConfig cfg;
     SimStats stats;
     double wallSeconds = 0.0; //!< host wall-clock of this run
+    /**
+     * Whether the run replayed a shared arena rather than a private
+     * window (host-side provenance, like wallSeconds; the rows are
+     * bit-identical either way, and no emitter writes it).
+     */
+    bool sharedArena = false;
 };
 
 bool operator==(const ResultRow &a, const ResultRow &b);

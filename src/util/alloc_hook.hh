@@ -3,7 +3,8 @@
  * Global allocation-counting hook shared by the zero-allocation
  * verification harnesses (tests/test_perf_alloc.cc and
  * bench/perf_throughput.cpp): replaces global operator new/delete
- * with malloc/free wrappers that count every allocation.
+ * with malloc/free wrappers that count every allocation and the
+ * bytes it requested.
  *
  * Include this from exactly ONE translation unit of a binary — it
  * defines the (deliberately non-inline) replacement operators, so a
@@ -25,12 +26,21 @@ namespace sfetch
 
 /** Allocations observed since process start. */
 inline std::atomic<std::uint64_t> g_alloc_count{0};
+/** Bytes requested by those allocations. */
+inline std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 /** Monotonic allocation counter backing the hook. */
 inline std::uint64_t
 allocCount()
 {
     return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+/** Monotonic count of bytes requested through the hook. */
+inline std::uint64_t
+allocBytes()
+{
+    return g_alloc_bytes.load(std::memory_order_relaxed);
 }
 
 } // namespace sfetch
@@ -47,6 +57,7 @@ void *
 operator new(std::size_t n)
 {
     sfetch::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    sfetch::g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n))
         return p;
     throw std::bad_alloc();
@@ -56,6 +67,7 @@ void *
 operator new[](std::size_t n)
 {
     sfetch::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    sfetch::g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n))
         return p;
     throw std::bad_alloc();

@@ -1,7 +1,7 @@
 /**
  * @file
  * FixedRing: a fixed-capacity FIFO ring buffer backing the
- * simulator's hot-loop queues (fetch buffer, ROB, FTQ). The storage
+ * simulator's hot-loop queues (ROB, FTQ). The storage
  * is allocated exactly once, at construction, and every subsequent
  * operation is a couple of index updates — unlike std::deque, which
  * allocates and frees chunk blocks as elements migrate across chunk
@@ -23,7 +23,7 @@ namespace sfetch
 /**
  * Fixed-capacity FIFO over default-constructible T. Indexing
  * (`at(i)`) is relative to the front, supporting the ROB's
- * seqNo-offset lookups.
+ * position-offset lookups.
  */
 template <typename T>
 class FixedRing
@@ -157,17 +157,6 @@ class FixedRing
     }
 
     void clear() { head_ = size_ = 0; }
-
-    /**
-     * Raw storage slot of element @p i (front-relative), for keeping
-     * a parallel side array in step with the ring — cold per-element
-     * payloads can live out-of-line so the hot slots stay dense.
-     */
-    std::size_t slotOf(std::size_t i) const { return (head_ + i) & mask_; }
-
-    /** Number of raw storage slots (capacity rounded up to a power
-     * of two) — the size a parallel side array must have. */
-    std::size_t slotCapacity() const { return slots_ ? mask_ + 1 : 0; }
 
   private:
     std::unique_ptr<T[]> slots_;

@@ -80,8 +80,8 @@ class TraceGenerator
 
 /**
  * Salt mixed into the run seed to derive the data-address stream's
- * seed, shared by the processor (live stream) and the OracleArena
- * pre-decode so both draw the identical address sequence.
+ * seed. OracleDecoder draws from it for every committed-path window
+ * and arena, so all of them hold the identical address sequence.
  */
 constexpr std::uint64_t kDataStreamSeedSalt = 0xda7aULL;
 

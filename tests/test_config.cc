@@ -2,9 +2,8 @@
  * @file
  * Tests for the configuration subsystem: ParamSpec/ParamSet typing
  * and diagnostics, spec-string and JSON round-trips, the engine
- * registry (tokens, aliases, --list-archs content), and the factory
- * equivalence guarantee: every legacy RunConfig ablation flag maps
- * to a parameter spec that produces bit-identical SimStats.
+ * registry (tokens, aliases, --list-archs content), and the ablation
+ * specs: each runs and changes the simulation it parameterizes.
  */
 
 #include <gtest/gtest.h>
@@ -216,94 +215,68 @@ TEST(SimConfig, ArchSpecListSplitsOnEngineBoundaries)
     EXPECT_THROW(parseArchSpecList(""), std::invalid_argument);
 }
 
-TEST(SimConfig, PaperConfigsMatchLegacyAllArchs)
+TEST(SimConfig, PaperConfigsAreThePaperEngines)
 {
     std::vector<SimConfig> paper = paperArchConfigs();
-    ASSERT_EQ(paper.size(), allArchs().size());
+    const std::vector<std::string> tokens =
+        EngineRegistry::instance().paperTokens();
+    ASSERT_EQ(paper.size(), tokens.size());
     for (std::size_t i = 0; i < paper.size(); ++i) {
-        EXPECT_EQ(paper[i].arch(), archToken(allArchs()[i]));
-        EXPECT_EQ(paper[i].label(), archName(allArchs()[i]));
+        EXPECT_EQ(paper[i].arch(), tokens[i]);
+        EXPECT_EQ(paper[i].label(), paper[i].descriptor().displayName);
     }
 }
 
-// ---- factory equivalence: legacy RunConfig == param spec ----
+// ---- ablation specs: each runs and differs from its default ----
 
 namespace
 {
 
-/** Both paths on a small run must agree counter-for-counter. */
-void
-expectEquivalent(const RunConfig &legacy, const std::string &spec)
+SimStats
+smallRun(const std::string &spec)
 {
-    const PlacedWorkload &work =
-        WorkloadCache::instance().get("gzip");
-
     SimConfig cfg = SimConfig::fromSpec(spec);
-    cfg.width = legacy.width;
-    cfg.optimizedLayout = legacy.optimizedLayout;
-    cfg.insts = legacy.insts;
-    cfg.warmupInsts = legacy.warmupInsts;
-
-    EXPECT_EQ(toSimConfig(legacy), cfg) << spec;
-
-    SimStats a = runOn(work, legacy);
-    SimStats b = runOn(work, cfg);
-    EXPECT_EQ(a, b) << "RunConfig vs '" << spec
-                    << "' diverged";
+    cfg.width = 8;
+    cfg.insts = 25'000;
+    cfg.warmupInsts = 5'000;
+    return runOn(WorkloadCache::instance().get("gzip"), cfg);
 }
 
-RunConfig
-smallRun(ArchKind arch)
+void
+expectAblationDiffers(const std::string &spec, const std::string &base)
 {
-    RunConfig rc;
-    rc.arch = arch;
-    rc.width = 8;
-    rc.insts = 25'000;
-    rc.warmupInsts = 5'000;
-    return rc;
+    SimStats ablated = smallRun(spec);
+    EXPECT_GE(ablated.committedInsts, 25'000u) << spec;
+    EXPECT_NE(ablated, smallRun(base))
+        << "'" << spec << "' simulated exactly like '" << base << "'";
 }
 
 } // namespace
 
-TEST(FactoryEquivalence, StreamSingleTable)
+TEST(Ablations, StreamSingleTable)
 {
-    RunConfig rc = smallRun(ArchKind::Stream);
-    rc.streamSingleTable = true;
-    expectEquivalent(rc, "stream:single_table=1");
+    expectAblationDiffers("stream:single_table=1", "stream");
 }
 
-TEST(FactoryEquivalence, StreamNoHysteresis)
+TEST(Ablations, StreamNoHysteresis)
 {
-    RunConfig rc = smallRun(ArchKind::Stream);
-    rc.streamNoHysteresis = true;
-    expectEquivalent(rc, "stream:no_hysteresis=1");
+    expectAblationDiffers("stream:no_hysteresis=1", "stream");
 }
 
-TEST(FactoryEquivalence, StreamFtqAndLineOverrides)
+TEST(Ablations, LineOverride)
 {
-    RunConfig rc = smallRun(ArchKind::Stream);
-    rc.ftqEntriesOverride = 8;
-    rc.lineBytesOverride = 64;
-    expectEquivalent(rc, "stream:line=64,ftq=8");
+    expectAblationDiffers("stream:line=64", "stream");
 }
 
-TEST(FactoryEquivalence, FtbFtqOverride)
+TEST(Ablations, FtqOverride)
 {
-    RunConfig rc = smallRun(ArchKind::Ftb);
-    rc.ftqEntriesOverride = 2;
-    expectEquivalent(rc, "ftb:ftq=2");
+    expectAblationDiffers("stream:ftq=8", "stream");
+    expectAblationDiffers("ftb:ftq=2", "ftb");
 }
 
-TEST(FactoryEquivalence, TracePartialMatching)
+TEST(Ablations, TracePartialMatching)
 {
-    RunConfig rc = smallRun(ArchKind::Trace);
-    rc.tracePartialMatching = true;
-    expectEquivalent(rc, "trace:partial_match=1");
-}
-
-TEST(FactoryEquivalence, Ev8Plain)
-{
-    expectEquivalent(smallRun(ArchKind::Ev8), "ev8");
+    expectAblationDiffers("trace:partial_match=1", "trace");
 }
 
 // ---- the seq engine: registered and runnable like any other ----

@@ -24,11 +24,10 @@ namespace
 std::vector<SweepPoint>
 smallGrid()
 {
-    std::vector<RunConfig> cfgs;
-    for (ArchKind arch : allArchs()) {
+    std::vector<SimConfig> cfgs;
+    for (const SimConfig &arch : paperArchConfigs()) {
         for (unsigned width : {4u, 8u}) {
-            RunConfig cfg;
-            cfg.arch = arch;
+            SimConfig cfg = arch;
             cfg.width = width;
             cfg.optimizedLayout = true;
             cfg.insts = 25'000;
@@ -43,9 +42,9 @@ smallGrid()
 
 TEST(SweepDriver, GridIsBenchMajorCrossProduct)
 {
-    RunConfig a;
+    SimConfig a;
     a.width = 2;
-    RunConfig b;
+    SimConfig b;
     b.width = 8;
     auto points = SweepDriver::grid({"gzip", "gcc"}, {a, b});
     ASSERT_EQ(points.size(), 4u);
@@ -428,15 +427,14 @@ TEST(ResultSet, CsvRoundTripsRows)
 {
     SweepDriver driver(2);
     driver.setQuiet(true);
-    RunConfig cfg;
-    cfg.arch = ArchKind::Stream;
+    SimConfig cfg("stream");
     cfg.width = 8;
     cfg.insts = 20'000;
     cfg.warmupInsts = 4'000;
-    RunConfig cfg2 = cfg;
-    cfg2.arch = ArchKind::Trace;
+    SimConfig cfg2 = cfg;
+    cfg2.setArch("trace");
     cfg2.optimizedLayout = false;
-    cfg2.tracePartialMatching = true;
+    cfg2.params().setBool("partial_match", true);
     ResultSet rs =
         driver.run(SweepDriver::grid({"gzip"}, {cfg, cfg2}));
 
@@ -457,12 +455,10 @@ TEST(ResultSet, JsonRoundTripsRowsIncludingEngineStats)
 {
     SweepDriver driver(2);
     driver.setQuiet(true);
-    RunConfig cfg;
-    cfg.arch = ArchKind::Ftb;
+    SimConfig cfg = SimConfig::fromSpec("ftb:ftq=8");
     cfg.width = 4;
     cfg.insts = 20'000;
     cfg.warmupInsts = 4'000;
-    cfg.ftqEntriesOverride = 8;
     ResultSet rs = driver.run(SweepDriver::grid({"vpr"}, {cfg}));
 
     ResultSet back = ResultSet::fromJson(rs.toJson());
@@ -485,13 +481,12 @@ TEST(ResultSet, RowJsonConcatenationParsesIdenticallyToToJson)
 {
     SweepDriver driver(2);
     driver.setQuiet(true);
-    RunConfig cfg;
-    cfg.arch = ArchKind::Stream;
+    SimConfig cfg("stream");
     cfg.width = 8;
     cfg.insts = 20'000;
     cfg.warmupInsts = 4'000;
-    RunConfig cfg2 = cfg;
-    cfg2.arch = ArchKind::Ev8;
+    SimConfig cfg2 = cfg;
+    cfg2.setArch("ev8");
     cfg2.width = 4;
     ResultSet rs =
         driver.run(SweepDriver::grid({"gzip"}, {cfg, cfg2}));

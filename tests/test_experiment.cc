@@ -13,11 +13,12 @@ using namespace sfetch;
 
 TEST(Experiment, ArchNamesMatchPaperLabels)
 {
-    EXPECT_EQ(archName(ArchKind::Ev8), "EV8+2bcgskew");
-    EXPECT_EQ(archName(ArchKind::Ftb), "FTB+perceptron");
-    EXPECT_EQ(archName(ArchKind::Stream), "Streams");
-    EXPECT_EQ(archName(ArchKind::Trace), "Tcache+Tpred");
-    EXPECT_EQ(allArchs().size(), 4u);
+    std::vector<std::string> labels;
+    for (const SimConfig &cfg : paperArchConfigs())
+        labels.push_back(cfg.label());
+    EXPECT_EQ(labels, (std::vector<std::string>{
+                          "EV8+2bcgskew", "FTB+perceptron", "Streams",
+                          "Tcache+Tpred"}));
 }
 
 TEST(Experiment, LineBytesFollowTable2)
@@ -58,23 +59,19 @@ TEST(Experiment, MakeEngineBuildsEveryArch)
     PlacedWorkload w("gzip");
     MemoryConfig mc;
     MemoryHierarchy mem(mc);
-    for (ArchKind arch : allArchs()) {
-        RunConfig cfg;
-        cfg.arch = arch;
-        auto engine = makeEngine(cfg, w.baseImage(), &mem);
+    for (const SimConfig &cfg : paperArchConfigs()) {
+        auto engine = cfg.makeEngine(w.baseImage(), &mem);
         ASSERT_NE(engine, nullptr);
-        EXPECT_EQ(engine->name(), archName(arch));
+        EXPECT_EQ(engine->name(), cfg.label());
     }
 }
 
 TEST(Experiment, AblationConfigsApply)
 {
     PlacedWorkload w("gzip");
-    RunConfig cfg;
-    cfg.arch = ArchKind::Stream;
+    SimConfig cfg = SimConfig::fromSpec("stream:single_table=1");
     cfg.insts = 30'000;
     cfg.warmupInsts = 10'000;
-    cfg.streamSingleTable = true;
     SimStats st = runOn(w, cfg);
     EXPECT_GE(st.committedInsts, 30'000u);
     // The single-table ablation must never hit the path table.
@@ -84,12 +81,11 @@ TEST(Experiment, AblationConfigsApply)
 TEST(Experiment, LineWidthOverrideChangesMemoryGeometry)
 {
     PlacedWorkload w("gzip");
-    RunConfig a;
-    a.arch = ArchKind::Stream;
+    SimConfig a("stream");
     a.insts = 30'000;
     a.warmupInsts = 5'000;
-    RunConfig b = a;
-    b.lineBytesOverride = 32;
+    SimConfig b = a;
+    b.params().setInt("line", 32);
     SimStats sa = runOn(w, a);
     SimStats sb = runOn(w, b);
     // Narrow lines fetch fewer instructions per access.
@@ -98,8 +94,7 @@ TEST(Experiment, LineWidthOverrideChangesMemoryGeometry)
 
 TEST(Experiment, RunBenchmarkEndToEnd)
 {
-    RunConfig cfg;
-    cfg.arch = ArchKind::Trace;
+    SimConfig cfg("trace");
     cfg.width = 4;
     cfg.insts = 40'000;
     cfg.warmupInsts = 10'000;
@@ -114,8 +109,7 @@ TEST(Experiment, WidthScalingIsMonotoneForStreams)
     PlacedWorkload w("eon");
     double prev = 0.0;
     for (unsigned width : {2u, 4u, 8u}) {
-        RunConfig cfg;
-        cfg.arch = ArchKind::Stream;
+        SimConfig cfg("stream");
         cfg.width = width;
         cfg.optimizedLayout = true;
         cfg.insts = 60'000;

@@ -288,7 +288,7 @@ TEST(Oracle, StubJumpsAppearOnColdPath)
     oracle.next(); // a[0]
     oracle.next(); // a[1]
     OracleInst stub = oracle.next();
-    EXPECT_EQ(stub.block, kNoBlock);
+    EXPECT_TRUE(img.inst(stub.pc).isStub());
     EXPECT_EQ(stub.btype, BranchType::Jump);
     EXPECT_TRUE(stub.taken);
     EXPECT_EQ(stub.nextPc, img.blockAddr(d));
@@ -321,16 +321,15 @@ TEST(Oracle, ReturnUsesLayoutReturnAddress)
     EXPECT_EQ(stub.nextPc, img.blockAddr(cont));
 }
 
-// ---- OracleArena ----
+// ---- OracleArena / OracleWindow ----
 
 /**
  * The arena is defined as "exactly what the live stream produced":
- * every field of every instruction (pc, nextPc, class, branch type,
- * taken, owning block — including kNoBlock stubs) must match the
- * live generator, and next()/nextInto()/peek() must agree in arena
- * mode just like in live mode.
+ * every instruction's pc, nextPc (the next entry's pc), class, branch
+ * type and taken bit must unpack from the packed form to the live
+ * generator's values.
  */
-TEST(OracleArena, ReplayMatchesLiveFieldForField)
+TEST(OracleArena, PackedPathMatchesLiveFieldForField)
 {
     SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
     CodeImage img(w.program, baselineOrder(w.program));
@@ -341,23 +340,21 @@ TEST(OracleArena, ReplayMatchesLiveFieldForField)
     EXPECT_GT(arena.bytes(), 0u);
     EXPECT_GT(arena.dataCount(), 0u);
 
+    const OracleView v = arena.view();
+    ASSERT_EQ(v.first, 0u);
+    ASSERT_EQ(v.last, n);
     OracleStream live(img, w.model, kRefSeed);
-    OracleStream replay(img, w.model, kRefSeed, nullptr, &arena);
     for (std::uint64_t i = 0; i < n; ++i) {
         OracleInst a = live.next();
-        // Exercise peek + nextInto on the arena side.
-        if ((i & 1) == 0)
-            ASSERT_EQ(replay.peek().pc, a.pc);
-        OracleInst b;
-        replay.nextInto(b);
-        ASSERT_EQ(a.pc, b.pc) << "inst " << i;
-        ASSERT_EQ(a.nextPc, b.nextPc) << "inst " << i;
-        ASSERT_EQ(a.cls, b.cls) << "inst " << i;
-        ASSERT_EQ(a.btype, b.btype) << "inst " << i;
-        ASSERT_EQ(a.taken, b.taken) << "inst " << i;
-        ASSERT_EQ(a.block, b.block) << "inst " << i;
+        const std::uint8_t mb = v.meta[i];
+        ASSERT_EQ(a.pc, v.base + v.pcOff[i]) << "inst " << i;
+        ASSERT_EQ(a.nextPc, v.base + v.pcOff[i + 1]) << "inst " << i;
+        ASSERT_EQ(a.cls, static_cast<InstClass>(mb & 0x07)) << i;
+        ASSERT_EQ(a.btype, static_cast<BranchType>((mb >> 3) & 0x07))
+            << "inst " << i;
+        ASSERT_EQ(a.taken, (mb & 0x40) != 0) << "inst " << i;
+        ASSERT_EQ(a.isBranch(), (mb & kMetaBranchBits) != 0) << i;
     }
-    EXPECT_EQ(replay.instCount(), n);
 }
 
 TEST(OracleArena, DataAddressesMatchLiveStream)
@@ -367,37 +364,61 @@ TEST(OracleArena, DataAddressesMatchLiveStream)
     OracleArena arena(img, w.model, kRefSeed, 10'000);
     DataAddressStream ds(w.model.data(),
                          kRefSeed ^ kDataStreamSeedSalt);
+    const OracleView v = arena.view();
+    ASSERT_EQ(v.dataLast, arena.dataCount());
     for (std::uint64_t k = 0; k < arena.dataCount(); ++k)
-        ASSERT_EQ(arena.dataAddr(k), ds.next()) << "access " << k;
+        ASSERT_EQ(v.data[k], ds.next()) << "access " << k;
 }
 
-TEST(OracleArena, ReadingPastTheEndThrows)
+/**
+ * A window refilled many times over is the same path as one whole
+ * decode: positions keep their absolute indices across refills, and
+ * the kept tail survives each move intact.
+ */
+TEST(OracleWindow, RefillsContinueTheArenaPathExactly)
+{
+    SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
+    CodeImage img(w.program, baselineOrder(w.program));
+    const std::uint64_t n = 20'000;
+    OracleArena arena(img, w.model, kRefSeed, n);
+    const OracleView a = arena.view();
+
+    OracleWindow win(img, w.model, kRefSeed, nullptr, 1'000);
+    std::uint64_t pos = 0, data = 0;
+    while (pos < n) {
+        const OracleView &v = win.view();
+        ASSERT_LE(v.first, pos);
+        for (; pos < v.last && pos < n; ++pos) {
+            ASSERT_EQ(v.pcOff[pos - v.first], a.pcOff[pos]) << pos;
+            ASSERT_EQ(v.meta[pos - v.first], a.meta[pos]) << pos;
+        }
+        for (; data < v.dataLast && data < a.dataLast; ++data)
+            ASSERT_EQ(v.data[data - v.dataFirst], a.data[data]);
+        // Keep a tail behind the read position, as the processor
+        // keeps its ROB.
+        ASSERT_TRUE(win.refill(pos - std::min<std::uint64_t>(pos, 300),
+                               data - std::min<std::uint64_t>(data, 50)));
+    }
+}
+
+TEST(OracleWindow, RecordedTraceRunsOutCleanly)
 {
     SyntheticWorkload w = hammockLoop();
     CodeImage img(w.program, baselineOrder(w.program));
-    OracleArena arena(img, w.model, kRefSeed, 100);
-    OracleInst oi;
-    arena.read(99, oi); // last valid index still has a nextPc
-    EXPECT_THROW(arena.read(100, oi), std::runtime_error);
-    EXPECT_THROW(arena.dataAddr(arena.dataCount()),
-                 std::runtime_error);
+    RecordedTrace trace =
+        recordTrace(w.program, w.model, kRefSeed, 500, "hammock");
+    OracleWindow win(img, w.model, kRefSeed, &trace, 4'096);
+    const std::uint64_t decoded = win.view().last;
+    EXPECT_GE(decoded, 500u);
+    EXPECT_LT(decoded, 4'096u) << "a 500-inst trace fills no window";
+    EXPECT_FALSE(win.refill(0, 0)) << "nothing left to decode";
+    EXPECT_EQ(win.view().last, decoded);
 
-    // The stream wrapper surfaces the same exhaustion.
-    OracleStream replay(img, w.model, kRefSeed, nullptr, &arena);
-    for (int i = 0; i < 100; ++i)
+    // The stream itself reports the same end.
+    OracleStream replay(img, w.model, kRefSeed, &trace);
+    for (std::uint64_t i = 0; i < decoded; ++i)
         replay.next();
     EXPECT_THROW(replay.next(), std::runtime_error);
-}
-
-TEST(OracleArena, ArenaAndRecordedTraceReplayAreMutuallyExclusive)
-{
-    SyntheticWorkload w = hammockLoop();
-    CodeImage img(w.program, baselineOrder(w.program));
-    OracleArena arena(img, w.model, kRefSeed, 100);
-    RecordedTrace trace;
-    EXPECT_THROW(OracleStream(img, w.model, kRefSeed, &trace,
-                              &arena),
-                 std::invalid_argument);
 }
 
 class LayoutOnSuite : public ::testing::TestWithParam<std::string>

@@ -8,6 +8,10 @@
  * not allocate more memory — i.e. allocation cost is O(1) per run
  * (end-of-run stats assembly), not O(cycles).
  *
+ * A companion test bounds the heap of a whole unshared run: its
+ * committed-path window has a constant size, so simulating ten times
+ * as many instructions must request no more memory.
+ *
  * At the seed revision the hot loop allocated ~3.6 times per cycle
  * (fresh std::vector per fetchCycle, deque churn, unordered_map per
  * branch), which this test would fail by five orders of magnitude.
@@ -108,6 +112,36 @@ TEST(SteadyStateAllocations, ArenaBackedReplayIsAllocationFree)
     auto arena = work.arena(true, 200'000);
     expectSteadyStateAllocFree("stream", arena.get());
     expectSteadyStateAllocFree("trace", arena.get());
+}
+
+/** Heap bytes requested by one whole unshared run (set-up included). */
+std::uint64_t
+bytesForRun(const PlacedWorkload &work, InstCount insts)
+{
+    SimConfig cfg("stream");
+    cfg.insts = insts;
+    cfg.warmupInsts = 0;
+    const std::uint64_t before = allocBytes();
+    runOn(work, cfg);
+    return allocBytes() - before;
+}
+
+// A run that does not replay a shared arena decodes its committed
+// path into a constant-size private window: its heap must not grow
+// with the run length the way a whole-run decode would.
+TEST(OracleMemory, UnsharedRunHeapDoesNotGrowWithRunLength)
+{
+    const PlacedWorkload &work = WorkloadCache::instance().get("gzip");
+    const std::uint64_t short_run = bytesForRun(work, 100'000);
+    const std::uint64_t long_run = bytesForRun(work, 1'000'000);
+    EXPECT_LE(long_run, short_run + 4096)
+        << "short run " << short_run << " B, 10x longer run "
+        << long_run << " B";
+
+    // A whole-run arena of the long run is several times that heap.
+    OracleArena arena(work.optImage(), work.model(), kRefSeed,
+                      1'000'000);
+    EXPECT_LT(long_run, arena.bytes());
 }
 
 } // namespace

@@ -73,17 +73,16 @@ struct Harness
     std::unique_ptr<FetchEngine> engine;
     std::unique_ptr<Processor> proc;
 
-    Harness(SyntheticWorkload w, ArchKind kind, unsigned width = 8)
+    Harness(SyntheticWorkload w, const char *arch, unsigned width = 8)
         : work(std::move(w))
     {
         img = std::make_unique<CodeImage>(work.program,
                                           baselineOrder(work.program));
         MemoryConfig mc;
         mem = std::make_unique<MemoryHierarchy>(mc);
-        RunConfig rc;
-        rc.arch = kind;
-        rc.width = width;
-        engine = makeEngine(rc, *img, mem.get());
+        SimConfig cfg(arch);
+        cfg.width = width;
+        engine = cfg.makeEngine(*img, mem.get());
         ProcessorConfig pc;
         pc.width = width;
         proc = std::make_unique<Processor>(pc, engine.get(), *img,
@@ -101,17 +100,17 @@ TEST(Processor, RejectsWidthBeyondFetchBundleCapacity)
     // must fail loudly instead.
     // 2x capacity keeps the default line size (4x width) a power of
     // two, so construction reaches the Processor's own width check.
-    EXPECT_THROW(Harness(biasedLoop(), ArchKind::Stream,
+    EXPECT_THROW(Harness(biasedLoop(), "stream",
                          FetchBundle::kCapacity * 2),
                  std::invalid_argument);
-    Harness ok(biasedLoop(), ArchKind::Stream,
+    Harness ok(biasedLoop(), "stream",
                FetchBundle::kCapacity);
     EXPECT_GT(ok.proc->run(1'000).committedInsts, 0u);
 }
 
 TEST(Processor, CommitsExactlyRequestedInstructions)
 {
-    Harness h(biasedLoop(), ArchKind::Stream);
+    Harness h(biasedLoop(), "stream");
     SimStats st = h.proc->run(50'000, 5'000);
     // Retirement is width-per-cycle, so the run may overshoot by at
     // most one commit group.
@@ -122,7 +121,7 @@ TEST(Processor, CommitsExactlyRequestedInstructions)
 
 TEST(Processor, PerfectlyPredictableLoopHasNoMispredicts)
 {
-    Harness h(biasedLoop(), ArchKind::Stream);
+    Harness h(biasedLoop(), "stream");
     SimStats st = h.proc->run(50'000, 20'000);
     EXPECT_EQ(st.mispredicts, 0u);
     EXPECT_GT(st.ipc(), 2.0); // 10-inst loop body at width 8
@@ -130,7 +129,7 @@ TEST(Processor, PerfectlyPredictableLoopHasNoMispredicts)
 
 TEST(Processor, UnpredictableBranchCausesMispredicts)
 {
-    Harness h(noisyLoop(), ArchKind::Stream);
+    Harness h(noisyLoop(), "stream");
     SimStats st = h.proc->run(50'000, 10'000);
     // The 50/50 branch executes every ~10 insts: mispredict rate per
     // branch must be substantial.
@@ -140,8 +139,8 @@ TEST(Processor, UnpredictableBranchCausesMispredicts)
 
 TEST(Processor, MispredictPenaltyLowersIpc)
 {
-    Harness clean(biasedLoop(), ArchKind::Ev8);
-    Harness noisy(noisyLoop(), ArchKind::Ev8);
+    Harness clean(biasedLoop(), "ev8");
+    Harness noisy(noisyLoop(), "ev8");
     SimStats a = clean.proc->run(40'000, 10'000);
     SimStats b = noisy.proc->run(40'000, 10'000);
     EXPECT_GT(a.ipc(), b.ipc());
@@ -150,7 +149,7 @@ TEST(Processor, MispredictPenaltyLowersIpc)
 TEST(Processor, IpcBoundedByWidth)
 {
     for (unsigned width : {2u, 4u, 8u}) {
-        Harness h(biasedLoop(), ArchKind::Ev8, width);
+        Harness h(biasedLoop(), "ev8", width);
         SimStats st = h.proc->run(30'000, 5'000);
         EXPECT_LE(st.ipc(), double(width) + 1e-9);
         EXPECT_GT(st.ipc(), 0.2);
@@ -159,7 +158,7 @@ TEST(Processor, IpcBoundedByWidth)
 
 TEST(Processor, FetchStatsConsistent)
 {
-    Harness h(noisyLoop(), ArchKind::Ftb);
+    Harness h(noisyLoop(), "ftb");
     SimStats st = h.proc->run(30'000, 5'000);
     // Every committed instruction was first fetched on the correct
     // path (fetch may be slightly ahead at the end of the run).
@@ -170,7 +169,7 @@ TEST(Processor, FetchStatsConsistent)
 
 TEST(Processor, BranchCountsMatchWorkloadShape)
 {
-    Harness h(biasedLoop(), ArchKind::Stream);
+    Harness h(biasedLoop(), "stream");
     SimStats st = h.proc->run(40'000, 4'000);
     // 10-inst loop with one branch: ~10% branches.
     double frac = double(st.committedBranches) /
@@ -180,15 +179,14 @@ TEST(Processor, BranchCountsMatchWorkloadShape)
 }
 
 class AllArchsOnSuite
-    : public ::testing::TestWithParam<std::tuple<ArchKind, bool>>
+    : public ::testing::TestWithParam<std::tuple<const char *, bool>>
 {};
 
 TEST_P(AllArchsOnSuite, RunsToCompletionOnRealWorkload)
 {
     auto [arch, optimized] = GetParam();
     PlacedWorkload work("vpr");
-    RunConfig cfg;
-    cfg.arch = arch;
+    SimConfig cfg(arch);
     cfg.width = 8;
     cfg.optimizedLayout = optimized;
     cfg.insts = 60'000;
@@ -204,23 +202,17 @@ TEST_P(AllArchsOnSuite, RunsToCompletionOnRealWorkload)
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, AllArchsOnSuite,
-    ::testing::Combine(::testing::Values(ArchKind::Ev8, ArchKind::Ftb,
-                                         ArchKind::Stream,
-                                         ArchKind::Trace),
+    ::testing::Combine(::testing::Values("ev8", "ftb", "stream", "trace"),
                        ::testing::Bool()),
     [](const auto &info) {
-        std::string n = archName(std::get<0>(info.param));
-        for (auto &c : n)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return n + (std::get<1>(info.param) ? "_opt" : "_base");
+        return std::string(std::get<0>(info.param)) +
+               (std::get<1>(info.param) ? "_opt" : "_base");
     });
 
 TEST(Processor, DeterministicAcrossRuns)
 {
     PlacedWorkload work("gzip");
-    RunConfig cfg;
-    cfg.arch = ArchKind::Stream;
+    SimConfig cfg("stream");
     cfg.insts = 50'000;
     cfg.warmupInsts = 10'000;
     SimStats a = runOn(work, cfg);
@@ -232,7 +224,7 @@ TEST(Processor, DeterministicAcrossRuns)
 
 TEST(Processor, WrongPathInstructionsAreObserved)
 {
-    Harness h(noisyLoop(), ArchKind::Ev8);
+    Harness h(noisyLoop(), "ev8");
     SimStats st = h.proc->run(30'000, 5'000);
     // With frequent mispredicts the engine must have fetched down
     // wrong paths (the trace-driven wrong-path model at work).

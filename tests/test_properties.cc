@@ -138,15 +138,14 @@ INSTANTIATE_TEST_SUITE_P(Bias, BiasSweep,
 // ---- end-to-end conservation over a matrix of configurations ----
 
 class RunMatrix
-    : public ::testing::TestWithParam<std::tuple<ArchKind, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<const char *, unsigned>>
 {};
 
 TEST_P(RunMatrix, ConservationLaws)
 {
     auto [arch, width] = GetParam();
     PlacedWorkload work("gap");
-    RunConfig cfg;
-    cfg.arch = arch;
+    SimConfig cfg(arch);
     cfg.width = width;
     cfg.optimizedLayout = true;
     cfg.insts = 50'000;
@@ -175,16 +174,11 @@ TEST_P(RunMatrix, ConservationLaws)
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, RunMatrix,
-    ::testing::Combine(::testing::Values(ArchKind::Ev8, ArchKind::Ftb,
-                                         ArchKind::Stream,
-                                         ArchKind::Trace),
+    ::testing::Combine(::testing::Values("ev8", "ftb", "stream", "trace"),
                        ::testing::Values(2u, 4u, 8u)),
     [](const auto &info) {
-        std::string n = archName(std::get<0>(info.param));
-        for (auto &c : n)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return n + "_w" + std::to_string(std::get<1>(info.param));
+        return std::string(std::get<0>(info.param)) + "_w" +
+               std::to_string(std::get<1>(info.param));
     });
 
 // ---- layout quality across the whole suite ----

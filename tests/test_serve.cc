@@ -396,6 +396,39 @@ TEST(Serve, OverBudgetAutoJobFallsBackToLiveGeneration)
     server.stop(true);
 }
 
+TEST(Serve, FramesReportPerPointWhetherASharedArenaWasReplayed)
+{
+    // Points 0 and 1 share (bench, layout, run length), so the
+    // driver decodes one arena for them; point 2 is a group of one
+    // and decodes a private window. The governor admits the job's
+    // arena, yet each frame must say what its own point ran on.
+    Server server(testConfig("pergroup"));
+    server.start();
+    Stream s = collect(
+        server.listenAddress(),
+        "{\"verb\": \"submit\", \"points\": ["
+        "{\"bench\": \"gzip\", \"spec\": \"stream\", \"width\": 8, "
+        "\"layout\": \"opt\", \"insts\": 20000, \"warmup\": 4000}, "
+        "{\"bench\": \"gzip\", \"spec\": \"ev8\", \"width\": 8, "
+        "\"layout\": \"opt\", \"insts\": 20000, \"warmup\": 4000}, "
+        "{\"bench\": \"gzip\", \"spec\": \"stream\", \"width\": 8, "
+        "\"layout\": \"opt\", \"insts\": 10000, \"warmup\": 2000}]}");
+    ASSERT_TRUE(s.done);
+    EXPECT_TRUE(s.ack.at("arena").asBool()) << "the job's plan";
+    ASSERT_EQ(s.frames.size(), 3u);
+    const bool expect[3] = {true, true, false};
+    for (const JsonValue &f : s.frames) {
+        const std::uint64_t point = f.at("point").asU64();
+        ASSERT_LT(point, 3u);
+        EXPECT_EQ(f.at("arena").asBool(), expect[point])
+            << "point " << point;
+    }
+    // Not every point replayed a shared arena.
+    EXPECT_EQ(s.summary.at("state").asString(), "done");
+    EXPECT_FALSE(s.summary.at("arena").asBool());
+    server.stop(true);
+}
+
 TEST(Serve, StatusCancelStatsAndShutdownVerbs)
 {
     Server server(testConfig("verbs"));

@@ -5,12 +5,14 @@
  *  - the workload registry's content and diagnostics (including
  *    negative and fuzz-style coverage of the --bench spec grammar,
  *    mirroring tests/test_config.cc for --arch);
- *  - trace record/replay: for every registered workload family and
- *    one suite preset, a recorded control trace replayed through
- *    each registered fetch engine must produce bit-identical
- *    SimStats to live generation (the acceptance criterion of the
- *    trace layer), plus binary-format round-trip and corruption
- *    handling;
+ *  - window invariance: for every registered workload family and
+ *    one suite preset, every registered fetch engine at two pipe
+ *    widths produces bit-identical SimStats whether its committed
+ *    path is generated live into a private window, replayed from a
+ *    recorded trace into that window, or read from a shared
+ *    whole-run arena, and whether the batched core or the scalar
+ *    reference loop reads it; plus the trace binary format's
+ *    round-trip and corruption handling;
  *  - cross-engine invariants every scenario must satisfy (an
  *    optimized-layout stream front end beats predictionless
  *    next-line fetch);
@@ -337,78 +339,46 @@ TEST(TraceIo, RejectsCorruptHeadersAndTruncation)
     EXPECT_THROW(decodeTrace(bad), std::runtime_error);
 }
 
-// ---- the differential suite: replay == live on every engine ----
+// ---- the window invariance suite ----
 
-TEST(WorkloadDiff, ReplayIsBitIdenticalOnEveryFamilyAndEngine)
+TEST(WorkloadDiff, CommittedPathSourceIsInvisibleEverywhere)
 {
+    // A run long enough to cross many refills of the private window.
+    constexpr InstCount insts = 100'000, warmup = 10'000;
+    static_assert(insts > 6 * Processor::kOracleWindowInsts,
+                  "the run must cross many window refills");
     const std::vector<std::string> engines =
         EngineRegistry::instance().tokens();
+    RunTuning scalar;
+    scalar.batchedReplay = false;
 
     for (const std::string &bench : diffBenches()) {
         const PlacedWorkload &work =
             WorkloadCache::instance().get(bench);
-        RecordedTrace trace =
-            recordBenchTrace(work, 20'000, 4'000);
+        auto arena =
+            work.arena(true, insts + warmup + kFetchAheadMargin);
+        RecordedTrace trace = recordBenchTrace(work, insts, warmup);
         EXPECT_EQ(trace.bench, work.name());
-
         // The same capture must also survive the binary format.
         RecordedTrace decoded = decodeTrace(encodeTrace(trace));
-
-        for (const std::string &arch : engines) {
-            SimConfig cfg = smallCfg(arch);
-            SimStats live = runOn(work, cfg);
-            SimStats replayed = runOn(work, cfg, &decoded);
-            EXPECT_EQ(live, replayed)
-                << bench << " x " << arch
-                << ": replay diverged from live generation";
-        }
-    }
-}
-
-TEST(WorkloadDiff, BatchedReplayIsBitIdenticalEverywhere)
-{
-    // The batched replay core (bulk oracle verify, run-drained
-    // commit/dispatch, SIMD meta scans) against the scalar reference
-    // loop: every family x every engine x narrow and full pipe
-    // widths, in both live-generation and arena-replay modes. Any
-    // divergence in any SimStats field fails; this is the
-    // pipeline-level guarantee on top of test_simd's primitives.
-    const std::vector<std::string> engines =
-        EngineRegistry::instance().tokens();
-
-    RunTuning scalar_mode;
-    scalar_mode.batchedReplay = false;
-    RunTuning batched_mode;
-    batched_mode.batchedReplay = true;
-
-    for (const std::string &bench : diffBenches()) {
-        const PlacedWorkload &work =
-            WorkloadCache::instance().get(bench);
-        auto arena = work.arena(
-            true, 20'000 + 4'000 + kFetchAheadMargin);
 
         for (const std::string &arch : engines) {
             for (unsigned width : {4u, 8u}) {
                 SimConfig cfg = smallCfg(arch);
                 cfg.width = width;
-                SimStats scalar =
-                    runOn(work, cfg, nullptr, nullptr, scalar_mode);
-                SimStats batched =
-                    runOn(work, cfg, nullptr, nullptr, batched_mode);
-                EXPECT_EQ(scalar, batched)
-                    << bench << " x " << arch << " w" << width
-                    << ": batched replay diverged (live oracle)";
+                cfg.insts = insts;
+                cfg.warmupInsts = warmup;
+                const std::string what = bench + " x " + arch + " w" +
+                                         std::to_string(width);
 
-                SimStats scalar_ar = runOn(work, cfg, nullptr,
-                                           arena.get(), scalar_mode);
-                SimStats batched_ar = runOn(work, cfg, nullptr,
-                                            arena.get(), batched_mode);
-                EXPECT_EQ(scalar_ar, batched_ar)
-                    << bench << " x " << arch << " w" << width
-                    << ": batched replay diverged (arena)";
-                EXPECT_EQ(scalar, scalar_ar)
-                    << bench << " x " << arch << " w" << width
-                    << ": arena replay diverged from live";
+                SimStats live = runOn(work, cfg);
+                EXPECT_EQ(live, runOn(work, cfg, &decoded))
+                    << what << ": windowed trace replay diverged";
+                EXPECT_EQ(live, runOn(work, cfg, nullptr, arena.get()))
+                    << what << ": shared arena diverged";
+                EXPECT_EQ(live,
+                          runOn(work, cfg, nullptr, nullptr, scalar))
+                    << what << ": scalar reference diverged";
             }
         }
     }
@@ -462,13 +432,25 @@ TEST(WorkloadDiff, StreamBeatsNextLineOnEveryFamily)
     }
 }
 
-TEST(WorkloadDiff, ReplayPastTheEndOfTheTraceThrows)
+TEST(WorkloadDiff, RunningPastTheCommittedPathThrows)
 {
+    RunTuning scalar;
+    scalar.batchedReplay = false;
     const PlacedWorkload &work = WorkloadCache::instance().get("loops");
+    SimConfig cfg = smallCfg("stream");
+
     RecordedTrace tiny = recordTrace(work.program(), work.model(),
                                      kRefSeed, 200, work.name());
-    SimConfig cfg = smallCfg("stream");
     EXPECT_THROW(runOn(work, cfg, &tiny), std::runtime_error);
+    EXPECT_THROW(runOn(work, cfg, &tiny, nullptr, scalar),
+                 std::runtime_error);
+
+    OracleArena short_arena(work.image(cfg.optimizedLayout),
+                            work.model(), kRefSeed, 1'000);
+    EXPECT_THROW(runOn(work, cfg, nullptr, &short_arena),
+                 std::runtime_error);
+    EXPECT_THROW(runOn(work, cfg, nullptr, &short_arena, scalar),
+                 std::runtime_error);
 }
 
 TEST(WorkloadDiff, ReplayOnTheWrongWorkloadThrows)
