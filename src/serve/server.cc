@@ -118,11 +118,12 @@ struct Server::Job
 
 Server::Server(ServeConfig cfg) : cfg_(std::move(cfg))
 {
-    if (cfg_.workers == 0) {
-        cfg_.workers = std::thread::hardware_concurrency();
-        if (cfg_.workers == 0)
-            cfg_.workers = 1;
-    }
+    cores_ = std::max(1u, std::thread::hardware_concurrency());
+    if (cfg_.workers == 0)
+        cfg_.workers = cores_;
+    // Each running job's sweep gets its share of the cores, so a
+    // full worker pool keeps every core busy without oversubscribing.
+    sweepShare_ = std::max(1u, cores_ / cfg_.workers);
     for (std::string &w : cfg_.workerAddrs)
         w = normalizeWorkerAddr(w);
 }
@@ -517,9 +518,13 @@ Server::makeJob(const JsonValue &req)
         job->benches = std::move(benches);
     }
     job->pointCount = job->points.size();
-    job->sweepJobs = cfg_.defaultSweepJobs;
+    // Omitted or 0 means the derived share; anything else is clamped
+    // to the cores, so no submit can spawn threads without bound.
+    job->sweepJobs = sweepShare_;
     if (const JsonValue *v = req.find("jobs"))
-        job->sweepJobs = static_cast<unsigned>(v->asU64());
+        if (const std::uint64_t n = v->asU64())
+            job->sweepJobs = static_cast<unsigned>(
+                std::min<std::uint64_t>(n, cores_));
 
     const std::string arena = text("arena", "auto");
     if (arena == "auto")
@@ -726,6 +731,7 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
             .field("job", job->id)
             .field("points",
                    static_cast<std::uint64_t>(job->pointCount))
+            .field("jobs", static_cast<std::uint64_t>(job->sweepJobs))
             .field("arena",
                    job->arenaWanted != Job::Arena::Off &&
                        job->estArenaBytes > 0 &&
@@ -1136,8 +1142,8 @@ arenaModeName(int arena_wanted_ord)
 }
 
 /** The shard's submit request: the explicit `"points"` form over the
- * chosen subset, run single-threaded so the worker streams rows in
- * shard order. */
+ * chosen subset, pinned to "jobs":1 so the worker streams rows in
+ * shard order and workers sharing a host do not oversubscribe it. */
 std::string
 shardSubmitJson(const std::vector<SweepPoint> &points,
                 const std::vector<std::size_t> &indices,

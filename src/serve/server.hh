@@ -11,9 +11,12 @@
  *
  *   {"verb":"submit","bench":"gzip,loops","arch":"stream,ev8",
  *    "insts":50000,"warmup":10000,"widths":[4,8],"layout":"opt",
- *    "jobs":1,"arena":"auto","token":"nightly-42"}
- *     -> {"ok":true,"job":1,"points":8,"arena":true}
- *        ("arena": the governor's plan for the job)
+ *    "jobs":2,"arena":"auto","token":"nightly-42"}
+ *     -> {"ok":true,"job":1,"points":8,"jobs":2,"arena":true}
+ *        ("jobs": the sweep threads the job runs on — omitted or 0
+ *        means the daemon's share, max(1, cores / workers), and any
+ *        other value is clamped to [1, cores]; "arena": the
+ *        governor's plan for the job)
  *     -> one framed row per finished sweep point, as it finishes:
  *        {"job":1,"point":0,"of":8,"arena":true,"row":{...}}
  *        where "row" is exactly ResultSet's per-row JSON (rowJson)
@@ -57,9 +60,10 @@
  * ("timeout"), and a watchdog retires jobs whose current point
  * exceeds --point-timeout as "stuck", freeing their admission slot.
  *
- * Ordering: rows stream in completion order, which equals point
- * order when the job's sweep runs single-threaded ("jobs":1, the
- * default); the framing always carries the point index.
+ * Ordering: rows stream in completion order, and the framing always
+ * carries the point index. By default a job's sweep runs on its share
+ * of the cores, so rows may arrive out of point order; only a "jobs":1
+ * submit streams them in point order.
  *
  * Multi-node fan-out: a daemon whose worker *fleet* is non-empty —
  * seeded from ServeConfig::workerAddrs / `sfetchd --worker`, grown
@@ -73,10 +77,12 @@
  *    "width":8,"layout":"opt","insts":50000,"warmup":10000},...]}
  *
  * — then merges the workers' row streams back into one stream in
- * global point order, re-framed under the front's job id. Because a
- * worker runs its shard single-threaded in shard order and rows are
- * raw JSON passed through verbatim, the merged stream is
- * bit-identical to a single-daemon run of the same submit.
+ * global point order, re-framed under the front's job id. The front
+ * submits each shard with "jobs":1: the worker daemons may share one
+ * host, so their own core shares would oversubscribe it, and a
+ * single-threaded shard streams its rows in shard order. Rows are raw
+ * JSON passed through verbatim, so the merged stream is bit-identical
+ * to a single-daemon run of the same submit.
  *
  * Dispatch is *work-stealing*: the job's points are cut into
  * contiguous chunks of ServeConfig::chunkPoints, and one persistent
@@ -164,7 +170,8 @@ struct ServeConfig
     /** Backoff cap for chunk dispatch connects, ms. */
     int workerRetryMaxDelayMs = 400;
     /** Worker threads = jobs simulating concurrently. 0 picks
-     * hardware_concurrency(). */
+     * hardware_concurrency(). Each job's sweep defaults to
+     * max(1, hardware_concurrency() / workers) threads. */
     unsigned workers = 1;
     /** Admission cap on jobs queued + running. */
     std::size_t maxJobs = 8;
@@ -172,8 +179,6 @@ struct ServeConfig
     std::size_t maxPointsPerJob = 256;
     /** Memory budget governing cached/decoded arena bytes. */
     std::size_t memBudgetBytes = std::size_t(256) << 20;
-    /** Default per-job sweep threads when a submit omits "jobs". */
-    unsigned defaultSweepJobs = 1;
     /** Suppress per-event logging to stderr. */
     bool quiet = false;
 
@@ -351,6 +356,8 @@ class Server
     void log(const std::string &msg) const;
 
     ServeConfig cfg_;
+    unsigned cores_ = 1;      //!< hardware_concurrency(), at least 1
+    unsigned sweepShare_ = 1; //!< default sweep threads per job
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};
     std::atomic<bool> stopping_{false};

@@ -123,10 +123,13 @@ SweepDriver::parallelFor(std::size_t n,
         }
     };
 
+    // The calling thread is one of the workers: it simulates instead
+    // of idling in join(), so a sweep of N threads spawns N - 1.
     std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
+    threads.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w)
         threads.emplace_back(worker);
+    worker();
     for (std::thread &t : threads)
         t.join();
     if (first_error)

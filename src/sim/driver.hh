@@ -61,8 +61,9 @@ class SweepDriver
 {
   public:
     /**
-     * @param jobs Worker threads; 0 picks hardware_concurrency().
-     * Pass 1 to force serial in-thread execution.
+     * @param jobs Worker threads, the calling thread included (a
+     * sweep spawns jobs - 1); 0 picks hardware_concurrency(). Pass 1
+     * to force serial in-thread execution.
      */
     explicit SweepDriver(unsigned jobs = 0);
 

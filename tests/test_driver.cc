@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <set>
+#include <thread>
 
 #include "layout/oracle_arena.hh"
 #include "serve/jsonio.hh"
@@ -183,18 +186,38 @@ TEST(SweepDriver, RowCallbackStreamsEveryRowIdentically)
     }
 }
 
-TEST(SweepDriver, CallbackArrivesInPointOrderWhenSerial)
+/**
+ * The calling thread is one of a sweep's N threads: every point is
+ * delivered once, from at most N distinct threads with the caller's
+ * among them, and a sweep of one spawns no thread and delivers in
+ * point order.
+ */
+TEST(SweepDriver, CallerIsOneOfTheSweepThreads)
 {
     auto points = smallGrid();
-    SweepDriver driver(1);
-    driver.setQuiet(true);
-    std::vector<std::size_t> order;
-    driver.run(points,
-               [&](const ResultRow &, std::size_t point,
-                   std::size_t) { order.push_back(point); });
-    ASSERT_EQ(order.size(), points.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        SweepDriver driver(jobs);
+        driver.setQuiet(true);
+        std::vector<std::size_t> order;
+        std::set<std::thread::id> threads;
+        driver.run(points, [&](const ResultRow &, std::size_t point,
+                               std::size_t) {
+            order.push_back(point);
+            threads.insert(std::this_thread::get_id());
+        });
+        std::vector<std::size_t> sorted = order;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(sorted.size(), points.size()) << "jobs=" << jobs;
+        for (std::size_t i = 0; i < sorted.size(); ++i)
+            EXPECT_EQ(sorted[i], i) << "jobs=" << jobs;
+        EXPECT_LE(threads.size(), jobs);
+        EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u)
+            << "jobs=" << jobs << ": the caller ran no point";
+        if (jobs == 1) {
+            EXPECT_EQ(threads.size(), 1u);
+            EXPECT_EQ(order, sorted) << "a serial sweep is point-ordered";
+        }
+    }
 }
 
 TEST(SweepDriver, StopFlagCancelsRemainingPoints)

@@ -113,20 +113,43 @@ maskWallClock(const std::string &payload)
     return payload.substr(0, at) + "}";
 }
 
-/** Assert @p s carries all 12 rows, point-ordered and bit-identical
- * to @p expect. */
+/** The row payloads of @p s indexed by point; a point framed twice
+ * or out of range fails the test. */
+std::vector<std::string>
+payloadsByPoint(const Stream &s)
+{
+    std::vector<std::string> out(s.frames.size());
+    for (std::size_t i = 0; i < s.frames.size(); ++i) {
+        const std::uint64_t point = s.frames[i].at("point").asU64();
+        if (point >= out.size() || !out[point].empty()) {
+            ADD_FAILURE() << "point " << point << " framed twice or "
+                          << "out of range";
+            continue;
+        }
+        out[point] = rowPayload(s.raw[1 + i]);
+    }
+    return out;
+}
+
+/** Assert @p s carries all 12 rows, each once and bit-identical to
+ * @p expect. A front merges in global point order (@p point_ordered);
+ * a local daemon streams in completion order. */
 void
-expectMergedStreamMatches(const Stream &s, const ResultSet &expect)
+expectStreamMatches(const Stream &s, const ResultSet &expect,
+                    bool point_ordered)
 {
     ASSERT_TRUE(s.done);
     ASSERT_EQ(s.frames.size(), 12u);
-    std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
     for (std::size_t i = 0; i < s.frames.size(); ++i) {
-        EXPECT_EQ(s.frames[i].at("point").asU64(), i)
-            << "merged stream must emit in global point order";
+        if (point_ordered) {
+            EXPECT_EQ(s.frames[i].at("point").asU64(), i)
+                << "merged stream must emit in global point order";
+        }
         EXPECT_EQ(s.frames[i].at("of").asU64(), 12u);
-        rows_doc += (i ? "," : "") + rowPayload(s.raw[1 + i]);
     }
+    std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
+    for (const std::string &payload : payloadsByPoint(s))
+        rows_doc += (rows_doc.back() == '[' ? "" : ",") + payload;
     rows_doc += "]}";
     ResultSet streamed = ResultSet::fromJson(rows_doc);
     ASSERT_EQ(streamed.size(), expect.size());
@@ -159,7 +182,7 @@ TEST(MultiNode, TwoWorkerFanOutIsBitIdenticalToOfflineAndSingleNode)
     Server single(tcpConfig());
     single.start();
     Stream ref = collect(single.listenAddress(), kSubmit12);
-    expectMergedStreamMatches(ref, expect);
+    expectStreamMatches(ref, expect, false);
 
     ServeConfig front_cfg = tcpConfig();
     front_cfg.workerAddrs = {workerA.listenAddress(),
@@ -168,13 +191,15 @@ TEST(MultiNode, TwoWorkerFanOutIsBitIdenticalToOfflineAndSingleNode)
     front.start();
 
     Stream merged = collect(front.listenAddress(), kSubmit12);
-    expectMergedStreamMatches(merged, expect);
+    expectStreamMatches(merged, expect, true);
 
     // Byte-for-byte against the single daemon: the fan-out is
     // invisible in the row payloads.
+    const std::vector<std::string> merged_rows = payloadsByPoint(merged);
+    const std::vector<std::string> ref_rows = payloadsByPoint(ref);
     for (std::size_t i = 0; i < 12; ++i)
-        EXPECT_EQ(maskWallClock(rowPayload(merged.raw[1 + i])),
-                  maskWallClock(rowPayload(ref.raw[1 + i])))
+        EXPECT_EQ(maskWallClock(merged_rows[i]),
+                  maskWallClock(ref_rows[i]))
             << "row " << i << " bytes differ from a single-node run";
 
     // 12 points at the default 4-point chunk = 3 clean dispatches,
@@ -213,12 +238,14 @@ TEST(MultiNode, WorkerKilledMidSweepIsReDispatchedBitIdentically)
     // Occupy worker B's only slot with a slow multi-point job (read
     // just the ack), so B queues its shard instead of running it —
     // the kill below deterministically lands before B delivers a row.
+    // "jobs": 1 keeps the captive job slow: B's default share would
+    // sweep its points on every core.
     LineChannel slow(
         connectSocket(parseSocketAddr(workerB.listenAddress())));
     ASSERT_TRUE(slow.writeLine(
         "{\"verb\": \"submit\", \"bench\": \"gzip\", "
         "\"arch\": \"stream,ev8\", \"widths\": [4, 8], "
-        "\"insts\": 500000, \"warmup\": 1000}"));
+        "\"insts\": 500000, \"warmup\": 1000, \"jobs\": 1}"));
     std::string ack;
     ASSERT_TRUE(slow.readLine(ack));
 
@@ -243,7 +270,7 @@ TEST(MultiNode, WorkerKilledMidSweepIsReDispatchedBitIdentically)
     workerB.stop(false);
 
     submitter.join();
-    expectMergedStreamMatches(merged, expect);
+    expectStreamMatches(merged, expect, true);
 
     ServeStats st = front.stats();
     EXPECT_GE(st.shardRetries, 1u)
@@ -271,13 +298,14 @@ TEST(MultiNode, SlowWorkerLosesChunksToHealthyPeer)
     // Occupy worker B's only slot with a multi-second job (read just
     // the ack): B accepts chunks but queues them — slow, not dead.
     // The front's per-chunk read timeout must reclaim B's chunk and
-    // the healthy worker A must absorb it, bit-identically.
+    // the healthy worker A must absorb it, bit-identically. "jobs": 1
+    // keeps the captive job on one core, as slow as it is meant to be.
     LineChannel slow(
         connectSocket(parseSocketAddr(workerB.listenAddress())));
     ASSERT_TRUE(slow.writeLine(
         "{\"verb\": \"submit\", \"bench\": \"gzip\", "
         "\"arch\": \"stream,ev8,ftb,seq\", \"widths\": [4, 8], "
-        "\"insts\": 8000000, \"warmup\": 1000}"));
+        "\"insts\": 8000000, \"warmup\": 1000, \"jobs\": 1}"));
     std::string ack;
     ASSERT_TRUE(slow.readLine(ack));
 
@@ -289,7 +317,7 @@ TEST(MultiNode, SlowWorkerLosesChunksToHealthyPeer)
     front.start();
 
     Stream merged = collect(front.listenAddress(), kSubmit12);
-    expectMergedStreamMatches(merged, expect);
+    expectStreamMatches(merged, expect, true);
 
     ServeStats st = front.stats();
     EXPECT_GE(st.shardRetries, 1u)
@@ -318,7 +346,7 @@ TEST(MultiNode, RegisterAndDeregisterFlipFrontModeAtRuntime)
     Server front(tcpConfig());
     front.start();
     Stream local = collect(front.listenAddress(), kSubmit12);
-    expectMergedStreamMatches(local, expect);
+    expectStreamMatches(local, expect, false);
     EXPECT_EQ(front.stats().shardsDispatched, 0u);
     EXPECT_EQ(front.stats().workersRegistered, 0u);
 
@@ -338,12 +366,14 @@ TEST(MultiNode, RegisterAndDeregisterFlipFrontModeAtRuntime)
               worker.listenAddress());
 
     Stream fanned = collect(front.listenAddress(), kSubmit12);
-    expectMergedStreamMatches(fanned, expect);
+    expectStreamMatches(fanned, expect, true);
     EXPECT_EQ(front.stats().shardsDispatched, 3u);
     EXPECT_EQ(worker.stats().rowsStreamed, 12u);
+    const std::vector<std::string> fanned_rows = payloadsByPoint(fanned);
+    const std::vector<std::string> local_rows = payloadsByPoint(local);
     for (std::size_t i = 0; i < 12; ++i)
-        EXPECT_EQ(maskWallClock(rowPayload(fanned.raw[1 + i])),
-                  maskWallClock(rowPayload(local.raw[1 + i])))
+        EXPECT_EQ(maskWallClock(fanned_rows[i]),
+                  maskWallClock(local_rows[i]))
             << "row " << i
             << " bytes differ between local and fanned-out runs";
 
@@ -353,7 +383,7 @@ TEST(MultiNode, RegisterAndDeregisterFlipFrontModeAtRuntime)
     ASSERT_TRUE(rep.at("ok").boolean);
     EXPECT_EQ(rep.at("workers").asU64(), 0u);
     Stream again = collect(front.listenAddress(), kSubmit12);
-    expectMergedStreamMatches(again, expect);
+    expectStreamMatches(again, expect, false);
     EXPECT_EQ(front.stats().shardsDispatched, 3u)
         << "a deregistered fleet must not receive dispatches";
 

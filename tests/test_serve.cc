@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -117,6 +120,45 @@ rowPayload(const std::string &frame_line)
                              frame_line.size() - at - key.size() - 1);
 }
 
+/**
+ * The row payloads framed in @p lines, by point (rows stream in
+ * completion order). A point framed twice fails the test; a missing
+ * one shows as a short map.
+ */
+std::map<std::uint64_t, std::string>
+payloadsByPoint(const std::vector<std::string> &lines)
+{
+    std::map<std::uint64_t, std::string> rows;
+    for (const std::string &line : lines) {
+        const JsonValue frame = JsonReader(line).parse();
+        if (const JsonValue *p = frame.find("point")) {
+            EXPECT_TRUE(rows.emplace(p->asU64(), rowPayload(line)).second)
+                << "point " << p->asU64() << " framed twice";
+        }
+    }
+    return rows;
+}
+
+/** The rows framed in @p lines, in point order. */
+ResultSet
+rowsByPoint(const std::vector<std::string> &lines)
+{
+    std::string doc = "{\"wall_seconds\": 0, \"rows\": [";
+    for (const auto &[point, row] : payloadsByPoint(lines))
+        doc += (doc.back() == '[' ? "" : ",") + row;
+    return ResultSet::fromJson(doc + "]}");
+}
+
+/** @p row_json minus its trailing "wall_seconds" member, the one
+ * measurement in a row: byte-compares mask it. */
+std::string
+maskWallClock(const std::string &row_json)
+{
+    const std::size_t at = row_json.rfind(", \"wall_seconds\": ");
+    EXPECT_NE(at, std::string::npos) << row_json;
+    return row_json.substr(0, at) + "}";
+}
+
 /** A state dir with no journal left over from earlier runs. */
 std::string
 freshStateDir(const char *tag)
@@ -173,31 +215,26 @@ TEST_P(ServeTransport, ConcurrentSubmitsStreamBitIdenticalToOffline)
     server.start();
 
     // Two clients submit the same 6-point sweep concurrently; the
-    // daemon runs them on two workers.
+    // daemon runs them on two workers. Client 0 takes the daemon's
+    // default sweep share, client 1 pins one sweep thread.
+    const std::string submits[2] = {
+        kSubmit6, std::string(kSubmit6, std::strlen(kSubmit6) - 1) +
+                      ", \"jobs\": 1}"};
     std::vector<std::string> raw_lines[2];
     Stream streams[2];
-    std::thread t0([&] {
+    auto submit = [&](int c) {
         ServeClient client(server.listenAddress());
         client.submitStream(
-            kSubmit6,
+            submits[c],
             [&](const JsonValue &parsed, const std::string &raw) {
-                raw_lines[0].push_back(raw);
+                raw_lines[c].push_back(raw);
                 if (parsed.find("point"))
-                    streams[0].frames.push_back(parsed);
+                    streams[c].frames.push_back(parsed);
                 return true;
             });
-    });
-    std::thread t1([&] {
-        ServeClient client(server.listenAddress());
-        client.submitStream(
-            kSubmit6,
-            [&](const JsonValue &parsed, const std::string &raw) {
-                raw_lines[1].push_back(raw);
-                if (parsed.find("point"))
-                    streams[1].frames.push_back(parsed);
-                return true;
-            });
-    });
+    };
+    std::thread t0(submit, 0);
+    std::thread t1(submit, 1);
     t0.join();
     t1.join();
 
@@ -206,22 +243,22 @@ TEST_P(ServeTransport, ConcurrentSubmitsStreamBitIdenticalToOffline)
         ASSERT_EQ(raw_lines[c].size(), 8u) << "client " << c;
         ASSERT_EQ(streams[c].frames.size(), 6u) << "client " << c;
 
-        // Row-complete and point-ordered (the daemon's default sweep
-        // is single-threaded, so completion order == point order).
-        std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
+        // Rows stream in completion order, which is point order only
+        // for the single-threaded sweep.
         for (std::size_t i = 0; i < streams[c].frames.size(); ++i) {
             const JsonValue &f = streams[c].frames[i];
-            EXPECT_EQ(f.at("point").asU64(), i) << "client " << c;
+            if (c == 1) {
+                EXPECT_EQ(f.at("point").asU64(), i)
+                    << "a jobs:1 sweep is point-ordered";
+            }
             EXPECT_EQ(f.at("of").asU64(), 6u);
             EXPECT_TRUE(f.at("arena").asBool())
                 << "6-point group fits a 64 MiB budget";
-            rows_doc += (i ? "," : "") +
-                        rowPayload(raw_lines[c][1 + i]);
         }
-        rows_doc += "]}";
 
-        // Every streamed row is bit-identical to the offline sweep.
-        ResultSet streamed = ResultSet::fromJson(rows_doc);
+        // Every point arrives exactly once, and every streamed row is
+        // bit-identical to the offline sweep.
+        ResultSet streamed = rowsByPoint(raw_lines[c]);
         ASSERT_EQ(streamed.size(), expect.size()) << "client " << c;
         for (std::size_t i = 0; i < expect.size(); ++i) {
             EXPECT_EQ(streamed.at(i).bench, expect.at(i).bench);
@@ -249,6 +286,55 @@ TEST_P(ServeTransport, ConcurrentSubmitsStreamBitIdenticalToOffline)
     EXPECT_EQ(st.arenaFallbacks, 0u);
     EXPECT_LE(st.residentArenaBytes, st.memBudgetBytes);
 
+    server.stop(true);
+}
+
+TEST(Serve, SweepThreadsDefaultToTheCoreShareAndAreClamped)
+{
+    SweepDriver offline(1);
+    offline.setQuiet(true);
+    ResultSet expect = offline.run(grid6());
+    ASSERT_EQ(expect.size(), 6u);
+
+    ServeConfig cfg = testConfig("share");
+    Server server(cfg);
+    server.start();
+
+    // Omitted or 0: the daemon's share of the cores. Anything else is
+    // clamped to the cores, however many threads the submit asks for.
+    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+    const unsigned share = std::max(1u, cores / cfg.workers);
+    const std::string open(kSubmit6, std::strlen(kSubmit6) - 1);
+    const struct
+    {
+        const char *jobs;
+        unsigned effective;
+    } cases[] = {{"", share},
+                 {", \"jobs\": 0", share},
+                 {", \"jobs\": 100000", cores}};
+    for (const auto &c : cases) {
+        std::vector<std::string> raw;
+        JsonValue ack;
+        ServeClient client(server.listenAddress());
+        ASSERT_TRUE(client.submitStream(
+            open + c.jobs + "}",
+            [&](const JsonValue &parsed, const std::string &line) {
+                if (ack.kind == JsonValue::Kind::Null)
+                    ack = parsed;
+                raw.push_back(line);
+                return true;
+            }));
+        EXPECT_EQ(ack.at("jobs").asU64(), c.effective) << c.jobs;
+
+        // Whatever the thread count, the rows are the offline
+        // driver's, byte for byte.
+        const auto rows = payloadsByPoint(raw);
+        ASSERT_EQ(rows.size(), expect.size()) << c.jobs;
+        for (const auto &[point, row] : rows)
+            EXPECT_EQ(maskWallClock(row),
+                      maskWallClock(expect.rowJson(point)))
+                << c.jobs << " point " << point;
+    }
     server.stop(true);
 }
 
@@ -375,16 +461,12 @@ TEST(Serve, OverBudgetAutoJobFallsBackToLiveGeneration)
             }));
     }
     ASSERT_EQ(frames.size(), 6u);
-    std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        // The frames say so: these rows came from live generation.
-        EXPECT_FALSE(frames[i].at("arena").asBool());
-        rows_doc += (i ? "," : "") + rowPayload(raw[1 + i]);
-    }
-    rows_doc += "]}";
+    // The frames say so: these rows came from live generation.
+    for (const JsonValue &f : frames)
+        EXPECT_FALSE(f.at("arena").asBool());
 
     // Fallback is invisible in the numbers.
-    ResultSet streamed = ResultSet::fromJson(rows_doc);
+    ResultSet streamed = rowsByPoint(raw);
     ASSERT_EQ(streamed.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i)
         EXPECT_EQ(streamed.at(i).stats, expect.at(i).stats)
@@ -573,11 +655,7 @@ TEST_P(ServeTransport, JournalCrashRecoveryIsBitIdenticalAfterTokenAttach)
 
     // The crash-recovery contract: the re-run rows are bit-identical
     // to an offline sweep of the same grid.
-    std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
-    for (std::size_t i = 0; i < frames.size(); ++i)
-        rows_doc += (i ? "," : "") + rowPayload(raw[1 + i]);
-    rows_doc += "]}";
-    ResultSet streamed = ResultSet::fromJson(rows_doc);
+    ResultSet streamed = rowsByPoint(raw);
     ASSERT_EQ(streamed.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
         EXPECT_EQ(streamed.at(i).cfg, expect.at(i).cfg) << "row " << i;

@@ -138,8 +138,9 @@ main(int argc, char **argv)
                       warmup_set = true;
                   });
     cli.addOption("--jobs", "N",
-                  "sweep threads for this job (submit; daemon "
-                  "default keeps rows in point order)",
+                  "sweep threads for this job (submit; default: the "
+                  "daemon's share of its cores; 1 streams rows in "
+                  "point order)",
                   [&](const std::string &v) {
                       jobs = CliParser::parseUnsignedList(v).at(0);
                       jobs_set = true;

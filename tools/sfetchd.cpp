@@ -8,8 +8,7 @@
  * Usage:
  *   sfetchd [--listen unix:PATH|tcp:HOST:PORT] [--workers N]
  *           [--worker HOST:PORT[,HOST:PORT...]]... [--max-jobs N]
- *           [--max-points-per-job N] [--mem-budget-mb N]
- *           [--sweep-jobs N] [--quiet]
+ *           [--max-points-per-job N] [--mem-budget-mb N] [--quiet]
  *           [--state-dir DIR] [--idle-timeout MS]
  *           [--write-timeout MS] [--point-timeout MS]
  *           [--max-conns N] [--max-jobs-per-client N]
@@ -19,6 +18,10 @@
  *           [--worker-retry-max-delay-ms MS]
  *
  * --socket PATH survives as an alias for --listen unix:PATH.
+ *
+ * Each of the --workers concurrent jobs sweeps its points on its share
+ * of the cores, max(1, cores / workers) threads, unless the submit
+ * asks for a "jobs" count of its own (clamped to the cores).
  *
  * With one or more --worker addresses the daemon becomes a
  * multi-node *front*: submits are split into --chunk-points chunks
@@ -42,6 +45,10 @@
 #include <cstdio>
 #include <thread>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "serve/server.hh"
 #include "sim/cli.hh"
 
@@ -50,6 +57,16 @@ using namespace sfetch;
 int
 main(int argc, char **argv)
 {
+#ifdef __GLIBC__
+    // glibc raises its mmap threshold to the size of each large
+    // mmapped chunk that is freed (up to 32 MiB). From then on arenas,
+    // oracle windows and workload images come from the malloc heaps,
+    // one per sweep thread, where freed memory mostly stays resident.
+    // Setting the threshold fixes it, so those buffers stay mmapped
+    // and freeing one returns its pages to the OS: running more
+    // simulations at once does not grow the daemon's RSS.
+    mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
     ServeConfig cfg;
 
     CliParser cli("sfetchd",
@@ -127,7 +144,9 @@ main(int argc, char **argv)
                           CliParser::parseU64(v));
                   });
     cli.addOption("--workers", "N",
-                  "concurrent jobs (default 1, 0 = all cores)",
+                  "concurrent jobs (default 1, 0 = all cores); each "
+                  "job's sweep runs on cores / N threads unless its "
+                  "submit sets \"jobs\"",
                   [&](const std::string &v) {
                       cfg.workers = CliParser::parseUnsignedList(v).at(0);
                   });
@@ -151,13 +170,6 @@ main(int argc, char **argv)
                           std::size_t(
                               CliParser::parseUnsignedList(v).at(0))
                           << 20;
-                  });
-    cli.addOption("--sweep-jobs", "N",
-                  "threads per job's sweep when the submit omits "
-                  "\"jobs\" (default 1: rows stream in point order)",
-                  [&](const std::string &v) {
-                      cfg.defaultSweepJobs =
-                          CliParser::parseUnsignedList(v).at(0);
                   });
     cli.addFlag("--quiet", "suppress per-event logging",
                 [&] { cfg.quiet = true; });
