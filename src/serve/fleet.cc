@@ -27,6 +27,19 @@ steadyNowMs()
  * slow GC-ish probe doesn't dominate, fresh enough to track drift. */
 constexpr double kEwmaAlpha = 0.2;
 
+/** The load figures in a `health` reply; none from a daemon that
+ * does not report them. */
+std::optional<WorkerHealth>
+healthOf(const JsonValue &rep)
+{
+    if (!rep.find("queue_depth"))
+        return std::nullopt;
+    return WorkerHealth{rep.at("queue_depth").asU64(),
+                        rep.at("jobs_running").asU64(),
+                        rep.at("uptime_seconds").asU64(),
+                        rep.at("journal_degraded").asBool()};
+}
+
 } // namespace
 
 const char *
@@ -41,7 +54,23 @@ workerStateName(WorkerState s)
     return "unknown";
 }
 
-FleetManager::FleetManager(FleetConfig cfg) : cfg_(cfg) {}
+FleetManager::FleetManager(FleetConfig cfg, MetricsRegistry &metrics)
+    : cfg_(cfg),
+      probesSent_(metrics.counter("probes_sent")),
+      probeFailures_(metrics.counter("probe_failures")),
+      workerDeaths_(metrics.counter("worker_deaths"))
+{
+    metrics.gauge("workers_registered", [this] { return size(); },
+                  MetricsRegistry::kStats | MetricsRegistry::kWorkers);
+    metrics.gauge("workers_alive",
+                  [this] { return countIn(WorkerState::Alive); });
+    metrics.gauge("workers_suspect",
+                  [this] { return countIn(WorkerState::Suspect); });
+    metrics.gauge("workers_dead",
+                  [this] { return countIn(WorkerState::Dead); });
+    metrics.gauge("workers_recovering",
+                  [this] { return countIn(WorkerState::Recovering); });
+}
 
 FleetManager::~FleetManager()
 {
@@ -163,7 +192,7 @@ FleetManager::toState(Member &m, WorkerState next)
     ++m.transitions;
     if (next == WorkerState::Dead) {
         ++m.deaths;
-        ++totalDeaths_;
+        workerDeaths_.fetch_add(1);
         m.backoffExp = 0;
     }
 }
@@ -254,19 +283,8 @@ FleetManager::probeOne(const std::string &addr) const
         JsonValue rep = client.request("{\"verb\": \"health\"}");
         const JsonValue *ok = rep.find("ok");
         r.ok = ok && ok->kind == JsonValue::Kind::Bool && ok->boolean;
-        if (r.ok) {
-            if (const JsonValue *v = rep.find("queue_depth")) {
-                r.haveHealth = true;
-                r.queueDepth = v->asU64();
-            }
-            if (const JsonValue *v = rep.find("jobs_running"))
-                r.jobsRunning = v->asU64();
-            if (const JsonValue *v = rep.find("uptime_seconds"))
-                r.uptimeSeconds = v->asU64();
-            if (const JsonValue *v = rep.find("journal_degraded"))
-                r.journalDegraded =
-                    v->kind == JsonValue::Kind::Bool && v->boolean;
-        }
+        if (r.ok)
+            r.health = healthOf(rep);
     } catch (const std::exception &) {
         r.ok = false;
     }
@@ -296,24 +314,19 @@ FleetManager::probeAll(std::int64_t now_ms)
             continue; // deregistered mid-probe
         ++probed;
         ++m->probes;
-        ++totalProbes_;
+        probesSent_.fetch_add(1);
         if (r.ok) {
             m->ewmaLatencyMs =
                 m->ewmaLatencyMs == 0.0
                     ? r.latencyMs
                     : (1.0 - kEwmaAlpha) * m->ewmaLatencyMs +
                           kEwmaAlpha * r.latencyMs;
-            if (r.haveHealth) {
-                m->haveHealth = true;
-                m->queueDepth = r.queueDepth;
-                m->jobsRunning = r.jobsRunning;
-                m->uptimeSeconds = r.uptimeSeconds;
-                m->journalDegraded = r.journalDegraded;
-            }
+            if (r.health)
+                m->health = r.health;
             applySuccess(*m, now);
         } else {
             ++m->probeFailures;
-            ++totalProbeFailures_;
+            probeFailures_.fetch_add(1);
             applyFailure(*m, now);
         }
     }
@@ -365,49 +378,42 @@ std::vector<WorkerSnapshot>
 FleetManager::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<WorkerSnapshot> out;
-    out.reserve(members_.size());
-    for (const Member &m : members_) {
-        WorkerSnapshot s;
-        s.addr = m.addr;
-        s.state = m.state;
-        s.staticSeed = m.staticSeed;
-        s.probes = m.probes;
-        s.probeFailures = m.probeFailures;
-        s.transitions = m.transitions;
-        s.dispatchFailures = m.dispatchFailures;
-        s.dispatchSuccesses = m.dispatchSuccesses;
-        s.deaths = m.deaths;
-        s.consecutiveFailures = m.consecutiveFailures;
-        s.ewmaLatencyMs = m.ewmaLatencyMs;
-        s.haveHealth = m.haveHealth;
-        s.queueDepth = m.queueDepth;
-        s.jobsRunning = m.jobsRunning;
-        s.uptimeSeconds = m.uptimeSeconds;
-        s.journalDegraded = m.journalDegraded;
-        out.push_back(std::move(s));
-    }
-    return out;
+    return {members_.begin(), members_.end()};
 }
 
-FleetTotals
-FleetManager::totals() const
+std::string
+FleetManager::workersJson() const
+{
+    std::string out = "[";
+    for (const WorkerSnapshot &w : snapshot()) {
+        JsonObjectWriter e;
+        e.field("addr", w.addr)
+            .field("state", workerStateName(w.state))
+            .field("static", w.staticSeed)
+            .field("probes", w.probes)
+            .field("probe_failures", w.probeFailures)
+            .field("transitions", w.transitions)
+            .field("dispatch_failures", w.dispatchFailures)
+            .field("dispatch_successes", w.dispatchSuccesses)
+            .field("deaths", w.deaths)
+            .field("consecutive_failures", w.consecutiveFailures)
+            .field("ewma_latency_ms", w.ewmaLatencyMs);
+        if (w.health)
+            e.field("queue_depth", w.health->queueDepth)
+                .field("jobs_running", w.health->jobsRunning)
+                .field("uptime_seconds", w.health->uptimeSeconds)
+                .field("journal_degraded", w.health->journalDegraded);
+        out += (out.size() > 1 ? ", " : "") + e.str();
+    }
+    return out + "]";
+}
+
+std::uint64_t
+FleetManager::countIn(WorkerState s) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    FleetTotals t;
-    t.members = members_.size();
-    for (const Member &m : members_) {
-        switch (m.state) {
-        case WorkerState::Alive: ++t.alive; break;
-        case WorkerState::Suspect: ++t.suspect; break;
-        case WorkerState::Dead: ++t.dead; break;
-        case WorkerState::Recovering: ++t.recovering; break;
-        }
-    }
-    t.probesSent = totalProbes_;
-    t.probeFailures = totalProbeFailures_;
-    t.workerDeaths = totalDeaths_;
-    return t;
+    return std::count_if(members_.begin(), members_.end(),
+                         [s](const Member &m) { return m.state == s; });
 }
 
 void

@@ -1,9 +1,7 @@
 /**
  * @file
  * FleetManager: worker membership and health for a multi-node front
- * daemon. PR 9's front discovered worker death one shard dispatch at
- * a time, per job, from a static --worker list; this subsystem makes
- * the fleet a first-class, self-healing object:
+ * daemon, a self-healing object rather than a static --worker list:
  *
  *   - *Membership* is dynamic: the static --worker list seeds the
  *     fleet, and the `register`/`deregister` protocol verbs grow and
@@ -41,9 +39,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/metrics.hh"
 
 namespace sfetch
 {
@@ -72,6 +73,15 @@ struct FleetConfig
     bool quiet = false;
 };
 
+/** The load figures of a worker's last answered `health` probe. */
+struct WorkerHealth
+{
+    std::uint64_t queueDepth = 0;
+    std::uint64_t jobsRunning = 0;
+    std::uint64_t uptimeSeconds = 0;
+    bool journalDegraded = false;
+};
+
 /** Point-in-time copy of one member's state and counters. */
 struct WorkerSnapshot
 {
@@ -84,29 +94,10 @@ struct WorkerSnapshot
     std::uint64_t dispatchFailures = 0;
     std::uint64_t dispatchSuccesses = 0;
     std::uint64_t deaths = 0; //!< times this worker went dead
-    unsigned consecutiveFailures = 0;
+    std::uint64_t consecutiveFailures = 0;
     double ewmaLatencyMs = 0.0; //!< probe round-trip, EWMA (a=0.2)
-    /** Last successful probe's health payload (enriched `health`
-     * verb); valid once haveHealth. */
-    bool haveHealth = false;
-    std::uint64_t queueDepth = 0;
-    std::uint64_t jobsRunning = 0;
-    std::uint64_t uptimeSeconds = 0;
-    bool journalDegraded = false;
-};
-
-/** Fleet-wide aggregates (gauges from the live set + counters that
- * survive deregistration). */
-struct FleetTotals
-{
-    std::size_t members = 0;
-    std::size_t alive = 0;
-    std::size_t suspect = 0;
-    std::size_t dead = 0;
-    std::size_t recovering = 0;
-    std::uint64_t probesSent = 0;
-    std::uint64_t probeFailures = 0;
-    std::uint64_t workerDeaths = 0;
+    /** Set once a probe came back with the load figures. */
+    std::optional<WorkerHealth> health;
 };
 
 class FleetManager
@@ -119,7 +110,9 @@ class FleetManager
     /** Dead-worker re-probe backoff cap: interval << kMaxBackoffExp. */
     static constexpr unsigned kMaxBackoffExp = 4;
 
-    explicit FleetManager(FleetConfig cfg);
+    /** Declares the fleet's metrics in @p metrics, which must
+     * outlive the manager. */
+    FleetManager(FleetConfig cfg, MetricsRegistry &metrics);
     ~FleetManager();
 
     FleetManager(const FleetManager &) = delete;
@@ -177,29 +170,17 @@ class FleetManager
     void stop();
 
     std::vector<WorkerSnapshot> snapshot() const;
-    FleetTotals totals() const;
+
+    /** The members as the JSON array the `workers` and `stats`
+     * replies carry. */
+    std::string workersJson() const;
 
   private:
-    struct Member
+    /** A member is its snapshot plus the prober's schedule. */
+    struct Member : WorkerSnapshot
     {
-        std::string addr;
-        bool staticSeed = false;
-        WorkerState state = WorkerState::Alive;
-        unsigned consecutiveFailures = 0;
-        unsigned backoffExp = 0;        //!< dead re-probe backoff
+        unsigned backoffExp = 0;         //!< dead re-probe backoff
         std::int64_t nextProbeDueMs = 0; //!< 0 = due immediately
-        std::uint64_t probes = 0;
-        std::uint64_t probeFailures = 0;
-        std::uint64_t transitions = 0;
-        std::uint64_t dispatchFailures = 0;
-        std::uint64_t dispatchSuccesses = 0;
-        std::uint64_t deaths = 0;
-        double ewmaLatencyMs = 0.0;
-        bool haveHealth = false;
-        std::uint64_t queueDepth = 0;
-        std::uint64_t jobsRunning = 0;
-        std::uint64_t uptimeSeconds = 0;
-        bool journalDegraded = false;
     };
 
     /** One probe's outcome, applied under the lock afterwards. */
@@ -207,11 +188,7 @@ class FleetManager
     {
         bool ok = false;
         double latencyMs = 0.0;
-        bool haveHealth = false;
-        std::uint64_t queueDepth = 0;
-        std::uint64_t jobsRunning = 0;
-        std::uint64_t uptimeSeconds = 0;
-        bool journalDegraded = false;
+        std::optional<WorkerHealth> health;
     };
 
     Member *find(const std::string &addr);
@@ -225,15 +202,18 @@ class FleetManager
     void applySuccess(Member &m, std::int64_t now_ms);
     /** Health-verb round trip to @p addr, no lock held. */
     ProbeResult probeOne(const std::string &addr) const;
+    /** Members in @p s, for the per-state gauges. */
+    std::uint64_t countIn(WorkerState s) const;
     void proberLoop();
     void log(const std::string &msg) const;
 
     FleetConfig cfg_;
-    mutable std::mutex mu_; //!< members_ and the cumulative totals
+    mutable std::mutex mu_; //!< members_
     std::vector<Member> members_;
-    std::uint64_t totalProbes_ = 0;
-    std::uint64_t totalProbeFailures_ = 0;
-    std::uint64_t totalDeaths_ = 0;
+    // Fleet-wide totals: they outlive deregistered members.
+    MetricsRegistry::Counter &probesSent_;
+    MetricsRegistry::Counter &probeFailures_;
+    MetricsRegistry::Counter &workerDeaths_;
 
     std::mutex proberMu_;
     std::condition_variable proberCv_;

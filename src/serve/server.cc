@@ -70,6 +70,21 @@ normalizeWorkerAddr(const std::string &text)
     return text;
 }
 
+/** Append @p scope's metrics to @p w, in declaration order. */
+JsonObjectWriter &
+writeMetrics(JsonObjectWriter &w, const MetricsRegistry &metrics,
+             unsigned scope)
+{
+    metrics.forEach(scope, [&w](const std::string &name,
+                                std::uint64_t value, bool is_flag) {
+        if (is_flag)
+            w.field(name, value != 0);
+        else
+            w.field(name, value);
+    });
+    return w;
+}
+
 } // namespace
 
 /**
@@ -126,6 +141,49 @@ Server::Server(ServeConfig cfg) : cfg_(std::move(cfg))
     sweepShare_ = std::max(1u, cores_ / cfg_.workers);
     for (std::string &w : cfg_.workerAddrs)
         w = normalizeWorkerAddr(w);
+
+    // The gauges, in reply order; the counters are declared with
+    // their members in server.hh.
+    using M = MetricsRegistry;
+    WorkloadCache &cache = WorkloadCache::instance();
+    auto queued = [this] { return countJobs(JobState::Queued); };
+    metrics_.flag("draining", [this] { return draining_.load(); },
+                  M::kHealth);
+    metrics_.gauge("jobs_queued", queued, M::kStats | M::kHealth);
+    metrics_.gauge("jobs_running",
+                   [this] { return countJobs(JobState::Running); },
+                   M::kStats | M::kHealth);
+    metrics_.gauge("queue_depth", queued, M::kHealth);
+    metrics_.gauge("workers_configured",
+                   [n = cfg_.workerAddrs.size()] { return n; });
+    // The fleet exists on every daemon (a worker-only daemon just has
+    // an empty one), so the register verb can turn any instance into
+    // a front at runtime.
+    fleet_ = std::make_unique<FleetManager>(
+        FleetConfig{cfg_.probeIntervalMs, cfg_.probeTimeoutMs,
+                    cfg_.quiet},
+        metrics_);
+    metrics_.gauge("conns_active", [this] {
+        std::lock_guard<std::mutex> lock(connMu_);
+        return conns_.size();
+    });
+    metrics_.gauge("cache_hits", [&cache] { return cache.hits(); });
+    metrics_.gauge("cache_misses", [&cache] { return cache.misses(); });
+    metrics_.gauge("cache_evictions",
+                   [&cache] { return cache.evictions(); });
+    metrics_.gauge("resident_arena_bytes",
+                   [&cache] { return cache.bytesResident(); });
+    metrics_.gauge("live_arena_bytes", &OracleArena::liveBytes);
+    metrics_.gauge("mem_budget_bytes",
+                   [n = cfg_.memBudgetBytes] { return n; });
+    metrics_.flag("journal_degraded",
+                  [this] { return journal_ && journal_->degraded(); },
+                  M::kStats | M::kHealth);
+    metrics_.gauge("journal_torn_lines",
+                   [this] { return journal_ ? journal_->torn() : 0; });
+    metrics_.gauge("uptime_seconds",
+                   [this] { return (nowMs() - startMs_) / 1000; },
+                   M::kHealth);
 }
 
 Server::~Server()
@@ -146,12 +204,8 @@ Server::start()
                 std::to_string(journal_->torn()) +
                 " torn/corrupt line(s)");
     }
-    // The fleet exists on every daemon (a worker-only daemon just has
-    // an empty one), so the register verb can turn any instance into
-    // a front at runtime. Static seeds first, then the journalled
-    // membership ops — a journalled deregister masks a static seed.
-    fleet_ = std::make_unique<FleetManager>(FleetConfig{
-        cfg_.probeIntervalMs, cfg_.probeTimeoutMs, cfg_.quiet});
+    // Static seeds first, then the journalled membership ops — a
+    // journalled deregister masks a static seed.
     fleet_->seed(cfg_.workerAddrs);
     if (journal_) {
         for (const auto &[waddr, registered] :
@@ -212,8 +266,7 @@ Server::stop(bool drain)
     workers_.clear();
     // Pumps (inside the worker threads) are gone; now the prober can
     // go too.
-    if (fleet_)
-        fleet_->stop();
+    fleet_->stop();
     watchdogCv_.notify_all();
     if (watchdogThread_.joinable())
         watchdogThread_.join();
@@ -385,21 +438,12 @@ Server::handleRequest(const std::string &line, LineChannel &ch)
         } else if (v == "stats") {
             ch.writeLine(statsJson());
         } else if (v == "health") {
-            ServeStats s = stats();
             JsonObjectWriter w;
-            w.field("ok", true)
-                .field("health", "ok")
-                .field("draining", draining_.load())
-                .field("jobs_queued", s.jobsQueued)
-                .field("jobs_running", s.jobsRunning)
-                .field("queue_depth", s.jobsQueued)
-                .field("journal_degraded", s.journalDegraded)
-                .field("uptime_seconds",
-                       static_cast<std::uint64_t>(
-                           (nowMs() - startMs_) / 1000));
+            writeMetrics(w.field("ok", true).field("health", "ok"),
+                         metrics_, MetricsRegistry::kHealth);
             ch.writeLine(w.str());
         } else if (v == "workers") {
-            ch.writeLine(handleWorkers());
+            ch.writeLine(statsJson(MetricsRegistry::kWorkers));
         } else if (v == "register") {
             ch.writeLine(handleWorkerMembership(req, true));
         } else if (v == "deregister") {
@@ -569,14 +613,14 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
     // *attached*: its buffered rows and all future ones stream to
     // this connection. Anything else is a duplicate: one summary
     // line, no second run.
+    auto reject = [&](const char *reason, const std::string &what) {
+        jobsRejected_.fetch_add(1);
+        ch.writeLine(errorReply(reason, what));
+    };
     std::string token;
     if (const JsonValue *t = req.find("token")) {
-        if (t->kind != JsonValue::Kind::String) {
-            jobsRejected_.fetch_add(1);
-            ch.writeLine(
-                errorReply("bad_spec", "token must be a string"));
-            return;
-        }
+        if (t->kind != JsonValue::Kind::String)
+            return reject("bad_spec", "token must be a string");
         token = t->string;
     }
     if (!token.empty()) {
@@ -636,9 +680,7 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
     try {
         job = makeJob(req);
     } catch (const std::exception &e) {
-        jobsRejected_.fetch_add(1);
-        ch.writeLine(errorReply("bad_spec", e.what()));
-        return;
+        return reject("bad_spec", e.what());
     }
     job->token = token;
     job->specJson = line;
@@ -647,28 +689,16 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
     // Admission control.
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (draining_) {
-            jobsRejected_.fetch_add(1);
-            ch.writeLine(errorReply("draining",
-                                    "daemon is shutting down"));
-            return;
-        }
-        if (job->pointCount == 0) {
-            jobsRejected_.fetch_add(1);
-            ch.writeLine(
-                errorReply("bad_spec", "submit expands to 0 points"));
-            return;
-        }
-        if (job->pointCount > cfg_.maxPointsPerJob) {
-            jobsRejected_.fetch_add(1);
-            ch.writeLine(errorReply(
-                "max_points_per_job",
-                "submit expands to " +
-                    std::to_string(job->pointCount) +
-                    " points, cap is " +
-                    std::to_string(cfg_.maxPointsPerJob)));
-            return;
-        }
+        if (draining_)
+            return reject("draining", "daemon is shutting down");
+        if (job->pointCount == 0)
+            return reject("bad_spec", "submit expands to 0 points");
+        if (job->pointCount > cfg_.maxPointsPerJob)
+            return reject("max_points_per_job",
+                          "submit expands to " +
+                              std::to_string(job->pointCount) +
+                              " points, cap is " +
+                              std::to_string(cfg_.maxPointsPerJob));
         std::size_t active = 0, mine = 0;
         for (const auto &[id, j] : jobs_) {
             JobState s = j->state.load();
@@ -679,35 +709,25 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
                 j->clientId == job->clientId)
                 ++mine;
         }
-        if (active >= cfg_.maxJobs) {
-            jobsRejected_.fetch_add(1);
-            ch.writeLine(errorReply(
-                "queue_full", std::to_string(active) +
-                                  " jobs active, cap is " +
-                                  std::to_string(cfg_.maxJobs)));
-            return;
-        }
+        if (active >= cfg_.maxJobs)
+            return reject("queue_full",
+                          std::to_string(active) +
+                              " jobs active, cap is " +
+                              std::to_string(cfg_.maxJobs));
         if (cfg_.maxJobsPerClient != 0 &&
-            mine >= cfg_.maxJobsPerClient) {
-            jobsRejected_.fetch_add(1);
-            ch.writeLine(errorReply(
-                "over_quota",
-                "client has " + std::to_string(mine) +
-                    " active jobs, per-client cap is " +
-                    std::to_string(cfg_.maxJobsPerClient)));
-            return;
-        }
+            mine >= cfg_.maxJobsPerClient)
+            return reject("over_quota",
+                          "client has " + std::to_string(mine) +
+                              " active jobs, per-client cap is " +
+                              std::to_string(cfg_.maxJobsPerClient));
         if (job->arenaWanted == Job::Arena::Require &&
-            job->estArenaBytes > cfg_.memBudgetBytes) {
-            jobsRejected_.fetch_add(1);
-            ch.writeLine(errorReply(
-                "over_budget",
-                "arena estimate " +
-                    std::to_string(job->estArenaBytes) +
-                    " B exceeds budget " +
-                    std::to_string(cfg_.memBudgetBytes) + " B"));
-            return;
-        }
+            job->estArenaBytes > cfg_.memBudgetBytes)
+            return reject("over_budget",
+                          "arena estimate " +
+                              std::to_string(job->estArenaBytes) +
+                              " B exceeds budget " +
+                              std::to_string(cfg_.memBudgetBytes) +
+                              " B");
         job->id = nextJobId_++;
         jobs_[job->id] = job;
         if (!job->token.empty())
@@ -843,44 +863,6 @@ Server::handleCancel(const JsonValue &req)
     return w.str();
 }
 
-namespace
-{
-
-/** Per-worker JSON array shared by the `workers` verb and stats. */
-std::string
-workersArrayJson(const std::vector<WorkerSnapshot> &workers)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-        const WorkerSnapshot &w = workers[i];
-        JsonObjectWriter e;
-        e.field("addr", w.addr)
-            .field("state", workerStateName(w.state))
-            .field("static", w.staticSeed)
-            .field("probes", w.probes)
-            .field("probe_failures", w.probeFailures)
-            .field("transitions", w.transitions)
-            .field("dispatch_failures", w.dispatchFailures)
-            .field("dispatch_successes", w.dispatchSuccesses)
-            .field("deaths", w.deaths)
-            .field("consecutive_failures",
-                   static_cast<std::uint64_t>(w.consecutiveFailures))
-            .field("ewma_latency_ms", w.ewmaLatencyMs);
-        if (w.haveHealth)
-            e.field("queue_depth", w.queueDepth)
-                .field("jobs_running", w.jobsRunning)
-                .field("uptime_seconds", w.uptimeSeconds)
-                .field("journal_degraded", w.journalDegraded);
-        if (i)
-            out += ", ";
-        out += e.str();
-    }
-    out += "]";
-    return out;
-}
-
-} // namespace
-
 std::string
 Server::handleWorkerMembership(const JsonValue &req, bool add)
 {
@@ -922,18 +904,6 @@ Server::handleWorkerMembership(const JsonValue &req, bool add)
         .field("worker", addr)
         .field("registered", false)
         .field("workers", static_cast<std::uint64_t>(fleet_->size()));
-    return w.str();
-}
-
-std::string
-Server::handleWorkers() const
-{
-    const std::vector<WorkerSnapshot> workers = fleet_->snapshot();
-    JsonObjectWriter w;
-    w.field("ok", true)
-        .field("workers_registered",
-               static_cast<std::uint64_t>(workers.size()))
-        .raw("workers", workersArrayJson(workers));
     return w.str();
 }
 
@@ -1039,7 +1009,7 @@ Server::runJob(const std::shared_ptr<Job> &job)
         finishJob(job, JobState::Cancelled, "", 0.0, false);
         return;
     }
-    if (fleet_ && !fleet_->empty()) {
+    if (!fleet_->empty()) {
         // Front daemon: nothing is simulated here — the job fans
         // out across the worker fleet instead. The decision is per
         // job, so registering a first worker flips a local daemon
@@ -1310,7 +1280,7 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
                 " point(s) to " + addr + " (attempt " +
                 std::to_string(chunk.attempts + 1) + ")");
         }
-        bool connected = false;
+        bool acked = false; // the worker took the chunk
         try {
             ServeClient::ConnectRetry retry;
             retry.retries = cfg_.workerRetries;
@@ -1321,7 +1291,6 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
             ServeClient wc(addr, retry);
             if (cfg_.pointTimeoutMs > 0)
                 wc.setReadTimeout(cfg_.pointTimeoutMs);
-            connected = true;
             wc.submitStream(
                 shardSubmitJson(
                     job->points, chunk.indices, token,
@@ -1330,6 +1299,9 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
                 [&](const JsonValue &parsed, const std::string &raw) {
                     if (job->cancel.load())
                         return false;
+                    if (const JsonValue *ok = parsed.find("ok"))
+                        acked = ok->kind == JsonValue::Kind::Bool &&
+                                ok->boolean;
                     const JsonValue *pt = parsed.find("point");
                     if (!pt || !parsed.find("row"))
                         return true; // summary/terminator frame
@@ -1389,16 +1361,16 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
         // like a failed probe, so a dying worker stops pulling work
         // (usable() goes false at dead) without any job-level state.
         fleet_->reportDispatchFailure(addr);
-        // A connect-level failure never reached the worker: requeue
-        // at no cost to the chunk's attempt budget — the worker's
-        // own march to `dead` is what bounds futile re-dispatch. A
-        // stream-level failure (connected, then lost rows) spends an
-        // attempt; a chunk that exhausts cfg_.shardRetries stream
-        // losses fails the job structurally.
-        rest.attempts = chunk.attempts + (connected ? 1 : 0);
+        // A failure before the ack (no connect, or a submit refused
+        // queue_full/draining/busy) never ran anything: requeue at no cost to the chunk's
+        // attempt budget — the worker's own march to `dead` is what
+        // bounds futile re-dispatch. A stream-level failure (acked,
+        // then lost rows) spends an attempt; a chunk that exhausts
+        // cfg_.shardRetries stream losses fails the job structurally.
+        rest.attempts = chunk.attempts + (acked ? 1 : 0);
         {
             std::lock_guard<std::mutex> lock(d.mu);
-            if (connected && rest.attempts > cfg_.shardRetries) {
+            if (acked && rest.attempts > cfg_.shardRetries) {
                 d.failed = true;
                 d.failReason =
                     "chunk lost its stream " +
@@ -1577,26 +1549,12 @@ Server::finishJob(const std::shared_ptr<Job> &job, JobState state,
     if (!job->finalized.compare_exchange_strong(expected, true))
         return;
     job->state = state;
-    const char *name = "done";
-    switch (state) {
-    case JobState::Done:
-        jobsServed_.fetch_add(1);
-        break;
-    case JobState::Cancelled:
-        name = "cancelled";
-        jobsCancelled_.fetch_add(1);
-        break;
-    case JobState::Failed:
-        name = "failed";
-        jobsFailed_.fetch_add(1);
-        break;
-    case JobState::Stuck:
-        name = "stuck";
-        jobsStuck_.fetch_add(1);
-        break;
-    default:
-        break;
-    }
+    const char *name = jobStateName(static_cast<int>(state));
+    Counter &ended = state == JobState::Done        ? jobsServed_
+                     : state == JobState::Cancelled ? jobsCancelled_
+                     : state == JobState::Failed    ? jobsFailed_
+                                                    : jobsStuck_;
+    ended.fetch_add(1);
     if (journal_)
         journal_->finished(job->id, name);
     JsonObjectWriter w;
@@ -1628,106 +1586,22 @@ Server::findJob(std::uint64_t id) const
     return it == jobs_.end() ? nullptr : it->second;
 }
 
-ServeStats
-Server::stats() const
+std::uint64_t
+Server::countJobs(JobState state) const
 {
-    ServeStats s;
-    s.jobsSubmitted = jobsSubmitted_.load();
-    s.jobsServed = jobsServed_.load();
-    s.jobsRejected = jobsRejected_.load();
-    s.jobsCancelled = jobsCancelled_.load();
-    s.jobsFailed = jobsFailed_.load();
-    s.jobsStuck = jobsStuck_.load();
-    s.jobsRecovered = jobsRecovered_.load();
-    s.rowsStreamed = rowsStreamed_.load();
-    s.arenaFallbacks = arenaFallbacks_.load();
-    s.shardsDispatched = shardsDispatched_.load();
-    s.shardRetries = shardRetries_.load();
-    s.pointsRedispatched = pointsRedispatched_.load();
-    if (fleet_) {
-        const FleetTotals t = fleet_->totals();
-        s.workersRegistered = t.members;
-        s.workersAlive = t.alive;
-        s.workersSuspect = t.suspect;
-        s.workersDead = t.dead;
-        s.workersRecovering = t.recovering;
-        s.workerDeaths = t.workerDeaths;
-        s.probesSent = t.probesSent;
-        s.probeFailures = t.probeFailures;
-    }
-    s.connsRejected = connsRejected_.load();
-    s.connTimeouts = connTimeouts_.load();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &[id, job] : jobs_) {
-            JobState st = job->state.load();
-            if (st == JobState::Queued)
-                ++s.jobsQueued;
-            else if (st == JobState::Running)
-                ++s.jobsRunning;
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(connMu_);
-        s.connsActive = conns_.size();
-    }
-    WorkloadCache &cache = WorkloadCache::instance();
-    s.cacheHits = cache.hits();
-    s.cacheMisses = cache.misses();
-    s.cacheEvictions = cache.evictions();
-    s.residentArenaBytes = cache.bytesResident();
-    s.liveArenaBytes = OracleArena::liveBytes();
-    s.memBudgetBytes = cfg_.memBudgetBytes;
-    s.journalDegraded = journal_ && journal_->degraded();
-    return s;
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::count_if(jobs_.begin(), jobs_.end(), [state](auto &kv) {
+        return kv.second->state.load() == state;
+    });
 }
 
 std::string
-Server::statsJson() const
+Server::statsJson(unsigned scope) const
 {
-    ServeStats s = stats();
     JsonObjectWriter w;
-    w.field("ok", true)
-        .field("jobs_submitted", s.jobsSubmitted)
-        .field("jobs_served", s.jobsServed)
-        .field("jobs_rejected", s.jobsRejected)
-        .field("jobs_cancelled", s.jobsCancelled)
-        .field("jobs_failed", s.jobsFailed)
-        .field("jobs_stuck", s.jobsStuck)
-        .field("jobs_recovered", s.jobsRecovered)
-        .field("jobs_queued", s.jobsQueued)
-        .field("jobs_running", s.jobsRunning)
-        .field("rows_streamed", s.rowsStreamed)
-        .field("arena_fallbacks", s.arenaFallbacks)
-        .field("workers_configured",
-               static_cast<std::uint64_t>(cfg_.workerAddrs.size()))
-        .field("workers_registered", s.workersRegistered)
-        .field("workers_alive", s.workersAlive)
-        .field("workers_suspect", s.workersSuspect)
-        .field("workers_dead", s.workersDead)
-        .field("workers_recovering", s.workersRecovering)
-        .field("worker_deaths", s.workerDeaths)
-        .field("probes_sent", s.probesSent)
-        .field("probe_failures", s.probeFailures)
-        .field("shards_dispatched", s.shardsDispatched)
-        .field("shard_retries", s.shardRetries)
-        .field("points_redispatched", s.pointsRedispatched)
-        .field("conns_active", s.connsActive)
-        .field("conns_rejected", s.connsRejected)
-        .field("conn_timeouts", s.connTimeouts)
-        .field("cache_hits", s.cacheHits)
-        .field("cache_misses", s.cacheMisses)
-        .field("cache_evictions", s.cacheEvictions)
-        .field("resident_arena_bytes",
-               static_cast<std::uint64_t>(s.residentArenaBytes))
-        .field("live_arena_bytes",
-               static_cast<std::uint64_t>(s.liveArenaBytes))
-        .field("mem_budget_bytes",
-               static_cast<std::uint64_t>(s.memBudgetBytes))
-        .field("journal_degraded", s.journalDegraded)
-        .raw("workers", fleet_ ? workersArrayJson(fleet_->snapshot())
-                               : std::string("[]"));
-    return w.str();
+    return writeMetrics(w.field("ok", true), metrics_, scope)
+        .raw("workers", fleet_->workersJson())
+        .str();
 }
 
 void

@@ -27,8 +27,10 @@
  *        ("arena": every point ran and replayed a shared arena)
  *   {"verb":"status","job":1}   -> state + points_done/of
  *   {"verb":"cancel","job":1}   -> cancels a queued or running job
- *   {"verb":"stats"}            -> cumulative counters (see below)
+ *   {"verb":"stats"}            -> every counter and gauge, plus
+ *                                  the per-worker "workers" array
  *   {"verb":"health"}           -> liveness + queue depth
+ *   {"verb":"workers"}          -> fleet size + "workers" array
  *   {"verb":"shutdown","drain":true} -> ack, then begin shutdown
  *
  * Errors are structured and non-fatal to the connection:
@@ -92,7 +94,8 @@
  * whose worker dies or stalls mid-stream returns its undelivered
  * points to the front of the queue immediately (attempt count + 1,
  * structural failure once a chunk's stream breaks more than
- * shardRetries times); a dispatch that never connects re-queues
+ * shardRetries times); a dispatch the worker never acks (no
+ * connect, or a refused submit: queue_full, draining, busy) re-queues
  * without burning an attempt and instead feeds the fleet health
  * state machine (serve/fleet.hh) — only `dead` workers are excluded
  * from pulls, and the job fails structurally when every member is
@@ -106,6 +109,13 @@
  * (--probe-interval / --probe-timeout) and dispatch evidence; the
  * `workers` verb and the stats output expose per-worker state,
  * probe/dispatch counters, and EWMA probe latency.
+ *
+ * Metrics: each `stats`/`health` key is declared once, in the
+ * daemon's MetricsRegistry (util/metrics.hh), by its owner — job,
+ * row, shard and connection counters with their members below; job
+ * depths, connections, cache, arena bytes, budget, journal and uptime
+ * gauges in the Server constructor; fleet size, per-state counts,
+ * deaths and probe totals in FleetManager's.
  */
 
 #ifndef SFETCH_SERVE_SERVER_HH
@@ -123,6 +133,7 @@
 #include <vector>
 
 #include "sim/driver.hh"
+#include "util/metrics.hh"
 
 namespace sfetch
 {
@@ -197,43 +208,6 @@ struct ServeConfig
     std::size_t maxJobsPerClient = 0;
 };
 
-/** One point-in-time copy of the daemon's cumulative counters. */
-struct ServeStats
-{
-    std::uint64_t jobsSubmitted = 0;
-    std::uint64_t jobsServed = 0; //!< ran to completion
-    std::uint64_t jobsRejected = 0;
-    std::uint64_t jobsCancelled = 0;
-    std::uint64_t jobsFailed = 0;
-    std::uint64_t jobsStuck = 0;     //!< retired by the watchdog
-    std::uint64_t jobsRecovered = 0; //!< re-queued from the journal
-    std::uint64_t jobsQueued = 0;  //!< current depth
-    std::uint64_t jobsRunning = 0; //!< current depth
-    std::uint64_t rowsStreamed = 0;
-    std::uint64_t arenaFallbacks = 0;
-    std::uint64_t shardsDispatched = 0; //!< worker chunks sent (front)
-    std::uint64_t shardRetries = 0; //!< chunks re-dispatched after loss
-    std::uint64_t pointsRedispatched = 0; //!< points inside those
-    std::uint64_t workersRegistered = 0;  //!< current fleet size
-    std::uint64_t workersAlive = 0;       //!< gauge
-    std::uint64_t workersSuspect = 0;     //!< gauge
-    std::uint64_t workersDead = 0;        //!< gauge
-    std::uint64_t workersRecovering = 0;  //!< gauge
-    std::uint64_t workerDeaths = 0; //!< transitions into dead, ever
-    std::uint64_t probesSent = 0;
-    std::uint64_t probeFailures = 0;
-    std::uint64_t connsActive = 0;   //!< current depth
-    std::uint64_t connsRejected = 0; //!< turned away "busy"
-    std::uint64_t connTimeouts = 0;  //!< idle/write deadline hits
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t cacheEvictions = 0;
-    std::size_t residentArenaBytes = 0; //!< cache-held arena bytes
-    std::size_t liveArenaBytes = 0;     //!< all live arenas anywhere
-    std::size_t memBudgetBytes = 0;
-    bool journalDegraded = false; //!< persistence lost mid-flight
-};
-
 class Server
 {
   public:
@@ -284,15 +258,19 @@ class Server
      */
     const std::string &listenAddress() const { return boundAddress_; }
 
-    ServeStats stats() const;
+    /** Every counter and gauge the daemon reports, by name. */
+    const MetricsRegistry &metrics() const { return metrics_; }
 
-    /** The `stats` verb's reply (also dumped on SIGUSR1). */
-    std::string statsJson() const;
+    /**
+     * "ok", @p scope's metrics, then the fleet's "workers" array: the
+     * `stats` verb's reply (also dumped on SIGUSR1), or with kWorkers
+     * the `workers` verb's.
+     */
+    std::string statsJson(unsigned scope = MetricsRegistry::kStats) const;
 
-    /** The worker fleet (membership + health). Valid after start();
-     * empty on a plain worker daemon. */
+    /** The worker fleet (membership + health); empty on a plain
+     * worker daemon. */
     FleetManager &fleet() { return *fleet_; }
-    const FleetManager &fleet() const { return *fleet_; }
 
   private:
     enum class JobState
@@ -323,8 +301,6 @@ class Server
     /** `register` / `deregister`: mutate the fleet (journalled). */
     std::string handleWorkerMembership(const JsonValue &req,
                                        bool add);
-    /** `workers`: the fleet snapshot as a JSON reply. */
-    std::string handleWorkers() const;
 
     /** Parse a submit request into an un-admitted Job; throws on any
      * spec problem (shared by live submits and journal recovery). */
@@ -353,9 +329,30 @@ class Server
                    bool used_arena);
 
     std::shared_ptr<Job> findJob(std::uint64_t id) const;
+    /** Jobs currently in @p state (a gauge's read). */
+    std::uint64_t countJobs(JobState state) const;
     void log(const std::string &msg) const;
 
     ServeConfig cfg_;
+    /** Declared before everything that registers into it. */
+    MetricsRegistry metrics_;
+    using Counter = MetricsRegistry::Counter;
+    Counter &jobsSubmitted_ = metrics_.counter("jobs_submitted");
+    Counter &jobsServed_ = metrics_.counter("jobs_served"); //!< done
+    Counter &jobsRejected_ = metrics_.counter("jobs_rejected");
+    Counter &jobsCancelled_ = metrics_.counter("jobs_cancelled");
+    Counter &jobsFailed_ = metrics_.counter("jobs_failed");
+    Counter &jobsStuck_ = metrics_.counter("jobs_stuck"); //!< watchdog
+    Counter &jobsRecovered_ = metrics_.counter("jobs_recovered");
+    Counter &rowsStreamed_ = metrics_.counter("rows_streamed");
+    Counter &arenaFallbacks_ = metrics_.counter("arena_fallbacks");
+    Counter &shardsDispatched_ = metrics_.counter("shards_dispatched");
+    Counter &shardRetries_ = metrics_.counter("shard_retries");
+    Counter &pointsRedispatched_ =
+        metrics_.counter("points_redispatched");
+    Counter &connsRejected_ = metrics_.counter("conns_rejected");
+    Counter &connTimeouts_ = metrics_.counter("conn_timeouts");
+
     unsigned cores_ = 1;      //!< hardware_concurrency(), at least 1
     unsigned sweepShare_ = 1; //!< default sweep threads per job
     std::atomic<bool> running_{false};
@@ -369,7 +366,7 @@ class Server
     std::vector<std::thread> workers_;
 
     std::unique_ptr<JobJournal> journal_;
-    std::unique_ptr<FleetManager> fleet_; //!< created by start()
+    std::unique_ptr<FleetManager> fleet_;
     std::int64_t startMs_ = 0; //!< start() time, for uptime_seconds
 
     mutable std::mutex mu_; //!< jobs_, queue_, tokens_, nextJobId_
@@ -397,22 +394,6 @@ class Server
 
     std::mutex watchdogMu_;
     std::condition_variable watchdogCv_;
-
-    // Cumulative counters (ServeStats).
-    std::atomic<std::uint64_t> jobsSubmitted_{0};
-    std::atomic<std::uint64_t> jobsServed_{0};
-    std::atomic<std::uint64_t> jobsRejected_{0};
-    std::atomic<std::uint64_t> jobsCancelled_{0};
-    std::atomic<std::uint64_t> jobsFailed_{0};
-    std::atomic<std::uint64_t> jobsStuck_{0};
-    std::atomic<std::uint64_t> jobsRecovered_{0};
-    std::atomic<std::uint64_t> rowsStreamed_{0};
-    std::atomic<std::uint64_t> arenaFallbacks_{0};
-    std::atomic<std::uint64_t> shardsDispatched_{0};
-    std::atomic<std::uint64_t> shardRetries_{0};
-    std::atomic<std::uint64_t> pointsRedispatched_{0};
-    std::atomic<std::uint64_t> connsRejected_{0};
-    std::atomic<std::uint64_t> connTimeouts_{0};
 };
 
 } // namespace sfetch

@@ -20,6 +20,7 @@
 #include "serve/journal.hh"
 #include "serve/server.hh"
 #include "util/fault_inject.hh"
+#include "util/metrics.hh"
 
 using namespace sfetch;
 
@@ -62,7 +63,8 @@ snapshotOf(const FleetManager &fleet, const std::string &addr)
 
 TEST(Fleet, SeedRegisterDeregisterMembership)
 {
-    FleetManager fleet(quietConfig());
+    MetricsRegistry metrics;
+    FleetManager fleet(quietConfig(), metrics);
     fleet.seed({"tcp:127.0.0.1:9001", "unix:/tmp/sf-a.sock"});
     EXPECT_EQ(fleet.size(), 2u);
     EXPECT_TRUE(snapshotOf(fleet, "tcp:127.0.0.1:9001").staticSeed);
@@ -93,7 +95,8 @@ TEST(Fleet, ProbeFailuresMarchAliveSuspectDeadWithBackoff)
     // Nothing listens on port 1: every probe fails fast with
     // ECONNREFUSED, stepping the machine one failure per call.
     const std::string addr = "tcp:127.0.0.1:1";
-    FleetManager fleet(quietConfig());
+    MetricsRegistry metrics;
+    FleetManager fleet(quietConfig(), metrics);
     fleet.registerWorker(addr);
     ASSERT_EQ(snapshotOf(fleet, addr).state, WorkerState::Alive);
 
@@ -124,12 +127,12 @@ TEST(Fleet, ProbeFailuresMarchAliveSuspectDeadWithBackoff)
     EXPECT_EQ(fleet.probeAll(8999), 0u);
     EXPECT_EQ(fleet.probeAll(9000), 1u);
 
-    FleetTotals t = fleet.totals();
-    EXPECT_EQ(t.members, 1u);
-    EXPECT_EQ(t.dead, 1u);
-    EXPECT_EQ(t.probesSent, 6u);
-    EXPECT_EQ(t.probeFailures, 6u);
-    EXPECT_EQ(t.workerDeaths, 1u);
+    EXPECT_EQ(metrics.value("workers_registered"), 1u);
+    EXPECT_EQ(metrics.value("workers_dead"), 1u);
+    EXPECT_EQ(metrics.value("workers_alive"), 0u);
+    EXPECT_EQ(metrics.value("probes_sent"), 6u);
+    EXPECT_EQ(metrics.value("probe_failures"), 6u);
+    EXPECT_EQ(metrics.value("worker_deaths"), 1u);
 }
 
 TEST(Fleet, DeadWorkerRecoversThroughRecoveringToAlive)
@@ -143,7 +146,8 @@ TEST(Fleet, DeadWorkerRecoversThroughRecoveringToAlive)
     server.start();
     const std::string addr = server.listenAddress();
 
-    FleetManager fleet(quietConfig());
+    MetricsRegistry metrics;
+    FleetManager fleet(quietConfig(), metrics);
     fleet.registerWorker(addr);
 
     fault::arm("socket.connect", 0, 3);
@@ -164,10 +168,10 @@ TEST(Fleet, DeadWorkerRecoversThroughRecoveringToAlive)
     EXPECT_GE(s.ewmaLatencyMs, 0.0); // ms granularity: 0 on loopback
 
     // The successful probe captured the enriched health payload.
-    EXPECT_TRUE(s.haveHealth);
-    EXPECT_EQ(s.queueDepth, 0u);
-    EXPECT_EQ(s.jobsRunning, 0u);
-    EXPECT_FALSE(s.journalDegraded);
+    ASSERT_TRUE(s.health.has_value());
+    EXPECT_EQ(s.health->queueDepth, 0u);
+    EXPECT_EQ(s.health->jobsRunning, 0u);
+    EXPECT_FALSE(s.health->journalDegraded);
 
     // Flapping: one failure while recovering drops straight back to
     // dead — no second chance at suspect.
@@ -187,14 +191,15 @@ TEST(Fleet, DeadWorkerRecoversThroughRecoveringToAlive)
         << "a failure while recovering is flapping: back to dead";
     fault::disarmAll();
 
-    EXPECT_GE(fleet.totals().workerDeaths, 3u);
+    EXPECT_GE(metrics.value("worker_deaths"), 3u);
     server.stop(false);
 }
 
 TEST(Fleet, DispatchEvidenceDrivesTheSameStateMachine)
 {
     const std::string addr = "tcp:127.0.0.1:9009";
-    FleetManager fleet(quietConfig());
+    MetricsRegistry metrics;
+    FleetManager fleet(quietConfig(), metrics);
     fleet.registerWorker(addr);
 
     fleet.reportDispatchFailure(addr);
@@ -227,7 +232,8 @@ TEST(Fleet, DispatchEvidenceDrivesTheSameStateMachine)
 TEST(Fleet, ReRegistrationResetsADeadWorker)
 {
     const std::string addr = "tcp:127.0.0.1:9010";
-    FleetManager fleet(quietConfig());
+    MetricsRegistry metrics;
+    FleetManager fleet(quietConfig(), metrics);
     fleet.registerWorker(addr);
     fleet.reportDispatchFailure(addr);
     fleet.reportDispatchFailure(addr);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -205,15 +206,15 @@ TEST(MultiNode, TwoWorkerFanOutIsBitIdenticalToOfflineAndSingleNode)
     // 12 points at the default 4-point chunk = 3 clean dispatches,
     // every row streamed by some worker (which pump won which chunk
     // is the work-stealing scheduler's business, not the test's).
-    ServeStats st = front.stats();
-    EXPECT_EQ(st.shardsDispatched, 3u);
-    EXPECT_EQ(st.shardRetries, 0u);
-    EXPECT_EQ(st.pointsRedispatched, 0u);
-    EXPECT_EQ(st.jobsServed, 1u);
-    EXPECT_EQ(st.rowsStreamed, 12u);
-    EXPECT_EQ(st.workersRegistered, 2u);
-    EXPECT_EQ(workerA.stats().rowsStreamed +
-                  workerB.stats().rowsStreamed,
+    const MetricsRegistry &st = front.metrics();
+    EXPECT_EQ(st.value("shards_dispatched"), 3u);
+    EXPECT_EQ(st.value("shard_retries"), 0u);
+    EXPECT_EQ(st.value("points_redispatched"), 0u);
+    EXPECT_EQ(st.value("jobs_served"), 1u);
+    EXPECT_EQ(st.value("rows_streamed"), 12u);
+    EXPECT_EQ(st.value("workers_registered"), 2u);
+    EXPECT_EQ(workerA.metrics().value("rows_streamed") +
+                  workerB.metrics().value("rows_streamed"),
               12u);
 
     front.stop(true);
@@ -260,23 +261,28 @@ TEST(MultiNode, WorkerKilledMidSweepIsReDispatchedBitIdentically)
         merged = collect(front.listenAddress(), kSubmit12);
     });
 
-    // The moment both shards are dispatched, kill worker B: its
-    // shard (queued behind the captive job) dies undelivered and the
-    // front must re-dispatch those points to worker A.
-    for (int i = 0; i < 15000 && front.stats().shardsDispatched < 2;
-         ++i)
+    // The moment both shards are dispatched and B has admitted its
+    // own (captive job + shard), kill worker B: the shard (queued
+    // behind the captive job) dies undelivered and the front must
+    // re-dispatch those points to worker A. Killing B before it acks
+    // would only turn the shard away, which costs no re-dispatch.
+    auto bTookItsShard = [&] {
+        return front.metrics().value("shards_dispatched") >= 2 &&
+               workerB.metrics().value("jobs_submitted") >= 2;
+    };
+    for (int i = 0; i < 15000 && !bTookItsShard(); ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_GE(front.stats().shardsDispatched, 2u);
+    ASSERT_TRUE(bTookItsShard());
     workerB.stop(false);
 
     submitter.join();
     expectStreamMatches(merged, expect, true);
 
-    ServeStats st = front.stats();
-    EXPECT_GE(st.shardRetries, 1u)
+    const MetricsRegistry &st = front.metrics();
+    EXPECT_GE(st.value("shard_retries"), 1u)
         << "losing a worker mid-sweep must cost a re-dispatch round";
-    EXPECT_GE(st.shardsDispatched, 3u);
-    EXPECT_EQ(st.jobsServed, 1u);
+    EXPECT_GE(st.value("shards_dispatched"), 3u);
+    EXPECT_EQ(st.value("jobs_served"), 1u);
 
     front.stop(true);
     workerA.stop(true);
@@ -319,14 +325,14 @@ TEST(MultiNode, SlowWorkerLosesChunksToHealthyPeer)
     Stream merged = collect(front.listenAddress(), kSubmit12);
     expectStreamMatches(merged, expect, true);
 
-    ServeStats st = front.stats();
-    EXPECT_GE(st.shardRetries, 1u)
+    const MetricsRegistry &st = front.metrics();
+    EXPECT_GE(st.value("shard_retries"), 1u)
         << "B's timed-out chunk must be re-dispatched";
-    EXPECT_GE(st.pointsRedispatched, 1u);
-    EXPECT_EQ(st.jobsServed, 1u);
+    EXPECT_GE(st.value("points_redispatched"), 1u);
+    EXPECT_EQ(st.value("jobs_served"), 1u);
     // A alone delivered the whole grid (B's rowsStreamed is not
     // asserted: it counts the captive job's own rows).
-    EXPECT_EQ(workerA.stats().rowsStreamed, 12u);
+    EXPECT_EQ(workerA.metrics().value("rows_streamed"), 12u);
 
     front.stop(true);
     workerA.stop(true);
@@ -347,8 +353,8 @@ TEST(MultiNode, RegisterAndDeregisterFlipFrontModeAtRuntime)
     front.start();
     Stream local = collect(front.listenAddress(), kSubmit12);
     expectStreamMatches(local, expect, false);
-    EXPECT_EQ(front.stats().shardsDispatched, 0u);
-    EXPECT_EQ(front.stats().workersRegistered, 0u);
+    EXPECT_EQ(front.metrics().value("shards_dispatched"), 0u);
+    EXPECT_EQ(front.metrics().value("workers_registered"), 0u);
 
     // Register the worker over the protocol: the next submit must
     // fan out (and stay bit-identical to the local run).
@@ -367,8 +373,8 @@ TEST(MultiNode, RegisterAndDeregisterFlipFrontModeAtRuntime)
 
     Stream fanned = collect(front.listenAddress(), kSubmit12);
     expectStreamMatches(fanned, expect, true);
-    EXPECT_EQ(front.stats().shardsDispatched, 3u);
-    EXPECT_EQ(worker.stats().rowsStreamed, 12u);
+    EXPECT_EQ(front.metrics().value("shards_dispatched"), 3u);
+    EXPECT_EQ(worker.metrics().value("rows_streamed"), 12u);
     const std::vector<std::string> fanned_rows = payloadsByPoint(fanned);
     const std::vector<std::string> local_rows = payloadsByPoint(local);
     for (std::size_t i = 0; i < 12; ++i)
@@ -384,7 +390,7 @@ TEST(MultiNode, RegisterAndDeregisterFlipFrontModeAtRuntime)
     EXPECT_EQ(rep.at("workers").asU64(), 0u);
     Stream again = collect(front.listenAddress(), kSubmit12);
     expectStreamMatches(again, expect, false);
-    EXPECT_EQ(front.stats().shardsDispatched, 3u)
+    EXPECT_EQ(front.metrics().value("shards_dispatched"), 3u)
         << "a deregistered fleet must not receive dispatches";
 
     front.stop(true);
@@ -408,6 +414,243 @@ TEST(MultiNode, DeadFleetFailsTheJobStructurally)
     EXPECT_EQ(s.summary.at("state").asString(), "failed");
     EXPECT_NE(s.summary.at("error").asString().find("undeliverable"),
               std::string::npos);
-    EXPECT_EQ(front.stats().jobsFailed, 1u);
+    EXPECT_EQ(front.metrics().value("jobs_failed"), 1u);
     front.stop(true);
+}
+
+namespace
+{
+
+using Kind = JsonValue::Kind;
+using Shape = std::map<std::string, Kind>;
+
+/** The `stats` reply's keys and JSON types, as scripts read them. */
+const Shape kStatsShape = {
+    {"ok", Kind::Bool},
+    {"jobs_submitted", Kind::Number},
+    {"jobs_served", Kind::Number},
+    {"jobs_rejected", Kind::Number},
+    {"jobs_cancelled", Kind::Number},
+    {"jobs_failed", Kind::Number},
+    {"jobs_stuck", Kind::Number},
+    {"jobs_recovered", Kind::Number},
+    {"jobs_queued", Kind::Number},
+    {"jobs_running", Kind::Number},
+    {"rows_streamed", Kind::Number},
+    {"arena_fallbacks", Kind::Number},
+    {"workers_configured", Kind::Number},
+    {"workers_registered", Kind::Number},
+    {"workers_alive", Kind::Number},
+    {"workers_suspect", Kind::Number},
+    {"workers_dead", Kind::Number},
+    {"workers_recovering", Kind::Number},
+    {"worker_deaths", Kind::Number},
+    {"probes_sent", Kind::Number},
+    {"probe_failures", Kind::Number},
+    {"shards_dispatched", Kind::Number},
+    {"shard_retries", Kind::Number},
+    {"points_redispatched", Kind::Number},
+    {"conns_active", Kind::Number},
+    {"conns_rejected", Kind::Number},
+    {"conn_timeouts", Kind::Number},
+    {"cache_hits", Kind::Number},
+    {"cache_misses", Kind::Number},
+    {"cache_evictions", Kind::Number},
+    {"resident_arena_bytes", Kind::Number},
+    {"live_arena_bytes", Kind::Number},
+    {"mem_budget_bytes", Kind::Number},
+    {"journal_degraded", Kind::Bool},
+    {"workers", Kind::Array},
+};
+
+/** Keys a newer daemon may add to `stats`; nothing may go away. */
+const Shape kStatsAdditions = {
+    {"journal_torn_lines", Kind::Number},
+};
+
+/** One `workers` entry; the health keys appear once a probe landed. */
+const Shape kWorkerShape = {
+    {"addr", Kind::String},
+    {"state", Kind::String},
+    {"static", Kind::Bool},
+    {"probes", Kind::Number},
+    {"probe_failures", Kind::Number},
+    {"transitions", Kind::Number},
+    {"dispatch_failures", Kind::Number},
+    {"dispatch_successes", Kind::Number},
+    {"deaths", Kind::Number},
+    {"consecutive_failures", Kind::Number},
+    {"ewma_latency_ms", Kind::Number},
+};
+const Shape kWorkerHealthShape = {
+    {"queue_depth", Kind::Number},
+    {"jobs_running", Kind::Number},
+    {"uptime_seconds", Kind::Number},
+    {"journal_degraded", Kind::Bool},
+};
+
+const Shape kHealthShape = {
+    {"ok", Kind::Bool},
+    {"health", Kind::String},
+    {"draining", Kind::Bool},
+    {"jobs_queued", Kind::Number},
+    {"jobs_running", Kind::Number},
+    {"queue_depth", Kind::Number},
+    {"journal_degraded", Kind::Bool},
+    {"uptime_seconds", Kind::Number},
+};
+
+const Shape kWorkersReplyShape = {
+    {"ok", Kind::Bool},
+    {"workers_registered", Kind::Number},
+    {"workers", Kind::Array},
+};
+
+/** Assert @p reply has exactly the keys of @p want (plus any of
+ * @p allowed), each with its JSON type. */
+void
+expectShape(const JsonValue &reply, const Shape &want,
+            const Shape &allowed, const std::string &what)
+{
+    ASSERT_EQ(reply.kind, Kind::Object) << what;
+    Shape got;
+    for (const auto &[key, value] : reply.object)
+        got[key] = value.kind;
+    for (const auto &[key, kind] : want) {
+        auto it = got.find(key);
+        if (it == got.end()) {
+            ADD_FAILURE() << what << ": missing key '" << key << "'";
+            continue;
+        }
+        EXPECT_EQ(static_cast<int>(it->second), static_cast<int>(kind))
+            << what << ": key '" << key << "' changed JSON type";
+    }
+    for (const auto &[key, kind] : got) {
+        if (want.count(key))
+            continue;
+        auto it = allowed.find(key);
+        if (it == allowed.end()) {
+            ADD_FAILURE() << what << ": unexpected key '" << key << "'";
+            continue;
+        }
+        EXPECT_EQ(static_cast<int>(kind), static_cast<int>(it->second))
+            << what << ": key '" << key << "' has the wrong JSON type";
+    }
+}
+
+Shape
+merged(Shape a, const Shape &b)
+{
+    a.insert(b.begin(), b.end());
+    return a;
+}
+
+} // namespace
+
+TEST(MultiNode, StatsWorkersAndHealthRepliesKeepTheirShape)
+{
+    Server worker(tcpConfig());
+    worker.start();
+    ServeConfig front_cfg = tcpConfig();
+    front_cfg.workerAddrs = {worker.listenAddress()};
+    Server front(front_cfg);
+    front.start();
+
+    // One job through the front, so every counter has moved.
+    Stream s = collect(front.listenAddress(), kSubmit12);
+    ASSERT_TRUE(s.done);
+
+    for (Server *daemon : {&worker, &front}) {
+        const std::string what =
+            daemon == &front ? "front" : "local daemon";
+        ServeClient ctl(daemon->listenAddress());
+        expectShape(ctl.request("{\"verb\": \"stats\"}"), kStatsShape,
+                    kStatsAdditions, what + " stats");
+        expectShape(ctl.request("{\"verb\": \"health\"}"), kHealthShape,
+                    {}, what + " health");
+        expectShape(ctl.request("{\"verb\": \"workers\"}"),
+                    kWorkersReplyShape, {}, what + " workers");
+    }
+
+    // The front's entries gain the worker's health figures once its
+    // prober (first probe at start) has heard back.
+    ServeClient ctl(front.listenAddress());
+    JsonValue entry;
+    for (int i = 0; i < 500; ++i) {
+        entry = ctl.request("{\"verb\": \"workers\"}")
+                    .at("workers")
+                    .array.at(0);
+        if (entry.find("queue_depth"))
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    expectShape(entry, merged(kWorkerShape, kWorkerHealthShape), {},
+                "workers entry");
+    const JsonValue stats = ctl.request("{\"verb\": \"stats\"}");
+    ASSERT_EQ(stats.at("workers").array.size(), 1u);
+    expectShape(stats.at("workers").array[0],
+                merged(kWorkerShape, kWorkerHealthShape), {},
+                "stats workers entry");
+
+    // Before any probe answer an entry carries only the fleet's own
+    // fields.
+    ServeConfig unprobed_cfg = tcpConfig();
+    unprobed_cfg.workerAddrs = {"tcp:127.0.0.1:1"};
+    unprobed_cfg.probeIntervalMs = 0;
+    Server unprobed(unprobed_cfg);
+    unprobed.start();
+    ServeClient ctl2(unprobed.listenAddress());
+    expectShape(ctl2.request("{\"verb\": \"workers\"}")
+                    .at("workers")
+                    .array.at(0),
+                kWorkerShape, {}, "unprobed workers entry");
+
+    unprobed.stop(true);
+    front.stop(true);
+    worker.stop(true);
+}
+
+TEST(MultiNode, RejectingWorkerSpendsNoStreamRetry)
+{
+    SweepDriver offline(1);
+    offline.setQuiet(true);
+    ResultSet expect = offline.run(grid12());
+
+    Server workerA(tcpConfig());
+    ServeConfig b_cfg = tcpConfig();
+    b_cfg.workers = 1;
+    b_cfg.maxJobs = 1; // the captive job fills B's admission cap
+    Server workerB(b_cfg);
+    workerA.start();
+    workerB.start();
+
+    // B is healthy (it answers probes) but answers every submit with
+    // {"ok": false, "reason": "queue_full"}: no point ever ran there.
+    LineChannel slow(
+        connectSocket(parseSocketAddr(workerB.listenAddress())));
+    ASSERT_TRUE(slow.writeLine(
+        "{\"verb\": \"submit\", \"bench\": \"gzip\", "
+        "\"arch\": \"stream,ev8,ftb,seq\", \"widths\": [4, 8], "
+        "\"insts\": 8000000, \"warmup\": 1000, \"jobs\": 1}"));
+    std::string ack;
+    ASSERT_TRUE(slow.readLine(ack));
+
+    ServeConfig front_cfg = tcpConfig();
+    front_cfg.workerAddrs = {workerA.listenAddress(),
+                             workerB.listenAddress()};
+    front_cfg.shardRetries = 0; // any spent stream retry fails the job
+    Server front(front_cfg);
+    front.start();
+
+    // A rejected submit is refused work, not a lost stream: the chunk
+    // re-queues at no cost and A absorbs it, bit-identically.
+    Stream merged = collect(front.listenAddress(), kSubmit12);
+    expectStreamMatches(merged, expect, true);
+    EXPECT_EQ(front.metrics().value("shard_retries"), 0u);
+    EXPECT_EQ(front.metrics().value("jobs_served"), 1u);
+    EXPECT_EQ(workerA.metrics().value("rows_streamed"), 12u);
+
+    front.stop(true);
+    workerA.stop(true);
+    workerB.stop(false); // cancel the captive job
 }

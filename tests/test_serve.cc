@@ -279,12 +279,13 @@ TEST_P(ServeTransport, ConcurrentSubmitsStreamBitIdenticalToOffline)
 
     // The governor held the line: resident arena bytes never exceed
     // the budget (checked via the same stats the verb reports).
-    ServeStats st = server.stats();
-    EXPECT_EQ(st.jobsSubmitted, 2u);
-    EXPECT_EQ(st.jobsServed, 2u);
-    EXPECT_EQ(st.rowsStreamed, 12u);
-    EXPECT_EQ(st.arenaFallbacks, 0u);
-    EXPECT_LE(st.residentArenaBytes, st.memBudgetBytes);
+    const MetricsRegistry &st = server.metrics();
+    EXPECT_EQ(st.value("jobs_submitted"), 2u);
+    EXPECT_EQ(st.value("jobs_served"), 2u);
+    EXPECT_EQ(st.value("rows_streamed"), 12u);
+    EXPECT_EQ(st.value("arena_fallbacks"), 0u);
+    EXPECT_LE(st.value("resident_arena_bytes"),
+              st.value("mem_budget_bytes"));
 
     server.stop(true);
 }
@@ -382,8 +383,8 @@ TEST_P(ServeTransport, ProtocolErrorsAreStructuredAndNonFatal)
     EXPECT_TRUE(r.at("ok").asBool());
     EXPECT_EQ(r.at("health").asString(), "ok");
 
-    ServeStats st = server.stats();
-    EXPECT_EQ(st.jobsRejected, 2u); // the two bad submits
+    EXPECT_EQ(server.metrics().value("jobs_rejected"), 2u)
+        << "the two bad submits";
     server.stop(true);
 }
 
@@ -427,7 +428,7 @@ TEST(Serve, AdmissionControlRejectsWithReasons)
             "\"arena\": \"require\"}");
         EXPECT_FALSE(r.at("ok").asBool());
         EXPECT_EQ(r.at("reason").asString(), "over_budget");
-        EXPECT_EQ(server.stats().jobsRejected, 1u);
+        EXPECT_EQ(server.metrics().value("jobs_rejected"), 1u);
         server.stop(true);
     }
 }
@@ -472,9 +473,10 @@ TEST(Serve, OverBudgetAutoJobFallsBackToLiveGeneration)
         EXPECT_EQ(streamed.at(i).stats, expect.at(i).stats)
             << "row " << i << " diverged under arena fallback";
 
-    ServeStats st = server.stats();
-    EXPECT_EQ(st.arenaFallbacks, 1u);
-    EXPECT_EQ(st.residentArenaBytes, 0u); // budget 0 stayed honest
+    const MetricsRegistry &st = server.metrics();
+    EXPECT_EQ(st.value("arena_fallbacks"), 1u);
+    EXPECT_EQ(st.value("resident_arena_bytes"), 0u)
+        << "budget 0 stayed honest";
     server.stop(true);
 }
 
@@ -629,8 +631,10 @@ TEST_P(ServeTransport, JournalCrashRecoveryIsBitIdenticalAfterTokenAttach)
     cfg.stateDir = dir;
     Server server(cfg);
     server.start();
-    EXPECT_EQ(server.stats().jobsRecovered, 1u)
+    EXPECT_EQ(server.metrics().value("jobs_recovered"), 1u)
         << "the finished job and the torn line must not re-queue";
+    EXPECT_EQ(server.metrics().value("journal_torn_lines"), 1u)
+        << "the torn tail is skipped and counted";
 
     // The original submitter resubmits its token: it attaches to the
     // recovered job and receives every row (buffered or live).
@@ -679,7 +683,7 @@ TEST_P(ServeTransport, JournalCrashRecoveryIsBitIdenticalAfterTokenAttach)
         EXPECT_EQ(lines[0].at("state").asString(), "done");
         EXPECT_EQ(lines[0].at("points_done").asU64(), 6u);
     }
-    EXPECT_EQ(server.stats().jobsSubmitted, 0u)
+    EXPECT_EQ(server.metrics().value("jobs_submitted"), 0u)
         << "token resubmits never create a second job";
     server.stop(true);
 
@@ -689,7 +693,7 @@ TEST_P(ServeTransport, JournalCrashRecoveryIsBitIdenticalAfterTokenAttach)
     cfg2.stateDir = dir;
     Server second(cfg2);
     second.start();
-    EXPECT_EQ(second.stats().jobsRecovered, 0u);
+    EXPECT_EQ(second.metrics().value("jobs_recovered"), 0u);
     second.stop(true);
 }
 
@@ -784,7 +788,7 @@ TEST(Serve, WatchdogRetiresStuckJobAndFreesItsSlot)
                        "\"insts\": 400000, \"warmup\": 1000}");
     ASSERT_TRUE(s.done);
     EXPECT_EQ(s.summary.at("state").asString(), "stuck");
-    EXPECT_EQ(server.stats().jobsStuck, 1u);
+    EXPECT_EQ(server.metrics().value("jobs_stuck"), 1u);
 
     // The stuck job's admission slot is free even though its worker
     // is still grinding the captive point: with maxJobs = 1, a new
@@ -820,9 +824,8 @@ TEST(Serve, ConnectionCapRejectsBusyAndReapsOnDisconnect)
         EXPECT_FALSE(r.at("ok").asBool());
         EXPECT_EQ(r.at("reason").asString(), "busy");
     }
-    ServeStats st = server.stats();
-    EXPECT_EQ(st.connsRejected, 1u);
-    EXPECT_EQ(st.connsActive, 1u);
+    EXPECT_EQ(server.metrics().value("conns_rejected"), 1u);
+    EXPECT_EQ(server.metrics().value("conns_active"), 1u);
 
     // Dropping the first connection frees its slot (the conn thread
     // retires itself; the accept loop reaps the handle).
@@ -858,7 +861,7 @@ TEST(Serve, IdleConnectionsAreClosedWithATimeoutError)
     EXPECT_FALSE(r.at("ok").asBool());
     EXPECT_EQ(r.at("reason").asString(), "timeout");
     EXPECT_FALSE(ch.readLine(line)); // then EOF
-    EXPECT_EQ(server.stats().connTimeouts, 1u);
+    EXPECT_EQ(server.metrics().value("conn_timeouts"), 1u);
     server.stop(true);
 }
 
@@ -868,7 +871,7 @@ TEST(Serve, JournalFailureDegradesPersistenceNotService)
     cfg.stateDir = freshStateDir("degraded");
     Server server(cfg);
     server.start();
-    EXPECT_FALSE(server.stats().journalDegraded);
+    EXPECT_EQ(server.metrics().value("journal_degraded"), 0u);
 
     // The first journal append hits an injected fsync failure.
     fault::arm("journal.fsync", 0, 1);
@@ -877,7 +880,7 @@ TEST(Serve, JournalFailureDegradesPersistenceNotService)
     ASSERT_TRUE(s.done);
     EXPECT_EQ(s.summary.at("state").asString(), "done");
     ASSERT_EQ(s.frames.size(), 1u);
-    EXPECT_TRUE(server.stats().journalDegraded);
+    EXPECT_EQ(server.metrics().value("journal_degraded"), 1u);
 
     // Serving continues unharmed after persistence is lost.
     Stream s2 = collect(cfg.socketPath, kSubmit1);

@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the util module: saturating counters, RNG, DOLC
- * history hashing, statistics, and the table printer.
+ * history hashing, statistics, the metrics registry, and the table
+ * printer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/dolc.hh"
 #include "util/fixed_ring.hh"
+#include "util/metrics.hh"
 #include "util/rng.hh"
 #include "util/sat_counter.hh"
 #include "util/stats.hh"
@@ -488,6 +493,49 @@ TEST(StatSet, DumpIsSorted)
 }
 
 // ---- TablePrinter ----
+
+// ---- metrics registry ----
+
+TEST(Metrics, CountersGaugesAndFlagsReadBackByName)
+{
+    MetricsRegistry m;
+    MetricsRegistry::Counter &rows = m.counter("rows");
+    std::uint64_t depth = 7;
+    bool degraded = false;
+    m.gauge("depth", [&] { return depth; },
+            MetricsRegistry::kStats | MetricsRegistry::kHealth);
+    m.flag("degraded", [&] { return degraded; },
+           MetricsRegistry::kHealth);
+
+    rows.fetch_add(3);
+    depth = 2;
+    degraded = true;
+    EXPECT_EQ(m.value("rows"), 3u);
+    EXPECT_EQ(m.value("depth"), 2u);
+    EXPECT_EQ(m.value("degraded"), 1u);
+
+    // Each scope walks its own metrics, in declaration order.
+    std::vector<std::string> health;
+    m.forEach(MetricsRegistry::kHealth,
+              [&](const std::string &name, std::uint64_t value,
+                  bool is_flag) {
+                  health.push_back(name + "=" + std::to_string(value) +
+                                   (is_flag ? "?" : ""));
+              });
+    EXPECT_EQ(health, (std::vector<std::string>{"depth=2",
+                                                "degraded=1?"}));
+}
+
+TEST(Metrics, UnknownAndDuplicateNamesFailLoudly)
+{
+    MetricsRegistry m;
+    m.counter("shard_retries");
+    EXPECT_THROW(m.value("shard_retires"), std::out_of_range)
+        << "a typo must not read as 0";
+    EXPECT_THROW(m.counter("shard_retries"), std::logic_error);
+    EXPECT_THROW(m.gauge("shard_retries", [] { return 1u; }),
+                 std::logic_error);
+}
 
 TEST(TablePrinter, AlignsColumns)
 {

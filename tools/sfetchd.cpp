@@ -35,7 +35,10 @@
  *
  * Lifecycle: SIGTERM (or SIGINT, or a `shutdown` request) drains —
  * queued and running jobs finish and their streams flush — then the
- * daemon exits 0. SIGUSR1 dumps the stats JSON to stderr at any time.
+ * daemon exits 0. SIGUSR1 dumps the stats JSON to stderr at any time:
+ * the same reply as the `stats` verb, rendered from the daemon's
+ * metrics registry (util/metrics.hh), where each counter and gauge is
+ * declared once.
  * With --state-dir, a crash (kill -9, OOM) loses nothing: unfinished
  * jobs are journalled and re-queued on the next start.
  */
