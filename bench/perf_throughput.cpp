@@ -30,7 +30,8 @@
  * `sweep` amortization object (3 engines x 2 widths through
  * SweepDriver, live vs arena, decode cost included). A row with
  * `"arena": false` generates live into the run's private
- * committed-path window; `"arena": true` replays the shared arena.
+ * committed-path window; `"arena": true` refills that window from
+ * the shared arena, so its time includes the expansion.
  *
  * Methodology: each (benchmark, engine) point is run `--reps` times
  * serially on a cached workload after one untimed warmup run; the

@@ -6,8 +6,8 @@
  * polarization, stub jumps, return addresses). This is the
  * architectural path the processor model retires; the fetch engines
  * race ahead of it speculatively. The processor never reads it
- * directly: OracleDecoder (layout/oracle_arena.hh) packs it into the
- * pre-decoded windows the pipeline consumes.
+ * directly: OracleDecoder (layout/oracle_arena.hh) stream-encodes it,
+ * and each run's window expands that encoding for the pipeline.
  */
 
 #ifndef SFETCH_LAYOUT_ORACLE_HH

@@ -1,39 +1,41 @@
 /**
  * @file
- * The pre-decoded committed path: the only form in which the
- * processor reads the oracle.
+ * The pre-decoded committed path: how the oracle is stored, and the
+ * one form in which the processor reads it.
  *
- * One decode loop (OracleDecoder) expands an OracleStream — the live
- * generator or a recorded trace — into flat structure-of-arrays
- * storage, packed for sequential streaming:
+ * One decode loop (OracleDecoder) turns an OracleStream — the live
+ * generator or a recorded trace — into the stream encoding, the
+ * paper's fetch unit: a run of sequential instructions that ends in
+ * a taken branch needs nothing per instruction but its meta byte.
  *
- *   - pcOff[i]   u32 byte offset of instruction i from the image
- *                base (the committed path never leaves the image);
- *                one entry past the last instruction holds its
- *                successor, so nextPc is pcOff[i+1] — the committed
- *                successor of instruction i *is* the next committed
- *                instruction, so nextPc needs no array of its own.
- *   - meta[i]    u8: InstClass (bits 0-2), BranchType (bits 3-5),
- *                taken (bit 6).
- *   - data[k]    u64 address of the k-th data access: the back
- *                end's synthetic address stream is part of the
- *                workload model (independent of the fetch engine),
- *                so it is decoded alongside the control path.
+ *   - meta[i]     u8: InstClass (bits 0-2), BranchType (bits 3-5),
+ *                 taken (bit 6).
+ *   - target[t]   u32 offset from the image base of the successor of
+ *                 the t-th taken instruction. Every other instruction
+ *                 is followed by pc + kInstBytes (the decoder checks
+ *                 it), and the first one sits at the image's entry.
+ *   - dataOff[k]  u32 offset from kDataRegionBase of the k-th data
+ *                 access: the back end's synthetic address stream is
+ *                 part of the workload model (independent of the
+ *                 fetch engine), so it is decoded alongside the
+ *                 control path.
  *
- * Two owners hold that storage. An OracleArena decodes a whole run
- * once and is shared read-only by every sweep point of one (bench,
- * layout, run length) — gem5-style decode-once / simulate-many. An
- * OracleWindow is a run's private, constant-size window that the
- * same loop refills as the run advances; the arena is simply a
- * window that is never refilled. Both hand the processor an
- * OracleView, so one pipeline serves every run.
+ * An OracleArena holds a whole run in this form, decoded once and
+ * shared read-only by every sweep point of one (bench, layout, run
+ * length) — gem5-style decode-once / simulate-many. A run reads the
+ * path through its private OracleWindow: a constant-size expanded
+ * view (a u32 pc offset per instruction, plus its successor, next to
+ * the meta bytes and data offsets as they are) that one expansion
+ * routine refills as the run advances, from the shared arena or from
+ * a small chunk a private decoder fills. Either way the processor sees
+ * an OracleView, so one pipeline serves every run.
  *
- * Memory cost: 5 bytes per committed instruction plus 8 bytes per
- * load/store. An arena reserves data room for half its instructions
- * (the suite's mixes run ~30-40% loads/stores), so it holds 9 bytes
- * per instruction: ~21 MB for a full paper-scale run (2M + 0.3M
- * warmup), built once per (bench, layout, run length). A window
- * costs 13 bytes per entry but has a fixed entry count.
+ * Memory cost: an arena holds 1 byte per committed instruction plus
+ * 4 bytes per taken instruction and 4 per load/store, sized exactly.
+ * The suite runs 0.016-0.16 taken instructions and 0.12-0.40 memory
+ * operations per instruction, so 1.8-2.9 bytes per instruction: ~6 MB
+ * for a full paper-scale run (2M + 0.3M warmup). A window costs 9
+ * bytes per entry, 4K entries per run, whatever the run length.
  *
  * Bit-identity: every form is what the live OracleStream produced,
  * so arena replay, windowed generation and windowed trace replay are
@@ -45,6 +47,7 @@
 #define SFETCH_LAYOUT_ORACLE_ARENA_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "layout/oracle.hh"
@@ -54,38 +57,54 @@ namespace sfetch
 
 /**
  * A priori per-instruction estimate of an arena's heap cost, for
- * admission decisions made *before* any decode: 5 B/inst of control
- * path (u32 pc offset + meta byte) plus 8 B per load/store of
- * pre-generated data address; the suite's instruction mixes run
- * ~30-40% memory operations, so 12 B/inst bounds the real cost
- * (9 B/inst measured, data room reserved for half the instructions)
- * from above. sfetchd's memory governor budgets
- * `insts * kArenaBytesPerInstEstimate` per decode.
+ * admission decisions made *before* any decode. sfetchd's memory
+ * governor budgets `insts * kArenaBytesPerInstEstimate` per decode.
+ *
+ * It is 12, well above the ~2.5 B/inst the stream encoding measures,
+ * because the governor budgets arenas only: the placed workloads
+ * they are decoded from are not budgeted, and take up to ~3.3 MB
+ * each (~20 MB for a churn of 24 distinct programs). The governor
+ * evicts whole workloads only while arenas overflow the budget, so
+ * an estimate lowered to the format's cost alone would let that
+ * workload memory pile up unchecked.
  */
 constexpr std::size_t kArenaBytesPerInstEstimate = 12;
 
 /** Meta-byte bits holding the branch type (nonzero for branches). */
 constexpr std::uint8_t kMetaBranchBits = 0x38;
+/** Meta-byte bit set on taken branches (they carry a target). */
+constexpr std::uint8_t kMetaTakenBit = 0x40;
 
 /**
  * Read-only view of committed-path positions [first, last) in the
- * packed form (see file comment). Positions are absolute indices
- * into the run's committed path; the arrays start at @c first.
+ * expanded form a run reads (see file comment). Positions are
+ * absolute indices into the run's committed path; the arrays start
+ * at @c first.
  */
 struct OracleView
 {
     Addr base = 0;                        //!< image base address
     const std::uint32_t *pcOff = nullptr; //!< [first, last] (+successor)
     const std::uint8_t *meta = nullptr;   //!< [first, last)
-    const Addr *data = nullptr;           //!< [dataFirst, dataLast)
+    /** [dataFirst, dataLast), offsets from kDataRegionBase. */
+    const std::uint32_t *dataOff = nullptr;
     std::uint64_t first = 0, last = 0;
     std::uint64_t dataFirst = 0, dataLast = 0;
 };
 
+/** A committed path in the stream encoding (see file comment). */
+struct OracleStreams
+{
+    std::vector<std::uint8_t> meta;     //!< one per instruction
+    std::vector<std::uint32_t> target;  //!< one per taken instruction
+    std::vector<std::uint32_t> dataOff; //!< one per load/store
+};
+
 /**
- * The one decode loop: expands an OracleStream (live, or replaying
- * a recorded trace) into the packed form and draws one data address
- * per load/store. Successive decode() calls continue the same path.
+ * The one decode loop: turns an OracleStream (live, or replaying a
+ * recorded trace) into the stream encoding and draws one data
+ * address per load/store. Successive decode() calls continue the
+ * same path.
  */
 class OracleDecoder
 {
@@ -95,20 +114,21 @@ class OracleDecoder
                   const RecordedTrace *replay = nullptr);
 
     /**
-     * Decode up to @p n instructions into pcOff[0..n) and meta[0..n),
-     * appending one address to @p data per load/store, then write the
-     * successor of the last one to pcOff[count]. Returns the count,
+     * Append up to @p n instructions to @p out. Returns the count,
      * which falls short of @p n only once a recorded trace has run
-     * out.
+     * out. Throws std::logic_error if the path cannot be encoded: an
+     * instruction that is not its predecessor's successor, a
+     * successor outside the image's u32 offset range, an untaken
+     * instruction not followed by pc + kInstBytes, or a data address
+     * outside the u32 offset range above kDataRegionBase.
      */
-    std::size_t decode(std::uint32_t *pcOff, std::uint8_t *meta,
-                       std::vector<Addr> &data, std::size_t n);
+    std::size_t decode(OracleStreams &out, std::size_t n);
 
   private:
     OracleStream path_;
     DataAddressStream data_;
     Addr base_;
-    Addr next_ = kNoAddr; //!< successor of the last decoded instruction
+    Addr next_; //!< pc the next decoded instruction must have
 };
 
 /** A whole run's committed path, decoded once and shared. */
@@ -136,13 +156,13 @@ class OracleArena
     const CodeImage *image() const { return image_; }
 
     /** Number of replayable instructions. */
-    std::uint64_t size() const { return size_; }
+    std::uint64_t size() const { return streams_.meta.size(); }
 
     /** Number of pre-generated data-access addresses. */
-    std::uint64_t dataCount() const { return dataAddr_.size(); }
+    std::uint64_t dataCount() const { return streams_.dataOff.size(); }
 
-    /** The whole decoded path, positions [0, size()). */
-    OracleView view() const;
+    /** The decoded path, read through an OracleWindow. */
+    const OracleStreams &streams() const { return streams_; }
 
     /** Approximate heap footprint in bytes. */
     std::size_t bytes() const;
@@ -166,47 +186,67 @@ class OracleArena
     std::size_t registeredBytes_ = 0;
 
     const CodeImage *image_ = nullptr;
-    Addr base_ = 0;
     std::uint64_t seed_ = 0;
-    std::uint64_t size_ = 0;
-    std::vector<std::uint32_t> pcOff_; //!< size_+1 entries
-    std::vector<std::uint8_t> meta_;
-    std::vector<Addr> dataAddr_;
+    OracleStreams streams_;
 };
 
 /**
  * A run's private committed-path window of constant capacity, kept
- * full by the decode loop as the run advances. Its heap cost is fixed
- * at construction, whatever the run length.
+ * full as the run advances by expanding the stream encoding into it.
+ * Its heap cost is fixed at construction, whatever the run length.
  */
 class OracleWindow
 {
   public:
     /**
-     * Decode the first @p capacity instructions of (@p image,
-     * @p model, @p seed), or of @p replay when non-null (which must
-     * outlive the window).
+     * Fill from a private decoder of (@p image, @p model, @p seed),
+     * or of @p replay when non-null (which must outlive the window).
      */
     OracleWindow(const CodeImage &image, const WorkloadModel &model,
                  std::uint64_t seed, const RecordedTrace *replay,
                  std::size_t capacity);
 
+    /** Fill from @p arena, which must outlive the window. */
+    OracleWindow(const OracleArena &arena, std::size_t capacity);
+
     const OracleView &view() const { return view_; }
 
     /**
      * Drop positions before @p keep_from and data accesses before
-     * @p keep_data_from, move the rest to the front, and decode until
+     * @p keep_data_from, move the rest to the front, and expand until
      * the window is full again. Returns false when nothing new could
-     * be decoded (the recorded trace has run out).
+     * be expanded (the arena or recorded trace has run out).
      */
     bool refill(std::uint64_t keep_from, std::uint64_t keep_data_from);
 
   private:
-    OracleDecoder decoder_;
+    /** Where the next expansion starts in a stream-encoded path. */
+    struct Cursor
+    {
+        std::size_t inst = 0, taken = 0, data = 0;
+    };
+
+    OracleWindow(const CodeImage &image, std::size_t capacity);
+
+    /**
+     * The one expansion routine: append @p n instructions of @p src
+     * from @p at on, and advance @p at past them.
+     */
+    void expand(const OracleStreams &src, Cursor &at, std::size_t n);
+
+    /** Private source; empty when the window reads an arena. */
+    std::optional<OracleDecoder> decoder_;
+    /** Decoder output, expanded and cleared chunk by chunk. */
+    OracleStreams chunk_;
+    /** Shared source; null when the window has a decoder. */
+    const OracleArena *arena_ = nullptr;
+    Cursor arenaAt_;
+
     std::size_t capacity_;
     std::vector<std::uint32_t> pcOff_; //!< capacity_+1 entries
     std::vector<std::uint8_t> meta_;
-    std::vector<Addr> data_; //!< reserved once; never reallocates
+    /** Reserved once at the capacity; never reallocates. */
+    std::vector<std::uint32_t> dataOff_;
     OracleView view_;
 };
 

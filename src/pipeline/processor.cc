@@ -32,18 +32,17 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
             "are mutually exclusive");
 
     batched_ = cfg_.batchedReplay;
-    if (arena) {
-        path_ = arena->view();
-    } else {
-        if (minWindowInsts(cfg_) > kOracleWindowInsts / 2)
-            throw std::invalid_argument(
-                "ProcessorConfig: ROB plus fetch buffer exceed half "
-                "the committed-path window (" +
-                std::to_string(kOracleWindowInsts) + " entries)");
-        window_ = std::make_unique<OracleWindow>(
-            image, model, seed, replay, kOracleWindowInsts);
-        path_ = window_->view();
-    }
+    if (minWindowInsts(cfg_) > kOracleWindowInsts / 2)
+        throw std::invalid_argument(
+            "ProcessorConfig: ROB plus fetch buffer exceed half "
+            "the committed-path window (" +
+            std::to_string(kOracleWindowInsts) + " entries)");
+    window_ = arena ? std::make_unique<OracleWindow>(
+                          *arena, kOracleWindowInsts)
+                    : std::make_unique<OracleWindow>(
+                          image, model, seed, replay,
+                          kOracleWindowInsts);
+    path_ = window_->view();
 
     for (auto &l : latByCls_)
         l = cfg_.latAlu;
@@ -61,7 +60,8 @@ Processor::execLatencyMeta(std::uint8_t mb)
     const unsigned cls = mb & 0x07;
     if (cls == static_cast<unsigned>(InstClass::Load)) {
         assert(dataPos_ < path_.dataLast);
-        return mem_->accessData(path_.data[dataPos_++ - path_.dataFirst]);
+        return mem_->accessData(
+            kDataRegionBase + path_.dataOff[dataPos_++ - path_.dataFirst]);
     }
     if (cls == static_cast<unsigned>(InstClass::Store))
         ++dataPos_; // stores allocate but retire immediately
@@ -161,7 +161,8 @@ Processor::prefetchData()
         dataPos_ + kDataPrefetchAhead, path_.dataLast);
     for (std::uint64_t k = std::max(dataPrefetched_, dataPos_); k < end;
          ++k)
-        mem_->prefetchData(path_.data[k - path_.dataFirst]);
+        mem_->prefetchData(kDataRegionBase +
+                           path_.dataOff[k - path_.dataFirst]);
     dataPrefetched_ = std::max(dataPrefetched_, end);
 }
 
@@ -228,7 +229,7 @@ Processor::redirectStep()
 void
 Processor::ensureFetchWindow()
 {
-    if (window_ && fetchPos_ + cfg_.width > path_.last) {
+    if (fetchPos_ + cfg_.width > path_.last) {
         window_->refill(totalCommitted_, dataPos_);
         path_ = window_->view();
     }

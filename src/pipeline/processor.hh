@@ -164,15 +164,18 @@ class Processor
 {
   public:
     /**
-     * Entries of the private committed-path window a run owns when it
-     * does not replay a shared arena. A refill keeps everything from
+     * Entries of the private committed-path window every run reads
+     * its committed path through. A refill keeps everything from
      * the ROB head on (the ROB, the fetch buffer and the rest of the
      * current bundle) and must leave room for the next bundle; the
      * constructor demands that this bound, minWindowInsts(), fit in
-     * half the window, so every refill decodes at least half a window
-     * of new instructions.
+     * half the window, so every refill adds at least half a window
+     * of new instructions. Every run allocates and first touches its
+     * window, so it is kept small: at 16K entries (208 KB) that
+     * set-up cost short served runs (60K instructions) ~10% of their
+     * throughput.
      */
-    static constexpr std::size_t kOracleWindowInsts = 16 * 1024;
+    static constexpr std::size_t kOracleWindowInsts = 4 * 1024;
 
     /** Window entries a refill must be able to hold for @p cfg. */
     static std::size_t
@@ -195,9 +198,9 @@ class Processor
      *        @p seed the run is bit-identical to live generation.
      * @param arena Optional shared pre-decoded committed path (not
      *        owned; must outlive the processor and have been built
-     *        from the same image/model/@p seed). When set, the run
-     *        reads it instead of decoding a private window —
-     *        bit-identical, with no workload-model work per
+     *        from the same image/model/@p seed). When set, the run's
+     *        window is refilled from it instead of from a private
+     *        decoder — bit-identical, with no workload-model work per
      *        instruction. Mutually exclusive with @p replay.
      */
     Processor(const ProcessorConfig &cfg, FetchEngine *engine,
@@ -261,8 +264,8 @@ class Processor
 
     /**
      * Make positions up to fetchPos_ + width readable: refill the
-     * private window when it runs short. A shared arena is never
-     * refilled; its end is where the committed path ends.
+     * window when it runs short. Once its source has run out, the
+     * window's end is where the committed path ends.
      */
     void ensureFetchWindow();
     [[noreturn]] void throwPathExhausted() const;
@@ -303,7 +306,7 @@ class Processor
 
     /** The committed path as the pipeline reads it. */
     OracleView path_;
-    /** Private window behind path_; null when replaying an arena. */
+    /** The run's private window behind path_. */
     std::unique_ptr<OracleWindow> window_;
     /** Next data access to dispatch (index into path_.data). */
     std::uint64_t dataPos_ = 0;

@@ -48,8 +48,8 @@
  * group); a job whose estimate cannot fit even an empty cache is
  * rejected "over_budget" when it demands arenas ("arena":"require"),
  * and otherwise the governor first evicts single-layout arenas (then
- * whole workloads) LRU-first, then falls back to private windows for
- * every point ("arena":false in the framing) — the budget is never
+ * whole workloads) LRU-first, then falls back to each point decoding
+ * its own window ("arena":false in the framing) — the budget is never
  * exceeded to satisfy a decode. Rows are bit-identical either way.
  *
  * Fault tolerance: with a --state-dir, every submit/start/finish is

@@ -165,8 +165,8 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
     double prep = secondsSince(t0);
 
     // Phase 1.5: decode each shared committed path exactly once;
-    // its group's points then replay it from flat memory instead of
-    // each decoding a private window.
+    // its group's points then refill their windows from it instead
+    // of each decoding the path again.
     std::vector<ArenaGroup> groups;
     if (arenaMode_)
         groups = sharedArenaGroups(points);

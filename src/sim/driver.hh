@@ -76,8 +76,8 @@ class SweepDriver
      * Enable/disable committed-path arena sharing (default on).
      * When enabled, every sharedArenaGroups() group gets the
      * workload's shared OracleArena — the committed path is decoded
-     * once and each point replays it from flat memory. The other
-     * points, and every point when disabled, decode a private window
+     * once and each point's window is refilled from it. The other
+     * points, and every point when disabled, decode into their window
      * as they run. Rows are bit-identical either way; each row's
      * sharedArena records which one it ran on.
      */

@@ -91,8 +91,8 @@ class PlacedWorkload
 
     /**
      * Bytes held by this workload's cached per-layout arenas — the
-     * dominant, budgetable share of its footprint (the ~28 MB/arena
-     * formula; program + images are a few hundred KB). Feeds
+     * budgetable share of its footprint (~2.5 B/inst; the program
+     * and its images, up to a few MB, are not counted). Feeds
      * WorkloadCache::bytesResident() and sfetchd's memory governor.
      */
     std::size_t arenaBytesResident() const;

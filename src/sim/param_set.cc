@@ -42,7 +42,8 @@ ParamSpec::add(ParamDecl decl)
 
 ParamSpec &
 ParamSpec::intParam(const std::string &key, std::int64_t def,
-                    const std::string &doc, std::int64_t min)
+                    const std::string &doc, std::int64_t min,
+                    std::int64_t max)
 {
     ParamDecl d;
     d.key = key;
@@ -50,6 +51,7 @@ ParamSpec::intParam(const std::string &key, std::int64_t def,
     d.doc = doc;
     d.defInt = def;
     d.minInt = min;
+    d.maxInt = max;
     return add(std::move(d));
 }
 
@@ -157,6 +159,11 @@ ParamSet::setInt(const std::string &key, std::int64_t value)
         throw std::invalid_argument(
             "parameter '" + key + "' must be >= " +
             std::to_string(d.minInt) + ", got " +
+            std::to_string(value));
+    if (value > d.maxInt)
+        throw std::invalid_argument(
+            "parameter '" + key + "' must be <= " +
+            std::to_string(d.maxInt) + ", got " +
             std::to_string(value));
     values_[key].i = value;
 }

@@ -43,8 +43,9 @@ struct ParamDecl
     std::int64_t defInt = 0;
     bool defBool = false;
     std::string defString;
-    /** Lower bound for Int parameters (all current ones are sizes). */
+    /** Bounds for Int parameters (all current ones are sizes). */
     std::int64_t minInt = 0;
+    std::int64_t maxInt = INT64_MAX;
 };
 
 /**
@@ -57,7 +58,8 @@ class ParamSpec
   public:
     ParamSpec &intParam(const std::string &key, std::int64_t def,
                         const std::string &doc,
-                        std::int64_t min = 0);
+                        std::int64_t min = 0,
+                        std::int64_t max = INT64_MAX);
     ParamSpec &boolParam(const std::string &key, bool def,
                          const std::string &doc);
     ParamSpec &stringParam(const std::string &key,

@@ -187,8 +187,8 @@ WorkloadCache::clear()
     // Entries pinned by getShared() survive this clear() through
     // their external owners, but their arena slots are dropped here
     // so the decode memory is released as soon as any in-flight
-    // replay finishes (a clear() that left 28 MB arenas parked on
-    // pinned workloads would not actually free anything).
+    // replay finishes (a clear() that left multi-MB arenas parked
+    // on pinned workloads would not actually free anything).
     for (const auto &[name, s] : slots_)
         if (s->work)
             s->work->dropArenas();

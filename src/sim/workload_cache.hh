@@ -76,9 +76,9 @@ class WorkloadCache
     /**
      * Budgetable bytes resident in the cache: the sum of
      * arenaBytesResident() over every built entry. (Workload
-     * program/image structures are a few hundred KB each and are not
-     * counted; the 28 MB/arena decode memory is what a budget must
-     * govern.)
+     * program/image structures, up to a few MB each, are not
+     * counted; see kArenaBytesPerInstEstimate for how the governor
+     * allows for them.)
      */
     std::size_t bytesResident() const;
 

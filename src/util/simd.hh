@@ -12,7 +12,7 @@
  * randomized spans.
  *
  * The operand shapes mirror the simulator's hot structures: u32
- * committed-path offset spans (OracleArena::pcOffsets), packed u8
+ * committed-path offset spans (OracleView::pcOff), packed u8
  * meta bytes (class/branch/taken), u64 cache tag ways, and int16
  * perceptron weight rows.
  */

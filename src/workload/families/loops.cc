@@ -132,7 +132,8 @@ detail::registerLoopsFamily(WorkloadRegistry &reg)
                   "innermost bodies guarded by a biased hammock, %")
         .intParam("outer_trips", 200,
                   "main driver loop trip count", 2)
-        .intParam("ws_kb", 256, "data working set, KiB", 1);
+        .intParam("ws_kb", 256, "data working set, KiB", 1,
+                  family::kMaxWsKb);
     d.factory = buildLoops;
     reg.add(std::move(d));
 }

@@ -122,7 +122,8 @@ detail::registerPhasedFamily(WorkloadRegistry &reg)
                   "correlated-branch noise floor, per-mille")
         .intParam("outer_trips", 150,
                   "main driver loop trip count", 2)
-        .intParam("ws_kb", 1024, "data working set, KiB", 1);
+        .intParam("ws_kb", 1024, "data working set, KiB", 1,
+                  family::kMaxWsKb);
     d.factory = buildPhased;
     reg.add(std::move(d));
 }

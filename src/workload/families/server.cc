@@ -165,7 +165,8 @@ detail::registerServerFamily(WorkloadRegistry &reg)
                   "history-correlated dispatch selections, %")
         .intParam("noise_pml", 40,
                   "helper-branch noise floor, per-mille")
-        .intParam("ws_kb", 2048, "data working set, KiB", 1);
+        .intParam("ws_kb", 2048, "data working set, KiB", 1,
+                  family::kMaxWsKb);
     d.factory = buildServer;
     reg.add(std::move(d));
 }

@@ -141,7 +141,8 @@ detail::registerSynthFamily(WorkloadRegistry &reg)
                   "correlated-branch noise floor, per-mille "
                   "(base 30)", kInherit)
         .intParam("ws_kb", kInherit,
-                  "data working set, KiB (base 1024)", kInherit);
+                  "data working set, KiB (base 1024)", kInherit,
+                  family::kMaxWsKb);
     d.validate = validateSynth;
     d.factory = buildSynth;
     reg.add(std::move(d));

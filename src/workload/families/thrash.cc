@@ -88,7 +88,8 @@ detail::registerThrashFamily(WorkloadRegistry &reg)
         .intParam("block_insts", 10, "instructions per block", 1)
         .intParam("outer_trips", 100,
                   "main driver loop trip count", 2)
-        .intParam("ws_kb", 512, "data working set, KiB", 1);
+        .intParam("ws_kb", 512, "data working set, KiB", 1,
+                  family::kMaxWsKb);
     d.factory = buildThrash;
     reg.add(std::move(d));
 }

@@ -86,6 +86,14 @@ class TraceGenerator
 constexpr std::uint64_t kDataStreamSeedSalt = 0xda7aULL;
 
 /**
+ * Lowest address of the synthetic data region. Every access falls in
+ * [kDataRegionBase, kDataRegionBase + workingSetBytes + hotBytes),
+ * which the workload families' ws_kb cap keeps within a u32 offset
+ * (the form OracleDecoder stores addresses in).
+ */
+constexpr Addr kDataRegionBase = 0x10000000ULL;
+
+/**
  * Synthetic data-access address stream for the back-end d-cache
  * model. Deterministic given (model, seed): the n-th access is the
  * same regardless of which fetch architecture is being simulated.
@@ -110,7 +118,7 @@ class DataAddressStream
     next()
     {
         double u = rng_.nextDouble();
-        Addr base = 0x10000000ULL;
+        const Addr base = kDataRegionBase;
         if (u < model_.streamFraction) {
             // Sequential walk through the working set.
             seq_cursor_ = modWs(seq_cursor_ + 8);

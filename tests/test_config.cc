@@ -79,6 +79,63 @@ TEST(ParamSet, TypeMismatchAndBadTextAreErrors)
         << "below the declared minimum";
 }
 
+TEST(ParamSet, IntBoundsAreEnforcedWithTheRangeDiagnostic)
+{
+    ParamSpec spec;
+    spec.intParam("kb", 8, "size, KiB", 1, 64);
+    ParamSet p(&spec);
+    p.setInt("kb", 64);
+    EXPECT_EQ(p.getInt("kb"), 64);
+    try {
+        p.setInt("kb", 65);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "parameter 'kb' must be <= 64, got 65");
+    }
+    EXPECT_EQ(p.getInt("kb"), 64) << "a refused value is not stored";
+}
+
+// ws_kb = 2^54 KiB shifted to 0 bytes and divided by zero in the
+// data-address stream: every family now caps the working set at
+// 1 GiB, which also keeps each data address within the u32 offset
+// the committed-path decoder stores.
+TEST(ParamSet, WorkingSetIsCappedInEveryFamily)
+{
+    for (const char *family :
+         {"loops", "phased", "server", "thrash", "synth"}) {
+        const std::string over =
+            std::string(family) + ":ws_kb=18014398509481984";
+        try {
+            canonicalBenchSpec(over);
+            ADD_FAILURE() << over << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "parameter 'ws_kb' must be <= 1048576, got "
+                          "18014398509481984"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW(canonicalBenchSpec(std::string(family) +
+                                        ":ws_kb=1048577"),
+                     std::invalid_argument)
+            << family;
+        EXPECT_NO_THROW(canonicalBenchSpec(std::string(family) +
+                                           ":ws_kb=1048576"))
+            << family;
+    }
+
+    // The largest working set decodes: its addresses fit the offset.
+    const PlacedWorkload &work =
+        WorkloadCache::instance().get("loops:ws_kb=1048576");
+    EXPECT_EQ(work.model().data().workingSetBytes, Addr(1) << 30);
+    OracleArena arena(work.optImage(), work.model(), kRefSeed, 50'000);
+    EXPECT_GT(arena.dataCount(), 0u);
+    SimConfig cfg("stream");
+    cfg.insts = 20'000;
+    cfg.warmupInsts = 0;
+    EXPECT_GT(runOn(work, cfg).committedInsts, 0u);
+}
+
 TEST(ParamSet, SpecTextRoundTripIsCanonical)
 {
     ParamSet p(&testSpec());

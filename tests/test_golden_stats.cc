@@ -173,7 +173,7 @@ TEST(GoldenStats, RerunIsBitIdentical)
 
 /**
  * Arena-backed replay (the committed path pre-decoded once into the
- * shared OracleArena, every point replaying it from flat memory)
+ * shared OracleArena, every point's window refilled from it)
  * must be bit-identical to live generation for every registered
  * engine. Pinned on a PR-4 family so the arena path is exercised on
  * a registry workload, not just the gzip preset; width 4 covers the

@@ -93,9 +93,10 @@ TEST(CfgBuilder, TerminatorIsBranchInstruction)
 {
     Program p = smallProgram();
     for (const auto &blk : p.blocks()) {
-        if (blk.hasBranch())
+        if (blk.hasBranch()) {
             EXPECT_EQ(blk.insts.back(), InstClass::Branch)
                 << "block " << blk.id;
+        }
         EXPECT_EQ(blk.insts.size(), blk.numInsts);
     }
 }

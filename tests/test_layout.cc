@@ -225,8 +225,9 @@ TEST(Oracle, PcChainsAreContiguous)
     for (int i = 0; i < 5000; ++i) {
         OracleInst cur = oracle.next();
         ASSERT_EQ(cur.pc, prev.nextPc) << "at inst " << i;
-        if (!prev.isBranch())
+        if (!prev.isBranch()) {
             ASSERT_EQ(cur.pc, prev.pc + kInstBytes);
+        }
         prev = cur;
     }
 }
@@ -324,10 +325,59 @@ TEST(Oracle, ReturnUsesLayoutReturnAddress)
 // ---- OracleArena / OracleWindow ----
 
 /**
+ * Read @p win's first @p n positions across refills, keeping a tail
+ * behind the read position as the processor keeps its ROB, and check
+ * every field against the live generator: pc, nextPc (the next
+ * entry's pc), class, branch type, taken bit, and the address of
+ * every load/store. Counts the refills into @p refills.
+ */
+void
+expectWindowMatchesLive(OracleWindow &win, const CodeImage &img,
+                        const WorkloadModel &model, std::uint64_t n,
+                        unsigned &refills)
+{
+    OracleStream live(img, model, kRefSeed);
+    DataAddressStream ds(model.data(), kRefSeed ^ kDataStreamSeedSalt);
+    std::uint64_t pos = 0, data = 0;
+    refills = 0;
+    for (;;) {
+        const OracleView &v = win.view();
+        ASSERT_LE(v.first, pos);
+        ASSERT_EQ(v.base, img.baseAddr());
+        for (; pos < v.last && pos < n; ++pos) {
+            const OracleInst a = live.next();
+            const std::size_t i = pos - v.first;
+            const std::uint8_t mb = v.meta[i];
+            ASSERT_EQ(a.pc, v.base + v.pcOff[i]) << "inst " << pos;
+            ASSERT_EQ(a.nextPc, v.base + v.pcOff[i + 1])
+                << "inst " << pos;
+            ASSERT_EQ(a.cls, static_cast<InstClass>(mb & 0x07)) << pos;
+            ASSERT_EQ(a.btype, static_cast<BranchType>((mb >> 3) & 0x07))
+                << "inst " << pos;
+            ASSERT_EQ(a.taken, (mb & kMetaTakenBit) != 0)
+                << "inst " << pos;
+            ASSERT_EQ(a.isBranch(), (mb & kMetaBranchBits) != 0) << pos;
+            if (a.cls == InstClass::Load || a.cls == InstClass::Store) {
+                ASSERT_GE(data, v.dataFirst);
+                ASSERT_LT(data, v.dataLast) << "inst " << pos;
+                ASSERT_EQ(kDataRegionBase + v.dataOff[data - v.dataFirst],
+                          ds.next())
+                    << "access " << data;
+                ++data;
+            }
+        }
+        if (pos >= n)
+            return;
+        ASSERT_TRUE(win.refill(pos - std::min<std::uint64_t>(pos, 300),
+                               data - std::min<std::uint64_t>(data, 50)));
+        ++refills;
+    }
+}
+
+/**
  * The arena is defined as "exactly what the live stream produced":
- * every instruction's pc, nextPc (the next entry's pc), class, branch
- * type and taken bit must unpack from the packed form to the live
- * generator's values.
+ * every field a run reads from a window refilled from the arena
+ * must be the live generator's value.
  */
 TEST(OracleArena, PackedPathMatchesLiveFieldForField)
 {
@@ -337,43 +387,43 @@ TEST(OracleArena, PackedPathMatchesLiveFieldForField)
     OracleArena arena(img, w.model, kRefSeed, n);
     EXPECT_EQ(arena.size(), n);
     EXPECT_EQ(arena.seed(), kRefSeed);
+    EXPECT_EQ(arena.image(), &img);
     EXPECT_GT(arena.bytes(), 0u);
     EXPECT_GT(arena.dataCount(), 0u);
 
-    const OracleView v = arena.view();
-    ASSERT_EQ(v.first, 0u);
-    ASSERT_EQ(v.last, n);
-    OracleStream live(img, w.model, kRefSeed);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        OracleInst a = live.next();
-        const std::uint8_t mb = v.meta[i];
-        ASSERT_EQ(a.pc, v.base + v.pcOff[i]) << "inst " << i;
-        ASSERT_EQ(a.nextPc, v.base + v.pcOff[i + 1]) << "inst " << i;
-        ASSERT_EQ(a.cls, static_cast<InstClass>(mb & 0x07)) << i;
-        ASSERT_EQ(a.btype, static_cast<BranchType>((mb >> 3) & 0x07))
-            << "inst " << i;
-        ASSERT_EQ(a.taken, (mb & 0x40) != 0) << "inst " << i;
-        ASSERT_EQ(a.isBranch(), (mb & kMetaBranchBits) != 0) << i;
-    }
+    OracleWindow win(arena, 4'096);
+    unsigned refills = 0;
+    expectWindowMatchesLive(win, img, w.model, n, refills);
+    EXPECT_GE(refills, 7u);
 }
 
 TEST(OracleArena, DataAddressesMatchLiveStream)
 {
     SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
     CodeImage img(w.program, baselineOrder(w.program));
-    OracleArena arena(img, w.model, kRefSeed, 10'000);
+    const std::uint64_t n = 10'000;
+    OracleArena arena(img, w.model, kRefSeed, n);
+    OracleWindow win(arena, 1'000);
+    unsigned refills = 0;
+    expectWindowMatchesLive(win, img, w.model, n, refills);
+    EXPECT_GE(refills, 10u);
+
+    // Every arena address, and nothing past them, reached the window.
     DataAddressStream ds(w.model.data(),
                          kRefSeed ^ kDataStreamSeedSalt);
-    const OracleView v = arena.view();
-    ASSERT_EQ(v.dataLast, arena.dataCount());
+    const OracleStreams &s = arena.streams();
+    ASSERT_EQ(s.dataOff.size(), arena.dataCount());
     for (std::uint64_t k = 0; k < arena.dataCount(); ++k)
-        ASSERT_EQ(v.data[k], ds.next()) << "access " << k;
+        ASSERT_EQ(kDataRegionBase + s.dataOff[k], ds.next())
+            << "access " << k;
 }
 
 /**
  * A window refilled many times over is the same path as one whole
- * decode: positions keep their absolute indices across refills, and
- * the kept tail survives each move intact.
+ * decode, whether it is refilled from an arena or from its private
+ * decoder: positions keep their absolute indices across refills,
+ * and the kept tail survives each move intact. At the arena's end
+ * the window stops growing.
  */
 TEST(OracleWindow, RefillsContinueTheArenaPathExactly)
 {
@@ -381,23 +431,42 @@ TEST(OracleWindow, RefillsContinueTheArenaPathExactly)
     CodeImage img(w.program, baselineOrder(w.program));
     const std::uint64_t n = 20'000;
     OracleArena arena(img, w.model, kRefSeed, n);
-    const OracleView a = arena.view();
+    unsigned refills = 0;
 
-    OracleWindow win(img, w.model, kRefSeed, nullptr, 1'000);
-    std::uint64_t pos = 0, data = 0;
-    while (pos < n) {
-        const OracleView &v = win.view();
-        ASSERT_LE(v.first, pos);
-        for (; pos < v.last && pos < n; ++pos) {
-            ASSERT_EQ(v.pcOff[pos - v.first], a.pcOff[pos]) << pos;
-            ASSERT_EQ(v.meta[pos - v.first], a.meta[pos]) << pos;
-        }
-        for (; data < v.dataLast && data < a.dataLast; ++data)
-            ASSERT_EQ(v.data[data - v.dataFirst], a.data[data]);
-        // Keep a tail behind the read position, as the processor
-        // keeps its ROB.
-        ASSERT_TRUE(win.refill(pos - std::min<std::uint64_t>(pos, 300),
-                               data - std::min<std::uint64_t>(data, 50)));
+    OracleWindow from_arena(arena, 1'000);
+    expectWindowMatchesLive(from_arena, img, w.model, n, refills);
+    EXPECT_GE(refills, 20u);
+    while (from_arena.refill(from_arena.view().last - 10,
+                             from_arena.view().dataLast)) {
+    }
+    EXPECT_EQ(from_arena.view().last, n);
+    EXPECT_EQ(from_arena.view().dataLast, arena.dataCount());
+
+    OracleWindow decoded(img, w.model, kRefSeed, nullptr, 1'000);
+    expectWindowMatchesLive(decoded, img, w.model, n, refills);
+    EXPECT_GE(refills, 20u);
+}
+
+/**
+ * The stream encoding stores a target per taken instruction and a
+ * data offset per load/store, sized exactly: gzip needs no more than
+ * 3 bytes per instruction on either layout.
+ */
+TEST(OracleArena, StreamEncodingIsSizedExactlyUnderThreeBytesPerInst)
+{
+    SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
+    EdgeProfile prof = collectProfile(w.program, w.model,
+                                      kTrainSeed, 100'000);
+    CodeImage base(w.program, baselineOrder(w.program));
+    CodeImage opt(w.program, optimizedOrder(w.program, prof));
+    const std::uint64_t n = 200'000;
+    for (const CodeImage *img : {&base, &opt}) {
+        OracleArena arena(*img, w.model, kRefSeed, n);
+        const OracleStreams &s = arena.streams();
+        EXPECT_EQ(arena.bytes(),
+                  n + 4 * (s.target.size() + s.dataOff.size()));
+        EXPECT_LE(double(arena.bytes()) / double(n), 3.0)
+            << (img == &base ? "base" : "opt") << " layout";
     }
 }
 

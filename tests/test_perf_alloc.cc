@@ -104,8 +104,8 @@ TEST(SteadyStateAllocations, TraceEngineHotLoopIsAllocationFree)
 }
 
 // Arena-backed replay must not trade the generator's work for heap
-// churn: the pointer-bump oracle and pre-generated data addresses
-// allocate nothing either.
+// churn: refilling the run's window from the arena, pre-generated
+// data addresses included, allocates nothing either.
 TEST(SteadyStateAllocations, ArenaBackedReplayIsAllocationFree)
 {
     const PlacedWorkload &work = WorkloadCache::instance().get("gzip");

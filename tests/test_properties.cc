@@ -77,11 +77,13 @@ TEST_P(ImageProperties, OracleStaysInsideImage)
         ASSERT_TRUE(img.contains(oi.pc));
         ASSERT_TRUE(img.contains(oi.nextPc));
         // Non-branches always fall through.
-        if (!oi.isBranch())
+        if (!oi.isBranch()) {
             ASSERT_EQ(oi.nextPc, oi.pc + kInstBytes);
+        }
         // Unconditional types are always taken.
-        if (alwaysTaken(oi.btype))
+        if (alwaysTaken(oi.btype)) {
             ASSERT_TRUE(oi.taken);
+        }
     }
 }
 

@@ -433,6 +433,40 @@ TEST(Serve, AdmissionControlRejectsWithReasons)
     }
 }
 
+// A working set past the ws_kb cap used to reach the simulator as 0
+// bytes (the KiB-to-byte shift wrapped) and kill the daemon with a
+// divide by zero; it is now the client's error, and the daemon keeps
+// serving.
+TEST(Serve, OutOfRangeWorkingSetIsRefusedAndTheDaemonKeepsServing)
+{
+    ServeConfig cfg = testConfig("wskb");
+    Server server(cfg);
+    server.start();
+    {
+        ServeClient client(cfg.socketPath);
+        JsonValue r = client.request(
+            "{\"verb\": \"submit\", "
+            "\"bench\": \"loops:ws_kb=18014398509481984\", "
+            "\"arch\": \"stream\", \"insts\": 20000}");
+        EXPECT_FALSE(r.at("ok").asBool());
+        EXPECT_EQ(r.at("reason").asString(), "bad_spec");
+        EXPECT_NE(r.at("error").asString().find(
+                      "'ws_kb' must be <= 1048576"),
+                  std::string::npos)
+            << r.at("error").asString();
+    }
+
+    Stream s = collect(cfg.socketPath, kSubmit6);
+    ASSERT_TRUE(s.done);
+    EXPECT_EQ(s.summary.at("state").asString(), "done");
+    EXPECT_EQ(s.frames.size(), 6u);
+    ServeClient client(cfg.socketPath);
+    JsonValue r = client.request("{\"verb\": \"stats\"}");
+    EXPECT_TRUE(r.at("ok").asBool());
+    EXPECT_EQ(r.at("jobs_served").asU64(), 1u);
+    server.stop(true);
+}
+
 TEST(Serve, OverBudgetAutoJobFallsBackToLiveGeneration)
 {
     SweepDriver offline(1);
