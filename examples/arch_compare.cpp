@@ -35,7 +35,7 @@ main(int argc, char **argv)
                                CliParser::kArch);
     cli.addOption("--width", "2|4|8", "pipe width (default 8)",
                   [&](const std::string &v) {
-                      width = CliParser::parseUnsignedList(v).at(0);
+                      width = CliParser::parseWidthList(v).at(0);
                   });
     int positionals = 0;
     cli.onPositional("[benchmark] [width]",
@@ -45,7 +45,7 @@ main(int argc, char **argv)
                              opts.benches = {v};
                          else if (positionals == 1)
                              width =
-                                 CliParser::parseUnsignedList(v).at(0);
+                                 CliParser::parseWidthList(v).at(0);
                          else
                              throw std::invalid_argument(
                                  "too many arguments");

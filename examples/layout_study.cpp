@@ -11,46 +11,13 @@
 #include <cstdio>
 #include <string>
 
-#include "core/stream_builder.hh"
 #include "layout/layout_opt.hh"
-#include "layout/oracle.hh"
 #include "sim/cli.hh"
 #include "sim/driver.hh"
 #include "sim/workload_cache.hh"
 #include "util/table.hh"
 
 using namespace sfetch;
-
-namespace
-{
-
-/** Distribution of commit-side stream lengths over one layout. */
-Histogram
-streamLengths(const PlacedWorkload &work, bool optimized,
-              InstCount insts)
-{
-    const CodeImage &img = work.image(optimized);
-    OracleStream oracle(img, work.model(), kRefSeed);
-    Histogram lengths(256);
-    StreamBuilder sb(img.entryAddr(), 255,
-                     [&](const StreamDescriptor &s, bool) {
-                         lengths.sample(s.lenInsts);
-                     });
-    for (InstCount i = 0; i < insts; ++i) {
-        OracleInst oi = oracle.next();
-        if (!oi.isBranch())
-            continue;
-        CommittedBranch cb;
-        cb.pc = oi.pc;
-        cb.type = oi.btype;
-        cb.taken = oi.taken;
-        cb.target = oi.nextPc;
-        sb.onBranch(cb);
-    }
-    return lengths;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -91,8 +58,8 @@ main(int argc, char **argv)
                std::to_string(work.baseImage().numStubs()),
                std::to_string(work.optImage().numStubs())});
 
-    Histogram hb = streamLengths(work, false, opts.insts);
-    Histogram ho = streamLengths(work, true, opts.insts);
+    const Histogram hb = measureFetchUnits(work, false, opts.insts).stream;
+    const Histogram ho = measureFetchUnits(work, true, opts.insts).stream;
     tp.addRow({"mean stream length (insts)",
                TablePrinter::fmt(hb.mean(), 1),
                TablePrinter::fmt(ho.mean(), 1)});

@@ -60,7 +60,7 @@ main(int argc, char **argv)
     cli.addStandard(&opts, CliParser::kSweep | CliParser::kWarmup);
     cli.addOption("--width", "2|4|8", "pipe width (default 8)",
                   [&](const std::string &v) {
-                      width = CliParser::parseUnsignedList(v).at(0);
+                      width = CliParser::parseWidthList(v).at(0);
                   });
     cli.addOption("--layout", "base|opt",
                   "code layout (default opt)",

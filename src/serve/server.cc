@@ -450,8 +450,10 @@ Server::handleRequest(const std::string &line, LineChannel &ch)
             ch.writeLine(handleWorkerMembership(req, false));
         } else if (v == "shutdown") {
             const JsonValue *d = req.find("drain");
-            bool drain = !d || d->kind != JsonValue::Kind::Bool ||
-                         d->boolean;
+            if (d && d->kind != JsonValue::Kind::Bool)
+                throw std::invalid_argument(
+                    "drain must be true or false");
+            const bool drain = !d || d->boolean;
             JsonObjectWriter w;
             w.field("ok", true)
                 .field("shutting_down", true)
@@ -501,16 +503,14 @@ Server::makeJob(const JsonValue &req)
             if (layout != "opt" && layout != "base")
                 throw std::invalid_argument(
                     "layout must be 'base' or 'opt'");
-            p.cfg.width =
-                static_cast<unsigned>(e.at("width").asU64());
+            p.cfg.width = checkedWidth(e.at("width").asU64());
             p.cfg.optimizedLayout = layout != "base";
             p.cfg.insts =
                 static_cast<InstCount>(e.at("insts").asU64());
             p.cfg.warmupInsts =
                 static_cast<InstCount>(e.at("warmup").asU64());
-            if (p.cfg.width == 0 || p.cfg.insts == 0)
-                throw std::invalid_argument(
-                    "width and insts must be positive");
+            if (p.cfg.insts == 0)
+                throw std::invalid_argument("insts must be positive");
             if (std::find(job->benches.begin(), job->benches.end(),
                           p.bench) == job->benches.end())
                 job->benches.push_back(p.bench);
@@ -532,16 +532,12 @@ Server::makeJob(const JsonValue &req)
         if (const JsonValue *v = req.find("widths")) {
             if (v->kind == JsonValue::Kind::Array)
                 for (const JsonValue &e : v->array)
-                    widths.push_back(
-                        static_cast<unsigned>(e.asU64()));
+                    widths.push_back(checkedWidth(e.asU64()));
             else
-                widths.push_back(static_cast<unsigned>(v->asU64()));
+                widths.push_back(checkedWidth(v->asU64()));
         }
         if (widths.empty())
             widths.push_back(8);
-        for (unsigned w : widths)
-            if (w == 0)
-                throw std::invalid_argument("width must be positive");
 
         const std::string layout = text("layout", "opt");
         if (layout != "opt" && layout != "base")

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fetch/fetch_engine.hh"
 #include "sim/engine_registry.hh"
 #include "workload/workload_registry.hh"
 
@@ -67,6 +68,25 @@ CliParser::parseUnsignedList(const std::string &text)
     if (out.empty())
         throw std::invalid_argument("empty list '" + text + "'");
     return out;
+}
+
+std::vector<unsigned>
+CliParser::parseWidthList(const std::string &text)
+{
+    std::vector<unsigned> widths = parseUnsignedList(text);
+    for (unsigned w : widths)
+        checkedWidth(w);
+    return widths;
+}
+
+unsigned
+checkedWidth(std::uint64_t width)
+{
+    if (width == 0 || width > FetchBundle::kCapacity)
+        throw std::invalid_argument(
+            "width " + std::to_string(width) + " is outside 1.." +
+            std::to_string(FetchBundle::kCapacity));
+    return static_cast<unsigned>(width);
 }
 
 std::vector<std::string>
@@ -132,7 +152,7 @@ CliParser::addStandard(CliOptions *opts, unsigned mask)
         addOption("--widths", "W,W,...",
                   "comma-separated pipe widths (2, 4, 8)",
                   [opts](const std::string &v) {
-                      opts->widths = parseUnsignedList(v);
+                      opts->widths = parseWidthList(v);
                   });
     if (mask & kBench) {
         addOption("--bench", "SPEC[,SPEC...]",

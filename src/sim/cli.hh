@@ -121,6 +121,8 @@ class CliParser
     static std::uint64_t parseU64(const std::string &text);
     static std::vector<unsigned>
     parseUnsignedList(const std::string &text);
+    /** parseUnsignedList() with every entry passed through checkedWidth(). */
+    static std::vector<unsigned> parseWidthList(const std::string &text);
     static std::vector<std::string>
     parseNameList(const std::string &text);
 
@@ -142,6 +144,13 @@ class CliParser
     std::string positionalHelp_;
     std::function<void(const std::string &)> positional_;
 };
+
+/**
+ * @p width as a pipe width: throws std::invalid_argument unless it is
+ * in [1, FetchBundle::kCapacity], the widest bundle the processor
+ * models. The one bound check for every width a user supplies.
+ */
+unsigned checkedWidth(std::uint64_t width);
 
 /** Resolve --bench values: "all" (or empty) expands to the suite. */
 std::vector<std::string>

@@ -3,7 +3,10 @@
 #include <atomic>
 #include <stdexcept>
 
+#include "core/stream_builder.hh"
 #include "layout/layout_opt.hh"
+#include "layout/oracle.hh"
+#include "tcache/fill_unit.hh"
 
 namespace sfetch
 {
@@ -123,6 +126,15 @@ runOn(const PlacedWorkload &work, const SimConfig &cfg,
       const RecordedTrace *replay, const OracleArena *arena,
       const RunTuning &tuning)
 {
+    return runOn(work, work.image(cfg.optimizedLayout), cfg, replay,
+                 arena, tuning);
+}
+
+SimStats
+runOn(const PlacedWorkload &work, const CodeImage &image,
+      const SimConfig &cfg, const RecordedTrace *replay,
+      const OracleArena *arena, const RunTuning &tuning)
+{
     if (replay && replay->bench != work.name())
         throw std::invalid_argument(
             "trace was recorded for '" + replay->bench +
@@ -135,8 +147,6 @@ runOn(const PlacedWorkload &work, const SimConfig &cfg,
         throw std::invalid_argument(
             "runOn: the arena was not decoded with the ref seed "
             "this run uses");
-
-    const CodeImage &image = work.image(cfg.optimizedLayout);
     if (arena && arena->image() != &image)
         throw std::invalid_argument(
             "runOn: the arena was decoded from a different "
@@ -167,6 +177,37 @@ recordBenchTrace(const PlacedWorkload &work, InstCount insts,
     return recordTrace(work.program(), work.model(), seed,
                        insts + warmup + kFetchAheadMargin,
                        work.name());
+}
+
+FetchUnitSizes
+measureFetchUnits(const PlacedWorkload &work, bool optimized,
+                  InstCount insts)
+{
+    FetchUnitSizes out;
+    const CodeImage &img = work.image(optimized);
+    OracleStream oracle(img, work.model(), kRefSeed);
+    StreamBuilder sb(img.entryAddr(), 255,
+                     [&](const StreamDescriptor &s, bool) {
+                         out.stream.sample(s.lenInsts);
+                     });
+    TraceFillUnit fill(img.entryAddr(), FillUnitConfig{},
+                       [&](const TraceDescriptor &t, bool) {
+                           out.trace.sample(t.totalInsts);
+                       });
+    std::uint64_t run = 0;
+    for (InstCount i = 0; i < insts; ++i) {
+        const OracleInst oi = oracle.next();
+        ++run;
+        if (oi.isBranch()) {
+            out.basicBlock.sample(run);
+            run = 0;
+            const CommittedBranch cb{oi.pc, oi.btype, oi.taken,
+                                     oi.nextPc};
+            sb.onBranch(cb);
+            fill.onBranch(cb);
+        }
+    }
+    return out;
 }
 
 SimStats

@@ -20,6 +20,7 @@
 #include "layout/oracle_arena.hh"
 #include "pipeline/processor.hh"
 #include "sim/config.hh"
+#include "util/stats.hh"
 #include "workload/profile.hh"
 #include "workload/suite.hh"
 #include "workload/trace_io.hh"
@@ -183,6 +184,16 @@ SimStats runOn(const PlacedWorkload &work, const SimConfig &cfg,
                const RunTuning &tuning = RunTuning{});
 
 /**
+ * runOn() over @p image, which may place @p work's program in any
+ * order (the layout study's custom orders) and stands in for the
+ * layout cfg.optimizedLayout selects.
+ */
+SimStats runOn(const PlacedWorkload &work, const CodeImage &image,
+               const SimConfig &cfg, const RecordedTrace *replay = nullptr,
+               const OracleArena *arena = nullptr,
+               const RunTuning &tuning = RunTuning{});
+
+/**
  * Capture the committed control path of @p work for a run of
  * @p insts measured + @p warmup instructions, with enough margin
  * for the processor's fetch-ahead on any engine. @p seed defaults
@@ -191,6 +202,23 @@ SimStats runOn(const PlacedWorkload &work, const SimConfig &cfg,
 RecordedTrace recordBenchTrace(const PlacedWorkload &work,
                                InstCount insts, InstCount warmup,
                                std::uint64_t seed = kRefSeed);
+
+/**
+ * Dynamic fetch-unit sizes, in instructions, along a committed path
+ * (Table 1's measured column): the basic block a BTB predicts, the
+ * trace a fill unit builds (<= 16 insts, <= 3 conditional branches)
+ * and the stream the stream builder commits.
+ */
+struct FetchUnitSizes
+{
+    Histogram basicBlock{64};
+    Histogram trace{32};
+    Histogram stream{256};
+};
+
+/** Measure the first @p insts committed instructions of @p work. */
+FetchUnitSizes measureFetchUnits(const PlacedWorkload &work,
+                                 bool optimized, InstCount insts);
 
 /** Convenience: prepare the workload and run. */
 SimStats runBenchmark(const std::string &bench_name,

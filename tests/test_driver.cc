@@ -613,6 +613,29 @@ TEST(Cli, ParsesListsAndResolvesBenches)
     EXPECT_THROW(resolveBenches({"nope"}), std::invalid_argument);
 }
 
+// A width past the fetch bundle used to pass the parser and abort the
+// sweep with an uncaught throw from Processor (exit 134); the parser
+// now refuses it as a usage error.
+TEST(Cli, WidthsOutsideTheFetchBundleAreUsageErrors)
+{
+    auto parse = [](std::vector<std::string> args) {
+        CliOptions opts;
+        CliParser cli("prog", "width bounds");
+        cli.addStandard(&opts, CliParser::kWidths);
+        args.insert(args.begin(), "prog");
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        cli.parseOrExit(int(argv.size()), argv.data());
+        return opts.widths;
+    };
+    EXPECT_EQ(parse({"--widths", "1,16"}), (std::vector<unsigned>{1, 16}));
+    EXPECT_EXIT(parse({"--widths", "32"}), ::testing::ExitedWithCode(2),
+                "width 32 is outside 1..16");
+    EXPECT_EXIT(parse({"--widths", "4,0"}), ::testing::ExitedWithCode(2),
+                "width 0 is outside 1..16");
+}
+
 TEST(Cli, WarmupDefaultsToFifthOfInsts)
 {
     CliOptions opts;

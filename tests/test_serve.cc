@@ -467,6 +467,72 @@ TEST(Serve, OutOfRangeWorkingSetIsRefusedAndTheDaemonKeepsServing)
     server.stop(true);
 }
 
+// Widths past the fetch bundle used to be acked: 32 failed only once
+// the sweep ran, and 4294967304 wrapped to 8 and ran as width 8. Both
+// submit forms now refuse them before admission, and the daemon keeps
+// serving.
+TEST(Serve, OutOfRangeWidthsAreRefusedAndTheDaemonKeepsServing)
+{
+    ServeConfig cfg = testConfig("width");
+    Server server(cfg);
+    server.start();
+    const std::string grid = "{\"verb\": \"submit\", \"bench\": \"gzip\", "
+                             "\"arch\": \"stream\", \"insts\": 2000, ";
+    const std::string point =
+        "{\"verb\": \"submit\", \"points\": [{\"bench\": \"gzip\", "
+        "\"spec\": \"stream\", \"layout\": \"opt\", \"insts\": 2000, "
+        "\"warmup\": 400, ";
+    const std::vector<std::string> bad = {
+        grid + "\"widths\": [4294967304]}",
+        grid + "\"widths\": [32]}",
+        grid + "\"widths\": [8, 0]}",
+        grid + "\"widths\": 17}",
+        point + "\"width\": 4294967304}]}",
+        point + "\"width\": 32}]}",
+    };
+    for (const std::string &submit : bad) {
+        // A fresh connection each: an acked submit would stream rows.
+        ServeClient client(cfg.socketPath);
+        JsonValue r = client.request(submit);
+        EXPECT_FALSE(r.at("ok").asBool()) << submit;
+        EXPECT_EQ(r.find("reason") ? r.at("reason").asString() : "",
+                  "bad_spec")
+            << submit;
+    }
+    EXPECT_EQ(server.metrics().value("jobs_rejected"), bad.size());
+
+    Stream s = collect(cfg.socketPath, kSubmit6);
+    ASSERT_TRUE(s.done);
+    EXPECT_EQ(s.summary.at("state").asString(), "done");
+    EXPECT_EQ(s.frames.size(), 6u);
+    server.stop(true);
+}
+
+// A non-boolean drain flag used to read as true: `"drain": "no"`
+// acked a draining shutdown. It is refused, the daemon keeps serving,
+// and the next well-formed shutdown is the one that counts.
+TEST(Serve, ShutdownRefusesANonBooleanDrainFlag)
+{
+    Server server(testConfig("drainflag"));
+    server.start();
+    ServeClient client(server.config().socketPath);
+    JsonValue r =
+        client.request("{\"verb\": \"shutdown\", \"drain\": \"no\"}");
+    EXPECT_FALSE(r.at("ok").asBool());
+    EXPECT_EQ(r.find("reason") ? r.at("reason").asString() : "",
+              "bad_spec");
+
+    Stream s = collect(server.config().socketPath, kSubmit1);
+    ASSERT_TRUE(s.done);
+    EXPECT_EQ(s.summary.at("state").asString(), "done");
+
+    r = client.request("{\"verb\": \"shutdown\", \"drain\": false}");
+    EXPECT_TRUE(r.at("ok").asBool());
+    EXPECT_FALSE(r.at("drain").asBool());
+    EXPECT_FALSE(server.waitShutdown()) << "the refused request latched";
+    server.stop(true);
+}
+
 TEST(Serve, OverBudgetAutoJobFallsBackToLiveGeneration)
 {
     SweepDriver offline(1);
