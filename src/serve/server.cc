@@ -14,6 +14,7 @@
 #include "serve/fleet.hh"
 #include "serve/journal.hh"
 #include "serve/jsonio.hh"
+#include "serve/protocol.hh"
 #include "serve/socket_io.hh"
 #include "sim/cli.hh"
 #include "sim/workload_cache.hh"
@@ -43,10 +44,14 @@ errorReply(const std::string &reason, const std::string &what)
 std::size_t
 estimateArenaBytes(const std::vector<SweepPoint> &points)
 {
-    std::size_t est = 0;
+    std::size_t est = 0, bytes = 0;
+    // Saturate: a wrapped estimate would admit arenas that can never
+    // fit.
     for (const ArenaGroup &g : sharedArenaGroups(points))
-        est += static_cast<std::size_t>(g.entries) *
-               kArenaBytesPerInstEstimate;
+        if (__builtin_mul_overflow(g.entries, kArenaBytesPerInstEstimate,
+                                   &bytes) ||
+            __builtin_add_overflow(est, bytes, &est))
+            return SIZE_MAX;
     return est;
 }
 
@@ -106,8 +111,7 @@ struct Server::Job
     std::string specJson; //!< raw submit request, for the journal
     std::string clientId; //!< submitter identity (peer credentials)
 
-    enum class Arena { Auto, Off, Require };
-    Arena arenaWanted = Arena::Auto;
+    ArenaChoice arenaWanted = ArenaChoice::Auto;
     std::size_t estArenaBytes = 0;
     std::size_t reservedBytes = 0; //!< governor grant, while running
 
@@ -414,103 +418,80 @@ Server::serveConnection(const std::shared_ptr<LineChannel> &ch)
 void
 Server::handleRequest(const std::string &line, LineChannel &ch)
 {
-    JsonValue req;
+    using Id = VerbSpec::Id;
+    JsonValue json;
+    const VerbSpec *verb = nullptr;
     try {
-        req = JsonReader(line).parse();
-    } catch (const std::exception &e) {
-        ch.writeLine(errorReply("bad_json", e.what()));
-        return;
-    }
-    const JsonValue *verb = req.find("verb");
-    if (!verb || verb->kind != JsonValue::Kind::String) {
-        ch.writeLine(
-            errorReply("unknown_verb", "missing string 'verb'"));
-        return;
-    }
-    const std::string &v = verb->string;
-    try {
-        if (v == "submit") {
-            handleSubmit(req, line, ch);
-        } else if (v == "status") {
-            ch.writeLine(handleStatus(req));
-        } else if (v == "cancel") {
-            ch.writeLine(handleCancel(req));
-        } else if (v == "stats") {
+        try {
+            json = JsonReader(line).parse();
+        } catch (const std::runtime_error &e) {
+            throw ProtocolError("bad_json", e.what());
+        }
+        verb = &ProtocolSchema::instance().verbOf(json);
+        checkObject(verb->fields, json, verb->name);
+        const Request req(verb->fields, json);
+        switch (verb->id) {
+        case Id::Submit:
+            return handleSubmit(req, line, ch);
+        case Id::Status:
+        case Id::Cancel:
+            ch.writeLine(handleJobVerb(req, verb->id == Id::Cancel));
+            return;
+        case Id::Stats:
             ch.writeLine(statsJson());
-        } else if (v == "health") {
+            return;
+        case Id::Health: {
             JsonObjectWriter w;
             writeMetrics(w.field("ok", true).field("health", "ok"),
                          metrics_, MetricsRegistry::kHealth);
             ch.writeLine(w.str());
-        } else if (v == "workers") {
+            return;
+        }
+        case Id::Workers:
             ch.writeLine(statsJson(MetricsRegistry::kWorkers));
-        } else if (v == "register") {
-            ch.writeLine(handleWorkerMembership(req, true));
-        } else if (v == "deregister") {
-            ch.writeLine(handleWorkerMembership(req, false));
-        } else if (v == "shutdown") {
-            const JsonValue *d = req.find("drain");
-            if (d && d->kind != JsonValue::Kind::Bool)
-                throw std::invalid_argument(
-                    "drain must be true or false");
-            const bool drain = !d || d->boolean;
+            return;
+        case Id::Register:
+        case Id::Deregister:
+            ch.writeLine(
+                handleWorkerMembership(req, verb->id == Id::Register));
+            return;
+        case Id::Shutdown: {
             JsonObjectWriter w;
             w.field("ok", true)
                 .field("shutting_down", true)
-                .field("drain", drain);
+                .field("drain", req.flag("drain"));
             ch.writeLine(w.str());
-            requestShutdown(drain);
-        } else {
-            ch.writeLine(
-                errorReply("unknown_verb", "unknown verb '" + v + "'"));
+            requestShutdown(req.flag("drain"));
+            return;
+        }
         }
     } catch (const std::exception &e) {
-        // Anything a handler failed to classify itself.
-        ch.writeLine(errorReply("bad_spec", e.what()));
+        // The schema's refusals carry their reason; anything else a
+        // handler failed to classify is the client's spec.
+        const auto *refusal = dynamic_cast<const ProtocolError *>(&e);
+        if (verb && verb->id == Id::Submit)
+            jobsRejected_.fetch_add(1);
+        ch.writeLine(
+            errorReply(refusal ? refusal->reason : "bad_spec", e.what()));
     }
 }
 
 std::shared_ptr<Server::Job>
-Server::makeJob(const JsonValue &req)
+Server::makeJob(const Request &req)
 {
-    auto text = [&](const char *key, const char *dflt) -> std::string {
-        const JsonValue *v = req.find(key);
-        if (!v)
-            return dflt;
-        return v->asString();
-    };
     auto job = std::make_shared<Job>();
-
-    if (const JsonValue *pv = req.find("points")) {
+    if (req.has("points")) {
         // Explicit form: the point list is given outright, one
-        // object per sweep point. This is how a front daemon ships
-        // shard subsets — an arbitrary subset of a grid is not
-        // expressible in the grid form — but any client may use it.
-        for (const char *excluded :
-             {"bench", "arch", "widths", "layout", "insts", "warmup"})
-            if (req.find(excluded))
-                throw std::invalid_argument(
-                    "'points' is the explicit form; it excludes '" +
-                    std::string(excluded) + "'");
-        if (pv->kind != JsonValue::Kind::Array || pv->array.empty())
-            throw std::invalid_argument(
-                "points must be a non-empty array");
-        for (const JsonValue &e : pv->array) {
+        // object per sweep point.
+        for (const Request &e : req.points("points")) {
             SweepPoint p;
-            p.bench = canonicalBenchSpec(e.at("bench").asString());
-            p.cfg = SimConfig::fromSpec(e.at("spec").asString());
-            const std::string &layout = e.at("layout").asString();
-            if (layout != "opt" && layout != "base")
-                throw std::invalid_argument(
-                    "layout must be 'base' or 'opt'");
-            p.cfg.width = checkedWidth(e.at("width").asU64());
-            p.cfg.optimizedLayout = layout != "base";
-            p.cfg.insts =
-                static_cast<InstCount>(e.at("insts").asU64());
-            p.cfg.warmupInsts =
-                static_cast<InstCount>(e.at("warmup").asU64());
-            if (p.cfg.insts == 0)
-                throw std::invalid_argument("insts must be positive");
+            p.bench = canonicalBenchSpec(e.text("bench"));
+            p.cfg = SimConfig::fromSpec(e.text("spec"));
+            p.cfg.width = static_cast<unsigned>(e.u64("width"));
+            p.cfg.optimizedLayout =
+                e.choice<LayoutChoice>("layout") == LayoutChoice::Opt;
+            p.cfg.insts = e.u64("insts");
+            p.cfg.warmupInsts = e.u64("warmup");
             if (std::find(job->benches.begin(), job->benches.end(),
                           p.bench) == job->benches.end())
                 job->benches.push_back(p.bench);
@@ -518,39 +499,17 @@ Server::makeJob(const JsonValue &req)
         }
     } else {
         CliOptions opts;
-        opts.insts = 1'000'000;
-        if (const JsonValue *v = req.find("insts"))
-            opts.insts = static_cast<InstCount>(v->asU64());
-        if (const JsonValue *v = req.find("warmup")) {
-            opts.warmupInsts = static_cast<InstCount>(v->asU64());
-            opts.warmupSet = true;
-        }
-        if (opts.insts == 0)
-            throw std::invalid_argument("insts must be positive");
-
-        std::vector<unsigned> widths;
-        if (const JsonValue *v = req.find("widths")) {
-            if (v->kind == JsonValue::Kind::Array)
-                for (const JsonValue &e : v->array)
-                    widths.push_back(checkedWidth(e.asU64()));
-            else
-                widths.push_back(checkedWidth(v->asU64()));
-        }
-        if (widths.empty())
-            widths.push_back(8);
-
-        const std::string layout = text("layout", "opt");
-        if (layout != "opt" && layout != "base")
-            throw std::invalid_argument(
-                "layout must be 'base' or 'opt'");
-        const bool optimized = layout != "base";
-
+        opts.insts = req.u64("insts");
+        opts.warmupSet = req.has("warmup");
+        if (opts.warmupSet)
+            opts.warmupInsts = req.u64("warmup");
+        const bool optimized =
+            req.choice<LayoutChoice>("layout") == LayoutChoice::Opt;
         std::vector<std::string> benches =
-            resolveBenches(parseBenchSpecList(text("bench", "gcc")));
-        std::vector<SimConfig> archs =
-            parseArchSpecList(text("arch", "stream"));
+            resolveBenches(parseBenchSpecList(req.text("bench")));
+        std::vector<SimConfig> archs = parseArchSpecList(req.text("arch"));
         std::vector<SimConfig> cfgs;
-        for (unsigned w : widths)
+        for (unsigned w : req.widths("widths"))
             for (const SimConfig &arch : archs)
                 cfgs.push_back(opts.stamped(arch, w, optimized));
 
@@ -561,21 +520,10 @@ Server::makeJob(const JsonValue &req)
     // Omitted or 0 means the derived share; anything else is clamped
     // to the cores, so no submit can spawn threads without bound.
     job->sweepJobs = sweepShare_;
-    if (const JsonValue *v = req.find("jobs"))
-        if (const std::uint64_t n = v->asU64())
-            job->sweepJobs = static_cast<unsigned>(
-                std::min<std::uint64_t>(n, cores_));
-
-    const std::string arena = text("arena", "auto");
-    if (arena == "auto")
-        job->arenaWanted = Job::Arena::Auto;
-    else if (arena == "off")
-        job->arenaWanted = Job::Arena::Off;
-    else if (arena == "require")
-        job->arenaWanted = Job::Arena::Require;
-    else
-        throw std::invalid_argument(
-            "arena must be 'auto', 'off' or 'require'");
+    if (const std::uint64_t n = req.has("jobs") ? req.u64("jobs") : 0)
+        job->sweepJobs =
+            static_cast<unsigned>(std::min<std::uint64_t>(n, cores_));
+    job->arenaWanted = req.choice<ArenaChoice>("arena");
     job->estArenaBytes = estimateArenaBytes(job->points);
     return job;
 }
@@ -600,7 +548,7 @@ jobStateName(int state_ord)
 } // namespace
 
 void
-Server::handleSubmit(const JsonValue &req, const std::string &line,
+Server::handleSubmit(const Request &req, const std::string &line,
                      LineChannel &ch)
 {
     // Token idempotency first: a resubmit of a known token must
@@ -609,16 +557,7 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
     // *attached*: its buffered rows and all future ones stream to
     // this connection. Anything else is a duplicate: one summary
     // line, no second run.
-    auto reject = [&](const char *reason, const std::string &what) {
-        jobsRejected_.fetch_add(1);
-        ch.writeLine(errorReply(reason, what));
-    };
-    std::string token;
-    if (const JsonValue *t = req.find("token")) {
-        if (t->kind != JsonValue::Kind::String)
-            return reject("bad_spec", "token must be a string");
-        token = t->string;
-    }
+    const std::string token = req.text("token");
     if (!token.empty()) {
         std::shared_ptr<Job> existing;
         {
@@ -670,14 +609,9 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
         }
     }
 
-    // Field extraction and spec parsing — all failures here are the
-    // client's ("bad_spec"), reported without touching daemon state.
-    std::shared_ptr<Job> job;
-    try {
-        job = makeJob(req);
-    } catch (const std::exception &e) {
-        return reject("bad_spec", e.what());
-    }
+    // Spec parsing and admission refuse by throwing (handleRequest
+    // replies and counts the rejection) before touching daemon state.
+    std::shared_ptr<Job> job = makeJob(req);
     job->token = token;
     job->specJson = line;
     job->clientId = ch.peerId();
@@ -686,15 +620,15 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (draining_)
-            return reject("draining", "daemon is shutting down");
+            throw ProtocolError("draining", "daemon is shutting down");
         if (job->pointCount == 0)
-            return reject("bad_spec", "submit expands to 0 points");
+            throw ProtocolError("bad_spec", "submit expands to 0 points");
         if (job->pointCount > cfg_.maxPointsPerJob)
-            return reject("max_points_per_job",
-                          "submit expands to " +
-                              std::to_string(job->pointCount) +
-                              " points, cap is " +
-                              std::to_string(cfg_.maxPointsPerJob));
+            throw ProtocolError("max_points_per_job",
+                                "submit expands to " +
+                                    std::to_string(job->pointCount) +
+                                    " points, cap is " +
+                                    std::to_string(cfg_.maxPointsPerJob));
         std::size_t active = 0, mine = 0;
         for (const auto &[id, j] : jobs_) {
             JobState s = j->state.load();
@@ -706,24 +640,24 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
                 ++mine;
         }
         if (active >= cfg_.maxJobs)
-            return reject("queue_full",
-                          std::to_string(active) +
-                              " jobs active, cap is " +
-                              std::to_string(cfg_.maxJobs));
+            throw ProtocolError("queue_full",
+                                std::to_string(active) +
+                                    " jobs active, cap is " +
+                                    std::to_string(cfg_.maxJobs));
         if (cfg_.maxJobsPerClient != 0 &&
             mine >= cfg_.maxJobsPerClient)
-            return reject("over_quota",
-                          "client has " + std::to_string(mine) +
-                              " active jobs, per-client cap is " +
-                              std::to_string(cfg_.maxJobsPerClient));
-        if (job->arenaWanted == Job::Arena::Require &&
+            throw ProtocolError(
+                "over_quota", "client has " + std::to_string(mine) +
+                                  " active jobs, per-client cap is " +
+                                  std::to_string(cfg_.maxJobsPerClient));
+        if (job->arenaWanted == ArenaChoice::Require &&
             job->estArenaBytes > cfg_.memBudgetBytes)
-            return reject("over_budget",
-                          "arena estimate " +
-                              std::to_string(job->estArenaBytes) +
-                              " B exceeds budget " +
-                              std::to_string(cfg_.memBudgetBytes) +
-                              " B");
+            throw ProtocolError("over_budget",
+                                "arena estimate " +
+                                    std::to_string(job->estArenaBytes) +
+                                    " B exceeds budget " +
+                                    std::to_string(cfg_.memBudgetBytes) +
+                                    " B");
         job->id = nextJobId_++;
         jobs_[job->id] = job;
         if (!job->token.empty())
@@ -749,7 +683,7 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
                    static_cast<std::uint64_t>(job->pointCount))
             .field("jobs", static_cast<std::uint64_t>(job->sweepJobs))
             .field("arena",
-                   job->arenaWanted != Job::Arena::Off &&
+                   job->arenaWanted != ArenaChoice::Off &&
                        job->estArenaBytes > 0 &&
                        job->estArenaBytes <= cfg_.memBudgetBytes);
         if (!ch.writeLine(w.str())) {
@@ -794,8 +728,16 @@ Server::recoverJobs()
     std::vector<RecoveredJob> live;
     for (const RecoveredJob &rec : prior) {
         try {
-            JsonValue req = JsonReader(rec.spec).parse();
-            std::shared_ptr<Job> job = makeJob(req);
+            // The same check as a live submit: a line an older daemon
+            // accepted but this protocol refuses is dropped below.
+            JsonValue json = JsonReader(rec.spec).parse();
+            const VerbSpec &submit =
+                ProtocolSchema::instance().verbOf(json);
+            if (submit.id != VerbSpec::Id::Submit)
+                throw std::invalid_argument("not a submit");
+            checkObject(submit.fields, json, submit.name);
+            std::shared_ptr<Job> job =
+                makeJob(Request(submit.fields, json));
             job->token = rec.token;
             job->specJson = rec.spec;
             job->priorShards = rec.shards;
@@ -828,54 +770,34 @@ Server::recoverJobs()
 }
 
 std::string
-Server::handleStatus(const JsonValue &req)
+Server::handleJobVerb(const Request &req, bool cancel)
 {
-    std::shared_ptr<Job> job = findJob(req.at("job").asU64());
+    std::shared_ptr<Job> job = findJob(req.u64("job"));
     if (!job)
-        return errorReply("unknown_job", "no such job");
+        throw ProtocolError("unknown_job", "no such job");
+    const JobState s = job->state.load();
     JsonObjectWriter w;
-    w.field("ok", true)
-        .field("job", job->id)
-        .field("state",
-               jobStateName(static_cast<int>(job->state.load())))
-        .field("points_done", job->pointsDone.load())
-        .field("of", static_cast<std::uint64_t>(job->pointCount));
+    w.field("ok", true).field("job", job->id);
+    if (cancel) {
+        const bool live = s == JobState::Queued || s == JobState::Running;
+        if (live)
+            job->cancel = true;
+        w.field("cancelled", live);
+    } else {
+        w.field("state", jobStateName(static_cast<int>(s)))
+            .field("points_done", job->pointsDone.load())
+            .field("of", static_cast<std::uint64_t>(job->pointCount));
+    }
     return w.str();
 }
 
 std::string
-Server::handleCancel(const JsonValue &req)
+Server::handleWorkerMembership(const Request &req, bool add)
 {
-    std::shared_ptr<Job> job = findJob(req.at("job").asU64());
-    if (!job)
-        return errorReply("unknown_job", "no such job");
-    JobState s = job->state.load();
-    const bool live =
-        s == JobState::Queued || s == JobState::Running;
-    if (live)
-        job->cancel = true;
-    JsonObjectWriter w;
-    w.field("ok", true).field("job", job->id).field("cancelled", live);
-    return w.str();
-}
-
-std::string
-Server::handleWorkerMembership(const JsonValue &req, bool add)
-{
-    const JsonValue *wv = req.find("worker");
-    if (!wv || wv->kind != JsonValue::Kind::String ||
-        wv->string.empty())
-        return errorReply("bad_spec",
-                          std::string(add ? "register" : "deregister") +
-                              " needs a string 'worker' address");
-    const std::string addr = normalizeWorkerAddr(wv->string);
+    const std::string addr = normalizeWorkerAddr(req.text("worker"));
     if (add) {
-        bool added;
-        try {
-            added = fleet_->registerWorker(addr);
-        } catch (const std::exception &e) {
-            return errorReply("bad_spec", e.what());
-        }
+        // An address the fleet cannot parse is the client's bad_spec.
+        const bool added = fleet_->registerWorker(addr);
         if (journal_)
             journal_->worker(addr, true);
         log(std::string("fleet: worker ") + addr +
@@ -890,8 +812,8 @@ Server::handleWorkerMembership(const JsonValue &req, bool add)
         return w.str();
     }
     if (!fleet_->deregisterWorker(addr))
-        return errorReply("unknown_worker",
-                          "'" + addr + "' is not a fleet member");
+        throw ProtocolError("unknown_worker",
+                            "'" + addr + "' is not a fleet member");
     if (journal_)
         journal_->worker(addr, false);
     log("fleet: worker " + addr + " deregistered");
@@ -966,7 +888,7 @@ Server::watchdogLoop()
 bool
 Server::decideArena(const std::shared_ptr<Job> &job)
 {
-    if (job->arenaWanted == Job::Arena::Off ||
+    if (job->arenaWanted == ArenaChoice::Off ||
         job->estArenaBytes == 0)
         return false; // no >=2-point group: nothing to decode anyway
     const std::size_t budget = cfg_.memBudgetBytes;
@@ -976,15 +898,17 @@ Server::decideArena(const std::shared_ptr<Job> &job)
     while (true) {
         // Make room: shrink the cache until (cache-resident) +
         // (reserved by running jobs) + (this job) fits the budget.
+        // Compared by subtraction: a saturated estimate must not wrap.
         const std::size_t reserved = reservedArenaBytes_;
-        cache.evictToBudget(
-            budget > reserved + est ? budget - reserved - est : 0);
-        if (cache.bytesResident() + reserved + est <= budget) {
+        const bool fits = est <= budget && reserved <= budget - est;
+        const std::size_t room = fits ? budget - reserved - est : 0;
+        cache.evictToBudget(room);
+        if (fits && cache.bytesResident() <= room) {
             reservedArenaBytes_ += est;
             job->reservedBytes = est;
             return true;
         }
-        if (job->arenaWanted != Job::Arena::Require ||
+        if (job->arenaWanted != ArenaChoice::Require ||
             job->cancel.load() || stopping_.load()) {
             arenaFallbacks_.fetch_add(1);
             log("job " + std::to_string(job->id) +
@@ -1097,47 +1021,35 @@ rowPayloadOf(const std::string &frame)
     return payload;
 }
 
-const char *
-arenaModeName(int arena_wanted_ord)
-{
-    switch (arena_wanted_ord) {
-    case 1: return "off";
-    case 2: return "require";
-    }
-    return "auto";
-}
-
 /** The shard's submit request: the explicit `"points"` form over the
  * chosen subset, pinned to "jobs":1 so the worker streams rows in
  * shard order and workers sharing a host do not oversubscribe it. */
 std::string
 shardSubmitJson(const std::vector<SweepPoint> &points,
                 const std::vector<std::size_t> &indices,
-                const std::string &token, const char *arena_mode)
+                const std::string &token, ArenaChoice arena)
 {
-    std::string pts = "[";
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-        const SweepPoint &p = points[indices[k]];
-        JsonObjectWriter pw;
-        pw.field("bench", p.bench)
-            .field("spec", p.cfg.specText())
-            .field("width", static_cast<std::uint64_t>(p.cfg.width))
-            .field("layout", p.cfg.optimizedLayout ? "opt" : "base")
-            .field("insts", static_cast<std::uint64_t>(p.cfg.insts))
-            .field("warmup",
-                   static_cast<std::uint64_t>(p.cfg.warmupInsts));
-        if (k)
-            pts += ", ";
-        pts += pw.str();
+    const VerbSpec &submit =
+        ProtocolSchema::instance().verb(VerbSpec::Id::Submit);
+    std::string pts;
+    for (std::size_t i : indices) {
+        const SimConfig &cfg = points[i].cfg;
+        pts += (pts.empty() ? "[" : ", ") +
+               RequestWriter(fieldOf(submit.fields, "points").fields)
+                   .set("bench", points[i].bench)
+                   .set("spec", cfg.specText())
+                   .set("width", cfg.width)
+                   .setChoice("layout", cfg.optimizedLayout
+                                            ? LayoutChoice::Opt
+                                            : LayoutChoice::Base)
+                   .set("insts", cfg.insts)
+                   .set("warmup", cfg.warmupInsts)
+                   .str();
     }
-    pts += "]";
-    JsonObjectWriter w;
-    w.field("verb", "submit");
-    w.raw("points", pts);
-    w.field("jobs", static_cast<std::uint64_t>(1));
-    w.field("arena", arena_mode);
+    RequestWriter w(submit);
+    w.setJson("points", pts + "]").set("jobs", 1).setChoice("arena", arena);
     if (!token.empty())
-        w.field("token", token);
+        w.set("token", token);
     return w.str();
 }
 
@@ -1288,10 +1200,8 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
             if (cfg_.pointTimeoutMs > 0)
                 wc.setReadTimeout(cfg_.pointTimeoutMs);
             wc.submitStream(
-                shardSubmitJson(
-                    job->points, chunk.indices, token,
-                    arenaModeName(
-                        static_cast<int>(job->arenaWanted))),
+                shardSubmitJson(job->points, chunk.indices, token,
+                                job->arenaWanted),
                 [&](const JsonValue &parsed, const std::string &raw) {
                     if (job->cancel.load())
                         return false;

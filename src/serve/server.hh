@@ -7,11 +7,13 @@
  * on every invocation; the daemon amortizes them across requests
  * under an explicit memory budget.
  *
- * Protocol (one JSON object per line, both directions):
+ * Protocol: one JSON object per line, both directions. The verbs,
+ * their typed fields and the refusals each may return are declared
+ * once, in ProtocolSchema (serve/protocol.hh); handleRequest() checks
+ * every request against it before any handler runs. One exchange:
  *
  *   {"verb":"submit","bench":"gzip,loops","arch":"stream,ev8",
- *    "insts":50000,"warmup":10000,"widths":[4,8],"layout":"opt",
- *    "jobs":2,"arena":"auto","token":"nightly-42"}
+ *    "insts":50000,"warmup":10000,"widths":[4,8],"jobs":2}
  *     -> {"ok":true,"job":1,"points":8,"jobs":2,"arena":true}
  *        ("jobs": the sweep threads the job runs on — omitted or 0
  *        means the daemon's share, max(1, cores / workers), and any
@@ -25,18 +27,9 @@
  *        {"job":1,"done":true,"state":"done","points_done":8,
  *         "of":8,"arena":true,"wall_seconds":...}
  *        ("arena": every point ran and replayed a shared arena)
- *   {"verb":"status","job":1}   -> state + points_done/of
- *   {"verb":"cancel","job":1}   -> cancels a queued or running job
- *   {"verb":"stats"}            -> every counter and gauge, plus
- *                                  the per-worker "workers" array
- *   {"verb":"health"}           -> liveness + queue depth
- *   {"verb":"workers"}          -> fleet size + "workers" array
- *   {"verb":"shutdown","drain":true} -> ack, then begin shutdown
  *
- * Errors are structured and non-fatal to the connection:
- *   {"ok":false,"reason":"bad_json|unknown_verb|bad_spec|queue_full|
- *    max_points_per_job|over_budget|over_quota|busy|timeout|
- *    unknown_job|draining", "error":"<human readable>"}
+ * Refusals are structured and non-fatal to the connection:
+ *   {"ok":false,"reason":"bad_spec","error":"<human readable>"}
  *
  * Admission control: at most maxJobs jobs queued+running (reject
  * "queue_full"), at most maxPointsPerJob points per submit (reject
@@ -141,7 +134,7 @@ namespace sfetch
 class LineChannel;
 class JobJournal;
 class FleetManager;
-struct JsonValue;
+class Request;
 
 /** Daemon knobs (the sfetchd command line maps 1:1 onto these). */
 struct ServeConfig
@@ -294,17 +287,17 @@ class Server
 
     /** Dispatch one request line; submit streams before returning. */
     void handleRequest(const std::string &line, LineChannel &ch);
-    void handleSubmit(const JsonValue &req, const std::string &line,
+    void handleSubmit(const Request &req, const std::string &line,
                       LineChannel &ch);
-    std::string handleStatus(const JsonValue &req);
-    std::string handleCancel(const JsonValue &req);
+    /** `status`, or with @p cancel `cancel`. */
+    std::string handleJobVerb(const Request &req, bool cancel);
     /** `register` / `deregister`: mutate the fleet (journalled). */
-    std::string handleWorkerMembership(const JsonValue &req,
-                                       bool add);
+    std::string handleWorkerMembership(const Request &req, bool add);
 
-    /** Parse a submit request into an un-admitted Job; throws on any
-     * spec problem (shared by live submits and journal recovery). */
-    std::shared_ptr<Job> makeJob(const JsonValue &req);
+    /** Build an un-admitted Job from a checked submit; throws on a
+     * bad workload or engine spec (shared by live submits and journal
+     * recovery). */
+    std::shared_ptr<Job> makeJob(const Request &req);
     /** Replay the journal into the queue; returns re-queued count. */
     std::size_t recoverJobs();
     /** Drain @p job's out deque to @p ch until closed; false when

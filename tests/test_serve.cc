@@ -23,9 +23,11 @@
 
 #include "serve/client.hh"
 #include "serve/journal.hh"
+#include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/socket_io.hh"
 #include "sim/driver.hh"
+#include "sim/experiment.hh"
 #include "sim/workload_cache.hh"
 #include "util/fault_inject.hh"
 
@@ -1005,4 +1007,349 @@ TEST(Serve, DeeplyNestedRequestIsBadJsonNotACrash)
     r = client.request("{\"verb\": \"health\"}");
     EXPECT_TRUE(r.at("ok").asBool());
     server.stop(true);
+}
+
+namespace
+{
+
+/** The protocol table, one line per verb's refusals and one per
+ * field (points' fields nested under "submit.points"). */
+std::vector<std::string>
+flattenProtocol()
+{
+    std::vector<std::string> out;
+    auto fields = [&out](const std::string &at,
+                         const std::vector<FieldSpec> &decl, auto &self)
+        -> void {
+        for (const FieldSpec &f : decl) {
+            std::string line = at + "." + f.name + ": " + f.describe();
+            if (f.required)
+                line += ", required";
+            if (f.dflt)
+                line += ", default '" + std::string(f.dflt) + "'";
+            for (const std::string &x : f.excludes)
+                line += ", excludes " + x;
+            out.push_back(line);
+            self(at + "." + f.name, f.fields, self);
+        }
+    };
+    const ProtocolSchema &schema = ProtocolSchema::instance();
+    std::string any;
+    for (const std::string &r : schema.connectionReasons)
+        any += " " + r;
+    out.push_back("any verb refuses:" + any);
+    for (const VerbSpec &v : schema.verbs) {
+        std::string reasons;
+        for (const std::string &r : v.reasons)
+            reasons += " " + r;
+        out.push_back(std::string(v.name) + " refuses:" + reasons);
+        fields(v.name, v.fields, fields);
+    }
+    return out;
+}
+
+/** What scripts, perfbench, fronts and journals rely on: a change
+ * here is a protocol change, never a side effect. */
+const std::vector<std::string> kProtocolShape = {
+    "any verb refuses: bad_json unknown_verb busy timeout",
+    "submit refuses: bad_spec draining max_points_per_job queue_full "
+    "over_quota over_budget",
+    "submit.arch: a string, default 'stream'",
+    "submit.bench: a string, default 'gcc'",
+    "submit.widths: an integer in 1..16 or a list of them, default '8'",
+    "submit.layout: one of base|opt, default 'opt'",
+    "submit.insts: an integer in 1..9007199254740991, default '1000000'",
+    "submit.warmup: an integer in 0..9007199254740991",
+    "submit.jobs: an integer in 0..9007199254740991",
+    "submit.arena: one of auto|off|require, default 'auto'",
+    "submit.token: a string, default ''",
+    "submit.points: a list of 1..9007199254740991 point objects, "
+    "excludes bench, excludes arch, excludes widths, excludes layout, "
+    "excludes insts, excludes warmup",
+    "submit.points.bench: a string, required",
+    "submit.points.spec: a string, required",
+    "submit.points.width: an integer in 1..16, required",
+    "submit.points.layout: one of base|opt, required",
+    "submit.points.insts: an integer in 1..9007199254740991, required",
+    "submit.points.warmup: an integer in 0..9007199254740991, required",
+    "status refuses: bad_spec unknown_job",
+    "status.job: an integer in 0..9007199254740991, required",
+    "cancel refuses: bad_spec unknown_job",
+    "cancel.job: an integer in 0..9007199254740991, required",
+    "stats refuses: bad_spec",
+    "health refuses: bad_spec",
+    "workers refuses: bad_spec",
+    "register refuses: bad_spec",
+    "register.worker: a non-empty string, required",
+    "deregister refuses: bad_spec unknown_worker",
+    "deregister.worker: a non-empty string, required",
+    "shutdown refuses: bad_spec",
+    "shutdown.drain: true or false, default 'true'",
+};
+
+/**
+ * Send each of @p requests on its own connection while a long job
+ * holds the daemon's only worker (ServeConfig::workers = 1), and
+ * return each first reply. A submit the daemon wrongly admits is
+ * cancelled while still queued behind that job, so it fails the
+ * caller's checks instead of capturing the worker for hours.
+ */
+std::vector<JsonValue>
+sendBehindBusyWorker(const std::string &socket,
+                     const std::vector<std::string> &requests)
+{
+    ServeClient hold(socket);
+    const JsonValue held = hold.request(
+        "{\"verb\": \"submit\", \"bench\": \"gzip\", \"arch\": \"stream\", "
+        "\"widths\": [1, 2, 3, 4, 5, 6, 7, 8], \"insts\": 2000000, "
+        "\"jobs\": 1}");
+    EXPECT_TRUE(held.at("ok").asBool());
+    ServeClient ctl(socket);
+    auto cancel = [&ctl](const JsonValue &ack) {
+        ctl.request("{\"verb\": \"cancel\", \"job\": " +
+                    std::to_string(ack.at("job").asU64()) + "}");
+    };
+    std::vector<JsonValue> replies;
+    for (const std::string &request : requests) {
+        ServeClient client(socket);
+        replies.push_back(client.request(request));
+        if (replies.back().find("points"))
+            cancel(replies.back()); // an ack: admitted after all
+    }
+    cancel(held);
+    return replies;
+}
+
+/** @p reply is a bad_spec refusal whose message names @p field. */
+void
+expectRefusedNaming(const JsonValue &reply, const std::string &field,
+                    const std::string &request)
+{
+    EXPECT_FALSE(reply.at("ok").asBool()) << request;
+    EXPECT_EQ(reply.find("reason") ? reply.at("reason").asString() : "",
+              "bad_spec")
+        << request;
+    EXPECT_NE(reply.find("error")
+                  ? reply.at("error").asString().find("'" + field + "'")
+                  : std::string::npos,
+              std::string::npos)
+        << request;
+}
+
+} // namespace
+
+TEST(Serve, ProtocolTableKeepsItsShape)
+{
+    EXPECT_EQ(flattenProtocol(), kProtocolShape);
+
+    // Dispatch indexes the table by id.
+    const ProtocolSchema &schema = ProtocolSchema::instance();
+    for (const VerbSpec &v : schema.verbs)
+        EXPECT_EQ(&schema.verb(v.id), &v) << v.name;
+}
+
+// A field no verb declares used to be ignored, so a typo ran the
+// default. Every verb now refuses one by name, listing what it takes.
+TEST(Serve, EveryVerbRefusesAnUndeclaredField)
+{
+    ServeConfig cfg = testConfig("extra");
+    Server server(cfg);
+    server.start();
+    for (const VerbSpec &verb : ProtocolSchema::instance().verbs) {
+        RequestWriter w(verb);
+        for (const FieldSpec &f : verb.fields)
+            if (f.required)
+                w.set(f.name, f.kind == FieldSpec::Kind::U64 ? "1" : "x");
+        std::string request = w.str();
+        request.insert(request.size() - 1, ", \"zzz_extra\": 5");
+        ServeClient client(cfg.socketPath);
+        const JsonValue r = client.request(request);
+        expectRefusedNaming(r, "zzz_extra", request);
+        std::string declared;
+        for (const FieldSpec &f : verb.fields)
+            declared += (declared.empty() ? "" : ", ") + std::string(f.name);
+        EXPECT_NE(r.at("error").asString().find(
+                      "declared: " + (declared.empty() ? "none" : declared)),
+                  std::string::npos)
+            << r.at("error").asString();
+    }
+    EXPECT_EQ(server.metrics().value("jobs_rejected"), 1u) << "the submit";
+    EXPECT_FALSE(server.metrics().value("draining"));
+
+    Stream s = collect(cfg.socketPath, kSubmit1);
+    ASSERT_TRUE(s.done);
+    EXPECT_EQ(s.summary.at("state").asString(), "done");
+    server.stop(true);
+}
+
+// Misspelled fields used to be ignored: "widhts": [2] ran at width 8.
+// A number past 2^53 used to be rounded to the nearest double. Each is
+// now refused by name, and the daemon keeps serving.
+TEST(Serve, MisspelledFieldsAndInexactNumbersAreRefused)
+{
+    ServeConfig cfg = testConfig("typo");
+    cfg.workers = 1;
+    Server server(cfg);
+    server.start();
+    const std::string grid = "{\"verb\": \"submit\", \"bench\": \"gzip\", "
+                             "\"arch\": \"stream\", \"insts\": 2000, ";
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {grid + "\"widhts\": [2]}", "widhts"},
+        {grid + "\"lay0ut\": \"base\"}", "lay0ut"},
+        {"{\"verb\": \"submit\", \"points\": [{\"bench\": \"gzip\", "
+         "\"spec\": \"stream\", \"width\": 8, \"layout\": \"opt\", "
+         "\"insts\": 2000, \"warmup\": 400, \"widht\": 2}]}",
+         "widht"},
+        {"{\"verb\": \"submit\", \"bench\": \"gzip\", \"arch\": \"stream\", "
+         "\"insts\": 9007199254740993}",
+         "insts"},
+        {"{\"verb\": \"status\", \"job\": 1, \"extra\": 5}", "extra"},
+    };
+    std::vector<std::string> requests;
+    for (const auto &[request, field] : bad)
+        requests.push_back(request);
+    const std::vector<JsonValue> replies =
+        sendBehindBusyWorker(cfg.socketPath, requests);
+    for (std::size_t i = 0; i < bad.size(); ++i)
+        expectRefusedNaming(replies[i], bad[i].second, bad[i].first);
+    EXPECT_EQ(server.metrics().value("jobs_rejected"), 4u)
+        << "every refused submit counts";
+
+    Stream s = collect(cfg.socketPath, kSubmit1);
+    ASSERT_TRUE(s.done);
+    EXPECT_EQ(s.summary.at("state").asString(), "done");
+    server.stop(true);
+}
+
+// The arena estimate used to multiply and sum in size_t unchecked: an
+// estimate that wrapped to a few bytes admitted an "arena": "require"
+// job that could never fit, and its point then held the worker past
+// any drain. Estimates now saturate, so such a job is refused
+// over_budget; its grid form, with insts past 2^53, is a bad_spec.
+TEST(Serve, WrappedArenaEstimateIsRefusedAndTheDaemonKeepsServing)
+{
+    ServeConfig cfg = testConfig("wrap");
+    cfg.workers = 1;
+    Server server(cfg);
+    server.start();
+
+    // 86 shared-arena groups (two engines each, told apart by insts)
+    // whose entries sum to kWraps, so 12-byte estimates sum to
+    // 2^64 + 8. Every number is below 2^53.
+    const std::uint64_t kWraps = 1537228672809129302ull;
+    const std::uint64_t groups = 86, warmup = kMaxExactU64;
+    std::uint64_t left = kWraps - groups * (warmup + kFetchAheadMargin);
+    const std::uint64_t base = left / groups;
+    std::string points;
+    for (std::uint64_t g = 0; g < groups; ++g) {
+        const std::uint64_t insts = g + 1 == groups ? left : base + g;
+        left -= insts;
+        for (const char *spec : {"stream", "ev8"})
+            points += std::string(points.empty() ? "" : ", ") +
+                      "{\"bench\": \"gzip\", \"spec\": \"" + spec +
+                      "\", \"width\": 8, \"layout\": \"opt\", "
+                      "\"insts\": " + std::to_string(insts) +
+                      ", \"warmup\": " + std::to_string(warmup) + "}";
+    }
+    const std::vector<JsonValue> replies = sendBehindBusyWorker(
+        cfg.socketPath,
+        {"{\"verb\": \"submit\", \"points\": [" + points +
+             "], \"arena\": \"require\"}",
+         "{\"verb\": \"submit\", \"bench\": \"gzip\", \"arch\": "
+         "\"seq,ev8\", \"insts\": 1537228672809129302, \"warmup\": 0, "
+         "\"arena\": \"require\"}"});
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_FALSE(replies[0].at("ok").asBool());
+    EXPECT_EQ(replies[0].find("reason") ? replies[0].at("reason").asString()
+                                        : "",
+              "over_budget");
+    expectRefusedNaming(replies[1], "insts", "grid form");
+    EXPECT_EQ(server.metrics().value("jobs_rejected"), 2u);
+
+    Stream s = collect(cfg.socketPath, kSubmit1);
+    ASSERT_TRUE(s.done);
+    EXPECT_EQ(s.summary.at("state").asString(), "done");
+    server.stop(true);
+}
+
+// Recovery replays the raw submit lines an older daemon journalled
+// through today's check: a line it refuses is dropped as unreplayable,
+// and the rest re-queue.
+TEST(Serve, JournalReplayDropsASubmitTheProtocolRefuses)
+{
+    const std::string dir = freshStateDir("replaycheck");
+    {
+        JobJournal j(dir);
+        j.submitted(1, "ok-token", kSubmit1);
+        std::string typo = kSubmit1;
+        typo.insert(typo.size() - 1, ", \"widhts\": [2]");
+        j.submitted(2, "typo-token", typo);
+    }
+    ServeConfig cfg = testConfig("replaycheck");
+    cfg.stateDir = dir;
+    Server server(cfg);
+    server.start();
+    EXPECT_EQ(server.metrics().value("jobs_recovered"), 1u);
+
+    // The re-queued job runs (its rows buffer for its submitter);
+    // the dropped one is gone.
+    ServeClient client(cfg.socketPath);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    JsonValue st;
+    do {
+        st = client.request("{\"verb\": \"status\", \"job\": 1}");
+        if (st.at("ok").asBool() && st.at("state").asString() == "done")
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    } while (std::chrono::steady_clock::now() < deadline);
+    EXPECT_EQ(st.at("state").asString(), "done");
+    JsonValue gone = client.request("{\"verb\": \"status\", \"job\": 2}");
+    EXPECT_EQ(gone.find("reason") ? gone.at("reason").asString() : "",
+              "unknown_job");
+    server.stop(true);
+}
+
+// sfetchctl builds every request from the table: a command's
+// arguments and options are checked against it, so an extra argument
+// or a list where one number belongs is a usage error, not a value
+// silently dropped.
+TEST(Serve, CommandLineRequestsComeFromTheTable)
+{
+    const ProtocolSchema &schema = ProtocolSchema::instance();
+    EXPECT_EQ(schema.commandRequest({"status", "7"}, {}),
+              "{\"verb\": \"status\", \"job\": 7}");
+    EXPECT_EQ(schema.commandRequest({"shutdown"}, {{"drain", "false"}}),
+              "{\"verb\": \"shutdown\", \"drain\": false}");
+    EXPECT_EQ(schema.commandRequest(
+                  {"submit"}, {{"bench", "gzip"}, {"widths", "4,8"},
+                               {"insts", "50000"}, {"layout", "base"}}),
+              "{\"verb\": \"submit\", \"bench\": \"gzip\", \"insts\": "
+              "50000, \"layout\": \"base\", \"widths\": [4, 8]}");
+    const std::vector<std::pair<std::vector<std::string>,
+                                std::map<std::string, std::string>>>
+        usage_errors = {
+            {{}, {}},
+            {{"frobnicate"}, {}},
+            {{"status"}, {}},
+            {{"status", "1", "2"}, {}},
+            {{"status", "one"}, {}},
+            {{"stats", "7"}, {}},
+            {{"register"}, {}},
+            {{"submit"}, {{"jobs", "2,3"}}},
+            {{"submit"}, {{"widths", "4,32"}}},
+            {{"submit"}, {{"layout", "sideways"}}},
+            {{"submit"}, {{"insts", "0"}}},
+            {{"submit"}, {{"insts", "9007199254740993"}}},
+            {{"submit"}, {{"drain", "false"}}},
+            {{"status", "1"}, {{"insts", "5"}}},
+        };
+    for (const auto &[args, options] : usage_errors) {
+        std::string what;
+        for (const std::string &a : args)
+            what += a + " ";
+        EXPECT_THROW(schema.commandRequest(args, options),
+                     std::invalid_argument)
+            << what;
+    }
 }
