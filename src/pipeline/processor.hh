@@ -75,28 +75,52 @@ struct ProcessorConfig
     bool exactInstStop = false;
 };
 
+/**
+ * Every SimStats field, declared once as KIND(member, "name"): COUNT
+ * a count, BY_TYPE one count per BranchType (a JSON array under its
+ * name, CSV columns <prefix>0, <prefix>1, ...), RATE a stored double,
+ * and RATIO the derived member function of that name, written after
+ * the stored fields and never read back. The members, operator==
+ * and every row writer and reader in sim/results.cc come from this
+ * list, in its order, so adding a counter is one line here.
+ */
+#define SFETCH_SIM_STATS(COUNT, BY_TYPE, RATE, RATIO)                   \
+    COUNT(cycles, "cycles")                                             \
+    COUNT(committedInsts, "committed_insts")                            \
+    COUNT(committedBranches, "committed_branches")                      \
+    COUNT(committedCondBranches, "committed_cond_branches")             \
+    COUNT(mispredicts, "mispredicts")                                   \
+    COUNT(condMispredicts, "cond_mispredicts")                          \
+    /* Divergences by branch type (indexed by BranchType). */           \
+    BY_TYPE(mispredictsByType, "mispredicts_by_type", "mispredicts_type_") \
+    COUNT(fetchedCorrect, "fetched_correct")                            \
+    COUNT(fetchedWrong, "fetched_wrong")                                \
+    /* Cycles where the engine had a full-width opportunity. */         \
+    COUNT(fetchCyclesAttempted, "fetch_cycles_attempted")               \
+    /* Correct-path instructions delivered in those cycles. */          \
+    COUNT(fetchOppInsts, "fetch_opp_insts")                             \
+    RATE(l1iMissRate, "l1i_miss_rate")                                  \
+    RATE(l1dMissRate, "l1d_miss_rate")                                  \
+    RATIO(ipc, "ipc")                                                   \
+    RATIO(fetchIpc, "fetch_ipc")                                        \
+    RATIO(mispredictRate, "mispredict_rate")
+
 /** Results of a simulation run. */
 struct SimStats
 {
     /** Arity of mispredictsByType (one slot per BranchType). */
     static constexpr std::size_t kNumBranchTypes = 7;
 
-    Cycle cycles = 0;
-    InstCount committedInsts = 0;
-    std::uint64_t committedBranches = 0;
-    std::uint64_t committedCondBranches = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t condMispredicts = 0;
-    /** Divergences by branch type (indexed by BranchType). */
-    std::uint64_t mispredictsByType[kNumBranchTypes] = {};
-    std::uint64_t fetchedCorrect = 0;
-    std::uint64_t fetchedWrong = 0;
-    /** Cycles where the engine had a full-width opportunity. */
-    std::uint64_t fetchCyclesAttempted = 0;
-    /** Correct-path instructions delivered in those cycles. */
-    std::uint64_t fetchOppInsts = 0;
-    double l1iMissRate = 0.0;
-    double l1dMissRate = 0.0;
+#define SFETCH_COUNT(m, name) std::uint64_t m = 0;
+#define SFETCH_BY_TYPE(m, name, csv) std::uint64_t m[kNumBranchTypes] = {};
+#define SFETCH_RATE(m, name) double m = 0.0;
+#define SFETCH_RATIO(m, name)
+    SFETCH_SIM_STATS(SFETCH_COUNT, SFETCH_BY_TYPE, SFETCH_RATE, SFETCH_RATIO)
+#undef SFETCH_COUNT
+#undef SFETCH_BY_TYPE
+#undef SFETCH_RATE
+#undef SFETCH_RATIO
+
     StatSet engine;
 
     double
@@ -127,30 +151,64 @@ struct SimStats
     }
 };
 
+/** One SFETCH_SIM_STATS entry as data; the member gives the kind. */
+struct SimStatField
+{
+    enum class Kind { Count, ByType, Rate, Ratio };
+    using ByTypeArray = std::uint64_t[SimStats::kNumBranchTypes];
+
+    constexpr SimStatField(const char *n, std::uint64_t SimStats::*m)
+        : kind(Kind::Count), name(n), count(m) {}
+    constexpr SimStatField(const char *n, const char *prefix,
+                           ByTypeArray SimStats::*m)
+        : kind(Kind::ByType), name(n), csvPrefix(prefix),
+          arity(SimStats::kNumBranchTypes), byType(m) {}
+    constexpr SimStatField(const char *n, double SimStats::*m)
+        : kind(Kind::Rate), name(n), rate(m) {}
+    constexpr SimStatField(const char *n, double (SimStats::*m)() const)
+        : kind(Kind::Ratio), name(n), ratio(m) {}
+
+    Kind kind;
+    const char *name; //!< JSON key; also the CSV column unless ByType
+    const char *csvPrefix = nullptr; //!< ByType: CSV columns prefix<i>
+    std::size_t arity = 1; //!< values held: one per BranchType, or one
+    std::uint64_t SimStats::*count = nullptr;
+    ByTypeArray SimStats::*byType = nullptr;
+    double SimStats::*rate = nullptr;
+    double (SimStats::*ratio)() const = nullptr;
+
+    /** Held in SimStats (compared and read back), not derived. */
+    bool stored() const { return kind != Kind::Ratio; }
+
+    /** Value @p i of a Count or ByType field of @p st. */
+    template <class Stats>
+    auto &
+    u64(Stats &st, std::size_t i) const
+    {
+        return kind == Kind::ByType ? (st.*byType)[i] : st.*count;
+    }
+};
+
+#define SFETCH_FIELD(m, ...) SimStatField(__VA_ARGS__, &SimStats::m),
+inline constexpr SimStatField kSimStatFields[] = {SFETCH_SIM_STATS(
+    SFETCH_FIELD, SFETCH_FIELD, SFETCH_FIELD, SFETCH_FIELD)};
+#undef SFETCH_FIELD
+
 /**
- * Exact equality over every counter and engine stat; the sweep
+ * Exact equality over every stored field and engine stat; the sweep
  * driver's parallel-equals-serial guarantee is stated in terms of
  * this comparison.
  */
 inline bool
 operator==(const SimStats &a, const SimStats &b)
 {
-    for (std::size_t t = 0; t < SimStats::kNumBranchTypes; ++t)
-        if (a.mispredictsByType[t] != b.mispredictsByType[t])
-            return false;
-    return a.cycles == b.cycles &&
-        a.committedInsts == b.committedInsts &&
-        a.committedBranches == b.committedBranches &&
-        a.committedCondBranches == b.committedCondBranches &&
-        a.mispredicts == b.mispredicts &&
-        a.condMispredicts == b.condMispredicts &&
-        a.fetchedCorrect == b.fetchedCorrect &&
-        a.fetchedWrong == b.fetchedWrong &&
-        a.fetchCyclesAttempted == b.fetchCyclesAttempted &&
-        a.fetchOppInsts == b.fetchOppInsts &&
-        a.l1iMissRate == b.l1iMissRate &&
-        a.l1dMissRate == b.l1dMissRate &&
-        a.engine == b.engine;
+    for (const SimStatField &f : kSimStatFields)
+        for (std::size_t i = 0; f.stored() && i < f.arity; ++i)
+            if (f.kind == SimStatField::Kind::Rate
+                    ? a.*f.rate != b.*f.rate
+                    : f.u64(a, i) != f.u64(b, i))
+                return false;
+    return a.engine == b.engine;
 }
 
 inline bool

@@ -1,15 +1,14 @@
 #include "sim/results.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <iterator>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "serve/jsonio.hh"
-#include "util/table.hh"
+#include "sim/cli.hh"
 
 namespace sfetch
 {
@@ -27,17 +26,6 @@ parseFormat(const std::string &token)
                                 "' (want table|csv|json)");
 }
 
-std::string
-formatName(OutputFormat fmt)
-{
-    switch (fmt) {
-      case OutputFormat::Table: return "table";
-      case OutputFormat::Csv: return "csv";
-      case OutputFormat::Json: return "json";
-    }
-    return "?";
-}
-
 bool
 operator==(const ResultRow &a, const ResultRow &b)
 {
@@ -53,17 +41,6 @@ ResultSet::where(
     for (const ResultRow &r : rows_)
         if (pred(r))
             out.rows_.push_back(r);
-    return out;
-}
-
-std::vector<double>
-ResultSet::collect(
-    const std::function<double(const ResultRow &)> &get) const
-{
-    std::vector<double> out;
-    out.reserve(rows_.size());
-    for (const ResultRow &r : rows_)
-        out.push_back(get(r));
     return out;
 }
 
@@ -88,24 +65,6 @@ ResultSet::mean(MeanKind kind,
     return meanOf(collect(pred, get), kind);
 }
 
-std::string
-ResultSet::toTable() const
-{
-    TablePrinter tp;
-    tp.addHeader({"benchmark", "arch", "width", "layout", "IPC",
-                  "fetch IPC", "mispredict", "L1I miss"});
-    for (const ResultRow &r : rows_) {
-        tp.addRow({r.bench, r.cfg.label(),
-                   std::to_string(r.cfg.width),
-                   r.cfg.optimizedLayout ? "opt" : "base",
-                   TablePrinter::fmt(r.stats.ipc()),
-                   TablePrinter::fmt(r.stats.fetchIpc()),
-                   TablePrinter::pct(r.stats.mispredictRate()),
-                   TablePrinter::pct(r.stats.l1iMissRate, 2)});
-    }
-    return tp.render();
-}
-
 namespace
 {
 
@@ -124,29 +83,59 @@ u2s(std::uint64_t v)
     return std::to_string(v);
 }
 
-constexpr std::size_t kNumBranchTypes = SimStats::kNumBranchTypes;
+/** Value @p i of @p f in @p st, as both CSV and JSON write it. */
+std::string
+valueText(const SimStatField &f, const SimStats &st, std::size_t i)
+{
+    switch (f.kind) {
+      case SimStatField::Kind::Rate: return d2s(st.*f.rate);
+      case SimStatField::Kind::Ratio: return d2s((st.*f.ratio)());
+      default: return u2s(f.u64(st, i));
+    }
+}
 
-// kCsvColumns spells out mispredicts_type_0..6 by hand.
-static_assert(SimStats::kNumBranchTypes == 7,
-              "update kCsvColumns for the new branch-type arity");
+/** CSV column of value @p i of @p f. */
+std::string
+csvColumn(const SimStatField &f, std::size_t i)
+{
+    return f.csvPrefix ? f.csvPrefix + std::to_string(i) : f.name;
+}
 
 /**
- * Column order of toCsv(); parsing is by header name, not index.
- * `spec` is the canonical engine spec string (`arch:key=v,...`) and
- * carries every engine-specific parameter.
+ * Call @p fn(field, i) for every stored value (@p stored) or every
+ * derived ratio, in kSimStatFields order.
  */
-const char *const kCsvColumns[] = {
-    "bench", "spec", "width", "layout", "insts", "warmup", "cycles",
-    "committed_insts", "committed_branches",
-    "committed_cond_branches", "mispredicts", "cond_mispredicts",
-    "mispredicts_type_0", "mispredicts_type_1", "mispredicts_type_2",
-    "mispredicts_type_3", "mispredicts_type_4", "mispredicts_type_5",
-    "mispredicts_type_6", "fetched_correct", "fetched_wrong",
-    "fetch_cycles_attempted", "fetch_opp_insts", "l1i_miss_rate",
-    "l1d_miss_rate", "wall_seconds",
-    // Derived convenience columns; ignored by fromCsv().
-    "ipc", "fetch_ipc", "mispredict_rate",
-};
+template <class Fn>
+void
+forEachValue(bool stored, Fn fn)
+{
+    for (const SimStatField &f : kSimStatFields)
+        if (f.stored() == stored)
+            for (std::size_t i = 0; i < f.arity; ++i)
+                fn(f, i);
+}
+
+/**
+ * Columns of toCsv(): the config cells, every stored SimStats value,
+ * wall_seconds and (with @p ratios) the derived ratios, which
+ * fromCsv() ignores. Parsing is by header name, not index. `spec` is
+ * the canonical engine spec string (`arch:key=v,...`) and carries
+ * every engine-specific parameter.
+ */
+std::vector<std::string>
+csvColumns(bool ratios)
+{
+    std::vector<std::string> cols = {"bench", "spec", "width",
+                                     "layout", "insts", "warmup"};
+    auto add = [&](const SimStatField &f, std::size_t i) {
+        cols.push_back(csvColumn(f, i));
+    };
+    forEachValue(true, add);
+    cols.push_back("wall_seconds");
+    if (ratios)
+        forEachValue(false, add);
+    return cols;
+}
 
 /** Quote a cell when it needs it (spec strings contain commas). */
 std::string
@@ -196,16 +185,6 @@ splitCsvLine(const std::string &line)
     return cells;
 }
 
-std::uint64_t
-toU64(const std::string &s)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        throw std::runtime_error("fromCsv: bad integer '" + s + "'");
-    return v;
-}
-
 double
 toD(const std::string &s)
 {
@@ -216,35 +195,38 @@ toD(const std::string &s)
     return v;
 }
 
+/** A JSON engine param as setInt() takes it: an exact int64. */
+std::int64_t
+paramInt(const std::string &key, double v)
+{
+    if (v != std::floor(v) || !(v >= -0x1p63 && v < 0x1p63))
+        throw std::runtime_error("fromJson: param '" + key +
+                                 "' is not an int64 integer");
+    return static_cast<std::int64_t>(v);
+}
+
 } // namespace
 
 std::string
 ResultSet::toCsv() const
 {
     std::ostringstream os;
-    for (std::size_t c = 0; c < std::size(kCsvColumns); ++c)
-        os << (c ? "," : "") << kCsvColumns[c];
+    const std::vector<std::string> cols = csvColumns(true);
+    for (std::size_t c = 0; c < cols.size(); ++c)
+        os << (c ? "," : "") << cols[c];
     os << "\n";
     for (const ResultRow &r : rows_) {
-        const SimStats &st = r.stats;
+        auto value = [&](const SimStatField &f, std::size_t i) {
+            os << ',' << valueText(f, r.stats, i);
+        };
         os << r.bench << ',' << csvCell(r.cfg.specText()) << ','
            << r.cfg.width << ','
            << (r.cfg.optimizedLayout ? "opt" : "base") << ','
-           << u2s(r.cfg.insts) << ',' << u2s(r.cfg.warmupInsts) << ','
-           << u2s(st.cycles) << ',' << u2s(st.committedInsts) << ','
-           << u2s(st.committedBranches) << ','
-           << u2s(st.committedCondBranches) << ','
-           << u2s(st.mispredicts) << ',' << u2s(st.condMispredicts);
-        for (std::size_t t = 0; t < kNumBranchTypes; ++t)
-            os << ',' << u2s(st.mispredictsByType[t]);
-        os << ',' << u2s(st.fetchedCorrect) << ','
-           << u2s(st.fetchedWrong) << ','
-           << u2s(st.fetchCyclesAttempted) << ','
-           << u2s(st.fetchOppInsts) << ',' << d2s(st.l1iMissRate)
-           << ',' << d2s(st.l1dMissRate) << ','
-           << d2s(r.wallSeconds) << ',' << d2s(st.ipc()) << ','
-           << d2s(st.fetchIpc()) << ',' << d2s(st.mispredictRate())
-           << "\n";
+           << u2s(r.cfg.insts) << ',' << u2s(r.cfg.warmupInsts);
+        forEachValue(true, value);
+        os << ',' << d2s(r.wallSeconds);
+        forEachValue(false, value);
+        os << "\n";
     }
     return os.str();
 }
@@ -262,21 +244,17 @@ ResultSet::fromCsv(const std::string &text)
     for (std::size_t i = 0; i < header.size(); ++i)
         col[header[i]] = i;
 
-    auto need = [&](const char *name) {
+    auto need = [&](const std::string &name) {
         auto it = col.find(name);
         if (it == col.end())
-            throw std::runtime_error(
-                std::string("fromCsv: missing column ") + name);
+            throw std::runtime_error("fromCsv: missing column " + name);
         return it->second;
     };
 
     // Validate the header up front: every stored (non-derived)
     // column must be present even when there are no data rows.
-    for (const char *name : kCsvColumns)
-        if (std::strcmp(name, "ipc") != 0 &&
-            std::strcmp(name, "fetch_ipc") != 0 &&
-            std::strcmp(name, "mispredict_rate") != 0)
-            need(name);
+    for (const std::string &name : csvColumns(false))
+        need(name);
 
     ResultSet out;
     while (std::getline(is, line)) {
@@ -285,38 +263,31 @@ ResultSet::fromCsv(const std::string &text)
         std::vector<std::string> cells = splitCsvLine(line);
         if (cells.size() < header.size())
             throw std::runtime_error("fromCsv: short row: " + line);
-        auto cell = [&](const char *name) -> const std::string & {
+        auto cell = [&](const std::string &name) -> const std::string & {
             return cells[need(name)];
         };
+        // Integers take the strict decimal rule of the command line:
+        // no sign, blank or trailing garbage, no wrap-around.
+        auto u64 = CliParser::parseU64;
 
         ResultRow r;
-        r.bench = cell("bench");
-        r.cfg = SimConfig::fromSpec(cell("spec"));
-        r.cfg.width = static_cast<unsigned>(toU64(cell("width")));
-        r.cfg.optimizedLayout = cell("layout") == "opt";
-        r.cfg.insts = toU64(cell("insts"));
-        r.cfg.warmupInsts = toU64(cell("warmup"));
-
-        SimStats &st = r.stats;
-        st.cycles = toU64(cell("cycles"));
-        st.committedInsts = toU64(cell("committed_insts"));
-        st.committedBranches = toU64(cell("committed_branches"));
-        st.committedCondBranches =
-            toU64(cell("committed_cond_branches"));
-        st.mispredicts = toU64(cell("mispredicts"));
-        st.condMispredicts = toU64(cell("cond_mispredicts"));
-        for (std::size_t t = 0; t < kNumBranchTypes; ++t) {
-            std::string name =
-                "mispredicts_type_" + std::to_string(t);
-            st.mispredictsByType[t] = toU64(cells[need(name.c_str())]);
+        try {
+            r.bench = cell("bench");
+            r.cfg = SimConfig::fromSpec(cell("spec"));
+            r.cfg.width = static_cast<unsigned>(u64(cell("width")));
+            r.cfg.optimizedLayout = cell("layout") == "opt";
+            r.cfg.insts = u64(cell("insts"));
+            r.cfg.warmupInsts = u64(cell("warmup"));
+            forEachValue(true, [&](const SimStatField &f, std::size_t i) {
+                const std::string &text = cell(csvColumn(f, i));
+                if (f.kind == SimStatField::Kind::Rate)
+                    r.stats.*f.rate = toD(text);
+                else
+                    f.u64(r.stats, i) = u64(text);
+            });
+        } catch (const std::invalid_argument &e) {
+            throw std::runtime_error(std::string("fromCsv: ") + e.what());
         }
-        st.fetchedCorrect = toU64(cell("fetched_correct"));
-        st.fetchedWrong = toU64(cell("fetched_wrong"));
-        st.fetchCyclesAttempted =
-            toU64(cell("fetch_cycles_attempted"));
-        st.fetchOppInsts = toU64(cell("fetch_opp_insts"));
-        st.l1iMissRate = toD(cell("l1i_miss_rate"));
-        st.l1dMissRate = toD(cell("l1d_miss_rate"));
         r.wallSeconds = toD(cell("wall_seconds"));
         out.add(std::move(r));
     }
@@ -331,7 +302,6 @@ std::string
 rowJson(const ResultRow &r)
 {
     std::ostringstream os;
-    const SimStats &st = r.stats;
     const SimConfig &c = r.cfg;
     os << "{\"bench\": \"" << jsonEscape(r.bench) << "\", "
        << "\"config\": {"
@@ -343,32 +313,17 @@ rowJson(const ResultRow &r)
        << "\", "
        << "\"insts\": " << u2s(c.insts) << ", "
        << "\"warmup\": " << u2s(c.warmupInsts) << "}, "
-       << "\"stats\": {"
-       << "\"cycles\": " << u2s(st.cycles) << ", "
-       << "\"committed_insts\": " << u2s(st.committedInsts) << ", "
-       << "\"committed_branches\": " << u2s(st.committedBranches)
-       << ", "
-       << "\"committed_cond_branches\": "
-       << u2s(st.committedCondBranches) << ", "
-       << "\"mispredicts\": " << u2s(st.mispredicts) << ", "
-       << "\"cond_mispredicts\": " << u2s(st.condMispredicts)
-       << ", \"mispredicts_by_type\": [";
-    for (std::size_t t = 0; t < kNumBranchTypes; ++t)
-        os << (t ? ", " : "") << u2s(st.mispredictsByType[t]);
-    os << "], "
-       << "\"fetched_correct\": " << u2s(st.fetchedCorrect) << ", "
-       << "\"fetched_wrong\": " << u2s(st.fetchedWrong) << ", "
-       << "\"fetch_cycles_attempted\": "
-       << u2s(st.fetchCyclesAttempted) << ", "
-       << "\"fetch_opp_insts\": " << u2s(st.fetchOppInsts) << ", "
-       << "\"l1i_miss_rate\": " << d2s(st.l1iMissRate) << ", "
-       << "\"l1d_miss_rate\": " << d2s(st.l1dMissRate) << ", "
-       << "\"ipc\": " << d2s(st.ipc()) << ", "
-       << "\"fetch_ipc\": " << d2s(st.fetchIpc()) << ", "
-       << "\"mispredict_rate\": " << d2s(st.mispredictRate())
-       << ", \"engine\": {";
+       << "\"stats\": {";
+    for (const SimStatField &f : kSimStatFields) {
+        const bool array = f.kind == SimStatField::Kind::ByType;
+        os << '"' << f.name << "\": " << (array ? "[" : "");
+        for (std::size_t i = 0; i < f.arity; ++i)
+            os << (i ? ", " : "") << valueText(f, r.stats, i);
+        os << (array ? "], " : ", ");
+    }
+    os << "\"engine\": {";
     std::size_t k = 0;
-    for (const auto &[name, val] : st.engine.all())
+    for (const auto &[name, val] : r.stats.engine.all())
         os << (k++ ? ", " : "") << "\"" << jsonEscape(name)
            << "\": " << d2s(val);
     os << "}}, \"wall_seconds\": " << d2s(r.wallSeconds) << "}";
@@ -406,29 +361,28 @@ ResultSet::fromJson(const std::string &text)
         const JsonValue &jc = jr.at("config");
         // `spec` is authoritative; build the config from it, then
         // apply any explicit `params` entries (supports hand-edited
-        // documents that only set `arch` + `params`).
+        // documents that only set `arch` + `params`). An unknown or
+        // out-of-range value is refused naming its key.
         const JsonValue *spec = jc.find("spec");
-        r.cfg = SimConfig::fromSpec(spec ? spec->asString()
-                                         : jc.at("arch").asString());
-        if (const JsonValue *params = jc.find("params")) {
-            for (const auto &[key, val] : params->object) {
-                switch (val.kind) {
-                  case JsonValue::Kind::Number:
-                    r.cfg.params().setInt(
-                        key, static_cast<std::int64_t>(val.number));
-                    break;
-                  case JsonValue::Kind::Bool:
-                    r.cfg.params().setBool(key, val.boolean);
-                    break;
-                  case JsonValue::Kind::String:
-                    r.cfg.params().setString(key, val.string);
-                    break;
-                  default:
-                    throw std::runtime_error(
-                        "fromJson: bad param value for '" + key +
-                        "'");
+        try {
+            r.cfg = SimConfig::fromSpec(
+                spec ? spec->asString() : jc.at("arch").asString());
+            ParamSet &p = r.cfg.params();
+            if (const JsonValue *params = jc.find("params"))
+                for (const auto &[key, val] : params->object) {
+                    if (val.kind == JsonValue::Kind::Number)
+                        p.setInt(key, paramInt(key, val.number));
+                    else if (val.kind == JsonValue::Kind::Bool)
+                        p.setBool(key, val.boolean);
+                    else if (val.kind == JsonValue::Kind::String)
+                        p.setString(key, val.string);
+                    else
+                        throw std::runtime_error(
+                            "fromJson: bad param value for '" + key +
+                            "'");
                 }
-            }
+        } catch (const std::invalid_argument &e) {
+            throw std::runtime_error(std::string("fromJson: ") + e.what());
         }
         r.cfg.width = static_cast<unsigned>(jc.at("width").asU64());
         r.cfg.optimizedLayout = jc.at("layout").asString() == "opt";
@@ -436,29 +390,20 @@ ResultSet::fromJson(const std::string &text)
         r.cfg.warmupInsts = jc.at("warmup").asU64();
 
         const JsonValue &js = jr.at("stats");
-        SimStats &st = r.stats;
-        st.cycles = js.at("cycles").asU64();
-        st.committedInsts = js.at("committed_insts").asU64();
-        st.committedBranches = js.at("committed_branches").asU64();
-        st.committedCondBranches =
-            js.at("committed_cond_branches").asU64();
-        st.mispredicts = js.at("mispredicts").asU64();
-        st.condMispredicts = js.at("cond_mispredicts").asU64();
-        const JsonValue &byType = js.at("mispredicts_by_type");
-        if (byType.array.size() != kNumBranchTypes)
-            throw std::runtime_error(
-                "fromJson: bad mispredicts_by_type arity");
-        for (std::size_t t = 0; t < kNumBranchTypes; ++t)
-            st.mispredictsByType[t] = byType.array[t].asU64();
-        st.fetchedCorrect = js.at("fetched_correct").asU64();
-        st.fetchedWrong = js.at("fetched_wrong").asU64();
-        st.fetchCyclesAttempted =
-            js.at("fetch_cycles_attempted").asU64();
-        st.fetchOppInsts = js.at("fetch_opp_insts").asU64();
-        st.l1iMissRate = js.at("l1i_miss_rate").asNumber();
-        st.l1dMissRate = js.at("l1d_miss_rate").asNumber();
+        forEachValue(true, [&](const SimStatField &f, std::size_t i) {
+            const JsonValue &v = js.at(f.name);
+            if (f.kind == SimStatField::Kind::Rate)
+                r.stats.*f.rate = v.asNumber();
+            else if (f.kind == SimStatField::Kind::Count)
+                f.u64(r.stats, i) = v.asU64();
+            else if (v.array.size() != f.arity)
+                throw std::runtime_error(std::string("fromJson: bad ") +
+                                         f.name + " arity");
+            else
+                f.u64(r.stats, i) = v.array[i].asU64();
+        });
         for (const auto &[name, val] : js.at("engine").object)
-            st.engine.set(name, val.asNumber());
+            r.stats.engine.set(name, val.asNumber());
 
         r.wallSeconds = jr.at("wall_seconds").asNumber();
         out.add(std::move(r));

@@ -1,13 +1,16 @@
 /**
  * @file
  * Structured sweep results: one ResultRow per (benchmark, SimConfig)
- * simulation, collected into a ResultSet with table, CSV, and JSON
- * emitters. Benches aggregate their paper tables from a ResultSet
- * instead of ad-hoc printf loops, and `--format csv|json` dumps the
- * raw rows for offline analysis. CSV and JSON both round-trip the
- * configuration — rows carry the canonical engine spec string
- * (`arch:key=v,...`) plus the engine-agnostic knobs — and the
- * counter fields; engine-internal stats ride along in JSON only.
+ * simulation, collected into a ResultSet with CSV and JSON emitters.
+ * Benches aggregate their paper tables from a ResultSet instead of
+ * ad-hoc printf loops, and `--format csv|json` dumps the raw rows for
+ * offline analysis. CSV and JSON both round-trip the configuration —
+ * rows carry the canonical engine spec string (`arch:key=v,...`) plus
+ * the engine-agnostic knobs, written by hand once per format — and
+ * the counters; engine-internal stats ride along in JSON only. The
+ * counters are not named here: each is declared once in
+ * SFETCH_SIM_STATS (pipeline/processor.hh), whose table gives its CSV
+ * column and JSON key, so adding one is one line there.
  */
 
 #ifndef SFETCH_SIM_RESULTS_HH
@@ -33,9 +36,6 @@ enum class OutputFormat
 
 /** Parse "table"/"csv"/"json"; throws std::invalid_argument. */
 OutputFormat parseFormat(const std::string &token);
-
-/** Inverse of parseFormat(). */
-std::string formatName(OutputFormat fmt);
 
 /** One completed simulation run. */
 struct ResultRow
@@ -82,10 +82,6 @@ class ResultSet
     ResultSet
     where(const std::function<bool(const ResultRow &)> &pred) const;
 
-    /** Extract one value per row. */
-    std::vector<double>
-    collect(const std::function<double(const ResultRow &)> &get) const;
-
     /** Extract one value per row satisfying @p pred. */
     std::vector<double>
     collect(const std::function<bool(const ResultRow &)> &pred,
@@ -96,9 +92,6 @@ class ResultSet
                 const std::function<bool(const ResultRow &)> &pred,
                 const std::function<double(const ResultRow &)> &get)
         const;
-
-    /** Generic per-run table (bench/arch/width/layout/IPC/...). */
-    std::string toTable() const;
 
     /** One header line plus one line per row. */
     std::string toCsv() const;

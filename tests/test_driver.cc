@@ -549,6 +549,35 @@ TEST(ResultSet, JsonRejectsMalformedInput)
     EXPECT_THROW(ResultSet::fromCsv(""), std::runtime_error);
     EXPECT_THROW(ResultSet::fromCsv("bench,arch\n"),
                  std::runtime_error); // missing columns
+
+    // An engine param must be an exact int64 the engine accepts; a
+    // refusal is a runtime_error naming the key ("ftq": 2.5 used to
+    // read back as ftq=2).
+    ResultSet rs;
+    ResultRow r;
+    r.bench = "gzip";
+    r.cfg = SimConfig::fromSpec("ftb");
+    rs.add(r);
+    const std::string doc = rs.toJson();
+    const std::size_t at = doc.find("\"params\": {");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t end = doc.find('}', at) + 1;
+    for (const char *params :
+         {"{\"ftq\": 2.5}", "{\"ftq\": 1e30}", "{\"ftq\": -1e30}",
+          "{\"ftq\": 0}", "{\"ftq\": true}", "{\"fqt\": 4}"}) {
+        const std::string bad = doc.substr(0, at) + "\"params\": " +
+                                params + doc.substr(end);
+        std::string what;
+        try {
+            ResultSet::fromJson(bad);
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+        }
+        const std::string key = std::string(params).substr(2, 3);
+        EXPECT_NE(what.find(key), std::string::npos)
+            << params << ": " << what;
+    }
+    EXPECT_EQ(ResultSet::fromJson(doc).at(0).cfg, r.cfg);
 }
 
 TEST(ResultSet, CsvRejectsCorruptNumericCells)
@@ -559,21 +588,130 @@ TEST(ResultSet, CsvRejectsCorruptNumericCells)
     rs.add(r);
     std::string csv = rs.toCsv();
 
-    // Corrupt the cycles cell of the data row.
-    std::string bad = csv;
-    std::size_t pos = bad.find("gzip,");
-    ASSERT_NE(pos, std::string::npos);
-    // cycles is the 7th column; splice garbage into it.
-    std::string row = bad.substr(pos);
-    std::size_t comma = 0;
-    for (int c = 0; c < 6; ++c)
-        comma = row.find(',', comma) + 1;
-    bad = bad.substr(0, pos) + row.substr(0, comma) + "12x4" +
-          row.substr(row.find(',', comma));
-    EXPECT_THROW(ResultSet::fromCsv(bad), std::runtime_error);
+    // Corrupt the cycles cell of the data row. Signs and blanks are
+    // not digits either: a bare strtoull read "-1" back as 2^64 - 1.
+    for (const char *garbage : {"12x4", "-1", "+5", " 5"}) {
+        std::string bad = csv;
+        std::size_t pos = bad.find("gzip,");
+        ASSERT_NE(pos, std::string::npos);
+        // cycles is the 7th column; splice garbage into it.
+        std::string row = bad.substr(pos);
+        std::size_t comma = 0;
+        for (int c = 0; c < 6; ++c)
+            comma = row.find(',', comma) + 1;
+        bad = bad.substr(0, pos) + row.substr(0, comma) + garbage +
+              row.substr(row.find(',', comma));
+        EXPECT_THROW(ResultSet::fromCsv(bad), std::runtime_error)
+            << garbage;
+    }
 
     // The unmodified document still parses.
     EXPECT_EQ(ResultSet::fromCsv(csv).size(), 1u);
+}
+
+/**
+ * The row schema every consumer reads (perfbench, sfbench, sfetchd
+ * row frames): the CSV header, the key order of rowJson()'s config
+ * and stats objects, and which value lands under which name. Every
+ * counter holds a distinct value, assigned by member, so a swapped or
+ * missing entry in the SimStats field table fails here.
+ */
+TEST(ResultSet, RowSchemaKeepsItsShape)
+{
+    ResultRow r;
+    r.bench = "gzip";
+    r.cfg = SimConfig::fromSpec("stream:ftq=8,single_table=1");
+    r.cfg.width = 4;
+    r.cfg.optimizedLayout = false;
+    r.cfg.insts = 1000;
+    r.cfg.warmupInsts = 200;
+    SimStats &st = r.stats;
+    st.cycles = 100;
+    st.committedInsts = 250;
+    st.committedBranches = 64;
+    st.committedCondBranches = 48;
+    st.mispredicts = 16;
+    st.condMispredicts = 9;
+    for (std::size_t t = 0; t < SimStats::kNumBranchTypes; ++t)
+        st.mispredictsByType[t] = 21 + t;
+    st.fetchedCorrect = 300;
+    st.fetchedWrong = 30;
+    st.fetchCyclesAttempted = 40;
+    st.fetchOppInsts = 130;
+    st.l1iMissRate = 0.375;
+    st.l1dMissRate = 0.125;
+    st.engine.set("nsp_hits", 7.5);
+    r.wallSeconds = 1.5;
+    ResultSet rs;
+    rs.add(r);
+
+    const std::string csv = rs.toCsv();
+    EXPECT_EQ(csv,
+              "bench,spec,width,layout,insts,warmup,cycles,"
+              "committed_insts,committed_branches,"
+              "committed_cond_branches,mispredicts,cond_mispredicts,"
+              "mispredicts_type_0,mispredicts_type_1,"
+              "mispredicts_type_2,mispredicts_type_3,"
+              "mispredicts_type_4,mispredicts_type_5,"
+              "mispredicts_type_6,fetched_correct,fetched_wrong,"
+              "fetch_cycles_attempted,fetch_opp_insts,l1i_miss_rate,"
+              "l1d_miss_rate,wall_seconds,ipc,fetch_ipc,"
+              "mispredict_rate\n"
+              "gzip,\"stream:ftq=8,single_table=1\",4,base,1000,200,"
+              "100,250,64,48,16,9,21,22,23,24,25,26,27,300,30,40,130,"
+              "0.375,0.125,1.5,2.5,3.25,0.25\n");
+
+    const JsonValue row = JsonReader(rowJson(r)).parse();
+    auto keys = [](const JsonValue &obj) {
+        std::vector<std::string> out;
+        for (const auto &kv : obj.object)
+            out.push_back(kv.first);
+        return out;
+    };
+    EXPECT_EQ(keys(row), (std::vector<std::string>{
+                             "bench", "config", "stats", "wall_seconds"}));
+    EXPECT_EQ(keys(row.at("config")),
+              (std::vector<std::string>{"spec", "arch", "params",
+                                        "width", "layout", "insts",
+                                        "warmup"}));
+    EXPECT_EQ(keys(row.at("stats")),
+              (std::vector<std::string>{
+                  "cycles", "committed_insts", "committed_branches",
+                  "committed_cond_branches", "mispredicts",
+                  "cond_mispredicts", "mispredicts_by_type",
+                  "fetched_correct", "fetched_wrong",
+                  "fetch_cycles_attempted", "fetch_opp_insts",
+                  "l1i_miss_rate", "l1d_miss_rate", "ipc", "fetch_ipc",
+                  "mispredict_rate", "engine"}));
+    // The stats values in key order, mispredicts_by_type flattened.
+    std::vector<double> values;
+    for (const auto &[key, val] : row.at("stats").object) {
+        if (key == "engine")
+            continue;
+        if (val.kind == JsonValue::Kind::Array)
+            for (const JsonValue &v : val.array)
+                values.push_back(v.asNumber());
+        else
+            values.push_back(val.asNumber());
+    }
+    EXPECT_EQ(values, (std::vector<double>{
+                          100, 250, 64, 48, 16, 9, 21, 22, 23, 24, 25,
+                          26, 27, 300, 30, 40, 130, 0.375, 0.125, 2.5,
+                          3.25, 0.25}));
+
+    const ResultSet fromJson = ResultSet::fromJson(rs.toJson());
+    ASSERT_EQ(fromJson.size(), 1u);
+    EXPECT_EQ(fromJson.at(0), r);
+    EXPECT_EQ(fromJson.at(0).wallSeconds, r.wallSeconds);
+    EXPECT_EQ(fromJson.at(0).stats.engine.get("nsp_hits"), 7.5);
+
+    const ResultSet fromCsv = ResultSet::fromCsv(csv);
+    ASSERT_EQ(fromCsv.size(), 1u);
+    ResultRow noEngine = r;
+    noEngine.stats.engine = StatSet{};
+    EXPECT_EQ(fromCsv.at(0), noEngine);
+    EXPECT_EQ(fromCsv.at(0).wallSeconds, r.wallSeconds);
+    EXPECT_FALSE(fromCsv.at(0) == r); // CSV drops the engine stats
 }
 
 TEST(ResultSet, AggregationHelpers)
