@@ -112,18 +112,18 @@ StreamFetchEngine::icacheStep(Cycle now, unsigned max_insts,
         n, static_cast<unsigned>(
                (image_->endAddr() - req.start) / kInstBytes));
 
-    // Batched scan over the image's packed branch-type bytes: one
-    // movemask finds every branch in the run, a second isolates the
+    // Batched scan over the image's packed meta bytes: one movemask
+    // finds every branch in the run, a second isolates the
     // unconditional transfers that would steer fetch. The per-inst
     // fill loop below then carries no decode at all — just the
     // sequential pc and a token on branch positions.
-    const std::uint8_t *bt = image_->btypes() +
+    const std::uint8_t *meta = image_->meta() +
         (req.start - image_->baseAddr()) / kInstBytes;
-    const std::uint32_t bmask = simd::maskTestU8(bt, n, 0xff);
+    const std::uint32_t bmask =
+        simd::maskTestU8(meta, n, kMetaBranchBits);
     std::uint32_t steer = bmask &
-        ~simd::maskEqU8(
-            bt, n, 0xff,
-            static_cast<std::uint8_t>(BranchType::CondDirect));
+        ~simd::maskEqU8(meta, n, kMetaBranchBits,
+                        metaBranchField(BranchType::CondDirect));
     // An unconditional transfer *terminating* a bounded request is
     // the predicted stream end, already steered by predictStep; only
     // one before the end (sequential mode, or a stale aliased entry)
@@ -148,7 +148,7 @@ StreamFetchEngine::icacheStep(Cycle now, unsigned max_insts,
         const Addr bpc = pc - kInstBytes;
         const Addr seq = pc;
         Addr next = seq;
-        switch (static_cast<BranchType>(bt[fill - 1])) {
+        switch (metaBranchType(meta[fill - 1])) {
           case BranchType::Jump:
             next = image_->takenTarget(bpc);
             break;

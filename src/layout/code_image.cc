@@ -123,9 +123,9 @@ CodeImage::CodeImage(const Program &prog,
     }
     assert(base_ + instsToBytes(insts_.size()) == cur);
 
-    btypes_.resize(insts_.size());
+    meta_.assign(insts_.size() + kMetaPadBytes, 0);
     for (std::size_t i = 0; i < insts_.size(); ++i)
-        btypes_[i] = static_cast<std::uint8_t>(insts_[i].btype);
+        meta_[i] = packMeta(insts_[i].cls, insts_[i].btype);
 }
 
 std::vector<BlockId>

@@ -17,6 +17,7 @@
 #ifndef SFETCH_LAYOUT_CODE_IMAGE_HH
 #define SFETCH_LAYOUT_CODE_IMAGE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,42 @@
 
 namespace sfetch
 {
+
+/** Meta-byte bits holding the instruction class. */
+constexpr std::uint8_t kMetaClassBits = 0x07;
+/** Meta-byte bits holding the branch type (nonzero for branches). */
+constexpr std::uint8_t kMetaBranchBits = 0x38;
+/** Shift of the branch type within a meta byte. */
+constexpr unsigned kMetaBranchShift = 3;
+/** Meta-byte bit set on taken branches of a committed path. */
+constexpr std::uint8_t kMetaTakenBit = 0x40;
+/** Zero bytes CodeImage::meta() carries past the last instruction. */
+constexpr std::size_t kMetaPadBytes = 32;
+
+/** The branch-type field of a meta byte for type @p bt. */
+constexpr std::uint8_t
+metaBranchField(BranchType bt)
+{
+    return static_cast<std::uint8_t>(static_cast<unsigned>(bt)
+                                     << kMetaBranchShift);
+}
+
+/** The meta byte of an instruction of class @p cls and type @p bt. */
+constexpr std::uint8_t
+packMeta(InstClass cls, BranchType bt)
+{
+    return static_cast<std::uint8_t>(
+        (static_cast<unsigned>(cls) & kMetaClassBits) |
+        metaBranchField(bt));
+}
+
+/** The branch type a meta byte holds. */
+constexpr BranchType
+metaBranchType(std::uint8_t mb)
+{
+    return static_cast<BranchType>((mb & kMetaBranchBits) >>
+                                   kMetaBranchShift);
+}
 
 /** Compact per-instruction record of the placed binary. */
 struct StaticInst
@@ -84,21 +121,18 @@ class CodeImage
     }
 
     /**
-     * Packed branch types, one byte per placed instruction in address
-     * order (`btypes()[(pc - baseAddr()) / kInstBytes]`). A byte of 0
-     * (BranchType::None) means not a branch, so the engines' hot
-     * fetch loops can scan a whole line's worth with the util/simd.hh
-     * byte-mask primitives instead of loading a StaticInst per
-     * instruction.
+     * Packed per-instruction meta bytes in address order
+     * (`meta()[(pc - baseAddr()) / kInstBytes]`), in the layout an
+     * OracleView reads: class in bits 0-2, branch type in bits 3-5
+     * (see packMeta()). The taken bit is never set here: it is the
+     * dynamic part of the path. A zero branch field means not a
+     * branch, so hot fetch loops can scan a line's worth with the
+     * util/simd.hh byte-mask primitives instead of loading a
+     * StaticInst per instruction. kMetaPadBytes zero bytes follow
+     * the last instruction, so a 32-byte scan starting at any
+     * instruction stays inside the array.
      */
-    const std::uint8_t *btypes() const { return btypes_.data(); }
-
-    /** btypes() entry for @p pc. @pre contains(pc). */
-    std::uint8_t
-    btypeAt(Addr pc) const
-    {
-        return btypes_[(pc - base_) / kInstBytes];
-    }
+    const std::uint8_t *meta() const { return meta_.data(); }
 
     /** Start address of block @p id. */
     Addr
@@ -155,8 +189,8 @@ class CodeImage
     const Program *prog_;
     Addr base_;
     std::vector<StaticInst> insts_;
-    /** insts_[i].btype, packed for SIMD scans (see btypes()). */
-    std::vector<std::uint8_t> btypes_;
+    /** insts_[i] packed for SIMD scans (see meta()), plus padding. */
+    std::vector<std::uint8_t> meta_;
     std::vector<Addr> block_addr_;
     std::vector<bool> normal_polarity_;
     std::size_t num_stubs_ = 0;

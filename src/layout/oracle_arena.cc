@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <new>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -36,59 +37,100 @@ isMemMeta(std::uint8_t mb)
 constexpr Addr kMaxOffset = 0xffffffffULL;
 
 [[noreturn]] void
-throwUnencodable(const char *what, std::uint64_t inst)
+throwUnencodable(const char *what, std::uint64_t inst, Addr pc)
 {
-    throw std::logic_error(std::string("OracleDecoder: ") + what +
-                           " at instruction " + std::to_string(inst));
+    std::ostringstream os;
+    os << "OracleDecoder: " << what << " at instruction " << inst
+       << " (pc 0x" << std::hex << pc << ")";
+    throw std::logic_error(os.str());
 }
 
 } // namespace
+
+void
+OracleStreams::clear()
+{
+    insts = conds = 0;
+    condTaken.clear();
+    target.clear();
+    dataOff.clear();
+}
 
 OracleDecoder::OracleDecoder(const CodeImage &image,
                              const WorkloadModel &model,
                              std::uint64_t seed,
                              const RecordedTrace *replay)
-    : path_(image, model, seed, replay),
+    : image_(&image), path_(image, model, seed, replay),
       data_(model.data(), seed ^ kDataStreamSeedSalt),
       base_(image.baseAddr()), next_(image.entryAddr())
 {
+    // Every pc is then a u32 offset from the base.
+    if (image.endAddr() - base_ > kMaxOffset)
+        throw std::logic_error("OracleDecoder: image larger than the "
+                               "u32 offset range");
 }
 
 std::size_t
 OracleDecoder::decode(OracleStreams &out, std::size_t n)
 {
-    const std::size_t at = out.meta.size();
-    out.meta.resize(at + n);
-    std::uint8_t *meta = out.meta.data() + at;
+    const std::uint8_t *imeta = image_->meta();
+    const Addr image_bytes = image_->endAddr() - base_;
     OracleInst oi;
+    auto refuse = [&](const char *what) {
+        throwUnencodable(what, path_.instCount() - 1, oi.pc);
+    };
     std::size_t i = 0;
     std::size_t accesses = 0;
     for (; i < n && path_.tryNext(oi); ++i) {
-        // Only taken instructions store their successor, so the
-        // committed successor of every instruction must be the next
-        // one decoded, and an untaken one's must be pc + 4; every
-        // successor (hence every pc) must fit a u32 offset from the
-        // image base. All are invariants of OracleStream: check them
+        // The encoding keeps only what the image cannot derive, so
+        // every instruction must be its predecessor's successor and
+        // agree with the image on class, type and every static
+        // successor. All are invariants of OracleStream: check them
         // while decoding rather than corrupting every replay.
-        const Addr succ = oi.nextPc - base_;
-        if (oi.pc != next_ || succ > kMaxOffset ||
-            (!oi.taken && oi.nextPc != oi.pc + kInstBytes)) {
-            throwUnencodable("committed path violates the "
-                             "stream-encoding invariants",
-                             path_.instCount() - 1);
-        }
-        next_ = oi.nextPc;
+        const Addr off = oi.pc - base_;
+        if (oi.pc != next_ || off >= image_bytes)
+            refuse("instruction off the committed path");
+        const std::uint8_t mb = imeta[off / kInstBytes];
+        if (packMeta(oi.cls, oi.btype) != mb)
+            refuse("class or branch type disagrees with the image");
 
-        const std::uint8_t mb = static_cast<std::uint8_t>(
-            (static_cast<unsigned>(oi.cls) & 0x07) |
-            ((static_cast<unsigned>(oi.btype) & 0x07) << 3) |
-            (oi.taken ? kMetaTakenBit : 0u));
-        meta[i] = mb;
-        if (oi.taken)
-            out.target.push_back(static_cast<std::uint32_t>(succ));
+        Addr expect = oi.pc + kInstBytes;
+        bool taken = false;
+        switch (oi.btype) {
+          case BranchType::None:
+            break;
+          case BranchType::CondDirect: {
+            const std::uint64_t c = out.conds++;
+            if (c % 64 == 0)
+                out.condTaken.push_back(0);
+            taken = oi.taken;
+            if (taken) {
+                out.condTaken.back() |= std::uint64_t(1) << (c % 64);
+                expect = image_->takenTarget(oi.pc);
+            }
+            break;
+          }
+          case BranchType::Jump:
+          case BranchType::Call:
+            taken = true;
+            expect = image_->takenTarget(oi.pc);
+            break;
+          case BranchType::Return:
+          case BranchType::IndirectJump:
+            if (!image_->contains(oi.nextPc))
+                refuse("successor outside the image");
+            taken = true;
+            expect = oi.nextPc;
+            out.target.push_back(
+                static_cast<std::uint32_t>(oi.nextPc - base_));
+            break;
+        }
+        if (oi.nextPc != expect || oi.taken != taken)
+            refuse("successor disagrees with the image");
+        next_ = oi.nextPc;
         accesses += isMemMeta(mb);
     }
-    out.meta.resize(at + i);
+    out.insts += i;
 
     // The address stream does not depend on the control path, only
     // on how many loads and stores it holds: drawing those in one
@@ -97,9 +139,8 @@ OracleDecoder::decode(OracleStreams &out, std::size_t n)
     for (; accesses > 0; --accesses) {
         const Addr off = data_.next() - kDataRegionBase;
         if (off > kMaxOffset)
-            throwUnencodable("data address outside the u32 offset "
-                             "range above kDataRegionBase",
-                             path_.instCount() - 1);
+            refuse("data address outside the u32 offset range "
+                   "above kDataRegionBase");
         out.dataOff.push_back(static_cast<std::uint32_t>(off));
     }
     return i;
@@ -128,15 +169,14 @@ OracleArena::OracleArena(const CodeImage &image,
     // as a crash or a partial arena.
     if (SFETCH_FAULT("arena.alloc"))
         throw std::bad_alloc();
-    // Reserve the upper bound so the decode never reallocates (pages
-    // the decode does not reach are never touched), then copy the
-    // targets and data offsets down to their exact sizes.
-    streams_.meta.reserve(insts);
-    streams_.target.reserve(insts);
-    streams_.dataOff.reserve(insts);
-
-    // The live generator never runs out, so this fills every entry.
+    // The streams grow with the decode, then are copied down to
+    // their exact sizes. Reserving their upper bounds up front (4
+    // bytes per instruction each) would leave a hole of touched heap
+    // behind every decode once glibc's dynamic mmap threshold has
+    // risen: ~5 MiB more peak RSS over repeated cold set-ups. The
+    // live generator never runs out, so this fills every entry.
     OracleDecoder(image, model, seed).decode(streams_, insts);
+    streams_.condTaken.shrink_to_fit();
     streams_.target.shrink_to_fit();
     streams_.dataOff.shrink_to_fit();
 
@@ -148,14 +188,15 @@ OracleArena::OracleArena(const CodeImage &image,
 std::size_t
 OracleArena::bytes() const
 {
-    return streams_.meta.capacity() * sizeof(std::uint8_t) +
+    return streams_.condTaken.capacity() * sizeof(std::uint64_t) +
         streams_.target.capacity() * sizeof(std::uint32_t) +
         streams_.dataOff.capacity() * sizeof(std::uint32_t);
 }
 
 OracleWindow::OracleWindow(const CodeImage &image,
                            std::size_t capacity)
-    : capacity_(capacity), pcOff_(capacity + 1), meta_(capacity)
+    : image_(&image), capacity_(capacity), pcOff_(capacity + 1),
+      meta_(capacity)
 {
     // Data accesses never outnumber the instructions held, so this
     // one reservation covers every refill.
@@ -176,7 +217,7 @@ OracleWindow::OracleWindow(const CodeImage &image,
     : OracleWindow(image, capacity)
 {
     decoder_.emplace(image, model, seed, replay);
-    chunk_.meta.reserve(kChunkInsts);
+    chunk_.condTaken.reserve(kChunkInsts / 64 + 1);
     chunk_.target.reserve(kChunkInsts);
     chunk_.dataOff.reserve(kChunkInsts);
     refill(0, 0);
@@ -196,43 +237,71 @@ OracleWindow::expand(const OracleStreams &src, Cursor &at,
 {
     const std::size_t held =
         static_cast<std::size_t>(view_.last - view_.first);
-    const std::uint8_t *in = src.meta.data() + at.inst;
-    const std::uint32_t *target = src.target.data() + at.taken;
+    const Addr base = view_.base;
+    const std::uint8_t *image = image_->meta();
+    std::uint8_t *meta = meta_.data() + held;
     std::uint32_t *pc = pcOff_.data() + held;
-    std::memcpy(meta_.data() + held, in, n);
 
-    // Stream by stream: pcs run sequentially up to each taken
-    // instruction, whose successor is the next target. One mask per
-    // 32 meta bytes finds the taken ones; pc[0] already holds the
-    // successor of the last held instruction.
+    // Run by run: from each successor, the image's meta bytes up to
+    // the next taken branch are the path's, at sequential pcs. One
+    // mask per 32 bytes finds the branches; only a conditional's bit
+    // and a return's or indirect jump's target come from the
+    // encoding. pc[0] already holds the successor of the last held
+    // instruction.
+    const std::uint64_t *cond_taken = src.condTaken.data();
+    const std::uint32_t *target = src.target.data() + at.target;
+    std::size_t cond = at.cond;
     std::uint32_t next = pc[0];
-    std::size_t taken = 0, i = 0;
-    for (std::size_t block = 0; block < n; block += 32) {
-        const unsigned m =
-            static_cast<unsigned>(std::min<std::size_t>(32, n - block));
-        std::uint32_t mask = simd::maskTestU8(in + block, m,
-                                              kMetaTakenBit);
-        while (mask) {
-            const std::size_t j = block + simd::bottomBit(mask);
-            mask &= mask - 1;
-            for (; i < j; ++i, next += kInstBytes)
-                pc[i] = next;
-            pc[i++] = next;
-            next = target[taken++];
+    std::size_t i = 0;
+    while (i < n) {
+        const std::uint8_t *run = image + next / kInstBytes;
+        const std::size_t room = n - i;
+        std::size_t len = room;
+        BranchType ends = BranchType::None; //!< the run's taken branch
+        for (std::size_t block = 0;
+             ends == BranchType::None && block < room; block += 32) {
+            const unsigned m = static_cast<unsigned>(
+                std::min<std::size_t>(32, room - block));
+            for (std::uint32_t mask =
+                     simd::maskTestU8(run + block, m, kMetaBranchBits);
+                 mask; mask &= mask - 1) {
+                const std::size_t j = block + simd::bottomBit(mask);
+                const BranchType bt = metaBranchType(run[j]);
+                if (bt == BranchType::CondDirect) {
+                    const std::size_t c = cond++;
+                    if (!((cond_taken[c / 64] >> (c % 64)) & 1))
+                        continue; // untaken: the run goes on
+                }
+                len = j + 1;
+                ends = bt;
+                break;
+            }
         }
-        for (; i < block + m; ++i, next += kInstBytes)
-            pc[i] = next;
+        std::memcpy(meta + i, run, len);
+        for (std::size_t k = 0; k < len; ++k, next += kInstBytes)
+            pc[i + k] = next;
+        i += len;
+        if (ends != BranchType::None) {
+            meta[i - 1] |= kMetaTakenBit;
+            next = ends == BranchType::Return ||
+                    ends == BranchType::IndirectJump
+                ? *target++
+                : static_cast<std::uint32_t>(
+                      image_->takenTarget(base + next - kInstBytes) -
+                      base);
+        }
     }
     pc[n] = next;
+    at.cond = cond;
+    at.target = static_cast<std::size_t>(target - src.target.data());
 
     std::size_t accesses = 0;
     for (std::size_t k = 0; k < n; ++k)
-        accesses += isMemMeta(in[k]);
+        accesses += isMemMeta(meta[k]);
     const std::uint32_t *off = src.dataOff.data() + at.data;
     dataOff_.insert(dataOff_.end(), off, off + accesses);
 
     at.inst += n;
-    at.taken += taken;
     at.data += accesses;
     view_.last += n;
 }
@@ -265,9 +334,7 @@ OracleWindow::refill(std::uint64_t keep_from,
     } else {
         while (room > 0) {
             const std::size_t ask = std::min(room, kChunkInsts);
-            chunk_.meta.clear();
-            chunk_.target.clear();
-            chunk_.dataOff.clear();
+            chunk_.clear();
             const std::size_t got = decoder_->decode(chunk_, ask);
             Cursor at;
             expand(chunk_, at, got);

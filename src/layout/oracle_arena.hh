@@ -5,37 +5,46 @@
  *
  * One decode loop (OracleDecoder) turns an OracleStream — the live
  * generator or a recorded trace — into the stream encoding, the
- * paper's fetch unit: a run of sequential instructions that ends in
- * a taken branch needs nothing per instruction but its meta byte.
+ * paper's fetch unit: given where a stream starts and which
+ * conditionals it falls through, the placed image fixes everything
+ * else, so the encoding is the path minus the image.
  *
- *   - meta[i]     u8: InstClass (bits 0-2), BranchType (bits 3-5),
- *                 taken (bit 6).
+ *   - condTaken   one bit per dynamic CondDirect: taken or not.
  *   - target[t]   u32 offset from the image base of the successor of
- *                 the t-th taken instruction. Every other instruction
- *                 is followed by pc + kInstBytes (the decoder checks
- *                 it), and the first one sits at the image's entry.
+ *                 the t-th Return or IndirectJump. Every other
+ *                 successor is static: pc + kInstBytes after a
+ *                 non-branch or an untaken conditional, the image's
+ *                 taken target after a taken conditional, a jump or
+ *                 a call. The path starts at the image's entry.
  *   - dataOff[k]  u32 offset from kDataRegionBase of the k-th data
  *                 access: the back end's synthetic address stream is
  *                 part of the workload model (independent of the
  *                 fetch engine), so it is decoded alongside the
  *                 control path.
  *
+ * Class and branch type are static per pc: CodeImage::meta() holds
+ * them in the meta-byte layout a run reads, and the decoder checks
+ * every committed instruction's class, type and static successor
+ * against it (a path that disagrees throws std::logic_error).
+ *
  * An OracleArena holds a whole run in this form, decoded once and
  * shared read-only by every sweep point of one (bench, layout, run
  * length) — gem5-style decode-once / simulate-many. A run reads the
  * path through its private OracleWindow: a constant-size expanded
- * view (a u32 pc offset per instruction, plus its successor, next to
- * the meta bytes and data offsets as they are) that one expansion
- * routine refills as the run advances, from the shared arena or from
- * a small chunk a private decoder fills. Either way the processor sees
- * an OracleView, so one pipeline serves every run.
+ * view (a u32 pc offset per instruction, plus its successor, the
+ * meta bytes with the taken bit filled in, and the data offsets)
+ * that one expansion routine refills as the run advances, walking
+ * the image run by run from the shared arena or from a small chunk a
+ * private decoder fills. Either way the processor sees an
+ * OracleView, so one pipeline serves every run.
  *
- * Memory cost: an arena holds 1 byte per committed instruction plus
- * 4 bytes per taken instruction and 4 per load/store, sized exactly.
- * The suite runs 0.016-0.16 taken instructions and 0.12-0.40 memory
- * operations per instruction, so 1.8-2.9 bytes per instruction: ~6 MB
- * for a full paper-scale run (2M + 0.3M warmup). A window costs 9
- * bytes per entry, 4K entries per run, whatever the run length.
+ * Memory cost: an arena holds 1 bit per conditional plus 4 bytes per
+ * return or indirect jump and 4 per load/store, sized exactly. The
+ * suite runs 0.04-0.17 conditionals, up to 0.06 returns and indirect
+ * jumps and 0.12-0.40 memory operations per instruction, so 0.5-1.6
+ * bytes per instruction: at most ~3.7 MB for a full paper-scale run
+ * (2M + 0.3M warmup). A window costs 9 bytes per entry, 4K entries
+ * per run, whatever the run length.
  *
  * Bit-identity: every form is what the live OracleStream produced,
  * so arena replay, windowed generation and windowed trace replay are
@@ -60,7 +69,7 @@ namespace sfetch
  * admission decisions made *before* any decode. sfetchd's memory
  * governor budgets `insts * kArenaBytesPerInstEstimate` per decode.
  *
- * It is 12, well above the ~2.5 B/inst the stream encoding measures,
+ * It is 12, well above the ~1.3 B/inst the stream encoding measures,
  * because the governor budgets arenas only: the placed workloads
  * they are decoded from are not budgeted, and take up to ~3.3 MB
  * each (~20 MB for a churn of 24 distinct programs). The governor
@@ -69,11 +78,6 @@ namespace sfetch
  * workload memory pile up unchecked.
  */
 constexpr std::size_t kArenaBytesPerInstEstimate = 12;
-
-/** Meta-byte bits holding the branch type (nonzero for branches). */
-constexpr std::uint8_t kMetaBranchBits = 0x38;
-/** Meta-byte bit set on taken branches (they carry a target). */
-constexpr std::uint8_t kMetaTakenBit = 0x40;
 
 /**
  * Read-only view of committed-path positions [first, last) in the
@@ -95,9 +99,16 @@ struct OracleView
 /** A committed path in the stream encoding (see file comment). */
 struct OracleStreams
 {
-    std::vector<std::uint8_t> meta;     //!< one per instruction
-    std::vector<std::uint32_t> target;  //!< one per taken instruction
+    std::uint64_t insts = 0; //!< instructions on the path
+    std::uint64_t conds = 0; //!< conditional branches among them
+    /** Bit c % 64 of word c / 64 is set when conditional c is taken. */
+    std::vector<std::uint64_t> condTaken;
+    /** Successor offset of each Return and IndirectJump. */
+    std::vector<std::uint32_t> target;
     std::vector<std::uint32_t> dataOff; //!< one per load/store
+
+    /** Empty the path, keeping the vectors' capacity. */
+    void clear();
 };
 
 /**
@@ -109,6 +120,8 @@ struct OracleStreams
 class OracleDecoder
 {
   public:
+    /** Throws std::logic_error if @p image spans more than the u32
+     * offset range. */
     OracleDecoder(const CodeImage &image, const WorkloadModel &model,
                   std::uint64_t seed,
                   const RecordedTrace *replay = nullptr);
@@ -116,15 +129,19 @@ class OracleDecoder
     /**
      * Append up to @p n instructions to @p out. Returns the count,
      * which falls short of @p n only once a recorded trace has run
-     * out. Throws std::logic_error if the path cannot be encoded: an
-     * instruction that is not its predecessor's successor, a
-     * successor outside the image's u32 offset range, an untaken
-     * instruction not followed by pc + kInstBytes, or a data address
-     * outside the u32 offset range above kDataRegionBase.
+     * out. Throws std::logic_error naming the instruction if the
+     * path disagrees with the image: an instruction that is not its
+     * predecessor's successor or lies outside the image, a class or
+     * branch type other than the image's, a successor other than
+     * pc + kInstBytes after a non-branch or an untaken conditional,
+     * or other than the image's taken target after a direct taken
+     * branch; also for a data address outside the u32 offset range
+     * above kDataRegionBase.
      */
     std::size_t decode(OracleStreams &out, std::size_t n);
 
   private:
+    const CodeImage *image_;
     OracleStream path_;
     DataAddressStream data_;
     Addr base_;
@@ -156,7 +173,7 @@ class OracleArena
     const CodeImage *image() const { return image_; }
 
     /** Number of replayable instructions. */
-    std::uint64_t size() const { return streams_.meta.size(); }
+    std::uint64_t size() const { return streams_.insts; }
 
     /** Number of pre-generated data-access addresses. */
     std::uint64_t dataCount() const { return streams_.dataOff.size(); }
@@ -164,7 +181,10 @@ class OracleArena
     /** The decoded path, read through an OracleWindow. */
     const OracleStreams &streams() const { return streams_; }
 
-    /** Approximate heap footprint in bytes. */
+    /**
+     * Heap footprint in bytes: 8 per 64 conditionals (rounded up)
+     * plus 4 per return/indirect target and 4 per data access.
+     */
     std::size_t bytes() const;
 
     /**
@@ -223,17 +243,23 @@ class OracleWindow
     /** Where the next expansion starts in a stream-encoded path. */
     struct Cursor
     {
-        std::size_t inst = 0, taken = 0, data = 0;
+        std::size_t inst = 0, cond = 0, target = 0, data = 0;
     };
 
     OracleWindow(const CodeImage &image, std::size_t capacity);
 
     /**
      * The one expansion routine: append @p n instructions of @p src
-     * from @p at on, and advance @p at past them.
+     * from @p at on, and advance @p at past them. It walks the image
+     * run by run: the static meta bytes up to the next taken branch
+     * (a conditional's bit says whether it is), their sequential
+     * pcs, then that branch's successor (the next target for a
+     * return or indirect jump, the image's target otherwise).
      */
     void expand(const OracleStreams &src, Cursor &at, std::size_t n);
 
+    /** The placed binary the path runs over. */
+    const CodeImage *image_;
     /** Private source; empty when the window reads an arena. */
     std::optional<OracleDecoder> decoder_;
     /** Decoder output, expanded and cleared chunk by chunk. */

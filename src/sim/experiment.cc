@@ -41,19 +41,42 @@ nextArenaUseStamp()
 std::shared_ptr<const OracleArena>
 PlacedWorkload::arena(bool optimized, InstCount total_insts) const
 {
-    std::lock_guard<std::mutex> lock(arenaMu_);
-    std::shared_ptr<const OracleArena> &slot =
-        arenas_[optimized ? 1 : 0];
-    if (!slot || slot->size() < total_insts) {
-        // The decode is a prefix property: a longer arena serves
-        // every shorter request, so only the longest ever built per
-        // layout is kept. Holding the lock through the build
-        // serializes duplicate work instead of racing it.
-        slot = std::make_shared<OracleArena>(
-            image(optimized), model(), kRefSeed, total_insts);
+    if (auto hit = cachedArena(optimized, total_insts))
+        return hit;
+    // The decode is a prefix property: a longer arena serves every
+    // shorter request, so only the longest ever built per layout is
+    // kept. A duplicate request waits here for the decode in flight
+    // and then finds it cached, instead of racing it.
+    const int l = optimized ? 1 : 0;
+    std::lock_guard<std::mutex> build(buildMu_[l]);
+    if (auto hit = cachedArena(optimized, total_insts))
+        return hit;
+    // Until it lands, the decode counts at the governor's estimate:
+    // an arena on its way must keep the cache over budget, so
+    // WorkloadCache::evictToBudget() goes on to evict whole
+    // workloads just as it would once the arena is resident.
+    {
+        std::lock_guard<std::mutex> lock(arenaMu_);
+        decoding_[l] = total_insts;
     }
-    arenaUse_[optimized ? 1 : 0] = nextArenaUseStamp();
-    return slot;
+    std::shared_ptr<const OracleArena> fresh;
+    try {
+        fresh = std::make_shared<const OracleArena>(
+            image(optimized), model(), kRefSeed, total_insts);
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(arenaMu_);
+        decoding_[l] = 0;
+        throw;
+    }
+    std::lock_guard<std::mutex> lock(arenaMu_);
+    // A dropArenas() during the decode cleared the count: the caller
+    // still gets its arena, but the cache does not keep it.
+    if (decoding_[l] != 0) {
+        decoding_[l] = 0;
+        arenas_[l] = fresh;
+        arenaUse_[l] = nextArenaUseStamp();
+    }
+    return fresh;
 }
 
 std::shared_ptr<const OracleArena>
@@ -75,9 +98,9 @@ PlacedWorkload::arenaBytesResident() const
 {
     std::lock_guard<std::mutex> lock(arenaMu_);
     std::size_t bytes = 0;
-    for (const auto &slot : arenas_)
-        if (slot)
-            bytes += slot->bytes();
+    for (int l = 0; l < 2; ++l)
+        bytes += (arenas_[l] ? arenas_[l]->bytes() : 0) +
+            decoding_[l] * kArenaBytesPerInstEstimate;
     return bytes;
 }
 
@@ -88,6 +111,7 @@ PlacedWorkload::dropArenas() const
     arenas_[0].reset();
     arenas_[1].reset();
     arenaUse_[0] = arenaUse_[1] = 0;
+    decoding_[0] = decoding_[1] = 0;
 }
 
 std::size_t

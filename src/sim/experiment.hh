@@ -78,7 +78,9 @@ class PlacedWorkload
      * and later sweeps share one immutable arena. A request longer
      * than the cached arena rebuilds (the longer arena replaces the
      * shorter; outstanding references stay valid through the
-     * shared_ptr). Thread-safe.
+     * shared_ptr). Thread-safe: duplicate decodes of one layout wait
+     * for the first, while every other arena query — the sibling
+     * layout's included — proceeds during a decode.
      */
     std::shared_ptr<const OracleArena>
     arena(bool optimized, InstCount total_insts) const;
@@ -92,17 +94,20 @@ class PlacedWorkload
 
     /**
      * Bytes held by this workload's cached per-layout arenas — the
-     * budgetable share of its footprint (~2.5 B/inst; the program
-     * and its images, up to a few MB, are not counted). Feeds
-     * WorkloadCache::bytesResident() and sfetchd's memory governor.
+     * budgetable share of its footprint (~1.3 B/inst; the program
+     * and its images, up to a few MB, are not counted) — plus each
+     * decode in flight at kArenaBytesPerInstEstimate per instruction.
+     * Feeds WorkloadCache::bytesResident() and sfetchd's memory
+     * governor.
      */
     std::size_t arenaBytesResident() const;
 
     /**
-     * Drop the cached arena references. Outstanding shared_ptrs
-     * (e.g. a sweep currently replaying) keep their arenas alive and
-     * valid; the memory is reclaimed when the last reference dies,
-     * and later arena() calls decode afresh.
+     * Drop the cached arena references, and those of decodes in
+     * flight once they land. Outstanding shared_ptrs (e.g. a sweep
+     * currently replaying) keep their arenas alive and valid; the
+     * memory is reclaimed when the last reference dies, and later
+     * arena() calls decode afresh.
      */
     void dropArenas() const;
 
@@ -133,10 +138,16 @@ class PlacedWorkload
     std::unique_ptr<CodeImage> base_;
     std::unique_ptr<CodeImage> opt_;
 
-    /** Lazily-built per-layout committed-path arenas ([0]=base). */
+    /**
+     * Lazily-built per-layout committed-path arenas ([0]=base).
+     * buildMu_ serializes the decodes of one layout; arenaMu_ guards
+     * only the slots and stamps, never a decode.
+     */
+    mutable std::mutex buildMu_[2];
     mutable std::mutex arenaMu_;
     mutable std::shared_ptr<const OracleArena> arenas_[2];
     mutable std::uint64_t arenaUse_[2] = {0, 0}; //!< LRU stamps
+    mutable std::uint64_t decoding_[2] = {0, 0}; //!< insts in flight
 };
 
 /**

@@ -137,7 +137,7 @@ TraceFetchEngine::tryTracePath()
     ++traceHits_;
 
     // Latch the trace for emission: a single pass over the image's
-    // packed branch types builds the queue, the emit-token mask, the
+    // packed meta bytes builds the queue, the emit-token mask, the
     // speculative direction history, and the in-trace call list
     // (instead of one queue-building walk plus two StaticInst
     // re-walks, with a further per-inst lookup at emission).
@@ -149,11 +149,11 @@ TraceFetchEngine::tryTracePath()
     unsigned cond_idx = 0;
     unsigned qi = 0;
     for (const TraceSegment &seg : trace->segments) {
-        const std::uint8_t *bt = image_->btypes() +
+        const std::uint8_t *meta = image_->meta() +
             (seg.start - image_->baseAddr()) / kInstBytes;
         for (std::uint32_t i = 0; i < seg.lenInsts; ++i, ++qi) {
             emitQueue_.push_back(seg.start + instsToBytes(i));
-            const auto b = static_cast<BranchType>(bt[i]);
+            const BranchType b = metaBranchType(meta[i]);
             if (b == BranchType::None)
                 continue;
             bmask |= std::uint64_t(1) << qi;

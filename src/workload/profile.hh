@@ -28,12 +28,12 @@ class EdgeProfile
         : block_counts_(num_blocks, 0)
     {}
 
-    /** Record one traversal of the edge @p from -> @p to. */
+    /** Record @p n traversals of the edge @p from -> @p to. */
     void
-    record(BlockId from, BlockId to)
+    record(BlockId from, BlockId to, std::uint64_t n = 1)
     {
-        block_counts_.at(from) += 1;
-        edge_counts_[key(from, to)] += 1;
+        block_counts_.at(from) += n;
+        edge_counts_[key(from, to)] += n;
     }
 
     std::uint64_t

@@ -431,6 +431,63 @@ TEST(WorkloadCache, EvictToBudgetShedsArenasBeforeWholeEntries)
     EXPECT_GE(OracleArena::liveBytes(), held->bytes());
 }
 
+/**
+ * A decode holds no lock other arena queries need: while one thread
+ * decodes a multi-million-instruction arena, the cache's byte gauge
+ * (which sfetchd's governor reads under the cache mutex) and a
+ * cached arena of the other layout come back before it finishes.
+ * The gauge counts the decode in flight at the governor's estimate.
+ */
+TEST(WorkloadCache, ArenaQueriesDoNotWaitForADecode)
+{
+    WorkloadCache &cache = WorkloadCache::instance();
+    cache.clear();
+    const PlacedWorkload &gzip = cache.get("gzip");
+    const auto base = gzip.arena(false, 30'000);
+    const std::uint64_t insts = 4'000'000;
+    std::atomic<bool> decoded{false};
+    std::thread decode([&] {
+        gzip.arena(true, insts);
+        decoded = true;
+    });
+    // Once the decode is under way, the gauge counts it.
+    const std::size_t in_flight =
+        base->bytes() + insts * kArenaBytesPerInstEstimate;
+    while (cache.bytesResident() != in_flight && !decoded)
+        std::this_thread::yield();
+
+    EXPECT_EQ(gzip.arena(false, 30'000), base);
+    EXPECT_EQ(gzip.arenaBytes(true), 0u);
+    EXPECT_FALSE(decoded) << "the queries waited for the decode";
+    decode.join();
+    EXPECT_EQ(cache.bytesResident(),
+              base->bytes() + gzip.arenaBytes(true));
+    cache.clear();
+}
+
+/** An arena whose decode a clear() overtook is not cached. */
+TEST(WorkloadCache, ClearDuringADecodeCachesNothing)
+{
+    WorkloadCache &cache = WorkloadCache::instance();
+    cache.clear();
+    const auto gzip = cache.getShared("gzip");
+    const std::uint64_t insts = 4'000'000;
+    std::shared_ptr<const OracleArena> got;
+    std::atomic<bool> decoded{false};
+    std::thread decode([&] {
+        got = gzip->arena(true, insts);
+        decoded = true;
+    });
+    while (gzip->arenaBytesResident() == 0 && !decoded)
+        std::this_thread::yield();
+    cache.clear();
+    decode.join();
+    ASSERT_TRUE(got);
+    EXPECT_EQ(got->size(), insts);
+    EXPECT_EQ(gzip->arenaBytesResident(), 0u);
+    EXPECT_EQ(gzip->cachedArena(true, insts), nullptr);
+}
+
 TEST(WorkloadCache, HitAndMissCountersAdvance)
 {
     WorkloadCache &cache = WorkloadCache::instance();

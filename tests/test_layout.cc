@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "isa/cfg_builder.hh"
 #include "layout/code_image.hh"
@@ -17,14 +21,19 @@
 #include "layout/oracle_arena.hh"
 #include "workload/suite.hh"
 #include "workload/trace_io.hh"
+#include "workload/workload_registry.hh"
 
 using namespace sfetch;
 
 namespace
 {
 
+/**
+ * @p cold_exits: the cold arm jumps to the exit instead of the join,
+ * for a program whose paths the default one's image cannot have.
+ */
 SyntheticWorkload
-hammockLoop()
+hammockLoop(bool cold_exits = false)
 {
     // Loop around a hammock where the *taken* arm is hot in the
     // baseline layout, so the optimizer has something to fix.
@@ -36,7 +45,7 @@ hammockLoop()
     BlockId latch = b.addBlock(2);
     BlockId exit = b.addBlock(2);
     b.cond(head, hot, cold);
-    b.jump(cold, join);
+    b.jump(cold, cold_exits ? exit : join);
     b.fallthrough(hot, join);
     b.fallthrough(join, latch);
     b.cond(latch, head, exit);
@@ -374,17 +383,64 @@ expectWindowMatchesLive(OracleWindow &win, const CodeImage &img,
     }
 }
 
+/** A preset placed on both layouts, built once per test binary. */
+struct PlacedPreset
+{
+    SyntheticWorkload w;
+    std::unique_ptr<CodeImage> base, opt;
+};
+
+const PlacedPreset &
+placedPreset(const std::string &spec)
+{
+    static std::map<std::string, std::unique_ptr<PlacedPreset>> cache;
+    std::unique_ptr<PlacedPreset> &p = cache[spec];
+    if (!p) {
+        p = std::make_unique<PlacedPreset>();
+        p->w = buildBenchWorkload(spec);
+        const EdgeProfile prof = collectProfile(
+            p->w.program, p->w.model, kTrainSeed, 100'000);
+        p->base = std::make_unique<CodeImage>(
+            p->w.program, baselineOrder(p->w.program));
+        p->opt = std::make_unique<CodeImage>(
+            p->w.program, optimizedOrder(p->w.program, prof));
+    }
+    return *p;
+}
+
+/**
+ * The encoding's tests, on each workload shape on both layouts: gzip
+ * has almost no returns or indirect jumps, server has the most, and
+ * stub jumps live on the optimized layout.
+ */
+class ArenaOnPreset
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{
+  protected:
+    const SyntheticWorkload &
+    work() const
+    {
+        return placedPreset(std::get<0>(GetParam())).w;
+    }
+
+    const CodeImage &
+    image() const
+    {
+        const PlacedPreset &p = placedPreset(std::get<0>(GetParam()));
+        return std::get<1>(GetParam()) ? *p.opt : *p.base;
+    }
+};
+
 /**
  * The arena is defined as "exactly what the live stream produced":
  * every field a run reads from a window refilled from the arena
  * must be the live generator's value.
  */
-TEST(OracleArena, PackedPathMatchesLiveFieldForField)
+TEST_P(ArenaOnPreset, PackedPathMatchesLiveFieldForField)
 {
-    SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
-    CodeImage img(w.program, baselineOrder(w.program));
+    const CodeImage &img = image();
     const std::uint64_t n = 30'000;
-    OracleArena arena(img, w.model, kRefSeed, n);
+    OracleArena arena(img, work().model, kRefSeed, n);
     EXPECT_EQ(arena.size(), n);
     EXPECT_EQ(arena.seed(), kRefSeed);
     EXPECT_EQ(arena.image(), &img);
@@ -393,23 +449,22 @@ TEST(OracleArena, PackedPathMatchesLiveFieldForField)
 
     OracleWindow win(arena, 4'096);
     unsigned refills = 0;
-    expectWindowMatchesLive(win, img, w.model, n, refills);
+    expectWindowMatchesLive(win, img, work().model, n, refills);
     EXPECT_GE(refills, 7u);
 }
 
-TEST(OracleArena, DataAddressesMatchLiveStream)
+TEST_P(ArenaOnPreset, DataAddressesMatchLiveStream)
 {
-    SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
-    CodeImage img(w.program, baselineOrder(w.program));
+    const CodeImage &img = image();
     const std::uint64_t n = 10'000;
-    OracleArena arena(img, w.model, kRefSeed, n);
+    OracleArena arena(img, work().model, kRefSeed, n);
     OracleWindow win(arena, 1'000);
     unsigned refills = 0;
-    expectWindowMatchesLive(win, img, w.model, n, refills);
+    expectWindowMatchesLive(win, img, work().model, n, refills);
     EXPECT_GE(refills, 10u);
 
     // Every arena address, and nothing past them, reached the window.
-    DataAddressStream ds(w.model.data(),
+    DataAddressStream ds(work().model.data(),
                          kRefSeed ^ kDataStreamSeedSalt);
     const OracleStreams &s = arena.streams();
     ASSERT_EQ(s.dataOff.size(), arena.dataCount());
@@ -425,16 +480,15 @@ TEST(OracleArena, DataAddressesMatchLiveStream)
  * and the kept tail survives each move intact. At the arena's end
  * the window stops growing.
  */
-TEST(OracleWindow, RefillsContinueTheArenaPathExactly)
+TEST_P(ArenaOnPreset, RefillsContinueTheArenaPathExactly)
 {
-    SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
-    CodeImage img(w.program, baselineOrder(w.program));
+    const CodeImage &img = image();
     const std::uint64_t n = 20'000;
-    OracleArena arena(img, w.model, kRefSeed, n);
+    OracleArena arena(img, work().model, kRefSeed, n);
     unsigned refills = 0;
 
     OracleWindow from_arena(arena, 1'000);
-    expectWindowMatchesLive(from_arena, img, w.model, n, refills);
+    expectWindowMatchesLive(from_arena, img, work().model, n, refills);
     EXPECT_GE(refills, 20u);
     while (from_arena.refill(from_arena.view().last - 10,
                              from_arena.view().dataLast)) {
@@ -442,31 +496,94 @@ TEST(OracleWindow, RefillsContinueTheArenaPathExactly)
     EXPECT_EQ(from_arena.view().last, n);
     EXPECT_EQ(from_arena.view().dataLast, arena.dataCount());
 
-    OracleWindow decoded(img, w.model, kRefSeed, nullptr, 1'000);
-    expectWindowMatchesLive(decoded, img, w.model, n, refills);
+    OracleWindow decoded(img, work().model, kRefSeed, nullptr, 1'000);
+    expectWindowMatchesLive(decoded, img, work().model, n, refills);
     EXPECT_GE(refills, 20u);
 }
 
 /**
- * The stream encoding stores a target per taken instruction and a
- * data offset per load/store, sized exactly: gzip needs no more than
- * 3 bytes per instruction on either layout.
+ * The stream encoding stores a bit per conditional, a target per
+ * return or indirect jump and an offset per load/store, sized
+ * exactly: no shape needs more than 1.7 bytes per instruction on
+ * either layout.
  */
-TEST(OracleArena, StreamEncodingIsSizedExactlyUnderThreeBytesPerInst)
+TEST_P(ArenaOnPreset, StreamEncodingIsSizedExactlyUnderOnePointSevenBytesPerInst)
 {
-    SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
-    EdgeProfile prof = collectProfile(w.program, w.model,
-                                      kTrainSeed, 100'000);
-    CodeImage base(w.program, baselineOrder(w.program));
-    CodeImage opt(w.program, optimizedOrder(w.program, prof));
+    const CodeImage &img = image();
     const std::uint64_t n = 200'000;
-    for (const CodeImage *img : {&base, &opt}) {
-        OracleArena arena(*img, w.model, kRefSeed, n);
-        const OracleStreams &s = arena.streams();
-        EXPECT_EQ(arena.bytes(),
-                  n + 4 * (s.target.size() + s.dataOff.size()));
-        EXPECT_LE(double(arena.bytes()) / double(n), 3.0)
-            << (img == &base ? "base" : "opt") << " layout";
+    OracleArena arena(img, work().model, kRefSeed, n);
+    const OracleStreams &s = arena.streams();
+
+    std::uint64_t conds = 0, targets = 0, accesses = 0;
+    OracleStream live(img, work().model, kRefSeed);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const OracleInst oi = live.next();
+        conds += oi.btype == BranchType::CondDirect;
+        targets += oi.btype == BranchType::Return ||
+            oi.btype == BranchType::IndirectJump;
+        accesses += oi.cls == InstClass::Load ||
+            oi.cls == InstClass::Store;
+    }
+    EXPECT_EQ(s.insts, n);
+    EXPECT_EQ(s.conds, conds);
+    EXPECT_EQ(s.target.size(), targets);
+    EXPECT_EQ(s.dataOff.size(), accesses);
+    EXPECT_EQ(arena.bytes(),
+              8 * ((conds + 63) / 64) + 4 * (targets + accesses));
+    EXPECT_LE(double(arena.bytes()) / double(n), 1.7);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, ArenaOnPreset,
+    ::testing::Combine(::testing::Values("gzip", "server", "phased",
+                                         "thrash", "loops"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ArenaOnPreset::ParamType> &info) {
+        return std::get<0>(info.param) +
+            (std::get<1>(info.param) ? "_opt" : "_base");
+    });
+
+/**
+ * A path the image cannot have is refused with a logic_error naming
+ * the instruction, never replayed or crashed on: here a trace of a
+ * program whose jump goes elsewhere, and a trace that skips a block.
+ */
+TEST(OracleDecoder, PathDisagreeingWithTheImageThrows)
+{
+    SyntheticWorkload w = hammockLoop();
+    CodeImage img(w.program, baselineOrder(w.program));
+
+    // The same CFG but for one jump: its trace decodes cleanly on
+    // its own image and is refused on the other program's.
+    SyntheticWorkload other = hammockLoop(true);
+    CodeImage other_img(other.program, baselineOrder(other.program));
+    RecordedTrace trace = recordTrace(other.program, other.model,
+                                      kRefSeed, 5'000, "other");
+    EXPECT_NO_THROW(OracleWindow(other_img, other.model, kRefSeed,
+                                 &trace, 4'096));
+    try {
+        OracleWindow win(img, w.model, kRefSeed, &trace, 4'096);
+        ADD_FAILURE() << "the cold arm's jump target was accepted";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "successor disagrees with the image at "
+                      "instruction"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // Block 0 falls through into block 1, but the trace goes on at
+    // block 2.
+    RecordedTrace skip;
+    skip.records = {{0, 1}, {2, 3}, {3, 4}};
+    try {
+        OracleWindow win(img, w.model, kRefSeed, &skip, 4'096);
+        ADD_FAILURE() << "a skipped block was accepted";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "off the committed path at instruction 4"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

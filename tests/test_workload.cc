@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "isa/cfg_builder.hh"
 #include "workload/branch_model.hh"
@@ -14,6 +15,7 @@
 #include "workload/suite.hh"
 #include "workload/synth.hh"
 #include "workload/trace_gen.hh"
+#include "workload/workload_registry.hh"
 
 using namespace sfetch;
 
@@ -322,6 +324,40 @@ TEST(EdgeProfile, CountsMatchTrace)
     EXPECT_GT(prof.blockCount(1), 0u);
     EXPECT_EQ(prof.blockCount(0),
               prof.edgeCount(0, 1)); // body always -> latch
+}
+
+/**
+ * Counting target and fallthrough edges per block and folding them
+ * in once gives every edge, returns' and indirect jumps' included,
+ * the count that recording each traversal gives.
+ */
+TEST(EdgeProfile, FoldedCountsMatchRecordByRecord)
+{
+    for (const char *spec : {"gcc", "server"}) {
+        SyntheticWorkload w = buildBenchWorkload(spec);
+        const std::uint64_t n = 50'000;
+        EdgeProfile prof =
+            collectProfile(w.program, w.model, kTrainSeed, n);
+        EdgeProfile ref(w.program.numBlocks());
+        std::set<std::pair<BlockId, BlockId>> edges;
+        TraceGenerator gen(w.program, w.model, kTrainSeed);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const ControlRecord rec = gen.next();
+            ref.record(rec.block, rec.next);
+            edges.insert({rec.block, rec.next});
+        }
+        EXPECT_EQ(prof.totalRecords(), n);
+        for (BlockId b = 0; b < w.program.numBlocks(); ++b) {
+            ASSERT_EQ(prof.blockCount(b), ref.blockCount(b)) << spec;
+            const BasicBlock &bb = w.program.block(b);
+            for (BlockId to : {bb.target, bb.fallthrough})
+                ASSERT_EQ(prof.edgeCount(b, to), ref.edgeCount(b, to))
+                    << spec << " block " << b;
+        }
+        for (const auto &[from, to] : edges)
+            ASSERT_EQ(prof.edgeCount(from, to), ref.edgeCount(from, to))
+                << spec << " edge " << from << " -> " << to;
+    }
 }
 
 TEST(EdgeProfile, HottestSuccessor)
