@@ -263,8 +263,6 @@ registerStreamEngine(EngineRegistry &reg)
     d.aliases = {"streams"};
     d.paperDefault = true;
     d.params
-        .intParam("line", 0,
-                  "i-cache line bytes (0 = 4 x pipe width)")
         .intParam("ftq", 4, "fetch target queue entries", 1)
         .intParam("ras", 8, "return address stack entries", 1)
         .intParam("max_stream", 64,

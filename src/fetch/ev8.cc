@@ -1,6 +1,8 @@
 #include "fetch/ev8.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "sim/engine_registry.hh"
 
@@ -220,12 +222,20 @@ registerEv8Engine(EngineRegistry &reg)
         "BTB, line predictor, 8-entry RAS (Table 2 baseline)";
     d.paperDefault = true;
     d.params
-        .intParam("line", 0,
-                  "i-cache line bytes (0 = 4 x pipe width)")
         .intParam("ras", 8, "return address stack entries", 1)
         .intParam("btb_entries", 2048, "BTB entries", 1)
         .intParam("btb_assoc", 4, "BTB associativity", 1)
         .intParam("line_pred", 4096, "line predictor entries", 1);
+    d.validate = [](const ParamSet &p) {
+        // The fetch window is half a line: at least one instruction.
+        const std::int64_t line = p.getInt("line");
+        if (line != 0 && line < 2 * std::int64_t(kInstBytes))
+            throw std::invalid_argument(
+                "parameter 'line' must be 0 or >= " +
+                std::to_string(2 * kInstBytes) + " for ev8, got " +
+                std::to_string(line));
+        checkTableGeometry(p, "btb_entries", "btb_assoc");
+    };
     d.factory = [](const ParamSet &p, const CodeImage &image,
                    MemoryHierarchy *mem) {
         Ev8Config c;

@@ -358,8 +358,6 @@ registerFtbEngine(EngineRegistry &reg)
         "direction prediction and a fetch target queue";
     d.paperDefault = true;
     d.params
-        .intParam("line", 0,
-                  "i-cache line bytes (0 = 4 x pipe width)")
         .intParam("ftq", 4, "fetch target queue entries", 1)
         .intParam("ras", 8, "return address stack entries", 1)
         .intParam("ftb_entries", 2048, "fetch target buffer entries",
@@ -368,6 +366,9 @@ registerFtbEngine(EngineRegistry &reg)
                   1)
         .intParam("max_block", 64,
                   "fetch block length cap in instructions", 1);
+    d.validate = [](const ParamSet &p) {
+        checkTableGeometry(p, "ftb_entries", "ftb_assoc");
+    };
     d.factory = [](const ParamSet &p, const CodeImage &image,
                    MemoryHierarchy *mem) {
         FtbConfig c;

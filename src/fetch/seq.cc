@@ -79,8 +79,6 @@ registerSeqEngine(EngineRegistry &reg)
         "predictionless next-line sequential fetch; the weakest "
         "baseline and the one-file extensibility example";
     d.aliases = {"nextline"};
-    d.params.intParam("line", 0,
-                      "i-cache line bytes (0 = 4 x pipe width)");
     d.factory = [](const ParamSet &p, const CodeImage &image,
                    MemoryHierarchy *mem) {
         SeqConfig c;

@@ -14,6 +14,22 @@
 namespace sfetch
 {
 
+namespace
+{
+
+/** @p reg's `--list-*` flag: print its listing, then exit 0. */
+template <class Registry>
+void
+addListFlag(CliParser &cli, const Registry &reg, const std::string &help)
+{
+    cli.addFlag(reg.kind().listFlag, help, [&reg] {
+        std::fputs(reg.listText().c_str(), stdout);
+        std::exit(0);
+    });
+}
+
+} // namespace
+
 std::vector<SimConfig>
 CliOptions::archsOrPaperSet() const
 {
@@ -165,16 +181,9 @@ CliParser::addStandard(CliOptions *opts, unsigned mask)
                       // 'all' and empty defaults.
                       opts->benches = parseBenchSpecList(v);
                   });
-        addFlag("--list-benches",
-                "list the registered workload families, their "
-                "parameters and the suite presets, then exit",
-                [] {
-                    std::fputs(WorkloadRegistry::instance()
-                                   .listText()
-                                   .c_str(),
-                               stdout);
-                    std::exit(0);
-                });
+        addListFlag(*this, WorkloadRegistry::instance(),
+                    "list the registered workload families, their "
+                    "parameters and the suite presets, then exit");
     }
     if (mask & kJobs)
         addOption("--jobs", "N",
@@ -201,15 +210,9 @@ CliParser::addStandard(CliOptions *opts, unsigned mask)
                   [opts](const std::string &v) {
                       opts->archs = parseArchSpecList(v);
                   });
-        addFlag("--list-archs",
-                "list the registered fetch engines and their "
-                "parameters, then exit",
-                [] {
-                    std::fputs(
-                        EngineRegistry::instance().listText().c_str(),
-                        stdout);
-                    std::exit(0);
-                });
+        addListFlag(*this, EngineRegistry::instance(),
+                    "list the registered fetch engines and their "
+                    "parameters, then exit");
     }
 }
 

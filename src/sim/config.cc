@@ -17,25 +17,21 @@ SimConfig::SimConfig() : SimConfig("stream") {}
 SimConfig::SimConfig(const std::string &arch_token)
     : desc_(&EngineRegistry::instance().find(arch_token)),
       params_(&desc_->params)
-{
-    arch_ = desc_->token;
-}
+{}
 
 void
 SimConfig::setArch(const std::string &arch_token)
 {
     desc_ = &EngineRegistry::instance().find(arch_token);
-    arch_ = desc_->token;
     params_ = ParamSet(&desc_->params);
 }
 
 SimConfig
 SimConfig::fromSpec(const std::string &spec)
 {
-    std::size_t colon = spec.find(':');
-    SimConfig cfg(spec.substr(0, colon));
-    if (colon != std::string::npos)
-        cfg.params_.applySpecText(spec.substr(colon + 1));
+    ParamSet params;
+    SimConfig cfg(EngineRegistry::instance().parse(spec, params).token);
+    cfg.params_ = std::move(params);
     // Reject bad line overrides at parse time, where the CLI turns
     // them into a clean exit(2), not mid-sweep on a worker thread.
     if (cfg.params_.getInt("line") != 0)
@@ -46,8 +42,7 @@ SimConfig::fromSpec(const std::string &spec)
 std::string
 SimConfig::specText() const
 {
-    std::string params = params_.toSpecText();
-    return params.empty() ? arch_ : arch_ + ":" + params;
+    return formatSpec(arch(), params_);
 }
 
 std::string

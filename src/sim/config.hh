@@ -52,7 +52,8 @@ class SimConfig
     /**
      * Parse `arch[:key=v,...]`. Accepts aliases; throws
      * std::invalid_argument on unknown engines, unknown keys, or
-     * unparseable values.
+     * values that are unparseable, out of their declared bounds or
+     * refused by the engine's validate hook.
      */
     static SimConfig fromSpec(const std::string &spec);
 
@@ -63,7 +64,7 @@ class SimConfig
     std::string label() const;
 
     /** The canonical registry token of the selected engine. */
-    const std::string &arch() const { return arch_; }
+    const std::string &arch() const { return desc_->token; }
 
     /** Select a different engine; resets the parameters. */
     void setArch(const std::string &arch_token);
@@ -85,7 +86,6 @@ class SimConfig
     makeEngine(const CodeImage &image, MemoryHierarchy *mem) const;
 
   private:
-    std::string arch_;
     const EngineDescriptor *desc_;
     ParamSet params_;
 };

@@ -1,139 +1,55 @@
 #include "sim/engine_registry.hh"
 
-#include <sstream>
 #include <stdexcept>
+
+#include "cache/cache.hh"
 
 namespace sfetch
 {
 
-EngineRegistry::EngineRegistry()
-{
-    // Registration order is the paper's plotting order; seq (the
-    // extensibility demonstrator) comes last.
-    detail::registerEv8Engine(*this);
-    detail::registerFtbEngine(*this);
-    detail::registerStreamEngine(*this);
-    detail::registerTraceEngine(*this);
-    detail::registerSeqEngine(*this);
-}
-
+template <>
 EngineRegistry &
 EngineRegistry::instance()
 {
-    static EngineRegistry registry;
+    static EngineRegistry registry = [] {
+        // A line larger than one way of the L1I leaves it 0 sets.
+        const CacheConfig l1i = MemoryConfig{}.l1i;
+        SpecKind kind;
+        kind.noun = "fetch engine";
+        kind.entriesLabel = "registered";
+        kind.listFlag = "--list-archs";
+        kind.listHeader =
+            "registered fetch engines (--arch TOKEN[:key=value,...]):";
+        kind.sharedParams.intParam(
+            "line", 0, "i-cache line bytes (0 = 4 x pipe width)", 0,
+            std::int64_t(l1i.sizeBytes / l1i.assoc));
+        EngineRegistry reg(std::move(kind));
+        // Registration order is the paper's plotting order; seq (the
+        // extensibility demonstrator) comes last.
+        detail::registerEv8Engine(reg);
+        detail::registerFtbEngine(reg);
+        detail::registerStreamEngine(reg);
+        detail::registerTraceEngine(reg);
+        detail::registerSeqEngine(reg);
+        return reg;
+    }();
     return registry;
 }
 
 void
-EngineRegistry::add(EngineDescriptor desc)
+checkTableGeometry(const ParamSet &p, const std::string &entries,
+                   const std::string &assoc)
 {
-    if (desc.token.empty() || !desc.factory)
-        throw std::logic_error(
-            "EngineRegistry: descriptor needs a token and a factory");
-    const ParamDecl *line = desc.params.find("line");
-    if (!line || line->type != ParamType::Int)
-        throw std::logic_error(
-            "EngineRegistry: engine '" + desc.token +
-            "' must declare an int 'line' parameter");
-    auto taken = [this](const std::string &t) {
-        return tryFind(t) != nullptr;
-    };
-    if (taken(desc.token))
-        throw std::logic_error("EngineRegistry: duplicate token '" +
-                               desc.token + "'");
-    for (const std::string &alias : desc.aliases)
-        if (taken(alias) || alias == desc.token)
-            throw std::logic_error(
-                "EngineRegistry: duplicate alias '" + alias + "'");
-    engines_.push_back(
-        std::make_unique<EngineDescriptor>(std::move(desc)));
-}
-
-const EngineDescriptor *
-EngineRegistry::tryFind(const std::string &token) const
-{
-    for (const auto &e : engines_) {
-        if (e->token == token)
-            return e.get();
-        for (const std::string &alias : e->aliases)
-            if (alias == token)
-                return e.get();
-    }
-    return nullptr;
-}
-
-const EngineDescriptor &
-EngineRegistry::find(const std::string &token) const
-{
-    if (const EngineDescriptor *e = tryFind(token))
-        return *e;
-    std::ostringstream os;
-    os << "unknown fetch engine '" << token << "' (registered:";
-    for (const auto &e : engines_) {
-        os << ' ' << e->token;
-        for (const std::string &alias : e->aliases)
-            os << '|' << alias;
-    }
-    os << "); see --list-archs";
-    throw std::invalid_argument(os.str());
-}
-
-std::vector<std::string>
-EngineRegistry::tokens() const
-{
-    std::vector<std::string> out;
-    out.reserve(engines_.size());
-    for (const auto &e : engines_)
-        out.push_back(e->token);
-    return out;
-}
-
-std::vector<std::string>
-EngineRegistry::paperTokens() const
-{
-    std::vector<std::string> out;
-    for (const auto &e : engines_)
-        if (e->paperDefault)
-            out.push_back(e->token);
-    return out;
-}
-
-std::string
-EngineRegistry::listText() const
-{
-    std::ostringstream os;
-    os << "registered fetch engines "
-          "(--arch TOKEN[:key=value,...]):\n";
-    for (const auto &e : engines_) {
-        os << "\n  " << e->token;
-        for (const std::string &alias : e->aliases)
-            os << " | " << alias;
-        os << "  --  " << e->displayName;
-        if (e->paperDefault)
-            os << "  [paper]";
-        os << "\n      " << e->summary << "\n";
-        for (const ParamDecl &d : e->params.decls()) {
-            std::string lhs = "        " + d.key;
-            switch (d.type) {
-              case ParamType::Int:
-                lhs += " = " + std::to_string(d.defInt);
-                break;
-              case ParamType::Bool:
-                lhs += d.defBool ? " = 1" : " = 0";
-                break;
-              case ParamType::String:
-                lhs += " = " + d.defString;
-                break;
-            }
-            os << lhs;
-            if (lhs.size() < 28)
-                os << std::string(28 - lhs.size(), ' ');
-            else
-                os << ' ';
-            os << d.doc << "\n";
-        }
-    }
-    return os.str();
+    const std::int64_t n = p.getInt(entries);
+    const std::int64_t ways = assoc.empty() ? 1 : p.getInt(assoc);
+    const std::int64_t sets = n / ways;
+    if (n % ways == 0 && (sets & (sets - 1)) == 0 && sets != 0)
+        return;
+    throw std::invalid_argument(
+        "parameter '" + entries + "' must be " +
+        (assoc.empty() ? "" : "'" + assoc + "' (" +
+                                  std::to_string(ways) + ") times ") +
+        "a power of two, got " + std::to_string(n));
 }
 
 } // namespace sfetch

@@ -1,27 +1,23 @@
 /**
  * @file
- * The fetch engine registry. Each front end describes itself with an
- * EngineDescriptor — a stable token, the display name used in the
- * paper's figures, its accepted aliases, a documented ParamSpec, and
- * a factory closing over nothing — and registers it here. Everything
- * that used to be a closed enum plus a switch (arch parsing, display
- * names, the engine factory, the "all architectures" list) is a
- * registry lookup instead, so adding a front end is one
- * self-contained file: define the engine, define its descriptor,
- * register it. The `seq` engine (fetch/seq.cc) is the working
- * example.
+ * The fetch engine registry: a SpecRegistry (sim/spec_registry.hh)
+ * of EngineDescriptors. Each front end describes itself — a stable
+ * token, the display name used in the paper's figures, its aliases,
+ * a documented ParamSpec, an optional validate hook and a factory
+ * closing over nothing — and registers it here. Every engine also
+ * accepts the engine-agnostic `line` parameter, declared once by the
+ * registry. Arch parsing, display names, the engine factory and the
+ * "all architectures" list are registry lookups, so adding a front
+ * end is one self-contained file: define the engine, define its
+ * descriptor, register it. The `seq` engine (fetch/seq.cc) is the
+ * working example.
  */
 
 #ifndef SFETCH_SIM_ENGINE_REGISTRY_HH
 #define SFETCH_SIM_ENGINE_REGISTRY_HH
 
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "fetch/fetch_engine.hh"
-#include "sim/param_set.hh"
+#include "sim/spec_registry.hh"
 
 namespace sfetch
 {
@@ -35,62 +31,25 @@ using EngineFactory = std::function<std::unique_ptr<FetchEngine>(
     const ParamSet &, const CodeImage &, MemoryHierarchy *)>;
 
 /** Everything the harness needs to know about one front end. */
-struct EngineDescriptor
+struct EngineDescriptor : SpecEntry
 {
-    std::string token;       //!< canonical spec token, e.g. "stream"
-    std::string displayName; //!< figure label, e.g. "Streams"
-    std::string summary;     //!< one-line description for --list-archs
-    std::vector<std::string> aliases; //!< accepted alternate tokens
-    /** Member of the paper's four-architecture comparison set; these
-     * are what sweep binaries run when --arch is not given. */
-    bool paperDefault = false;
-    ParamSpec params;
     EngineFactory factory;
 };
 
 /** Process-wide registry of fetch engine descriptors. */
-class EngineRegistry
-{
-  public:
-    /** The global instance, with the built-in engines registered. */
-    static EngineRegistry &instance();
+using EngineRegistry = SpecRegistry<EngineDescriptor>;
 
-    /**
-     * Register a descriptor. Throws std::logic_error on a duplicate
-     * token/alias or a descriptor without a factory or `line`
-     * parameter (every engine must accept the engine-agnostic line
-     * size).
-     */
-    void add(EngineDescriptor desc);
+template <>
+EngineRegistry &EngineRegistry::instance();
 
-    /**
-     * Resolve @p token (canonical or alias) to its descriptor.
-     * Throws std::invalid_argument listing the registered engines
-     * when nothing matches.
-     */
-    const EngineDescriptor &find(const std::string &token) const;
-
-    /** Like find(), but returns nullptr instead of throwing. */
-    const EngineDescriptor *tryFind(const std::string &token) const;
-
-    /** Canonical tokens in registration (= plotting) order. */
-    std::vector<std::string> tokens() const;
-
-    /** Tokens of the paper's default comparison set, in order. */
-    std::vector<std::string> paperTokens() const;
-
-    std::size_t size() const { return engines_.size(); }
-
-    /** Human-readable listing for --list-archs: every engine with
-     * its aliases and per-parameter type/default/doc lines. */
-    std::string listText() const;
-
-  private:
-    EngineRegistry();
-
-    /** Descriptor storage; addresses stay stable across add(). */
-    std::vector<std::unique_ptr<EngineDescriptor>> engines_;
-};
+/**
+ * Validate-hook helper: refuses a table whose @p entries parameter
+ * is not the @p assoc parameter's value (1 when @p assoc is empty)
+ * times a power-of-two set count, the geometry the set-indexed
+ * tables are built for.
+ */
+void checkTableGeometry(const ParamSet &p, const std::string &entries,
+                        const std::string &assoc = "");
 
 namespace detail
 {

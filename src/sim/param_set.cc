@@ -1,5 +1,6 @@
 #include "sim/param_set.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -45,38 +46,29 @@ ParamSpec::intParam(const std::string &key, std::int64_t def,
                     const std::string &doc, std::int64_t min,
                     std::int64_t max)
 {
-    ParamDecl d;
-    d.key = key;
-    d.type = ParamType::Int;
-    d.doc = doc;
-    d.defInt = def;
-    d.minInt = min;
-    d.maxInt = max;
-    return add(std::move(d));
+    return add({key, ParamType::Int, doc, def, false, "", min, max});
 }
 
 ParamSpec &
 ParamSpec::boolParam(const std::string &key, bool def,
                      const std::string &doc)
 {
-    ParamDecl d;
-    d.key = key;
-    d.type = ParamType::Bool;
-    d.doc = doc;
-    d.defBool = def;
-    return add(std::move(d));
+    return add({key, ParamType::Bool, doc, 0, def, "", 0, 0});
 }
 
 ParamSpec &
 ParamSpec::stringParam(const std::string &key, const std::string &def,
                        const std::string &doc)
 {
-    ParamDecl d;
-    d.key = key;
-    d.type = ParamType::String;
-    d.doc = doc;
-    d.defString = def;
-    return add(std::move(d));
+    return add({key, ParamType::String, doc, 0, false, def, 0, 0});
+}
+
+ParamSpec &
+ParamSpec::append(const ParamSpec &more)
+{
+    for (const ParamDecl &d : more.decls_)
+        add(d);
+    return *this;
 }
 
 const ParamDecl *
@@ -98,6 +90,23 @@ ParamSpec::keyList() const
         out += d.key;
     }
     return out.empty() ? "<none>" : out;
+}
+
+std::string
+ParamSpec::listText() const
+{
+    std::string out;
+    for (const ParamDecl &d : decls_) {
+        std::string lhs = "        " + d.key + " = ";
+        switch (d.type) {
+          case ParamType::Int: lhs += std::to_string(d.defInt); break;
+          case ParamType::Bool: lhs += d.defBool ? "1" : "0"; break;
+          case ParamType::String: lhs += d.defString; break;
+        }
+        out += lhs + std::string(lhs.size() < 28 ? 28 - lhs.size() : 1,
+                                 ' ') + d.doc + "\n";
+    }
+    return out;
 }
 
 ParamSet::ParamSet() : spec_(&emptySpec()) {}
@@ -200,8 +209,9 @@ ParamSet::set(const std::string &key, const std::string &text)
     switch (d->type) {
       case ParamType::Int: {
         char *end = nullptr;
+        errno = 0;
         long long v = std::strtoll(text.c_str(), &end, 10);
-        if (end == text.c_str() || *end != '\0')
+        if (end == text.c_str() || *end != '\0' || errno == ERANGE)
             throw std::invalid_argument(
                 "parameter '" + key + "' expects an integer, got '" +
                 text + "'");
@@ -245,22 +255,36 @@ ParamSet::isDefault(const std::string &key) const
 }
 
 std::string
-ParamSet::toSpecText() const
+ParamSet::render(bool json) const
 {
+    // `key=v,key=v` with bools as 1/0, or the body of a JSON object
+    // with bools as true/false and strings quoted.
+    const char *quote = json ? "\"" : "";
     std::ostringstream os;
-    bool first = true;
     for (const ParamDecl &d : spec_->decls()) {
         if (isDefault(d.key))
             continue;
-        os << (first ? "" : ",") << d.key << '=';
-        first = false;
+        if (os.tellp() > 0)
+            os << (json ? ", " : ",");
+        os << quote << d.key << quote << (json ? ": " : "=");
         switch (d.type) {
           case ParamType::Int: os << getInt(d.key); break;
-          case ParamType::Bool: os << (getBool(d.key) ? 1 : 0); break;
-          case ParamType::String: os << getString(d.key); break;
+          case ParamType::Bool:
+            os << (getBool(d.key) ? (json ? "true" : "1")
+                                  : (json ? "false" : "0"));
+            break;
+          case ParamType::String:
+            os << quote << getString(d.key) << quote;
+            break;
         }
     }
     return os.str();
+}
+
+std::string
+ParamSet::toSpecText() const
+{
+    return render(false);
 }
 
 void
@@ -283,28 +307,7 @@ ParamSet::applySpecText(const std::string &text)
 std::string
 ParamSet::toJson() const
 {
-    std::ostringstream os;
-    os << '{';
-    bool first = true;
-    for (const ParamDecl &d : spec_->decls()) {
-        if (isDefault(d.key))
-            continue;
-        os << (first ? "" : ", ") << '"' << d.key << "\": ";
-        first = false;
-        switch (d.type) {
-          case ParamType::Int:
-            os << getInt(d.key);
-            break;
-          case ParamType::Bool:
-            os << (getBool(d.key) ? "true" : "false");
-            break;
-          case ParamType::String:
-            os << '"' << getString(d.key) << '"';
-            break;
-        }
-    }
-    os << '}';
-    return os.str();
+    return "{" + render(true) + "}";
 }
 
 std::vector<std::string>
@@ -347,25 +350,9 @@ splitSpecList(const std::string &text)
 bool
 operator==(const ParamSet &a, const ParamSet &b)
 {
-    if (a.spec_ != b.spec_)
-        return false;
-    for (const ParamDecl &d : a.spec_->decls()) {
-        switch (d.type) {
-          case ParamType::Int:
-            if (a.getInt(d.key) != b.getInt(d.key))
-                return false;
-            break;
-          case ParamType::Bool:
-            if (a.getBool(d.key) != b.getBool(d.key))
-                return false;
-            break;
-          case ParamType::String:
-            if (a.getString(d.key) != b.getString(d.key))
-                return false;
-            break;
-        }
-    }
-    return true;
+    // The canonical text lists exactly the non-default effective
+    // values, and no value contains its delimiters.
+    return a.spec_ == b.spec_ && a.toSpecText() == b.toSpecText();
 }
 
 } // namespace sfetch

@@ -26,6 +26,14 @@
 namespace sfetch
 {
 
+/**
+ * Default upper bound of an Int parameter (2^20). Parameters are
+ * sizes, counts, depths and lengths: the cap keeps every table
+ * allocatable and every value within the unsigned and u32 types the
+ * factories narrow to. A seed declares INT64_MAX instead.
+ */
+constexpr std::int64_t kMaxIntParam = std::int64_t(1) << 20;
+
 /** Value types a parameter can declare. */
 enum class ParamType
 {
@@ -43,9 +51,9 @@ struct ParamDecl
     std::int64_t defInt = 0;
     bool defBool = false;
     std::string defString;
-    /** Bounds for Int parameters (all current ones are sizes). */
+    /** Bounds for Int parameters. */
     std::int64_t minInt = 0;
-    std::int64_t maxInt = INT64_MAX;
+    std::int64_t maxInt = kMaxIntParam;
 };
 
 /**
@@ -59,12 +67,15 @@ class ParamSpec
     ParamSpec &intParam(const std::string &key, std::int64_t def,
                         const std::string &doc,
                         std::int64_t min = 0,
-                        std::int64_t max = INT64_MAX);
+                        std::int64_t max = kMaxIntParam);
     ParamSpec &boolParam(const std::string &key, bool def,
                          const std::string &doc);
     ParamSpec &stringParam(const std::string &key,
                            const std::string &def,
                            const std::string &doc);
+
+    /** Declare every parameter of @p more after these (in order). */
+    ParamSpec &append(const ParamSpec &more);
 
     /** The declaration for @p key, or nullptr when not declared. */
     const ParamDecl *find(const std::string &key) const;
@@ -74,6 +85,9 @@ class ParamSpec
 
     /** Comma-separated list of declared keys (for error messages). */
     std::string keyList() const;
+
+    /** One `--list-*` line per parameter: key, default, doc. */
+    std::string listText() const;
 
   private:
     ParamSpec &add(ParamDecl decl);
@@ -109,7 +123,8 @@ class ParamSet
     /**
      * Parse @p text according to the declared type of @p key and set
      * it: integers in base 10, bools as 0/1/true/false. Throws
-     * std::invalid_argument on unknown keys or unparseable text.
+     * std::invalid_argument on unknown keys, unparseable text, or an
+     * integer outside int64 (never saturated) or the declared bounds.
      */
     void set(const std::string &key, const std::string &text);
 
@@ -148,6 +163,8 @@ class ParamSet
 
     const ParamDecl &require(const std::string &key,
                              ParamType type) const;
+    /** The non-default parameters as spec text or JSON members. */
+    std::string render(bool json) const;
     [[noreturn]] void failUnknown(const std::string &key) const;
 
     const ParamSpec *spec_;

@@ -514,16 +514,17 @@ registerTraceEngine(EngineRegistry &reg)
     d.aliases = {"tcache"};
     d.paperDefault = true;
     d.params
-        .intParam("line", 0,
-                  "i-cache line bytes (0 = 4 x pipe width)")
         .intParam("ras", 8, "return address stack entries", 1)
         .intParam("gshare_entries", 8192,
                   "secondary-path gshare table entries", 1)
         .intParam("gshare_hist", 12,
-                  "secondary-path gshare history bits", 1)
+                  "secondary-path gshare history bits", 1, 63)
         .boolParam("partial_match", false,
                    "serve matching prefixes of same-start resident "
                    "traces (footnote 3: hurts optimized layouts)");
+    d.validate = [](const ParamSet &p) {
+        checkTableGeometry(p, "gshare_entries");
+    };
     d.factory = [](const ParamSet &p, const CodeImage &image,
                    MemoryHierarchy *mem) {
         TraceEngineConfig c;

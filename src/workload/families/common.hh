@@ -92,6 +92,33 @@ class FamilyBuilder
         return latch;
     }
 
+    /**
+     * The program's main: a @p call_insts call block per entry of
+     * @p callees in order, looped like loop(), then a return.
+     * Returns the first call block, the program's entry.
+     */
+    BlockId
+    mainLoop(const std::vector<BlockId> &callees,
+             std::uint32_t call_insts, double outer_trips,
+             double trip_jitter = 0.0)
+    {
+        BlockId first = kNoBlock;
+        BlockId prev = kNoBlock;
+        for (BlockId callee : callees) {
+            BlockId c = block(call_insts, BranchType::Call);
+            at(c).target = callee;
+            if (first == kNoBlock)
+                first = c;
+            else
+                at(prev).fallthrough = c;
+            prev = c;
+        }
+        BlockId latch = loop(first, prev, 3, outer_trips, trip_jitter);
+        BlockId ret = block(2, BranchType::Return);
+        at(latch).fallthrough = ret;
+        return first;
+    }
+
     /** Attach an arbitrary conditional model to @p b. */
     void cond(BlockId b, const CondModel &m) { model_.setCond(b, m); }
 
@@ -221,14 +248,6 @@ class FamilyBuilder
     std::vector<BasicBlock> blocks_;
     WorkloadModel model_;
 };
-
-/** Canonical program name for a family factory: `token[:params]`. */
-inline std::string
-specName(const std::string &token, const ParamSet &params)
-{
-    std::string p = params.toSpecText();
-    return p.empty() ? token : token + ":" + p;
-}
 
 } // namespace family
 } // namespace sfetch

@@ -81,21 +81,8 @@ buildLoops(const ParamSet &ps)
     }
 
     // Main: call every kernel, loop.
-    BlockId first_call = kNoBlock;
-    BlockId prev = kNoBlock;
-    for (BlockId kentry : kernel_entries) {
-        BlockId c = b.block(4, BranchType::Call);
-        b.at(c).target = kentry;
-        if (first_call == kNoBlock)
-            first_call = c;
-        else
-            b.at(prev).fallthrough = c;
-        prev = c;
-    }
-    BlockId latch = b.loop(first_call, prev, 3,
-                           double(ps.getInt("outer_trips")), 0.1);
-    BlockId ret = b.block(2, BranchType::Return);
-    b.at(latch).fallthrough = ret;
+    BlockId first_call = b.mainLoop(
+        kernel_entries, 4, double(ps.getInt("outer_trips")), 0.1);
 
     DataModel d;
     d.workingSetBytes =
@@ -105,7 +92,7 @@ buildLoops(const ParamSet &ps)
     d.seed = seed;
     b.setData(d);
 
-    return b.finish(family::specName("loops", ps), first_call);
+    return b.finish(formatSpec("loops", ps), first_call);
 }
 
 } // namespace
@@ -121,15 +108,17 @@ detail::registerLoopsFamily(WorkloadRegistry &reg)
         "trip counts and a tiny branch footprint";
     d.aliases = {"loop_nest"};
     d.params
-        .intParam("seed", 1, "workload generation seed")
+        .intParam("seed", 1, "workload generation seed", 0, INT64_MAX)
         .intParam("kernels", 4, "independent loop-nest functions", 1)
-        .intParam("depth", 3, "loop nesting depth per kernel", 1)
+        // buildNest recurses once per level.
+        .intParam("depth", 3, "loop nesting depth per kernel", 1, 64)
         .intParam("trips", 16, "innermost mean trip count", 2)
         .intParam("body_blocks", 2,
                   "straight-line blocks in the innermost body", 1)
         .intParam("block_insts", 6, "instructions per body block", 1)
         .intParam("hammock_pct", 30,
-                  "innermost bodies guarded by a biased hammock, %")
+                  "innermost bodies guarded by a biased hammock, %", 0,
+                  100)
         .intParam("outer_trips", 200,
                   "main driver loop trip count", 2)
         .intParam("ws_kb", 256, "data working set, KiB", 1,

@@ -75,21 +75,8 @@ buildPhased(const ParamSet &ps)
     }
 
     // Main: run the phases in order, forever.
-    BlockId first_call = kNoBlock;
-    BlockId prev = kNoBlock;
-    for (BlockId dentry : driver_entries) {
-        BlockId c = b.block(3, BranchType::Call);
-        b.at(c).target = dentry;
-        if (first_call == kNoBlock)
-            first_call = c;
-        else
-            b.at(prev).fallthrough = c;
-        prev = c;
-    }
-    BlockId latch = b.loop(first_call, prev, 3,
-                           double(ps.getInt("outer_trips")));
-    BlockId ret = b.block(2, BranchType::Return);
-    b.at(latch).fallthrough = ret;
+    BlockId first_call =
+        b.mainLoop(driver_entries, 3, double(ps.getInt("outer_trips")));
 
     DataModel d;
     d.workingSetBytes =
@@ -97,7 +84,7 @@ buildPhased(const ParamSet &ps)
     d.seed = seed;
     b.setData(d);
 
-    return b.finish(family::specName("phased", ps), first_call);
+    return b.finish(formatSpec("phased", ps), first_call);
 }
 
 } // namespace
@@ -113,13 +100,13 @@ detail::registerPhasedFamily(WorkloadRegistry &reg)
         "kernel whose branches flip bias between phases";
     d.aliases = {"multiphase"};
     d.params
-        .intParam("seed", 1, "workload generation seed")
+        .intParam("seed", 1, "workload generation seed", 0, INT64_MAX)
         .intParam("phases", 3, "phase-driver functions", 1)
         .intParam("phase_len", 400,
                   "inner-loop trips per phase activation", 2)
         .intParam("block_insts", 5, "instructions per block", 1)
         .intParam("noise_pml", 30,
-                  "correlated-branch noise floor, per-mille")
+                  "correlated-branch noise floor, per-mille", 0, 1000)
         .intParam("outer_trips", 150,
                   "main driver loop trip count", 2)
         .intParam("ws_kb", 1024, "data working set, KiB", 1,

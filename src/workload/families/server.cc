@@ -137,7 +137,7 @@ buildServer(const ParamSet &ps)
     d.seed = seed;
     b.setData(d);
 
-    return b.finish(family::specName("server", ps), dispatch);
+    return b.finish(formatSpec("server", ps), dispatch);
 }
 
 } // namespace
@@ -153,7 +153,7 @@ detail::registerServerFamily(WorkloadRegistry &reg)
         "fan out over deep chains of tiny helper functions";
     d.aliases = {"calls"};
     d.params
-        .intParam("seed", 1, "workload generation seed")
+        .intParam("seed", 1, "workload generation seed", 0, INT64_MAX)
         .intParam("handlers", 12,
                   "handler routines behind the dispatch jump", 1)
         .intParam("helpers", 24, "shared helper-function pool", 1)
@@ -162,9 +162,9 @@ detail::registerServerFamily(WorkloadRegistry &reg)
         .intParam("requests", 300,
                   "dispatch-loop trips per outer activation", 2)
         .intParam("dispatch_corr_pct", 70,
-                  "history-correlated dispatch selections, %")
+                  "history-correlated dispatch selections, %", 0, 100)
         .intParam("noise_pml", 40,
-                  "helper-branch noise floor, per-mille")
+                  "helper-branch noise floor, per-mille", 0, 1000)
         .intParam("ws_kb", 2048, "data working set, KiB", 1,
                   family::kMaxWsKb);
     d.factory = buildServer;

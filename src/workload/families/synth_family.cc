@@ -27,13 +27,40 @@ namespace
  */
 constexpr std::int64_t kInherit = -1;
 
-/** Assigned-value floors the ParamSpec min (= kInherit) can't hold. */
-const std::pair<const char *, std::int64_t> kSynthFloors[] = {
-    {"seed", 0},        {"leaf_funcs", 1}, {"mid_funcs", 0},
-    {"top_funcs", 1},   {"mean_trips", 2}, {"outer_trips", 2},
-    {"loop_pct", 0},    {"call_pct", 0},   {"switch_pml", 0},
-    {"corr_pct", 0},    {"phased_pct", 0}, {"strong_bias_pct", 0},
-    {"noise_pml", 0},   {"ws_kb", 1},
+/**
+ * The integer knobs in declaration order. All default to kInherit,
+ * which is also each ParamSpec min; `floor` is the assigned-value
+ * floor that min cannot hold. Docs note the base generator's value.
+ */
+struct SynthKnob
+{
+    const char *key;
+    const char *doc;
+    std::int64_t floor;
+    std::int64_t max;
+};
+
+const SynthKnob kSynthKnobs[] = {
+    {"seed", "workload generation seed (base 1)", 0, INT64_MAX},
+    {"leaf_funcs", "functions that call nothing (base 10)", 1, kMaxIntParam},
+    {"mid_funcs", "functions calling leaves (base 6)", 0, kMaxIntParam},
+    {"top_funcs", "phase drivers called from main (base 3)", 1, kMaxIntParam},
+    {"mean_trips", "mean loop trip count (base 10)", 2, kMaxIntParam},
+    {"outer_trips", "main driver loop trip count (base 400)", 2, kMaxIntParam},
+    {"loop_pct", "loop region probability, % (base 22)", 0, 100},
+    {"call_pct", "call region probability, % (base 16)", 0, 100},
+    {"switch_pml",
+     "indirect-switch region probability, per-mille (base 15)", 0,
+     1000},
+    {"corr_pct", "history-correlated hammock fraction, % (base 25)", 0,
+     100},
+    {"phased_pct", "phase-stable hammock fraction, % (base 55)", 0,
+     100},
+    {"strong_bias_pct", "hammocks biased past 97%, % (base 70)", 0,
+     100},
+    {"noise_pml", "correlated-branch noise floor, per-mille (base 30)",
+     0, 1000},
+    {"ws_kb", "data working set, KiB (base 1024)", 1, family::kMaxWsKb},
 };
 
 void
@@ -42,12 +69,12 @@ validateSynth(const ParamSet &ps)
     const std::string &preset = ps.getString("preset");
     if (!preset.empty())
         suiteParams(preset); // throws on unknown presets
-    for (const auto &[key, floor] : kSynthFloors) {
-        std::int64_t v = ps.getInt(key);
-        if (v != kInherit && v < floor)
+    for (const SynthKnob &k : kSynthKnobs) {
+        std::int64_t v = ps.getInt(k.key);
+        if (v != kInherit && v < k.floor)
             throw std::invalid_argument(
-                std::string("parameter '") + key + "' must be >= " +
-                std::to_string(floor) + ", got " +
+                std::string("parameter '") + k.key + "' must be >= " +
+                std::to_string(k.floor) + ", got " +
                 std::to_string(v));
     }
 }
@@ -60,7 +87,7 @@ buildSynth(const ParamSet &ps)
     WorkloadParams p;
     if (!preset.empty())
         p = suiteParams(preset);
-    p.name = family::specName("synth", ps);
+    p.name = formatSpec("synth", ps);
 
     // Assigned knobs override the preset (or base) value.
     auto ovrInt = [&](const char *key, auto &field) {
@@ -104,45 +131,11 @@ detail::registerSynthFamily(WorkloadRegistry &reg)
         "the generator behind the SPEC-like suite: functions built "
         "from loops, hammocks, calls and switches";
     d.aliases = {"generic"};
-    // -1 = inherit the preset's (or, without a preset, the base
-    // generator's) value; the base values are noted per knob.
-    d.params
-        .stringParam("preset", "",
-                     "start from this suite member's parameters "
-                     "(gzip, vpr, gcc, ...)")
-        .intParam("seed", kInherit,
-                  "workload generation seed (base 1)", kInherit)
-        .intParam("leaf_funcs", kInherit,
-                  "functions that call nothing (base 10)", kInherit)
-        .intParam("mid_funcs", kInherit,
-                  "functions calling leaves (base 6)", kInherit)
-        .intParam("top_funcs", kInherit,
-                  "phase drivers called from main (base 3)", kInherit)
-        .intParam("mean_trips", kInherit,
-                  "mean loop trip count (base 10)", kInherit)
-        .intParam("outer_trips", kInherit,
-                  "main driver loop trip count (base 400)", kInherit)
-        .intParam("loop_pct", kInherit,
-                  "loop region probability, % (base 22)", kInherit)
-        .intParam("call_pct", kInherit,
-                  "call region probability, % (base 16)", kInherit)
-        .intParam("switch_pml", kInherit,
-                  "indirect-switch region probability, per-mille "
-                  "(base 15)", kInherit)
-        .intParam("corr_pct", kInherit,
-                  "history-correlated hammock fraction, % (base 25)",
-                  kInherit)
-        .intParam("phased_pct", kInherit,
-                  "phase-stable hammock fraction, % (base 55)",
-                  kInherit)
-        .intParam("strong_bias_pct", kInherit,
-                  "hammocks biased past 97%, % (base 70)", kInherit)
-        .intParam("noise_pml", kInherit,
-                  "correlated-branch noise floor, per-mille "
-                  "(base 30)", kInherit)
-        .intParam("ws_kb", kInherit,
-                  "data working set, KiB (base 1024)", kInherit,
-                  family::kMaxWsKb);
+    d.params.stringParam("preset", "",
+                         "start from this suite member's parameters "
+                         "(gzip, vpr, gcc, ...)");
+    for (const SynthKnob &k : kSynthKnobs)
+        d.params.intParam(k.key, kInherit, k.doc, kInherit, k.max);
     d.validate = validateSynth;
     d.factory = buildSynth;
     reg.add(std::move(d));

@@ -41,21 +41,8 @@ buildThrash(const ParamSet &ps)
 
     // Main: call every function in order, then loop. The call blocks
     // themselves are a footprint-sized straight run.
-    BlockId first_call = kNoBlock;
-    BlockId prev = kNoBlock;
-    for (BlockId fentry : func_entries) {
-        BlockId c = b.block(3, BranchType::Call);
-        b.at(c).target = fentry;
-        if (first_call == kNoBlock)
-            first_call = c;
-        else
-            b.at(prev).fallthrough = c;
-        prev = c;
-    }
-    BlockId latch = b.loop(first_call, prev, 3,
-                           double(ps.getInt("outer_trips")));
-    BlockId ret = b.block(2, BranchType::Return);
-    b.at(latch).fallthrough = ret;
+    BlockId first_call =
+        b.mainLoop(func_entries, 3, double(ps.getInt("outer_trips")));
 
     DataModel d;
     d.workingSetBytes =
@@ -64,7 +51,7 @@ buildThrash(const ParamSet &ps)
     d.seed = seed;
     b.setData(d);
 
-    return b.finish(family::specName("thrash", ps), first_call);
+    return b.finish(formatSpec("thrash", ps), first_call);
 }
 
 } // namespace
@@ -80,7 +67,7 @@ detail::registerThrashFamily(WorkloadRegistry &reg)
         "perfectly predictable branches, pathological misses";
     d.aliases = {"icache"};
     d.params
-        .intParam("seed", 1, "workload generation seed")
+        .intParam("seed", 1, "workload generation seed", 0, INT64_MAX)
         .intParam("funcs", 288,
                   "straight-line functions visited round-robin", 1)
         .intParam("blocks_per_func", 12,

@@ -1,6 +1,6 @@
 #include "workload/workload_registry.hh"
 
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 
 #include "workload/suite.hh"
@@ -8,177 +8,31 @@
 namespace sfetch
 {
 
-WorkloadRegistry::WorkloadRegistry()
-{
-    // Registration order is the --list-benches order; synth (the
-    // original generator behind the SPEC-like suite) comes first.
-    detail::registerSynthFamily(*this);
-    detail::registerLoopsFamily(*this);
-    detail::registerServerFamily(*this);
-    detail::registerThrashFamily(*this);
-    detail::registerPhasedFamily(*this);
-}
-
+template <>
 WorkloadRegistry &
 WorkloadRegistry::instance()
 {
-    static WorkloadRegistry registry;
+    static WorkloadRegistry registry = [] {
+        SpecKind kind;
+        kind.noun = "workload";
+        kind.entriesLabel = "families";
+        kind.listFlag = "--list-benches";
+        kind.listHeader = "registered workload families "
+                          "(--bench FAMILY[:key=value,...]):";
+        kind.reserved = suiteNames();
+        kind.reservedLabel = "suite presets";
+        kind.reservedNote = "bare names; the paper's Figure 9 benchmarks";
+        WorkloadRegistry reg(std::move(kind));
+        // Registration order is the --list-benches order; synth (the
+        // original generator behind the SPEC-like suite) comes first.
+        detail::registerSynthFamily(reg);
+        detail::registerLoopsFamily(reg);
+        detail::registerServerFamily(reg);
+        detail::registerThrashFamily(reg);
+        detail::registerPhasedFamily(reg);
+        return reg;
+    }();
     return registry;
-}
-
-void
-WorkloadRegistry::add(WorkloadDescriptor desc)
-{
-    if (desc.token.empty() || !desc.factory)
-        throw std::logic_error(
-            "WorkloadRegistry: descriptor needs a token and a "
-            "factory");
-    const ParamDecl *seed = desc.params.find("seed");
-    if (!seed || seed->type != ParamType::Int)
-        throw std::logic_error(
-            "WorkloadRegistry: family '" + desc.token +
-            "' must declare an int 'seed' parameter");
-    auto taken = [this](const std::string &t) {
-        return tryFind(t) != nullptr || isSuitePreset(t);
-    };
-    if (taken(desc.token))
-        throw std::logic_error(
-            "WorkloadRegistry: duplicate token '" + desc.token + "'");
-    for (const std::string &alias : desc.aliases)
-        if (taken(alias) || alias == desc.token)
-            throw std::logic_error(
-                "WorkloadRegistry: duplicate alias '" + alias + "'");
-    families_.push_back(
-        std::make_unique<WorkloadDescriptor>(std::move(desc)));
-}
-
-const WorkloadDescriptor *
-WorkloadRegistry::tryFind(const std::string &token) const
-{
-    for (const auto &f : families_) {
-        if (f->token == token)
-            return f.get();
-        for (const std::string &alias : f->aliases)
-            if (alias == token)
-                return f.get();
-    }
-    return nullptr;
-}
-
-const WorkloadDescriptor &
-WorkloadRegistry::find(const std::string &token) const
-{
-    if (const WorkloadDescriptor *f = tryFind(token))
-        return *f;
-    std::ostringstream os;
-    os << "unknown workload '" << token << "' (families:";
-    for (const auto &f : families_) {
-        os << ' ' << f->token;
-        for (const std::string &alias : f->aliases)
-            os << '|' << alias;
-    }
-    os << "; suite presets:";
-    for (const std::string &name : suiteNames())
-        os << ' ' << name;
-    os << "); see --list-benches";
-    throw std::invalid_argument(os.str());
-}
-
-std::vector<std::string>
-WorkloadRegistry::tokens() const
-{
-    std::vector<std::string> out;
-    out.reserve(families_.size());
-    for (const auto &f : families_)
-        out.push_back(f->token);
-    return out;
-}
-
-std::string
-WorkloadRegistry::listText() const
-{
-    std::ostringstream os;
-    os << "registered workload families "
-          "(--bench FAMILY[:key=value,...]):\n";
-    for (const auto &f : families_) {
-        os << "\n  " << f->token;
-        for (const std::string &alias : f->aliases)
-            os << " | " << alias;
-        os << "  --  " << f->displayName << "\n      " << f->summary
-           << "\n";
-        for (const ParamDecl &d : f->params.decls()) {
-            std::string lhs = "        " + d.key;
-            switch (d.type) {
-              case ParamType::Int:
-                lhs += " = " + std::to_string(d.defInt);
-                break;
-              case ParamType::Bool:
-                lhs += d.defBool ? " = 1" : " = 0";
-                break;
-              case ParamType::String:
-                lhs += " = " + d.defString;
-                break;
-            }
-            os << lhs;
-            if (lhs.size() < 28)
-                os << std::string(28 - lhs.size(), ' ');
-            else
-                os << ' ';
-            os << d.doc << "\n";
-        }
-    }
-    os << "\nsuite presets (bare names; the paper's Figure 9 "
-          "benchmarks):\n ";
-    for (const std::string &name : suiteNames())
-        os << ' ' << name;
-    os << "\n";
-    return os.str();
-}
-
-// ---- WorkloadSpec ----
-
-WorkloadSpec::WorkloadSpec(const std::string &family_token)
-    : desc_(&WorkloadRegistry::instance().find(family_token)),
-      params_(&desc_->params)
-{
-    family_ = desc_->token;
-}
-
-WorkloadSpec
-WorkloadSpec::fromSpec(const std::string &spec)
-{
-    std::size_t colon = spec.find(':');
-    WorkloadSpec ws(spec.substr(0, colon));
-    if (colon != std::string::npos)
-        ws.params_.applySpecText(spec.substr(colon + 1));
-    // Family-specific constraints fail here, at parse time, where
-    // the CLI turns them into a clean exit(2) instead of a throw
-    // mid-sweep on a worker thread.
-    if (ws.desc_->validate)
-        ws.desc_->validate(ws.params_);
-    return ws;
-}
-
-std::string
-WorkloadSpec::specText() const
-{
-    std::string params = params_.toSpecText();
-    return params.empty() ? family_ : family_ + ":" + params;
-}
-
-SyntheticWorkload
-WorkloadSpec::build() const
-{
-    SyntheticWorkload w = desc_->factory(params_);
-    // Factories name the program after the canonical spec; guard the
-    // contract here so the cache key, result rows, and trace headers
-    // all agree on one name.
-    if (w.program.name() != specText())
-        throw std::logic_error(
-            "workload family '" + family_ +
-            "' misnamed its program: '" + w.program.name() +
-            "' (want '" + specText() + "')");
-    return w;
 }
 
 // ---- bench spec resolution (families + suite presets) ----
@@ -186,10 +40,8 @@ WorkloadSpec::build() const
 bool
 isSuitePreset(const std::string &text)
 {
-    for (const std::string &name : suiteNames())
-        if (name == text)
-            return true;
-    return false;
+    const std::vector<std::string> &names = suiteNames();
+    return std::find(names.begin(), names.end(), text) != names.end();
 }
 
 std::string
@@ -205,7 +57,9 @@ canonicalBenchSpec(const std::string &text)
             "' takes no parameters; use `synth:preset=" +
             text.substr(0, colon) + "," + text.substr(colon + 1) +
             "` to vary it");
-    return WorkloadSpec::fromSpec(text).specText();
+    ParamSet params;
+    return formatSpec(
+        WorkloadRegistry::instance().parse(text, params).token, params);
 }
 
 SyntheticWorkload
@@ -213,7 +67,20 @@ buildBenchWorkload(const std::string &spec)
 {
     if (spec.find(':') == std::string::npos && isSuitePreset(spec))
         return generateWorkload(suiteParams(spec));
-    return WorkloadSpec::fromSpec(spec).build();
+    ParamSet params;
+    const WorkloadDescriptor &family =
+        WorkloadRegistry::instance().parse(spec, params);
+    SyntheticWorkload w = family.factory(params);
+    // Factories name the program after the canonical spec; guard the
+    // contract here so the cache key, result rows, and trace headers
+    // all agree on one name.
+    const std::string name = formatSpec(family.token, params);
+    if (w.program.name() != name)
+        throw std::logic_error("workload family '" + family.token +
+                               "' misnamed its program: '" +
+                               w.program.name() + "' (want '" + name +
+                               "')");
+    return w;
 }
 
 std::vector<std::string>

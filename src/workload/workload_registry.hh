@@ -1,15 +1,16 @@
 /**
  * @file
- * The workload scenario registry: the workload-axis mirror of the
- * fetch-engine registry (sim/engine_registry.hh). Each workload
- * *family* — a parameterized generator of SyntheticWorkloads —
- * describes itself with a WorkloadDescriptor (a stable token, a
- * display name, a documented ParamSpec, and a factory) and registers
- * it here from its own translation unit under workload/families/.
- * Everything that used to be hard-wired to the synthetic SPEC-like
- * suite (bench-name parsing, the workload cache key space, the CLI
- * `--bench` surface) is a registry lookup instead, so opening a new
- * scenario is one self-contained file.
+ * The workload scenario registry: a SpecRegistry
+ * (sim/spec_registry.hh) of WorkloadDescriptors, the workload-axis
+ * twin of the fetch-engine registry (sim/engine_registry.hh). Each
+ * workload *family* — a parameterized generator of
+ * SyntheticWorkloads — describes itself with a WorkloadDescriptor (a
+ * stable token, a display name, a documented ParamSpec with an int
+ * `seed`, an optional validate hook and a factory) and registers it
+ * here from its own translation unit under workload/families/.
+ * Bench-name parsing, the workload cache key space and the CLI
+ * `--bench` surface are registry lookups, so opening a new scenario
+ * is one self-contained file.
  *
  * The textual form is the bench spec grammar shared by the CLI and
  * the workload cache:
@@ -18,19 +19,14 @@
  *
  * e.g. `loops`, `loops:depth=4,trips=32`, `server:handlers=32`.
  * The eleven suite preset names (gzip, vpr, ...) remain valid bench
- * specs; they are shorthands resolved ahead of the registry and
- * canonicalize to themselves.
+ * specs; they are the registry's reserved names, resolved ahead of
+ * it, and canonicalize to themselves.
  */
 
 #ifndef SFETCH_WORKLOAD_WORKLOAD_REGISTRY_HH
 #define SFETCH_WORKLOAD_WORKLOAD_REGISTRY_HH
 
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "sim/param_set.hh"
+#include "sim/spec_registry.hh"
 #include "workload/synth.hh"
 
 namespace sfetch
@@ -41,102 +37,16 @@ using WorkloadFactory =
     std::function<SyntheticWorkload(const ParamSet &)>;
 
 /** Everything the harness needs to know about one workload family. */
-struct WorkloadDescriptor
+struct WorkloadDescriptor : SpecEntry
 {
-    std::string token;       //!< canonical spec token, e.g. "loops"
-    std::string displayName; //!< e.g. "Loop-nest kernels"
-    std::string summary;     //!< one-line description for --list-benches
-    std::vector<std::string> aliases; //!< accepted alternate tokens
-    ParamSpec params;
     WorkloadFactory factory;
-    /**
-     * Optional extra validation run at spec-parse time (after the
-     * ParamSet's own type/min checks), for constraints the ParamSpec
-     * cannot express — e.g. a sentinel default whose assigned values
-     * have a higher floor. Throws std::invalid_argument.
-     */
-    std::function<void(const ParamSet &)> validate;
 };
 
 /** Process-wide registry of workload family descriptors. */
-class WorkloadRegistry
-{
-  public:
-    /** The global instance, with the built-in families registered. */
-    static WorkloadRegistry &instance();
+using WorkloadRegistry = SpecRegistry<WorkloadDescriptor>;
 
-    /**
-     * Register a descriptor. Throws std::logic_error on a duplicate
-     * token/alias, a descriptor without a factory, or a family
-     * without an int `seed` parameter (every family must be
-     * re-seedable so train/ref-style inputs exist).
-     */
-    void add(WorkloadDescriptor desc);
-
-    /**
-     * Resolve @p token (canonical or alias) to its descriptor.
-     * Throws std::invalid_argument listing the registered families
-     * and the suite preset names when nothing matches.
-     */
-    const WorkloadDescriptor &find(const std::string &token) const;
-
-    /** Like find(), but returns nullptr instead of throwing. */
-    const WorkloadDescriptor *tryFind(const std::string &token) const;
-
-    /** Canonical tokens in registration order. */
-    std::vector<std::string> tokens() const;
-
-    std::size_t size() const { return families_.size(); }
-
-    /** Human-readable listing for --list-benches: every family with
-     * its aliases and per-parameter type/default/doc lines, plus the
-     * suite preset names. */
-    std::string listText() const;
-
-  private:
-    WorkloadRegistry();
-
-    /** Descriptor storage; addresses stay stable across add(). */
-    std::vector<std::unique_ptr<WorkloadDescriptor>> families_;
-};
-
-/**
- * One parsed workload selection: a registry family plus a parameter
- * assignment. The workload-axis mirror of SimConfig.
- */
-class WorkloadSpec
-{
-  public:
-    /** Defaults of the named family. */
-    explicit WorkloadSpec(const std::string &family_token);
-
-    /**
-     * Parse `family[:key=v,...]`. Accepts aliases; throws
-     * std::invalid_argument on unknown families, unknown keys, or
-     * out-of-range / unparseable values.
-     */
-    static WorkloadSpec fromSpec(const std::string &spec);
-
-    /** Canonical spec: token plus non-default parameters. */
-    std::string specText() const;
-
-    /** The canonical registry token of the selected family. */
-    const std::string &family() const { return family_; }
-
-    const WorkloadDescriptor &descriptor() const { return *desc_; }
-
-    ParamSet &params() { return params_; }
-    const ParamSet &params() const { return params_; }
-
-    /** Generate the workload via the registry factory. The program
-     * is named after the canonical spec text. */
-    SyntheticWorkload build() const;
-
-  private:
-    std::string family_;
-    const WorkloadDescriptor *desc_;
-    ParamSet params_;
-};
+template <>
+WorkloadRegistry &WorkloadRegistry::instance();
 
 /**
  * Canonicalize one bench spec: a suite preset name maps to itself; a

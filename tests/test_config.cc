@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fetch/seq.hh"
 #include "sim/cli.hh"
 #include "sim/config.hh"
 #include "sim/driver.hh"
@@ -93,6 +94,31 @@ TEST(ParamSet, IntBoundsAreEnforcedWithTheRangeDiagnostic)
         EXPECT_STREQ(e.what(), "parameter 'kb' must be <= 64, got 65");
     }
     EXPECT_EQ(p.getInt("kb"), 64) << "a refused value is not stored";
+}
+
+// strtoll saturates an out-of-range integer to INT64_MAX with ERANGE;
+// it used to be read as that value (`ftq=99999999999999999999` then
+// asked for an unallocatable queue). It is refused by its text.
+TEST(ParamSet, OutOfRangeIntegerTextIsRefusedNotSaturated)
+{
+    ParamSet p(&testSpec());
+    for (const char *text :
+         {"99999999999999999999", "-99999999999999999999"}) {
+        try {
+            p.set("depth", text);
+            FAIL() << "expected std::invalid_argument for " << text;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("parameter 'depth' expects an "
+                                  "integer, got '") + text + "'");
+        }
+    }
+    EXPECT_TRUE(p.isDefault("depth"));
+    ParamSpec wide;
+    wide.intParam("seed", 1, "a seed", 0, INT64_MAX);
+    ParamSet q(&wide);
+    q.set("seed", "9223372036854775807");
+    EXPECT_EQ(q.getInt("seed"), INT64_MAX) << "INT64_MAX itself parses";
 }
 
 // ws_kb = 2^54 KiB shifted to 0 bytes and divided by zero in the
@@ -211,12 +237,119 @@ TEST(EngineRegistry, UnknownTokenErrorListsRegisteredEngines)
         EngineRegistry::instance().find("vliw");
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("vliw"), std::string::npos);
-        for (const char *token :
-             {"ev8", "ftb", "stream", "trace", "seq"})
-            EXPECT_NE(msg.find(token), std::string::npos) << token;
+        EXPECT_EQ(std::string(e.what()),
+                  "unknown fetch engine 'vliw' (registered: ev8 ftb stream|streams trace|tcache seq|nextline); see --list-archs");
     }
+}
+
+// The whole --list-archs text, byte for byte: the shared `line`
+// parameter leads every engine's list, [paper] marks the comparison
+// set, and parameter lines keep their column.
+TEST(EngineRegistry, ListTextKeepsItsShape)
+{
+    EXPECT_EQ(EngineRegistry::instance().listText(), R"LIST(registered fetch engines (--arch TOKEN[:key=value,...]):
+
+  ev8  --  EV8+2bcgskew  [paper]
+      coupled wide-line front end: 2bcgskew direction predictor, BTB, line predictor, 8-entry RAS (Table 2 baseline)
+        line = 0            i-cache line bytes (0 = 4 x pipe width)
+        ras = 8             return address stack entries
+        btb_entries = 2048  BTB entries
+        btb_assoc = 4       BTB associativity
+        line_pred = 4096    line predictor entries
+
+  ftb  --  FTB+perceptron  [paper]
+      decoupled fetch target buffer front end with perceptron direction prediction and a fetch target queue
+        line = 0            i-cache line bytes (0 = 4 x pipe width)
+        ftq = 4             fetch target queue entries
+        ras = 8             return address stack entries
+        ftb_entries = 2048  fetch target buffer entries
+        ftb_assoc = 4       fetch target buffer associativity
+        max_block = 64      fetch block length cap in instructions
+
+  stream | streams  --  Streams  [paper]
+      the paper's stream fetch architecture: cascaded next stream predictor driving a wide-line i-cache through an FTQ
+        line = 0            i-cache line bytes (0 = 4 x pipe width)
+        ftq = 4             fetch target queue entries
+        ras = 8             return address stack entries
+        max_stream = 64     predictor stream length cap in instructions
+        single_table = 0    ablation: drop the path-indexed second table, all capacity address-indexed (Section 3.2)
+        no_hysteresis = 0   ablation: 1-bit hysteresis-free replacement counters (Section 3.2)
+
+  trace | tcache  --  Tcache+Tpred  [paper]
+      trace cache with next trace prediction plus a full conventional secondary fetch path (BTB + gshare)
+        line = 0            i-cache line bytes (0 = 4 x pipe width)
+        ras = 8             return address stack entries
+        gshare_entries = 8192 secondary-path gshare table entries
+        gshare_hist = 12    secondary-path gshare history bits
+        partial_match = 0   serve matching prefixes of same-start resident traces (footnote 3: hurts optimized layouts)
+
+  seq | nextline  --  NextLine
+      predictionless next-line sequential fetch; the weakest baseline and the one-file extensibility example
+        line = 0            i-cache line bytes (0 = 4 x pipe width)
+)LIST");
+}
+
+namespace
+{
+
+EngineDescriptor
+toyEngine(const std::string &token)
+{
+    EngineDescriptor d;
+    d.token = token;
+    d.displayName = "Toy";
+    d.summary = "registration test engine";
+    d.factory = [](const ParamSet &p, const CodeImage &image,
+                   MemoryHierarchy *mem) {
+        SeqConfig c;
+        c.lineBytes = static_cast<unsigned>(p.getInt("line"));
+        return std::make_unique<SeqEngine>(c, image, mem);
+    };
+    return d;
+}
+
+} // namespace
+
+TEST(EngineRegistry, AddRefusesClashesAndMissingFactories)
+{
+    EngineRegistry reg(EngineRegistry::instance().kind());
+    reg.add(toyEngine("toy"));
+    // The registry declares `line` for every engine.
+    ASSERT_NE(reg.find("toy").params.find("line"), nullptr);
+    EXPECT_EQ(reg.find("toy").params.decls().front().key, "line");
+
+    EXPECT_THROW(reg.add(toyEngine("toy")), std::logic_error);
+    EngineDescriptor alias = toyEngine("toy2");
+    alias.aliases = {"toy"};
+    EXPECT_THROW(reg.add(alias), std::logic_error);
+    alias.aliases = {"toy2"};
+    EXPECT_THROW(reg.add(alias), std::logic_error);
+    EngineDescriptor no_factory = toyEngine("toy3");
+    no_factory.factory = nullptr;
+    EXPECT_THROW(reg.add(no_factory), std::logic_error);
+    EngineDescriptor own_line = toyEngine("toy4");
+    own_line.params.intParam("line", 0, "a second line");
+    EXPECT_THROW(reg.add(own_line), std::logic_error);
+    EXPECT_EQ(reg.tokens(), std::vector<std::string>{"toy"});
+}
+
+// Every int parameter used to accept any int64: values past the
+// u32/unsigned its factory narrows to were silently wrapped (to 0:
+// a hang or a crash) and INT64_MAX-sized tables aborted the process.
+TEST(EngineRegistry, EveryIntParameterRefusesValuesPastItsType)
+{
+    for (const std::string &token : EngineRegistry::instance().tokens())
+        for (const ParamDecl &d :
+             EngineRegistry::instance().find(token).params.decls()) {
+            if (d.type != ParamType::Int)
+                continue;
+            for (const char *v : {"4294967296", "9223372036854775807"}) {
+                const std::string spec = token + ":" + d.key + "=" + v;
+                EXPECT_THROW(SimConfig::fromSpec(spec),
+                             std::invalid_argument)
+                    << spec;
+            }
+        }
 }
 
 // ---- SimConfig ----
@@ -323,6 +456,20 @@ TEST(Ablations, StreamNoHysteresis)
 TEST(Ablations, LineOverride)
 {
     expectAblationDiffers("stream:line=64", "stream");
+}
+
+// Geometries the model cannot build fail at parse time: a line past
+// one L1I way left the cache 0 sets (SIGSEGV), and a BTB with fewer
+// entries than ways 0 sets (SIGFPE). The largest line still runs.
+TEST(Ablations, UnbuildableGeometriesAreRefusedAtParseTime)
+{
+    for (const char *spec :
+         {"seq:line=65536", "ev8:btb_entries=3", "ev8:btb_assoc=4096",
+          "ftb:ftb_assoc=4096", "ev8:line=4",
+          "trace:gshare_entries=1000", "trace:gshare_hist=64"})
+        EXPECT_THROW(SimConfig::fromSpec(spec), std::invalid_argument)
+            << spec;
+    EXPECT_GE(smallRun("seq:line=32768").committedInsts, 25'000u);
 }
 
 TEST(Ablations, FtqOverride)

@@ -1182,6 +1182,39 @@ TEST(Serve, EveryVerbRefusesAnUndeclaredField)
     server.stop(true);
 }
 
+// Specs the model cannot build used to be acked and then crash or
+// wedge the daemon: a line past one L1I way left the cache 0 sets
+// (SIGSEGV), `depth=2^32` narrowed to 0 helper levels (SIGSEGV), and
+// `max_stream=2^32` narrowed to 0 and the job never ended. Each is now
+// the client's bad_spec, naming the parameter, and the daemon keeps
+// serving.
+TEST(Serve, UnbuildableSpecsAreRefusedAndTheDaemonKeepsServing)
+{
+    ServeConfig cfg = testConfig("unbuildable");
+    Server server(cfg);
+    server.start();
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"\"bench\": \"gzip\", \"arch\": \"seq:line=65536\"", "line"},
+        {"\"bench\": \"server:depth=4294967296\", \"arch\": \"stream\"",
+         "depth"},
+        {"\"bench\": \"gzip\", \"arch\": \"stream:max_stream=4294967296\"",
+         "max_stream"},
+    };
+    for (const auto &[fields, param] : bad) {
+        const std::string submit =
+            "{\"verb\": \"submit\", " + fields + ", \"insts\": 20000}";
+        ServeClient client(cfg.socketPath);
+        expectRefusedNaming(client.request(submit), param, submit);
+    }
+    EXPECT_EQ(server.metrics().value("jobs_rejected"), bad.size());
+
+    Stream s = collect(cfg.socketPath, kSubmit6);
+    ASSERT_TRUE(s.done);
+    EXPECT_EQ(s.summary.at("state").asString(), "done");
+    EXPECT_EQ(s.frames.size(), 6u);
+    server.stop(true);
+}
+
 // Misspelled fields used to be ignored: "widhts": [2] ran at width 8.
 // A number past 2^53 used to be rounded to the nearest double. Each is
 // now refused by name, and the daemon keeps serving.

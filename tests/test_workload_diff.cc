@@ -108,14 +108,130 @@ TEST(WorkloadRegistry, UnknownTokenErrorListsBothNamespaces)
         WorkloadRegistry::instance().find("quake");
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("quake"), std::string::npos);
-        for (const char *token :
-             {"synth", "loops", "server", "thrash", "phased"})
-            EXPECT_NE(msg.find(token), std::string::npos) << token;
         // Suite presets are the other half of the bench namespace.
-        EXPECT_NE(msg.find("gzip"), std::string::npos);
+        EXPECT_EQ(std::string(e.what()),
+                  "unknown workload 'quake' (families: synth|generic loops|loop_nest server|calls thrash|icache phased|multiphase; suite presets: gzip vpr gcc crafty parser eon perlbmk gap vortex bzip2 twolf); see --list-benches");
     }
+}
+
+// The whole --list-benches text, byte for byte, suite-preset trailer
+// included.
+TEST(WorkloadRegistry, ListTextKeepsItsShape)
+{
+    EXPECT_EQ(WorkloadRegistry::instance().listText(),
+              R"LIST(registered workload families (--bench FAMILY[:key=value,...]):
+
+  synth | generic  --  Structured-region generator
+      the generator behind the SPEC-like suite: functions built from loops, hammocks, calls and switches
+        preset =            start from this suite member's parameters (gzip, vpr, gcc, ...)
+        seed = -1           workload generation seed (base 1)
+        leaf_funcs = -1     functions that call nothing (base 10)
+        mid_funcs = -1      functions calling leaves (base 6)
+        top_funcs = -1      phase drivers called from main (base 3)
+        mean_trips = -1     mean loop trip count (base 10)
+        outer_trips = -1    main driver loop trip count (base 400)
+        loop_pct = -1       loop region probability, % (base 22)
+        call_pct = -1       call region probability, % (base 16)
+        switch_pml = -1     indirect-switch region probability, per-mille (base 15)
+        corr_pct = -1       history-correlated hammock fraction, % (base 25)
+        phased_pct = -1     phase-stable hammock fraction, % (base 55)
+        strong_bias_pct = -1 hammocks biased past 97%, % (base 70)
+        noise_pml = -1      correlated-branch noise floor, per-mille (base 30)
+        ws_kb = -1          data working set, KiB (base 1024)
+
+  loops | loop_nest  --  Loop-nest kernels
+      numeric-kernel code: perfect loop nests with deterministic trip counts and a tiny branch footprint
+        seed = 1            workload generation seed
+        kernels = 4         independent loop-nest functions
+        depth = 3           loop nesting depth per kernel
+        trips = 16          innermost mean trip count
+        body_blocks = 2     straight-line blocks in the innermost body
+        block_insts = 6     instructions per body block
+        hammock_pct = 30    innermost bodies guarded by a biased hammock, %
+        outer_trips = 200   main driver loop trip count
+        ws_kb = 256         data working set, KiB
+
+  server | calls  --  Call-heavy server code
+      request-dispatch loop: an indirect jump into handlers that fan out over deep chains of tiny helper functions
+        seed = 1            workload generation seed
+        handlers = 12       handler routines behind the dispatch jump
+        helpers = 24        shared helper-function pool
+        depth = 4           helper call-chain depth
+        block_insts = 4     instructions per block
+        requests = 300      dispatch-loop trips per outer activation
+        dispatch_corr_pct = 70 history-correlated dispatch selections, %
+        noise_pml = 40      helper-branch noise floor, per-mille
+        ws_kb = 2048        data working set, KiB
+
+  thrash | icache  --  I-cache thrasher
+      round-robin walk over a code footprint far past the L1I: perfectly predictable branches, pathological misses
+        seed = 1            workload generation seed
+        funcs = 288         straight-line functions visited round-robin
+        blocks_per_func = 12 fallthrough blocks per function
+        block_insts = 10    instructions per block
+        outer_trips = 100   main driver loop trip count
+        ws_kb = 512         data working set, KiB
+
+  phased | multiphase  --  Multi-phase behaviour
+      phase drivers with distinct branch character plus a shared kernel whose branches flip bias between phases
+        seed = 1            workload generation seed
+        phases = 3          phase-driver functions
+        phase_len = 400     inner-loop trips per phase activation
+        block_insts = 5     instructions per block
+        noise_pml = 30      correlated-branch noise floor, per-mille
+        outer_trips = 150   main driver loop trip count
+        ws_kb = 1024        data working set, KiB
+
+suite presets (bare names; the paper's Figure 9 benchmarks):
+  gzip vpr gcc crafty parser eon perlbmk gap vortex bzip2 twolf
+)LIST");
+}
+
+TEST(WorkloadRegistry, AddRefusesClashesPresetsAndMissingFactories)
+{
+    WorkloadRegistry reg(WorkloadRegistry::instance().kind());
+    auto toy = [](const std::string &token) {
+        WorkloadDescriptor d;
+        d.token = token;
+        d.params.intParam("seed", 1, "workload generation seed");
+        d.factory = [](const ParamSet &) {
+            return generateWorkload(suiteParams("gzip"));
+        };
+        return d;
+    };
+    reg.add(toy("toy"));
+    EXPECT_THROW(reg.add(toy("toy")), std::logic_error);
+    WorkloadDescriptor alias = toy("toy2");
+    alias.aliases = {"toy"};
+    EXPECT_THROW(reg.add(alias), std::logic_error);
+    // Suite preset names are reserved: neither token nor alias.
+    alias.aliases = {"gzip"};
+    EXPECT_THROW(reg.add(alias), std::logic_error);
+    EXPECT_THROW(reg.add(toy("vpr")), std::logic_error);
+    WorkloadDescriptor no_factory = toy("toy3");
+    no_factory.factory = nullptr;
+    EXPECT_THROW(reg.add(no_factory), std::logic_error);
+    EXPECT_EQ(reg.tokens(), std::vector<std::string>{"toy"});
+}
+
+// Values past the unsigned/u32 a family narrows to used to wrap
+// (`loops:depth=4294967296` built depth 0, `server:depth=2^32` divided
+// by zero): every int knob but the u64 seed now has a declared cap.
+TEST(WorkloadRegistry, EveryIntParameterRefusesValuesPastItsType)
+{
+    for (const std::string &token :
+         WorkloadRegistry::instance().tokens())
+        for (const ParamDecl &d :
+             WorkloadRegistry::instance().find(token).params.decls()) {
+            if (d.type != ParamType::Int || d.key == "seed")
+                continue;
+            for (const char *v : {"4294967296", "9223372036854775807"}) {
+                const std::string spec = token + ":" + d.key + "=" + v;
+                EXPECT_THROW(canonicalBenchSpec(spec),
+                             std::invalid_argument)
+                    << spec;
+            }
+        }
 }
 
 // ---- --bench spec grammar: canonicalization and diagnostics ----
