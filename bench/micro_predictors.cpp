@@ -11,6 +11,7 @@
 #include "bpred/gskew.hh"
 #include "bpred/perceptron.hh"
 #include "core/nsp.hh"
+#include "sim/cli.hh"
 #include "sim/engine_registry.hh"
 #include "sim/experiment.hh"
 #include "sim/workload_cache.hh"
@@ -126,4 +127,15 @@ BENCHMARK(BM_SimulatorThroughput)
                EngineRegistry::instance().size()) - 1)
     ->Unit(benchmark::kMillisecond);
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    return runMain("micro_predictors", [&] {
+        benchmark::Initialize(&argc, argv);
+        if (benchmark::ReportUnrecognizedArguments(argc, argv))
+            return 1;
+        benchmark::RunSpecifiedBenchmarks();
+        benchmark::Shutdown();
+        return 0;
+    });
+}

@@ -5,7 +5,6 @@
  */
 
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "sim/artifacts.hh"
@@ -31,11 +30,8 @@ main(int argc, char **argv)
         return help ? 0 : 2;
     }
     const CliOptions opts = parseArtifactArgs(*a, argc - 1, argv + 1);
-    try {
+    return runMain(std::string("paper ") + a->name, [&] {
         std::fputs(runArtifact(*a, opts).c_str(), stdout);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "paper %s: %s\n", a->name, e.what());
-        return 2;
-    }
-    return 0;
+        return 0;
+    });
 }

@@ -47,7 +47,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -128,7 +128,7 @@ measure(const PlacedWorkload &work, const SimConfig &cfg,
     row.optimized = cfg.optimizedLayout;
     row.arena = arena != nullptr;
 
-    runOn(work, cfg, nullptr, arena, tuning); // untimed warmup run
+    runOn(work, cfg, arena, tuning); // untimed warmup run
 
     row.bestSeconds = 1e100;
     std::vector<double> times;
@@ -136,7 +136,7 @@ measure(const PlacedWorkload &work, const SimConfig &cfg,
     for (unsigned r = 0; r < reps; ++r) {
         std::uint64_t a0 = allocCount();
         double t0 = nowSeconds();
-        SimStats st = runOn(work, cfg, nullptr, arena, tuning);
+        SimStats st = runOn(work, cfg, arena, tuning);
         double secs = nowSeconds() - t0;
         std::uint64_t a1 = allocCount();
         times.push_back(secs);
@@ -232,11 +232,8 @@ writeJson(const std::string &path, const std::vector<Row> &rows,
           unsigned reps)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "perf_throughput: cannot write %s\n",
-                     path.c_str());
-        std::exit(1);
-    }
+    if (!f)
+        throw std::runtime_error("cannot write " + path);
     std::fprintf(f, "{\n  \"schema\": \"sfetch-throughput-v3\",\n");
     std::fprintf(f, "  \"insts\": %llu,\n  \"warmup\": %llu,\n",
                  static_cast<unsigned long long>(insts),
@@ -299,10 +296,8 @@ writeJson(const std::string &path, const std::vector<Row> &rows,
     std::fclose(f);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliOptions opts;
     opts.insts = 1'500'000;
@@ -402,4 +397,12 @@ main(int argc, char **argv)
     }
     std::printf("\nwrote %s\n", out.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("perf_throughput", [&] { return run(argc, argv); });
 }

@@ -19,8 +19,11 @@
 
 using namespace sfetch;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliOptions opts;
     opts.insts = 1'000'000;
@@ -118,4 +121,12 @@ main(int argc, char **argv)
     }
     std::printf("%s", tp.render().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("arch_compare", [&] { return run(argc, argv); });
 }

@@ -19,8 +19,11 @@
 
 using namespace sfetch;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliOptions opts;
     opts.insts = 1'000'000;
@@ -89,4 +92,12 @@ main(int argc, char **argv)
                 "stream fetch architecture exploits: longer streams "
                 "=> fewer, more accurate predictions.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("layout_study", [&] { return run(argc, argv); });
 }

@@ -25,8 +25,11 @@
 
 using namespace sfetch;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliOptions opts;
     opts.insts = 3'000'000;
@@ -102,4 +105,12 @@ main(int argc, char **argv)
     }
     std::printf("%s", tp.render().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("predictor_playground", [&] { return run(argc, argv); });
 }

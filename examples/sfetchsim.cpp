@@ -8,25 +8,17 @@
  *             [--width 2|4|8] [--layout base|opt] [--insts N]
  *             [--warmup N] [--jobs N] [--format table|csv|json]
  *             [--stats] [--list-archs] [--list-benches]
- *             [--record FILE | --replay FILE]
  *
  * --arch SPEC is `arch[:key=value,...]` over the registered engines
  * (see --list-archs); --bench SPEC is a suite preset name or
  * `family[:key=value,...]` over the registered workload families
- * (see --list-benches).
- *
- * --record captures the committed control path of the (single)
- * benchmark to a versioned binary trace file and runs normally;
- * --replay drives the run from such a file instead of live
- * generation. A recorded run and its replay print bit-identical
- * results on every engine.
+ * (see --list-benches). A run that fails prints one
+ * `sfetchsim: <error>` line and exits 1.
  *
  * Examples:
  *   sfetchsim --arch stream --bench gcc --width 8 --layout opt
  *   sfetchsim --arch stream:ftq=8,single_table=1,seq --bench all
  *   sfetchsim --bench loops:depth=4,trips=32,server --stats
- *   sfetchsim --bench phased --record phased.sftr
- *   sfetchsim --bench phased --replay phased.sftr --arch trace
  */
 
 #include <cstdio>
@@ -36,12 +28,14 @@
 #include "sim/workload_cache.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
-#include "workload/trace_io.hh"
 
 using namespace sfetch;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliOptions opts;
     opts.insts = 1'000'000;
@@ -51,8 +45,6 @@ main(int argc, char **argv)
     unsigned width = 8;
     bool optimized = true;
     bool dump_stats = false;
-    std::string record_path;
-    std::string replay_path;
 
     CliParser cli("sfetchsim",
                   "run any registered machine configuration over one "
@@ -69,65 +61,16 @@ main(int argc, char **argv)
                   });
     cli.addFlag("--stats", "dump engine-internal statistics",
                 [&] { dump_stats = true; });
-    cli.addOption("--record", "FILE",
-                  "record the benchmark's control trace to FILE "
-                  "(single --bench), then run normally",
-                  [&](const std::string &v) { record_path = v; });
-    cli.addOption("--replay", "FILE",
-                  "replay the control trace from FILE instead of "
-                  "generating it (single --bench)",
-                  [&](const std::string &v) { replay_path = v; });
     cli.parseOrExit(argc, argv);
-
-    if (!record_path.empty() && !replay_path.empty()) {
-        std::fprintf(stderr,
-                     "sfetchsim: --record and --replay are "
-                     "mutually exclusive\n");
-        return 2;
-    }
 
     opts.benches = resolveBenches(opts.benches);
     std::vector<SimConfig> cfgs;
     for (const SimConfig &arch : opts.archs)
         cfgs.push_back(opts.stamped(arch, width, optimized));
 
-    ResultSet rs;
-    if (!record_path.empty() || !replay_path.empty()) {
-        // Trace modes run serially on one benchmark so the recorded
-        // path and its replay line up run-for-run.
-        std::string bench = requireSingleBench(opts, "sfetchsim");
-        try {
-            const PlacedWorkload &work =
-                WorkloadCache::instance().get(bench);
-            RecordedTrace trace;
-            const RecordedTrace *replay = nullptr;
-            if (!record_path.empty()) {
-                trace = recordBenchTrace(work, opts.insts,
-                                         opts.warmupFor(opts.insts));
-                TraceWriter(record_path).write(trace);
-                std::fprintf(stderr,
-                             "recorded %zu control records to %s\n",
-                             trace.records.size(),
-                             record_path.c_str());
-            } else {
-                trace = TraceReader(replay_path).read();
-                replay = &trace;
-            }
-            for (const SimConfig &cfg : cfgs) {
-                ResultRow row;
-                row.bench = work.name();
-                row.cfg = cfg;
-                row.stats = runOn(work, cfg, replay);
-                rs.add(std::move(row));
-            }
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "sfetchsim: %s\n", e.what());
-            return 2;
-        }
-    } else {
-        SweepDriver driver(opts.jobs);
-        rs = driver.run(SweepDriver::grid(opts.benches, cfgs));
-    }
+    SweepDriver driver(opts.jobs);
+    const ResultSet rs =
+        driver.run(SweepDriver::grid(opts.benches, cfgs));
     if (emitMachineReadable(rs, opts.format))
         return 0;
 
@@ -157,4 +100,12 @@ main(int argc, char **argv)
     }
     std::printf("%s", tp.render().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("sfetchsim", [&] { return run(argc, argv); });
 }

@@ -1,42 +1,29 @@
 #include "layout/oracle.hh"
 
 #include <cassert>
-#include <stdexcept>
-
-#include "workload/trace_io.hh"
 
 namespace sfetch
 {
 
 OracleStream::OracleStream(const CodeImage &image,
                            const WorkloadModel &model,
-                           std::uint64_t seed,
-                           const RecordedTrace *replay)
-    : image_(&image), gen_(image.program(), model, seed),
-      replay_(replay)
+                           std::uint64_t seed)
+    : image_(&image), gen_(image.program(), model, seed)
 {
     ret_stack_.reserve(TraceGenerator::kMaxCallDepth);
 }
 
 void
-OracleStream::throwReplayExhausted() const
-{
-    throw std::runtime_error(
-        "trace replay exhausted after " + std::to_string(replayPos_) +
-        " records; record the trace with more margin");
-}
-
-bool
 OracleStream::generate(OracleInst &oi)
 {
     for (;;) {
         if (tryEmitInBlock(oi))
-            return true;
+            return;
         if (inBlock_) {
             // Terminator, then any stub walk scheduled after it.
             inBlock_ = false;
             oi = term_;
-            return true;
+            return;
         }
 
         if (stubPc_ != stubStop_) {
@@ -49,24 +36,17 @@ OracleStream::generate(OracleInst &oi)
             oi.taken = true;
             oi.nextPc = image_->takenTarget(stubPc_);
             stubPc_ = oi.nextPc;
-            return true;
+            return;
         }
 
-        if (!startBlock())
-            return false;
+        startBlock();
     }
 }
 
-bool
+void
 OracleStream::startBlock()
 {
-    ControlRecord rec;
-    if (!replay_)
-        rec = gen_.next();
-    else if (replayPos_ < replay_->records.size())
-        rec = replay_->records[replayPos_++];
-    else
-        return false;
+    const ControlRecord rec = gen_.next();
 
     const Program &prog = image_->program();
     const BasicBlock &b = prog.block(rec.block);
@@ -144,7 +124,6 @@ OracleStream::startBlock()
         term.nextPc = succ_addr;
         break;
     }
-    return true;
 }
 
 } // namespace sfetch

@@ -21,8 +21,6 @@
 namespace sfetch
 {
 
-struct RecordedTrace;
-
 /** One committed-path instruction. */
 struct OracleInst
 {
@@ -36,58 +34,34 @@ struct OracleInst
 };
 
 /**
- * Committed instruction stream: infinite when generated live, as
- * long as the trace when replayed. Deterministic given (image, model,
- * seed); two OracleStreams with the same arguments produce identical
- * sequences, which the simulator relies on when comparing fetch
- * architectures.
+ * Committed instruction stream, unbounded. Deterministic given
+ * (image, model, seed); two OracleStreams with the same arguments
+ * produce identical sequences, which the simulator relies on when
+ * comparing fetch architectures.
  *
  * Instructions are generated incrementally — a cursor into the
  * current basic block plus an in-progress stub walk — instead of
- * expanding whole blocks into a queue, so next()/tryNext() never
- * allocate (the return-address stack reserves its bounded depth up
- * front).
+ * expanding whole blocks into a queue, so next() never allocates
+ * (the return-address stack reserves its bounded depth up front).
  */
 class OracleStream
 {
   public:
-    /**
-     * @param replay When non-null, the committed control path is
-     * read from the recorded trace (which must outlive the stream)
-     * instead of being generated live; @p model and @p seed then
-     * only drive the data-address side held elsewhere.
-     */
     OracleStream(const CodeImage &image, const WorkloadModel &model,
-                 std::uint64_t seed,
-                 const RecordedTrace *replay = nullptr);
+                 std::uint64_t seed);
 
     /**
-     * Write the next committed instruction into @p out (every field
-     * assigned) and return true; return false, leaving the stream
-     * unchanged, once a recorded trace has run out. The in-block fast
-     * path is inline; block boundaries and stub walks go through
-     * generate().
-     */
-    bool
-    tryNext(OracleInst &out)
-    {
-        if (!tryEmitInBlock(out) && !generate(out))
-            return false;
-        ++count_;
-        return true;
-    }
-
-    /**
-     * Next committed instruction. Running past the end of a recorded
-     * trace throws std::runtime_error — record with enough margin
-     * (see recordTrace()).
+     * Next committed instruction, every field assigned. The in-block
+     * fast path is inline; block boundaries and stub walks go
+     * through generate().
      */
     OracleInst
     next()
     {
         OracleInst oi;
-        if (!tryNext(oi))
-            throwReplayExhausted();
+        if (!tryEmitInBlock(oi))
+            generate(oi);
+        ++count_;
         return oi;
     }
 
@@ -97,7 +71,7 @@ class OracleStream
     /**
      * The in-block fast path: emit the next non-terminator
      * instruction of the current block, assigning every field of
-     * @p out. Shared by tryNext() and generate() — the bit-identity
+     * @p out. Shared by next() and generate() — the bit-identity
      * guarantee depends on both emitting exactly the same
      * instructions.
      */
@@ -115,15 +89,12 @@ class OracleStream
         return true;
     }
 
-    bool generate(OracleInst &out);
-    /** Enter the next committed block; false when the trace ran out. */
-    bool startBlock();
-    [[noreturn]] void throwReplayExhausted() const;
+    void generate(OracleInst &out);
+    /** Enter the next committed block. */
+    void startBlock();
 
     const CodeImage *image_;
     TraceGenerator gen_;
-    const RecordedTrace *replay_ = nullptr;
-    std::size_t replayPos_ = 0;
 
     // Incremental expansion state: the block being emitted, its
     // precomputed terminator, and the stub walk that follows it.

@@ -58,9 +58,8 @@ OracleStreams::clear()
 
 OracleDecoder::OracleDecoder(const CodeImage &image,
                              const WorkloadModel &model,
-                             std::uint64_t seed,
-                             const RecordedTrace *replay)
-    : image_(&image), path_(image, model, seed, replay),
+                             std::uint64_t seed)
+    : image_(&image), path_(image, model, seed),
       data_(model.data(), seed ^ kDataStreamSeedSalt),
       base_(image.baseAddr()), next_(image.entryAddr())
 {
@@ -70,18 +69,19 @@ OracleDecoder::OracleDecoder(const CodeImage &image,
                                "u32 offset range");
 }
 
-std::size_t
+void
 OracleDecoder::decode(OracleStreams &out, std::size_t n)
 {
     const std::uint8_t *imeta = image_->meta();
     const Addr image_bytes = image_->endAddr() - base_;
-    OracleInst oi;
+    Addr pc = kNoAddr;
     auto refuse = [&](const char *what) {
-        throwUnencodable(what, path_.instCount() - 1, oi.pc);
+        throwUnencodable(what, path_.instCount() - 1, pc);
     };
-    std::size_t i = 0;
     std::size_t accesses = 0;
-    for (; i < n && path_.tryNext(oi); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const OracleInst oi = path_.next();
+        pc = oi.pc;
         // The encoding keeps only what the image cannot derive, so
         // every instruction must be its predecessor's successor and
         // agree with the image on class, type and every static
@@ -130,7 +130,7 @@ OracleDecoder::decode(OracleStreams &out, std::size_t n)
         next_ = oi.nextPc;
         accesses += isMemMeta(mb);
     }
-    out.insts += i;
+    out.insts += n;
 
     // The address stream does not depend on the control path, only
     // on how many loads and stores it holds: drawing those in one
@@ -143,7 +143,6 @@ OracleDecoder::decode(OracleStreams &out, std::size_t n)
                    "above kDataRegionBase");
         out.dataOff.push_back(static_cast<std::uint32_t>(off));
     }
-    return i;
 }
 
 std::size_t
@@ -173,8 +172,7 @@ OracleArena::OracleArena(const CodeImage &image,
     // their exact sizes. Reserving their upper bounds up front (4
     // bytes per instruction each) would leave a hole of touched heap
     // behind every decode once glibc's dynamic mmap threshold has
-    // risen: ~5 MiB more peak RSS over repeated cold set-ups. The
-    // live generator never runs out, so this fills every entry.
+    // risen: ~5 MiB more peak RSS over repeated cold set-ups.
     OracleDecoder(image, model, seed).decode(streams_, insts);
     streams_.condTaken.shrink_to_fit();
     streams_.target.shrink_to_fit();
@@ -212,11 +210,10 @@ OracleWindow::OracleWindow(const CodeImage &image,
 OracleWindow::OracleWindow(const CodeImage &image,
                            const WorkloadModel &model,
                            std::uint64_t seed,
-                           const RecordedTrace *replay,
                            std::size_t capacity)
     : OracleWindow(image, capacity)
 {
-    decoder_.emplace(image, model, seed, replay);
+    decoder_.emplace(image, model, seed);
     chunk_.condTaken.reserve(kChunkInsts / 64 + 1);
     chunk_.target.reserve(kChunkInsts);
     chunk_.dataOff.reserve(kChunkInsts);
@@ -335,12 +332,10 @@ OracleWindow::refill(std::uint64_t keep_from,
         while (room > 0) {
             const std::size_t ask = std::min(room, kChunkInsts);
             chunk_.clear();
-            const std::size_t got = decoder_->decode(chunk_, ask);
+            decoder_->decode(chunk_, ask);
             Cursor at;
-            expand(chunk_, at, got);
-            room -= got;
-            if (got < ask)
-                break; // the recorded trace has run out
+            expand(chunk_, at, ask);
+            room -= ask;
         }
     }
     view_.dataOff = dataOff_.data();

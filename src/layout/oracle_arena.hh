@@ -3,11 +3,11 @@
  * The pre-decoded committed path: how the oracle is stored, and the
  * one form in which the processor reads it.
  *
- * One decode loop (OracleDecoder) turns an OracleStream — the live
- * generator or a recorded trace — into the stream encoding, the
- * paper's fetch unit: given where a stream starts and which
- * conditionals it falls through, the placed image fixes everything
- * else, so the encoding is the path minus the image.
+ * One decode loop (OracleDecoder) turns the live OracleStream into
+ * the stream encoding, the paper's fetch unit: given where a stream
+ * starts and which conditionals it falls through, the placed image
+ * fixes everything else, so the encoding is the path minus the
+ * image.
  *
  *   - condTaken   one bit per dynamic CondDirect: taken or not.
  *   - target[t]   u32 offset from the image base of the successor of
@@ -46,10 +46,10 @@
  * (2M + 0.3M warmup). A window costs 9 bytes per entry, 4K entries
  * per run, whatever the run length.
  *
- * Bit-identity: every form is what the live OracleStream produced,
- * so arena replay, windowed generation and windowed trace replay are
- * bit-identical by construction; the golden stats and the window
- * invariance suite pin this for every engine.
+ * Bit-identity: both forms are what the live OracleStream produced,
+ * so arena replay and windowed generation are bit-identical by
+ * construction; the golden stats and the window invariance suite
+ * pin this for every engine.
  */
 
 #ifndef SFETCH_LAYOUT_ORACLE_ARENA_HH
@@ -112,10 +112,9 @@ struct OracleStreams
 };
 
 /**
- * The one decode loop: turns an OracleStream (live, or replaying a
- * recorded trace) into the stream encoding and draws one data
- * address per load/store. Successive decode() calls continue the
- * same path.
+ * The one decode loop: turns the live OracleStream into the stream
+ * encoding and draws one data address per load/store. Successive
+ * decode() calls continue the same path.
  */
 class OracleDecoder
 {
@@ -123,22 +122,21 @@ class OracleDecoder
     /** Throws std::logic_error if @p image spans more than the u32
      * offset range. */
     OracleDecoder(const CodeImage &image, const WorkloadModel &model,
-                  std::uint64_t seed,
-                  const RecordedTrace *replay = nullptr);
+                  std::uint64_t seed);
 
     /**
-     * Append up to @p n instructions to @p out. Returns the count,
-     * which falls short of @p n only once a recorded trace has run
-     * out. Throws std::logic_error naming the instruction if the
-     * path disagrees with the image: an instruction that is not its
-     * predecessor's successor or lies outside the image, a class or
-     * branch type other than the image's, a successor other than
-     * pc + kInstBytes after a non-branch or an untaken conditional,
-     * or other than the image's taken target after a direct taken
-     * branch; also for a data address outside the u32 offset range
-     * above kDataRegionBase.
+     * Append the next @p n instructions to @p out. Throws
+     * std::logic_error naming the instruction if the path disagrees
+     * with the image, each an invariant of OracleStream: an
+     * instruction that is not its predecessor's successor or lies
+     * outside the image, a class or branch type other than the
+     * image's, a successor other than pc + kInstBytes after a
+     * non-branch or an untaken conditional, or other than the
+     * image's taken target after a direct taken branch; also for a
+     * data address outside the u32 offset range above
+     * kDataRegionBase.
      */
-    std::size_t decode(OracleStreams &out, std::size_t n);
+    void decode(OracleStreams &out, std::size_t n);
 
   private:
     const CodeImage *image_;
@@ -218,13 +216,9 @@ class OracleArena
 class OracleWindow
 {
   public:
-    /**
-     * Fill from a private decoder of (@p image, @p model, @p seed),
-     * or of @p replay when non-null (which must outlive the window).
-     */
+    /** Fill from a private decoder of (@p image, @p model, @p seed). */
     OracleWindow(const CodeImage &image, const WorkloadModel &model,
-                 std::uint64_t seed, const RecordedTrace *replay,
-                 std::size_t capacity);
+                 std::uint64_t seed, std::size_t capacity);
 
     /** Fill from @p arena, which must outlive the window. */
     OracleWindow(const OracleArena &arena, std::size_t capacity);
@@ -235,7 +229,8 @@ class OracleWindow
      * Drop positions before @p keep_from and data accesses before
      * @p keep_data_from, move the rest to the front, and expand until
      * the window is full again. Returns false when nothing new could
-     * be expanded (the arena or recorded trace has run out).
+     * be expanded (the arena has run out; a private decoder never
+     * does).
      */
     bool refill(std::uint64_t keep_from, std::uint64_t keep_data_from);
 

@@ -12,7 +12,6 @@ namespace sfetch
 Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
                      const CodeImage &image, const WorkloadModel &model,
                      MemoryHierarchy *mem, std::uint64_t seed,
-                     const RecordedTrace *replay,
                      const OracleArena *arena)
     : cfg_(cfg), engine_(engine), mem_(mem),
       expectedPc_(image.entryAddr()), rob_(cfg.robSize)
@@ -26,10 +25,6 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
             " exceeds the supported fetch width " +
             std::to_string(FetchBundle::kCapacity));
     }
-    if (replay && arena)
-        throw std::invalid_argument(
-            "Processor: a recorded-trace replay and a shared arena "
-            "are mutually exclusive");
 
     batched_ = cfg_.batchedReplay;
     if (minWindowInsts(cfg_) > kOracleWindowInsts / 2)
@@ -40,8 +35,7 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
     window_ = arena ? std::make_unique<OracleWindow>(
                           *arena, kOracleWindowInsts)
                     : std::make_unique<OracleWindow>(
-                          image, model, seed, replay,
-                          kOracleWindowInsts);
+                          image, model, seed, kOracleWindowInsts);
     path_ = window_->view();
 
     for (auto &l : latByCls_)
@@ -57,7 +51,7 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
 Cycle
 Processor::execLatencyMeta(std::uint8_t mb)
 {
-    const unsigned cls = mb & 0x07;
+    const unsigned cls = mb & kMetaClassBits;
     if (cls == static_cast<unsigned>(InstClass::Load)) {
         assert(dataPos_ < path_.dataLast);
         return mem_->accessData(
@@ -73,8 +67,8 @@ Processor::committedBranch(std::uint64_t pos, std::uint8_t mb) const
 {
     CommittedBranch cb;
     cb.pc = pcAt(pos);
-    cb.type = static_cast<BranchType>((mb >> 3) & 0x07);
-    cb.taken = (mb & 0x40) != 0;
+    cb.type = metaBranchType(mb);
+    cb.taken = (mb & kMetaTakenBit) != 0;
     cb.target = pcAt(pos + 1);
     return cb;
 }
@@ -241,8 +235,7 @@ Processor::throwPathExhausted() const
     throw std::runtime_error(
         "committed path exhausted at instruction " +
         std::to_string(path_.last) +
-        ": the shared arena or recorded trace ends there; decode or "
-        "record it with more margin");
+        ": the shared arena ends there; decode it with more margin");
 }
 
 void

@@ -250,21 +250,16 @@ class Processor
      * @param model Workload behaviour (copied into the oracle).
      * @param mem Memory hierarchy shared with the engine (not owned).
      * @param seed Oracle/data-stream seed (the `ref` input).
-     * @param replay Optional recorded control trace (not owned; must
-     *        outlive the processor). When set, the committed path is
-     *        decoded from it instead of generated live; with matching
-     *        @p seed the run is bit-identical to live generation.
      * @param arena Optional shared pre-decoded committed path (not
      *        owned; must outlive the processor and have been built
      *        from the same image/model/@p seed). When set, the run's
      *        window is refilled from it instead of from a private
-     *        decoder — bit-identical, with no workload-model work per
-     *        instruction. Mutually exclusive with @p replay.
+     *        decoder of the live generator — bit-identical, with no
+     *        workload-model work per instruction.
      */
     Processor(const ProcessorConfig &cfg, FetchEngine *engine,
               const CodeImage &image, const WorkloadModel &model,
               MemoryHierarchy *mem, std::uint64_t seed,
-              const RecordedTrace *replay = nullptr,
               const OracleArena *arena = nullptr);
 
     /**
@@ -322,10 +317,11 @@ class Processor
 
     /**
      * Make positions up to fetchPos_ + width readable: refill the
-     * window when it runs short. Once its source has run out, the
+     * window when it runs short. Once a shared arena has run out, the
      * window's end is where the committed path ends.
      */
     void ensureFetchWindow();
+    /** Fetch ran past the end of the shared arena's path. */
     [[noreturn]] void throwPathExhausted() const;
 
     void commitStep(SimStats &st);

@@ -320,4 +320,18 @@ CliParser::parseOrExit(int argc, char **argv)
     }
 }
 
+int
+runMain(const std::string &tool, const std::function<int()> &body)
+{
+    try {
+        return body();
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\n", tool.c_str(), e.what());
+        return 2;
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s: %s\n", tool.c_str(), e.what());
+        return 1;
+    }
+}
+
 } // namespace sfetch

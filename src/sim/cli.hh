@@ -164,6 +164,15 @@ resolveBenches(const std::vector<std::string> &requested);
 std::string
 requireSingleBench(const CliOptions &opts, const char *prog);
 
+/**
+ * Run a binary's @p body and return its exit code, containing what
+ * it throws: a std::invalid_argument is input the binary refuses and
+ * exits 2, as a usage error does; any other std::exception exits 1.
+ * Either prints one line, `<tool>: <what>`, on stderr. A sweep's
+ * failed point reaches here as the first error SweepDriver rethrows.
+ */
+int runMain(const std::string &tool, const std::function<int()> &body);
+
 } // namespace sfetch
 
 #endif // SFETCH_SIM_CLI_HH

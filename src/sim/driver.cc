@@ -205,7 +205,7 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
             WorkloadCache::instance().get(p.bench);
         const OracleArena *arena = point_arena[i];
         auto rt0 = std::chrono::steady_clock::now();
-        SimStats st = runOn(work, p.cfg, nullptr, arena);
+        SimStats st = runOn(work, p.cfg, arena);
         ResultRow &row = rows[i];
         row.bench = p.bench;
         row.cfg = p.cfg;

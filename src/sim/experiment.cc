@@ -7,6 +7,7 @@
 #include "layout/layout_opt.hh"
 #include "layout/oracle.hh"
 #include "tcache/fill_unit.hh"
+#include "util/fault_inject.hh"
 
 namespace sfetch
 {
@@ -147,26 +148,19 @@ PlacedWorkload::evictArena(bool optimized) const
 
 SimStats
 runOn(const PlacedWorkload &work, const SimConfig &cfg,
-      const RecordedTrace *replay, const OracleArena *arena,
-      const RunTuning &tuning)
+      const OracleArena *arena, const RunTuning &tuning)
 {
-    return runOn(work, work.image(cfg.optimizedLayout), cfg, replay,
-                 arena, tuning);
+    return runOn(work, work.image(cfg.optimizedLayout), cfg, arena,
+                 tuning);
 }
 
 SimStats
 runOn(const PlacedWorkload &work, const CodeImage &image,
-      const SimConfig &cfg, const RecordedTrace *replay,
-      const OracleArena *arena, const RunTuning &tuning)
+      const SimConfig &cfg, const OracleArena *arena,
+      const RunTuning &tuning)
 {
-    if (replay && replay->bench != work.name())
-        throw std::invalid_argument(
-            "trace was recorded for '" + replay->bench +
-            "', not '" + work.name() + "'");
-    if (replay && arena)
-        throw std::invalid_argument(
-            "runOn: a recorded-trace replay and an arena replay "
-            "are mutually exclusive");
+    if (SFETCH_FAULT("sim.run"))
+        throw std::runtime_error("runOn: injected fault at sim.run");
     if (arena && arena->seed() != kRefSeed)
         throw std::invalid_argument(
             "runOn: the arena was not decoded with the ref seed "
@@ -187,20 +181,9 @@ runOn(const PlacedWorkload &work, const CodeImage &image,
     pc.batchedReplay = tuning.batchedReplay;
     pc.exactInstStop = tuning.exactInstStop;
 
-    // The replayed trace supplies the control path; its seed keeps
-    // the (independent) data-address stream aligned with capture.
     Processor proc(pc, engine.get(), image, work.model(), &mem,
-                   replay ? replay->seed : kRefSeed, replay, arena);
+                   kRefSeed, arena);
     return proc.run(cfg.insts, cfg.warmupInsts);
-}
-
-RecordedTrace
-recordBenchTrace(const PlacedWorkload &work, InstCount insts,
-                 InstCount warmup, std::uint64_t seed)
-{
-    return recordTrace(work.program(), work.model(), seed,
-                       insts + warmup + kFetchAheadMargin,
-                       work.name());
 }
 
 FetchUnitSizes

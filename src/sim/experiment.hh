@@ -23,15 +23,14 @@
 #include "util/stats.hh"
 #include "workload/profile.hh"
 #include "workload/suite.hh"
-#include "workload/trace_io.hh"
 #include "workload/workload_registry.hh"
 
 namespace sfetch
 {
 
 /**
- * Committed-path margin beyond (insts + warmup) that any pre-decoded
- * or recorded oracle must cover: the oracle is consumed once per
+ * Committed-path margin beyond (insts + warmup) that a pre-decoded
+ * arena must cover: the oracle is consumed once per
  * correct-path *fetched* instruction, which runs ahead of commit by
  * at most the fetch buffer, the ROB, and one fetch bundle. 4096
  * covers the largest configuration with an order of magnitude to
@@ -183,14 +182,10 @@ struct RunTuning
  * workload's arena()/cachedArena(), i.e. be decoded with the `ref`
  * seed on the configured layout); the sweep driver passes one when
  * several points share one (workload, layout, run length).
- * Otherwise the run decodes a private, constant-size window as it
- * goes: from @p replay when non-null (the trace's bench spec must
- * match the workload; std::invalid_argument otherwise), else from the
- * live generator. All three are bit-identical; @p replay and
- * @p arena are mutually exclusive.
+ * Otherwise the run decodes a private, constant-size window from the
+ * live generator as it goes. Both are bit-identical.
  */
 SimStats runOn(const PlacedWorkload &work, const SimConfig &cfg,
-               const RecordedTrace *replay = nullptr,
                const OracleArena *arena = nullptr,
                const RunTuning &tuning = RunTuning{});
 
@@ -200,19 +195,8 @@ SimStats runOn(const PlacedWorkload &work, const SimConfig &cfg,
  * layout cfg.optimizedLayout selects.
  */
 SimStats runOn(const PlacedWorkload &work, const CodeImage &image,
-               const SimConfig &cfg, const RecordedTrace *replay = nullptr,
-               const OracleArena *arena = nullptr,
+               const SimConfig &cfg, const OracleArena *arena = nullptr,
                const RunTuning &tuning = RunTuning{});
-
-/**
- * Capture the committed control path of @p work for a run of
- * @p insts measured + @p warmup instructions, with enough margin
- * for the processor's fetch-ahead on any engine. @p seed defaults
- * to the `ref` input every runOn() simulation uses.
- */
-RecordedTrace recordBenchTrace(const PlacedWorkload &work,
-                               InstCount insts, InstCount warmup,
-                               std::uint64_t seed = kRefSeed);
 
 /**
  * Dynamic fetch-unit sizes, in instructions, along a committed path

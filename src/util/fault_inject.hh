@@ -2,8 +2,8 @@
  * @file
  * Deterministic fault-injection harness for the serve stack's
  * failure paths. Production code wraps each fallible effect (socket
- * syscalls, journal writes/fsyncs, arena allocation) in a named
- * *injection point*:
+ * syscalls, journal writes/fsyncs, arena allocation, a simulation
+ * run) in a named *injection point*:
  *
  *     if (SFETCH_FAULT("socket.send"))
  *         return false;               // behave exactly like a failure
@@ -54,6 +54,7 @@ constexpr const char *kKnownSites[] = {
     "journal.append", //!< JobJournal append write fails
     "journal.fsync",  //!< JobJournal fdatasync fails
     "arena.alloc",    //!< OracleArena decode allocation fails
+    "sim.run",        //!< runOn(): the run throws std::runtime_error
 };
 
 /** True when the harness was compiled in (SFETCH_FAULT_INJECT). */

@@ -195,7 +195,7 @@ TEST(GoldenStats, ArenaReplayMatchesLiveForEveryEngine)
                 true, cfg.insts + cfg.warmupInsts +
                           kFetchAheadMargin);
             SimStats live = runOn(work, cfg);
-            SimStats replay = runOn(work, cfg, nullptr, arena.get());
+            SimStats replay = runOn(work, cfg, arena.get());
             EXPECT_TRUE(live == replay)
                 << token << " w" << width
                 << ": arena replay diverged from live generation";
@@ -205,8 +205,7 @@ TEST(GoldenStats, ArenaReplayMatchesLiveForEveryEngine)
 
 // An arena decoded from a different layout or workload must be
 // rejected loudly — replaying foreign PCs would otherwise produce
-// plausible but silently wrong stats (parity with the recorded-trace
-// path's bench check).
+// plausible but silently wrong stats.
 TEST(GoldenStats, ArenaFromWrongLayoutOrWorkloadIsRejected)
 {
     const PlacedWorkload &phased =
@@ -218,10 +217,10 @@ TEST(GoldenStats, ArenaFromWrongLayoutOrWorkloadIsRejected)
     cfg.warmupInsts = 0;
     cfg.optimizedLayout = true;
     auto base_arena = phased.arena(false, 20'000);
-    EXPECT_THROW(runOn(phased, cfg, nullptr, base_arena.get()),
+    EXPECT_THROW(runOn(phased, cfg, base_arena.get()),
                  std::invalid_argument);
     auto other_workload = gzip.arena(true, 20'000);
-    EXPECT_THROW(runOn(phased, cfg, nullptr, other_workload.get()),
+    EXPECT_THROW(runOn(phased, cfg, other_workload.get()),
                  std::invalid_argument);
 }
 
@@ -240,7 +239,7 @@ TEST(GoldenStats, ArenaReplayMatchesPinnedFamilyGoldens)
         cfg.optimizedLayout = true;
         cfg.insts = 60000;
         cfg.warmupInsts = 10000;
-        SimStats st = runOn(work, cfg, nullptr, arena.get());
+        SimStats st = runOn(work, cfg, arena.get());
         GoldenRow as_row;
         as_row.arch = g.arch;
         for (int i = 0; i < 10; ++i)

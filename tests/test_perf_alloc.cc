@@ -56,7 +56,7 @@ expectSteadyStateAllocFree(const char *arch,
 
     ProcessorConfig pc;
     Processor proc(pc, engine.get(), image, work.model(), &mem,
-                   kRefSeed, nullptr, arena);
+                   kRefSeed, arena);
 
     // Warm up: predictor tables, commit-side sets, vector capacities.
     proc.run(30000, 10000);

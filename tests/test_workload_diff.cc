@@ -8,11 +8,9 @@
  *  - window invariance: for every registered workload family and
  *    one suite preset, every registered fetch engine at two pipe
  *    widths produces bit-identical SimStats whether its committed
- *    path is generated live into a private window, replayed from a
- *    recorded trace into that window, or read from a shared
- *    whole-run arena, and whether the batched core or the scalar
- *    reference loop reads it; plus the trace binary format's
- *    round-trip and corruption handling;
+ *    path is generated live into a private window or read from a
+ *    shared whole-run arena, and whether the batched core or the
+ *    scalar reference loop reads it;
  *  - cross-engine invariants every scenario must satisfy (an
  *    optimized-layout stream front end beats predictionless
  *    next-line fetch);
@@ -22,14 +20,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 
 #include "sim/engine_registry.hh"
 #include "sim/experiment.hh"
 #include "sim/workload_cache.hh"
 #include "util/rng.hh"
-#include "workload/trace_io.hh"
 #include "workload/workload_registry.hh"
 
 using namespace sfetch;
@@ -382,79 +378,6 @@ TEST(BenchSpec, FuzzedSpecsEitherCanonicalizeOrThrow)
     EXPECT_GT(accepted, 0);
 }
 
-// ---- trace binary format ----
-
-TEST(TraceIo, EncodeDecodeRoundTrip)
-{
-    RecordedTrace t;
-    t.bench = "loops:depth=2";
-    t.seed = 0x1234567890abcdefULL;
-    for (BlockId b = 0; b < 300; ++b)
-        t.records.push_back(ControlRecord{b, BlockId(b * 7 + 130)});
-
-    RecordedTrace back = decodeTrace(encodeTrace(t));
-    EXPECT_EQ(back.bench, t.bench);
-    EXPECT_EQ(back.seed, t.seed);
-    ASSERT_EQ(back.records.size(), t.records.size());
-    for (std::size_t i = 0; i < t.records.size(); ++i) {
-        EXPECT_EQ(back.records[i].block, t.records[i].block);
-        EXPECT_EQ(back.records[i].next, t.records[i].next);
-    }
-}
-
-TEST(TraceIo, FileRoundTripAndIoErrors)
-{
-    RecordedTrace t;
-    t.bench = "gzip";
-    t.seed = 7;
-    t.records = {ControlRecord{0, 1}, ControlRecord{1, 0}};
-
-    std::string path = ::testing::TempDir() + "sfetch_trace_test.sftr";
-    TraceWriter(path).write(t);
-    RecordedTrace back = TraceReader(path).read();
-    EXPECT_EQ(back.bench, t.bench);
-    EXPECT_EQ(back.records.size(), 2u);
-    std::remove(path.c_str());
-
-    EXPECT_THROW(TraceReader("/nonexistent/dir/x.sftr").read(),
-                 std::runtime_error);
-    EXPECT_THROW(
-        TraceWriter("/nonexistent/dir/x.sftr").write(t),
-        std::runtime_error);
-}
-
-TEST(TraceIo, RejectsCorruptHeadersAndTruncation)
-{
-    RecordedTrace t;
-    t.bench = "gzip";
-    t.seed = 7;
-    t.records = {ControlRecord{0, 1}, ControlRecord{1, 0}};
-    std::string bytes = encodeTrace(t);
-
-    // Bad magic.
-    std::string bad = bytes;
-    bad[0] = 'X';
-    EXPECT_THROW(decodeTrace(bad), std::runtime_error);
-
-    // Unsupported version.
-    bad = bytes;
-    bad[4] = char(kTraceFormatVersion + 1);
-    EXPECT_THROW(decodeTrace(bad), std::runtime_error);
-
-    // Truncation anywhere in the payload.
-    for (std::size_t cut : {std::size_t(2), std::size_t(10),
-                            bytes.size() - 1})
-        EXPECT_THROW(decodeTrace(bytes.substr(0, cut)),
-                     std::runtime_error)
-            << "cut at " << cut;
-
-    // A record count pointing past the payload.
-    bad = bytes;
-    std::size_t count_off = 4 + 4 + 8 + 4 + t.bench.size();
-    bad[count_off] = char(0x7f);
-    EXPECT_THROW(decodeTrace(bad), std::runtime_error);
-}
-
 // ---- the window invariance suite ----
 
 TEST(WorkloadDiff, CommittedPathSourceIsInvisibleEverywhere)
@@ -473,10 +396,6 @@ TEST(WorkloadDiff, CommittedPathSourceIsInvisibleEverywhere)
             WorkloadCache::instance().get(bench);
         auto arena =
             work.arena(true, insts + warmup + kFetchAheadMargin);
-        RecordedTrace trace = recordBenchTrace(work, insts, warmup);
-        EXPECT_EQ(trace.bench, work.name());
-        // The same capture must also survive the binary format.
-        RecordedTrace decoded = decodeTrace(encodeTrace(trace));
 
         for (const std::string &arch : engines) {
             for (unsigned width : {4u, 8u}) {
@@ -488,12 +407,9 @@ TEST(WorkloadDiff, CommittedPathSourceIsInvisibleEverywhere)
                                          std::to_string(width);
 
                 SimStats live = runOn(work, cfg);
-                EXPECT_EQ(live, runOn(work, cfg, &decoded))
-                    << what << ": windowed trace replay diverged";
-                EXPECT_EQ(live, runOn(work, cfg, nullptr, arena.get()))
+                EXPECT_EQ(live, runOn(work, cfg, arena.get()))
                     << what << ": shared arena diverged";
-                EXPECT_EQ(live,
-                          runOn(work, cfg, nullptr, nullptr, scalar))
+                EXPECT_EQ(live, runOn(work, cfg, nullptr, scalar))
                     << what << ": scalar reference diverged";
             }
         }
@@ -515,7 +431,7 @@ TEST(WorkloadDiff, ExactInstStopCommitsExactlyTheBudget)
          EngineRegistry::instance().tokens()) {
         SimConfig cfg = smallCfg(arch);
         SimStats loose = runOn(work, cfg);
-        SimStats tight = runOn(work, cfg, nullptr, nullptr, exact);
+        SimStats tight = runOn(work, cfg, nullptr, exact);
         EXPECT_GE(loose.committedInsts, cfg.insts) << arch;
         EXPECT_LT(loose.committedInsts, cfg.insts + cfg.width)
             << arch;
@@ -526,8 +442,7 @@ TEST(WorkloadDiff, ExactInstStopCommitsExactlyTheBudget)
         // agree bit for bit under it.
         RunTuning exact_scalar = exact;
         exact_scalar.batchedReplay = false;
-        SimStats tight_scalar =
-            runOn(work, cfg, nullptr, nullptr, exact_scalar);
+        SimStats tight_scalar = runOn(work, cfg, nullptr, exact_scalar);
         EXPECT_EQ(tight, tight_scalar) << arch;
     }
 }
@@ -555,29 +470,19 @@ TEST(WorkloadDiff, RunningPastTheCommittedPathThrows)
     const PlacedWorkload &work = WorkloadCache::instance().get("loops");
     SimConfig cfg = smallCfg("stream");
 
-    RecordedTrace tiny = recordTrace(work.program(), work.model(),
-                                     kRefSeed, 200, work.name());
-    EXPECT_THROW(runOn(work, cfg, &tiny), std::runtime_error);
-    EXPECT_THROW(runOn(work, cfg, &tiny, nullptr, scalar),
-                 std::runtime_error);
-
     OracleArena short_arena(work.image(cfg.optimizedLayout),
                             work.model(), kRefSeed, 1'000);
-    EXPECT_THROW(runOn(work, cfg, nullptr, &short_arena),
-                 std::runtime_error);
-    EXPECT_THROW(runOn(work, cfg, nullptr, &short_arena, scalar),
-                 std::runtime_error);
-}
-
-TEST(WorkloadDiff, ReplayOnTheWrongWorkloadThrows)
-{
-    const PlacedWorkload &loops =
-        WorkloadCache::instance().get("loops");
-    const PlacedWorkload &server =
-        WorkloadCache::instance().get("server");
-    RecordedTrace trace = recordBenchTrace(loops, 1'000, 0);
-    EXPECT_THROW(runOn(server, smallCfg("stream"), &trace),
-                 std::invalid_argument);
+    for (const RunTuning &tuning : {RunTuning{}, scalar}) {
+        try {
+            runOn(work, cfg, &short_arena, tuning);
+            ADD_FAILURE() << "a run past the arena's end completed";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "the shared arena ends there"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---- workload cache canonical keys (aliasing regression) ----
