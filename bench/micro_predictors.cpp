@@ -10,7 +10,7 @@
 #include "bpred/btb.hh"
 #include "bpred/gskew.hh"
 #include "bpred/perceptron.hh"
-#include "core/nsp.hh"
+#include "core/stream_engine.hh"
 #include "sim/cli.hh"
 #include "sim/engine_registry.hh"
 #include "sim/experiment.hh"

@@ -1,75 +1,34 @@
 /**
  * @file
  * Branch target buffer: tagged set-associative storage mapping branch
- * PCs to (target, branch type). Used directly by the EV8 front end,
- * and as the backup predictor of the trace cache's secondary path.
- * For indirect branches the stored target is the last observed one.
+ * PCs to (target, branch type), an LruTable of BtbTarget. Used
+ * directly by the EV8 front end, and as the backup predictor of the
+ * trace cache's secondary path. For indirect branches the stored
+ * target is the last observed one.
  */
 
 #ifndef SFETCH_BPRED_BTB_HH
 #define SFETCH_BPRED_BTB_HH
 
-#include <cstdint>
-#include <vector>
-
+#include "bpred/predictor_tables.hh"
 #include "isa/instruction.hh"
-#include "util/types.hh"
 
 namespace sfetch
 {
 
-/** BTB geometry. */
-struct BtbConfig
+/** What the BTB holds for one branch. */
+struct BtbTarget
 {
-    std::size_t entries = 2048; //!< paper: 2048-entry
-    unsigned assoc = 4;         //!< paper: 4-way
-};
-
-/** Result of a BTB lookup. */
-struct BtbEntry
-{
-    bool hit = false;
     Addr target = kNoAddr;
     BranchType type = BranchType::None;
+
+    BtbTarget() = default;
+    BtbTarget(Addr t, BranchType ty) : target(t), type(ty) {}
 };
 
-/** Tagged set-associative BTB with LRU replacement. */
-class Btb
-{
-  public:
-    explicit Btb(const BtbConfig &cfg = BtbConfig{});
-
-    /** Look up the branch at @p pc. */
-    BtbEntry lookup(Addr pc);
-
-    /** Install or refresh the entry for the branch at @p pc. */
-    void update(Addr pc, Addr target, BranchType type);
-
-    std::uint64_t lookups() const { return lookups_; }
-    std::uint64_t hits() const { return hits_; }
-
-    std::size_t numEntries() const { return cfg_.entries; }
-
-  private:
-    struct Way
-    {
-        Addr tag = kNoAddr;
-        Addr target = kNoAddr;
-        BranchType type = BranchType::None;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    std::size_t setIndex(Addr pc) const;
-    Addr tagOf(Addr pc) const;
-
-    BtbConfig cfg_;
-    std::size_t numSets_;
-    std::vector<Way> ways_;
-    std::uint64_t tick_ = 0;
-    std::uint64_t lookups_ = 0;
-    std::uint64_t hits_ = 0;
-};
+using BtbConfig = LruTableConfig;
+using Btb = LruTable<BtbTarget>;
+using BtbEntry = Btb::Lookup;
 
 } // namespace sfetch
 

@@ -234,6 +234,8 @@ StatSet
 StreamFetchEngine::stats() const
 {
     StatSet s = nsp_.stats();
+    // Only the stream rows carry the cascade upgrades (Section 3.2).
+    s.set("nsp.upgrades", double(nsp_.upgrades()));
     s.set("stream.predicted", double(streamsPredicted_));
     s.set("stream.avg_pred_len", streamsPredicted_
           ? double(streamInstsPredicted_) / double(streamsPredicted_)

@@ -13,8 +13,8 @@
 
 #include <memory>
 
+#include "bpred/predictor_tables.hh"
 #include "bpred/ras.hh"
-#include "core/nsp.hh"
 #include "core/stream_builder.hh"
 #include "fetch/fetch_engine.hh"
 #include "fetch/token_ring.hh"
@@ -22,10 +22,50 @@
 namespace sfetch
 {
 
+/**
+ * What the next stream predictor holds for one stream: its length,
+ * terminator type and the next stream's start. Its path registers
+ * record stream start addresses.
+ */
+struct StreamPayload
+{
+    using Unit = StreamDescriptor;
+    static constexpr const char *kStatPrefix = "nsp.";
+    /**
+     * Paper (Table 2): 1K-entry 4-way and 6K-entry 3-way tables,
+     * DOLC 12-2-4-10.
+     */
+    static constexpr CascadedConfig kPaperConfig{1024, 4, 6144, 3,
+                                                 {12, 2, 4, 10}};
+    static constexpr unsigned kPayloadBits = 8 + 3 + 32; //!< len+type+next
+
+    std::uint32_t lenInsts = 0;
+    BranchType endType = BranchType::None;
+    Addr next = kNoAddr;
+
+    StreamPayload() = default;
+    explicit StreamPayload(const StreamDescriptor &s)
+        : lenInsts(s.lenInsts), endType(s.endType), next(s.next)
+    {}
+
+    static Addr pathId(const StreamDescriptor &s) { return s.start; }
+
+    bool
+    operator==(const StreamPayload &o) const
+    {
+        return lenInsts == o.lenInsts && next == o.next &&
+               endType == o.endType;
+    }
+};
+
+/** The cascaded next stream predictor (Section 3.2, Figure 5). */
+using NextStreamPredictor = CascadedPredictor<StreamPayload>;
+using StreamPrediction = NextStreamPredictor::Prediction;
+
 /** Configuration of the stream front end (Table 2 of the paper). */
 struct StreamConfig
 {
-    NspConfig nsp;
+    CascadedConfig nsp = StreamPayload::kPaperConfig;
     std::size_t rasEntries = 8;
     std::size_t ftqEntries = 4;
     unsigned lineBytes = 128;       //!< 4x an 8-wide pipe

@@ -1,7 +1,7 @@
 /**
  * @file
- * The fetch engine contract shared by all four front ends (EV8, FTB,
- * stream, trace cache).
+ * The fetch engine contract shared by all five front ends (EV8, FTB,
+ * stream, trace cache, and the sequential `seq` reference).
  *
  * Engines are *self-directed*: they walk the static CodeImage using
  * their own predictors, exactly like hardware running ahead of

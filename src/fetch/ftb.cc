@@ -2,92 +2,15 @@
 
 #include <algorithm>
 
-#include <cassert>
-
 #include "sim/engine_registry.hh"
 
 namespace sfetch
 {
 
-// ---- FtbTable ----
-
-FtbTable::FtbTable(std::size_t entries, unsigned assoc) : assoc_(assoc)
-{
-    assert(entries % assoc == 0);
-    numSets_ = entries / assoc;
-    assert(numSets_ && !(numSets_ & (numSets_ - 1)));
-    ways_.resize(entries);
-}
-
-std::size_t
-FtbTable::setIndex(Addr start) const
-{
-    return (start / kInstBytes) & (numSets_ - 1);
-}
-
-Addr
-FtbTable::tagOf(Addr start) const
-{
-    return (start / kInstBytes) / numSets_;
-}
-
-FtbHit
-FtbTable::lookup(Addr start)
-{
-    ++lookups_;
-    ++tick_;
-    const std::size_t base = setIndex(start) * assoc_;
-    const Addr tag = tagOf(start);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = tick_;
-            ++hits_;
-            return FtbHit{true, way.lenInsts, way.type, way.target};
-        }
-    }
-    return FtbHit{};
-}
-
-void
-FtbTable::update(Addr start, std::uint32_t len_insts, BranchType type,
-                 Addr target)
-{
-    ++tick_;
-    const std::size_t base = setIndex(start) * assoc_;
-    const Addr tag = tagOf(start);
-
-    std::size_t victim = base;
-    std::uint64_t oldest = UINT64_MAX;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid && way.tag == tag) {
-            way.lenInsts = len_insts;
-            way.type = type;
-            way.target = target;
-            way.lastUse = tick_;
-            return;
-        }
-        std::uint64_t age = way.valid ? way.lastUse : 0;
-        if (!way.valid) {
-            victim = base + w;
-            oldest = 0;
-        } else if (age < oldest) {
-            oldest = age;
-            victim = base + w;
-        }
-    }
-
-    Way &way = ways_[victim];
-    way = Way{tag, len_insts, type, target, tick_, true};
-}
-
-// ---- FtbEngine ----
-
 FtbEngine::FtbEngine(const FtbConfig &cfg, const CodeImage &image,
                      MemoryHierarchy *mem)
     : cfg_(cfg), image_(&image), reader_(mem, cfg.lineBytes),
-      ftb_(cfg.ftbEntries, cfg.ftbAssoc), perceptron_(cfg.perceptron),
+      ftb_({cfg.ftbEntries, cfg.ftbAssoc}), perceptron_(cfg.perceptron),
       ras_(cfg.rasEntries), ftq_(cfg.ftqEntries),
       predPc_(image.entryAddr()), commitBlockStart_(image.entryAddr())
 {}
@@ -100,7 +23,7 @@ FtbEngine::predictStep()
 
     std::uint64_t token = checkpoints_.put(
         EngineCheckpoint{ras_.save(), specHist_.value()});
-    FtbHit hit = ftb_.lookup(predPc_);
+    const auto hit = ftb_.lookup(predPc_);
 
     FetchRequest req;
     req.start = predPc_;

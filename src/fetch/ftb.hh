@@ -16,6 +16,7 @@
 
 #include "bpred/history.hh"
 #include "bpred/perceptron.hh"
+#include "bpred/predictor_tables.hh"
 #include "bpred/ras.hh"
 #include "fetch/fetch_engine.hh"
 #include "fetch/token_ring.hh"
@@ -23,51 +24,20 @@
 namespace sfetch
 {
 
-/** Result of a fetch target buffer lookup. */
-struct FtbHit
+/**
+ * What the fetch target buffer holds for one fetch block, indexed by
+ * its start address: its length, terminator type and taken target.
+ */
+struct FtbBlock
 {
-    bool hit = false;
     std::uint32_t lenInsts = 0;
     BranchType type = BranchType::None;
     Addr target = kNoAddr;
-};
 
-/**
- * The fetch target buffer proper: a tagged set-associative table of
- * variable-length fetch blocks, indexed by block start address.
- */
-class FtbTable
-{
-  public:
-    FtbTable(std::size_t entries, unsigned assoc);
-
-    FtbHit lookup(Addr start);
-    void update(Addr start, std::uint32_t len_insts, BranchType type,
-                Addr target);
-
-    std::uint64_t lookups() const { return lookups_; }
-    std::uint64_t hits() const { return hits_; }
-
-  private:
-    struct Way
-    {
-        Addr tag = kNoAddr;
-        std::uint32_t lenInsts = 0;
-        BranchType type = BranchType::None;
-        Addr target = kNoAddr;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    std::size_t setIndex(Addr start) const;
-    Addr tagOf(Addr start) const;
-
-    std::size_t numSets_;
-    unsigned assoc_;
-    std::vector<Way> ways_;
-    std::uint64_t tick_ = 0;
-    std::uint64_t lookups_ = 0;
-    std::uint64_t hits_ = 0;
+    FtbBlock() = default;
+    FtbBlock(std::uint32_t len, BranchType t, Addr tgt)
+        : lenInsts(len), type(t), target(tgt)
+    {}
 };
 
 /** Configuration of the FTB front end. */
@@ -108,7 +78,7 @@ class FtbEngine : public FetchEngine
     FtbConfig cfg_;
     const CodeImage *image_;
     ICacheReader reader_;
-    FtbTable ftb_;
+    LruTable<FtbBlock> ftb_;
     PerceptronPredictor perceptron_;
     ReturnAddressStack ras_;
     GlobalHistory specHist_;

@@ -353,12 +353,6 @@ connectSocket(const SocketAddr &addr, int timeout_ms)
                : connectTcp(addr.host, addr.port, timeout_ms);
 }
 
-int
-connectAddress(const std::string &text, int timeout_ms)
-{
-    return connectSocket(parseSocketAddr(text), timeout_ms);
-}
-
 SocketAddr
 boundAddr(int fd, const SocketAddr &requested)
 {

@@ -105,9 +105,6 @@ int listenSocket(const SocketAddr &addr, int backlog = 16);
  * connect deadline — see connectTcp/connectUnix). */
 int connectSocket(const SocketAddr &addr, int timeout_ms = 0);
 
-/** Connect to an address in the grammar (parse + connectSocket). */
-int connectAddress(const std::string &text, int timeout_ms = 0);
-
 /**
  * The address @p fd actually listens on: @p requested with an
  * ephemeral port 0 resolved to the bound port (getsockname). For

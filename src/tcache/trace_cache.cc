@@ -71,12 +71,9 @@ TraceCache::insert(const TraceDescriptor &trace)
     }
 
     ++tick_;
-    const std::size_t base = setIndex(trace.start) * cfg_.assoc;
-
-    std::size_t victim = base;
-    std::uint64_t oldest = UINT64_MAX;
+    Way *set = &ways_[setIndex(trace.start) * cfg_.assoc];
     for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        Way &way = ways_[base + w];
+        Way &way = set[w];
         if (way.valid && way.trace.start == trace.start &&
             way.trace.numCond == trace.numCond &&
             way.trace.dirBits == trace.dirBits) {
@@ -85,17 +82,9 @@ TraceCache::insert(const TraceDescriptor &trace)
             way.lastUse = tick_;
             return true;
         }
-        std::uint64_t age = way.valid ? way.lastUse : 0;
-        if (!way.valid) {
-            victim = base + w;
-            oldest = 0;
-        } else if (age < oldest) {
-            oldest = age;
-            victim = base + w;
-        }
     }
 
-    Way &way = ways_[victim];
+    Way &way = set[lruVictim(set, cfg_.assoc)];
     way.valid = true;
     way.trace = trace;
     way.lastUse = tick_;

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "bpred/predictor_tables.hh"
 #include "tcache/trace.hh"
 
 namespace sfetch

@@ -19,21 +19,65 @@
 #include "bpred/btb.hh"
 #include "bpred/direction_pred.hh"
 #include "bpred/history.hh"
+#include "bpred/predictor_tables.hh"
 #include "bpred/ras.hh"
 #include "fetch/fetch_engine.hh"
 #include "fetch/token_ring.hh"
 #include "tcache/fill_unit.hh"
-#include "tcache/ntp.hh"
 #include "tcache/trace_cache.hh"
 #include "util/inline_vec.hh"
 
 namespace sfetch
 {
 
+/**
+ * What the next trace predictor holds for one trace: the embedded
+ * branch directions (so the trace cache can be probed for the exact
+ * trace), its length, terminator type and successor fetch address.
+ * Its path registers record trace ids.
+ */
+struct TracePayload
+{
+    using Unit = TraceDescriptor;
+    static constexpr const char *kStatPrefix = "ntp.";
+    /**
+     * Paper (Table 2): 1K-entry 4-way and 4K-entry 4-way tables,
+     * DOLC 9-4-7-9.
+     */
+    static constexpr CascadedConfig kPaperConfig{1024, 4, 4096, 4,
+                                                 {9, 4, 7, 9}};
+
+    std::uint32_t dirBits = 0;
+    std::uint8_t numCond = 0;
+    std::uint32_t totalInsts = 0;
+    BranchType endType = BranchType::None;
+    Addr next = kNoAddr;
+
+    TracePayload() = default;
+    explicit TracePayload(const TraceDescriptor &t)
+        : dirBits(t.dirBits), numCond(t.numCond),
+          totalInsts(t.totalInsts), endType(t.endType), next(t.next)
+    {}
+
+    static Addr pathId(const TraceDescriptor &t) { return t.id(); }
+
+    bool
+    operator==(const TracePayload &o) const
+    {
+        return dirBits == o.dirBits && numCond == o.numCond &&
+               totalInsts == o.totalInsts && next == o.next &&
+               endType == o.endType;
+    }
+};
+
+/** The next trace predictor (Jacobson, Rotenberg, Smith, MICRO 1997). */
+using NextTracePredictor = CascadedPredictor<TracePayload>;
+using TracePrediction = NextTracePredictor::Prediction;
+
 /** Configuration of the trace cache front end (Table 2). */
 struct TraceEngineConfig
 {
-    NtpConfig ntp;
+    CascadedConfig ntp = TracePayload::kPaperConfig;
     TraceCacheConfig tcache;
     FillUnitConfig fill;
     BtbConfig backupBtb{1024, 4}; //!< paper: backup BTB 1K-entry 4-way

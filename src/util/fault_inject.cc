@@ -87,16 +87,16 @@ applySpec(const std::string &spec)
     }
 }
 
+} // namespace
+
 void
-applyEnvOnce()
+applyEnv()
 {
     std::call_once(registry().envOnce, [] {
         if (const char *env = std::getenv("SFETCH_FAULT"))
             applySpec(env);
     });
 }
-
-} // namespace
 
 bool
 compiledIn()
@@ -111,7 +111,7 @@ compiledIn()
 bool
 shouldFail(const char *site)
 {
-    applyEnvOnce();
+    applyEnv();
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mu);
     Site &s = r.sites[site];

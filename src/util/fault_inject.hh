@@ -100,10 +100,18 @@ std::uint64_t fired(const std::string &site);
 /**
  * Parse and apply an SFETCH_FAULT-style spec
  * ("site=skip[,times];..."); throws std::invalid_argument on
- * malformed text or an unknown site. The environment variable is
- * applied automatically on first shouldFail().
+ * malformed text or an unknown site.
  */
 void configure(const std::string &spec);
+
+/**
+ * Apply the SFETCH_FAULT environment variable through configure(),
+ * once per process; the first shouldFail() calls it otherwise.
+ * Throws as configure() does, and throws again on every later call
+ * until a call succeeds, so a process that wants a bad variable
+ * refused at start-up calls this before it serves anything.
+ */
+void applyEnv();
 
 } // namespace fault
 } // namespace sfetch

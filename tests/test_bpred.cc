@@ -13,6 +13,7 @@
 #include "bpred/gskew.hh"
 #include "bpred/history.hh"
 #include "bpred/perceptron.hh"
+#include "bpred/predictor_tables.hh"
 #include "bpred/ras.hh"
 #include "util/rng.hh"
 
@@ -216,6 +217,49 @@ TEST(Btb, SetConflictEviction)
     EXPECT_TRUE(btb.lookup(0x0000).hit);
     EXPECT_FALSE(btb.lookup(0x0040).hit);
     EXPECT_TRUE(btb.lookup(0x0080).hit);
+}
+
+// ---- LruTable (shared by the BTB and the FTB) ----
+
+namespace
+{
+
+struct Val
+{
+    int v = 0;
+    Val() = default;
+    explicit Val(int x) : v(x) {}
+};
+
+} // namespace
+
+TEST(LruTable, FillsInvalidWaysFirstRefreshesInPlaceThenEvictsLru)
+{
+    // One 4-way set: every key collides.
+    LruTable<Val> t(LruTableConfig{4, 4});
+    t.update(0x0, 1);
+    t.update(0x4, 2);
+    t.update(0x8, 3);
+    t.update(0x0, 10); // tag hit: refreshed in place, no new way
+    // A way is still invalid, so it is filled although 0x4 is the
+    // least recently used valid way.
+    t.update(0xC, 4);
+    EXPECT_EQ(t.lookup(0x0).v, 10);
+    EXPECT_EQ(t.lookup(0x4).v, 2);
+    EXPECT_EQ(t.lookup(0x8).v, 3);
+    EXPECT_EQ(t.lookup(0xC).v, 4);
+
+    // All ways valid; 0x0 then 0x4 were used least recently. Using
+    // 0x0 again leaves 0x4 the LRU way, which the newcomer evicts.
+    EXPECT_TRUE(t.lookup(0x0).hit);
+    t.update(0x10, 5);
+    EXPECT_FALSE(t.lookup(0x4).hit);
+    EXPECT_TRUE(t.lookup(0x0).hit);
+    EXPECT_TRUE(t.lookup(0x8).hit);
+    EXPECT_TRUE(t.lookup(0xC).hit);
+    EXPECT_EQ(t.lookup(0x10).v, 5);
+    EXPECT_EQ(t.lookups(), 10u);
+    EXPECT_EQ(t.hits(), 9u);
 }
 
 // ---- RAS ----

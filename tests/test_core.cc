@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "core/nsp.hh"
 #include "core/stream_builder.hh"
 #include "core/stream_engine.hh"
 #include "isa/cfg_builder.hh"
@@ -264,6 +263,48 @@ TEST(Nsp, StorageWithinPaperBudget)
     // Table 2 keeps total predictor budgets around 45KB.
     EXPECT_LT(nsp.storageBits() / 8, 70u << 10);
     EXPECT_GT(nsp.storageBits() / 8, 20u << 10);
+}
+
+// ---- CascadedPredictor ablations ----
+
+TEST(CascadedPredictor, PathTableOffNeverUpgrades)
+{
+    CascadedConfig cfg = StreamPayload::kPaperConfig;
+    cfg.pathTableEnabled = false;
+    NextStreamPredictor off(cfg);
+    NextStreamPredictor on;
+    for (Addr a = 0x1000; a < 0x1400; a += 0x40) {
+        StreamDescriptor s{a, 16, BranchType::CondDirect, a + 0x40};
+        for (NextStreamPredictor *p : {&off, &on}) {
+            p->commitStream(s, true);
+            p->commitStream(s, true);
+        }
+    }
+    EXPECT_GT(on.upgrades(), 0u);
+    EXPECT_EQ(off.upgrades(), 0u);
+    off.recoverHistory();
+    for (Addr a = 0x1000; a < 0x1400; a += 0x40) {
+        StreamPrediction p = off.predict(a);
+        EXPECT_TRUE(p.hit);
+        EXPECT_FALSE(p.fromPathTable);
+        off.specPush(a);
+    }
+    EXPECT_DOUBLE_EQ(off.stats().get("nsp.second_hits"), 0.0);
+}
+
+TEST(CascadedPredictor, OneBitCountersReplaceOnFirstConflict)
+{
+    CascadedConfig cfg = StreamPayload::kPaperConfig;
+    cfg.counterBits = 1;
+    NextStreamPredictor nsp(cfg);
+    StreamDescriptor a{0x1000, 12, BranchType::CondDirect, 0x2000};
+    StreamDescriptor b{0x1000, 20, BranchType::CondDirect, 0x3000};
+    for (int i = 0; i < 4; ++i)
+        nsp.commitStream(a, false);
+    // No hysteresis: one conflicting observation takes the entry
+    // (the 2-bit Nsp.HysteresisProtectsResidentData keeps `a`).
+    nsp.commitStream(b, false);
+    EXPECT_EQ(nsp.predict(0x1000).next, 0x3000u);
 }
 
 // ---- StreamFetchEngine ----

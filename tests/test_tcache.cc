@@ -12,7 +12,6 @@
 #include "isa/cfg_builder.hh"
 #include "layout/code_image.hh"
 #include "tcache/fill_unit.hh"
-#include "tcache/ntp.hh"
 #include "tcache/trace_cache.hh"
 #include "tcache/trace_engine.hh"
 

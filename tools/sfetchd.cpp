@@ -41,6 +41,9 @@
  * declared once.
  * With --state-dir, a crash (kill -9, OOM) loses nothing: unfinished
  * jobs are journalled and re-queued on the next start.
+ *
+ * A malformed SFETCH_FAULT (util/fault_inject.hh) is refused before
+ * the daemon binds: one `sfetchd: <error>` line, exit 1.
  */
 
 #include <atomic>
@@ -54,6 +57,7 @@
 
 #include "serve/server.hh"
 #include "sim/cli.hh"
+#include "util/fault_inject.hh"
 
 using namespace sfetch;
 
@@ -228,6 +232,7 @@ main(int argc, char **argv)
 
     Server server(cfg);
     try {
+        fault::applyEnv();
         server.start();
     } catch (const std::exception &e) {
         std::fprintf(stderr, "sfetchd: %s\n", e.what());
