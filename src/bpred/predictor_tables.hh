@@ -48,7 +48,10 @@ struct CascadedConfig
     unsigned secondAssoc = 1;
     DolcSpec dolc;
     unsigned counterBits = 2; //!< hysteresis counter width
-    /** Ablation switch: disable the path-indexed second table. */
+    /**
+     * Ablation switch: disable the path-indexed second table, which
+     * is then not built (secondEntries is ignored).
+     */
     bool pathTableEnabled = true;
 };
 
@@ -94,9 +97,11 @@ class CascadedPredictor
         const CascadedConfig &cfg = Payload::kPaperConfig)
         : cfg_(cfg),
           first_(cfg.firstEntries, cfg.firstAssoc, cfg.counterBits),
-          second_(cfg.secondEntries, cfg.secondAssoc, cfg.counterBits),
+          second_(cfg.pathTableEnabled ? cfg.secondEntries : 0,
+                  cfg.secondAssoc, cfg.counterBits),
           specPath_(cfg.dolc), commitPath_(cfg.dolc)
     {
+        assert(first_.numSets > 0);
         while ((1ULL << secondIndexBits_) < second_.numSets)
             ++secondIndexBits_;
     }
@@ -158,11 +163,14 @@ class CascadedPredictor
 
         const std::size_t set1 = firstSet(u.start);
         const std::uint64_t tag1 = firstTag(u.start);
-        const std::size_t set2 = secondSet(u.start, commitPath_);
-        const std::uint64_t tag2 = secondTag(u.start, commitPath_);
+        std::size_t set2 = 0;
+        std::uint64_t tag2 = 0;
         first_.prefetchSet(set1);
-        if (cfg_.pathTableEnabled)
+        if (cfg_.pathTableEnabled) {
+            set2 = secondSet(u.start, commitPath_);
+            tag2 = secondTag(u.start, commitPath_);
             second_.prefetchSet(set2);
+        }
 
         Entry *e1 = first_.find(set1, tag1, tick_);
         Entry *e2 = cfg_.pathTableEnabled
@@ -198,10 +206,10 @@ class CascadedPredictor
     std::uint64_t
     storageBits() const
     {
-        // tag(~20) + payload + counter bits, per entry.
+        // tag(~20) + payload + counter bits, per entry built.
         const std::uint64_t per_entry =
             20 + Payload::kPayloadBits + cfg_.counterBits;
-        return (cfg_.firstEntries + cfg_.secondEntries) * per_entry;
+        return (first_.ways.size() + second_.ways.size()) * per_entry;
     }
 
     /** Units installed into the second table by the cascade rule. */
@@ -253,8 +261,9 @@ class CascadedPredictor
                    Entry{Payload{}, SatCounter(counter_bits, 0), 0}),
               numSets(entries / ways_per_set), assoc(ways_per_set)
         {
+            // A disabled table has no entries and is never probed.
             assert(entries % ways_per_set == 0);
-            assert(numSets && !(numSets & (numSets - 1)));
+            assert(!(numSets & (numSets - 1)));
         }
 
         /**

@@ -12,7 +12,8 @@ FtbEngine::FtbEngine(const FtbConfig &cfg, const CodeImage &image,
     : cfg_(cfg), image_(&image), reader_(mem, cfg.lineBytes),
       ftb_({cfg.ftbEntries, cfg.ftbAssoc}), perceptron_(cfg.perceptron),
       ras_(cfg.rasEntries), ftq_(cfg.ftqEntries),
-      predPc_(image.entryAddr()), commitBlockStart_(image.entryAddr())
+      predPc_(image.entryAddr()), everTaken_(image.numInsts(), false),
+      commitBlockStart_(image.entryAddr())
 {}
 
 void
@@ -181,7 +182,7 @@ FtbEngine::redirect(const ResolvedBranch &rb)
     // A newly-taken embedded branch enters the ever-taken set at
     // commit, so its outcome will be part of the committed history.
     if (rb.type == BranchType::CondDirect &&
-        (everTaken_.count(rb.pc) || rb.taken)) {
+        (everTaken_[slot(rb.pc)] || rb.taken)) {
         specHist_.push(rb.taken);
     }
 
@@ -199,10 +200,10 @@ FtbEngine::trainCommit(const CommittedBranch &cb)
 {
     bool terminates;
     if (cb.taken) {
-        everTaken_.insert(cb.pc);
+        everTaken_[slot(cb.pc)] = true;
         terminates = true;
     } else {
-        terminates = everTaken_.count(cb.pc) != 0;
+        terminates = everTaken_[slot(cb.pc)];
     }
 
     if (!terminates)
@@ -247,7 +248,7 @@ FtbEngine::reset(Addr start)
     ftq_.clear();
     specHist_.clear();
     commitHist_.clear();
-    everTaken_.clear();
+    std::fill(everTaken_.begin(), everTaken_.end(), false);
     reader_.reset();
 }
 

@@ -12,7 +12,8 @@
 #ifndef SFETCH_FETCH_FTB_HH
 #define SFETCH_FETCH_FTB_HH
 
-#include <unordered_set>
+#include <cassert>
+#include <vector>
 
 #include "bpred/history.hh"
 #include "bpred/perceptron.hh"
@@ -88,8 +89,19 @@ class FtbEngine : public FetchEngine
 
     Addr predPc_ = kNoAddr;
 
-    /** Branches that have been taken at least once (block enders). */
-    std::unordered_set<Addr> everTaken_;
+    /** Bit of the instruction at @p pc in everTaken_. */
+    std::size_t
+    slot(Addr pc) const
+    {
+        assert(image_->contains(pc));
+        return (pc - image_->baseAddr()) / kInstBytes;
+    }
+
+    /**
+     * One bit per image instruction, set once the branch there has
+     * been taken (a block ender). Sized once, at construction.
+     */
+    std::vector<bool> everTaken_;
     Addr commitBlockStart_ = kNoAddr;
 
     // stats

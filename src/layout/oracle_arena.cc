@@ -45,22 +45,43 @@ throwUnencodable(const char *what, std::uint64_t inst, Addr pc)
     throw std::logic_error(os.str());
 }
 
+/**
+ * Draw the next @p n data addresses of @p src into @p out as
+ * offsets from kDataRegionBase; @p first is the first one's ordinal,
+ * for the error. Throws std::logic_error for an address outside the
+ * u32 offset range above kDataRegionBase.
+ */
+void
+drawDataOffsets(DataAddressStream &src, std::uint32_t *out,
+                std::size_t n, std::uint64_t first)
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        const Addr off = src.next() - kDataRegionBase;
+        if (off > kMaxOffset) {
+            std::ostringstream os;
+            os << "DataStream: data address outside the u32 offset "
+                  "range above kDataRegionBase at access "
+               << first + k;
+            throw std::logic_error(os.str());
+        }
+        out[k] = static_cast<std::uint32_t>(off);
+    }
+}
+
 } // namespace
 
 void
 OracleStreams::clear()
 {
-    insts = conds = 0;
+    insts = conds = accesses = 0;
     condTaken.clear();
     target.clear();
-    dataOff.clear();
 }
 
 OracleDecoder::OracleDecoder(const CodeImage &image,
                              const WorkloadModel &model,
                              std::uint64_t seed)
     : image_(&image), path_(image, model, seed),
-      data_(model.data(), seed ^ kDataStreamSeedSalt),
       base_(image.baseAddr()), next_(image.entryAddr())
 {
     // Every pc is then a u32 offset from the base.
@@ -131,24 +152,63 @@ OracleDecoder::decode(OracleStreams &out, std::size_t n)
         accesses += isMemMeta(mb);
     }
     out.insts += n;
-
-    // The address stream does not depend on the control path, only
-    // on how many loads and stores it holds: drawing those in one
-    // loop keeps its data-dependent branches out of the loop above
-    // (interleaved, they cost a third of the decode time on thrash).
-    for (; accesses > 0; --accesses) {
-        const Addr off = data_.next() - kDataRegionBase;
-        if (off > kMaxOffset)
-            refuse("data address outside the u32 offset range "
-                   "above kDataRegionBase");
-        out.dataOff.push_back(static_cast<std::uint32_t>(off));
-    }
+    out.accesses += accesses;
 }
 
 std::size_t
 OracleArena::liveBytes()
 {
     return g_liveArenaBytes.load(std::memory_order_relaxed);
+}
+
+DataStream::DataStream(const DataModel &model, std::uint64_t seed)
+    : seed_(seed), src_(model, seed ^ kDataStreamSeedSalt)
+{}
+
+DataStream::~DataStream()
+{
+    g_liveArenaBytes.fetch_sub(bytes(), std::memory_order_relaxed);
+}
+
+std::vector<const std::uint32_t *>
+DataStream::extendTo(std::uint64_t n)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::uint64_t have = size_.load(std::memory_order_relaxed);
+    while (have < n) {
+        const std::size_t at = have % kChunkOffsets;
+        if (at == 0) {
+            chunks_.emplace_back(new std::uint32_t[kChunkOffsets]);
+            chunkCount_.store(chunks_.size(),
+                              std::memory_order_relaxed);
+            g_liveArenaBytes.fetch_add(kChunkOffsets *
+                                           sizeof(std::uint32_t),
+                                       std::memory_order_relaxed);
+        }
+        const std::size_t take = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kChunkOffsets - at, n - have));
+        drawDataOffsets(src_, chunks_.back().get() + at, take, have);
+        have += take;
+        size_.store(have, std::memory_order_relaxed);
+    }
+    std::vector<const std::uint32_t *> held(
+        (n + kChunkOffsets - 1) / kChunkOffsets);
+    for (std::size_t c = 0; c < held.size(); ++c)
+        held[c] = chunks_[c].get();
+    return held;
+}
+
+std::uint64_t
+DataStream::size() const
+{
+    return size_.load(std::memory_order_relaxed);
+}
+
+std::size_t
+DataStream::bytes() const
+{
+    return chunkCount_.load(std::memory_order_relaxed) *
+        kChunkOffsets * sizeof(std::uint32_t);
 }
 
 OracleArena::~OracleArena()
@@ -160,35 +220,70 @@ OracleArena::~OracleArena()
 OracleArena::OracleArena(const CodeImage &image,
                          const WorkloadModel &model,
                          std::uint64_t seed, std::uint64_t insts)
-    : image_(&image), seed_(seed)
+    : OracleArena(image, model, seed, insts,
+                  std::make_shared<DataStream>(model.data(), seed))
+{}
+
+OracleArena::OracleArena(const CodeImage &image,
+                         const WorkloadModel &model,
+                         std::uint64_t seed, std::uint64_t insts,
+                         std::shared_ptr<DataStream> data)
+    : image_(&image), seed_(seed), data_(std::move(data))
 {
+    if (data_->seed() != seed)
+        throw std::invalid_argument(
+            "OracleArena: the data stream was drawn for another seed");
     // Injection point standing in for the allocations below: a
     // decode that cannot get its memory must surface as bad_alloc
     // (which the sweep driver degrades to a private window), never
     // as a crash or a partial arena.
     if (SFETCH_FAULT("arena.alloc"))
         throw std::bad_alloc();
-    // The streams grow with the decode, then are copied down to
-    // their exact sizes. Reserving their upper bounds up front (4
-    // bytes per instruction each) would leave a hole of touched heap
-    // behind every decode once glibc's dynamic mmap threshold has
-    // risen: ~5 MiB more peak RSS over repeated cold set-ups.
+    // The control part grows with the decode, then is copied down
+    // to its exact size. Reserving its upper bound up front would
+    // leave a hole of touched heap behind every decode once glibc's
+    // dynamic mmap threshold has risen.
     OracleDecoder(image, model, seed).decode(streams_, insts);
     streams_.condTaken.shrink_to_fit();
     streams_.target.shrink_to_fit();
-    streams_.dataOff.shrink_to_fit();
+    // The data addresses depend only on how many loads and stores
+    // the path holds, so they are drawn after the control loop (its
+    // data-dependent branches would slow that loop), and only where
+    // the sibling layout's decode has not drawn them already.
+    dataChunks_ = data_->extendTo(streams_.accesses);
 
-    registeredBytes_ = bytes();
+    registeredBytes_ = controlBytes();
     g_liveArenaBytes.fetch_add(registeredBytes_,
                                std::memory_order_relaxed);
+}
+
+void
+OracleArena::copyData(std::uint64_t first, std::size_t n,
+                      std::uint32_t *out) const
+{
+    constexpr std::size_t chunk = DataStream::kChunkOffsets;
+    while (n > 0) {
+        const std::size_t at = static_cast<std::size_t>(first % chunk);
+        const std::size_t take = std::min(n, chunk - at);
+        std::memcpy(out, dataChunks_[first / chunk] + at,
+                    take * sizeof(std::uint32_t));
+        out += take;
+        first += take;
+        n -= take;
+    }
+}
+
+std::size_t
+OracleArena::controlBytes() const
+{
+    return streams_.condTaken.capacity() * sizeof(std::uint64_t) +
+        streams_.target.capacity() * sizeof(std::uint32_t);
 }
 
 std::size_t
 OracleArena::bytes() const
 {
-    return streams_.condTaken.capacity() * sizeof(std::uint64_t) +
-        streams_.target.capacity() * sizeof(std::uint32_t) +
-        streams_.dataOff.capacity() * sizeof(std::uint32_t);
+    return controlBytes() + data_->bytes();
 }
 
 OracleWindow::OracleWindow(const CodeImage &image,
@@ -214,9 +309,9 @@ OracleWindow::OracleWindow(const CodeImage &image,
     : OracleWindow(image, capacity)
 {
     decoder_.emplace(image, model, seed);
+    data_.emplace(model.data(), seed ^ kDataStreamSeedSalt);
     chunk_.condTaken.reserve(kChunkInsts / 64 + 1);
     chunk_.target.reserve(kChunkInsts);
-    chunk_.dataOff.reserve(kChunkInsts);
     refill(0, 0);
 }
 
@@ -228,7 +323,7 @@ OracleWindow::OracleWindow(const OracleArena &arena,
     refill(0, 0);
 }
 
-void
+std::size_t
 OracleWindow::expand(const OracleStreams &src, Cursor &at,
                      std::size_t n)
 {
@@ -295,12 +390,18 @@ OracleWindow::expand(const OracleStreams &src, Cursor &at,
     std::size_t accesses = 0;
     for (std::size_t k = 0; k < n; ++k)
         accesses += isMemMeta(meta[k]);
-    const std::uint32_t *off = src.dataOff.data() + at.data;
-    dataOff_.insert(dataOff_.end(), off, off + accesses);
 
     at.inst += n;
-    at.data += accesses;
     view_.last += n;
+    return accesses;
+}
+
+std::uint32_t *
+OracleWindow::appendData(std::size_t n)
+{
+    const std::size_t held = dataOff_.size();
+    dataOff_.resize(held + n);
+    return dataOff_.data() + held;
 }
 
 bool
@@ -325,16 +426,22 @@ OracleWindow::refill(std::uint64_t keep_from,
     const std::uint64_t before = view_.last;
     std::size_t room = capacity_ - kept;
     if (arena_) {
-        expand(arena_->streams(), arenaAt_,
-               std::min<std::size_t>(room,
-                                     arena_->size() - arenaAt_.inst));
+        const std::uint64_t data = view_.dataFirst + dataOff_.size();
+        const std::size_t accesses = expand(
+            arena_->streams(), arenaAt_,
+            std::min<std::size_t>(room,
+                                  arena_->size() - arenaAt_.inst));
+        arena_->copyData(data, accesses, appendData(accesses));
     } else {
         while (room > 0) {
             const std::size_t ask = std::min(room, kChunkInsts);
             chunk_.clear();
             decoder_->decode(chunk_, ask);
             Cursor at;
-            expand(chunk_, at, ask);
+            const std::size_t accesses = expand(chunk_, at, ask);
+            const std::uint64_t first = view_.dataFirst + dataOff_.size();
+            drawDataOffsets(*data_, appendData(accesses), accesses,
+                            first);
             room -= ask;
         }
     }

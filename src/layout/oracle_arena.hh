@@ -7,7 +7,7 @@
  * the stream encoding, the paper's fetch unit: given where a stream
  * starts and which conditionals it falls through, the placed image
  * fixes everything else, so the encoding is the path minus the
- * image.
+ * image. It is the path's control part, one per layout:
  *
  *   - condTaken   one bit per dynamic CondDirect: taken or not.
  *   - target[t]   u32 offset from the image base of the successor of
@@ -16,11 +16,13 @@
  *                 non-branch or an untaken conditional, the image's
  *                 taken target after a taken conditional, a jump or
  *                 a call. The path starts at the image's entry.
- *   - dataOff[k]  u32 offset from kDataRegionBase of the k-th data
- *                 access: the back end's synthetic address stream is
- *                 part of the workload model (independent of the
- *                 fetch engine), so it is decoded alongside the
- *                 control path.
+ *
+ * The back end's synthetic data addresses are part of the workload
+ * model, not of the layout: the k-th load or store reads the k-th
+ * address of DataAddressStream whatever the fetch engine or code
+ * layout (a layout only inserts jumps, never loads or stores). A
+ * DataStream holds them as u32 offsets from kDataRegionBase, drawn
+ * once per workload and shared by both layouts' arenas.
  *
  * Class and branch type are static per pc: CodeImage::meta() holds
  * them in the meta-byte layout a run reads, and the decoder checks
@@ -38,13 +40,16 @@
  * private decoder fills. Either way the processor sees an
  * OracleView, so one pipeline serves every run.
  *
- * Memory cost: an arena holds 1 bit per conditional plus 4 bytes per
- * return or indirect jump and 4 per load/store, sized exactly. The
- * suite runs 0.04-0.17 conditionals, up to 0.06 returns and indirect
- * jumps and 0.12-0.40 memory operations per instruction, so 0.5-1.6
- * bytes per instruction: at most ~3.7 MB for a full paper-scale run
- * (2M + 0.3M warmup). A window costs 9 bytes per entry, 4K entries
- * per run, whatever the run length.
+ * Memory cost: an arena's control part holds 1 bit per conditional
+ * plus 4 bytes per return or indirect jump, sized exactly: the suite
+ * runs 0.04-0.17 conditionals and up to 0.06 returns and indirect
+ * jumps per instruction, so at most 0.25 bytes per instruction. Its
+ * data stream holds 4 bytes per load/store (0.12-0.40 per
+ * instruction, so 0.5-1.6 bytes per instruction), rounded up to a
+ * whole chunk, once per workload however many layouts read it. A
+ * two-layout workload at full paper scale (2M + 0.3M warmup) thus
+ * costs at most ~4.8 MB. A window costs 9 bytes per entry, 4K
+ * entries per run, whatever the run length.
  *
  * Bit-identity: both forms are what the live OracleStream produced,
  * so arena replay and windowed generation are bit-identical by
@@ -55,7 +60,10 @@
 #ifndef SFETCH_LAYOUT_ORACLE_ARENA_HH
 #define SFETCH_LAYOUT_ORACLE_ARENA_HH
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -69,13 +77,14 @@ namespace sfetch
  * admission decisions made *before* any decode. sfetchd's memory
  * governor budgets `insts * kArenaBytesPerInstEstimate` per decode.
  *
- * It is 12, well above the ~1.3 B/inst the stream encoding measures,
- * because the governor budgets arenas only: the placed workloads
- * they are decoded from are not budgeted, and take up to ~3.3 MB
- * each (~20 MB for a churn of 24 distinct programs). The governor
- * evicts whole workloads only while arenas overflow the budget, so
- * an estimate lowered to the format's cost alone would let that
- * workload memory pile up unchecked.
+ * It is 12, well above what the format measures (a control part of
+ * at most 0.25 B/inst per layout, plus a data stream of 0.5-1.6
+ * B/inst per workload), because the governor budgets arenas only:
+ * the placed workloads they are decoded from are not budgeted, and
+ * take up to ~3.3 MB each (~20 MB for a churn of 24 distinct
+ * programs). The governor evicts whole workloads only while arenas
+ * overflow the budget, so an estimate lowered to the format's cost
+ * alone would let that workload memory pile up unchecked.
  */
 constexpr std::size_t kArenaBytesPerInstEstimate = 12;
 
@@ -96,16 +105,16 @@ struct OracleView
     std::uint64_t dataFirst = 0, dataLast = 0;
 };
 
-/** A committed path in the stream encoding (see file comment). */
+/** A committed path's control part (see file comment). */
 struct OracleStreams
 {
-    std::uint64_t insts = 0; //!< instructions on the path
-    std::uint64_t conds = 0; //!< conditional branches among them
+    std::uint64_t insts = 0;    //!< instructions on the path
+    std::uint64_t conds = 0;    //!< conditional branches among them
+    std::uint64_t accesses = 0; //!< loads and stores among them
     /** Bit c % 64 of word c / 64 is set when conditional c is taken. */
     std::vector<std::uint64_t> condTaken;
     /** Successor offset of each Return and IndirectJump. */
     std::vector<std::uint32_t> target;
-    std::vector<std::uint32_t> dataOff; //!< one per load/store
 
     /** Empty the path, keeping the vectors' capacity. */
     void clear();
@@ -113,8 +122,8 @@ struct OracleStreams
 
 /**
  * The one decode loop: turns the live OracleStream into the stream
- * encoding and draws one data address per load/store. Successive
- * decode() calls continue the same path.
+ * encoding's control part and counts the loads and stores it holds.
+ * Successive decode() calls continue the same path.
  */
 class OracleDecoder
 {
@@ -132,30 +141,90 @@ class OracleDecoder
      * outside the image, a class or branch type other than the
      * image's, a successor other than pc + kInstBytes after a
      * non-branch or an untaken conditional, or other than the
-     * image's taken target after a direct taken branch; also for a
-     * data address outside the u32 offset range above
-     * kDataRegionBase.
+     * image's taken target after a direct taken branch.
      */
     void decode(OracleStreams &out, std::size_t n);
 
   private:
     const CodeImage *image_;
     OracleStream path_;
-    DataAddressStream data_;
     Addr base_;
     Addr next_; //!< pc the next decoded instruction must have
 };
 
-/** A whole run's committed path, decoded once and shared. */
+/**
+ * One workload's data-address stream for the run seed @p seed, as
+ * u32 offsets from kDataRegionBase: DataAddressStream's sequence,
+ * drawn once and shared by every arena that reads it (both layouts'
+ * arenas of a PlacedWorkload). It is append-only: it grows a chunk
+ * at a time and never moves or frees an offset while it lives, so
+ * windows read the offsets their arena covers, without a lock,
+ * while another thread's extendTo() appends more.
+ */
+class DataStream
+{
+  public:
+    /** Offsets per chunk, the unit the stream grows by. */
+    static constexpr std::size_t kChunkOffsets = 4 * 1024;
+
+    /** The empty stream of the data model @p model under run seed
+     * @p seed (the one an OracleDecoder of that seed runs with). */
+    DataStream(const DataModel &model, std::uint64_t seed);
+
+    /** Run seed the stream is drawn for. */
+    std::uint64_t seed() const { return seed_; }
+
+    /**
+     * Draw until the stream holds at least @p n offsets, and return
+     * the chunks holding the first @p n: chunk c holds offsets
+     * [c * kChunkOffsets, (c + 1) * kChunkOffsets), valid while the
+     * stream lives. Thread-safe: concurrent callers draw each
+     * offset once. Throws std::logic_error for an address outside
+     * the u32 offset range above kDataRegionBase.
+     */
+    std::vector<const std::uint32_t *> extendTo(std::uint64_t n);
+
+    /** Offsets drawn so far. */
+    std::uint64_t size() const;
+
+    /** Heap footprint: kChunkOffsets * 4 bytes per chunk. */
+    std::size_t bytes() const;
+
+    ~DataStream();
+    DataStream(const DataStream &) = delete;
+    DataStream &operator=(const DataStream &) = delete;
+
+  private:
+    std::uint64_t seed_;
+    mutable std::mutex mu_;
+    DataAddressStream src_;                              //!< by mu_
+    std::vector<std::unique_ptr<std::uint32_t[]>> chunks_; //!< by mu_
+    std::atomic<std::uint64_t> size_{0};
+    std::atomic<std::size_t> chunkCount_{0};
+};
+
+/**
+ * A whole run's committed path, decoded once and shared: its own
+ * control part plus the first dataCount() offsets of a data stream
+ * it shares.
+ */
 class OracleArena
 {
   public:
     /**
      * Decode @p insts committed instructions of (@p image, @p model,
-     * @p seed) by running the live generator once. The caller sizes
+     * @p seed) by running the live generator once, reading the data
+     * addresses from @p data, which is extended as far as the path
+     * needs. @p data must be the stream of (@p model, @p seed);
+     * std::invalid_argument if its seed differs. The caller sizes
      * @p insts with enough margin for the processor's fetch-ahead
      * (see kFetchAheadMargin in sim/experiment.hh).
      */
+    OracleArena(const CodeImage &image, const WorkloadModel &model,
+                std::uint64_t seed, std::uint64_t insts,
+                std::shared_ptr<DataStream> data);
+
+    /** As above, with a data stream of its own. */
     OracleArena(const CodeImage &image, const WorkloadModel &model,
                 std::uint64_t seed, std::uint64_t insts);
 
@@ -173,22 +242,46 @@ class OracleArena
     /** Number of replayable instructions. */
     std::uint64_t size() const { return streams_.insts; }
 
-    /** Number of pre-generated data-access addresses. */
-    std::uint64_t dataCount() const { return streams_.dataOff.size(); }
+    /** Number of data accesses on the path. */
+    std::uint64_t dataCount() const { return streams_.accesses; }
 
-    /** The decoded path, read through an OracleWindow. */
+    /** The decoded control part, read through an OracleWindow. */
     const OracleStreams &streams() const { return streams_; }
 
+    /** The data stream this arena reads (possibly shared). */
+    const DataStream &dataStream() const { return *data_; }
+
+    /** Data offset @p k, for k < dataCount(). */
+    std::uint32_t
+    dataOff(std::uint64_t k) const
+    {
+        return dataChunks_[k / DataStream::kChunkOffsets]
+                          [k % DataStream::kChunkOffsets];
+    }
+
+    /** Copy data offsets [first, first + n) to @p out. */
+    void copyData(std::uint64_t first, std::size_t n,
+                  std::uint32_t *out) const;
+
     /**
-     * Heap footprint in bytes: 8 per 64 conditionals (rounded up)
-     * plus 4 per return/indirect target and 4 per data access.
+     * Heap footprint of the control part: 8 per 64 conditionals
+     * (rounded up) plus 4 per return/indirect target.
+     */
+    std::size_t controlBytes() const;
+
+    /**
+     * Heap footprint this arena keeps alive: controlBytes() plus
+     * the whole data stream's bytes(), which a sibling layout's
+     * arena may share.
      */
     std::size_t bytes() const;
 
     /**
-     * Process-wide sum of bytes() over every OracleArena currently
-     * alive, whichever cache or caller holds it (maintained by
-     * construction/destruction). This is the ground truth sfetchd's
+     * Process-wide sum of the heap footprint of every OracleArena's
+     * control part and every DataStream currently alive, each
+     * stream counted once however many arenas share it, whichever
+     * cache or caller holds them (maintained by construction,
+     * growth and destruction). This is the ground truth sfetchd's
      * `stats` verb reports against the memory budget: cache-level
      * accounting can miss arenas kept alive by outstanding
      * shared_ptrs after eviction, this counter cannot.
@@ -200,12 +293,15 @@ class OracleArena
     OracleArena &operator=(const OracleArena &) = delete;
 
   private:
-    /** bytes() at registration time, subtracted by the destructor. */
+    /** controlBytes() at registration, subtracted by the destructor. */
     std::size_t registeredBytes_ = 0;
 
     const CodeImage *image_ = nullptr;
     std::uint64_t seed_ = 0;
     OracleStreams streams_;
+    std::shared_ptr<DataStream> data_;
+    /** The data stream's chunks covering dataCount() offsets. */
+    std::vector<const std::uint32_t *> dataChunks_;
 };
 
 /**
@@ -238,25 +334,33 @@ class OracleWindow
     /** Where the next expansion starts in a stream-encoded path. */
     struct Cursor
     {
-        std::size_t inst = 0, cond = 0, target = 0, data = 0;
+        std::size_t inst = 0, cond = 0, target = 0;
     };
 
     OracleWindow(const CodeImage &image, std::size_t capacity);
 
     /**
      * The one expansion routine: append @p n instructions of @p src
-     * from @p at on, and advance @p at past them. It walks the image
-     * run by run: the static meta bytes up to the next taken branch
-     * (a conditional's bit says whether it is), their sequential
-     * pcs, then that branch's successor (the next target for a
-     * return or indirect jump, the image's target otherwise).
+     * from @p at on, advance @p at past them, and return how many
+     * of them load or store (their data offsets are the caller's to
+     * append). It walks the image run by run: the static meta bytes
+     * up to the next taken branch (a conditional's bit says whether
+     * it is), their sequential pcs, then that branch's successor
+     * (the next target for a return or indirect jump, the image's
+     * target otherwise).
      */
-    void expand(const OracleStreams &src, Cursor &at, std::size_t n);
+    std::size_t expand(const OracleStreams &src, Cursor &at,
+                       std::size_t n);
+
+    /** Grow dataOff_ by @p n entries and return the first new one. */
+    std::uint32_t *appendData(std::size_t n);
 
     /** The placed binary the path runs over. */
     const CodeImage *image_;
     /** Private source; empty when the window reads an arena. */
     std::optional<OracleDecoder> decoder_;
+    /** The private source's data addresses. */
+    std::optional<DataAddressStream> data_;
     /** Decoder output, expanded and cleared chunk by chunk. */
     OracleStreams chunk_;
     /** Shared source; null when the window has a decoder. */

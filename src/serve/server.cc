@@ -38,8 +38,10 @@ errorReply(const std::string &reason, const std::string &what)
 /**
  * The governor's admission estimate for a job: one decoded arena per
  * sharedArenaGroups() group, at kArenaBytesPerInstEstimate bytes per
- * entry. The true cost is OracleArena::bytes() after decode, which
- * the estimate intentionally over-approximates.
+ * entry. The true cost after decode is each layout's control part
+ * plus, once per workload, the data stream both layouts read
+ * (PlacedWorkload::arenaBytesResident()), which the estimate
+ * intentionally over-approximates.
  */
 std::size_t
 estimateArenaBytes(const std::vector<SweepPoint> &points)

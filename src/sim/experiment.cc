@@ -56,14 +56,22 @@ PlacedWorkload::arena(bool optimized, InstCount total_insts) const
     // an arena on its way must keep the cache over budget, so
     // WorkloadCache::evictToBudget() goes on to evict whole
     // workloads just as it would once the arena is resident.
-    {
-        std::lock_guard<std::mutex> lock(arenaMu_);
-        decoding_[l] = total_insts;
-    }
     std::shared_ptr<const OracleArena> fresh;
     try {
+        std::shared_ptr<DataStream> data;
+        {
+            std::lock_guard<std::mutex> lock(arenaMu_);
+            decoding_[l] = total_insts;
+            data = data_.lock();
+            if (!data) {
+                data = std::make_shared<DataStream>(model().data(),
+                                                    kRefSeed);
+                data_ = data;
+            }
+        }
         fresh = std::make_shared<const OracleArena>(
-            image(optimized), model(), kRefSeed, total_insts);
+            image(optimized), model(), kRefSeed, total_insts,
+            std::move(data));
     } catch (...) {
         std::lock_guard<std::mutex> lock(arenaMu_);
         decoding_[l] = 0;
@@ -99,9 +107,17 @@ PlacedWorkload::arenaBytesResident() const
 {
     std::lock_guard<std::mutex> lock(arenaMu_);
     std::size_t bytes = 0;
-    for (int l = 0; l < 2; ++l)
-        bytes += (arenas_[l] ? arenas_[l]->bytes() : 0) +
-            decoding_[l] * kArenaBytesPerInstEstimate;
+    const DataStream *counted = nullptr;
+    for (int l = 0; l < 2; ++l) {
+        bytes += decoding_[l] * kArenaBytesPerInstEstimate;
+        if (!arenas_[l])
+            continue;
+        bytes += arenas_[l]->controlBytes();
+        const DataStream &data = arenas_[l]->dataStream();
+        if (&data != counted)
+            bytes += data.bytes();
+        counted = &data;
+    }
     return bytes;
 }
 
@@ -140,7 +156,12 @@ PlacedWorkload::evictArena(bool optimized) const
     // replay in flight holds its own shared_ptr and is left alone.
     if (!slot || slot.use_count() > 1)
         return 0;
-    const std::size_t bytes = slot->bytes();
+    const std::shared_ptr<const OracleArena> &other =
+        arenas_[optimized ? 0 : 1];
+    const bool shared =
+        other && &other->dataStream() == &slot->dataStream();
+    const std::size_t bytes =
+        shared ? slot->controlBytes() : slot->bytes();
     slot.reset();
     arenaUse_[optimized ? 1 : 0] = 0;
     return bytes;

@@ -77,9 +77,11 @@ class PlacedWorkload
      * and later sweeps share one immutable arena. A request longer
      * than the cached arena rebuilds (the longer arena replaces the
      * shorter; outstanding references stay valid through the
-     * shared_ptr). Thread-safe: duplicate decodes of one layout wait
-     * for the first, while every other arena query — the sibling
-     * layout's included — proceeds during a decode.
+     * shared_ptr). Both layouts' arenas read one data stream, drawn
+     * once to the longer one's access count. Thread-safe: duplicate
+     * decodes of one layout wait for the first, while every other
+     * arena query — the sibling layout's decode included — proceeds
+     * during a decode.
      */
     std::shared_ptr<const OracleArena>
     arena(bool optimized, InstCount total_insts) const;
@@ -93,11 +95,12 @@ class PlacedWorkload
 
     /**
      * Bytes held by this workload's cached per-layout arenas — the
-     * budgetable share of its footprint (~1.3 B/inst; the program
-     * and its images, up to a few MB, are not counted) — plus each
-     * decode in flight at kArenaBytesPerInstEstimate per instruction.
-     * Feeds WorkloadCache::bytesResident() and sfetchd's memory
-     * governor.
+     * budgetable share of its footprint: each cached layout's
+     * control part (at most 0.25 B/inst) plus, once, the data stream
+     * they share (0.5-1.6 B/inst); the program and its images, up to
+     * a few MB, are not counted — plus each decode in flight at
+     * kArenaBytesPerInstEstimate per instruction. Feeds
+     * WorkloadCache::bytesResident() and sfetchd's memory governor.
      */
     std::size_t arenaBytesResident() const;
 
@@ -110,7 +113,10 @@ class PlacedWorkload
      */
     void dropArenas() const;
 
-    /** Bytes of one layout's cached arena (0 when not decoded). */
+    /**
+     * Bytes one layout's cached arena keeps alive, its shared data
+     * stream included (0 when not decoded).
+     */
     std::size_t arenaBytes(bool optimized) const;
 
     /**
@@ -124,7 +130,9 @@ class PlacedWorkload
     /**
      * Drop one layout's cached arena iff this cache slot is its only
      * owner — an arena some replay still holds is left alone.
-     * Returns the bytes released (0 when absent or in use). The
+     * Returns the bytes it takes off arenaBytesResident(): its
+     * control part, plus the data stream unless the other layout's
+     * cached arena still holds it (0 when absent or in use). The
      * other layout's arena is untouched: this is the governor's
      * surgical alternative to evicting a whole workload.
      */
@@ -140,11 +148,16 @@ class PlacedWorkload
     /**
      * Lazily-built per-layout committed-path arenas ([0]=base).
      * buildMu_ serializes the decodes of one layout; arenaMu_ guards
-     * only the slots and stamps, never a decode.
+     * only the slots, stamps and stream handle, never a decode.
      */
     mutable std::mutex buildMu_[2];
     mutable std::mutex arenaMu_;
     mutable std::shared_ptr<const OracleArena> arenas_[2];
+    /**
+     * The data stream every live arena of this workload reads. Only
+     * the arenas own it, so it dies with the last of them.
+     */
+    mutable std::weak_ptr<DataStream> data_;
     mutable std::uint64_t arenaUse_[2] = {0, 0}; //!< LRU stamps
     mutable std::uint64_t decoding_[2] = {0, 0}; //!< insts in flight
 };

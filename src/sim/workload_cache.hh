@@ -75,7 +75,8 @@ class WorkloadCache
 
     /**
      * Budgetable bytes resident in the cache: the sum of
-     * arenaBytesResident() over every built entry. (Workload
+     * arenaBytesResident() over every built entry, so each
+     * workload's data stream counts once. (Workload
      * program/image structures, up to a few MB each, are not
      * counted; see kArenaBytesPerInstEstimate for how the governor
      * allows for them.)
@@ -94,8 +95,10 @@ class WorkloadCache
     /**
      * Evict the globally least-recently-used *single-layout arena*
      * whose only owner is the cache, leaving its workload (and the
-     * sibling layout's arena) resident. Returns the bytes released,
-     * or 0 when no arena is evictable. Finer-grained than evictLru():
+     * sibling layout's arena) resident. Returns the bytes released
+     * (PlacedWorkload::evictArena(): the control part alone while
+     * the sibling holds the data stream), or 0 when no arena is
+     * evictable. Finer-grained than evictLru():
      * a sweep that alternates layouts on one workload sheds half its
      * footprint instead of losing the whole build.
      */

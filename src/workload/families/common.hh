@@ -30,7 +30,7 @@ namespace family
  * Upper bound of every family's `ws_kb` (1 GiB). It keeps the
  * working set's byte count from overflowing (a shift by 10 of a
  * larger value wraps, to 0 at 2^54), and it keeps every data address
- * within the u32 offset above kDataRegionBase that OracleDecoder
+ * within the u32 offset above kDataRegionBase that DataStream
  * stores.
  */
 constexpr std::int64_t kMaxWsKb = std::int64_t(1) << 20;

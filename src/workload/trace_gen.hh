@@ -80,8 +80,9 @@ class TraceGenerator
 
 /**
  * Salt mixed into the run seed to derive the data-address stream's
- * seed. OracleDecoder draws from it for every committed-path window
- * and arena, so all of them hold the identical address sequence.
+ * seed. Every arena's DataStream and every private committed-path
+ * window draws from it, so all of them hold the identical address
+ * sequence.
  */
 constexpr std::uint64_t kDataStreamSeedSalt = 0xda7aULL;
 
@@ -89,7 +90,7 @@ constexpr std::uint64_t kDataStreamSeedSalt = 0xda7aULL;
  * Lowest address of the synthetic data region. Every access falls in
  * [kDataRegionBase, kDataRegionBase + workingSetBytes + hotBytes),
  * which the workload families' ws_kb cap keeps within a u32 offset
- * (the form OracleDecoder stores addresses in).
+ * (the form DataStream stores addresses in).
  */
 constexpr Addr kDataRegionBase = 0x10000000ULL;
 

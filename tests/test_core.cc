@@ -292,6 +292,27 @@ TEST(CascadedPredictor, PathTableOffNeverUpgrades)
     EXPECT_DOUBLE_EQ(off.stats().get("nsp.second_hits"), 0.0);
 }
 
+/**
+ * Without the path table the second table is not built, so storage
+ * counts the first table alone: 20 tag bits, the payload and the
+ * counter per entry.
+ */
+TEST(CascadedPredictor, PathTableOffStoresTheFirstTableOnly)
+{
+    CascadedConfig cfg = StreamPayload::kPaperConfig;
+    const std::uint64_t per_entry =
+        20 + StreamPayload::kPayloadBits + cfg.counterBits;
+    EXPECT_EQ(NextStreamPredictor(cfg).storageBits(),
+              (cfg.firstEntries + cfg.secondEntries) * per_entry);
+    cfg.pathTableEnabled = false;
+    EXPECT_EQ(NextStreamPredictor(cfg).storageBits(),
+              cfg.firstEntries * per_entry);
+    // The single_table ablation's geometry: 8K entries, 4-way.
+    cfg.firstEntries = 8192;
+    cfg.firstAssoc = 4;
+    EXPECT_EQ(NextStreamPredictor(cfg).storageBits(), 8192 * per_entry);
+}
+
 TEST(CascadedPredictor, OneBitCountersReplaceOnFirstConflict)
 {
     CascadedConfig cfg = StreamPayload::kPaperConfig;

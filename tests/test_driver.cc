@@ -280,10 +280,11 @@ TEST(WorkloadCache, ByteAccountingTracksDecodedArenas)
     EXPECT_EQ(cache.bytesResident(), arena->bytes());
     EXPECT_EQ(gzip.arenaBytesResident(), arena->bytes());
 
-    // A second layout's arena adds on top.
+    // A second layout's arena adds its control part on top; the
+    // data stream both read is counted once.
     auto base_arena = gzip.arena(false, 30'000);
     EXPECT_EQ(cache.bytesResident(),
-              arena->bytes() + base_arena->bytes());
+              arena->bytes() + base_arena->controlBytes());
 }
 
 TEST(WorkloadCache, EvictLruDropsOldestAndReturnsItsBytes)
@@ -360,15 +361,15 @@ TEST(WorkloadCache, EvictArenaLruShedsOneLayoutNotTheWorkload)
     const PlacedWorkload &gzip = cache.get("gzip");
     auto base_arena = gzip.arena(false, 30'000); // older stamp
     auto opt_arena = gzip.arena(true, 30'000);   // newer stamp
-    const std::size_t base_bytes = base_arena->bytes();
+    const std::size_t base_control = base_arena->controlBytes();
     const std::size_t opt_bytes = opt_arena->bytes();
     base_arena.reset(); // the cache is now each arena's sole owner
     opt_arena.reset();
 
     // LRU order: the base-layout arena goes first, the workload (and
-    // the optimized arena) stay resident.
+    // the optimized arena, with the data stream) stay resident.
     const std::uint64_t ev0 = cache.evictions();
-    EXPECT_EQ(cache.evictArenaLru(), base_bytes);
+    EXPECT_EQ(cache.evictArenaLru(), base_control);
     EXPECT_EQ(cache.evictions(), ev0 + 1);
     EXPECT_TRUE(cache.contains("gzip"));
     EXPECT_EQ(gzip.arenaBytes(false), 0u);
@@ -410,14 +411,15 @@ TEST(WorkloadCache, EvictToBudgetShedsArenasBeforeWholeEntries)
     const PlacedWorkload &gzip = cache.get("gzip");
     auto base_arena = gzip.arena(false, 30'000);
     auto opt_arena = gzip.arena(true, 30'000);
-    const std::size_t base_bytes = base_arena->bytes();
+    const std::size_t base_control = base_arena->controlBytes();
     const std::size_t opt_bytes = opt_arena->bytes();
     base_arena.reset();
     opt_arena.reset();
 
-    // A budget that fits one arena sheds only the older one; the
-    // workload itself (an expensive build) survives.
-    EXPECT_EQ(cache.evictToBudget(opt_bytes), base_bytes);
+    // A budget that fits one arena sheds only the older one's
+    // control part; the workload itself (an expensive build) and
+    // the data stream survive.
+    EXPECT_EQ(cache.evictToBudget(opt_bytes), base_control);
     EXPECT_TRUE(cache.contains("gzip"));
     EXPECT_EQ(cache.bytesResident(), opt_bytes);
 
@@ -461,7 +463,8 @@ TEST(WorkloadCache, ArenaQueriesDoNotWaitForADecode)
     EXPECT_FALSE(decoded) << "the queries waited for the decode";
     decode.join();
     EXPECT_EQ(cache.bytesResident(),
-              base->bytes() + gzip.arenaBytes(true));
+              base->bytes() +
+                  gzip.cachedArena(true, insts)->controlBytes());
     cache.clear();
 }
 
@@ -486,6 +489,131 @@ TEST(WorkloadCache, ClearDuringADecodeCachesNothing)
     EXPECT_EQ(got->size(), insts);
     EXPECT_EQ(gzip->arenaBytesResident(), 0u);
     EXPECT_EQ(gzip->cachedArena(true, insts), nullptr);
+}
+
+/**
+ * Both layouts of one workload read one data stream, drawn once to
+ * the longer layout's access count, and every byte gauge counts it
+ * once.
+ */
+TEST(WorkloadCache, LayoutsShareOneDataStreamCountedOnce)
+{
+    WorkloadCache &cache = WorkloadCache::instance();
+    cache.clear();
+    const std::size_t live0 = OracleArena::liveBytes();
+    const PlacedWorkload &gzip = cache.get("gzip");
+    auto base = gzip.arena(false, 30'000);
+    auto opt = gzip.arena(true, 30'000);
+    const DataStream &data = base->dataStream();
+    EXPECT_EQ(&opt->dataStream(), &data);
+    EXPECT_EQ(data.size(), std::max(base->dataCount(), opt->dataCount()));
+
+    const std::size_t once =
+        base->controlBytes() + opt->controlBytes() + data.bytes();
+    EXPECT_EQ(gzip.arenaBytesResident(), once);
+    EXPECT_EQ(cache.bytesResident(), once);
+    EXPECT_EQ(OracleArena::liveBytes() - live0, once);
+    cache.clear();
+}
+
+/**
+ * Two threads decoding the two layouts at once, and so extending one
+ * data stream at once, build the arenas a one-after-the-other decode
+ * builds.
+ */
+TEST(WorkloadCache, ConcurrentLayoutDecodesMatchSequentialOnes)
+{
+    WorkloadCache &cache = WorkloadCache::instance();
+    cache.clear();
+    const PlacedWorkload &gzip = cache.get("gzip");
+    const std::uint64_t insts = 300'000;
+    std::shared_ptr<const OracleArena> got[2];
+    {
+        std::thread base([&] { got[0] = gzip.arena(false, insts); });
+        got[1] = gzip.arena(true, insts);
+        base.join();
+    }
+    EXPECT_EQ(&got[0]->dataStream(), &got[1]->dataStream());
+
+    auto data = std::make_shared<DataStream>(gzip.model().data(),
+                                             kRefSeed);
+    for (bool optimized : {false, true}) {
+        const OracleArena one(gzip.image(optimized), gzip.model(),
+                              kRefSeed, insts, data);
+        const OracleArena &two = *got[optimized];
+        EXPECT_EQ(two.size(), one.size());
+        EXPECT_EQ(two.streams().conds, one.streams().conds);
+        EXPECT_EQ(two.streams().condTaken, one.streams().condTaken);
+        EXPECT_EQ(two.streams().target, one.streams().target);
+        ASSERT_EQ(two.dataCount(), one.dataCount());
+        for (std::uint64_t k = 0; k < one.dataCount(); ++k)
+            ASSERT_EQ(two.dataOff(k), one.dataOff(k)) << "access " << k;
+    }
+    EXPECT_EQ(got[0]->dataStream().size(), data->size());
+    cache.clear();
+}
+
+/**
+ * Evicting one layout frees its control part alone while the other
+ * layout holds the data stream; evicting the other frees the rest,
+ * back to the live bytes before the decodes.
+ */
+TEST(WorkloadCache, EvictingOneLayoutFreesOnlyItsControlPart)
+{
+    WorkloadCache &cache = WorkloadCache::instance();
+    cache.clear();
+    const std::size_t live0 = OracleArena::liveBytes();
+    const PlacedWorkload &gzip = cache.get("gzip");
+    std::size_t base_control = 0, opt_control = 0, data_bytes = 0;
+    {
+        auto base = gzip.arena(false, 30'000);
+        auto opt = gzip.arena(true, 30'000);
+        base_control = base->controlBytes();
+        opt_control = opt->controlBytes();
+        data_bytes = base->dataStream().bytes();
+    }
+    EXPECT_EQ(gzip.arenaBytes(false), base_control + data_bytes);
+
+    EXPECT_EQ(gzip.evictArena(false), base_control);
+    EXPECT_EQ(gzip.arenaBytesResident(), opt_control + data_bytes);
+    EXPECT_EQ(OracleArena::liveBytes() - live0, opt_control + data_bytes);
+
+    EXPECT_EQ(gzip.evictArena(true), opt_control + data_bytes);
+    EXPECT_EQ(gzip.arenaBytesResident(), 0u);
+    EXPECT_EQ(OracleArena::liveBytes(), live0);
+}
+
+/**
+ * A replay holding an arena the cache has let go of keeps its data
+ * stream alive and reads it unchanged while another decode of the
+ * workload extends that stream: its row is the live run's, bit for
+ * bit.
+ */
+TEST(WorkloadCache, ReplayHoldingAnEvictedArenaStaysBitIdentical)
+{
+    WorkloadCache &cache = WorkloadCache::instance();
+    cache.clear();
+    const auto gzip = cache.getShared("gzip");
+    SimConfig cfg("stream");
+    cfg.width = 8;
+    cfg.optimizedLayout = true;
+    cfg.insts = 40'000;
+    cfg.warmupInsts = 10'000;
+    const InstCount total =
+        cfg.insts + cfg.warmupInsts + kFetchAheadMargin;
+    const auto held = gzip->arena(true, total);
+    cache.clear();
+    EXPECT_EQ(gzip->arenaBytesResident(), 0u);
+
+    SimStats replayed;
+    std::thread replay([&] { replayed = runOn(*gzip, cfg, held.get()); });
+    const auto longer = gzip->arena(false, 20 * total);
+    replay.join();
+    EXPECT_EQ(&longer->dataStream(), &held->dataStream());
+    EXPECT_EQ(replayed, runOn(*gzip, cfg));
+    cfg.optimizedLayout = false;
+    EXPECT_EQ(runOn(*gzip, cfg, longer.get()), runOn(*gzip, cfg));
+    cache.clear();
 }
 
 TEST(WorkloadCache, HitAndMissCountersAdvance)

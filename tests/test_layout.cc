@@ -461,10 +461,9 @@ TEST_P(ArenaOnPreset, DataAddressesMatchLiveStream)
     // Every arena address, and nothing past them, reached the window.
     DataAddressStream ds(work().model.data(),
                          kRefSeed ^ kDataStreamSeedSalt);
-    const OracleStreams &s = arena.streams();
-    ASSERT_EQ(s.dataOff.size(), arena.dataCount());
+    ASSERT_EQ(arena.dataStream().size(), arena.dataCount());
     for (std::uint64_t k = 0; k < arena.dataCount(); ++k)
-        ASSERT_EQ(kDataRegionBase + s.dataOff[k], ds.next())
+        ASSERT_EQ(kDataRegionBase + arena.dataOff(k), ds.next())
             << "access " << k;
 }
 
@@ -497,12 +496,11 @@ TEST_P(ArenaOnPreset, RefillsContinueTheArenaPathExactly)
 }
 
 /**
- * The stream encoding stores a bit per conditional, a target per
- * return or indirect jump and an offset per load/store, sized
- * exactly: no shape needs more than 1.7 bytes per instruction on
- * either layout.
+ * An arena's control part stores a bit per conditional and a target
+ * per return or indirect jump, sized exactly: no shape needs more
+ * than a quarter byte per instruction on either layout.
  */
-TEST_P(ArenaOnPreset, StreamEncodingIsSizedExactlyUnderOnePointSevenBytesPerInst)
+TEST_P(ArenaOnPreset, ControlPartIsSizedExactlyUnderAQuarterBytePerInst)
 {
     const CodeImage &img = image();
     const std::uint64_t n = 200'000;
@@ -522,10 +520,69 @@ TEST_P(ArenaOnPreset, StreamEncodingIsSizedExactlyUnderOnePointSevenBytesPerInst
     EXPECT_EQ(s.insts, n);
     EXPECT_EQ(s.conds, conds);
     EXPECT_EQ(s.target.size(), targets);
-    EXPECT_EQ(s.dataOff.size(), accesses);
-    EXPECT_EQ(arena.bytes(),
-              8 * ((conds + 63) / 64) + 4 * (targets + accesses));
-    EXPECT_LE(double(arena.bytes()) / double(n), 1.7);
+    EXPECT_EQ(arena.dataCount(), accesses);
+    EXPECT_EQ(arena.controlBytes(),
+              8 * ((conds + 63) / 64) + 4 * targets);
+    EXPECT_LE(double(arena.controlBytes()) / double(n), 0.25);
+}
+
+/**
+ * Both layouts' arenas of one path length read one data stream,
+ * drawn once whichever layout decodes first: it holds exactly the
+ * longer layout's access count, 4 bytes each, rounded up to a whole
+ * chunk, and both arenas read the live generator's addresses.
+ */
+TEST_P(ArenaOnPreset, SharedDataStreamHoldsTheLongerLayoutsAccesses)
+{
+    const PlacedPreset &p = placedPreset(std::get<0>(GetParam()));
+    const bool opt_first = std::get<1>(GetParam());
+    const std::uint64_t n = 200'000;
+    auto data = std::make_shared<DataStream>(work().model.data(),
+                                             kRefSeed);
+    auto decode = [&](const CodeImage &img) {
+        return std::make_unique<OracleArena>(img, work().model,
+                                             kRefSeed, n, data);
+    };
+    auto first = decode(opt_first ? *p.opt : *p.base);
+    auto second = decode(opt_first ? *p.base : *p.opt);
+    EXPECT_EQ(&first->dataStream(), data.get());
+    EXPECT_EQ(&second->dataStream(), data.get());
+
+    const std::uint64_t longer =
+        std::max(first->dataCount(), second->dataCount());
+    const std::uint64_t chunk = DataStream::kChunkOffsets;
+    EXPECT_EQ(data->size(), longer);
+    EXPECT_EQ(data->bytes(), 4 * chunk * ((longer + chunk - 1) / chunk));
+    EXPECT_LT(data->bytes() - 4 * longer, 4 * chunk);
+    EXPECT_EQ(first->bytes(), first->controlBytes() + data->bytes());
+
+    DataAddressStream ds(work().model.data(),
+                         kRefSeed ^ kDataStreamSeedSalt);
+    for (std::uint64_t k = 0; k < longer; ++k) {
+        const std::uint32_t want =
+            static_cast<std::uint32_t>(ds.next() - kDataRegionBase);
+        for (const OracleArena *a : {first.get(), second.get()}) {
+            if (k < a->dataCount()) {
+                ASSERT_EQ(a->dataOff(k), want) << "access " << k;
+            }
+        }
+    }
+
+    // A window over the arena whose stream the other layout drew.
+    OracleWindow win(*second, 1'000);
+    unsigned refills = 0;
+    expectWindowMatchesLive(win, *second->image(), work().model, n,
+                            refills);
+}
+
+/** A stream drawn for another seed is refused, not misread. */
+TEST(OracleArena, RefusesADataStreamOfAnotherSeed)
+{
+    const PlacedPreset &p = placedPreset("gzip");
+    auto data = std::make_shared<DataStream>(p.w.model.data(),
+                                             kRefSeed + 1);
+    EXPECT_THROW(OracleArena(*p.base, p.w.model, kRefSeed, 1'000, data),
+                 std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(
