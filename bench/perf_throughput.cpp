@@ -203,7 +203,7 @@ measureSweep(InstCount insts, InstCount warmup, unsigned reps)
     // the per-row phase has already warmed).
     {
         double t0 = nowSeconds();
-        OracleArena decode(work.optImage(), work.model(), kRefSeed,
+        OracleArena decode(work.image(true), work.model(), kRefSeed,
                            insts + warmup + kFetchAheadMargin);
         sr.decodeSeconds = nowSeconds() - t0;
     }

@@ -66,8 +66,8 @@ run(int argc, char **argv)
                 static_cast<unsigned long long>(
                     work.program().staticInsts()),
                 work.program().numBlocks(),
-                work.baseImage().numStubs(),
-                work.optImage().numStubs());
+                work.image(false).numStubs(),
+                work.image(true).numStubs());
 
     std::vector<SimConfig> cfgs;
     for (const SimConfig &arch : opts.archsOrPaperSet())

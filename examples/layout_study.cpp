@@ -47,10 +47,11 @@ run(int argc, char **argv)
                 static_cast<unsigned long long>(
                     work.program().staticInsts()));
 
-    LayoutQuality qb = evaluateLayout(work.program(), work.profile(),
-                                      work.baseImage());
-    LayoutQuality qo = evaluateLayout(work.program(), work.profile(),
-                                      work.optImage());
+    const EdgeProfile prof = work.trainProfile();
+    LayoutQuality qb = evaluateLayout(work.program(), prof,
+                                      work.image(false));
+    LayoutQuality qo = evaluateLayout(work.program(), prof,
+                                      work.image(true));
 
     TablePrinter tp;
     tp.addHeader({"metric", "base", "optimized"});
@@ -58,8 +59,8 @@ run(int argc, char **argv)
                TablePrinter::pct(qb.takenFraction()),
                TablePrinter::pct(qo.takenFraction())});
     tp.addRow({"layout stub jumps",
-               std::to_string(work.baseImage().numStubs()),
-               std::to_string(work.optImage().numStubs())});
+               std::to_string(work.image(false).numStubs()),
+               std::to_string(work.image(true).numStubs())});
 
     const Histogram hb = measureFetchUnits(work, false, opts.insts).stream;
     const Histogram ho = measureFetchUnits(work, true, opts.insts).stream;

@@ -48,7 +48,7 @@ run(int argc, char **argv)
     const std::string bench =
         requireSingleBench(opts, "predictor_playground");
     const PlacedWorkload &work = WorkloadCache::instance().get(bench);
-    const CodeImage &image = work.optImage();
+    const CodeImage &image = work.image(true);
 
     struct Entry
     {

@@ -49,7 +49,7 @@ Ev8Engine::fetchCycle(Cycle now, unsigned max_insts,
 
     unsigned n = std::min(std::min(avail, max_insts), to_window);
     for (unsigned i = 0; i < n; ++i) {
-        const StaticInst &si = image_->inst(pc_);
+        const StaticInst si = image_->inst(pc_);
         FetchedInst fi;
         fi.pc = pc_;
 

@@ -109,7 +109,7 @@ FtbEngine::icacheStep(Cycle now, unsigned max_insts,
     bool steered = false;
 
     for (unsigned i = 0; i < n; ++i) {
-        const StaticInst &si = image_->inst(pc);
+        const StaticInst si = image_->inst(pc);
         FetchedInst fi;
         fi.pc = pc;
         if (si.isBranch())

@@ -32,7 +32,8 @@ namespace sfetch
  *                  @c fallthrough records the return continuation
  *                  executed after the callee returns.
  *  - Return:       successor is dynamic (the call stack).
- *  - IndirectJump: successor is one of @c indirectTargets.
+ *  - IndirectJump: successor is one of the block's indirect targets
+ *                  (Program::indirectTargets()).
  */
 struct BasicBlock
 {
@@ -49,11 +50,14 @@ struct BasicBlock
     /** Not-taken successor / return continuation / sequential next. */
     BlockId fallthrough = kNoBlock;
 
-    /** Possible targets of an indirect jump. */
-    std::vector<BlockId> indirectTargets;
-
-    /** Per-instruction classes; insts.size() == numInsts. */
-    std::vector<InstClass> insts;
+    /**
+     * Where the block's instruction classes and indirect targets
+     * start in the Program's flat arrays (Program::insts(),
+     * Program::indirectTargets()); assigned by the Program.
+     */
+    std::uint32_t firstInst = 0;
+    std::uint32_t firstTarget = 0;
+    std::uint32_t numTargets = 0;
 
     /** Byte size of the block. */
     Addr sizeBytes() const { return instsToBytes(numInsts); }
@@ -73,6 +77,30 @@ struct BasicBlock
                branchType == BranchType::CondDirect ||
                branchType == BranchType::Call;
     }
+};
+
+/**
+ * A block under construction: the CFG fields plus the block's own
+ * instruction classes (insts.size() == numInsts) and indirect-jump
+ * targets, which the Program gathers into one flat array each.
+ */
+struct BlockSpec : BasicBlock
+{
+    std::vector<InstClass> insts;
+    std::vector<BlockId> indirectTargets;
+};
+
+/** A block's indirect-jump targets inside its Program. */
+struct BlockIdSpan
+{
+    const BlockId *first = nullptr;
+    std::uint32_t count = 0;
+
+    const BlockId *begin() const { return first; }
+    const BlockId *end() const { return first + count; }
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    BlockId operator[](std::size_t i) const { return first[i]; }
 };
 
 } // namespace sfetch

@@ -10,7 +10,7 @@ BlockId
 CfgBuilder::addBlock(std::uint32_t num_insts)
 {
     assert(num_insts >= 1);
-    BasicBlock b;
+    BlockSpec b;
     b.id = static_cast<BlockId>(blocks_.size());
     b.numInsts = num_insts;
     b.branchType = BranchType::None;
@@ -21,7 +21,7 @@ CfgBuilder::addBlock(std::uint32_t num_insts)
 void
 CfgBuilder::cond(BlockId id, BlockId taken, BlockId fall)
 {
-    BasicBlock &b = blocks_.at(id);
+    BlockSpec &b = blocks_.at(id);
     b.branchType = BranchType::CondDirect;
     b.target = taken;
     b.fallthrough = fall;
@@ -30,7 +30,7 @@ CfgBuilder::cond(BlockId id, BlockId taken, BlockId fall)
 void
 CfgBuilder::jump(BlockId id, BlockId target)
 {
-    BasicBlock &b = blocks_.at(id);
+    BlockSpec &b = blocks_.at(id);
     b.branchType = BranchType::Jump;
     b.target = target;
     b.fallthrough = kNoBlock;
@@ -39,7 +39,7 @@ CfgBuilder::jump(BlockId id, BlockId target)
 void
 CfgBuilder::call(BlockId id, BlockId callee, BlockId cont)
 {
-    BasicBlock &b = blocks_.at(id);
+    BlockSpec &b = blocks_.at(id);
     b.branchType = BranchType::Call;
     b.target = callee;
     b.fallthrough = cont;
@@ -48,7 +48,7 @@ CfgBuilder::call(BlockId id, BlockId callee, BlockId cont)
 void
 CfgBuilder::ret(BlockId id)
 {
-    BasicBlock &b = blocks_.at(id);
+    BlockSpec &b = blocks_.at(id);
     b.branchType = BranchType::Return;
     b.target = kNoBlock;
     b.fallthrough = kNoBlock;
@@ -57,7 +57,7 @@ CfgBuilder::ret(BlockId id)
 void
 CfgBuilder::indirect(BlockId id, std::vector<BlockId> targets)
 {
-    BasicBlock &b = blocks_.at(id);
+    BlockSpec &b = blocks_.at(id);
     b.branchType = BranchType::IndirectJump;
     b.indirectTargets = std::move(targets);
     b.target = kNoBlock;
@@ -67,7 +67,7 @@ CfgBuilder::indirect(BlockId id, std::vector<BlockId> targets)
 void
 CfgBuilder::fallthrough(BlockId id, BlockId next)
 {
-    BasicBlock &b = blocks_.at(id);
+    BlockSpec &b = blocks_.at(id);
     b.branchType = BranchType::None;
     b.target = kNoBlock;
     b.fallthrough = next;
@@ -76,13 +76,13 @@ CfgBuilder::fallthrough(BlockId id, BlockId next)
 void
 CfgBuilder::setInsts(BlockId id, std::vector<InstClass> insts)
 {
-    BasicBlock &b = blocks_.at(id);
+    BlockSpec &b = blocks_.at(id);
     assert(insts.size() == b.numInsts);
     b.insts = std::move(insts);
 }
 
 void
-CfgBuilder::defaultInsts(BasicBlock &b)
+CfgBuilder::defaultInsts(BlockSpec &b)
 {
     if (!b.insts.empty())
         return;
@@ -102,7 +102,7 @@ CfgBuilder::defaultInsts(BasicBlock &b)
 Program
 CfgBuilder::build(BlockId entry) const
 {
-    std::vector<BasicBlock> blocks = blocks_;
+    std::vector<BlockSpec> blocks = blocks_;
     for (auto &b : blocks)
         defaultInsts(b);
     Program p(name_, std::move(blocks), entry);

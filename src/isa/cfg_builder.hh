@@ -63,7 +63,7 @@ class CfgBuilder
     std::size_t size() const { return blocks_.size(); }
 
     /** Direct access while building (e.g.\ to tweak sizes). */
-    BasicBlock &at(BlockId id) { return blocks_.at(id); }
+    BlockSpec &at(BlockId id) { return blocks_.at(id); }
 
     /**
      * Finalize into a Program with the given entry block. Aborts via
@@ -74,10 +74,10 @@ class CfgBuilder
 
   private:
     /** Fill default inst classes honouring the terminator type. */
-    static void defaultInsts(BasicBlock &b);
+    static void defaultInsts(BlockSpec &b);
 
     std::string name_;
-    std::vector<BasicBlock> blocks_;
+    std::vector<BlockSpec> blocks_;
 };
 
 } // namespace sfetch

@@ -22,6 +22,10 @@ namespace sfetch
  * identified by dense BlockIds equal to their index. The original
  * (unoptimized) code layout corresponds to id order; optimized
  * layouts are produced separately by the layout module.
+ *
+ * Storage is exact-sized: one BasicBlock per block, and the
+ * instruction classes and indirect targets of every block in one
+ * flat array each, in block order.
  */
 class Program
 {
@@ -30,10 +34,11 @@ class Program
 
     /**
      * @param name Human-readable benchmark name.
-     * @param blocks Basic blocks, indexed by id.
+     * @param blocks Basic blocks, indexed by id (ids are reassigned
+     *        densely).
      * @param entry Entry block id.
      */
-    Program(std::string name, std::vector<BasicBlock> blocks,
+    Program(std::string name, std::vector<BlockSpec> blocks,
             BlockId entry);
 
     const std::string &name() const { return name_; }
@@ -47,6 +52,21 @@ class Program
     }
 
     const std::vector<BasicBlock> &blocks() const { return blocks_; }
+
+    /** Instruction classes of block @p id, numInsts of them. */
+    const InstClass *
+    insts(BlockId id) const
+    {
+        return classes_.data() + block(id).firstInst;
+    }
+
+    /** Possible targets of the indirect jump ending block @p id. */
+    BlockIdSpan
+    indirectTargets(BlockId id) const
+    {
+        const BasicBlock &b = block(id);
+        return {targets_.data() + b.firstTarget, b.numTargets};
+    }
 
     /** Total static instruction count. */
     InstCount staticInsts() const { return static_insts_; }
@@ -63,11 +83,18 @@ class Program
      */
     std::string validate() const;
 
+    /** Heap bytes of the program's arrays, by vector capacity. */
+    std::size_t bytes() const;
+
   private:
     std::string name_;
     std::vector<BasicBlock> blocks_;
+    std::vector<InstClass> classes_;
+    std::vector<BlockId> targets_;
     BlockId entry_ = 0;
     InstCount static_insts_ = 0;
+    /** First block whose class vector missed its numInsts. */
+    BlockId badInsts_ = kNoBlock;
 };
 
 } // namespace sfetch

@@ -14,29 +14,31 @@ struct Placement
     BlockId block;
     bool stubAfter = false;
     BlockId stubTarget = kNoBlock;
+    /** A conditional whose CFG target became the fall-through. */
+    bool inverted = false;
 };
+
+constexpr std::uint32_t kUnplaced = 0xffffffffu;
 
 } // namespace
 
 CodeImage::CodeImage(const Program &prog,
                      const std::vector<BlockId> &order, Addr base)
-    : prog_(&prog), base_(base),
-      block_addr_(prog.numBlocks(), kNoAddr),
-      normal_polarity_(prog.numBlocks(), true)
+    : prog_(&prog), base_(base), block_word_(prog.numBlocks(), kUnplaced)
 {
     assert(order.size() == prog.numBlocks());
 
     // Pass 1: decide stubs and polarities, assign addresses.
     std::vector<Placement> plan;
     plan.reserve(order.size());
-    Addr cur = base_;
+    std::uint32_t cur = 0;
     for (std::size_t i = 0; i < order.size(); ++i) {
         const BasicBlock &b = prog.block(order[i]);
-        assert(block_addr_[b.id] == kNoAddr && "block placed twice");
-        block_addr_[b.id] = cur;
-        cur += b.sizeBytes();
+        assert(block_word_[b.id] == kUnplaced && "block placed twice");
+        block_word_[b.id] = cur;
+        cur += b.numInsts;
 
-        Placement pl{b.id, false, kNoBlock};
+        Placement pl{b.id, false, kNoBlock, false};
         BlockId next =
             (i + 1 < order.size()) ? order[i + 1] : kNoBlock;
 
@@ -48,13 +50,10 @@ CodeImage::CodeImage(const Program &prog,
             }
             break;
           case BranchType::CondDirect:
-            if (next == b.fallthrough) {
-                normal_polarity_[b.id] = true;
-            } else if (next == b.target) {
+            if (next == b.target && next != b.fallthrough) {
                 // Branch inverted: CFG target becomes fall-through.
-                normal_polarity_[b.id] = false;
-            } else {
-                normal_polarity_[b.id] = true;
+                pl.inverted = true;
+            } else if (next != b.fallthrough) {
                 pl.stubAfter = true;
                 pl.stubTarget = b.fallthrough;
             }
@@ -72,60 +71,50 @@ CodeImage::CodeImage(const Program &prog,
         }
 
         if (pl.stubAfter) {
-            cur += kInstBytes;
+            ++cur;
             ++num_stubs_;
         }
         plan.push_back(pl);
     }
 
-    // Pass 2: materialize StaticInsts now that every address is known.
-    insts_.reserve((cur - base_) / kInstBytes);
+    // Pass 2: write each instruction's meta byte and taken-target
+    // word now that every address is known.
+    meta_.assign(cur + kMetaPadBytes, 0);
+    targets_.assign(cur, StaticInst::kNoTarget);
+    std::size_t i = 0;
     for (const Placement &pl : plan) {
         const BasicBlock &b = prog.block(pl.block);
-        for (std::uint32_t k = 0; k < b.numInsts; ++k) {
-            StaticInst si;
-            si.block = b.id;
-            si.offset = static_cast<std::uint16_t>(k);
-            si.cls = b.insts[k];
-            if (k + 1 == b.numInsts && b.hasBranch()) {
-                si.btype = b.branchType;
-                Addr tgt = kNoAddr;
-                switch (b.branchType) {
-                  case BranchType::CondDirect:
-                    tgt = normal_polarity_[b.id]
-                        ? block_addr_[b.target]
-                        : block_addr_[b.fallthrough];
-                    break;
-                  case BranchType::Jump:
-                  case BranchType::Call:
-                    tgt = block_addr_[b.target];
-                    break;
-                  default:
-                    break; // return / indirect: dynamic target
-                }
-                if (tgt != kNoAddr) {
-                    si.takenTargetWord = static_cast<std::uint32_t>(
-                        (tgt - base_) / kInstBytes);
-                }
-            }
-            insts_.push_back(si);
+        const InstClass *cls = prog.insts(b.id);
+        for (std::uint32_t k = 0; k + 1 < b.numInsts; ++k)
+            meta_[i++] = packMeta(cls[k], BranchType::None);
+        meta_[i] = packMeta(cls[b.numInsts - 1], b.branchType);
+        switch (b.branchType) {
+          case BranchType::CondDirect:
+            targets_[i] = pl.inverted ? block_word_[b.fallthrough]
+                                      : block_word_[b.target];
+            break;
+          case BranchType::Jump:
+          case BranchType::Call:
+            targets_[i] = block_word_[b.target];
+            break;
+          default:
+            break; // return / indirect: dynamic target
         }
+        ++i;
         if (pl.stubAfter) {
-            StaticInst si;
-            si.block = kNoBlock;
-            si.offset = 0;
-            si.cls = InstClass::Branch;
-            si.btype = BranchType::Jump;
-            si.takenTargetWord = static_cast<std::uint32_t>(
-                (block_addr_[pl.stubTarget] - base_) / kInstBytes);
-            insts_.push_back(si);
+            meta_[i] = packMeta(InstClass::Branch, BranchType::Jump);
+            targets_[i] = block_word_[pl.stubTarget];
+            ++i;
         }
     }
-    assert(base_ + instsToBytes(insts_.size()) == cur);
+    assert(i == cur);
+}
 
-    meta_.assign(insts_.size() + kMetaPadBytes, 0);
-    for (std::size_t i = 0; i < insts_.size(); ++i)
-        meta_[i] = packMeta(insts_[i].cls, insts_[i].btype);
+std::size_t
+CodeImage::bytes() const
+{
+    return meta_.capacity() + targets_.capacity() * sizeof(std::uint32_t) +
+        block_word_.capacity() * sizeof(std::uint32_t);
 }
 
 std::vector<BlockId>

@@ -2,8 +2,9 @@
  * @file
  * CodeImage: a Program placed at concrete addresses under a given
  * block order. This is the "binary" the fetch engines walk — both on
- * the correct path and on wrong paths — one StaticInst per
- * instruction address.
+ * the correct path and on wrong paths. It keeps one 5-byte record per
+ * instruction address, a meta byte (class and branch type) plus a
+ * taken-target word, and decodes a StaticInst from the two on demand.
  *
  * Placement enforces the sequential-successor requirements of the
  * ISA: a fallthrough block must be followed by its successor, a call
@@ -63,15 +64,9 @@ metaBranchType(std::uint8_t mb)
                                    kMetaBranchShift);
 }
 
-/** Compact per-instruction record of the placed binary. */
+/** One placed instruction, as CodeImage::inst() decodes it. */
 struct StaticInst
 {
-    /** Owning block, or kNoBlock for a stub jump. */
-    BlockId block = kNoBlock;
-
-    /** Instruction index within the block (0 for stubs). */
-    std::uint16_t offset = 0;
-
     /** Instruction class. */
     InstClass cls = InstClass::IntAlu;
 
@@ -87,7 +82,6 @@ struct StaticInst
     static constexpr std::uint32_t kNoTarget = 0xffffffffu;
 
     bool isBranch() const { return btype != BranchType::None; }
-    bool isStub() const { return block == kNoBlock; }
 };
 
 /**
@@ -105,7 +99,7 @@ class CodeImage
               Addr base = 0x400000);
 
     Addr baseAddr() const { return base_; }
-    Addr endAddr() const { return base_ + instsToBytes(insts_.size()); }
+    Addr endAddr() const { return base_ + instsToBytes(numInsts()); }
 
     bool
     contains(Addr pc) const
@@ -113,11 +107,19 @@ class CodeImage
         return pc >= base_ && pc < endAddr() && (pc - base_) % 4 == 0;
     }
 
-    /** Static instruction at @p pc. @pre contains(pc). */
-    const StaticInst &
+    /**
+     * Static instruction at @p pc, decoded from its meta byte and
+     * taken-target word. Stub jumps decode as Branch-class Jumps;
+     * the image does not say which block a pc belongs to (the
+     * Program's block sizes and blockAddr() do). @pre contains(pc).
+     */
+    StaticInst
     inst(Addr pc) const
     {
-        return insts_[(pc - base_) / kInstBytes];
+        const std::size_t i = (pc - base_) / kInstBytes;
+        const std::uint8_t mb = meta_[i];
+        return {static_cast<InstClass>(mb & kMetaClassBits),
+                metaBranchType(mb), targets_[i]};
     }
 
     /**
@@ -127,9 +129,9 @@ class CodeImage
      * (see packMeta()). The taken bit is never set here: it is the
      * dynamic part of the path. A zero branch field means not a
      * branch, so hot fetch loops can scan a line's worth with the
-     * util/simd.hh byte-mask primitives instead of loading a
-     * StaticInst per instruction. kMetaPadBytes zero bytes follow
-     * the last instruction, so a 32-byte scan starting at any
+     * util/simd.hh byte-mask primitives instead of decoding an
+     * instruction at a time. kMetaPadBytes zero bytes follow the
+     * last instruction, so a 32-byte scan starting at any
      * instruction stays inside the array.
      */
     const std::uint8_t *meta() const { return meta_.data(); }
@@ -138,33 +140,35 @@ class CodeImage
     Addr
     blockAddr(BlockId id) const
     {
-        return block_addr_.at(id);
+        return base_ + instsToBytes(block_word_.at(id));
     }
 
     /** Taken-target address of the branch at @p pc, or kNoAddr. */
     Addr
     takenTarget(Addr pc) const
     {
-        const StaticInst &si = inst(pc);
-        if (si.takenTargetWord == StaticInst::kNoTarget)
-            return kNoAddr;
-        return base_ + instsToBytes(si.takenTargetWord);
+        const std::uint32_t w = targets_[(pc - base_) / kInstBytes];
+        return w == StaticInst::kNoTarget ? kNoAddr
+                                          : base_ + instsToBytes(w);
     }
 
     /**
      * For the conditional branch ending block @p id: true when the
      * layout made the CFG *target* successor the taken direction
      * (normal polarity); false when the branch was inverted so the
-     * CFG target is the fall-through.
+     * CFG target is the fall-through. True for other blocks.
      */
     bool
     normalPolarity(BlockId id) const
     {
-        return normal_polarity_.at(id);
+        const BasicBlock &b = prog_->block(id);
+        return b.branchType != BranchType::CondDirect ||
+            takenTarget(seqAfter(id) - kInstBytes) ==
+            blockAddr(b.target);
     }
 
     /** Total placed instructions including stubs. */
-    std::size_t numInsts() const { return insts_.size(); }
+    std::size_t numInsts() const { return targets_.size(); }
 
     /** Number of stub jumps the placement needed. */
     std::size_t numStubs() const { return num_stubs_; }
@@ -185,14 +189,21 @@ class CodeImage
         return blockAddr(id) + instsToBytes(prog_->block(id).numInsts);
     }
 
+    /**
+     * Heap bytes of the image, by vector capacity: 5 per placed
+     * instruction, kMetaPadBytes, and 4 per block.
+     */
+    std::size_t bytes() const;
+
   private:
     const Program *prog_;
     Addr base_;
-    std::vector<StaticInst> insts_;
-    /** insts_[i] packed for SIMD scans (see meta()), plus padding. */
+    /** Meta byte per instruction (see meta()), plus padding. */
     std::vector<std::uint8_t> meta_;
-    std::vector<Addr> block_addr_;
-    std::vector<bool> normal_polarity_;
+    /** Taken-target word per instruction (StaticInst). */
+    std::vector<std::uint32_t> targets_;
+    /** Start word offset of each block, by id. */
+    std::vector<std::uint32_t> block_word_;
     std::size_t num_stubs_ = 0;
 };
 

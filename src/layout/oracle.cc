@@ -27,9 +27,8 @@ OracleStream::generate(OracleInst &oi)
         }
 
         if (stubPc_ != stubStop_) {
-            [[maybe_unused]] const StaticInst &si =
-                image_->inst(stubPc_);
-            assert(si.isStub() && "non-stub on a sequential gap");
+            assert(image_->inst(stubPc_).btype == BranchType::Jump &&
+                   "non-jump on a sequential gap");
             oi.pc = stubPc_;
             oi.cls = InstClass::Branch;
             oi.btype = BranchType::Jump;
@@ -54,6 +53,7 @@ OracleStream::startBlock()
     const Addr succ_addr = image_->blockAddr(rec.next);
 
     block_ = &b;
+    cls_ = prog.insts(b.id);
     blockStart_ = block_start;
     idx_ = 0;
     inBlock_ = true;
@@ -62,7 +62,7 @@ OracleStream::startBlock()
     OracleInst &term = term_;
     term = OracleInst{};
     term.pc = block_start + instsToBytes(b.numInsts - 1);
-    term.cls = b.insts[b.numInsts - 1];
+    term.cls = cls_[b.numInsts - 1];
     term.nextPc = term.pc + kInstBytes;
 
     const Addr seq = image_->seqAfter(b.id);
@@ -76,14 +76,13 @@ OracleStream::startBlock()
         break;
       case BranchType::CondDirect: {
         term.btype = BranchType::CondDirect;
-        BlockId taken_succ = image_->normalPolarity(b.id)
-            ? b.target : b.fallthrough;
+        // Taken when control goes where the placed branch points:
+        // its layout polarity decides which CFG successor that is.
         // Degenerate diamonds (both successors identical) resolve as
         // taken so the branch still transfers control.
-        term.taken = (rec.next == taken_succ);
+        term.taken = succ_addr == image_->takenTarget(term.pc);
         if (term.taken) {
-            term.nextPc = image_->takenTarget(term.pc);
-            assert(term.nextPc == succ_addr);
+            term.nextPc = succ_addr;
         } else {
             term.nextPc = seq;
             stubPc_ = seq;

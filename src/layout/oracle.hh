@@ -81,7 +81,7 @@ class OracleStream
         if (!inBlock_ || idx_ + 1 >= block_->numInsts)
             return false;
         out.pc = blockStart_ + instsToBytes(idx_);
-        out.cls = block_->insts[idx_];
+        out.cls = cls_[idx_];
         out.btype = BranchType::None;
         out.taken = false;
         out.nextPc = out.pc + kInstBytes;
@@ -99,6 +99,7 @@ class OracleStream
     // Incremental expansion state: the block being emitted, its
     // precomputed terminator, and the stub walk that follows it.
     const BasicBlock *block_ = nullptr;
+    const InstClass *cls_ = nullptr; //!< block_'s instruction classes
     Addr blockStart_ = kNoAddr;
     std::uint32_t idx_ = 0; //!< next instruction index in block_
     bool inBlock_ = false;

@@ -80,9 +80,11 @@ namespace sfetch
  * It is 12, well above what the format measures (a control part of
  * at most 0.25 B/inst per layout, plus a data stream of 0.5-1.6
  * B/inst per workload), because the governor budgets arenas only:
- * the placed workloads they are decoded from are not budgeted, and
- * take up to ~3.3 MB each (~20 MB for a churn of 24 distinct
- * programs). The governor evicts whole workloads only while arenas
+ * the placed workloads they are decoded from are not budgeted
+ * (PlacedWorkload::bytes(), sfetchd's `resident_workload_bytes`), and
+ * take up to ~1.1 MB each with both layouts placed (6.5 MiB for a
+ * churn of 24 distinct programs). The governor evicts whole workloads
+ * only while arenas
  * overflow the budget, so an estimate lowered to the format's cost
  * alone would let that workload memory pile up unchecked.
  */

@@ -179,6 +179,8 @@ Server::Server(ServeConfig cfg) : cfg_(std::move(cfg))
                    [&cache] { return cache.evictions(); });
     metrics_.gauge("resident_arena_bytes",
                    [&cache] { return cache.bytesResident(); });
+    metrics_.gauge("resident_workload_bytes",
+                   [&cache] { return cache.workloadBytes(); });
     metrics_.gauge("live_arena_bytes", &OracleArena::liveBytes);
     metrics_.gauge("mem_budget_bytes",
                    [n = cfg_.memBudgetBytes] { return n; });

@@ -79,16 +79,17 @@ runLayouts(const CliOptions &opts)
     driver.forEachWorkload(
         opts.benches, [&](const PlacedWorkload &work, std::size_t i) {
             const Program &prog = work.program();
+            const EdgeProfile prof = work.trainProfile();
             for (const auto &order :
-                 {baselineOrder(prog), optimizedOrder(prog, work.profile()),
-                  stcOrder(prog, work.profile())}) {
+                 {baselineOrder(prog), optimizedOrder(prog, prof),
+                  stcOrder(prog, prof)}) {
                 const CodeImage img(prog, order);
                 const SimStats st =
                     runOn(work, img, opts.stamped(SimConfig("stream")));
                 runs[i].push_back(
                     {st.ipc(), st.mispredictRate(),
                      st.engine.get("stream.avg_commit_len"),
-                     evaluateLayout(prog, work.profile(), img)
+                     evaluateLayout(prog, prof, img)
                          .takenFraction()});
             }
         });

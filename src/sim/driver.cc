@@ -151,16 +151,20 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
         return stop_ && stop_->load(std::memory_order_relaxed);
     };
 
-    // Phase 1: build each distinct workload exactly once, in
-    // parallel. Later runOn() calls then only ever read the cache.
-    std::set<std::string> unique;
+    // Phase 1: build each distinct workload and place each layout
+    // its points read exactly once, in parallel. Later runOn() calls
+    // then only ever read the cache.
+    std::set<std::pair<std::string, bool>> unique;
     for (const SweepPoint &p : points)
-        unique.insert(p.bench);
-    std::vector<std::string> names(unique.begin(), unique.end());
-    parallelFor(names.size(), [&](std::size_t i) {
+        unique.insert({p.bench, p.cfg.optimizedLayout});
+    std::vector<std::pair<std::string, bool>> layouts(unique.begin(),
+                                                      unique.end());
+    parallelFor(layouts.size(), [&](std::size_t i) {
         if (stopped())
             return;
-        WorkloadCache::instance().get(names[i]);
+        WorkloadCache::instance()
+            .get(layouts[i].first)
+            .image(layouts[i].second);
     });
     double prep = secondsSince(t0);
 

@@ -15,15 +15,46 @@ namespace sfetch
 PlacedWorkload::PlacedWorkload(const std::string &bench_spec)
     : name_(canonicalBenchSpec(bench_spec)),
       work_(buildBenchWorkload(name_))
-{
-    base_ = std::make_unique<CodeImage>(
-        work_.program, baselineOrder(work_.program));
+{}
 
-    // Profile with the `train`-flavoured input, optimize, and place.
-    profile_ = std::make_unique<EdgeProfile>(collectProfile(
-        work_.program, work_.model, kTrainSeed, 400'000));
-    opt_ = std::make_unique<CodeImage>(
-        work_.program, optimizedOrder(work_.program, *profile_));
+const CodeImage &
+PlacedWorkload::image(bool optimized) const
+{
+    const int l = optimized ? 1 : 0;
+    std::call_once(placeOnce_[l], [&] {
+        // The optimized order comes from a `train`-input profile,
+        // which dies with this scope.
+        images_[l] = std::make_unique<const CodeImage>(
+            program(), optimized
+                ? optimizedOrder(program(), trainProfile())
+                : baselineOrder(program()));
+        placed_[l].store(true, std::memory_order_release);
+    });
+    return *images_[l];
+}
+
+bool
+PlacedWorkload::placed(bool optimized) const
+{
+    return placed_[optimized ? 1 : 0].load(std::memory_order_acquire);
+}
+
+EdgeProfile
+PlacedWorkload::trainProfile() const
+{
+    return collectProfile(program(), model(), kTrainSeed,
+                          kTrainProfileRecords);
+}
+
+std::size_t
+PlacedWorkload::bytes() const
+{
+    std::size_t bytes = sizeof(*this) + program().bytes() +
+        model().bytes();
+    for (bool optimized : {false, true})
+        if (placed(optimized))
+            bytes += sizeof(CodeImage) + image(optimized).bytes();
+    return bytes;
 }
 
 namespace

@@ -11,6 +11,7 @@
 #ifndef SFETCH_SIM_EXPERIMENT_HH
 #define SFETCH_SIM_EXPERIMENT_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -39,11 +40,20 @@ namespace sfetch
 constexpr InstCount kFetchAheadMargin = 4096;
 
 /**
+ * Length, in blocks, of the `train`-seed profiling run that drives
+ * the optimized layout (PlacedWorkload::trainProfile()).
+ */
+constexpr std::uint64_t kTrainProfileRecords = 400'000;
+
+/**
  * A reusable placed workload: program + behaviour + both layouts.
- * Building one is moderately expensive (profiling run), so it is
- * built once per benchmark — normally via WorkloadCache — and shared
- * read-only across runs. All accessors are const; concurrent runs on
- * one PlacedWorkload are safe.
+ * Built once per benchmark — normally via WorkloadCache — and shared
+ * read-only across runs. Construction synthesizes the program; each
+ * layout is placed on its first image() call (the optimized one
+ * after a train-input profiling run whose profile is then dropped),
+ * so a workload only ever read at one layout never pays for the
+ * other. All accessors are const; concurrent runs on one
+ * PlacedWorkload are safe.
  */
 class PlacedWorkload
 {
@@ -58,16 +68,31 @@ class PlacedWorkload
     const std::string &name() const { return name_; }
     const Program &program() const { return work_.program; }
     const WorkloadModel &model() const { return work_.model; }
-    /** Train-input edge profile that drove the optimized layout. */
-    const EdgeProfile &profile() const { return *profile_; }
-    const CodeImage &baseImage() const { return *base_; }
-    const CodeImage &optImage() const { return *opt_; }
 
-    const CodeImage &
-    image(bool optimized) const
-    {
-        return optimized ? *opt_ : *base_;
-    }
+    /**
+     * The program placed in the baseline or the optimized order,
+     * placed on the first call for that layout. Thread-safe:
+     * concurrent first calls place once and all get that image.
+     */
+    const CodeImage &image(bool optimized) const;
+
+    /** True once the layout's image has been placed. */
+    bool placed(bool optimized) const;
+
+    /**
+     * The train-input edge profile the optimized layout is built
+     * from: kTrainProfileRecords blocks under kTrainSeed, collected
+     * afresh on each call (the workload keeps none).
+     */
+    EdgeProfile trainProfile() const;
+
+    /**
+     * Bytes the workload holds outside its arenas, by capacity: the
+     * object itself, its program, its model and each image placed so
+     * far. Reported (sfetchd's `resident_workload_bytes`), not
+     * budgeted.
+     */
+    std::size_t bytes() const;
 
     /**
      * Shared pre-decoded committed path for @p total_insts
@@ -97,8 +122,8 @@ class PlacedWorkload
      * Bytes held by this workload's cached per-layout arenas — the
      * budgetable share of its footprint: each cached layout's
      * control part (at most 0.25 B/inst) plus, once, the data stream
-     * they share (0.5-1.6 B/inst); the program and its images, up to
-     * a few MB, are not counted — plus each decode in flight at
+     * they share (0.5-1.6 B/inst); the workload itself (bytes()) is
+     * not counted — plus each decode in flight at
      * kArenaBytesPerInstEstimate per instruction. Feeds
      * WorkloadCache::bytesResident() and sfetchd's memory governor.
      */
@@ -141,9 +166,11 @@ class PlacedWorkload
   private:
     std::string name_;
     SyntheticWorkload work_;
-    std::unique_ptr<EdgeProfile> profile_;
-    std::unique_ptr<CodeImage> base_;
-    std::unique_ptr<CodeImage> opt_;
+
+    /** Per-layout images ([0]=base), each placed once on first use. */
+    mutable std::once_flag placeOnce_[2];
+    mutable std::unique_ptr<const CodeImage> images_[2];
+    mutable std::atomic<bool> placed_[2] = {false, false};
 
     /**
      * Lazily-built per-layout committed-path arenas ([0]=base).

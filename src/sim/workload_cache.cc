@@ -38,7 +38,11 @@ WorkloadCache::build(const std::string &bench_spec)
     bool missed = false;
     std::call_once(s->once, [&] {
         missed = true;
-        s->work = std::make_shared<PlacedWorkload>(key);
+        auto work = std::make_shared<PlacedWorkload>(key);
+        // Published under the map mutex: the byte gauges and size()
+        // read every slot's handle under it, builds in flight too.
+        std::lock_guard<std::mutex> lock(mu_);
+        s->work = std::move(work);
     });
     (missed ? misses_ : hits_).fetch_add(1);
     // The local shared_ptr<Slot> keeps the slot (and its workload)
@@ -86,6 +90,17 @@ WorkloadCache::bytesResident() const
     for (const auto &[name, s] : slots_)
         if (s->work)
             bytes += s->work->arenaBytesResident();
+    return bytes;
+}
+
+std::size_t
+WorkloadCache::workloadBytes() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::size_t bytes = 0;
+    for (const auto &[name, s] : slots_)
+        if (s->work)
+            bytes += s->work->bytes();
     return bytes;
 }
 

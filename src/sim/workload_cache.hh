@@ -1,7 +1,8 @@
 /**
  * @file
  * Process-wide registry of PlacedWorkloads. Building a workload is
- * moderately expensive (synthesis + a profiling run + two placements),
+ * moderately expensive (synthesis, then a placement per layout read,
+ * the optimized one after a profiling run),
  * and every sweep wants the same eleven suite members, so the cache
  * constructs each exactly once and hands out shared read-only
  * references. Safe to use from many threads: concurrent get() calls
@@ -76,12 +77,19 @@ class WorkloadCache
     /**
      * Budgetable bytes resident in the cache: the sum of
      * arenaBytesResident() over every built entry, so each
-     * workload's data stream counts once. (Workload
-     * program/image structures, up to a few MB each, are not
-     * counted; see kArenaBytesPerInstEstimate for how the governor
-     * allows for them.)
+     * workload's data stream counts once. (The workloads themselves,
+     * up to ~1.1 MB each — workloadBytes() — are not counted; see
+     * kArenaBytesPerInstEstimate for how the governor allows for
+     * them.)
      */
     std::size_t bytesResident() const;
+
+    /**
+     * Bytes the cached workloads hold outside their arenas: the sum
+     * of PlacedWorkload::bytes() (program, model, placed images)
+     * over every built entry. Reported, not budgeted.
+     */
+    std::size_t workloadBytes() const;
 
     /**
      * Evict the least-recently-used entry whose only owner is the
@@ -129,8 +137,8 @@ class WorkloadCache
   private:
     /**
      * Per-name slot. The once flag serializes the build; the map
-     * mutex only guards slot creation/eviction, so distinct names
-     * can build concurrently. Slots are shared_ptr-held: a thread
+     * mutex only guards slot creation/eviction and publishing the
+     * built handle, so distinct names can build concurrently. Slots are shared_ptr-held: a thread
      * mid-build keeps its slot alive even if the entry is evicted
      * under it.
      */

@@ -75,7 +75,7 @@ TraceFetchEngine::tryTracePath()
                      i < seg.lenInsts && !cut; ++i) {
                     Addr pc = seg.start + instsToBytes(i);
                     emitQueue_.push_back(pc);
-                    const StaticInst &si = image_->inst(pc);
+                    const StaticInst si = image_->inst(pc);
                     if (si.isBranch())
                         emitBranchMask_ |= std::uint64_t(1)
                             << (emitQueue_.size() - 1);
@@ -215,7 +215,7 @@ TraceFetchEngine::walkStep(Cycle now, unsigned max_insts,
     for (unsigned i = 0; i < n; ++i) {
         if (!image_->contains(walk_.pc))
             break;
-        const StaticInst &si = image_->inst(walk_.pc);
+        const StaticInst si = image_->inst(walk_.pc);
         FetchedInst fi;
         fi.pc = walk_.pc;
         if (si.isBranch())
@@ -326,7 +326,7 @@ TraceFetchEngine::secondaryFetch(Cycle now, unsigned max_insts,
         EngineCheckpoint{ras_.save(), specHist_.value()});
 
     for (unsigned i = 0; i < n; ++i) {
-        const StaticInst &si = image_->inst(fetchAddr_);
+        const StaticInst si = image_->inst(fetchAddr_);
         FetchedInst fi;
         fi.pc = fetchAddr_;
         if (si.isBranch())

@@ -57,16 +57,84 @@ correlatedOutcome(std::uint64_t history, unsigned history_bits,
 
 } // namespace
 
+void
+BranchIndex::insert(BlockId id, std::uint32_t slot)
+{
+    assert(id != kNoBlock && find(id) == kAbsent);
+    if (2 * (size_ + 1) > entries_.size()) {
+        // Double (from 4) and re-place every entry.
+        std::vector<Entry> old = std::move(entries_);
+        entries_.assign(old.empty() ? 4 : 2 * old.size(), Entry{});
+        shift_ = 32;
+        for (std::size_t n = entries_.size(); n > 1; n >>= 1)
+            --shift_;
+        size_ = 0;
+        for (const Entry &e : old)
+            if (e.block != kNoBlock)
+                insert(e.block, e.slot);
+    }
+    const std::size_t mask = entries_.size() - 1;
+    std::size_t i = home(id);
+    while (entries_[i].block != kNoBlock)
+        i = (i + 1) & mask;
+    entries_[i] = Entry{id, slot};
+    ++size_;
+}
+
+void
+WorkloadModel::setCond(BlockId id, CondModel m)
+{
+    const std::uint32_t slot = condIndex_.find(id);
+    if (slot != BranchIndex::kAbsent) {
+        cond_[slot] = m;
+        return;
+    }
+    condIndex_.insert(id, static_cast<std::uint32_t>(cond_.size()));
+    cond_.push_back(m);
+}
+
+void
+WorkloadModel::setIndirect(BlockId id, IndirectModel m)
+{
+    const std::uint32_t slot = indirectIndex_.find(id);
+    if (slot != BranchIndex::kAbsent) {
+        indirect_[slot] = std::move(m);
+        return;
+    }
+    indirectIndex_.insert(id,
+                          static_cast<std::uint32_t>(indirect_.size()));
+    indirect_.push_back(std::move(m));
+}
+
+void
+WorkloadModel::shrinkToFit()
+{
+    cond_.shrink_to_fit();
+    indirect_.shrink_to_fit();
+}
+
+std::size_t
+WorkloadModel::bytes() const
+{
+    std::size_t bytes = cond_.capacity() * sizeof(CondModel) +
+        condIndex_.bytes() + indirect_.capacity() * sizeof(IndirectModel) +
+        indirectIndex_.bytes();
+    for (const IndirectModel &m : indirect_)
+        bytes += m.weights.capacity() * sizeof(double);
+    return bytes;
+}
+
 bool
 WorkloadModel::choosePrimary(BlockId id, Pcg32 &rng)
 {
     // Unmodelled conditionals default to a weak not-primary bias so
     // that hand-built test programs remain runnable.
     bool primary;
-    if (!hasCond(id)) {
+    const std::uint32_t slot = condIndex_.find(id);
+    if (slot == BranchIndex::kAbsent) {
         primary = rng.nextBool(0.3);
     } else {
-        CondModel &m = cond_[id];
+        CondModel &m = cond_[slot];
         switch (m.kind) {
           case CondModel::Kind::Loop:
             if (m.remainingTrips == 0) {
@@ -120,16 +188,17 @@ WorkloadModel::choosePrimary(BlockId id, Pcg32 &rng)
 }
 
 BlockId
-WorkloadModel::chooseIndirect(const BasicBlock &b, Pcg32 &rng)
+WorkloadModel::chooseIndirect(BlockId id, BlockIdSpan targets,
+                              Pcg32 &rng)
 {
-    assert(!b.indirectTargets.empty());
-    auto it = indirect_.find(b.id);
-    if (it == indirect_.end())
-        return b.indirectTargets[rng.nextBounded(
-            static_cast<std::uint32_t>(b.indirectTargets.size()))];
+    assert(!targets.empty());
+    const std::uint32_t slot = indirectIndex_.find(id);
+    if (slot == BranchIndex::kAbsent)
+        return targets[rng.nextBounded(
+            static_cast<std::uint32_t>(targets.size()))];
 
-    const IndirectModel &m = it->second;
-    assert(m.weights.size() == b.indirectTargets.size());
+    const IndirectModel &m = indirect_[slot];
+    assert(m.weights.size() == targets.size());
 
     double u;
     if (rng.nextBool(m.correlation)) {
@@ -155,7 +224,7 @@ WorkloadModel::chooseIndirect(const BasicBlock &b, Pcg32 &rng)
         }
     }
     case_history_ = (case_history_ << 3) | (chosen & 0x7);
-    return b.indirectTargets[chosen];
+    return targets[chosen];
 }
 
 void

@@ -27,7 +27,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/program.hh"
@@ -95,7 +94,7 @@ struct CondModel
 /** Behaviour of one static indirect jump. */
 struct IndirectModel
 {
-    /** Weights aligned with BasicBlock::indirectTargets. */
+    /** Weights aligned with Program::indirectTargets(). */
     std::vector<double> weights;
 
     /** Probability the choice is history-correlated vs iid. */
@@ -117,9 +116,64 @@ struct DataModel
 };
 
 /**
- * Per-program dynamic behaviour: conditional models keyed by block
- * id, indirect models keyed by block id, data access parameters, and
- * the shared semantic outcome history used by correlated branches.
+ * Open-addressing map from a modelled branch's block id to its slot
+ * in a model table. Sized by the number of modelled branches (a
+ * power of two at most half full), not by the program's block
+ * count, and read in O(1) on the trace generator's path.
+ */
+class BranchIndex
+{
+  public:
+    static constexpr std::uint32_t kAbsent = 0xffffffffu;
+
+    /** Slot of block @p id, or kAbsent. */
+    std::uint32_t
+    find(BlockId id) const
+    {
+        if (entries_.empty())
+            return kAbsent;
+        const std::size_t mask = entries_.size() - 1;
+        for (std::size_t i = home(id);; i = (i + 1) & mask) {
+            if (entries_[i].block == id)
+                return entries_[i].slot;
+            if (entries_[i].block == kNoBlock)
+                return kAbsent;
+        }
+    }
+
+    /** Map @p id (not yet present) to @p slot. */
+    void insert(BlockId id, std::uint32_t slot);
+
+    /** Heap bytes of the table, by capacity. */
+    std::size_t
+    bytes() const
+    {
+        return entries_.capacity() * sizeof(Entry);
+    }
+
+  private:
+    struct Entry
+    {
+        BlockId block = kNoBlock;
+        std::uint32_t slot = 0;
+    };
+
+    std::size_t
+    home(BlockId id) const
+    {
+        return std::uint32_t(id * 0x9e3779b1u) >> shift_;
+    }
+
+    std::vector<Entry> entries_;
+    std::size_t size_ = 0;
+    unsigned shift_ = 32; //!< 32 - log2(entries_.size())
+};
+
+/**
+ * Per-program dynamic behaviour: conditional and indirect models,
+ * each in a table with one slot per modelled branch, data access
+ * parameters, and the shared semantic outcome history used by
+ * correlated branches.
  *
  * The model is copyable; each TraceGenerator owns a private copy so
  * profiling runs do not disturb measurement runs.
@@ -129,25 +183,11 @@ class WorkloadModel
   public:
     WorkloadModel() = default;
 
-    void
-    setCond(BlockId id, CondModel m)
-    {
-        if (id >= cond_.size()) {
-            cond_.resize(id + 1);
-            condPresent_.resize(id + 1, 0);
-        }
-        if (!condPresent_[id]) {
-            condPresent_[id] = 1;
-            ++numCond_;
-        }
-        cond_[id] = m;
-    }
+    /** Model the conditional ending block @p id (replacing any). */
+    void setCond(BlockId id, CondModel m);
 
-    void
-    setIndirect(BlockId id, IndirectModel m)
-    {
-        indirect_[id] = std::move(m);
-    }
+    /** Model the indirect jump ending block @p id (replacing any). */
+    void setIndirect(BlockId id, IndirectModel m);
 
     void setData(DataModel m) { data_ = m; }
     const DataModel &data() const { return data_; }
@@ -155,14 +195,14 @@ class WorkloadModel
     bool
     hasCond(BlockId id) const
     {
-        return id < condPresent_.size() && condPresent_[id];
+        return condIndex_.find(id) != BranchIndex::kAbsent;
     }
 
     const CondModel &
     cond(BlockId id) const
     {
         assert(hasCond(id));
-        return cond_[id];
+        return cond_[condIndex_.find(id)];
     }
 
     /**
@@ -172,8 +212,11 @@ class WorkloadModel
      */
     bool choosePrimary(BlockId id, Pcg32 &rng);
 
-    /** Pick the successor of an indirect jump terminating @p id. */
-    BlockId chooseIndirect(const BasicBlock &b, Pcg32 &rng);
+    /**
+     * Pick the successor of the indirect jump terminating block
+     * @p id among its @p targets (Program::indirectTargets()).
+     */
+    BlockId chooseIndirect(BlockId id, BlockIdSpan targets, Pcg32 &rng);
 
     /** Reset all per-run dynamic state. */
     void reset();
@@ -184,20 +227,20 @@ class WorkloadModel
     /** Recent indirect-case choices (3 bits per case, newest low). */
     std::uint64_t caseHistory() const { return case_history_; }
 
-    std::size_t numCondModels() const { return numCond_; }
+    std::size_t numCondModels() const { return cond_.size(); }
     std::size_t numIndirectModels() const { return indirect_.size(); }
 
+    /** Release the tables' spare capacity once building is done. */
+    void shrinkToFit();
+
+    /** Heap bytes of the model's tables, by capacity. */
+    std::size_t bytes() const;
+
   private:
-    /**
-     * Conditional models as a dense block-id-indexed table: the
-     * trace generator queries one per executed conditional, and an
-     * indexed load beats a hash lookup on that path. condPresent_
-     * distinguishes modelled blocks from the default behaviour.
-     */
     std::vector<CondModel> cond_;
-    std::vector<std::uint8_t> condPresent_;
-    std::size_t numCond_ = 0;
-    std::unordered_map<BlockId, IndirectModel> indirect_;
+    BranchIndex condIndex_;
+    std::vector<IndirectModel> indirect_;
+    BranchIndex indirectIndex_;
     DataModel data_;
     std::uint64_t history_ = 0;
     std::uint64_t case_history_ = 0;

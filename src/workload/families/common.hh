@@ -45,7 +45,7 @@ class FamilyBuilder
     block(std::uint32_t num_insts,
           BranchType type = BranchType::None)
     {
-        BasicBlock b;
+        BlockSpec b;
         b.id = static_cast<BlockId>(blocks_.size());
         b.numInsts = num_insts < 1 ? 1 : num_insts;
         b.branchType = type;
@@ -53,7 +53,7 @@ class FamilyBuilder
         return blocks_.back().id;
     }
 
-    BasicBlock &at(BlockId id) { return blocks_.at(id); }
+    BlockSpec &at(BlockId id) { return blocks_.at(id); }
 
     /**
      * A fallthrough chain of @p n blocks; returns {entry, last}.
@@ -201,13 +201,14 @@ class FamilyBuilder
     SyntheticWorkload
     finish(std::string name, BlockId entry)
     {
-        for (BasicBlock &b : blocks_)
+        for (BlockSpec &b : blocks_)
             assignInsts(b);
         Program prog(std::move(name), std::move(blocks_), entry);
         std::string err = prog.validate();
         if (!err.empty())
             throw std::logic_error("workload family built an "
                                    "invalid program: " + err);
+        model_.shrinkToFit();
         return SyntheticWorkload{std::move(prog), std::move(model_)};
     }
 
@@ -219,7 +220,7 @@ class FamilyBuilder
 
   private:
     void
-    assignInsts(BasicBlock &b)
+    assignInsts(BlockSpec &b)
     {
         Pcg32 rng(mix64(seed_ ^ (b.id * 0x9e3779b9ULL)), 7);
         b.insts.resize(b.numInsts);
@@ -245,7 +246,7 @@ class FamilyBuilder
     }
 
     std::uint64_t seed_;
-    std::vector<BasicBlock> blocks_;
+    std::vector<BlockSpec> blocks_;
     WorkloadModel model_;
 };
 

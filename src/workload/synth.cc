@@ -61,6 +61,7 @@ class Generator
 
         Program prog(p_.name, std::move(blocks_), entry);
         assert(prog.validate().empty());
+        model_.shrinkToFit();
         return SyntheticWorkload{std::move(prog), std::move(model_)};
     }
 
@@ -70,7 +71,7 @@ class Generator
     BlockId
     newBlock(std::uint32_t num_insts)
     {
-        BasicBlock b;
+        BlockSpec b;
         b.id = static_cast<BlockId>(blocks_.size());
         b.numInsts = std::max<std::uint32_t>(1, num_insts);
         blocks_.push_back(std::move(b));
@@ -89,7 +90,7 @@ class Generator
     patch(const std::vector<Slot> &slots, BlockId to)
     {
         for (const Slot &s : slots) {
-            BasicBlock &b = blocks_.at(s.block);
+            BlockSpec &b = blocks_.at(s.block);
             switch (s.field) {
               case Field::Target:
                 b.target = to;
@@ -387,7 +388,7 @@ class Generator
     }
 
     void
-    assignInsts(BasicBlock &b)
+    assignInsts(BlockSpec &b)
     {
         Pcg32 rng(mix64(p_.seed ^ (b.id * 0x9e3779b9ULL)), 7);
         b.insts.resize(b.numInsts);
@@ -414,7 +415,7 @@ class Generator
 
     const WorkloadParams &p_;
     Pcg32 rng_;
-    std::vector<BasicBlock> blocks_;
+    std::vector<BlockSpec> blocks_;
     WorkloadModel model_;
     unsigned curFunc_ = 0;
     std::vector<BlockId> leaf_funcs_;

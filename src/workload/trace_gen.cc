@@ -46,7 +46,8 @@ TraceGenerator::next()
         }
         break;
       case BranchType::IndirectJump:
-        succ = model_.chooseIndirect(b, rng_);
+        succ = model_.chooseIndirect(b.id, prog_->indirectTargets(b.id),
+                                     rng_);
         break;
     }
 

@@ -154,7 +154,7 @@ TEST(ParamSet, WorkingSetIsCappedInEveryFamily)
     const PlacedWorkload &work =
         WorkloadCache::instance().get("loops:ws_kb=1048576");
     EXPECT_EQ(work.model().data().workingSetBytes, Addr(1) << 30);
-    OracleArena arena(work.optImage(), work.model(), kRefSeed, 50'000);
+    OracleArena arena(work.image(true), work.model(), kRefSeed, 50'000);
     EXPECT_GT(arena.dataCount(), 0u);
     SimConfig cfg("stream");
     cfg.insts = 20'000;

@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "layout/layout_opt.hh"
+#include "sim/driver.hh"
 #include "sim/experiment.hh"
+#include "sim/workload_cache.hh"
 
 using namespace sfetch;
 
@@ -34,12 +41,13 @@ TEST(Experiment, PlacedWorkloadBuildsBothLayouts)
     PlacedWorkload w("gzip");
     EXPECT_EQ(w.name(), "gzip");
     EXPECT_GT(w.program().numBlocks(), 0u);
-    EXPECT_NE(&w.baseImage(), &w.optImage());
-    EXPECT_EQ(&w.image(false), &w.baseImage());
-    EXPECT_EQ(&w.image(true), &w.optImage());
+    EXPECT_NE(&w.image(false), &w.image(true));
+    // Each layout is placed once: later calls return that image.
+    EXPECT_EQ(&w.image(false), &w.image(false));
+    EXPECT_EQ(&w.image(true), &w.image(true));
     // Both images place the full program.
-    EXPECT_GE(w.baseImage().numInsts(), w.program().staticInsts());
-    EXPECT_GE(w.optImage().numInsts(), w.program().staticInsts());
+    EXPECT_GE(w.image(false).numInsts(), w.program().staticInsts());
+    EXPECT_GE(w.image(true).numInsts(), w.program().staticInsts());
 }
 
 TEST(Experiment, OptimizedLayoutReducesTakenFraction)
@@ -48,10 +56,149 @@ TEST(Experiment, OptimizedLayoutReducesTakenFraction)
     EdgeProfile prof = collectProfile(w.program(), w.model(),
                                       kTrainSeed, 100'000);
     LayoutQuality base = evaluateLayout(w.program(), prof,
-                                        w.baseImage());
+                                        w.image(false));
     LayoutQuality opt = evaluateLayout(w.program(), prof,
-                                       w.optImage());
+                                       w.image(true));
     EXPECT_LT(opt.takenFraction(), base.takenFraction());
+}
+
+/** The optimized image is placed from the train profile's order. */
+TEST(Experiment, OptimizedImageFollowsTheTrainProfile)
+{
+    PlacedWorkload w("gzip");
+    const CodeImage expect(w.program(),
+                           optimizedOrder(w.program(), w.trainProfile()));
+    const CodeImage &img = w.image(true);
+    ASSERT_EQ(img.numInsts(), expect.numInsts());
+    for (BlockId id = 0; id < w.program().numBlocks(); ++id)
+        ASSERT_EQ(img.blockAddr(id), expect.blockAddr(id)) << id;
+}
+
+// ---- first-use placement ----
+
+TEST(PlacedWorkloadFirstUse, ConstructionPlacesNoLayout)
+{
+    PlacedWorkload w("loops");
+    EXPECT_FALSE(w.placed(false));
+    EXPECT_FALSE(w.placed(true));
+    w.image(true);
+    EXPECT_FALSE(w.placed(false));
+    EXPECT_TRUE(w.placed(true));
+}
+
+/**
+ * A workload run and decoded only at `base` never places (so never
+ * profiles) the optimized layout: not through runOn(), not through
+ * arena(), not through a sweep's set-up.
+ */
+TEST(PlacedWorkloadFirstUse, BaseOnlyUseNeverProfiles)
+{
+    PlacedWorkload w("gzip");
+    SimConfig cfg("stream");
+    cfg.optimizedLayout = false;
+    cfg.insts = 20'000;
+    cfg.warmupInsts = 5'000;
+    runOn(w, cfg);
+    w.arena(false, 30'000);
+    EXPECT_TRUE(w.placed(false));
+    EXPECT_FALSE(w.placed(true));
+
+    const std::string spec = "phased:seed=11";
+    WorkloadCache &cache = WorkloadCache::instance();
+    std::shared_ptr<const PlacedWorkload> pin = cache.getShared(spec);
+    SweepDriver driver(2);
+    driver.setQuiet(true);
+    std::vector<SweepPoint> points;
+    for (const char *arch : {"stream", "ev8"}) {
+        SimConfig c(arch);
+        c.optimizedLayout = false;
+        c.insts = 10'000;
+        c.warmupInsts = 2'000;
+        points.push_back({spec, c});
+    }
+    EXPECT_EQ(driver.run(points).size(), points.size());
+    EXPECT_TRUE(pin->placed(false));
+    EXPECT_FALSE(pin->placed(true));
+}
+
+TEST(PlacedWorkloadFirstUse, ConcurrentFirstCallsPlaceOneImage)
+{
+    PlacedWorkload w("gcc");
+    constexpr int kThreads = 8;
+    std::vector<const CodeImage *> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] { got[t] = &w.image(true); });
+    for (std::thread &t : threads)
+        t.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(got[t], got[0]) << "thread " << t;
+    EXPECT_TRUE(w.placed(true));
+    EXPECT_FALSE(w.placed(false));
+}
+
+/**
+ * The cache's byte gauges read every slot while other threads build
+ * and place workloads (sfetchd's `stats` verb during a job): each
+ * build is published under the cache's lock, so the reads are
+ * race-free (the TSan job runs this) and end at the sum.
+ */
+TEST(PlacedWorkloadFirstUse, CacheGaugesReadDuringBuilds)
+{
+    WorkloadCache &cache = WorkloadCache::instance();
+    std::atomic<bool> done{false};
+    std::thread poller([&] {
+        while (!done.load()) {
+            cache.workloadBytes();
+            cache.bytesResident();
+            cache.size();
+        }
+    });
+    std::vector<std::shared_ptr<const PlacedWorkload>> pins;
+    for (int seed = 21; seed < 25; ++seed) {
+        pins.push_back(
+            cache.getShared("loops:seed=" + std::to_string(seed)));
+        pins.back()->image(seed % 2 == 0);
+    }
+    done = true;
+    poller.join();
+    std::size_t pinned = 0;
+    for (const auto &w : pins)
+        pinned += w->bytes();
+    EXPECT_GE(cache.workloadBytes(), pinned);
+}
+
+/**
+ * Generators over one workload never perturb each other: each owns
+ * its model's dynamic state, so two interleaved in an irregular
+ * pattern each reproduce the stream they produce alone.
+ */
+TEST(PlacedWorkloadFirstUse, InterleavedGeneratorsReproduceSoloStreams)
+{
+    PlacedWorkload w("gcc");
+    constexpr int kRecords = 20'000;
+    auto solo = [&](std::uint64_t seed) {
+        TraceGenerator gen(w.program(), w.model(), seed);
+        std::vector<ControlRecord> out;
+        for (int i = 0; i < kRecords; ++i)
+            out.push_back(gen.next());
+        return out;
+    };
+    const std::vector<ControlRecord> a = solo(kRefSeed);
+    const std::vector<ControlRecord> b = solo(kTrainSeed);
+
+    TraceGenerator ga(w.program(), w.model(), kRefSeed);
+    TraceGenerator gb(w.program(), w.model(), kTrainSeed);
+    Pcg32 pick(5, 7);
+    int ia = 0, ib = 0;
+    while (ia < kRecords || ib < kRecords) {
+        const bool take_a =
+            ib == kRecords || (ia < kRecords && pick.nextBool(0.5));
+        const ControlRecord r = take_a ? ga.next() : gb.next();
+        const ControlRecord &want = take_a ? a[ia++] : b[ib++];
+        ASSERT_EQ(r.block, want.block) << (take_a ? "a " : "b ") << ia;
+        ASSERT_EQ(r.next, want.next) << (take_a ? "a " : "b ") << ib;
+    }
 }
 
 TEST(Experiment, MakeEngineBuildsEveryArch)
@@ -60,7 +207,7 @@ TEST(Experiment, MakeEngineBuildsEveryArch)
     MemoryConfig mc;
     MemoryHierarchy mem(mc);
     for (const SimConfig &cfg : paperArchConfigs()) {
-        auto engine = cfg.makeEngine(w.baseImage(), &mem);
+        auto engine = cfg.makeEngine(w.image(false), &mem);
         ASSERT_NE(engine, nullptr);
         EXPECT_EQ(engine->name(), cfg.label());
     }

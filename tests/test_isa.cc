@@ -94,10 +94,10 @@ TEST(CfgBuilder, TerminatorIsBranchInstruction)
     Program p = smallProgram();
     for (const auto &blk : p.blocks()) {
         if (blk.hasBranch()) {
-            EXPECT_EQ(blk.insts.back(), InstClass::Branch)
+            EXPECT_EQ(p.insts(blk.id)[blk.numInsts - 1],
+                      InstClass::Branch)
                 << "block " << blk.id;
         }
-        EXPECT_EQ(blk.insts.size(), blk.numInsts);
     }
 }
 
@@ -107,8 +107,8 @@ TEST(CfgBuilder, FallthroughBlocksHaveNoBranchInst)
     for (const auto &blk : p.blocks()) {
         if (blk.branchType != BranchType::None)
             continue;
-        for (auto c : blk.insts)
-            EXPECT_NE(c, InstClass::Branch);
+        for (std::uint32_t k = 0; k < blk.numInsts; ++k)
+            EXPECT_NE(p.insts(blk.id)[k], InstClass::Branch);
     }
 }
 
@@ -120,8 +120,8 @@ TEST(CfgBuilder, SetInstsOverrides)
     b.setInsts(a, {InstClass::Load, InstClass::Store,
                    InstClass::Branch});
     Program p = b.build(a);
-    EXPECT_EQ(p.block(a).insts[0], InstClass::Load);
-    EXPECT_EQ(p.block(a).insts[1], InstClass::Store);
+    EXPECT_EQ(p.insts(a)[0], InstClass::Load);
+    EXPECT_EQ(p.insts(a)[1], InstClass::Store);
 }
 
 TEST(CfgBuilder, IndirectTargets)
@@ -135,7 +135,9 @@ TEST(CfgBuilder, IndirectTargets)
     b.jump(c2, s);
     Program p = b.build(s);
     EXPECT_EQ(p.validate(), "");
-    EXPECT_EQ(p.block(s).indirectTargets.size(), 2u);
+    ASSERT_EQ(p.indirectTargets(s).size(), 2u);
+    EXPECT_EQ(p.indirectTargets(s)[0], c1);
+    EXPECT_EQ(p.indirectTargets(s)[1], c2);
 }
 
 // ---- validation failures ----
@@ -148,7 +150,7 @@ TEST(ProgramValidate, EmptyProgram)
 
 TEST(ProgramValidate, EntryOutOfRange)
 {
-    BasicBlock b;
+    BlockSpec b;
     b.numInsts = 1;
     b.branchType = BranchType::Return;
     b.insts = {InstClass::Branch};
@@ -158,7 +160,7 @@ TEST(ProgramValidate, EntryOutOfRange)
 
 TEST(ProgramValidate, SuccessorOutOfRange)
 {
-    BasicBlock b;
+    BlockSpec b;
     b.numInsts = 1;
     b.branchType = BranchType::Jump;
     b.target = 42; // out of range
@@ -169,7 +171,7 @@ TEST(ProgramValidate, SuccessorOutOfRange)
 
 TEST(ProgramValidate, InstVectorSizeMismatch)
 {
-    BasicBlock b;
+    BlockSpec b;
     b.numInsts = 3;
     b.branchType = BranchType::Return;
     b.insts = {InstClass::Branch}; // wrong size
@@ -179,7 +181,7 @@ TEST(ProgramValidate, InstVectorSizeMismatch)
 
 TEST(ProgramValidate, TerminatorNotBranchClass)
 {
-    BasicBlock b;
+    BlockSpec b;
     b.numInsts = 1;
     b.branchType = BranchType::Return;
     b.insts = {InstClass::IntAlu}; // should be Branch
@@ -189,7 +191,7 @@ TEST(ProgramValidate, TerminatorNotBranchClass)
 
 TEST(ProgramValidate, BranchInsideFallthroughBlock)
 {
-    BasicBlock b;
+    BlockSpec b;
     b.numInsts = 2;
     b.branchType = BranchType::None;
     b.fallthrough = 0;
@@ -200,7 +202,7 @@ TEST(ProgramValidate, BranchInsideFallthroughBlock)
 
 TEST(ProgramValidate, IndirectWithNoTargets)
 {
-    BasicBlock b;
+    BlockSpec b;
     b.numInsts = 1;
     b.branchType = BranchType::IndirectJump;
     b.insts = {InstClass::Branch};
@@ -210,7 +212,7 @@ TEST(ProgramValidate, IndirectWithNoTargets)
 
 TEST(ProgramValidate, ZeroSizeBlock)
 {
-    BasicBlock b;
+    BlockSpec b;
     b.numInsts = 0;
     Program p("x", {b}, 0);
     EXPECT_NE(p.validate(), "");

@@ -19,6 +19,7 @@
 #include "layout/layout_opt.hh"
 #include "layout/oracle.hh"
 #include "layout/oracle_arena.hh"
+#include "sim/experiment.hh"
 #include "workload/suite.hh"
 #include "workload/workload_registry.hh"
 
@@ -59,6 +60,31 @@ hammockLoop()
     return w;
 }
 
+/**
+ * The block whose body holds @p pc, from the program's block sizes
+ * and the image's block addresses; kNoBlock for a stub.
+ */
+BlockId
+owningBlock(const CodeImage &img, Addr pc)
+{
+    const Program &p = img.program();
+    for (BlockId id = 0; id < p.numBlocks(); ++id) {
+        const Addr a = img.blockAddr(id);
+        if (pc >= a && pc < a + p.block(id).sizeBytes())
+            return id;
+    }
+    return kNoBlock;
+}
+
+/** True when @p pc holds a stub: an unconditional jump in no block. */
+bool
+isStub(const CodeImage &img, Addr pc)
+{
+    const StaticInst si = img.inst(pc);
+    return owningBlock(img, pc) == kNoBlock &&
+        si.cls == InstClass::Branch && si.btype == BranchType::Jump;
+}
+
 } // namespace
 
 // ---- CodeImage ----
@@ -92,16 +118,19 @@ TEST(CodeImage, InstLookupMatchesBlocks)
         const BasicBlock &b = w.program.block(id);
         Addr base = img.blockAddr(id);
         for (std::uint32_t k = 0; k < b.numInsts; ++k) {
-            const StaticInst &si = img.inst(base + instsToBytes(k));
-            EXPECT_EQ(si.block, id);
-            EXPECT_EQ(si.offset, k);
-            EXPECT_EQ(si.cls, b.insts[k]);
+            const Addr pc = base + instsToBytes(k);
+            const StaticInst si = img.inst(pc);
+            // The k-th instruction of block id sits at base + 4k.
+            EXPECT_EQ(owningBlock(img, pc), id);
+            EXPECT_EQ(si.cls, w.program.insts(id)[k]);
             if (k + 1 == b.numInsts)
                 EXPECT_EQ(si.btype, b.branchType);
             else
                 EXPECT_EQ(si.btype, BranchType::None);
         }
     }
+    // The block bodies tile the image (this order needs no stubs).
+    EXPECT_EQ(img.numInsts(), w.program.staticInsts());
 }
 
 TEST(CodeImage, BaselineNeedsNoStubsForChainedProgram)
@@ -127,9 +156,8 @@ TEST(CodeImage, StubInsertedWhenFallthroughSeparated)
     EXPECT_EQ(img.numStubs(), 1u);
     // The stub right after a jumps to d.
     Addr stub_pc = img.blockAddr(a) + p.block(a).sizeBytes();
-    const StaticInst &si = img.inst(stub_pc);
-    EXPECT_TRUE(si.isStub());
-    EXPECT_EQ(si.btype, BranchType::Jump);
+    EXPECT_TRUE(isStub(img, stub_pc));
+    EXPECT_EQ(img.inst(stub_pc).btype, BranchType::Jump);
     EXPECT_EQ(img.takenTarget(stub_pc), img.blockAddr(d));
 }
 
@@ -172,8 +200,7 @@ TEST(CodeImage, CallContinuationKeptSequential)
     CodeImage img(p, {m, callee, cont});
     EXPECT_EQ(img.numStubs(), 1u);
     Addr ret_addr = img.seqAfter(m);
-    const StaticInst &si = img.inst(ret_addr);
-    EXPECT_TRUE(si.isStub());
+    EXPECT_TRUE(isStub(img, ret_addr));
     EXPECT_EQ(img.takenTarget(ret_addr), img.blockAddr(cont));
 }
 
@@ -245,7 +272,7 @@ TEST(Oracle, BranchRecordsConsistentWithImage)
     OracleStream oracle(img, w.model, kRefSeed);
     for (int i = 0; i < 20000; ++i) {
         OracleInst oi = oracle.next();
-        const StaticInst &si = img.inst(oi.pc);
+        const StaticInst si = img.inst(oi.pc);
         ASSERT_EQ(si.btype, oi.btype);
         if (oi.btype == BranchType::CondDirect) {
             if (oi.taken)
@@ -293,7 +320,7 @@ TEST(Oracle, StubJumpsAppearOnColdPath)
     oracle.next(); // a[0]
     oracle.next(); // a[1]
     OracleInst stub = oracle.next();
-    EXPECT_TRUE(img.inst(stub.pc).isStub());
+    EXPECT_TRUE(isStub(img, stub.pc));
     EXPECT_EQ(stub.btype, BranchType::Jump);
     EXPECT_TRUE(stub.taken);
     EXPECT_EQ(stub.nextPc, img.blockAddr(d));
@@ -322,7 +349,7 @@ TEST(Oracle, ReturnUsesLayoutReturnAddress)
     // Return lands on the stub right after the call.
     EXPECT_EQ(ret.nextPc, img.seqAfter(m));
     OracleInst stub = oracle.next();
-    EXPECT_TRUE(img.inst(stub.pc).isStub());
+    EXPECT_TRUE(isStub(img, stub.pc));
     EXPECT_EQ(stub.nextPc, img.blockAddr(cont));
 }
 
@@ -573,6 +600,78 @@ TEST_P(ArenaOnPreset, SharedDataStreamHoldsTheLongerLayoutsAccesses)
     unsigned refills = 0;
     expectWindowMatchesLive(win, *second->image(), work().model, n,
                             refills);
+}
+
+/** Slots of a BranchIndex over @p n modelled branches. */
+std::size_t
+indexSlots(std::size_t n)
+{
+    std::size_t slots = n ? 4 : 0;
+    while (slots < 2 * n)
+        slots *= 2;
+    return slots;
+}
+
+/**
+ * Format pins: the image holds 5 bytes per placed instruction (meta
+ * byte + taken-target word), the meta padding and a 4-byte start
+ * word per block; the program one BasicBlock per block plus its
+ * flat class and target arrays; the model one slot per *modelled*
+ * branch plus its index. Each is exact, so every vector is sized
+ * exactly.
+ */
+TEST_P(ArenaOnPreset, WorkloadFormatIsExactlySized)
+{
+    const CodeImage &img = image();
+    const Program &prog = work().program;
+    const WorkloadModel &model = work().model;
+    EXPECT_EQ(img.bytes(), 5 * img.numInsts() + kMetaPadBytes +
+                               4 * prog.numBlocks());
+
+    std::size_t targets = 0, indirect_blocks = 0;
+    for (const BasicBlock &b : prog.blocks()) {
+        targets += b.numTargets;
+        indirect_blocks += b.branchType == BranchType::IndirectJump;
+    }
+    EXPECT_EQ(prog.bytes(), prog.numBlocks() * sizeof(BasicBlock) +
+                                prog.staticInsts() * sizeof(InstClass) +
+                                targets * sizeof(BlockId));
+
+    // Every indirect jump of these shapes is modelled, with one
+    // weight per target.
+    ASSERT_EQ(model.numIndirectModels(), indirect_blocks);
+    const std::size_t entry = 2 * sizeof(std::uint32_t);
+    EXPECT_EQ(model.bytes(),
+              model.numCondModels() * sizeof(CondModel) +
+                  indexSlots(model.numCondModels()) * entry +
+                  model.numIndirectModels() * sizeof(IndirectModel) +
+                  indexSlots(model.numIndirectModels()) * entry +
+                  targets * sizeof(double));
+    if (std::get<0>(GetParam()) == "thrash") {
+        // 4,034 blocks, one modelled branch.
+        EXPECT_EQ(model.numCondModels(), 1u);
+        EXPECT_LT(model.bytes(), 1024u);
+    }
+}
+
+/**
+ * A PlacedWorkload holds its program, its model and the images
+ * placed so far, and nothing else: each shape stays under 26 bytes
+ * per static instruction plus 4 KiB with both layouts placed.
+ */
+TEST_P(ArenaOnPreset, PlacedWorkloadBytesStayUnderBound)
+{
+    const bool opt = std::get<1>(GetParam());
+    PlacedWorkload w(std::get<0>(GetParam()));
+    const std::size_t unplaced =
+        sizeof(PlacedWorkload) + w.program().bytes() + w.model().bytes();
+    EXPECT_EQ(w.bytes(), unplaced);
+    const std::size_t first = sizeof(CodeImage) + w.image(opt).bytes();
+    EXPECT_EQ(w.bytes(), unplaced + first);
+    const std::size_t second = sizeof(CodeImage) + w.image(!opt).bytes();
+    EXPECT_EQ(w.bytes(), unplaced + first + second);
+    EXPECT_LT(w.bytes(), 26 * w.program().staticInsts() + 4096)
+        << w.name();
 }
 
 /** A stream drawn for another seed is refused, not misread. */

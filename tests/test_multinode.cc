@@ -466,6 +466,7 @@ const Shape kStatsShape = {
 /** Keys a newer daemon may add to `stats`; nothing may go away. */
 const Shape kStatsAdditions = {
     {"journal_torn_lines", Kind::Number},
+    {"resident_workload_bytes", Kind::Number},
 };
 
 /** One `workers` entry; the health keys appear once a probe landed. */

@@ -139,7 +139,7 @@ TEST(OracleMemory, UnsharedRunHeapDoesNotGrowWithRunLength)
         << long_run << " B";
 
     // A whole-run arena of the long run is several times that heap.
-    OracleArena arena(work.optImage(), work.model(), kRefSeed,
+    OracleArena arena(work.image(true), work.model(), kRefSeed,
                       1'000'000);
     EXPECT_LT(long_run, arena.bytes());
 }

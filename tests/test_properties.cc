@@ -43,24 +43,77 @@ TEST_P(ImageProperties, PlacementIsTotalAndConsistent)
         EXPECT_EQ(img.numInsts(),
                   w.program.staticInsts() + img.numStubs());
 
-        // Every instruction address resolves; block bodies map back.
+        // Which block body holds each pc, from the program's block
+        // sizes and the image's block addresses; bodies never
+        // overlap.
+        const Program &prog = w.program;
+        std::vector<BlockId> owner(img.numInsts(), kNoBlock);
+        for (BlockId id = 0; id < prog.numBlocks(); ++id) {
+            const std::size_t first =
+                (img.blockAddr(id) - img.baseAddr()) / kInstBytes;
+            for (std::uint32_t k = 0; k < prog.block(id).numInsts; ++k) {
+                ASSERT_LT(first + k, owner.size());
+                ASSERT_EQ(owner[first + k], kNoBlock);
+                owner[first + k] = id;
+            }
+        }
+
+        // Each instruction of block b at blockAddr(b) + 4k carries
+        // b's k-th class, and its terminator the block's branch type
+        // and target; every other pc is a stub jump into the block
+        // it bridges to.
         std::uint64_t stubs_seen = 0;
         for (Addr pc = img.baseAddr(); pc < img.endAddr();
              pc += kInstBytes) {
-            const StaticInst &si = img.inst(pc);
-            if (si.isStub()) {
+            const std::size_t i = (pc - img.baseAddr()) / kInstBytes;
+            const StaticInst si = img.inst(pc);
+            if (owner[i] == kNoBlock) {
                 ++stubs_seen;
+                EXPECT_EQ(si.cls, InstClass::Branch);
                 EXPECT_EQ(si.btype, BranchType::Jump);
-                EXPECT_TRUE(img.contains(img.takenTarget(pc)));
+                // It follows the block it bridges from...
+                ASSERT_GT(i, 0u);
+                const BlockId from = owner[i - 1];
+                ASSERT_NE(from, kNoBlock);
+                EXPECT_EQ(img.seqAfter(from), pc);
+                // ...and jumps to that block's sequential successor.
+                EXPECT_EQ(img.takenTarget(pc),
+                          img.blockAddr(prog.block(from).fallthrough));
                 continue;
             }
-            const BasicBlock &b = w.program.block(si.block);
-            EXPECT_LT(si.offset, b.numInsts);
-            EXPECT_EQ(img.blockAddr(si.block) +
-                      instsToBytes(si.offset), pc);
-            if (si.isBranch() && si.btype != BranchType::Return &&
-                si.btype != BranchType::IndirectJump) {
-                EXPECT_TRUE(img.contains(img.takenTarget(pc)));
+            const BasicBlock &b = prog.block(owner[i]);
+            const std::uint32_t k = static_cast<std::uint32_t>(
+                (pc - img.blockAddr(b.id)) / kInstBytes);
+            EXPECT_EQ(si.cls, prog.insts(b.id)[k]);
+            if (k + 1 < b.numInsts) {
+                EXPECT_EQ(si.btype, BranchType::None);
+                EXPECT_EQ(img.takenTarget(pc), kNoAddr);
+                continue;
+            }
+            EXPECT_EQ(si.btype, b.branchType);
+            switch (b.branchType) {
+              case BranchType::CondDirect: {
+                // Taken to one successor; the other follows in
+                // memory, directly or through a stub.
+                const bool normal = img.normalPolarity(b.id);
+                EXPECT_EQ(img.takenTarget(pc),
+                          img.blockAddr(normal ? b.target
+                                               : b.fallthrough));
+                const BlockId seq = normal ? b.fallthrough : b.target;
+                const Addr after = img.seqAfter(b.id);
+                EXPECT_TRUE(after == img.blockAddr(seq) ||
+                            (img.contains(after) &&
+                             img.takenTarget(after) == img.blockAddr(seq)))
+                    << "block " << b.id;
+                break;
+              }
+              case BranchType::Jump:
+              case BranchType::Call:
+                EXPECT_EQ(img.takenTarget(pc), img.blockAddr(b.target));
+                break;
+              default:
+                EXPECT_EQ(img.takenTarget(pc), kNoAddr);
+                break;
             }
         }
         EXPECT_EQ(stubs_seen, img.numStubs());

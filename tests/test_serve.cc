@@ -646,6 +646,11 @@ TEST(Serve, StatusCancelStatsAndShutdownVerbs)
     EXPECT_EQ(r.at("rows_streamed").asU64(), 6u);
     EXPECT_EQ(r.at("mem_budget_bytes").asU64(),
               server.config().memBudgetBytes);
+    // The cached workloads' own bytes are reported, not budgeted:
+    // nonzero once a job built one, and the cache's sum.
+    EXPECT_GT(r.at("resident_workload_bytes").asU64(), 0u);
+    EXPECT_EQ(r.at("resident_workload_bytes").asU64(),
+              WorkloadCache::instance().workloadBytes());
 
     // The shutdown verb acks, then the daemon owner drains.
     r = client.request("{\"verb\": \"shutdown\", \"drain\": true}");

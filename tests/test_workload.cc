@@ -210,7 +210,7 @@ TEST(WorkloadModel, IndirectWeightsRespected)
     int first = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
-        first += (m.chooseIndirect(p.block(s), rng) == c1);
+        first += (m.chooseIndirect(s, p.indirectTargets(s), rng) == c1);
     EXPECT_NEAR(double(first) / n, 0.9, 0.02);
 }
 
