@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "layout/code_image.hh"
 #include "util/types.hh"
 
 namespace sfetch
@@ -73,6 +74,19 @@ class ReturnAddressStack
     std::vector<Addr> stack_;
     std::size_t sp_ = 0;
 };
+
+/**
+ * The predicted target of a return: pop @p ras and use the popped
+ * address when @p image holds it, else @p fallback (the
+ * fall-through, or the predictor's own successor).
+ */
+inline Addr
+predictReturn(ReturnAddressStack &ras, const CodeImage &image,
+              Addr fallback)
+{
+    const Addr t = ras.pop();
+    return image.contains(t) ? t : fallback;
+}
 
 } // namespace sfetch
 

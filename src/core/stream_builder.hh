@@ -119,14 +119,6 @@ class StreamBuilder
     std::uint64_t partialStreams() const { return partials_; }
     const Histogram &lengthHistogram() const { return lengths_; }
 
-    void
-    reset(Addr start)
-    {
-        cur_start_ = start;
-        partial_start_ = kNoAddr;
-        pending_mispredict_ = false;
-    }
-
   private:
     void
     emit(const StreamDescriptor &s)

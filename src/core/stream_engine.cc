@@ -1,9 +1,6 @@
 #include "core/stream_engine.hh"
 
-#include <algorithm>
-
 #include "sim/engine_registry.hh"
-#include "util/simd.hh"
 
 namespace sfetch
 {
@@ -56,19 +53,10 @@ StreamFetchEngine::predictStep()
     const Addr seq = fetchAddr_ + instsToBytes(pred.lenInsts);
     Addr next = pred.next;
 
-    switch (pred.endType) {
-      case BranchType::Call:
+    if (pred.endType == BranchType::Call)
         ras_.push(seq);
-        break;
-      case BranchType::Return: {
-        Addr t = ras_.pop();
-        if (t != kNoAddr && image_->contains(t))
-            next = t;
-        break;
-      }
-      default:
-        break;
-    }
+    else if (pred.endType == BranchType::Return)
+        next = predictReturn(ras_, *image_, next);
 
     if (next == kNoAddr || !image_->contains(next))
         next = seq; // defensive: stale target falls back sequential
@@ -89,108 +77,23 @@ StreamFetchEngine::predictStep()
 }
 
 void
-StreamFetchEngine::icacheStep(Cycle now, unsigned max_insts,
-                              FetchBundle &out)
-{
-    if (ftq_.empty())
-        return;
-    FetchRequest &req = ftq_.front();
-    if (!image_->contains(req.start)) {
-        ftq_.pop();
-        return;
-    }
-
-    unsigned avail = reader_.available(now, req.start);
-    if (avail == 0)
-        return;
-
-    unsigned n = std::min(std::min(avail, max_insts), req.lenInsts);
-    // Hoist the image bound out of the loop: the pc walks
-    // sequentially from a contained, aligned start, so only the end
-    // address can stop it.
-    n = std::min<unsigned>(
-        n, static_cast<unsigned>(
-               (image_->endAddr() - req.start) / kInstBytes));
-
-    // Batched scan over the image's packed meta bytes: one movemask
-    // finds every branch in the run, a second isolates the
-    // unconditional transfers that would steer fetch. The per-inst
-    // fill loop below then carries no decode at all — just the
-    // sequential pc and a token on branch positions.
-    const std::uint8_t *meta = image_->meta() +
-        (req.start - image_->baseAddr()) / kInstBytes;
-    const std::uint32_t bmask =
-        simd::maskTestU8(meta, n, kMetaBranchBits);
-    std::uint32_t steer = bmask &
-        ~simd::maskEqU8(meta, n, kMetaBranchBits,
-                        metaBranchField(BranchType::CondDirect));
-    // An unconditional transfer *terminating* a bounded request is
-    // the predicted stream end, already steered by predictStep; only
-    // one before the end (sequential mode, or a stale aliased entry)
-    // redirects here.
-    if (req.bounded && req.lenInsts == n)
-        steer &= ~(std::uint32_t(1) << (n - 1));
-
-    const unsigned fill = steer ? simd::bottomBit(steer) + 1 : n;
-    Addr pc = req.start;
-    for (unsigned i = 0; i < fill; ++i, pc += kInstBytes) {
-        FetchedInst fi;
-        fi.pc = pc;
-        if ((bmask >> i) & 1u)
-            fi.token = req.token;
-        out.push_back(fi);
-    }
-    instsFetched_ += fill;
-
-    if (steer) {
-        // Steer using the predecoded target of the first
-        // unconditional transfer (the last instruction delivered).
-        const Addr bpc = pc - kInstBytes;
-        const Addr seq = pc;
-        Addr next = seq;
-        switch (metaBranchType(meta[fill - 1])) {
-          case BranchType::Jump:
-            next = image_->takenTarget(bpc);
-            break;
-          case BranchType::Call:
-            next = image_->takenTarget(bpc);
-            ras_.push(seq);
-            break;
-          case BranchType::Return: {
-            Addr t = ras_.pop();
-            next = (t != kNoAddr && image_->contains(t)) ? t : seq;
-            break;
-          }
-          default:
-            break; // indirect: no info, keep sequential
-        }
-        // A taken transfer ends the sequential stream: keep the
-        // speculative path register in step with commit.
-        if (seqStart_ != kNoAddr) {
-            nsp_.specPush(seqStart_);
-            seqStart_ = kNoAddr;
-        }
-        ftq_.clear();
-        fetchAddr_ = next;
-        return;
-    }
-
-    std::uint32_t done = static_cast<std::uint32_t>(
-        (pc - req.start) / kInstBytes);
-    req.start = pc;
-    req.lenInsts -= std::min(req.lenInsts, done);
-    if (req.lenInsts == 0)
-        ftq_.pop();
-    else
-        reader_.prefetch(req.start); // next cycle probes this line
-}
-
-void
 StreamFetchEngine::fetchCycle(Cycle now, unsigned max_insts,
                               FetchBundle &out)
 {
     predictStep();
-    icacheStep(now, max_insts, out);
+    const unsigned had = out.size();
+    const Addr steer = drainFetchRequest(ftq_, reader_, *image_, ras_,
+                                         now, max_insts, out);
+    instsFetched_ += out.size() - had;
+    if (steer == kNoAddr)
+        return;
+    // A taken transfer ends the sequential stream: keep the
+    // speculative path register in step with commit.
+    if (seqStart_ != kNoAddr) {
+        nsp_.specPush(seqStart_);
+        seqStart_ = kNoAddr;
+    }
+    fetchAddr_ = steer;
 }
 
 void
@@ -218,16 +121,6 @@ void
 StreamFetchEngine::trainCommit(const CommittedBranch &cb)
 {
     builder_->onBranch(cb);
-}
-
-void
-StreamFetchEngine::reset(Addr start)
-{
-    fetchAddr_ = start;
-    seqStart_ = kNoAddr;
-    ftq_.clear();
-    builder_->reset(start);
-    reader_.reset();
 }
 
 StatSet

@@ -83,7 +83,6 @@ class StreamFetchEngine : public FetchEngine
                     FetchBundle &out) override;
     void redirect(const ResolvedBranch &rb) override;
     void trainCommit(const CommittedBranch &cb) override;
-    void reset(Addr start) override;
     std::string name() const override { return "Streams"; }
     StatSet stats() const override;
 
@@ -93,8 +92,6 @@ class StreamFetchEngine : public FetchEngine
 
   private:
     void predictStep();
-    void icacheStep(Cycle now, unsigned max_insts,
-                    FetchBundle &out);
 
     StreamConfig cfg_;
     const CodeImage *image_;

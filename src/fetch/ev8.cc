@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sim/engine_registry.hh"
+#include "util/simd.hh"
 
 namespace sfetch
 {
@@ -47,26 +48,29 @@ Ev8Engine::fetchCycle(Cycle now, unsigned max_insts,
     unsigned to_window = static_cast<unsigned>(
         (window_end - pc_) / kInstBytes);
 
-    unsigned n = std::min(std::min(avail, max_insts), to_window);
-    for (unsigned i = 0; i < n; ++i) {
-        const StaticInst si = image_->inst(pc_);
-        FetchedInst fi;
-        fi.pc = pc_;
+    const unsigned n = std::min(
+        {avail, max_insts, to_window,
+         static_cast<unsigned>((image_->endAddr() - pc_) / kInstBytes)});
 
-        if (!si.isBranch()) {
-            out.push_back(fi);
-            ++instsFetched_;
-            pc_ += kInstBytes;
-            continue;
-        }
+    // Each branch carries its own checkpoint, so each ends a run; one
+    // meta scan finds them, and the instructions between need no
+    // decode at all.
+    const std::uint8_t *meta = image_->meta() +
+        (cycle_start - image_->baseAddr()) / kInstBytes;
+    std::uint32_t bmask = simd::maskTestU8(meta, n, kMetaBranchBits);
+    unsigned done = 0; // instructions delivered so far this cycle
+    bool stopped = false;
+    while (bmask && !stopped) {
+        const unsigned j = simd::bottomBit(bmask);
+        bmask &= bmask - 1;
+        const BranchType bt = metaBranchType(meta[j]);
+        const Addr bpc = cycle_start + instsToBytes(j);
+        out.push(cycle_start + instsToBytes(done), j + 1 - done,
+                 checkpoints_.put(
+                     EngineCheckpoint{ras_.save(), specHist_.value()}));
+        done = j + 1;
 
-        // Branch: checkpoint the RAS, then predict.
-        fi.token = checkpoints_.put(
-            EngineCheckpoint{ras_.save(), specHist_.value()});
-        out.push_back(fi);
-        ++instsFetched_;
-
-        Addr seq = pc_ + kInstBytes;
+        Addr seq = bpc + kInstBytes;
         bool taken = false;
         Addr target = seq;
         bool cycle_break = false;
@@ -74,12 +78,12 @@ Ev8Engine::fetchCycle(Cycle now, unsigned max_insts,
         // All taken targets come from the BTB (the EV8 fetch stage
         // has no decoder); direct jumps that miss the BTB are fixed
         // at decode at the cost of a short bubble.
-        switch (si.btype) {
+        switch (bt) {
           case BranchType::CondDirect: {
-            bool dir = gskew_.predict(pc_, specHist_.value());
+            bool dir = gskew_.predict(bpc, specHist_.value());
             specHist_.push(dir);
             if (dir) {
-                BtbEntry e = btb_.lookup(pc_);
+                BtbEntry e = btb_.lookup(bpc);
                 if (e.hit && image_->contains(e.target)) {
                     taken = true;
                     target = e.target;
@@ -94,27 +98,25 @@ Ev8Engine::fetchCycle(Cycle now, unsigned max_insts,
           case BranchType::Jump:
           case BranchType::Call: {
             taken = true;
-            BtbEntry e = btb_.lookup(pc_);
+            BtbEntry e = btb_.lookup(bpc);
             if (e.hit && image_->contains(e.target)) {
                 target = e.target;
             } else {
-                target = image_->takenTarget(pc_);
+                target = image_->takenTarget(bpc);
                 stallUntil_ = now + cfg_.decodeFixBubble;
                 ++decodeFixes_;
                 cycle_break = true;
             }
-            if (si.btype == BranchType::Call)
+            if (bt == BranchType::Call)
                 ras_.push(seq);
             break;
           }
-          case BranchType::Return: {
-            Addr t = ras_.pop();
+          case BranchType::Return:
             taken = true;
-            target = (t != kNoAddr && image_->contains(t)) ? t : seq;
+            target = predictReturn(ras_, *image_, seq);
             break;
-          }
           case BranchType::IndirectJump: {
-            BtbEntry e = btb_.lookup(pc_);
+            BtbEntry e = btb_.lookup(bpc);
             if (e.hit && image_->contains(e.target)) {
                 taken = true;
                 target = e.target;
@@ -128,12 +130,17 @@ Ev8Engine::fetchCycle(Cycle now, unsigned max_insts,
         }
 
         pc_ = target;
-        if (taken || cycle_break) {
-            // EV8 fetches up to the first taken branch per cycle.
-            ++takenBreaks_;
-            break;
-        }
+        // EV8 fetches up to the first taken branch per cycle.
+        stopped = taken || cycle_break;
+        takenBreaks_ += stopped;
     }
+    if (!stopped && done < n) {
+        // Past the last branch: a plain run, no checkpoint.
+        out.push(cycle_start + instsToBytes(done), n - done, 0);
+        done = n;
+        pc_ = cycle_start + instsToBytes(n);
+    }
+    instsFetched_ += done;
 
     // Line predictor check: the cache was steered by the fast
     // next-fetch-address table; if the full prediction disagrees,
@@ -182,16 +189,6 @@ Ev8Engine::trainCommit(const CommittedBranch &cb)
         btb_.update(cb.pc, cb.target, cb.type);
 }
 
-void
-Ev8Engine::reset(Addr start)
-{
-    pc_ = start;
-    stallUntil_ = 0;
-    specHist_.clear();
-    commitHist_.clear();
-    reader_.reset();
-}
-
 StatSet
 Ev8Engine::stats() const
 {
@@ -235,6 +232,8 @@ registerEv8Engine(EngineRegistry &reg)
                 std::to_string(2 * kInstBytes) + " for ev8, got " +
                 std::to_string(line));
         checkTableGeometry(p, "btb_entries", "btb_assoc");
+        // linePredIndex() masks with the table size.
+        checkTableGeometry(p, "line_pred");
     };
     d.factory = [](const ParamSet &p, const CodeImage &image,
                    MemoryHierarchy *mem) {

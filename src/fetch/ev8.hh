@@ -53,7 +53,6 @@ class Ev8Engine : public FetchEngine
                     FetchBundle &out) override;
     void redirect(const ResolvedBranch &rb) override;
     void trainCommit(const CommittedBranch &cb) override;
-    void reset(Addr start) override;
     std::string name() const override { return "EV8+2bcgskew"; }
     StatSet stats() const override;
 

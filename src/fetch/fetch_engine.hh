@@ -18,11 +18,19 @@
  *  - When an engine has no target for a branch it must keep fetching
  *    sequentially (never stall waiting for a redirect it cannot know
  *    about); the divergence is caught and repaired by the processor.
+ *  - Engines deliver runs, not instructions: each cycle's output is a
+ *    few sequential runs (start, length, token), one per fetch block,
+ *    trace segment, or checkpointed branch. The token of a run is the
+ *    recovery token of every branch in it, so an engine that
+ *    checkpoints each branch separately ends a run at each branch.
+ *  - An engine lives for one run of the processor: it starts at the
+ *    image's entry and has no reset; a new run builds a new engine.
  */
 
 #ifndef SFETCH_FETCH_FETCH_ENGINE_HH
 #define SFETCH_FETCH_FETCH_ENGINE_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -32,6 +40,7 @@
 #include "isa/instruction.hh"
 #include "layout/code_image.hh"
 #include "util/fixed_ring.hh"
+#include "util/simd.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -49,56 +58,75 @@ struct EngineCheckpoint
     std::uint64_t hist = 0;
 };
 
-/** One instruction produced by a fetch engine. */
-struct FetchedInst
+/** A run of sequential instructions delivered in one fetch cycle. */
+struct FetchRun
 {
-    Addr pc = kNoAddr;
+    Addr start = kNoAddr;
+    std::uint32_t len = 0;
     /**
-     * Recovery token for branches (0 for non-branches): identifies
-     * the checkpoint the engine must restore if this branch turns
-     * out mispredicted.
+     * Recovery token of every branch in the run (0 when there is
+     * none to restore): identifies the checkpoint the engine must
+     * restore if one of them turns out mispredicted.
      */
     std::uint64_t token = 0;
 };
 
 /**
- * One cycle's worth of fetched instructions: a caller-owned,
- * fixed-capacity inline array. The processor hands the same bundle
- * to the engine every cycle, so the simulate-one-cycle path never
- * touches the heap (the former `std::vector<FetchedInst>`
- * out-parameter allocated every call).
+ * One cycle's worth of fetched instructions as sequential runs: a
+ * caller-owned, fixed-capacity inline array. The processor hands the
+ * same bundle to the engine every cycle, so the simulate-one-cycle
+ * path never touches the heap.
  */
 class FetchBundle
 {
   public:
-    /** Widest supported fetch per cycle (2x the paper's max width). */
+    /**
+     * Widest supported fetch per cycle (2x the paper's max width), in
+     * instructions; every run holds at least one, so it bounds the
+     * runs too.
+     */
     static constexpr unsigned kCapacity = 16;
 
-    void clear() { n_ = 0; }
-    bool empty() const { return n_ == 0; }
-    unsigned size() const { return n_; }
-
     void
-    push_back(const FetchedInst &fi)
+    clear()
     {
-        assert(n_ < kCapacity && "FetchBundle overflow: engine "
-               "produced more than the supported fetch width");
-        insts_[n_++] = fi;
+        runs_ = 0;
+        insts_ = 0;
     }
 
-    const FetchedInst &
-    operator[](unsigned i) const
+    bool empty() const { return insts_ == 0; }
+
+    /** Instructions in the bundle (the sum of the run lengths). */
+    unsigned size() const { return insts_; }
+
+    /** Runs in the bundle. */
+    unsigned numRuns() const { return runs_; }
+
+    /** Append the @p len instructions from @p start. */
+    void
+    push(Addr start, std::uint32_t len, std::uint64_t token)
     {
-        assert(i < n_);
-        return insts_[i];
+        assert(len >= 1 && insts_ + len <= kCapacity &&
+               "FetchBundle overflow: engine produced more than the "
+               "supported fetch width");
+        run_[runs_++] = FetchRun{start, len, token};
+        insts_ += len;
     }
 
-    const FetchedInst *begin() const { return insts_; }
-    const FetchedInst *end() const { return insts_ + n_; }
+    const FetchRun &
+    run(unsigned i) const
+    {
+        assert(i < runs_);
+        return run_[i];
+    }
+
+    const FetchRun *begin() const { return run_; }
+    const FetchRun *end() const { return run_ + runs_; }
 
   private:
-    FetchedInst insts_[kCapacity];
-    unsigned n_ = 0;
+    FetchRun run_[kCapacity];
+    unsigned runs_ = 0;
+    unsigned insts_ = 0;
 };
 
 /** Resolution information passed to redirect(). */
@@ -128,10 +156,11 @@ class FetchEngine
 
     /**
      * Run one fetch cycle: append up to @p max_insts instructions to
-     * @p out. May produce fewer (or none) on i-cache misses,
-     * predictor stalls, or taken-branch cycle breaks. The caller
-     * owns (and clears) the bundle; @p max_insts never exceeds
-     * FetchBundle::kCapacity minus the bundle's current size.
+     * @p out, as sequential runs. May produce fewer (or none) on
+     * i-cache misses, predictor stalls, or taken-branch cycle
+     * breaks. The caller owns (and clears) the bundle; @p max_insts
+     * is at least 1 and never exceeds FetchBundle::kCapacity minus
+     * the bundle's current size.
      */
     virtual void fetchCycle(Cycle now, unsigned max_insts,
                             FetchBundle &out) = 0;
@@ -145,9 +174,6 @@ class FetchEngine
 
     /** Train commit-side structures with a retired branch. */
     virtual void trainCommit(const CommittedBranch &cb) = 0;
-
-    /** Reset to a pristine state fetching from @p start. */
-    virtual void reset(Addr start) = 0;
 
     /** Display name. */
     virtual std::string name() const = 0;
@@ -257,18 +283,6 @@ class ICacheReader
      */
     void prefetch(Addr pc) const { mem_->prefetchInst(pc); }
 
-    /**
-     * Back to a pristine reader: clears the in-flight miss *and* the
-     * miss counter, so engines reused via reset(start) report only
-     * the misses of the current run.
-     */
-    void
-    reset()
-    {
-        readyAt_ = 0;
-        misses_ = 0;
-    }
-
     std::uint64_t misses() const { return misses_; }
     unsigned lineBytes() const { return lineBytes_; }
 
@@ -278,6 +292,93 @@ class ICacheReader
     Cycle readyAt_ = 0;
     std::uint64_t misses_ = 0;
 };
+
+/**
+ * The i-cache stage of a decoupled front end (FTB and streams): drain
+ * the FTQ head through @p reader into @p out as one run, updating the
+ * request in place. One meta-byte scan finds the run's branches; the
+ * first unconditional transfer before the end of the request ends
+ * the run and steers fetch by predecode (the taken target, or the
+ * return address stack for a return; an indirect jump has no target
+ * here and falls through), clearing the queue.
+ *
+ * An unconditional transfer that ends a bounded request is its
+ * predicted end, already steered by the predictor, so it does not
+ * steer here; one before the end does. The FTB never has one: its
+ * blocks end at every branch that has ever been taken, and an
+ * unconditional transfer always is, so only its sequential (FTB-miss)
+ * requests steer. A stream predictor entry can be stale or aliased,
+ * and then a bounded stream request steers too.
+ *
+ * @return the steered fetch address, or kNoAddr when the run did not
+ *         steer.
+ */
+inline Addr
+drainFetchRequest(FetchTargetQueue &ftq, ICacheReader &reader,
+                  const CodeImage &image, ReturnAddressStack &ras,
+                  Cycle now, unsigned max_insts, FetchBundle &out)
+{
+    if (ftq.empty())
+        return kNoAddr;
+    FetchRequest &req = ftq.front();
+    if (!image.contains(req.start)) {
+        // Wrong-path request ran off the image; drop it.
+        ftq.pop();
+        return kNoAddr;
+    }
+
+    const unsigned avail = reader.available(now, req.start);
+    if (avail == 0)
+        return kNoAddr;
+
+    // The run walks sequentially from a contained start, so only the
+    // image end bounds it besides the line, the width and the
+    // request.
+    const unsigned n = std::min(
+        {avail, max_insts, unsigned(req.lenInsts),
+         static_cast<unsigned>((image.endAddr() - req.start) /
+                               kInstBytes)});
+    const std::uint8_t *meta = image.meta() +
+        (req.start - image.baseAddr()) / kInstBytes;
+    std::uint32_t steer = simd::maskTestU8(meta, n, kMetaBranchBits) &
+        ~simd::maskEqU8(meta, n, kMetaBranchBits,
+                        metaBranchField(BranchType::CondDirect));
+    if (req.bounded && req.lenInsts == n)
+        steer &= ~(std::uint32_t(1) << (n - 1));
+
+    const unsigned len = steer ? simd::bottomBit(steer) + 1 : n;
+    out.push(req.start, len, req.token);
+    const Addr seq = req.start + instsToBytes(len);
+
+    if (steer) {
+        const Addr bpc = seq - kInstBytes;
+        Addr next = seq;
+        switch (metaBranchType(meta[len - 1])) {
+          case BranchType::Jump:
+            next = image.takenTarget(bpc);
+            break;
+          case BranchType::Call:
+            next = image.takenTarget(bpc);
+            ras.push(seq);
+            break;
+          case BranchType::Return:
+            next = predictReturn(ras, image, seq);
+            break;
+          default:
+            break; // indirect: no target, keep sequential
+        }
+        ftq.clear();
+        return next;
+    }
+
+    req.start = seq;
+    req.lenInsts -= len;
+    if (req.lenInsts == 0)
+        ftq.pop();
+    else
+        reader.prefetch(req.start); // next cycle probes this line
+    return kNoAddr;
+}
 
 } // namespace sfetch
 

@@ -1,7 +1,5 @@
 #include "fetch/ftb.hh"
 
-#include <algorithm>
-
 #include "sim/engine_registry.hh"
 
 namespace sfetch
@@ -67,11 +65,9 @@ FtbEngine::predictStep()
         ras_.push(seq);
         next = hit.target;
         break;
-      case BranchType::Return: {
-        Addr t = ras_.pop();
-        next = (t != kNoAddr && image_->contains(t)) ? t : seq;
+      case BranchType::Return:
+        next = predictReturn(ras_, *image_, seq);
         break;
-      }
       default:
         break;
     }
@@ -83,91 +79,18 @@ FtbEngine::predictStep()
 }
 
 void
-FtbEngine::icacheStep(Cycle now, unsigned max_insts,
-                      FetchBundle &out)
-{
-    if (ftq_.empty())
-        return;
-    FetchRequest &req = ftq_.front();
-    if (!image_->contains(req.start)) {
-        // Wrong-path request ran off the image; drop it.
-        ftq_.pop();
-        return;
-    }
-
-    unsigned avail = reader_.available(now, req.start);
-    if (avail == 0)
-        return;
-
-    unsigned n = std::min(std::min(avail, max_insts), req.lenInsts);
-    // The pc walks sequentially from a contained start; only the
-    // image end can stop it, so hoist that bound out of the loop.
-    n = std::min<unsigned>(
-        n, static_cast<unsigned>(
-               (image_->endAddr() - req.start) / kInstBytes));
-    Addr pc = req.start;
-    bool steered = false;
-
-    for (unsigned i = 0; i < n; ++i) {
-        const StaticInst si = image_->inst(pc);
-        FetchedInst fi;
-        fi.pc = pc;
-        if (si.isBranch())
-            fi.token = req.token;
-        out.push_back(fi);
-        ++instsFetched_;
-        pc += kInstBytes;
-
-        if (!req.bounded && si.isBranch() &&
-            si.btype != BranchType::CondDirect) {
-            // Sequential (FTB-miss) fetch ran into an unconditional
-            // transfer: steer the front end using predecode info.
-            Addr seq = pc;
-            Addr next = seq;
-            switch (si.btype) {
-              case BranchType::Jump:
-              case BranchType::Call:
-                next = image_->takenTarget(fi.pc);
-                if (si.btype == BranchType::Call)
-                    ras_.push(seq);
-                break;
-              case BranchType::Return: {
-                Addr t = ras_.pop();
-                next = (t != kNoAddr && image_->contains(t)) ? t : seq;
-                break;
-              }
-              case BranchType::IndirectJump:
-                next = seq; // no predictor here: fall through
-                break;
-              default:
-                break;
-            }
-            ftq_.clear();
-            predPc_ = next;
-            steered = true;
-            break;
-        }
-    }
-
-    if (steered)
-        return;
-
-    std::uint32_t done = static_cast<std::uint32_t>(pc - req.start) /
-        kInstBytes;
-    req.start = pc;
-    req.lenInsts -= std::min(req.lenInsts, done);
-    if (req.lenInsts == 0)
-        ftq_.pop();
-}
-
-void
 FtbEngine::fetchCycle(Cycle now, unsigned max_insts,
                       FetchBundle &out)
 {
     // The two decoupled pipelines advance in the same cycle; the
     // prediction stage runs ahead filling the FTQ.
     predictStep();
-    icacheStep(now, max_insts, out);
+    const unsigned had = out.size();
+    const Addr steer = drainFetchRequest(ftq_, reader_, *image_, ras_,
+                                         now, max_insts, out);
+    instsFetched_ += out.size() - had;
+    if (steer != kNoAddr)
+        predPc_ = steer;
 }
 
 void
@@ -238,18 +161,6 @@ FtbEngine::trainCommit(const CommittedBranch &cb)
     }
 
     commitBlockStart_ = cb.taken ? cb.target : cb.pc + kInstBytes;
-}
-
-void
-FtbEngine::reset(Addr start)
-{
-    predPc_ = start;
-    commitBlockStart_ = start;
-    ftq_.clear();
-    specHist_.clear();
-    commitHist_.clear();
-    std::fill(everTaken_.begin(), everTaken_.end(), false);
-    reader_.reset();
 }
 
 StatSet

@@ -64,17 +64,12 @@ class FtbEngine : public FetchEngine
                     FetchBundle &out) override;
     void redirect(const ResolvedBranch &rb) override;
     void trainCommit(const CommittedBranch &cb) override;
-    void reset(Addr start) override;
     std::string name() const override { return "FTB+perceptron"; }
     StatSet stats() const override;
 
   private:
     /** Prediction pipeline: generate one fetch request per cycle. */
     void predictStep();
-
-    /** I-cache pipeline: drain the FTQ head. */
-    void icacheStep(Cycle now, unsigned max_insts,
-                    FetchBundle &out);
 
     FtbConfig cfg_;
     const CodeImage *image_;

@@ -24,13 +24,12 @@ SeqEngine::fetchCycle(Cycle now, unsigned max_insts,
     if (avail == 0)
         return; // i-cache miss in service
 
-    unsigned n = std::min(avail, max_insts);
-    for (unsigned i = 0; i < n; ++i) {
-        FetchedInst fi;
-        fi.pc = pc_;
-        out.push_back(fi);
-        pc_ += kInstBytes;
-    }
+    // No predictions, so no checkpoints: token 0. Only the line
+    // bounds the run, so a line that straddles the image end is read
+    // past it, like any next-line fetcher would.
+    const unsigned n = std::min(avail, max_insts);
+    out.push(pc_, n, 0);
+    pc_ += instsToBytes(n);
     instsFetched_ += n;
 }
 
@@ -45,15 +44,6 @@ void
 SeqEngine::trainCommit(const CommittedBranch &)
 {
     // Nothing learns; that is the point.
-}
-
-void
-SeqEngine::reset(Addr start)
-{
-    pc_ = start;
-    reader_.reset();
-    instsFetched_ = 0;
-    redirects_ = 0;
 }
 
 StatSet

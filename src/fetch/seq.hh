@@ -34,7 +34,6 @@ class SeqEngine : public FetchEngine
                     FetchBundle &out) override;
     void redirect(const ResolvedBranch &rb) override;
     void trainCommit(const CommittedBranch &cb) override;
-    void reset(Addr start) override;
     std::string name() const override { return "NextLine"; }
     StatSet stats() const override;
 

@@ -305,43 +305,47 @@ Processor::verifyBundleScalar(SimStats &st, bool full_opportunity)
 {
     if (!diverged_)
         ensureFetchWindow();
-    for (const FetchedInst &fi : bundle_) {
-        if (!diverged_ && fi.pc == expectedPc_) {
-            if (fetchPos_ >= path_.last)
-                throwPathExhausted();
-            const std::uint64_t pos = fetchPos_++;
-            expectedPc_ = pcAt(pos + 1);
-            lastWasBranch_ = (metaAt(pos) & kMetaBranchBits) != 0;
-            if (lastWasBranch_)
-                checkpointBranch(pos, fi.token);
-            if (measuring_) {
-                ++st.fetchedCorrect;
-                if (full_opportunity)
-                    ++st.fetchOppInsts;
+    for (const FetchRun &run : bundle_) {
+        for (std::uint32_t i = 0; i < run.len; ++i) {
+            const Addr pc = run.start + instsToBytes(i);
+            if (!diverged_ && pc == expectedPc_) {
+                if (fetchPos_ >= path_.last)
+                    throwPathExhausted();
+                const std::uint64_t pos = fetchPos_++;
+                expectedPc_ = pcAt(pos + 1);
+                lastWasBranch_ = (metaAt(pos) & kMetaBranchBits) != 0;
+                if (lastWasBranch_)
+                    checkpointBranch(pos, run.token);
+                if (measuring_) {
+                    ++st.fetchedCorrect;
+                    if (full_opportunity)
+                        ++st.fetchOppInsts;
+                }
+                continue;
             }
-            continue;
-        }
 
-        // Wrong path instruction.
-        if (!diverged_)
-            declareDivergence(st);
-        if (measuring_)
-            ++st.fetchedWrong;
+            // Wrong path instruction.
+            if (!diverged_)
+                declareDivergence(st);
+            if (measuring_)
+                ++st.fetchedWrong;
+        }
     }
 }
 
 /**
- * Bundle-at-once oracle verify.
+ * Bundle-at-once oracle verify, run by run.
  *
  * The scalar loop compares each fetched PC against expectedPc_ one
- * instruction at a time. The committed path is a flat u32 offset
- * span, so the whole bundle reduces to one range compare against it
- * — the matched prefix length *is* the number of correct-path
- * instructions, and the first mismatch index is the divergence
- * point. The matched run is then ingested by advancing fetchPos_,
- * with branch bookkeeping driven by a movemask over the packed meta
- * bytes rather than a branchy per-instruction test, and bulk
- * statistics updates.
+ * instruction at a time. A fetched run is sequential, and so is the
+ * committed path between taken branches, so each run is compared
+ * with the committed offset span from where the previous run's match
+ * ended: the matched lengths sum to the number of correct-path
+ * instructions, and the first run that stops short holds the
+ * divergence point. The matched prefix is then ingested by advancing
+ * fetchPos_, with branch bookkeeping driven by a movemask over the
+ * packed meta bytes rather than a branchy per-instruction test, and
+ * bulk statistics updates.
  */
 void
 Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
@@ -362,14 +366,22 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
         const unsigned lim = static_cast<unsigned>(
             std::min<std::uint64_t>(n, path_.last + 1 - pos));
 
-        // Fused range compare: each fetched PC against the committed
-        // offset span, widened to the full address — one pass, no
-        // staging buffer, and a wrong-path PC that left the image
+        // Each run against the committed offset span, widened to the
+        // full address, so a wrong-path run that left the image
         // simply mismatches (no u32 aliasing to guard against).
         const Addr base = path_.base;
         const std::uint32_t *offs = path_.pcOff + (pos - path_.first);
-        while (m < lim && bundle_[m].pc == base + Addr(offs[m]))
-            ++m;
+        for (const FetchRun &run : bundle_) {
+            const unsigned stop = std::min(lim, m + run.len);
+            Addr pc = run.start;
+            const unsigned from = m;
+            while (m < stop && pc == base + Addr(offs[m])) {
+                ++m;
+                pc += kInstBytes;
+            }
+            if (m - from < run.len)
+                break;
+        }
         if (pos + m > path_.last)
             throwPathExhausted();
 
@@ -377,14 +389,18 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
             fetchPos_ += m;
             expectedPc_ = base + offs[m];
 
-            // Branch positions of the whole run in one meta scan:
+            // Branch positions of the whole match in one meta scan:
             // only the last branch matters for the divergence
-            // checkpoint (the scalar loop overwrote prev_ at each).
+            // checkpoint (the scalar loop overwrote prev_ at each),
+            // and it takes the token of the run that holds it.
             const std::uint32_t bmask = simd::maskTestU8(
                 path_.meta + (pos - path_.first), m, kMetaBranchBits);
             if (bmask) {
                 const unsigned j = simd::topBit(bmask);
-                checkpointBranch(pos + j, bundle_[j].token);
+                const FetchRun *run = bundle_.begin();
+                for (unsigned end = run->len; end <= j; end += run->len)
+                    ++run;
+                checkpointBranch(pos + j, run->token);
             }
             lastWasBranch_ = ((bmask >> (m - 1)) & 1u) != 0;
 

@@ -37,7 +37,7 @@ class TraceFillUnit
                                     bool mispredicted)>;
 
     TraceFillUnit(Addr start, const FillUnitConfig &cfg, Sink sink)
-        : cfg_(cfg), sink_(std::move(sink))
+        : cfg_(cfg), sink_(std::move(sink)), fill_pc_(start)
     {
         // Runtime check, not an assert: the limit comes from user
         // configuration and overrunning the descriptor's inline
@@ -49,7 +49,7 @@ class TraceFillUnit
                 " exceeds TraceDescriptor::kMaxSegments " +
                 std::to_string(TraceDescriptor::kMaxSegments));
         }
-        reset(start);
+        cur_.start = start;
     }
 
     /** Feed the next committed branch. */
@@ -57,24 +57,6 @@ class TraceFillUnit
 
     /** Note that a misprediction resolved (upgrade-policy hint). */
     void onMispredict() { pending_mispredict_ = true; }
-
-    /**
-     * Back to a pristine fill unit collecting from @p start: the
-     * in-progress (possibly partial) trace is discarded — never
-     * emitted — and the statistics counters restart, so a unit
-     * reused via reset() reports only the traces of the current
-     * run and an interrupted fill cannot leak segments into it.
-     */
-    void
-    reset(Addr start)
-    {
-        cur_ = TraceDescriptor{};
-        cur_.start = start;
-        fill_pc_ = start;
-        pending_mispredict_ = false;
-        built_ = 0;
-        lengths_.reset();
-    }
 
     std::uint64_t tracesBuilt() const { return built_; }
     const Histogram &lengthHistogram() const { return lengths_; }

@@ -1,8 +1,6 @@
 #include "tcache/trace_engine.hh"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "sim/engine_registry.hh"
 #include "util/simd.hh"
@@ -18,16 +16,6 @@ TraceFetchEngine::TraceFetchEngine(const TraceEngineConfig &cfg,
       gshare_(cfg.gshareEntries, cfg.gshareHistoryBits),
       ras_(cfg.rasEntries), fetchAddr_(image.entryAddr())
 {
-    // Runtime check, not an assert: the trace length limit comes
-    // from user configuration, and a trace longer than the inline
-    // emit queue would be silently truncated when latched.
-    if (cfg_.fill.maxInsts > kMaxEmitInsts) {
-        throw std::invalid_argument(
-            "FillUnitConfig.maxInsts " +
-            std::to_string(cfg_.fill.maxInsts) +
-            " exceeds TraceFetchEngine::kMaxEmitInsts " +
-            std::to_string(kMaxEmitInsts));
-    }
     fill_ = std::make_unique<TraceFillUnit>(
         image.entryAddr(), cfg_.fill,
         [this](const TraceDescriptor &t, bool mispredicted) {
@@ -62,26 +50,23 @@ TraceFetchEngine::tryTracePath()
             tcache_.lookupAnyDirections(fetchAddr_);
         if (any) {
             ++partialHits_;
-            emitQueue_.clear();
-            emitPos_ = 0;
+            emitSegs_.clear();
+            emitSeg_ = 0;
             emitToken_ = token;
-            emitBranchMask_ = 0;
 
             unsigned cond_idx = 0;
-            Addr next = kNoAddr;
-            bool cut = false;
+            Addr next = any->next;
             for (const TraceSegment &seg : any->segments) {
-                for (std::uint32_t i = 0;
-                     i < seg.lenInsts && !cut; ++i) {
-                    Addr pc = seg.start + instsToBytes(i);
-                    emitQueue_.push_back(pc);
-                    const StaticInst si = image_->inst(pc);
-                    if (si.isBranch())
-                        emitBranchMask_ |= std::uint64_t(1)
-                            << (emitQueue_.size() - 1);
-                    if (si.btype == BranchType::Call)
+                const std::uint8_t *meta = image_->meta() +
+                    (seg.start - image_->baseAddr()) / kInstBytes;
+                std::uint32_t len = seg.lenInsts;
+                bool cut = false;
+                for (std::uint32_t i = 0; i < len; ++i) {
+                    const Addr pc = seg.start + instsToBytes(i);
+                    const BranchType b = metaBranchType(meta[i]);
+                    if (b == BranchType::Call)
                         ras_.push(pc + kInstBytes);
-                    if (si.btype != BranchType::CondDirect)
+                    if (b != BranchType::CondDirect)
                         continue;
                     bool stored = (any->dirBits >> cond_idx) & 1;
                     bool want = (pred.dirBits >> cond_idx) & 1;
@@ -92,19 +77,16 @@ TraceFetchEngine::tryTracePath()
                         // continue on the predicted direction.
                         next = want ? image_->takenTarget(pc)
                                     : pc + kInstBytes;
+                        len = i + 1;
                         cut = true;
                     }
                 }
+                emitSegs_.push_back(TraceSegment{seg.start, len});
                 if (cut)
                     break;
             }
-            if (!cut)
-                next = any->next;
-            if (next == kNoAddr || !image_->contains(next)) {
-                next = emitQueue_.empty()
-                    ? fetchAddr_
-                    : emitQueue_.back() + kInstBytes;
-            }
+            if (next == kNoAddr || !image_->contains(next))
+                next = latchedEnd();
             ntp_.specPush(trace_id);
             fetchAddr_ = next;
             return TraceTry::Hit;
@@ -125,74 +107,56 @@ TraceFetchEngine::tryTracePath()
         walk_.traceId = trace_id;
         walk_.token = token;
 
-        Addr next = pred.next;
-        if (pred.endType == BranchType::Return) {
-            Addr t = ras_.pop();
-            if (t != kNoAddr && image_->contains(t))
-                next = t;
-        }
-        walk_.nextAfter = next;
+        walk_.nextAfter = pred.endType == BranchType::Return
+            ? predictReturn(ras_, *image_, pred.next)
+            : pred.next;
         return TraceTry::WalkStart;
     }
     ++traceHits_;
 
-    // Latch the trace for emission: a single pass over the image's
-    // packed meta bytes builds the queue, the emit-token mask, the
-    // speculative direction history, and the in-trace call list
-    // (instead of one queue-building walk plus two StaticInst
-    // re-walks, with a further per-inst lookup at emission).
-    emitQueue_.clear();
-    emitPos_ = 0;
+    // Latch the trace for emission: its segments are the runs it
+    // delivers.
+    emitSegs_ = trace->segments;
+    emitSeg_ = 0;
     emitToken_ = token;
-    std::uint64_t bmask = 0;
-    std::uint64_t call_mask = 0;
+
+    // Successor: predictor-provided, with RAS override for returns.
+    // The return pops before the in-trace calls push below, the
+    // modelled order the golden stats pin.
+    Addr next = pred.next;
+    if (trace->endType == BranchType::Return)
+        next = predictReturn(ras_, *image_, next);
+    if (next == kNoAddr || !image_->contains(next))
+        next = latchedEnd();
+
+    // One pass over the packed meta bytes: the speculative direction
+    // history of the embedded conditionals, and the RAS pushes of
+    // the calls inside the trace.
     unsigned cond_idx = 0;
-    unsigned qi = 0;
     for (const TraceSegment &seg : trace->segments) {
         const std::uint8_t *meta = image_->meta() +
             (seg.start - image_->baseAddr()) / kInstBytes;
-        for (std::uint32_t i = 0; i < seg.lenInsts; ++i, ++qi) {
-            emitQueue_.push_back(seg.start + instsToBytes(i));
+        for (std::uint32_t i = 0; i < seg.lenInsts; ++i) {
             const BranchType b = metaBranchType(meta[i]);
-            if (b == BranchType::None)
-                continue;
-            bmask |= std::uint64_t(1) << qi;
             if (b == BranchType::CondDirect) {
-                // Speculative direction history for the embedded
-                // conditionals.
                 specHist_.push((trace->dirBits >> cond_idx) & 1);
                 ++cond_idx;
             } else if (b == BranchType::Call) {
-                call_mask |= std::uint64_t(1) << qi;
+                ras_.push(seg.start + instsToBytes(i + 1));
             }
         }
-    }
-    emitBranchMask_ = bmask;
-
-    // Successor: predictor-provided, with RAS override for returns.
-    Addr next = pred.next;
-    Addr seq_after = emitQueue_.empty()
-        ? fetchAddr_ : emitQueue_.back() + kInstBytes;
-    if (trace->endType == BranchType::Return) {
-        Addr t = ras_.pop();
-        if (t != kNoAddr && image_->contains(t))
-            next = t;
-    }
-    if (next == kNoAddr || !image_->contains(next))
-        next = seq_after;
-
-    // Speculative RAS maintenance for calls inside the trace — after
-    // the end-of-trace return pop, matching the modelled order the
-    // golden stats pin.
-    while (call_mask) {
-        const unsigned j = simd::bottomBit(call_mask);
-        ras_.push(emitQueue_[j] + kInstBytes);
-        call_mask &= call_mask - 1;
     }
 
     ntp_.specPush(trace->id());
     fetchAddr_ = next;
     return TraceTry::Hit;
+}
+
+Addr
+TraceFetchEngine::latchedEnd() const
+{
+    const TraceSegment &last = emitSegs_.back();
+    return last.start + instsToBytes(last.lenInsts);
 }
 
 void
@@ -210,25 +174,27 @@ TraceFetchEngine::walkStep(Cycle now, unsigned max_insts,
     if (avail == 0)
         return;
 
-    unsigned n = std::min(std::min(avail, max_insts),
-                          walk_.instsLeft);
-    for (unsigned i = 0; i < n; ++i) {
-        if (!image_->contains(walk_.pc))
-            break;
-        const StaticInst si = image_->inst(walk_.pc);
-        FetchedInst fi;
-        fi.pc = walk_.pc;
-        if (si.isBranch())
-            fi.token = walk_.token;
-        out.push_back(fi);
-        ++instsFromIcache_;
-        --walk_.instsLeft;
-
-        Addr seq = walk_.pc + kInstBytes;
+    // One run per cycle: up to the first taken branch, bounded by
+    // the line, the width, the trace's remaining length and the
+    // image end.
+    const Addr start = walk_.pc;
+    const unsigned n = std::min(
+        {avail, max_insts, unsigned(walk_.instsLeft),
+         static_cast<unsigned>((image_->endAddr() - start) /
+                               kInstBytes)});
+    const std::uint8_t *meta = image_->meta() +
+        (start - image_->baseAddr()) / kInstBytes;
+    unsigned len = n;
+    Addr next = start + instsToBytes(n);
+    for (std::uint32_t bmask = simd::maskTestU8(meta, n, kMetaBranchBits);
+         bmask; bmask &= bmask - 1) {
+        const unsigned j = simd::bottomBit(bmask);
+        const Addr bpc = start + instsToBytes(j);
+        const Addr seq = bpc + kInstBytes;
         bool taken = false;
         Addr target = seq;
 
-        switch (si.btype) {
+        switch (metaBranchType(meta[j])) {
           case BranchType::CondDirect:
             if (walk_.condsLeft > 0) {
                 taken = walk_.dirBits & 1;
@@ -237,25 +203,23 @@ TraceFetchEngine::walkStep(Cycle now, unsigned max_insts,
             }
             specHist_.push(taken);
             if (taken)
-                target = image_->takenTarget(walk_.pc);
+                target = image_->takenTarget(bpc);
             break;
           case BranchType::Jump:
             taken = true;
-            target = image_->takenTarget(walk_.pc);
+            target = image_->takenTarget(bpc);
             break;
           case BranchType::Call:
             taken = true;
-            target = image_->takenTarget(walk_.pc);
+            target = image_->takenTarget(bpc);
             ras_.push(seq);
             break;
-          case BranchType::Return: {
-            Addr t = ras_.pop();
+          case BranchType::Return:
             taken = true;
-            target = (t != kNoAddr && image_->contains(t)) ? t : seq;
+            target = predictReturn(ras_, *image_, seq);
             break;
-          }
           case BranchType::IndirectJump: {
-            BtbEntry e = btb_.lookup(walk_.pc);
+            BtbEntry e = btb_.lookup(bpc);
             taken = e.hit && image_->contains(e.target);
             target = taken ? e.target : seq;
             break;
@@ -263,13 +227,17 @@ TraceFetchEngine::walkStep(Cycle now, unsigned max_insts,
           default:
             break;
         }
-
-        walk_.pc = target;
-        if (walk_.instsLeft == 0)
+        if (taken) {
+            // One taken branch per cycle through the i-cache.
+            len = j + 1;
+            next = target;
             break;
-        if (taken)
-            break; // one taken branch per cycle through the i-cache
+        }
     }
+    out.push(start, len, walk_.token);
+    instsFromIcache_ += len;
+    walk_.instsLeft -= len;
+    walk_.pc = next;
 
     if (walk_.instsLeft == 0) {
         // Predicted trace fully fetched: resume trace sequencing.
@@ -286,27 +254,20 @@ void
 TraceFetchEngine::emitTrace(unsigned max_insts,
                             FetchBundle &out)
 {
-    // Branch positions were latched into emitBranchMask_ alongside
-    // the queue, so emission is a straight copy: pc from the queue,
-    // token from the mask, no image lookups.
-    const unsigned left =
-        static_cast<unsigned>(emitQueue_.size()) - emitPos_;
-    const unsigned n = std::min(max_insts, left);
-    const Addr *pcs = emitQueue_.data() + emitPos_;
-    const std::uint64_t bm = emitBranchMask_ >> emitPos_;
-    for (unsigned i = 0; i < n; ++i) {
-        FetchedInst fi;
-        fi.pc = pcs[i];
-        if ((bm >> i) & 1u)
-            fi.token = emitToken_;
-        out.push_back(fi);
+    // The latched segments are the runs: each cycle emits up to
+    // max_insts from their front, cutting the segments in place.
+    unsigned room = max_insts;
+    while (room > 0 && emitSeg_ < emitSegs_.size()) {
+        TraceSegment &seg = emitSegs_[emitSeg_];
+        const std::uint32_t n = std::min<std::uint32_t>(room, seg.lenInsts);
+        out.push(seg.start, n, emitToken_);
+        seg.start += instsToBytes(n);
+        seg.lenInsts -= n;
+        room -= n;
+        if (seg.lenInsts == 0)
+            ++emitSeg_;
     }
-    emitPos_ += n;
-    instsFromTrace_ += n;
-    if (emitPos_ >= emitQueue_.size()) {
-        emitQueue_.clear();
-        emitPos_ = 0;
-    }
+    instsFromTrace_ += max_insts - room;
 }
 
 void
@@ -321,71 +282,71 @@ TraceFetchEngine::secondaryFetch(Cycle now, unsigned max_insts,
     if (avail == 0)
         return;
 
-    unsigned n = std::min(avail, max_insts);
+    const Addr start = fetchAddr_;
+    const unsigned n = std::min(
+        {avail, max_insts,
+         static_cast<unsigned>((image_->endAddr() - start) /
+                               kInstBytes)});
     std::uint64_t token = checkpoints_.put(
         EngineCheckpoint{ras_.save(), specHist_.value()});
 
-    for (unsigned i = 0; i < n; ++i) {
-        const StaticInst si = image_->inst(fetchAddr_);
-        FetchedInst fi;
-        fi.pc = fetchAddr_;
-        if (si.isBranch())
-            fi.token = token;
-        out.push_back(fi);
-        ++instsFromIcache_;
-
-        if (!si.isBranch()) {
-            fetchAddr_ += kInstBytes;
-            continue;
-        }
-
-        Addr seq = fetchAddr_ + kInstBytes;
+    // One fetch block per cycle: up to the first predicted-taken
+    // branch, found by a meta scan.
+    const std::uint8_t *meta = image_->meta() +
+        (start - image_->baseAddr()) / kInstBytes;
+    unsigned len = n;
+    Addr next = start + instsToBytes(n);
+    for (std::uint32_t bmask = simd::maskTestU8(meta, n, kMetaBranchBits);
+         bmask; bmask &= bmask - 1) {
+        const unsigned j = simd::bottomBit(bmask);
+        const Addr bpc = start + instsToBytes(j);
+        const Addr seq = bpc + kInstBytes;
         bool taken = false;
         Addr target = seq;
 
-        switch (si.btype) {
+        switch (metaBranchType(meta[j])) {
           case BranchType::CondDirect: {
-            bool dir = gshare_.predict(fetchAddr_, specHist_.value());
+            bool dir = gshare_.predict(bpc, specHist_.value());
             specHist_.push(dir);
             if (dir) {
                 taken = true;
-                target = image_->takenTarget(fetchAddr_);
+                target = image_->takenTarget(bpc);
             }
             break;
           }
           case BranchType::Jump:
             taken = true;
-            target = image_->takenTarget(fetchAddr_);
+            target = image_->takenTarget(bpc);
             break;
           case BranchType::Call:
             taken = true;
-            target = image_->takenTarget(fetchAddr_);
+            target = image_->takenTarget(bpc);
             ras_.push(seq);
             break;
-          case BranchType::Return: {
-            Addr t = ras_.pop();
+          case BranchType::Return:
             taken = true;
-            target = (t != kNoAddr && image_->contains(t)) ? t : seq;
+            target = predictReturn(ras_, *image_, seq);
             break;
-          }
           case BranchType::IndirectJump: {
-            BtbEntry e = btb_.lookup(fetchAddr_);
+            BtbEntry e = btb_.lookup(bpc);
             if (e.hit && image_->contains(e.target)) {
                 taken = true;
                 target = e.target;
-            } else {
-                target = seq;
             }
             break;
           }
           default:
             break;
         }
-
-        fetchAddr_ = target;
-        if (taken)
-            break; // one fetch block per cycle on the secondary path
+        if (taken) {
+            len = j + 1;
+            next = target;
+            break;
+        }
     }
+    out.push(start, len, token);
+    instsFromIcache_ += len;
+    fetchAddr_ = next;
 }
 
 void
@@ -394,7 +355,7 @@ TraceFetchEngine::fetchCycle(Cycle now, unsigned max_insts,
 {
     // Drain a previously latched wide trace first; predictor and
     // trace cache stall while it feeds the pipeline (footnote 2).
-    if (emitPos_ < emitQueue_.size()) {
+    if (emitSeg_ < emitSegs_.size()) {
         emitTrace(max_insts, out);
         return;
     }
@@ -435,8 +396,8 @@ TraceFetchEngine::redirect(const ResolvedBranch &rb)
     else if (rb.type == BranchType::Return)
         ras_.pop();
 
-    emitQueue_.clear();
-    emitPos_ = 0;
+    emitSegs_.clear();
+    emitSeg_ = 0;
     walk_.active = false;
     fetchAddr_ = rb.target;
     fill_->onMispredict();
@@ -452,31 +413,6 @@ TraceFetchEngine::trainCommit(const CommittedBranch &cb)
     } else if (cb.type == BranchType::IndirectJump) {
         btb_.update(cb.pc, cb.target, cb.type);
     }
-}
-
-void
-TraceFetchEngine::reset(Addr start)
-{
-    fetchAddr_ = start;
-    emitQueue_.clear();
-    emitPos_ = 0;
-    emitToken_ = 0;
-    walk_ = PredWalk{};
-    specHist_.clear();
-    commitHist_.clear();
-    fill_->reset(start);
-    reader_.reset();
-    // Engine-owned counters restart with the run, matching the
-    // reader and fill unit: stats() after reset(start) describes
-    // only the current run. Learned predictor state (trace cache,
-    // NTP, gshare, BTB, RAS) persists, exactly like the other
-    // engines' tables.
-    traceHits_ = 0;
-    traceMisses_ = 0;
-    partialHits_ = 0;
-    secondaryCycles_ = 0;
-    instsFromTrace_ = 0;
-    instsFromIcache_ = 0;
 }
 
 StatSet

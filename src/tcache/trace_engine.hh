@@ -101,18 +101,10 @@ class TraceFetchEngine : public FetchEngine
     TraceFetchEngine(const TraceEngineConfig &cfg,
                      const CodeImage &image, MemoryHierarchy *mem);
 
-    /**
-     * Hard bound on instructions per latched trace (the inline emit
-     * queue's capacity). FillUnitConfig.maxInsts must not exceed it;
-     * the constructor enforces this.
-     */
-    static constexpr unsigned kMaxEmitInsts = 64;
-
     void fetchCycle(Cycle now, unsigned max_insts,
                     FetchBundle &out) override;
     void redirect(const ResolvedBranch &rb) override;
     void trainCommit(const CommittedBranch &cb) override;
-    void reset(Addr start) override;
     std::string name() const override { return "Tcache+Tpred"; }
     StatSet stats() const override;
 
@@ -148,6 +140,9 @@ class TraceFetchEngine : public FetchEngine
     /** Drain the latched trace into @p out. */
     void emitTrace(unsigned max_insts, FetchBundle &out);
 
+    /** Address after the last latched instruction. */
+    Addr latchedEnd() const;
+
     TraceEngineConfig cfg_;
     const CodeImage *image_;
     ICacheReader reader_;
@@ -164,20 +159,14 @@ class TraceFetchEngine : public FetchEngine
     Addr fetchAddr_ = kNoAddr;
 
     /**
-     * Latched trace being drained (pc list) and its token. Inline
-     * storage: latching a trace is a bounded copy, never a heap
-     * allocation.
+     * Latched trace being drained: a copy of its segments (the cache
+     * may replace the trace meanwhile; the copy is inline, never a
+     * heap allocation), each cut down in place as it drains, the
+     * next one to emit, and the token of every branch in them.
      */
-    InlineVec<Addr, kMaxEmitInsts> emitQueue_;
-    unsigned emitPos_ = 0;
+    InlineVec<TraceSegment, TraceDescriptor::kMaxSegments> emitSegs_;
+    unsigned emitSeg_ = 0;
     std::uint64_t emitToken_ = 0;
-    /**
-     * Bit i set => emitQueue_[i] is a branch (gets emitToken_).
-     * Computed when the trace is latched so emission itself does no
-     * image lookups; kMaxEmitInsts <= 64 keeps it one word (checked
-     * in the constructor).
-     */
-    std::uint64_t emitBranchMask_ = 0;
 
     /** In-progress predicted-trace walk (trace cache miss). */
     struct PredWalk

@@ -2,7 +2,7 @@
  * @file
  * InlineVec: a fixed-capacity vector whose storage lives inside the
  * object, for hot-loop values with a small hardware-imposed bound
- * (trace segments, emit queues). Unlike std::vector, copying or
+ * (trace segments, a latched trace). Unlike std::vector, copying or
  * clearing one never touches the heap, so structures that embed it
  * (TraceDescriptor, trace cache ways) are assignable with a plain
  * member-wise copy on the simulate-one-cycle path. The capacity is a

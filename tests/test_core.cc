@@ -363,6 +363,25 @@ struct StreamFixture
     }
 };
 
+/** Append the pcs of a bundle's runs to @p pcs. */
+void
+appendPcs(const FetchBundle &out, std::vector<Addr> &pcs)
+{
+    for (const FetchRun &r : out)
+        for (std::uint32_t i = 0; i < r.len; ++i)
+            pcs.push_back(r.start + instsToBytes(i));
+}
+
+/** Point fetch at @p pc the way the processor does (see test_fetch). */
+void
+fetchFrom(FetchEngine &e, Addr pc)
+{
+    ResolvedBranch rb;
+    rb.type = BranchType::None;
+    rb.target = pc;
+    e.redirect(rb);
+}
+
 } // namespace
 
 TEST(StreamEngine, SequentialFallbackFromColdPredictor)
@@ -372,10 +391,9 @@ TEST(StreamEngine, SequentialFallbackFromColdPredictor)
     FetchBundle out;
     for (Cycle t = 1; t < 40 && out.empty(); ++t)
         e.fetchCycle(t, 8, out);
-    ASSERT_GE(out.size(), 1u);
-    EXPECT_EQ(out[0].pc, f.img->entryAddr());
-    for (std::size_t i = 1; i < out.size(); ++i)
-        EXPECT_EQ(out[i].pc, out[i - 1].pc + kInstBytes);
+    // One sequential run per cycle, from the entry.
+    ASSERT_EQ(out.numRuns(), 1u);
+    EXPECT_EQ(out.run(0).start, f.img->entryAddr());
 }
 
 TEST(StreamEngine, PredictedStreamDrivesFetch)
@@ -398,20 +416,20 @@ TEST(StreamEngine, PredictedStreamDrivesFetch)
         tk.target = f.img->entryAddr();
         e.trainCommit(tk);
     }
-    e.reset(f.img->entryAddr());
+    fetchFrom(e, f.img->entryAddr());
 
     // The whole 15-inst stream should be fetched across cycles with
     // contiguous pcs, then wrap to the entry again (next stream).
-    std::vector<FetchedInst> all;
+    std::vector<Addr> all;
     for (Cycle t = 10; t < 60 && all.size() < 16; ++t) {
         FetchBundle out;
         e.fetchCycle(t, 8, out);
-        all.insert(all.end(), out.begin(), out.end());
+        appendPcs(out, all);
     }
     ASSERT_GE(all.size(), 16u);
     for (unsigned i = 0; i < 15; ++i)
-        EXPECT_EQ(all[i].pc, f.img->entryAddr() + instsToBytes(i));
-    EXPECT_EQ(all[15].pc, f.img->entryAddr()); // next stream start
+        EXPECT_EQ(all[i], f.img->entryAddr() + instsToBytes(i));
+    EXPECT_EQ(all[15], f.img->entryAddr()); // next stream start
     EXPECT_GT(e.predictor().stats().get("nsp.lookups"), 0.0);
 }
 
@@ -429,7 +447,7 @@ TEST(StreamEngine, RedirectStartsPartialStream)
     for (Cycle t = 1; t < 40 && out.empty(); ++t)
         e.fetchCycle(t, 8, out);
     ASSERT_GE(out.size(), 1u);
-    EXPECT_EQ(out[0].pc, f.img->blockAddr(2));
+    EXPECT_EQ(out.run(0).start, f.img->blockAddr(2));
 }
 
 TEST(StreamEngine, StatsExposeStreamLengths)

@@ -97,7 +97,8 @@ TEST(SteadyStateAllocations, FtbEngineHotLoopIsAllocationFree)
 // The trace-cache path used to allocate per trace built (segment
 // vectors in the fill unit's in-progress descriptor and in the cache
 // ways, ~0.7 allocations/cycle): the inline-storage TraceDescriptor
-// and emit queue make it as allocation-free as the stream path.
+// and the inline copy of a latched trace's segments make it as
+// allocation-free as the stream path.
 TEST(SteadyStateAllocations, TraceEngineHotLoopIsAllocationFree)
 {
     expectSteadyStateAllocFree("trace");

@@ -15,7 +15,9 @@
 #include "bpred/perceptron.hh"
 #include "layout/layout_opt.hh"
 #include "layout/oracle.hh"
+#include "pipeline/processor.hh"
 #include "sim/experiment.hh"
+#include "sim/workload_cache.hh"
 #include "workload/suite.hh"
 
 using namespace sfetch;
@@ -234,6 +236,133 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto &info) {
         return std::string(std::get<0>(info.param)) + "_w" +
                std::to_string(std::get<1>(info.param));
+    });
+
+// ---- bundle shape: every engine delivers well-formed runs ----
+
+namespace
+{
+
+/**
+ * A FetchEngine decorator: forwards everything to the real engine
+ * and checks the shape of every bundle it delivers to the processor.
+ */
+class BundleShapeChecker : public FetchEngine
+{
+  public:
+    BundleShapeChecker(FetchEngine &inner, const CodeImage &image,
+                       unsigned line_bytes, bool one_run_per_cycle,
+                       bool reads_whole_lines)
+        : inner_(inner), image_(image), lineBytes_(line_bytes),
+          oneRun_(one_run_per_cycle), wholeLines_(reads_whole_lines)
+    {}
+
+    void
+    fetchCycle(Cycle now, unsigned max_insts, FetchBundle &out) override
+    {
+        inner_.fetchCycle(now, max_insts, out);
+        unsigned sum = 0;
+        for (const FetchRun &r : out) {
+            sum += r.len;
+            if (r.len < 1)
+                fail(now, "empty run");
+            if (!image_.contains(r.start))
+                fail(now, "run starts outside the image");
+            const Addr last = r.start + instsToBytes(r.len - 1);
+            // seq reads whole lines, so a line that straddles the
+            // image end is delivered past it; every other engine
+            // stops at the image end.
+            const Addr line_end =
+                (r.start & ~Addr(lineBytes_ - 1)) + lineBytes_;
+            if (wholeLines_ ? last >= line_end : !image_.contains(last))
+                fail(now, "run ends outside the image");
+        }
+        if (sum != out.size())
+            fail(now, "run lengths do not sum to the bundle size");
+        if (out.size() > max_insts)
+            fail(now, "bundle larger than the ask");
+        if (oneRun_ && out.numRuns() > 1)
+            fail(now, "more than one run in a cycle");
+        insts_ += out.size();
+    }
+
+    void redirect(const ResolvedBranch &rb) override { inner_.redirect(rb); }
+    void
+    trainCommit(const CommittedBranch &cb) override
+    {
+        inner_.trainCommit(cb);
+    }
+    std::string name() const override { return inner_.name(); }
+    StatSet stats() const override { return inner_.stats(); }
+
+    std::uint64_t violations() const { return violations_; }
+    const std::string &firstViolation() const { return first_; }
+    std::uint64_t insts() const { return insts_; }
+
+  private:
+    void
+    fail(Cycle now, const char *what)
+    {
+        if (violations_++ == 0)
+            first_ = std::string(what) + " at cycle " +
+                std::to_string(now);
+    }
+
+    FetchEngine &inner_;
+    const CodeImage &image_;
+    unsigned lineBytes_;
+    bool oneRun_;
+    bool wholeLines_;
+    std::uint64_t violations_ = 0;
+    std::string first_;
+    std::uint64_t insts_ = 0;
+};
+
+} // namespace
+
+class BundleShape
+    : public ::testing::TestWithParam<std::tuple<const char *, const char *>>
+{};
+
+TEST_P(BundleShape, EveryBundleIsWellFormedRuns)
+{
+    auto [family, arch] = GetParam();
+    const std::string a = arch;
+    const PlacedWorkload &work = WorkloadCache::instance().get(family);
+    for (unsigned width : {4u, 8u}) {
+        for (bool opt : {false, true}) {
+            SimConfig cfg(arch);
+            cfg.width = width;
+            const CodeImage &image = work.image(opt);
+            MemoryConfig mc;
+            mc.l1i.lineBytes = cfg.lineBytes();
+            MemoryHierarchy mem(mc);
+            auto engine = cfg.makeEngine(image, &mem);
+            BundleShapeChecker chk(
+                *engine, image, cfg.lineBytes(),
+                a == "ftb" || a == "stream" || a == "seq", a == "seq");
+            ProcessorConfig pc;
+            pc.width = width;
+            Processor proc(pc, &chk, image, work.model(), &mem,
+                           kRefSeed);
+            proc.run(50'000, 10'000);
+            EXPECT_EQ(chk.violations(), 0u)
+                << "width " << width << (opt ? " opt: " : " base: ")
+                << chk.firstViolation();
+            EXPECT_GE(chk.insts(), 60'000u);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, BundleShape,
+    ::testing::Combine(::testing::Values("synth", "loops", "server",
+                                         "thrash", "phased"),
+                       ::testing::Values("ev8", "ftb", "stream",
+                                         "trace", "seq")),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param)) + "_" +
+               std::get<1>(info.param);
     });
 
 // ---- layout quality across the whole suite ----

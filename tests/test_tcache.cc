@@ -139,49 +139,6 @@ TEST(FillUnit, MergesContiguousRuns)
     EXPECT_EQ(traces[0].totalInsts, 5u);
 }
 
-/**
- * Regression: an in-progress (interrupted) fill must be discarded by
- * reset() — its accumulated segments must not leak into the first
- * trace completed after the reset, and the statistics must restart.
- */
-TEST(FillUnit, ResetDiscardsInterruptedFill)
-{
-    std::vector<TraceDescriptor> traces;
-    TraceFillUnit fu(0x1000, FillUnitConfig{},
-                     [&](const TraceDescriptor &t, bool) {
-                         traces.push_back(t);
-                     });
-    // Accumulate a partial trace: one not-taken cond plus a taken
-    // branch starting a second segment, but no completion yet.
-    fu.onBranch(branch(0x1004, false, 0));
-    fu.onBranch(branch(0x100C, true, 0x3000));
-    EXPECT_TRUE(traces.empty());
-
-    // Complete one trace so built_ and the length histogram are
-    // nonzero, then interrupt another fill.
-    fu.onBranch(branch(0x3008, true, 0x5000, BranchType::Return));
-    ASSERT_EQ(traces.size(), 1u);
-    EXPECT_EQ(fu.tracesBuilt(), 1u);
-    fu.onBranch(branch(0x5004, false, 0)); // pending, incomplete
-    fu.onMispredict();                     // pending hint too
-
-    fu.reset(0x9000);
-    EXPECT_EQ(fu.tracesBuilt(), 0u);
-    EXPECT_EQ(fu.lengthHistogram().count(), 0u);
-
-    // The first trace completed after the reset must contain only
-    // post-reset instructions, starting at the reset address.
-    traces.clear();
-    fu.onBranch(branch(0x9004, true, 0xa000, BranchType::Return));
-    ASSERT_EQ(traces.size(), 1u);
-    EXPECT_EQ(traces[0].start, 0x9000u);
-    EXPECT_EQ(traces[0].totalInsts, 2u);
-    ASSERT_EQ(traces[0].segments.size(), 1u);
-    EXPECT_EQ(traces[0].segments[0].start, 0x9000u);
-    EXPECT_EQ(traces[0].numCond, 0u); // pre-reset cond not leaked
-    EXPECT_EQ(fu.tracesBuilt(), 1u);
-}
-
 // The segment bound is a configuration contract now that segment
 // storage is inline: exceeding it must fail loudly at construction,
 // not truncate traces silently.
@@ -331,6 +288,25 @@ struct TraceFixture
     }
 };
 
+/** Append the pcs of a bundle's runs to @p pcs. */
+void
+appendPcs(const FetchBundle &out, std::vector<Addr> &pcs)
+{
+    for (const FetchRun &r : out)
+        for (std::uint32_t i = 0; i < r.len; ++i)
+            pcs.push_back(r.start + instsToBytes(i));
+}
+
+/** Point fetch at @p pc the way the processor does (see test_fetch). */
+void
+fetchFrom(FetchEngine &e, Addr pc)
+{
+    ResolvedBranch rb;
+    rb.type = BranchType::None;
+    rb.target = pc;
+    e.redirect(rb);
+}
+
 } // namespace
 
 TEST(TraceEngine, SecondaryPathFetchesColdCode)
@@ -341,7 +317,7 @@ TEST(TraceEngine, SecondaryPathFetchesColdCode)
     for (Cycle t = 1; t < 40 && out.empty(); ++t)
         e.fetchCycle(t, 8, out);
     ASSERT_GE(out.size(), 1u);
-    EXPECT_EQ(out[0].pc, f.img->entryAddr());
+    EXPECT_EQ(out.run(0).start, f.img->entryAddr());
 }
 
 TEST(TraceEngine, CommittedTracePredictsAndEmits)
@@ -359,72 +335,21 @@ TEST(TraceEngine, CommittedTracePredictsAndEmits)
     }
     EXPECT_GT(e.traceCache().inserts(), 0u);
 
-    e.reset(f.img->entryAddr());
+    fetchFrom(e, f.img->entryAddr());
     // First fetch cycle should now hit the trace path and emit the
     // non-sequential pc sequence b0[0..3], b2[0..3].
-    std::vector<FetchedInst> all;
+    std::vector<Addr> all;
     for (Cycle t = 50; t < 90 && all.size() < 8; ++t) {
         FetchBundle out;
         e.fetchCycle(t, 8, out);
-        all.insert(all.end(), out.begin(), out.end());
+        appendPcs(out, all);
     }
     ASSERT_GE(all.size(), 8u);
-    EXPECT_EQ(all[0].pc, f.img->blockAddr(0));
-    EXPECT_EQ(all[3].pc, cond_pc);
-    EXPECT_EQ(all[4].pc, f.img->blockAddr(2)); // crossed taken branch
+    EXPECT_EQ(all[0], f.img->blockAddr(0));
+    EXPECT_EQ(all[3], cond_pc);
+    EXPECT_EQ(all[4], f.img->blockAddr(2)); // crossed taken branch
     StatSet s = e.stats();
     EXPECT_GT(s.get("tc.trace_hits") + s.get("tc.trace_misses"), 0.0);
-}
-
-/**
- * Regression: reset(start) must drop a latched (partially drained)
- * trace — the next fetch starts at the reset address, not with
- * leftover emit-queue pcs — and the engine-owned stats counters
- * restart with the run.
- */
-TEST(TraceEngine, ResetDropsLatchedTraceAndRestartsStats)
-{
-    TraceFixture f;
-    TraceFetchEngine e(f.cfg, *f.img, f.mem.get());
-    // Train a non-sequential trace (as in
-    // CommittedTracePredictsAndEmits) so the trace path latches it.
-    Addr cond_pc = f.img->blockAddr(0) + instsToBytes(3);
-    Addr jump_pc = f.img->blockAddr(2) + instsToBytes(3);
-    for (int i = 0; i < 6; ++i) {
-        e.trainCommit(branch(cond_pc, true, f.img->blockAddr(2)));
-        e.trainCommit(branch(jump_pc, true, f.img->entryAddr(),
-                             BranchType::Jump));
-    }
-    e.reset(f.img->entryAddr());
-
-    // Latch the trace but drain only part of it (width 2 of 8).
-    FetchBundle out;
-    Cycle t = 50;
-    for (; t < 90; ++t) {
-        out.clear();
-        e.fetchCycle(t, 2, out);
-        if (!out.empty() && e.stats().get("tc.trace_hits") > 0)
-            break;
-    }
-    ASSERT_FALSE(out.empty());
-
-    // Reset mid-drain: the remaining emit-queue entries must be
-    // discarded, and fetch must restart from the reset address.
-    e.reset(f.img->blockAddr(1));
-    StatSet s = e.stats();
-    EXPECT_EQ(s.get("tc.trace_hits"), 0.0);
-    EXPECT_EQ(s.get("tc.trace_misses"), 0.0);
-    EXPECT_EQ(s.get("tc.secondary_cycles"), 0.0);
-    EXPECT_EQ(s.get("tc.insts_from_trace"), 0.0);
-    EXPECT_EQ(s.get("tc.insts_from_icache"), 0.0);
-    EXPECT_EQ(s.get("tc.traces_built"), 0.0);
-    EXPECT_EQ(s.get("tc.icache_misses"), 0.0);
-
-    out.clear();
-    for (t += 1; t < 200 && out.empty(); ++t)
-        e.fetchCycle(t, 8, out);
-    ASSERT_FALSE(out.empty());
-    EXPECT_EQ(out[0].pc, f.img->blockAddr(1));
 }
 
 TEST(TraceEngine, RedirectClearsLatchedTrace)
@@ -441,7 +366,7 @@ TEST(TraceEngine, RedirectClearsLatchedTrace)
     for (Cycle t = 2; t < 40 && out.empty(); ++t)
         e.fetchCycle(t, 8, out);
     ASSERT_GE(out.size(), 1u);
-    EXPECT_EQ(out[0].pc, f.img->blockAddr(1));
+    EXPECT_EQ(out.run(0).start, f.img->blockAddr(1));
 }
 
 // ---- partial matching ----
@@ -487,12 +412,12 @@ TEST(TraceEngine, PartialMatchingServesPrefix)
         e.trainCommit(branch(jump_pc, true, f.img->entryAddr(),
                              BranchType::Jump));
     }
-    e.reset(f.img->entryAddr());
+    fetchFrom(e, f.img->entryAddr());
     FetchBundle out;
     for (Cycle t = 100; t < 140 && out.empty(); ++t)
         e.fetchCycle(t, 8, out);
     ASSERT_GE(out.size(), 1u);
-    EXPECT_EQ(out[0].pc, f.img->entryAddr());
+    EXPECT_EQ(out.run(0).start, f.img->entryAddr());
     // Engine stats expose whether the partial path was used at all;
     // with or without it, fetch must remain on a legal pc chain.
     StatSet s = e.stats();
