@@ -267,3 +267,68 @@ TEST(Experiment, WidthScalingIsMonotoneForStreams)
     }
     EXPECT_GT(prev, 1.0);
 }
+
+/**
+ * Table 1 pinned: the fetch-unit histograms of 100K committed
+ * instructions on three workload shapes and both layouts, recorded
+ * while Table 1 still walked OracleStream one instruction at a time.
+ * Each unit keeps its sample count, sum, p50, p90 and max, so any
+ * change in how the committed path is read moves one of them.
+ */
+TEST(Experiment, Table1FetchUnitsMatchTheGolden)
+{
+    struct Unit
+    {
+        std::uint64_t count, sum, p50, p90, max;
+    };
+    struct Row
+    {
+        const char *bench;
+        bool optimized;
+        Unit units[3]; //!< basic block, trace, stream
+    };
+    const Row golden[] = {
+        {"gzip", false,
+         {{11831u, 99992u, 9u, 12u, 40u},
+          {6321u, 99979u, 16u, 16u, 16u},
+          {11470u, 99992u, 9u, 12u, 60u}}},
+        {"gzip", true,
+         {{11835u, 99996u, 9u, 12u, 40u},
+          {6321u, 99983u, 16u, 16u, 16u},
+          {8070u, 99992u, 9u, 16u, 63u}}},
+        {"server", false,
+         {{16053u, 99997u, 4u, 12u, 12u},
+          {9547u, 99993u, 12u, 16u, 16u},
+          {14058u, 99993u, 4u, 12u, 20u}}},
+        {"server", true,
+         {{15827u, 99998u, 4u, 12u, 12u},
+          {9573u, 99998u, 12u, 16u, 16u},
+          {12664u, 99998u, 8u, 12u, 20u}}},
+        {"loops", false,
+         {{7709u, 100000u, 15u, 18u, 18u},
+          {6283u, 99998u, 16u, 16u, 16u},
+          {7174u, 100000u, 15u, 18u, 35u}}},
+        {"loops", true,
+         {{7765u, 99993u, 15u, 18u, 18u},
+          {6280u, 99980u, 16u, 16u, 16u},
+          {5929u, 99993u, 15u, 23u, 31u}}},
+    };
+    const char *names[] = {"basic block", "trace", "stream"};
+    for (const Row &row : golden) {
+        const PlacedWorkload &w = WorkloadCache::instance().get(row.bench);
+        const FetchUnitSizes got =
+            measureFetchUnits(w, row.optimized, 100'000);
+        const Histogram *hist[] = {&got.basicBlock, &got.trace,
+                                   &got.stream};
+        for (int u = 0; u < 3; ++u) {
+            SCOPED_TRACE(std::string(row.bench) +
+                         (row.optimized ? " opt " : " base ") + names[u]);
+            const Unit &want = row.units[u];
+            EXPECT_EQ(hist[u]->count(), want.count);
+            EXPECT_EQ(hist[u]->sum(), want.sum);
+            EXPECT_EQ(hist[u]->percentile(0.5), want.p50);
+            EXPECT_EQ(hist[u]->percentile(0.9), want.p90);
+            EXPECT_EQ(hist[u]->maxValue(), want.max);
+        }
+    }
+}
