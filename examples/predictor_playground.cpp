@@ -18,7 +18,7 @@
 #include "bpred/history.hh"
 #include "bpred/gskew.hh"
 #include "bpred/perceptron.hh"
-#include "layout/oracle.hh"
+#include "layout/oracle_arena.hh"
 #include "sim/cli.hh"
 #include "sim/workload_cache.hh"
 #include "util/table.hh"
@@ -71,19 +71,21 @@ run(int argc, char **argv)
     add("2bcgskew", std::make_unique<GskewPredictor>());
     add("perceptron", std::make_unique<PerceptronPredictor>());
 
-    OracleStream oracle(image, work.model(), kRefSeed);
+    RunWalker walk(image, work.model(), kRefSeed);
     std::uint64_t branches = 0;
-    for (InstCount i = 0; i < opts.insts; ++i) {
-        OracleInst oi = oracle.next();
-        if (oi.btype != BranchType::CondDirect)
+    PathRun run;
+    for (InstCount i = 0; i < opts.insts && walk.next(run, opts.insts - i);
+         i += run.len) {
+        const CommittedBranch &br = run.branch;
+        if (br.type != BranchType::CondDirect)
             continue;
         ++branches;
         for (auto &e : preds) {
-            bool p = e.pred->predict(oi.pc, e.hist.value());
-            if (p != oi.taken)
+            bool p = e.pred->predict(br.pc, e.hist.value());
+            if (p != br.taken)
                 ++e.mispredicts;
-            e.pred->update(oi.pc, e.hist.value(), oi.taken);
-            e.hist.push(oi.taken);
+            e.pred->update(br.pc, e.hist.value(), br.taken);
+            e.hist.push(br.taken);
         }
     }
 

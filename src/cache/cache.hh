@@ -266,7 +266,6 @@ class MemoryHierarchy
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
-    Cache &l1iMutable() { return l1i_; }
     const MemoryConfig &config() const { return cfg_; }
 
     void

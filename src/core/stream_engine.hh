@@ -88,7 +88,6 @@ class StreamFetchEngine : public FetchEngine
 
     /** Direct access for tests and ablation benches. */
     const NextStreamPredictor &predictor() const { return nsp_; }
-    const StreamBuilder &builder() const { return *builder_; }
 
   private:
     void predictStep();

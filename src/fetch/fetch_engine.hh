@@ -139,15 +139,6 @@ struct ResolvedBranch
     std::uint64_t token = 0;    //!< engine token of the branch
 };
 
-/** Commit-time information about a retired branch. */
-struct CommittedBranch
-{
-    Addr pc = kNoAddr;
-    BranchType type = BranchType::None;
-    bool taken = false;
-    Addr target = kNoAddr;      //!< actual successor PC
-};
-
 /** Common interface of all front ends. */
 class FetchEngine
 {

@@ -58,6 +58,15 @@ isControl(BranchType t)
     return t != BranchType::None;
 }
 
+/** A branch on the committed path, as commit and a path walk see it. */
+struct CommittedBranch
+{
+    Addr pc = kNoAddr;
+    BranchType type = BranchType::None;
+    bool taken = false;
+    Addr target = kNoAddr;      //!< actual successor PC
+};
+
 /** Printable name of an instruction class. */
 std::string toString(InstClass c);
 

@@ -71,9 +71,6 @@ class Program
     /** Total static instruction count. */
     InstCount staticInsts() const { return static_insts_; }
 
-    /** Static code footprint in bytes (excluding layout stubs). */
-    Addr footprintBytes() const { return instsToBytes(static_insts_); }
-
     /**
      * Validate CFG invariants (successor ids in range, successor
      * kinds consistent with branch types, inst vectors sized, the

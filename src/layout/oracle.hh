@@ -5,9 +5,9 @@
  * CodeImage (addresses, taken/not-taken directions after layout
  * polarization, stub jumps, return addresses). This is the
  * architectural path the processor model retires; the fetch engines
- * race ahead of it speculatively. The processor never reads it
- * directly: OracleDecoder (layout/oracle_arena.hh) stream-encodes it,
- * and each run's window expands that encoding for the pipeline.
+ * race ahead of it speculatively. Only OracleDecoder, which
+ * stream-encodes it, and the tests, their reference, read it; all
+ * else walks the encoding through a RunWalker (layout/oracle_arena.hh).
  */
 
 #ifndef SFETCH_LAYOUT_ORACLE_HH

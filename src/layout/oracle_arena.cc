@@ -20,18 +20,11 @@ namespace
 /** Process-wide resident-arena byte counter (see liveBytes()). */
 std::atomic<std::size_t> g_liveArenaBytes{0};
 
-/** Instructions a window's private decoder encodes per chunk. */
-constexpr std::size_t kChunkInsts = 1024;
-
-/** True for the meta byte of a load or a store. */
-bool
-isMemMeta(std::uint8_t mb)
-{
-    static_assert(static_cast<unsigned>(InstClass::Load) == 2 &&
-                      static_cast<unsigned>(InstClass::Store) == 3,
-                  "loads and stores share the class bits 01x");
-    return (mb & 0x06) == 0x02;
-}
+/** A meta byte m is a load's or a store's when (m & sel) == eq. */
+constexpr std::uint8_t kMemMetaSel = 0x06, kMemMetaEq = 0x02;
+static_assert(static_cast<unsigned>(InstClass::Load) == 2 &&
+                  static_cast<unsigned>(InstClass::Store) == 3,
+              "loads and stores share the class bits 01x");
 
 /** Largest offset the stream encoding stores. */
 constexpr Addr kMaxOffset = 0xffffffffULL;
@@ -149,7 +142,7 @@ OracleDecoder::decode(OracleStreams &out, std::size_t n)
         if (oi.nextPc != expect || oi.taken != taken)
             refuse("successor disagrees with the image");
         next_ = oi.nextPc;
-        accesses += isMemMeta(mb);
+        accesses += (mb & kMemMetaSel) == kMemMetaEq;
     }
     out.insts += n;
     out.accesses += accesses;
@@ -286,122 +279,119 @@ OracleArena::bytes() const
     return controlBytes() + data_->bytes();
 }
 
-OracleWindow::OracleWindow(const CodeImage &image,
-                           std::size_t capacity)
-    : image_(&image), capacity_(capacity), pcOff_(capacity + 1),
-      meta_(capacity)
+RunWalker::RunWalker(const CodeImage &image, const OracleArena *arena)
+    : image_(&image), meta_(image.meta()), arena_(arena),
+      next_(static_cast<std::uint32_t>(image.entryAddr() -
+                                       image.baseAddr())),
+      block_(next_ / kInstBytes),
+      mask_(simd::maskTestU8(meta_ + block_, 32, kMetaBranchBits))
+{}
+
+RunWalker::RunWalker(const OracleArena &arena)
+    : RunWalker(*arena.image(), &arena)
+{}
+
+RunWalker::RunWalker(const CodeImage &image, const WorkloadModel &model,
+                     std::uint64_t seed)
+    : RunWalker(image, nullptr)
 {
-    // Data accesses never outnumber the instructions held, so this
-    // one reservation covers every refill.
-    dataOff_.reserve(capacity);
-    view_.base = image.baseAddr();
-    view_.pcOff = pcOff_.data();
-    view_.meta = meta_.data();
-    // The successor entry of an empty window: where the path starts.
-    pcOff_[0] = static_cast<std::uint32_t>(image.entryAddr() -
-                                           image.baseAddr());
+    decoder_.emplace(image, model, seed);
+    chunk_.condTaken.reserve(kChunkInsts / 64 + 1);
+    chunk_.target.reserve(kChunkInsts);
+}
+
+bool
+RunWalker::next(PathRun &out, std::size_t max)
+{
+    const OracleStreams &src = arena_ ? arena_->streams() : chunk_;
+    if (inst_ == src.insts) {
+        if (arena_)
+            return false;
+        chunk_.clear();
+        decoder_->decode(chunk_, kChunkInsts);
+        inst_ = cond_ = target_ = 0;
+    }
+    const std::size_t room =
+        std::min(max, static_cast<std::size_t>(src.insts - inst_));
+    const std::size_t first = next_ / kInstBytes;
+
+    // mask_ holds the branches of block_ from first on (the meta
+    // bytes are padded, so a block may end past the image). The run
+    // ends at the first of them, or at room.
+    while (!mask_ && block_ + 32 - first < room) {
+        block_ += 32;
+        mask_ = simd::maskTestU8(meta_ + block_, 32, kMetaBranchBits);
+    }
+    const std::size_t at = block_ + (mask_ ? simd::bottomBit(mask_) : 32);
+    const bool ends = at - first < room;
+    const std::size_t len = ends ? at - first + 1 : room;
+    if (ends)
+        mask_ &= mask_ - 1;
+    std::uint32_t accesses = 0;
+    for (std::size_t k = 0; k < len; k += 32) {
+        std::uint32_t m = simd::maskEqU8(meta_ + first + k, 32,
+                                         kMemMetaSel, kMemMetaEq);
+        if (len - k < 32)
+            m &= (1u << (len - k)) - 1;
+        for (; m; m &= m - 1)
+            ++accesses;
+    }
+
+    out.start = next_;
+    out.len = static_cast<std::uint32_t>(len);
+    out.accesses = accesses;
+    inst_ += len;
+    next_ += static_cast<std::uint32_t>(instsToBytes(len));
+
+    CommittedBranch &br = out.branch;
+    br = CommittedBranch{};
+    if (!ends)
+        return true; // cut before the branch
+    const Addr base = image_->baseAddr();
+    br.pc = base + instsToBytes(at);
+    br.type = metaBranchType(meta_[at]);
+    if (br.type == BranchType::CondDirect) {
+        const std::size_t c = cond_++;
+        br.taken = (src.condTaken[c / 64] >> (c % 64)) & 1;
+        if (!br.taken) {
+            br.target = br.pc + kInstBytes;
+            return true; // the run's successor is sequential
+        }
+    }
+    br.taken = true;
+    br.target = br.type == BranchType::Return ||
+            br.type == BranchType::IndirectJump
+        ? base + src.target[target_++]
+        : image_->takenTarget(br.pc);
+    next_ = static_cast<std::uint32_t>(br.target - base);
+    block_ = next_ / kInstBytes;
+    mask_ = simd::maskTestU8(meta_ + block_, 32, kMetaBranchBits);
+    return true;
 }
 
 OracleWindow::OracleWindow(const CodeImage &image,
                            const WorkloadModel &model,
                            std::uint64_t seed,
                            std::size_t capacity)
-    : OracleWindow(image, capacity)
+    : walker_(image, model, seed),
+      data_(std::in_place, model.data(), seed ^ kDataStreamSeedSalt),
+      image_(&image), capacity_(capacity),
+      // The successor entry of the empty window: the path's start.
+      pcOff_(capacity + 1, walker_.nextOff()), meta_(capacity)
 {
-    decoder_.emplace(image, model, seed);
-    data_.emplace(model.data(), seed ^ kDataStreamSeedSalt);
-    chunk_.condTaken.reserve(kChunkInsts / 64 + 1);
-    chunk_.target.reserve(kChunkInsts);
+    // Data accesses never outnumber the instructions held, so this
+    // one reservation covers every refill.
+    dataOff_.reserve(capacity);
     refill(0, 0);
 }
 
 OracleWindow::OracleWindow(const OracleArena &arena,
                            std::size_t capacity)
-    : OracleWindow(*arena.image(), capacity)
+    : walker_(arena), image_(arena.image()), capacity_(capacity),
+      pcOff_(capacity + 1, walker_.nextOff()), meta_(capacity)
 {
-    arena_ = &arena;
+    dataOff_.reserve(capacity);
     refill(0, 0);
-}
-
-std::size_t
-OracleWindow::expand(const OracleStreams &src, Cursor &at,
-                     std::size_t n)
-{
-    const std::size_t held =
-        static_cast<std::size_t>(view_.last - view_.first);
-    const Addr base = view_.base;
-    const std::uint8_t *image = image_->meta();
-    std::uint8_t *meta = meta_.data() + held;
-    std::uint32_t *pc = pcOff_.data() + held;
-
-    // Run by run: from each successor, the image's meta bytes up to
-    // the next taken branch are the path's, at sequential pcs. One
-    // mask per 32 bytes finds the branches; only a conditional's bit
-    // and a return's or indirect jump's target come from the
-    // encoding. pc[0] already holds the successor of the last held
-    // instruction.
-    const std::uint64_t *cond_taken = src.condTaken.data();
-    const std::uint32_t *target = src.target.data() + at.target;
-    std::size_t cond = at.cond;
-    std::uint32_t next = pc[0];
-    std::size_t i = 0;
-    while (i < n) {
-        const std::uint8_t *run = image + next / kInstBytes;
-        const std::size_t room = n - i;
-        std::size_t len = room;
-        BranchType ends = BranchType::None; //!< the run's taken branch
-        for (std::size_t block = 0;
-             ends == BranchType::None && block < room; block += 32) {
-            const unsigned m = static_cast<unsigned>(
-                std::min<std::size_t>(32, room - block));
-            for (std::uint32_t mask =
-                     simd::maskTestU8(run + block, m, kMetaBranchBits);
-                 mask; mask &= mask - 1) {
-                const std::size_t j = block + simd::bottomBit(mask);
-                const BranchType bt = metaBranchType(run[j]);
-                if (bt == BranchType::CondDirect) {
-                    const std::size_t c = cond++;
-                    if (!((cond_taken[c / 64] >> (c % 64)) & 1))
-                        continue; // untaken: the run goes on
-                }
-                len = j + 1;
-                ends = bt;
-                break;
-            }
-        }
-        std::memcpy(meta + i, run, len);
-        for (std::size_t k = 0; k < len; ++k, next += kInstBytes)
-            pc[i + k] = next;
-        i += len;
-        if (ends != BranchType::None) {
-            meta[i - 1] |= kMetaTakenBit;
-            next = ends == BranchType::Return ||
-                    ends == BranchType::IndirectJump
-                ? *target++
-                : static_cast<std::uint32_t>(
-                      image_->takenTarget(base + next - kInstBytes) -
-                      base);
-        }
-    }
-    pc[n] = next;
-    at.cond = cond;
-    at.target = static_cast<std::size_t>(target - src.target.data());
-
-    std::size_t accesses = 0;
-    for (std::size_t k = 0; k < n; ++k)
-        accesses += isMemMeta(meta[k]);
-
-    at.inst += n;
-    view_.last += n;
-    return accesses;
-}
-
-std::uint32_t *
-OracleWindow::appendData(std::size_t n)
-{
-    const std::size_t held = dataOff_.size();
-    dataOff_.resize(held + n);
-    return dataOff_.data() + held;
 }
 
 bool
@@ -420,34 +410,37 @@ OracleWindow::refill(std::uint64_t keep_from,
                    dataOff_.begin() +
                        static_cast<std::ptrdiff_t>(keep_data_from -
                                                    view_.dataFirst));
-    view_.first = keep_from;
-    view_.dataFirst = keep_data_from;
 
-    const std::uint64_t before = view_.last;
-    std::size_t room = capacity_ - kept;
-    if (arena_) {
-        const std::uint64_t data = view_.dataFirst + dataOff_.size();
-        const std::size_t accesses = expand(
-            arena_->streams(), arenaAt_,
-            std::min<std::size_t>(room,
-                                  arena_->size() - arenaAt_.inst));
-        arena_->copyData(data, accesses, appendData(accesses));
-    } else {
-        while (room > 0) {
-            const std::size_t ask = std::min(room, kChunkInsts);
-            chunk_.clear();
-            decoder_->decode(chunk_, ask);
-            Cursor at;
-            const std::size_t accesses = expand(chunk_, at, ask);
-            const std::uint64_t first = view_.dataFirst + dataOff_.size();
-            drawDataOffsets(*data_, appendData(accesses), accesses,
-                            first);
-            room -= ask;
-        }
+    // Expand the walk into the room left, run by run: each run is the
+    // image's meta bytes at sequential pcs, and only a taken branch's
+    // bit is the path's own.
+    const std::uint8_t *image = image_->meta();
+    std::uint8_t *meta = meta_.data();
+    std::uint32_t *pc = pcOff_.data();
+    std::size_t i = kept, accesses = 0;
+    PathRun run;
+    while (i < capacity_ && walker_.next(run, capacity_ - i)) {
+        std::memcpy(meta + i, image + run.start / kInstBytes, run.len);
+        for (std::uint32_t k = 0; k < run.len; ++k)
+            pc[i + k] = run.start + k * kInstBytes;
+        i += run.len;
+        if (run.branch.taken)
+            meta[i - 1] |= kMetaTakenBit;
+        accesses += run.accesses;
     }
-    view_.dataOff = dataOff_.data();
-    view_.dataLast = view_.dataFirst + dataOff_.size();
-    return view_.last > before;
+    pc[i] = walker_.nextOff();
+
+    // Then the data offsets of their loads and stores.
+    const std::size_t held = dataOff_.size();
+    dataOff_.resize(held + accesses); // within the reservation
+    const std::uint64_t data = keep_data_from + held;
+    if (const OracleArena *arena = walker_.arena())
+        arena->copyData(data, accesses, dataOff_.data() + held);
+    else
+        drawDataOffsets(*data_, dataOff_.data() + held, accesses, data);
+    view_ = {image_->baseAddr(), pc, meta, dataOff_.data(), keep_from,
+             keep_from + i, keep_data_from, data + accesses};
+    return i > kept;
 }
 
 } // namespace sfetch

@@ -31,14 +31,18 @@
  *
  * An OracleArena holds a whole run in this form, decoded once and
  * shared read-only by every sweep point of one (bench, layout, run
- * length) — gem5-style decode-once / simulate-many. A run reads the
- * path through its private OracleWindow: a constant-size expanded
- * view (a u32 pc offset per instruction, plus its successor, the
- * meta bytes with the taken bit filled in, and the data offsets)
- * that one expansion routine refills as the run advances, walking
- * the image run by run from the shared arena or from a small chunk a
- * private decoder fills. Either way the processor sees an
- * OracleView, so one pipeline serves every run.
+ * length) — gem5-style decode-once / simulate-many. One RunWalker
+ * reads the encoding back over the image, from an arena or from a
+ * private decoder it refills a chunk at a time: each step is a
+ * sequential run ending at the next committed branch, taken or not,
+ * with that CommittedBranch and the run's load and store count. A
+ * run's private OracleWindow, Table 1 and the predictor playground
+ * all consume it. The window holds one walker as its only path
+ * source and expands its runs into a constant-size view (a u32 pc
+ * offset per instruction, plus its successor, the meta bytes with the
+ * taken bit filled in, and the data offsets) as the run advances;
+ * the processor sees that OracleView, so one pipeline serves every
+ * run.
  *
  * Memory cost: an arena's control part holds 1 bit per conditional
  * plus 4 bytes per return or indirect jump, sized exactly: the suite
@@ -51,10 +55,10 @@
  * costs at most ~4.8 MB. A window costs 9 bytes per entry, 4K
  * entries per run, whatever the run length.
  *
- * Bit-identity: both forms are what the live OracleStream produced,
- * so arena replay and windowed generation are bit-identical by
- * construction; the golden stats and the window invariance suite
- * pin this for every engine.
+ * Bit-identity: an arena and a private decoder encode the same path,
+ * and one walker reads both, so arena replay and windowed generation
+ * are bit-identical by construction; the golden stats and the window
+ * invariance suite pin this for every engine.
  */
 
 #ifndef SFETCH_LAYOUT_ORACLE_ARENA_HH
@@ -247,7 +251,7 @@ class OracleArena
     /** Number of data accesses on the path. */
     std::uint64_t dataCount() const { return streams_.accesses; }
 
-    /** The decoded control part, read through an OracleWindow. */
+    /** The decoded control part, read through a RunWalker. */
     const OracleStreams &streams() const { return streams_; }
 
     /** The data stream this arena reads (possibly shared). */
@@ -306,9 +310,65 @@ class OracleArena
     std::vector<const std::uint32_t *> dataChunks_;
 };
 
+/** One step of a RunWalker: @c len instructions at sequential pcs. */
+struct PathRun
+{
+    std::uint32_t start = 0;    //!< first pc, as an offset from the base
+    std::uint32_t len = 0;      //!< at least one
+    std::uint32_t accesses = 0; //!< loads and stores among them
+    /** The branch ending the run; type None when the run was cut (at
+     * the caller's limit or a chunk's or the arena's end). */
+    CommittedBranch branch;
+};
+
+/**
+ * The one walk of the committed path (see file comment): only a
+ * conditional's bit and a return's or indirect jump's target come
+ * from the encoding, the rest from the image's meta bytes.
+ */
+class RunWalker
+{
+  public:
+    /** Instructions a private decoder encodes per refill. */
+    static constexpr std::size_t kChunkInsts = 1024;
+
+    /** Walk @p arena's path; @p arena must outlive the walker. */
+    explicit RunWalker(const OracleArena &arena);
+
+    /** Walk (@p image, @p model, @p seed)'s path, privately decoded. */
+    RunWalker(const CodeImage &image, const WorkloadModel &model,
+              std::uint64_t seed);
+
+    /** Put the next run, of at most @p max > 0 instructions, in @p out;
+     * false once the arena has run out (a private decoder never does). */
+    bool next(PathRun &out, std::size_t max);
+
+    /** Offset from the image base of the next pc the walk yields. */
+    std::uint32_t nextOff() const { return next_; }
+
+    /** The arena walked; null when the decoder is private. */
+    const OracleArena *arena() const { return arena_; }
+
+  private:
+    RunWalker(const CodeImage &image, const OracleArena *arena);
+
+    const CodeImage *image_;
+    const std::uint8_t *meta_; //!< the image's meta bytes
+    const OracleArena *arena_;
+    std::optional<OracleDecoder> decoder_;
+    OracleStreams chunk_; //!< the private decoder's current chunk
+    /** Next instruction, conditional and return or indirect target,
+     * in the arena's streams or chunk_. */
+    std::size_t inst_ = 0, cond_ = 0, target_ = 0;
+    std::uint32_t next_;
+    /** Branch bits of the 32 meta bytes from index block_, from next_ on. */
+    std::size_t block_;
+    std::uint32_t mask_;
+};
+
 /**
  * A run's private committed-path window of constant capacity, kept
- * full as the run advances by expanding the stream encoding into it.
+ * full as the run advances by expanding its RunWalker's runs into it.
  * Its heap cost is fixed at construction, whatever the run length.
  */
 class OracleWindow
@@ -333,41 +393,10 @@ class OracleWindow
     bool refill(std::uint64_t keep_from, std::uint64_t keep_data_from);
 
   private:
-    /** Where the next expansion starts in a stream-encoded path. */
-    struct Cursor
-    {
-        std::size_t inst = 0, cond = 0, target = 0;
-    };
-
-    OracleWindow(const CodeImage &image, std::size_t capacity);
-
-    /**
-     * The one expansion routine: append @p n instructions of @p src
-     * from @p at on, advance @p at past them, and return how many
-     * of them load or store (their data offsets are the caller's to
-     * append). It walks the image run by run: the static meta bytes
-     * up to the next taken branch (a conditional's bit says whether
-     * it is), their sequential pcs, then that branch's successor
-     * (the next target for a return or indirect jump, the image's
-     * target otherwise).
-     */
-    std::size_t expand(const OracleStreams &src, Cursor &at,
-                       std::size_t n);
-
-    /** Grow dataOff_ by @p n entries and return the first new one. */
-    std::uint32_t *appendData(std::size_t n);
-
-    /** The placed binary the path runs over. */
-    const CodeImage *image_;
-    /** Private source; empty when the window reads an arena. */
-    std::optional<OracleDecoder> decoder_;
-    /** The private source's data addresses. */
+    RunWalker walker_; //!< the one path source
+    /** A private walker's data addresses; empty for an arena. */
     std::optional<DataAddressStream> data_;
-    /** Decoder output, expanded and cleared chunk by chunk. */
-    OracleStreams chunk_;
-    /** Shared source; null when the window has a decoder. */
-    const OracleArena *arena_ = nullptr;
-    Cursor arenaAt_;
+    const CodeImage *image_;
 
     std::size_t capacity_;
     std::vector<std::uint32_t> pcOff_; //!< capacity_+1 entries

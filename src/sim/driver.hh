@@ -142,9 +142,6 @@ class SweepDriver
         const std::function<void(const PlacedWorkload &, std::size_t)>
             &fn);
 
-    /** Wall-clock seconds of the most recent run()/forEachWorkload(). */
-    double lastWallSeconds() const { return lastWall_; }
-
   private:
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);

@@ -5,7 +5,6 @@
 
 #include "core/stream_builder.hh"
 #include "layout/layout_opt.hh"
-#include "layout/oracle.hh"
 #include "tcache/fill_unit.hh"
 #include "util/fault_inject.hh"
 
@@ -244,7 +243,7 @@ measureFetchUnits(const PlacedWorkload &work, bool optimized,
 {
     FetchUnitSizes out;
     const CodeImage &img = work.image(optimized);
-    OracleStream oracle(img, work.model(), kRefSeed);
+    RunWalker walk(img, work.model(), kRefSeed);
     StreamBuilder sb(img.entryAddr(), 255,
                      [&](const StreamDescriptor &s, bool) {
                          out.stream.sample(s.lenInsts);
@@ -253,17 +252,16 @@ measureFetchUnits(const PlacedWorkload &work, bool optimized,
                        [&](const TraceDescriptor &t, bool) {
                            out.trace.sample(t.totalInsts);
                        });
-    std::uint64_t run = 0;
-    for (InstCount i = 0; i < insts; ++i) {
-        const OracleInst oi = oracle.next();
-        ++run;
-        if (oi.isBranch()) {
-            out.basicBlock.sample(run);
-            run = 0;
-            const CommittedBranch cb{oi.pc, oi.btype, oi.taken,
-                                     oi.nextPc};
-            sb.onBranch(cb);
-            fill.onBranch(cb);
+    std::uint64_t block = 0;
+    PathRun run;
+    for (InstCount i = 0; i < insts && walk.next(run, insts - i);
+         i += run.len) {
+        block += run.len;
+        if (run.branch.type != BranchType::None) {
+            out.basicBlock.sample(block);
+            block = 0;
+            sb.onBranch(run.branch);
+            fill.onBranch(run.branch);
         }
     }
     return out;

@@ -110,7 +110,6 @@ class TraceFetchEngine : public FetchEngine
 
     const TraceCache &traceCache() const { return tcache_; }
     const NextTracePredictor &predictor() const { return ntp_; }
-    const TraceFillUnit &fillUnit() const { return *fill_; }
 
   private:
     /** Outcome of attempting the primary (trace) path. */

@@ -50,7 +50,6 @@ class Histogram
 
     /** Number of samples in bucket @p b (last bucket = overflow). */
     std::uint64_t bucket(std::size_t b) const { return buckets_.at(b); }
-    std::size_t numBuckets() const { return buckets_.size(); }
 
     /**
      * Smallest value v such that at least frac of samples are <= v.

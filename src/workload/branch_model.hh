@@ -224,9 +224,6 @@ class WorkloadModel
     /** Current semantic outcome history (newest bit = LSB). */
     std::uint64_t history() const { return history_; }
 
-    /** Recent indirect-case choices (3 bits per case, newest low). */
-    std::uint64_t caseHistory() const { return case_history_; }
-
     std::size_t numCondModels() const { return cond_.size(); }
     std::size_t numIndirectModels() const { return indirect_.size(); }
 

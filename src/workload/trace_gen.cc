@@ -54,7 +54,6 @@ TraceGenerator::next()
     assert(succ != kNoBlock);
     ControlRecord rec{cur_, succ};
     cur_ = succ;
-    ++records_;
     return rec;
 }
 
@@ -65,7 +64,6 @@ TraceGenerator::reset()
     model_.reset();
     call_stack_.clear();
     cur_ = prog_->entry();
-    records_ = 0;
 }
 
 

@@ -50,21 +50,15 @@ class TraceGenerator
     /** Execute the current block; return it and the chosen successor. */
     ControlRecord next();
 
-    /** Block about to execute. */
-    BlockId currentBlock() const { return cur_; }
-
     /** Restart from the entry with fresh dynamic state (same seed). */
     void reset();
 
     /** Current call stack depth (for tests). */
     std::size_t callDepth() const { return call_stack_.size(); }
 
-    /** Number of records produced so far. */
-    std::uint64_t recordCount() const { return records_; }
-
     /**
      * Call stack depth cap; pushes beyond it are dropped (matching
-     * returns then pop an older frame). Mirrored by OracleStream.
+     * returns then pop an older frame). layout/oracle.hh mirrors it.
      */
     static constexpr std::size_t kMaxCallDepth = 256;
 
@@ -75,7 +69,6 @@ class TraceGenerator
     Pcg32 rng_;
     BlockId cur_;
     std::vector<BlockId> call_stack_;
-    std::uint64_t records_ = 0;
 };
 
 /**

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -520,6 +521,70 @@ TEST_P(ArenaOnPreset, RefillsContinueTheArenaPathExactly)
     OracleWindow decoded(img, work().model, kRefSeed, 1'000);
     expectWindowMatchesLive(decoded, img, work().model, n, refills);
     EXPECT_GE(refills, 20u);
+}
+
+/**
+ * The walker yields the live path run by run from both of its
+ * sources: each run starts at the live stream's next pc, holds the
+ * instructions up to the next committed branch, taken or not, and
+ * counts their loads and stores. A run stops short of its branch only
+ * at the end of a private chunk, where the next chunk continues it
+ * seamlessly, or at the arena's end.
+ */
+TEST_P(ArenaOnPreset, WalkerYieldsTheLivePathBranchToBranch)
+{
+    const CodeImage &img = image();
+    const std::uint64_t n = 20'000;
+    OracleArena arena(img, work().model, kRefSeed, n);
+    RunWalker from_arena(arena);
+    RunWalker decoded(img, work().model, kRefSeed);
+    for (RunWalker *walk : {&from_arena, &decoded}) {
+        SCOPED_TRACE(walk->arena() ? "arena" : "private decoder");
+        OracleStream live(img, work().model, kRefSeed);
+        std::uint64_t pos = 0, chunk_cuts = 0;
+        PathRun run;
+        while (pos < n &&
+               walk->next(run, std::numeric_limits<std::size_t>::max())) {
+            ASSERT_GE(run.len, 1u);
+            OracleInst oi;
+            std::uint32_t accesses = 0;
+            for (std::uint32_t k = 0; k < run.len; ++k, ++pos) {
+                if (k > 0) {
+                    ASSERT_FALSE(oi.isBranch()) << "inst " << pos - 1;
+                }
+                oi = live.next();
+                ASSERT_EQ(oi.pc, img.baseAddr() + run.start +
+                                     instsToBytes(k))
+                    << "inst " << pos;
+                accesses += oi.cls == InstClass::Load ||
+                    oi.cls == InstClass::Store;
+            }
+            EXPECT_EQ(run.accesses, accesses) << "run ending " << pos;
+            const CommittedBranch &br = run.branch;
+            if (br.type == BranchType::None) {
+                ASSERT_FALSE(oi.isBranch()) << "inst " << pos - 1;
+                if (walk->arena()) {
+                    ASSERT_EQ(pos, n);
+                } else {
+                    ASSERT_EQ(pos % RunWalker::kChunkInsts, 0u);
+                    ++chunk_cuts;
+                }
+                continue;
+            }
+            ASSERT_EQ(br.pc, oi.pc) << "inst " << pos - 1;
+            ASSERT_EQ(br.type, oi.btype) << "inst " << pos - 1;
+            ASSERT_EQ(br.taken, oi.taken) << "inst " << pos - 1;
+            ASSERT_EQ(br.target, oi.nextPc) << "inst " << pos - 1;
+            ASSERT_EQ(img.baseAddr() + walk->nextOff(), oi.nextPc);
+        }
+        if (walk->arena()) {
+            EXPECT_EQ(pos, n);
+            EXPECT_FALSE(walk->next(run, 1));
+        } else {
+            EXPECT_GE(pos, n);
+            EXPECT_GT(chunk_cuts, 0u);
+        }
+    }
 }
 
 /**
