@@ -24,10 +24,10 @@ SeqEngine::fetchCycle(Cycle now, unsigned max_insts,
     if (avail == 0)
         return; // i-cache miss in service
 
-    // No predictions, so no checkpoints: token 0. Only the line
-    // bounds the run, so a line that straddles the image end is read
-    // past it, like any next-line fetcher would.
-    const unsigned n = std::min(avail, max_insts);
+    // No predictions, so no checkpoints: token 0.
+    const unsigned n = std::min(
+        {avail, max_insts,
+         static_cast<unsigned>((image_->endAddr() - pc_) / kInstBytes)});
     out.push(pc_, n, 0);
     pc_ += instsToBytes(n);
     instsFetched_ += n;

@@ -251,10 +251,8 @@ class BundleShapeChecker : public FetchEngine
 {
   public:
     BundleShapeChecker(FetchEngine &inner, const CodeImage &image,
-                       unsigned line_bytes, bool one_run_per_cycle,
-                       bool reads_whole_lines)
-        : inner_(inner), image_(image), lineBytes_(line_bytes),
-          oneRun_(one_run_per_cycle), wholeLines_(reads_whole_lines)
+                       bool one_run_per_cycle)
+        : inner_(inner), image_(image), oneRun_(one_run_per_cycle)
     {}
 
     void
@@ -268,13 +266,7 @@ class BundleShapeChecker : public FetchEngine
                 fail(now, "empty run");
             if (!image_.contains(r.start))
                 fail(now, "run starts outside the image");
-            const Addr last = r.start + instsToBytes(r.len - 1);
-            // seq reads whole lines, so a line that straddles the
-            // image end is delivered past it; every other engine
-            // stops at the image end.
-            const Addr line_end =
-                (r.start & ~Addr(lineBytes_ - 1)) + lineBytes_;
-            if (wholeLines_ ? last >= line_end : !image_.contains(last))
+            if (!image_.contains(r.start + instsToBytes(r.len - 1)))
                 fail(now, "run ends outside the image");
         }
         if (sum != out.size())
@@ -310,9 +302,7 @@ class BundleShapeChecker : public FetchEngine
 
     FetchEngine &inner_;
     const CodeImage &image_;
-    unsigned lineBytes_;
     bool oneRun_;
-    bool wholeLines_;
     std::uint64_t violations_ = 0;
     std::string first_;
     std::uint64_t insts_ = 0;
@@ -339,8 +329,7 @@ TEST_P(BundleShape, EveryBundleIsWellFormedRuns)
             MemoryHierarchy mem(mc);
             auto engine = cfg.makeEngine(image, &mem);
             BundleShapeChecker chk(
-                *engine, image, cfg.lineBytes(),
-                a == "ftb" || a == "stream" || a == "seq", a == "seq");
+                *engine, image, a == "ftb" || a == "stream" || a == "seq");
             ProcessorConfig pc;
             pc.width = width;
             Processor proc(pc, &chk, image, work.model(), &mem,
