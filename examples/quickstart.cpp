@@ -14,6 +14,7 @@
 
 #include "isa/cfg_builder.hh"
 #include "layout/layout_opt.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 #include "util/table.hh"
 
@@ -59,11 +60,14 @@ figure1Workload()
     return w;
 }
 
-} // namespace
-
 int
-main()
+run(int argc, char **argv)
 {
+    CliParser cli("quickstart",
+                  "the paper's Figure 1 by hand, then one suite "
+                  "benchmark end to end; takes no options");
+    cli.parseOrExit(argc, argv);
+
     // ---- Part 1: Figure 1, by hand ----
     SyntheticWorkload fig1 = figure1Workload();
     std::printf("Figure 1 program: %zu blocks, %llu static insts\n",
@@ -124,4 +128,12 @@ main()
                 gz.ipc(), gz.fetchIpc(), 100.0 * gz.mispredictRate(),
                 gz.engine.get("stream.avg_commit_len"));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("quickstart", [&] { return run(argc, argv); });
 }

@@ -8,8 +8,8 @@ namespace sfetch
 StreamFetchEngine::StreamFetchEngine(const StreamConfig &cfg,
                                      const CodeImage &image,
                                      MemoryHierarchy *mem)
-    : cfg_(cfg), image_(&image), reader_(mem, cfg.lineBytes),
-      nsp_(cfg.nsp), ras_(cfg.rasEntries), ftq_(cfg.ftqEntries),
+    : cfg_(cfg), image_(&image), reader_(mem, image, cfg.lineBytes),
+      nsp_(cfg.nsp), rec_(cfg.rasEntries), ftq_(cfg.ftqEntries),
       fetchAddr_(image.entryAddr())
 {
     builder_ = std::make_unique<StreamBuilder>(
@@ -26,16 +26,14 @@ StreamFetchEngine::predictStep()
         return;
 
     StreamPrediction pred = nsp_.predict(fetchAddr_);
-    std::uint64_t token = checkpoints_.put(
-        EngineCheckpoint{ras_.save(), 0});
+    std::uint64_t token = rec_.checkpoint();
 
     if (!pred.hit || pred.lenInsts == 0) {
         // Predictor miss: resort to sequential fetching, one line at
         // a time, re-querying the predictor at each line boundary.
         if (seqStart_ == kNoAddr)
             seqStart_ = fetchAddr_;
-        Addr line_end = (fetchAddr_ & ~Addr(cfg_.lineBytes - 1)) +
-            cfg_.lineBytes;
+        const Addr line_end = reader_.lineEnd(fetchAddr_);
         FetchRequest req;
         req.start = fetchAddr_;
         req.lenInsts = static_cast<std::uint32_t>(
@@ -54,9 +52,9 @@ StreamFetchEngine::predictStep()
     Addr next = pred.next;
 
     if (pred.endType == BranchType::Call)
-        ras_.push(seq);
+        rec_.ras.push(seq);
     else if (pred.endType == BranchType::Return)
-        next = predictReturn(ras_, *image_, next);
+        next = predictReturn(rec_.ras, *image_, next);
 
     if (next == kNoAddr || !image_->contains(next))
         next = seq; // defensive: stale target falls back sequential
@@ -82,7 +80,7 @@ StreamFetchEngine::fetchCycle(Cycle now, unsigned max_insts,
 {
     predictStep();
     const unsigned had = out.size();
-    const Addr steer = drainFetchRequest(ftq_, reader_, *image_, ras_,
+    const Addr steer = drainFetchRequest(ftq_, reader_, *image_, rec_.ras,
                                          now, max_insts, out);
     instsFetched_ += out.size() - had;
     if (steer == kNoAddr)
@@ -100,15 +98,11 @@ void
 StreamFetchEngine::redirect(const ResolvedBranch &rb)
 {
     // Paper: copy the committed path register over the speculative
-    // one, restoring correct history state.
+    // one, restoring correct history state. The path register is
+    // the stream predictor's history, so the direction histories
+    // stay unused.
     nsp_.recoverHistory();
-
-    if (const auto *cp = checkpoints_.get(rb.token))
-        ras_.restore(cp->ras);
-    if (rb.type == BranchType::Call)
-        ras_.push(rb.pc + kInstBytes);
-    else if (rb.type == BranchType::Return)
-        ras_.pop();
+    rec_.repair(rb, false);
 
     ftq_.clear();
     fetchAddr_ = rb.target;

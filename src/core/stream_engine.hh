@@ -14,10 +14,8 @@
 #include <memory>
 
 #include "bpred/predictor_tables.hh"
-#include "bpred/ras.hh"
 #include "core/stream_builder.hh"
 #include "fetch/fetch_engine.hh"
-#include "fetch/token_ring.hh"
 
 namespace sfetch
 {
@@ -96,9 +94,8 @@ class StreamFetchEngine : public FetchEngine
     const CodeImage *image_;
     ICacheReader reader_;
     NextStreamPredictor nsp_;
-    ReturnAddressStack ras_;
+    BranchRecovery rec_;
     FetchTargetQueue ftq_;
-    TokenRing<EngineCheckpoint> checkpoints_;
     std::unique_ptr<StreamBuilder> builder_;
 
     Addr fetchAddr_ = kNoAddr;

@@ -12,8 +12,8 @@ namespace sfetch
 
 Ev8Engine::Ev8Engine(const Ev8Config &cfg, const CodeImage &image,
                      MemoryHierarchy *mem)
-    : cfg_(cfg), image_(&image), reader_(mem, cfg.lineBytes),
-      gskew_(cfg.gskew), btb_(cfg.btb), ras_(cfg.rasEntries),
+    : cfg_(cfg), image_(&image), reader_(mem, image, cfg.lineBytes),
+      gskew_(cfg.gskew), btb_(cfg.btb), rec_(cfg.rasEntries),
       pc_(image.entryAddr()),
       linePred_(cfg.linePredEntries, kNoAddr)
 {}
@@ -31,32 +31,27 @@ Ev8Engine::fetchCycle(Cycle now, unsigned max_insts,
 {
     if (now < stallUntil_)
         return; // decode-stage target fix in progress
-    if (!image_->contains(pc_))
-        return; // deep wrong path; wait for the redirect
-
-    unsigned avail = reader_.available(now, pc_);
-    if (avail == 0)
-        return; // i-cache miss in service
-    ++cyclesActive_;
 
     // The EV8 fetches from an aligned window of two width-sized
-    // blocks, up to the first predicted-taken branch.
-    const Addr cycle_start = pc_;
+    // blocks, up to the first predicted-taken branch. Nothing on a
+    // deep wrong path (wait for the redirect) or an i-cache miss.
     const Addr window_bytes = cfg_.lineBytes / 2; // 2W instructions
     const Addr window_end =
         (pc_ & ~(window_bytes - 1)) + window_bytes;
-    unsigned to_window = static_cast<unsigned>(
-        (window_end - pc_) / kInstBytes);
-
-    const unsigned n = std::min(
-        {avail, max_insts, to_window,
-         static_cast<unsigned>((image_->endAddr() - pc_) / kInstBytes)});
+    const ICacheRun run = reader_.read(
+        now, pc_,
+        std::min(max_insts,
+                 static_cast<unsigned>((window_end - pc_) / kInstBytes)));
+    if (run.len == 0)
+        return;
+    ++cyclesActive_;
 
     // Each branch carries its own checkpoint, so each ends a run; one
     // meta scan finds them, and the instructions between need no
     // decode at all.
-    const std::uint8_t *meta = image_->meta() +
-        (cycle_start - image_->baseAddr()) / kInstBytes;
+    const Addr cycle_start = run.start;
+    const unsigned n = run.len;
+    const std::uint8_t *meta = run.meta;
     std::uint32_t bmask = simd::maskTestU8(meta, n, kMetaBranchBits);
     unsigned done = 0; // instructions delivered so far this cycle
     bool stopped = false;
@@ -66,8 +61,7 @@ Ev8Engine::fetchCycle(Cycle now, unsigned max_insts,
         const BranchType bt = metaBranchType(meta[j]);
         const Addr bpc = cycle_start + instsToBytes(j);
         out.push(cycle_start + instsToBytes(done), j + 1 - done,
-                 checkpoints_.put(
-                     EngineCheckpoint{ras_.save(), specHist_.value()}));
+                 rec_.checkpoint());
         done = j + 1;
 
         Addr seq = bpc + kInstBytes;
@@ -80,8 +74,8 @@ Ev8Engine::fetchCycle(Cycle now, unsigned max_insts,
         // at decode at the cost of a short bubble.
         switch (bt) {
           case BranchType::CondDirect: {
-            bool dir = gskew_.predict(bpc, specHist_.value());
-            specHist_.push(dir);
+            bool dir = gskew_.predict(bpc, rec_.specHist.value());
+            rec_.specHist.push(dir);
             if (dir) {
                 BtbEntry e = btb_.lookup(bpc);
                 if (e.hit && image_->contains(e.target)) {
@@ -108,12 +102,12 @@ Ev8Engine::fetchCycle(Cycle now, unsigned max_insts,
                 cycle_break = true;
             }
             if (bt == BranchType::Call)
-                ras_.push(seq);
+                rec_.ras.push(seq);
             break;
           }
           case BranchType::Return:
             taken = true;
-            target = predictReturn(ras_, *image_, seq);
+            target = predictReturn(rec_.ras, *image_, seq);
             break;
           case BranchType::IndirectJump: {
             BtbEntry e = btb_.lookup(bpc);
@@ -159,20 +153,7 @@ Ev8Engine::redirect(const ResolvedBranch &rb)
 {
     // Precise repair from the branch's shadow checkpoint: history as
     // of prediction time, then the resolved outcome appended.
-    if (const auto *cp = checkpoints_.get(rb.token)) {
-        ras_.restore(cp->ras);
-        specHist_.set(cp->hist);
-    } else {
-        specHist_.copyFrom(commitHist_);
-    }
-    if (rb.type == BranchType::CondDirect)
-        specHist_.push(rb.taken);
-
-    if (rb.type == BranchType::Call)
-        ras_.push(rb.pc + kInstBytes);
-    else if (rb.type == BranchType::Return)
-        ras_.pop();
-
+    rec_.repair(rb, true);
     pc_ = rb.target;
     stallUntil_ = 0;
 }
@@ -181,8 +162,8 @@ void
 Ev8Engine::trainCommit(const CommittedBranch &cb)
 {
     if (cb.type == BranchType::CondDirect) {
-        gskew_.update(cb.pc, commitHist_.value(), cb.taken);
-        commitHist_.push(cb.taken);
+        gskew_.update(cb.pc, rec_.commitHist.value(), cb.taken);
+        rec_.commitHist.push(cb.taken);
     }
     // Every taken branch installs its target.
     if (cb.taken)

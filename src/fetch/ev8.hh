@@ -12,10 +12,7 @@
 
 #include "bpred/btb.hh"
 #include "bpred/gskew.hh"
-#include "bpred/history.hh"
-#include "bpred/ras.hh"
 #include "fetch/fetch_engine.hh"
-#include "fetch/token_ring.hh"
 
 namespace sfetch
 {
@@ -62,10 +59,7 @@ class Ev8Engine : public FetchEngine
     ICacheReader reader_;
     GskewPredictor gskew_;
     Btb btb_;
-    ReturnAddressStack ras_;
-    GlobalHistory specHist_;
-    GlobalHistory commitHist_;
-    TokenRing<EngineCheckpoint> checkpoints_;
+    BranchRecovery rec_;
 
     Addr pc_ = kNoAddr;
     Cycle stallUntil_ = 0; //!< decode-fix bubble in progress

@@ -25,6 +25,20 @@
  *    checkpoints each branch separately ends a run at each branch.
  *  - An engine lives for one run of the processor: it starts at the
  *    image's entry and has no reset; a new run builds a new engine.
+ *
+ * The front-end mechanisms the engines share are declared once here:
+ *  - ICacheReader::read(): the i-cache run read. One line access per
+ *    cycle, clamped at the line, a caller bound and the image end,
+ *    with the run's meta bytes.
+ *  - scanBlock(): the block scan of a coupled fetch. It reads a run
+ *    up to its first taken branch, with jumps, calls and returns
+ *    steered by predecode (predecodeSteer()) and indirect jumps by
+ *    a BTB; only the source of a conditional's direction varies.
+ *  - drainFetchRequest(): the i-cache stage of a decoupled front end
+ *    (FTB and streams), draining the fetch target queue.
+ *  - BranchRecovery: the return address stack, the speculative and
+ *    committed direction histories and a checkpoint per token, with
+ *    the one redirect repair every predicting engine applies.
  */
 
 #ifndef SFETCH_FETCH_FETCH_ENGINE_HH
@@ -35,8 +49,11 @@
 #include <cstdint>
 #include <string>
 
+#include "bpred/btb.hh"
+#include "bpred/history.hh"
 #include "bpred/ras.hh"
 #include "cache/cache.hh"
+#include "fetch/token_ring.hh"
 #include "isa/instruction.hh"
 #include "layout/code_image.hh"
 #include "util/fixed_ring.hh"
@@ -46,17 +63,6 @@
 
 namespace sfetch
 {
-
-/**
- * Per-branch recovery checkpoint: shadow RAS state (Section 3.2 of
- * the paper) plus the speculative global direction history at
- * prediction time, restored exactly on a misprediction.
- */
-struct EngineCheckpoint
-{
-    ReturnAddressStack::Checkpoint ras;
-    std::uint64_t hist = 0;
-};
 
 /** A run of sequential instructions delivered in one fetch cycle. */
 struct FetchRun
@@ -233,56 +239,209 @@ class FetchTargetQueue
     FixedRing<FetchRequest> queue_;
 };
 
+/** A run of sequential instructions read from the i-cache. */
+struct ICacheRun
+{
+    Addr start = kNoAddr;
+    unsigned len = 0; //!< 0 when nothing was read this cycle
+    /** Meta bytes of the run (CodeImage::metaAt(start)). */
+    const std::uint8_t *meta = nullptr;
+};
+
 /**
- * Single-ported wide-line i-cache reader: models one line access per
- * cycle with blocking misses.
+ * Single-ported wide-line i-cache reader over one image: models one
+ * line access per cycle with blocking misses.
  */
 class ICacheReader
 {
   public:
-    ICacheReader(MemoryHierarchy *mem, unsigned line_bytes)
-        : mem_(mem), lineBytes_(line_bytes)
+    ICacheReader(MemoryHierarchy *mem, const CodeImage &image,
+                 unsigned line_bytes)
+        : mem_(mem), image_(&image), lineBytes_(line_bytes)
     {}
 
     /**
-     * Attempt to read instructions starting at @p pc this cycle.
-     * @return the number of sequential instructions available from
-     * @p pc to the end of its cache line, or 0 while a miss is being
-     * serviced.
+     * Attempt to read up to @p bound instructions from @p pc this
+     * cycle.
+     * @return the run from @p pc to the first of the end of its
+     * cache line, @p bound and the image end; an empty run while a
+     * miss is being serviced, or, without a cache access, when the
+     * image does not hold @p pc (a wrong path ran off it).
      */
-    unsigned
-    available(Cycle now, Addr pc)
+    ICacheRun
+    read(Cycle now, Addr pc, unsigned bound)
     {
-        if (now < readyAt_)
-            return 0;
+        if (!image_->contains(pc) || now < readyAt_)
+            return {};
         Cycle lat = mem_->accessInst(pc);
         if (lat > mem_->config().l1Latency) {
             // Miss: line arrives after the full latency.
             readyAt_ = now + lat;
             ++misses_;
-            return 0;
+            return {};
         }
-        Addr line_end = (pc & ~Addr(lineBytes_ - 1)) + lineBytes_;
-        return static_cast<unsigned>((line_end - pc) / kInstBytes);
+        // The run walks sequentially from a contained pc, so the
+        // image end is the only bound besides the line and the
+        // caller's.
+        const Addr end = std::min(lineEnd(pc), image_->endAddr());
+        return {pc,
+                std::min(bound,
+                         static_cast<unsigned>((end - pc) / kInstBytes)),
+                image_->metaAt(pc)};
+    }
+
+    /** Address just past the cache line holding @p pc. */
+    Addr
+    lineEnd(Addr pc) const
+    {
+        return (pc & ~Addr(lineBytes_ - 1)) + lineBytes_;
     }
 
     /**
-     * Host-side prefetch of the tag state a future available(@p pc)
-     * will probe: callers that know next cycle's fetch address hide
-     * the host memory latency of the modelled i-cache lookup. Pure
-     * hint; no modelled state changes.
+     * Host-side prefetch of the tag state a future read(@p pc) will
+     * probe: callers that know next cycle's fetch address hide the
+     * host memory latency of the modelled i-cache lookup. Pure hint;
+     * no modelled state changes.
      */
     void prefetch(Addr pc) const { mem_->prefetchInst(pc); }
 
     std::uint64_t misses() const { return misses_; }
-    unsigned lineBytes() const { return lineBytes_; }
 
   private:
     MemoryHierarchy *mem_;
+    const CodeImage *image_;
     unsigned lineBytes_;
     Cycle readyAt_ = 0;
     std::uint64_t misses_ = 0;
 };
+
+/**
+ * Where the unconditional transfer of type @p bt at @p bpc goes by
+ * predecode: a jump or call to its taken target (a call pushing its
+ * return address on @p ras), a return to the RAS prediction. An
+ * indirect jump has no target here and falls through.
+ */
+inline Addr
+predecodeSteer(BranchType bt, Addr bpc, const CodeImage &image,
+               ReturnAddressStack &ras)
+{
+    const Addr seq = bpc + kInstBytes;
+    switch (bt) {
+      case BranchType::Jump:
+        return image.takenTarget(bpc);
+      case BranchType::Call:
+        ras.push(seq);
+        return image.takenTarget(bpc);
+      case BranchType::Return:
+        return predictReturn(ras, image, seq);
+      default:
+        return seq;
+    }
+}
+
+/**
+ * The speculative state a predicting front end repairs on a
+ * misprediction: the return address stack, the speculative and
+ * committed global direction histories, and a per-token checkpoint
+ * of the first two (Section 3.2 of the paper: the shadow RAS state
+ * travels with each in-flight branch).
+ */
+class BranchRecovery
+{
+  public:
+    explicit BranchRecovery(std::size_t ras_entries) : ras(ras_entries) {}
+
+    ReturnAddressStack ras;
+    GlobalHistory specHist;   //!< updated at predict time
+    GlobalHistory commitHist; //!< updated at commit
+
+    /** Checkpoint the RAS and the speculative history. */
+    std::uint64_t
+    checkpoint()
+    {
+        return checkpoints_.put(Checkpoint{ras.save(), specHist.value()});
+    }
+
+    /**
+     * Repair after @p rb resolved mispredicted: restore the state
+     * checkpointed under its token (or, if the token was
+     * overwritten, copy the committed history), append a
+     * conditional's resolved outcome when @p push_outcome, then
+     * replay the branch's own call push or return pop.
+     */
+    void
+    repair(const ResolvedBranch &rb, bool push_outcome)
+    {
+        if (const Checkpoint *cp = checkpoints_.get(rb.token)) {
+            ras.restore(cp->ras);
+            specHist.set(cp->hist);
+        } else {
+            specHist.copyFrom(commitHist);
+        }
+        if (rb.type == BranchType::CondDirect && push_outcome)
+            specHist.push(rb.taken);
+
+        if (rb.type == BranchType::Call)
+            ras.push(rb.pc + kInstBytes);
+        else if (rb.type == BranchType::Return)
+            ras.pop();
+    }
+
+  private:
+    struct Checkpoint
+    {
+        ReturnAddressStack::Checkpoint ras;
+        std::uint64_t hist = 0;
+    };
+    TokenRing<Checkpoint> checkpoints_;
+};
+
+/** Where a block scan ended its run. */
+struct BlockEnd
+{
+    unsigned len = 0; //!< instructions of the run fetched this cycle
+    Addr next = kNoAddr; //!< next fetch address
+};
+
+/**
+ * The block scan of a coupled i-cache fetch: one meta-mask scan of
+ * @p run up to its first taken branch. A conditional takes its
+ * direction from @p cond_dir(pc) and pushes it onto @p rec's
+ * speculative history; jumps, calls and returns are steered by
+ * predecode (predecodeSteer()), and an indirect jump by @p btb when
+ * it holds a target in the image.
+ */
+template <typename CondDir>
+inline BlockEnd
+scanBlock(const ICacheRun &run, const CodeImage &image,
+          BranchRecovery &rec, Btb &btb, CondDir &&cond_dir)
+{
+    for (std::uint32_t bmask =
+             simd::maskTestU8(run.meta, run.len, kMetaBranchBits);
+         bmask; bmask &= bmask - 1) {
+        const unsigned j = simd::bottomBit(bmask);
+        const Addr bpc = run.start + instsToBytes(j);
+        const BranchType bt = metaBranchType(run.meta[j]);
+        Addr next;
+        if (bt == BranchType::CondDirect) {
+            const bool dir = cond_dir(bpc);
+            rec.specHist.push(dir);
+            if (!dir)
+                continue;
+            next = image.takenTarget(bpc);
+        } else if (bt == BranchType::IndirectJump) {
+            const BtbEntry e = btb.lookup(bpc);
+            if (!e.hit || !image.contains(e.target))
+                continue; // no target: keep fetching sequentially
+            next = e.target;
+        } else {
+            next = predecodeSteer(bt, bpc, image, rec.ras);
+        }
+        // One taken branch per cycle through the i-cache.
+        return {j + 1, next};
+    }
+    return {run.len, run.start + instsToBytes(run.len)};
+}
 
 /**
  * The i-cache stage of a decoupled front end (FTB and streams): drain
@@ -318,19 +477,13 @@ drainFetchRequest(FetchTargetQueue &ftq, ICacheReader &reader,
         return kNoAddr;
     }
 
-    const unsigned avail = reader.available(now, req.start);
-    if (avail == 0)
+    const ICacheRun run =
+        reader.read(now, req.start, std::min(max_insts, req.lenInsts));
+    if (run.len == 0)
         return kNoAddr;
 
-    // The run walks sequentially from a contained start, so only the
-    // image end bounds it besides the line, the width and the
-    // request.
-    const unsigned n = std::min(
-        {avail, max_insts, unsigned(req.lenInsts),
-         static_cast<unsigned>((image.endAddr() - req.start) /
-                               kInstBytes)});
-    const std::uint8_t *meta = image.meta() +
-        (req.start - image.baseAddr()) / kInstBytes;
+    const unsigned n = run.len;
+    const std::uint8_t *meta = run.meta;
     std::uint32_t steer = simd::maskTestU8(meta, n, kMetaBranchBits) &
         ~simd::maskEqU8(meta, n, kMetaBranchBits,
                         metaBranchField(BranchType::CondDirect));
@@ -342,24 +495,9 @@ drainFetchRequest(FetchTargetQueue &ftq, ICacheReader &reader,
     const Addr seq = req.start + instsToBytes(len);
 
     if (steer) {
-        const Addr bpc = seq - kInstBytes;
-        Addr next = seq;
-        switch (metaBranchType(meta[len - 1])) {
-          case BranchType::Jump:
-            next = image.takenTarget(bpc);
-            break;
-          case BranchType::Call:
-            next = image.takenTarget(bpc);
-            ras.push(seq);
-            break;
-          case BranchType::Return:
-            next = predictReturn(ras, image, seq);
-            break;
-          default:
-            break; // indirect: no target, keep sequential
-        }
         ftq.clear();
-        return next;
+        return predecodeSteer(metaBranchType(meta[len - 1]),
+                              seq - kInstBytes, image, ras);
     }
 
     req.start = seq;

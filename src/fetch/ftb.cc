@@ -7,9 +7,9 @@ namespace sfetch
 
 FtbEngine::FtbEngine(const FtbConfig &cfg, const CodeImage &image,
                      MemoryHierarchy *mem)
-    : cfg_(cfg), image_(&image), reader_(mem, cfg.lineBytes),
+    : cfg_(cfg), image_(&image), reader_(mem, image, cfg.lineBytes),
       ftb_({cfg.ftbEntries, cfg.ftbAssoc}), perceptron_(cfg.perceptron),
-      ras_(cfg.rasEntries), ftq_(cfg.ftqEntries),
+      rec_(cfg.rasEntries), ftq_(cfg.ftqEntries),
       predPc_(image.entryAddr()), everTaken_(image.numInsts(), false),
       commitBlockStart_(image.entryAddr())
 {}
@@ -20,8 +20,7 @@ FtbEngine::predictStep()
     if (ftq_.full() || !image_->contains(predPc_))
         return;
 
-    std::uint64_t token = checkpoints_.put(
-        EngineCheckpoint{ras_.save(), specHist_.value()});
+    std::uint64_t token = rec_.checkpoint();
     const auto hit = ftb_.lookup(predPc_);
 
     FetchRequest req;
@@ -32,8 +31,7 @@ FtbEngine::predictStep()
         // FTB miss: request sequentially to the end of the line and
         // continue; embedded branches are implicitly not-taken until
         // the i-cache stage spots an unconditional transfer.
-        Addr line_end = (predPc_ & ~Addr(cfg_.lineBytes - 1)) +
-            cfg_.lineBytes;
+        const Addr line_end = reader_.lineEnd(predPc_);
         req.lenInsts = static_cast<std::uint32_t>(
             (line_end - predPc_) / kInstBytes);
         req.bounded = false;
@@ -51,8 +49,8 @@ FtbEngine::predictStep()
 
     switch (hit.type) {
       case BranchType::CondDirect: {
-        bool dir = perceptron_.predict(term_pc, specHist_.value());
-        specHist_.push(dir);
+        bool dir = perceptron_.predict(term_pc, rec_.specHist.value());
+        rec_.specHist.push(dir);
         if (dir)
             next = hit.target;
         break;
@@ -62,11 +60,11 @@ FtbEngine::predictStep()
         next = hit.target;
         break;
       case BranchType::Call:
-        ras_.push(seq);
+        rec_.ras.push(seq);
         next = hit.target;
         break;
       case BranchType::Return:
-        next = predictReturn(ras_, *image_, seq);
+        next = predictReturn(rec_.ras, *image_, seq);
         break;
       default:
         break;
@@ -86,7 +84,7 @@ FtbEngine::fetchCycle(Cycle now, unsigned max_insts,
     // prediction stage runs ahead filling the FTQ.
     predictStep();
     const unsigned had = out.size();
-    const Addr steer = drainFetchRequest(ftq_, reader_, *image_, ras_,
+    const Addr steer = drainFetchRequest(ftq_, reader_, *image_, rec_.ras,
                                          now, max_insts, out);
     instsFetched_ += out.size() - had;
     if (steer != kNoAddr)
@@ -96,24 +94,11 @@ FtbEngine::fetchCycle(Cycle now, unsigned max_insts,
 void
 FtbEngine::redirect(const ResolvedBranch &rb)
 {
-    if (const auto *cp = checkpoints_.get(rb.token)) {
-        ras_.restore(cp->ras);
-        specHist_.set(cp->hist);
-    } else {
-        specHist_.copyFrom(commitHist_);
-    }
-    // A newly-taken embedded branch enters the ever-taken set at
-    // commit, so its outcome will be part of the committed history.
-    if (rb.type == BranchType::CondDirect &&
-        (everTaken_[slot(rb.pc)] || rb.taken)) {
-        specHist_.push(rb.taken);
-    }
-
-    if (rb.type == BranchType::Call)
-        ras_.push(rb.pc + kInstBytes);
-    else if (rb.type == BranchType::Return)
-        ras_.pop();
-
+    // Only block enders are in the history: a newly-taken embedded
+    // branch enters the ever-taken set at commit, so its outcome will
+    // be part of the committed history, but a never-taken one's not.
+    rec_.repair(rb, rb.type == BranchType::CondDirect &&
+                        (everTaken_[slot(rb.pc)] || rb.taken));
     ftq_.clear();
     predPc_ = rb.target;
 }
@@ -156,8 +141,8 @@ FtbEngine::trainCommit(const CommittedBranch &cb)
     if (cb.type == BranchType::CondDirect) {
         // Note: a branch taken for the first time joins the
         // ever-taken set above, so it is trained from now on.
-        perceptron_.update(cb.pc, commitHist_.value(), cb.taken);
-        commitHist_.push(cb.taken);
+        perceptron_.update(cb.pc, rec_.commitHist.value(), cb.taken);
+        rec_.commitHist.push(cb.taken);
     }
 
     commitBlockStart_ = cb.taken ? cb.target : cb.pc + kInstBytes;

@@ -15,12 +15,9 @@
 #include <cassert>
 #include <vector>
 
-#include "bpred/history.hh"
 #include "bpred/perceptron.hh"
 #include "bpred/predictor_tables.hh"
-#include "bpred/ras.hh"
 #include "fetch/fetch_engine.hh"
-#include "fetch/token_ring.hh"
 
 namespace sfetch
 {
@@ -76,11 +73,8 @@ class FtbEngine : public FetchEngine
     ICacheReader reader_;
     LruTable<FtbBlock> ftb_;
     PerceptronPredictor perceptron_;
-    ReturnAddressStack ras_;
-    GlobalHistory specHist_;
-    GlobalHistory commitHist_;
+    BranchRecovery rec_;
     FetchTargetQueue ftq_;
-    TokenRing<EngineCheckpoint> checkpoints_;
 
     Addr predPc_ = kNoAddr;
 

@@ -1,7 +1,5 @@
 #include "fetch/seq.hh"
 
-#include <algorithm>
-
 #include "sim/engine_registry.hh"
 
 namespace sfetch
@@ -9,7 +7,7 @@ namespace sfetch
 
 SeqEngine::SeqEngine(const SeqConfig &cfg, const CodeImage &image,
                      MemoryHierarchy *mem)
-    : cfg_(cfg), image_(&image), reader_(mem, cfg.lineBytes),
+    : reader_(mem, image, cfg.lineBytes),
       pc_(image.entryAddr())
 {}
 
@@ -17,20 +15,16 @@ void
 SeqEngine::fetchCycle(Cycle now, unsigned max_insts,
                       FetchBundle &out)
 {
-    if (!image_->contains(pc_))
-        return; // ran off the image: wait for a redirect
-
-    unsigned avail = reader_.available(now, pc_);
-    if (avail == 0)
-        return; // i-cache miss in service
+    // Nothing while off the image (a redirect will come) or while an
+    // i-cache miss is in service.
+    const ICacheRun run = reader_.read(now, pc_, max_insts);
+    if (run.len == 0)
+        return;
 
     // No predictions, so no checkpoints: token 0.
-    const unsigned n = std::min(
-        {avail, max_insts,
-         static_cast<unsigned>((image_->endAddr() - pc_) / kInstBytes)});
-    out.push(pc_, n, 0);
-    pc_ += instsToBytes(n);
-    instsFetched_ += n;
+    out.push(pc_, run.len, 0);
+    pc_ += instsToBytes(run.len);
+    instsFetched_ += run.len;
 }
 
 void

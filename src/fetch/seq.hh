@@ -38,8 +38,6 @@ class SeqEngine : public FetchEngine
     StatSet stats() const override;
 
   private:
-    SeqConfig cfg_;
-    const CodeImage *image_;
     ICacheReader reader_;
     Addr pc_ = kNoAddr;
 

@@ -136,6 +136,13 @@ class CodeImage
      */
     const std::uint8_t *meta() const { return meta_.data(); }
 
+    /** The meta bytes from the instruction at @p pc on. */
+    const std::uint8_t *
+    metaAt(Addr pc) const
+    {
+        return meta_.data() + (pc - base_) / kInstBytes;
+    }
+
     /** Start address of block @p id. */
     Addr
     blockAddr(BlockId id) const

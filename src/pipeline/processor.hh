@@ -34,10 +34,10 @@ namespace sfetch
 struct ProcessorConfig
 {
     unsigned width = 8;          //!< pipe width (2, 4, or 8)
-    unsigned pipeDepth = 16;     //!< paper: 16 stages (informational)
     /**
      * Cycles from a branch's dispatch to its resolution (redirect
-     * delivery). Approximately pipeDepth minus the front-end stages.
+     * delivery): the paper's 16-stage pipe minus its front-end
+     * stages.
      */
     Cycle branchResolveLat = 12;
     unsigned robSize = 256;

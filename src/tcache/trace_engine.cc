@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/engine_registry.hh"
-#include "util/simd.hh"
 
 namespace sfetch
 {
@@ -11,10 +10,10 @@ namespace sfetch
 TraceFetchEngine::TraceFetchEngine(const TraceEngineConfig &cfg,
                                    const CodeImage &image,
                                    MemoryHierarchy *mem)
-    : cfg_(cfg), image_(&image), reader_(mem, cfg.lineBytes),
+    : cfg_(cfg), image_(&image), reader_(mem, image, cfg.lineBytes),
       ntp_(cfg.ntp), tcache_(cfg.tcache), btb_(cfg.backupBtb),
       gshare_(cfg.gshareEntries, cfg.gshareHistoryBits),
-      ras_(cfg.rasEntries), fetchAddr_(image.entryAddr())
+      rec_(cfg.rasEntries), fetchAddr_(image.entryAddr())
 {
     fill_ = std::make_unique<TraceFillUnit>(
         image.entryAddr(), cfg_.fill,
@@ -34,66 +33,34 @@ TraceFetchEngine::tryTracePath()
     if (!pred.hit)
         return TraceTry::Miss;
 
-    std::uint64_t token = checkpoints_.put(
-        EngineCheckpoint{ras_.save(), specHist_.value()});
+    std::uint64_t token = rec_.checkpoint();
     std::uint64_t trace_id =
         TraceDescriptor::idOf(fetchAddr_, pred.dirBits, pred.numCond);
 
     const TraceDescriptor *trace =
         tcache_.lookup(fetchAddr_, pred.dirBits, pred.numCond);
-
-    if (!trace && cfg_.partialMatching) {
+    Addr next;
+    if (trace) {
+        ++traceHits_;
+        // Successor: predictor-provided, with RAS override for
+        // returns. The return pops before the in-trace calls push in
+        // latchTrace(), the modelled order the golden stats pin.
+        next = pred.next;
+        if (trace->endType == BranchType::Return)
+            next = predictReturn(rec_.ras, *image_, next);
+        latchTrace(*trace, trace->dirBits, token);
+        trace_id = trace->id();
+    } else if (cfg_.partialMatching &&
+               (trace = tcache_.lookupAnyDirections(fetchAddr_))) {
         // Partial matching: serve the prefix of any same-start trace
         // that agrees with the predicted directions up to the first
-        // divergent conditional.
-        const TraceDescriptor *any =
-            tcache_.lookupAnyDirections(fetchAddr_);
-        if (any) {
-            ++partialHits_;
-            emitSegs_.clear();
-            emitSeg_ = 0;
-            emitToken_ = token;
-
-            unsigned cond_idx = 0;
-            Addr next = any->next;
-            for (const TraceSegment &seg : any->segments) {
-                const std::uint8_t *meta = image_->meta() +
-                    (seg.start - image_->baseAddr()) / kInstBytes;
-                std::uint32_t len = seg.lenInsts;
-                bool cut = false;
-                for (std::uint32_t i = 0; i < len; ++i) {
-                    const Addr pc = seg.start + instsToBytes(i);
-                    const BranchType b = metaBranchType(meta[i]);
-                    if (b == BranchType::Call)
-                        ras_.push(pc + kInstBytes);
-                    if (b != BranchType::CondDirect)
-                        continue;
-                    bool stored = (any->dirBits >> cond_idx) & 1;
-                    bool want = (pred.dirBits >> cond_idx) & 1;
-                    specHist_.push(want);
-                    ++cond_idx;
-                    if (stored != want) {
-                        // Cut after the divergent conditional and
-                        // continue on the predicted direction.
-                        next = want ? image_->takenTarget(pc)
-                                    : pc + kInstBytes;
-                        len = i + 1;
-                        cut = true;
-                    }
-                }
-                emitSegs_.push_back(TraceSegment{seg.start, len});
-                if (cut)
-                    break;
-            }
-            if (next == kNoAddr || !image_->contains(next))
-                next = latchedEnd();
-            ntp_.specPush(trace_id);
-            fetchAddr_ = next;
-            return TraceTry::Hit;
-        }
-    }
-
-    if (!trace) {
+        // divergent conditional, then continue on the predicted
+        // direction.
+        ++partialHits_;
+        next = latchTrace(*trace, pred.dirBits, token);
+        if (next == kNoAddr)
+            next = trace->next;
+    } else {
         // Trace cache miss (typically a sequential trace excluded by
         // selective storage): fetch the predicted trace through the
         // i-cache, keeping trace-level sequencing intact.
@@ -108,46 +75,14 @@ TraceFetchEngine::tryTracePath()
         walk_.token = token;
 
         walk_.nextAfter = pred.endType == BranchType::Return
-            ? predictReturn(ras_, *image_, pred.next)
+            ? predictReturn(rec_.ras, *image_, pred.next)
             : pred.next;
         return TraceTry::WalkStart;
     }
-    ++traceHits_;
 
-    // Latch the trace for emission: its segments are the runs it
-    // delivers.
-    emitSegs_ = trace->segments;
-    emitSeg_ = 0;
-    emitToken_ = token;
-
-    // Successor: predictor-provided, with RAS override for returns.
-    // The return pops before the in-trace calls push below, the
-    // modelled order the golden stats pin.
-    Addr next = pred.next;
-    if (trace->endType == BranchType::Return)
-        next = predictReturn(ras_, *image_, next);
     if (next == kNoAddr || !image_->contains(next))
         next = latchedEnd();
-
-    // One pass over the packed meta bytes: the speculative direction
-    // history of the embedded conditionals, and the RAS pushes of
-    // the calls inside the trace.
-    unsigned cond_idx = 0;
-    for (const TraceSegment &seg : trace->segments) {
-        const std::uint8_t *meta = image_->meta() +
-            (seg.start - image_->baseAddr()) / kInstBytes;
-        for (std::uint32_t i = 0; i < seg.lenInsts; ++i) {
-            const BranchType b = metaBranchType(meta[i]);
-            if (b == BranchType::CondDirect) {
-                specHist_.push((trace->dirBits >> cond_idx) & 1);
-                ++cond_idx;
-            } else if (b == BranchType::Call) {
-                ras_.push(seg.start + instsToBytes(i + 1));
-            }
-        }
-    }
-
-    ntp_.specPush(trace->id());
+    ntp_.specPush(trace_id);
     fetchAddr_ = next;
     return TraceTry::Hit;
 }
@@ -157,6 +92,40 @@ TraceFetchEngine::latchedEnd() const
 {
     const TraceSegment &last = emitSegs_.back();
     return last.start + instsToBytes(last.lenInsts);
+}
+
+Addr
+TraceFetchEngine::latchTrace(const TraceDescriptor &t,
+                             std::uint32_t dirs, std::uint64_t token)
+{
+    emitSegs_.clear();
+    emitSeg_ = 0;
+    emitToken_ = token;
+
+    // One pass over the packed meta bytes: the speculative direction
+    // history of the embedded conditionals, and the RAS pushes of
+    // the calls inside the trace.
+    unsigned cond_idx = 0;
+    for (const TraceSegment &seg : t.segments) {
+        const std::uint8_t *meta = image_->metaAt(seg.start);
+        for (std::uint32_t i = 0; i < seg.lenInsts; ++i) {
+            const Addr seq = seg.start + instsToBytes(i + 1);
+            const BranchType b = metaBranchType(meta[i]);
+            if (b == BranchType::Call)
+                rec_.ras.push(seq);
+            if (b != BranchType::CondDirect)
+                continue;
+            const bool want = (dirs >> cond_idx) & 1;
+            rec_.specHist.push(want);
+            if (want != ((t.dirBits >> cond_idx++) & 1)) {
+                emitSegs_.push_back(TraceSegment{seg.start, i + 1});
+                return want ? image_->takenTarget(seq - kInstBytes)
+                            : seq;
+            }
+        }
+        emitSegs_.push_back(seg);
+    }
+    return kNoAddr;
 }
 
 void
@@ -170,74 +139,25 @@ TraceFetchEngine::walkStep(Cycle now, unsigned max_insts,
         return;
     }
 
-    unsigned avail = reader_.available(now, walk_.pc);
-    if (avail == 0)
+    // One run per cycle, bounded by the trace's remaining length,
+    // with the conditionals following the predicted directions.
+    const ICacheRun run = reader_.read(
+        now, walk_.pc, std::min(max_insts, walk_.instsLeft));
+    if (run.len == 0)
         return;
-
-    // One run per cycle: up to the first taken branch, bounded by
-    // the line, the width, the trace's remaining length and the
-    // image end.
-    const Addr start = walk_.pc;
-    const unsigned n = std::min(
-        {avail, max_insts, unsigned(walk_.instsLeft),
-         static_cast<unsigned>((image_->endAddr() - start) /
-                               kInstBytes)});
-    const std::uint8_t *meta = image_->meta() +
-        (start - image_->baseAddr()) / kInstBytes;
-    unsigned len = n;
-    Addr next = start + instsToBytes(n);
-    for (std::uint32_t bmask = simd::maskTestU8(meta, n, kMetaBranchBits);
-         bmask; bmask &= bmask - 1) {
-        const unsigned j = simd::bottomBit(bmask);
-        const Addr bpc = start + instsToBytes(j);
-        const Addr seq = bpc + kInstBytes;
-        bool taken = false;
-        Addr target = seq;
-
-        switch (metaBranchType(meta[j])) {
-          case BranchType::CondDirect:
-            if (walk_.condsLeft > 0) {
-                taken = walk_.dirBits & 1;
-                walk_.dirBits >>= 1;
-                --walk_.condsLeft;
-            }
-            specHist_.push(taken);
-            if (taken)
-                target = image_->takenTarget(bpc);
-            break;
-          case BranchType::Jump:
-            taken = true;
-            target = image_->takenTarget(bpc);
-            break;
-          case BranchType::Call:
-            taken = true;
-            target = image_->takenTarget(bpc);
-            ras_.push(seq);
-            break;
-          case BranchType::Return:
-            taken = true;
-            target = predictReturn(ras_, *image_, seq);
-            break;
-          case BranchType::IndirectJump: {
-            BtbEntry e = btb_.lookup(bpc);
-            taken = e.hit && image_->contains(e.target);
-            target = taken ? e.target : seq;
-            break;
-          }
-          default:
-            break;
-        }
-        if (taken) {
-            // One taken branch per cycle through the i-cache.
-            len = j + 1;
-            next = target;
-            break;
-        }
-    }
-    out.push(start, len, walk_.token);
-    instsFromIcache_ += len;
-    walk_.instsLeft -= len;
-    walk_.pc = next;
+    const BlockEnd end =
+        scanBlock(run, *image_, rec_, btb_, [this](Addr) {
+            if (walk_.condsLeft == 0)
+                return false;
+            const bool taken = walk_.dirBits & 1;
+            walk_.dirBits >>= 1;
+            --walk_.condsLeft;
+            return taken;
+        });
+    out.push(run.start, end.len, walk_.token);
+    instsFromIcache_ += end.len;
+    walk_.instsLeft -= end.len;
+    walk_.pc = end.next;
 
     if (walk_.instsLeft == 0) {
         // Predicted trace fully fetched: resume trace sequencing.
@@ -275,78 +195,20 @@ TraceFetchEngine::secondaryFetch(Cycle now, unsigned max_insts,
                                  FetchBundle &out)
 {
     ++secondaryCycles_;
-    if (!image_->contains(fetchAddr_))
+    const ICacheRun run = reader_.read(now, fetchAddr_, max_insts);
+    if (run.len == 0)
         return;
 
-    unsigned avail = reader_.available(now, fetchAddr_);
-    if (avail == 0)
-        return;
-
-    const Addr start = fetchAddr_;
-    const unsigned n = std::min(
-        {avail, max_insts,
-         static_cast<unsigned>((image_->endAddr() - start) /
-                               kInstBytes)});
-    std::uint64_t token = checkpoints_.put(
-        EngineCheckpoint{ras_.save(), specHist_.value()});
-
-    // One fetch block per cycle: up to the first predicted-taken
-    // branch, found by a meta scan.
-    const std::uint8_t *meta = image_->meta() +
-        (start - image_->baseAddr()) / kInstBytes;
-    unsigned len = n;
-    Addr next = start + instsToBytes(n);
-    for (std::uint32_t bmask = simd::maskTestU8(meta, n, kMetaBranchBits);
-         bmask; bmask &= bmask - 1) {
-        const unsigned j = simd::bottomBit(bmask);
-        const Addr bpc = start + instsToBytes(j);
-        const Addr seq = bpc + kInstBytes;
-        bool taken = false;
-        Addr target = seq;
-
-        switch (metaBranchType(meta[j])) {
-          case BranchType::CondDirect: {
-            bool dir = gshare_.predict(bpc, specHist_.value());
-            specHist_.push(dir);
-            if (dir) {
-                taken = true;
-                target = image_->takenTarget(bpc);
-            }
-            break;
-          }
-          case BranchType::Jump:
-            taken = true;
-            target = image_->takenTarget(bpc);
-            break;
-          case BranchType::Call:
-            taken = true;
-            target = image_->takenTarget(bpc);
-            ras_.push(seq);
-            break;
-          case BranchType::Return:
-            taken = true;
-            target = predictReturn(ras_, *image_, seq);
-            break;
-          case BranchType::IndirectJump: {
-            BtbEntry e = btb_.lookup(bpc);
-            if (e.hit && image_->contains(e.target)) {
-                taken = true;
-                target = e.target;
-            }
-            break;
-          }
-          default:
-            break;
-        }
-        if (taken) {
-            len = j + 1;
-            next = target;
-            break;
-        }
-    }
-    out.push(start, len, token);
-    instsFromIcache_ += len;
-    fetchAddr_ = next;
+    // One fetch block per cycle, with gshare directions; checkpointed
+    // only once the read succeeds.
+    const std::uint64_t token = rec_.checkpoint();
+    const BlockEnd end =
+        scanBlock(run, *image_, rec_, btb_, [this](Addr bpc) {
+            return gshare_.predict(bpc, rec_.specHist.value());
+        });
+    out.push(run.start, end.len, token);
+    instsFromIcache_ += end.len;
+    fetchAddr_ = end.next;
 }
 
 void
@@ -382,19 +244,7 @@ void
 TraceFetchEngine::redirect(const ResolvedBranch &rb)
 {
     ntp_.recoverHistory();
-    if (const auto *cp = checkpoints_.get(rb.token)) {
-        ras_.restore(cp->ras);
-        specHist_.set(cp->hist);
-    } else {
-        specHist_.copyFrom(commitHist_);
-    }
-    if (rb.type == BranchType::CondDirect)
-        specHist_.push(rb.taken);
-
-    if (rb.type == BranchType::Call)
-        ras_.push(rb.pc + kInstBytes);
-    else if (rb.type == BranchType::Return)
-        ras_.pop();
+    rec_.repair(rb, true);
 
     emitSegs_.clear();
     emitSeg_ = 0;
@@ -408,8 +258,8 @@ TraceFetchEngine::trainCommit(const CommittedBranch &cb)
 {
     fill_->onBranch(cb);
     if (cb.type == BranchType::CondDirect) {
-        gshare_.update(cb.pc, commitHist_.value(), cb.taken);
-        commitHist_.push(cb.taken);
+        gshare_.update(cb.pc, rec_.commitHist.value(), cb.taken);
+        rec_.commitHist.push(cb.taken);
     } else if (cb.type == BranchType::IndirectJump) {
         btb_.update(cb.pc, cb.target, cb.type);
     }

@@ -18,11 +18,8 @@
 
 #include "bpred/btb.hh"
 #include "bpred/direction_pred.hh"
-#include "bpred/history.hh"
 #include "bpred/predictor_tables.hh"
-#include "bpred/ras.hh"
 #include "fetch/fetch_engine.hh"
-#include "fetch/token_ring.hh"
 #include "tcache/fill_unit.hh"
 #include "tcache/trace_cache.hh"
 #include "util/inline_vec.hh"
@@ -142,6 +139,18 @@ class TraceFetchEngine : public FetchEngine
     /** Address after the last latched instruction. */
     Addr latchedEnd() const;
 
+    /**
+     * Latch @p t's segments for emission under @p token, replaying
+     * their calls' RAS pushes and their conditionals' directions,
+     * taken from @p dirs (bit i for the i-th), onto the speculative
+     * state. The first conditional where @p dirs differs from the
+     * trace's own directions cuts the trace after it.
+     * @return the address after the cut branch on its @p dirs
+     *         direction, or kNoAddr when the trace was latched whole.
+     */
+    Addr latchTrace(const TraceDescriptor &t, std::uint32_t dirs,
+                    std::uint64_t token);
+
     TraceEngineConfig cfg_;
     const CodeImage *image_;
     ICacheReader reader_;
@@ -150,10 +159,7 @@ class TraceFetchEngine : public FetchEngine
     std::unique_ptr<TraceFillUnit> fill_;
     Btb btb_;
     GsharePredictor gshare_;
-    ReturnAddressStack ras_;
-    GlobalHistory specHist_;
-    GlobalHistory commitHist_;
-    TokenRing<EngineCheckpoint> checkpoints_;
+    BranchRecovery rec_;
 
     Addr fetchAddr_ = kNoAddr;
 

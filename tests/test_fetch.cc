@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the fetch module: FTQ mechanics, i-cache reader timing,
- * token checkpoints, and the EV8 / FTB engines walking real images.
+ * token checkpoints, the shared branch recovery, and the EV8 / FTB
+ * engines walking real images.
  */
 
 #include <gtest/gtest.h>
@@ -74,30 +75,159 @@ TEST(Ftq, HeadRequestUpdateInPlace)
 
 // ---- ICacheReader ----
 
+namespace
+{
+
+/** One straight-line block of @p insts instructions placed at @p base. */
+struct LineImage
+{
+    Program prog;
+    CodeImage img;
+
+    LineImage(Addr base, std::uint32_t insts)
+        : prog(makeProgram(insts)), img(prog, baselineOrder(prog), base)
+    {}
+
+    static Program
+    makeProgram(std::uint32_t insts)
+    {
+        CfgBuilder b("line");
+        BlockId b0 = b.addBlock(insts);
+        b.ret(b0);
+        return b.build(b0);
+    }
+};
+
+} // namespace
+
 TEST(ICacheReader, HitGivesLineRemainder)
 {
     MemoryConfig mc;
     MemoryHierarchy mem(mc);
-    mem.accessInst(0x1000); // warm the line
-    ICacheReader r(&mem, 128);
-    unsigned n = r.available(10, 0x1000);
-    EXPECT_EQ(n, 32u); // full 128B line = 32 insts
-    EXPECT_EQ(r.available(11, 0x1010), 28u); // mid-line start
+    LineImage li(0x1000, 40); // 0x1000..0x10a0: a line and a quarter
+    for (Addr a = 0x1000; a < 0x1100; a += 0x80)
+        mem.accessInst(a); // warm the lines
+    ICacheReader r(&mem, li.img, 128);
+    ICacheRun run = r.read(10, 0x1000, 64);
+    EXPECT_EQ(run.start, 0x1000u);
+    EXPECT_EQ(run.len, 32u); // full 128B line = 32 insts
+    EXPECT_EQ(run.meta, li.img.metaAt(0x1000));
+    EXPECT_EQ(r.read(11, 0x1010, 64).len, 28u); // mid-line start
+    EXPECT_EQ(r.read(12, 0x1010, 5).len, 5u);   // the caller's bound
+    // The image's last line stops at endAddr(), not the line end.
+    run = r.read(13, 0x1090, 64);
+    EXPECT_EQ(run.len, 4u);
+    EXPECT_EQ(run.start + instsToBytes(run.len), li.img.endAddr());
+    // Off the image: nothing, and no miss.
+    EXPECT_EQ(r.read(14, li.img.endAddr(), 64).len, 0u);
+    EXPECT_EQ(r.misses(), 0u);
 }
 
 TEST(ICacheReader, MissBlocksUntilFill)
 {
     MemoryConfig mc;
     MemoryHierarchy mem(mc);
-    ICacheReader r(&mem, 128);
+    LineImage li(0x40000, 32);
+    ICacheReader r(&mem, li.img, 128);
     Cycle now = 100;
-    EXPECT_EQ(r.available(now, 0x40000), 0u); // cold miss
+    EXPECT_EQ(r.read(now, 0x40000, 32).len, 0u); // cold miss
     EXPECT_EQ(r.misses(), 1u);
     // Before the full latency elapses: still blocked.
-    EXPECT_EQ(r.available(now + 5, 0x40000), 0u);
+    EXPECT_EQ(r.read(now + 5, 0x40000, 32).len, 0u);
     // After L1+L2+mem latency: line present.
     Cycle lat = mc.l1Latency + mc.l2Latency + mc.memLatency;
-    EXPECT_GT(r.available(now + lat, 0x40000), 0u);
+    EXPECT_GT(r.read(now + lat, 0x40000, 32).len, 0u);
+}
+
+// ---- BranchRecovery ----
+
+namespace
+{
+
+ResolvedBranch
+resolvedCond(std::uint64_t token, bool taken)
+{
+    ResolvedBranch rb;
+    rb.pc = 0x400000;
+    rb.type = BranchType::CondDirect;
+    rb.taken = taken;
+    rb.target = 0x400100;
+    rb.token = token;
+    return rb;
+}
+
+} // namespace
+
+TEST(BranchRecovery, LiveTokenRestoresThenAppendsOutcome)
+{
+    BranchRecovery rec(8);
+    rec.ras.push(0x1000);
+    rec.specHist.push(true);
+    rec.specHist.push(false);
+    const std::uint64_t hist = rec.specHist.value();
+    const std::uint64_t token = rec.checkpoint();
+
+    // Wrong-path predictions after the branch.
+    rec.ras.pop();
+    rec.ras.push(0x2000);
+    rec.ras.push(0x3000);
+    rec.specHist.push(true);
+    rec.specHist.push(true);
+
+    rec.repair(resolvedCond(token, true), true);
+    EXPECT_EQ(rec.ras.top(), 0x1000u);
+    EXPECT_EQ(rec.specHist.value(), (hist << 1) | 1);
+}
+
+TEST(BranchRecovery, OverwrittenTokenFallsBackToCommittedHistory)
+{
+    BranchRecovery rec(8);
+    rec.specHist.push(true);
+    const std::uint64_t token = rec.checkpoint();
+    // More puts than the ring holds overwrite the token's slot.
+    for (int i = 0; i < 4096; ++i)
+        rec.checkpoint();
+    rec.commitHist.push(true);
+    rec.commitHist.push(true);
+    rec.commitHist.push(false);
+    rec.specHist.push(true);
+    rec.ras.push(0x2000);
+
+    rec.repair(resolvedCond(token, false), true);
+    EXPECT_EQ(rec.specHist.value(), rec.commitHist.value() << 1);
+    EXPECT_EQ(rec.ras.top(), 0x2000u); // nothing to restore it from
+}
+
+TEST(BranchRecovery, NeverTakenEmbeddedCondAppendsNothing)
+{
+    // The FTB keeps only block enders in its history: a conditional
+    // that has never been taken passes push_outcome = false.
+    BranchRecovery rec(8);
+    rec.specHist.push(true);
+    const std::uint64_t hist = rec.specHist.value();
+    const std::uint64_t token = rec.checkpoint();
+    rec.specHist.push(false);
+
+    rec.repair(resolvedCond(token, false), false);
+    EXPECT_EQ(rec.specHist.value(), hist);
+}
+
+TEST(BranchRecovery, ReplaysTheBranchsOwnCallOrReturn)
+{
+    BranchRecovery rec(8);
+    rec.ras.push(0x1000);
+    ResolvedBranch call;
+    call.pc = 0x400010;
+    call.type = BranchType::Call;
+    call.token = rec.checkpoint();
+    rec.repair(call, true);
+    EXPECT_EQ(rec.ras.top(), 0x400014u);
+
+    ResolvedBranch ret;
+    ret.type = BranchType::Return;
+    ret.token = rec.checkpoint();
+    rec.repair(ret, true);
+    EXPECT_EQ(rec.ras.top(), 0x1000u);
 }
 
 // ---- TokenRing ----

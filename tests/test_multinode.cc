@@ -306,11 +306,16 @@ TEST(MultiNode, SlowWorkerLosesChunksToHealthyPeer)
     // The front's per-chunk read timeout must reclaim B's chunk and
     // the healthy worker A must absorb it, bit-identically. "jobs": 1
     // keeps the captive job on one core, as slow as it is meant to be.
+    // Its 28 points must outlast the 2 s timeout well even on a fast
+    // host (one 8M-instruction point takes about 0.25 s on one core
+    // of a current x86 server); a cancel waits for at most the
+    // running point.
     LineChannel slow(
         connectSocket(parseSocketAddr(workerB.listenAddress())));
     ASSERT_TRUE(slow.writeLine(
         "{\"verb\": \"submit\", \"bench\": \"gzip\", "
-        "\"arch\": \"stream,ev8,ftb,seq\", \"widths\": [4, 8], "
+        "\"arch\": \"stream,ev8,ftb,seq\", "
+        "\"widths\": [2, 3, 4, 5, 6, 7, 8], "
         "\"insts\": 8000000, \"warmup\": 1000, \"jobs\": 1}"));
     std::string ack;
     ASSERT_TRUE(slow.readLine(ack));
