@@ -53,7 +53,9 @@
  * whole chunk, once per workload however many layouts read it. A
  * two-layout workload at full paper scale (2M + 0.3M warmup) thus
  * costs at most ~4.8 MB. A window costs 9 bytes per entry, 4K
- * entries per run, whatever the run length.
+ * entries per run, whatever the run length. These are measured
+ * costs; the estimate admission makes before any decode is declared
+ * in sim/experiment.hh.
  *
  * Bit-identity: an arena and a private decoder encode the same path,
  * and one walker reads both, so arena replay and windowed generation
@@ -75,24 +77,6 @@
 
 namespace sfetch
 {
-
-/**
- * A priori per-instruction estimate of an arena's heap cost, for
- * admission decisions made *before* any decode. sfetchd's memory
- * governor budgets `insts * kArenaBytesPerInstEstimate` per decode.
- *
- * It is 12, well above what the format measures (a control part of
- * at most 0.25 B/inst per layout, plus a data stream of 0.5-1.6
- * B/inst per workload), because the governor budgets arenas only:
- * the placed workloads they are decoded from are not budgeted
- * (PlacedWorkload::bytes(), sfetchd's `resident_workload_bytes`), and
- * take up to ~1.1 MB each with both layouts placed (6.5 MiB for a
- * churn of 24 distinct programs). The governor evicts whole workloads
- * only while arenas
- * overflow the budget, so an estimate lowered to the format's cost
- * alone would let that workload memory pile up unchecked.
- */
-constexpr std::size_t kArenaBytesPerInstEstimate = 12;
 
 /**
  * Read-only view of committed-path positions [first, last) in the

@@ -35,28 +35,6 @@ errorReply(const std::string &reason, const std::string &what)
     return w.str();
 }
 
-/**
- * The governor's admission estimate for a job: one decoded arena per
- * sharedArenaGroups() group, at kArenaBytesPerInstEstimate bytes per
- * entry. The true cost after decode is each layout's control part
- * plus, once per workload, the data stream both layouts read
- * (PlacedWorkload::arenaBytesResident()), which the estimate
- * intentionally over-approximates.
- */
-std::size_t
-estimateArenaBytes(const std::vector<SweepPoint> &points)
-{
-    std::size_t est = 0, bytes = 0;
-    // Saturate: a wrapped estimate would admit arenas that can never
-    // fit.
-    for (const ArenaGroup &g : sharedArenaGroups(points))
-        if (__builtin_mul_overflow(g.entries, kArenaBytesPerInstEstimate,
-                                   &bytes) ||
-            __builtin_add_overflow(est, bytes, &est))
-            return SIZE_MAX;
-    return est;
-}
-
 std::int64_t
 nowMs()
 {
@@ -528,7 +506,7 @@ Server::makeJob(const Request &req)
         job->sweepJobs =
             static_cast<unsigned>(std::min<std::uint64_t>(n, cores_));
     job->arenaWanted = req.choice<ArenaChoice>("arena");
-    job->estArenaBytes = estimateArenaBytes(job->points);
+    job->estArenaBytes = estimatedArenaBytes(job->points);
     return job;
 }
 

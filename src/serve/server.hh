@@ -36,14 +36,15 @@
  * "max_points_per_job"), at most maxJobsPerClient active jobs per
  * client identity (SO_PEERCRED; reject "over_quota"), at most
  * maxConns concurrent connections (reject "busy"). Memory governor:
- * each submit's arena cost is pre-estimated from the arena formula
- * (kArenaBytesPerInstEstimate per instruction, per sharedArenaGroups()
- * group); a job whose estimate cannot fit even an empty cache is
- * rejected "over_budget" when it demands arenas ("arena":"require"),
- * and otherwise the governor first evicts single-layout arenas (then
- * whole workloads) LRU-first, then falls back to each point decoding
- * its own window ("arena":false in the framing) — the budget is never
- * exceeded to satisfy a decode. Rows are bit-identical either way.
+ * each submit's arena cost is pre-estimated before any decode
+ * (estimatedArenaBytes(), sim/driver.hh); a job whose estimate cannot
+ * fit even an empty cache is rejected "over_budget" when it demands
+ * arenas ("arena":"require"), and otherwise the governor first sheds
+ * cached workloads' arenas (then whole workloads) LRU-first
+ * (WorkloadCache::evictToBudget()), then falls back to each point
+ * decoding its own window ("arena":false in the framing) — the budget
+ * is never exceeded to satisfy a decode. Rows are bit-identical
+ * either way.
  *
  * Fault tolerance: with a --state-dir, every submit/start/finish is
  * journalled (serve/journal.hh) and unfinished jobs are re-queued on

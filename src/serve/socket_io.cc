@@ -185,7 +185,7 @@ listenUnix(const std::string &path, int backlog)
     sockaddr_un addr = unixAddr(path);
     // A stale socket file from a crashed or killed daemon would make
     // bind fail with EADDRINUSE forever, so remove it — but only when
-    // it really is a socket. A typo'd --socket pointing at a regular
+    // it really is a socket. A typo'd --listen pointing at a regular
     // file must error out, never delete the file.
     struct stat st;
     if (::lstat(path.c_str(), &st) == 0) {

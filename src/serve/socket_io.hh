@@ -14,7 +14,6 @@
  *                      every interface; PORT 0 binds an ephemeral
  *                      port for listeners)
  *     PATH             bare text without a scheme is a Unix path
- *                      (back-compat with the original --socket flag)
  *
  * Deadlines: a LineChannel can carry per-call read and write
  * timeouts (poll()-based), so a stalled or dead peer surfaces as a
@@ -63,7 +62,7 @@ SocketAddr parseSocketAddr(const std::string &text);
 /**
  * Bind and listen on a Unix-domain socket at @p path. A stale
  * *socket* file from a previous run is unlinked first; any existing
- * non-socket file at the path is an error (a typo'd --socket must
+ * non-socket file at the path is an error (a typo'd --listen must
  * never delete a real file). Other failures throw
  * std::runtime_error. Returns the listening fd (caller closes).
  */

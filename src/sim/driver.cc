@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <map>
@@ -67,6 +68,20 @@ sharedArenaGroups(const std::vector<SweepPoint> &points)
                           std::move(members)});
     }
     return groups;
+}
+
+std::size_t
+estimatedArenaBytes(const std::vector<SweepPoint> &points)
+{
+    std::size_t est = 0, bytes = 0;
+    // Saturate: a wrapped estimate would admit arenas that can never
+    // fit.
+    for (const ArenaGroup &g : sharedArenaGroups(points))
+        if (__builtin_mul_overflow(g.entries, kArenaBytesPerInstEstimate,
+                                   &bytes) ||
+            __builtin_add_overflow(est, bytes, &est))
+            return SIZE_MAX;
+    return est;
 }
 
 SweepDriver::SweepDriver(unsigned jobs) : jobs_(jobs)

@@ -51,11 +51,21 @@ struct ArenaGroup
  * two or more points shares one decoded arena. Every other point
  * decodes a private window as it runs — a shared decode would cost
  * exactly one generation pass and save none. The sweep driver builds
- * these groups' arenas; sfetchd's memory governor budgets its
- * admission estimate from the same groups.
+ * these groups' arenas; estimatedArenaBytes() prices the same groups
+ * for sfetchd's memory governor.
  */
 std::vector<ArenaGroup>
 sharedArenaGroups(const std::vector<SweepPoint> &points);
+
+/**
+ * sfetchd's admission estimate for a sweep of @p points: one decoded
+ * arena per sharedArenaGroups() group, at kArenaBytesPerInstEstimate
+ * (sim/experiment.hh) bytes per entry, saturating at SIZE_MAX. The
+ * true cost after decode, each layout's control part plus once per
+ * workload the data stream both layouts read
+ * (PlacedWorkload::arenaBytesResident()), is deliberately lower.
+ */
+std::size_t estimatedArenaBytes(const std::vector<SweepPoint> &points);
 
 class SweepDriver
 {

@@ -1,6 +1,5 @@
 #include "sim/experiment.hh"
 
-#include <atomic>
 #include <stdexcept>
 
 #include "core/stream_builder.hh"
@@ -56,19 +55,6 @@ PlacedWorkload::bytes() const
     return bytes;
 }
 
-namespace
-{
-
-/** Process-wide LRU clock for per-layout arena stamps. */
-std::uint64_t
-nextArenaUseStamp()
-{
-    static std::atomic<std::uint64_t> clock{0};
-    return ++clock;
-}
-
-} // namespace
-
 std::shared_ptr<const OracleArena>
 PlacedWorkload::arena(bool optimized, InstCount total_insts) const
 {
@@ -113,7 +99,6 @@ PlacedWorkload::arena(bool optimized, InstCount total_insts) const
     if (decoding_[l] != 0) {
         decoding_[l] = 0;
         arenas_[l] = fresh;
-        arenaUse_[l] = nextArenaUseStamp();
     }
     return fresh;
 }
@@ -125,17 +110,19 @@ PlacedWorkload::cachedArena(bool optimized,
     std::lock_guard<std::mutex> lock(arenaMu_);
     const std::shared_ptr<const OracleArena> &slot =
         arenas_[optimized ? 1 : 0];
-    if (slot && slot->size() >= total_insts) {
-        arenaUse_[optimized ? 1 : 0] = nextArenaUseStamp();
-        return slot;
-    }
-    return nullptr;
+    return slot && slot->size() >= total_insts ? slot : nullptr;
 }
 
 std::size_t
 PlacedWorkload::arenaBytesResident() const
 {
     std::lock_guard<std::mutex> lock(arenaMu_);
+    return arenaBytesLocked();
+}
+
+std::size_t
+PlacedWorkload::arenaBytesLocked() const
+{
     std::size_t bytes = 0;
     const DataStream *counted = nullptr;
     for (int l = 0; l < 2; ++l) {
@@ -157,44 +144,20 @@ PlacedWorkload::dropArenas() const
     std::lock_guard<std::mutex> lock(arenaMu_);
     arenas_[0].reset();
     arenas_[1].reset();
-    arenaUse_[0] = arenaUse_[1] = 0;
     decoding_[0] = decoding_[1] = 0;
 }
 
 std::size_t
-PlacedWorkload::arenaBytes(bool optimized) const
+PlacedWorkload::shedArenas() const
 {
     std::lock_guard<std::mutex> lock(arenaMu_);
-    const auto &slot = arenas_[optimized ? 1 : 0];
-    return slot ? slot->bytes() : 0;
-}
-
-std::uint64_t
-PlacedWorkload::arenaLastUse(bool optimized) const
-{
-    std::lock_guard<std::mutex> lock(arenaMu_);
-    return arenaUse_[optimized ? 1 : 0];
-}
-
-std::size_t
-PlacedWorkload::evictArena(bool optimized) const
-{
-    std::lock_guard<std::mutex> lock(arenaMu_);
-    std::shared_ptr<const OracleArena> &slot =
-        arenas_[optimized ? 1 : 0];
+    const std::size_t before = arenaBytesLocked();
     // use_count == 1 means this slot is the arena's only owner; a
     // replay in flight holds its own shared_ptr and is left alone.
-    if (!slot || slot.use_count() > 1)
-        return 0;
-    const std::shared_ptr<const OracleArena> &other =
-        arenas_[optimized ? 0 : 1];
-    const bool shared =
-        other && &other->dataStream() == &slot->dataStream();
-    const std::size_t bytes =
-        shared ? slot->controlBytes() : slot->bytes();
-    slot.reset();
-    arenaUse_[optimized ? 1 : 0] = 0;
-    return bytes;
+    for (std::shared_ptr<const OracleArena> &slot : arenas_)
+        if (slot.use_count() == 1)
+            slot.reset();
+    return before - arenaBytesLocked();
 }
 
 SimStats

@@ -40,6 +40,25 @@ namespace sfetch
 constexpr InstCount kFetchAheadMargin = 4096;
 
 /**
+ * A priori per-instruction estimate of an arena's heap cost, for
+ * admission decisions made *before* any decode: sfetchd's memory
+ * governor budgets estimatedArenaBytes() (sim/driver.hh), and a
+ * decode in flight counts at this rate in arenaBytesResident().
+ *
+ * It is 12, well above what the format measures (a control part of
+ * at most 0.25 B/inst per layout, plus a data stream of 0.5-1.6
+ * B/inst per workload; layout/oracle_arena.hh), because the governor
+ * budgets arenas only: the placed workloads they are decoded from are
+ * not budgeted (PlacedWorkload::bytes(), sfetchd's
+ * `resident_workload_bytes`), and take up to ~1.1 MB each with both
+ * layouts placed (6.5 MiB for a churn of 24 distinct programs). The
+ * governor evicts whole workloads only while arenas overflow the
+ * budget, so an estimate lowered to the format's cost alone would let
+ * that workload memory pile up unchecked.
+ */
+constexpr std::size_t kArenaBytesPerInstEstimate = 12;
+
+/**
  * Length, in blocks, of the `train`-seed profiling run that drives
  * the optimized layout (PlacedWorkload::trainProfile()).
  */
@@ -139,31 +158,21 @@ class PlacedWorkload
     void dropArenas() const;
 
     /**
-     * Bytes one layout's cached arena keeps alive, its shared data
-     * stream included (0 when not decoded).
+     * Drop every cached arena this slot alone owns — an arena some
+     * replay still holds stays, and so does the data stream while any
+     * arena reads it. Returns what that takes off
+     * arenaBytesResident(): the shed arenas' control parts, plus the
+     * data stream once no cached arena is left to read it. A decode
+     * in flight is untouched. Later arena() calls decode afresh;
+     * WorkloadCache::evictToBudget() sheds workloads this way before
+     * it erases any.
      */
-    std::size_t arenaBytes(bool optimized) const;
-
-    /**
-     * Process-wide LRU stamp of the layout's cached arena: when it
-     * was last decoded or handed out by arena()/cachedArena(). 0 when
-     * not decoded. Drives arena-granular eviction
-     * (WorkloadCache::evictArenaLru()).
-     */
-    std::uint64_t arenaLastUse(bool optimized) const;
-
-    /**
-     * Drop one layout's cached arena iff this cache slot is its only
-     * owner — an arena some replay still holds is left alone.
-     * Returns the bytes it takes off arenaBytesResident(): its
-     * control part, plus the data stream unless the other layout's
-     * cached arena still holds it (0 when absent or in use). The
-     * other layout's arena is untouched: this is the governor's
-     * surgical alternative to evicting a whole workload.
-     */
-    std::size_t evictArena(bool optimized) const;
+    std::size_t shedArenas() const;
 
   private:
+    /** arenaBytesResident() with arenaMu_ already held. */
+    std::size_t arenaBytesLocked() const;
+
     std::string name_;
     SyntheticWorkload work_;
 
@@ -175,7 +184,7 @@ class PlacedWorkload
     /**
      * Lazily-built per-layout committed-path arenas ([0]=base).
      * buildMu_ serializes the decodes of one layout; arenaMu_ guards
-     * only the slots, stamps and stream handle, never a decode.
+     * only the slots, counts and stream handle, never a decode.
      */
     mutable std::mutex buildMu_[2];
     mutable std::mutex arenaMu_;
@@ -185,7 +194,6 @@ class PlacedWorkload
      * the arenas own it, so it dies with the last of them.
      */
     mutable std::weak_ptr<DataStream> data_;
-    mutable std::uint64_t arenaUse_[2] = {0, 0}; //!< LRU stamps
     mutable std::uint64_t decoding_[2] = {0, 0}; //!< insts in flight
 };
 

@@ -130,63 +130,40 @@ WorkloadCache::evictLru()
 }
 
 std::size_t
-WorkloadCache::evictArenaLru()
-{
-    // Snapshot candidates under the map lock, oldest first; the
-    // per-workload evictArena() re-checks ownership under its own
-    // lock, so a replay grabbing the arena between snapshot and
-    // eviction just makes that candidate yield 0 and we move on.
-    struct Candidate
-    {
-        std::uint64_t lastUse;
-        std::shared_ptr<PlacedWorkload> work;
-        bool optimized;
-    };
-    std::vector<Candidate> candidates;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &[name, s] : slots_) {
-            if (!s->work)
-                continue;
-            for (bool optimized : {false, true})
-                if (s->work->arenaBytes(optimized) > 0)
-                    candidates.push_back(
-                        {s->work->arenaLastUse(optimized), s->work,
-                         optimized});
-        }
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  return a.lastUse < b.lastUse;
-              });
-    for (const Candidate &c : candidates) {
-        const std::size_t bytes = c.work->evictArena(c.optimized);
-        if (bytes > 0) {
-            evictions_.fetch_add(1);
-            return bytes;
-        }
-    }
-    return 0;
-}
-
-std::size_t
 WorkloadCache::evictToBudget(std::size_t budget_bytes)
 {
-    std::size_t freed = 0;
-    // Arena-granular first: shedding one layout's decode often
-    // suffices and keeps the workload (and its sibling arena) warm.
-    while (bytesResident() > budget_bytes) {
-        const std::size_t got = evictArenaLru();
-        if (got == 0)
-            break;
-        freed += got;
+    // Two passes over the entries, oldest first on their lastUse
+    // clock. First shed arenas: that keeps the builds warm, pinned
+    // ones included, and often suffices.
+    std::vector<std::pair<std::uint64_t,
+                          std::shared_ptr<PlacedWorkload>>> lru;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const auto &[name, s] : slots_)
+            if (s->work)
+                lru.emplace_back(s->lastUse, s->work);
     }
+    std::sort(lru.begin(), lru.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first < b.first;
+              });
+    std::size_t freed = 0;
+    for (const auto &[last_use, work] : lru) {
+        if (bytesResident() <= budget_bytes)
+            break;
+        if (const std::size_t got = work->shedArenas()) {
+            evictions_.fetch_add(1);
+            freed += got;
+        }
+    }
+    // The snapshot's references would read as pins to evictLru().
+    lru.clear();
     while (bytesResident() > budget_bytes) {
-        // Whole-entry fallback: reached when the remaining arenas
-        // are externally held (evictArena refuses those, but
-        // dropping the entry releases the cache's reference all the
-        // same). An eviction can free 0 bytes, so progress is judged
-        // by the eviction counter, not the byte yield.
+        // Then whole entries: reached when the remaining arenas are
+        // held by replays (shedArenas() keeps those, but dropping
+        // the entry releases the cache's reference all the same) or
+        // still decoding. An eviction can free 0 bytes, so progress
+        // is judged by the eviction counter, not the byte yield.
         const std::uint64_t before = evictions_.load();
         freed += evictLru();
         if (evictions_.load() == before)

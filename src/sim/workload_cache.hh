@@ -9,12 +9,13 @@
  * for the same name block on one build; calls for different names
  * build in parallel.
  *
- * The cache used to be grow-only, which is fine for one-shot bench
- * binaries but unbounded for a resident daemon sweeping many bench
- * specs. It now carries byte accounting (the budgetable cost is the
- * per-layout committed-path arenas — see PlacedWorkload::
- * arenaBytesResident()) and LRU eviction, which sfetchd's memory
- * governor drives against its --mem-budget-mb.
+ * For a resident daemon sweeping many bench specs the cache carries
+ * byte accounting (the budgetable cost is each workload's cached
+ * committed-path arenas — see PlacedWorkload::arenaBytesResident())
+ * and LRU eviction, which sfetchd's memory governor drives against
+ * its --mem-budget-mb. The entry is the one unit of eviction: its
+ * arenas are shed together (PlacedWorkload::shedArenas()), and the
+ * entry itself is erased only when that does not suffice.
  *
  * Pinning contract: get() returns a bare reference that eviction can
  * invalidate, so it remains correct only for callers that never
@@ -76,11 +77,11 @@ class WorkloadCache
 
     /**
      * Budgetable bytes resident in the cache: the sum of
-     * arenaBytesResident() over every built entry, so each
-     * workload's data stream counts once. (The workloads themselves,
-     * up to ~1.1 MB each — workloadBytes() — are not counted; see
-     * kArenaBytesPerInstEstimate for how the governor allows for
-     * them.)
+     * arenaBytesResident() over every built entry, pinned ones
+     * included. (The workloads themselves, up to ~1.1 MB each —
+     * workloadBytes() — are not counted; see
+     * kArenaBytesPerInstEstimate in sim/experiment.hh for how the
+     * governor allows for them.)
      */
     std::size_t bytesResident() const;
 
@@ -101,21 +102,12 @@ class WorkloadCache
     std::size_t evictLru();
 
     /**
-     * Evict the globally least-recently-used *single-layout arena*
-     * whose only owner is the cache, leaving its workload (and the
-     * sibling layout's arena) resident. Returns the bytes released
-     * (PlacedWorkload::evictArena(): the control part alone while
-     * the sibling holds the data stream), or 0 when no arena is
-     * evictable. Finer-grained than evictLru():
-     * a sweep that alternates layouts on one workload sheds half its
-     * footprint instead of losing the whole build.
-     */
-    std::size_t evictArenaLru();
-
-    /**
      * Evict until bytesResident() <= @p budget_bytes or nothing more
-     * is evictable: first single arenas (evictArenaLru), then whole
-     * LRU entries. Returns total bytes released.
+     * is evictable, walking entries least recently used first: first
+     * shed each entry's arenas (PlacedWorkload::shedArenas(), pinned
+     * entries too), then erase whole unpinned entries (evictLru()).
+     * Never frees an arena a replay holds. Each shed and each erase
+     * counts one eviction. Returns total bytes released.
      */
     std::size_t evictToBudget(std::size_t budget_bytes);
 

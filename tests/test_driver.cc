@@ -354,54 +354,41 @@ TEST(WorkloadCache, ClearDropsArenaRefsEvenOnPinnedEntries)
     EXPECT_EQ(pin->name(), "gzip");
 }
 
-TEST(WorkloadCache, EvictArenaLruShedsOneLayoutNotTheWorkload)
+/**
+ * A workload sheds its arenas together: an arena a replay holds
+ * stays, and keeps the data stream; the stream goes with the last
+ * arena. The workload stays built and decodes afresh on next use.
+ */
+TEST(WorkloadCache, ShedArenasKeepsHeldArenasAndTheWorkload)
 {
     WorkloadCache &cache = WorkloadCache::instance();
     cache.clear();
+    const std::size_t live0 = OracleArena::liveBytes();
     const PlacedWorkload &gzip = cache.get("gzip");
-    auto base_arena = gzip.arena(false, 30'000); // older stamp
-    auto opt_arena = gzip.arena(true, 30'000);   // newer stamp
-    const std::size_t base_control = base_arena->controlBytes();
-    const std::size_t opt_bytes = opt_arena->bytes();
-    base_arena.reset(); // the cache is now each arena's sole owner
-    opt_arena.reset();
+    auto held = gzip.arena(true, 30'000); // a replay in flight
+    const std::size_t base_control =
+        gzip.arena(false, 30'000)->controlBytes();
+    const std::size_t held_bytes = held->bytes();
 
-    // LRU order: the base-layout arena goes first, the workload (and
-    // the optimized arena, with the data stream) stay resident.
-    const std::uint64_t ev0 = cache.evictions();
-    EXPECT_EQ(cache.evictArenaLru(), base_control);
-    EXPECT_EQ(cache.evictions(), ev0 + 1);
+    EXPECT_EQ(gzip.shedArenas(), base_control);
+    EXPECT_EQ(gzip.cachedArena(false, 0), nullptr);
+    EXPECT_EQ(gzip.cachedArena(true, 0), held)
+        << "an externally held arena must never be shed";
+    EXPECT_EQ(gzip.arenaBytesResident(), held_bytes);
+    EXPECT_EQ(OracleArena::liveBytes() - live0, held_bytes);
+
+    held.reset();
+    EXPECT_EQ(gzip.shedArenas(), held_bytes);
+    EXPECT_EQ(gzip.shedArenas(), 0u); // nothing left to shed
+    EXPECT_EQ(gzip.arenaBytesResident(), 0u);
+    EXPECT_EQ(OracleArena::liveBytes(), live0);
     EXPECT_TRUE(cache.contains("gzip"));
-    EXPECT_EQ(gzip.arenaBytes(false), 0u);
-    EXPECT_EQ(gzip.arenaBytes(true), opt_bytes);
-    EXPECT_EQ(cache.bytesResident(), opt_bytes);
 
-    EXPECT_EQ(cache.evictArenaLru(), opt_bytes);
-    EXPECT_EQ(cache.evictArenaLru(), 0u); // nothing left to shed
-    EXPECT_TRUE(cache.contains("gzip"));
-    EXPECT_EQ(cache.bytesResident(), 0u);
-
-    // An evicted arena is simply re-decoded on next use.
+    // A shed arena is simply re-decoded on next use.
     auto again = gzip.arena(true, 30'000);
     ASSERT_TRUE(again);
     EXPECT_EQ(cache.bytesResident(), again->bytes());
-}
-
-TEST(WorkloadCache, ArenaEvictionSkipsArenasHeldByReplays)
-{
-    WorkloadCache &cache = WorkloadCache::instance();
     cache.clear();
-    const PlacedWorkload &gzip = cache.get("gzip");
-    auto held = gzip.arena(true, 30'000); // a replay in flight
-    const std::size_t bytes = held->bytes();
-
-    EXPECT_EQ(cache.evictArenaLru(), 0u)
-        << "an externally held arena must never be shed";
-    EXPECT_EQ(cache.bytesResident(), bytes);
-
-    held.reset();
-    EXPECT_EQ(cache.evictArenaLru(), bytes);
-    EXPECT_EQ(cache.bytesResident(), 0u);
 }
 
 TEST(WorkloadCache, EvictToBudgetShedsArenasBeforeWholeEntries)
@@ -409,28 +396,58 @@ TEST(WorkloadCache, EvictToBudgetShedsArenasBeforeWholeEntries)
     WorkloadCache &cache = WorkloadCache::instance();
     cache.clear();
     const PlacedWorkload &gzip = cache.get("gzip");
-    auto base_arena = gzip.arena(false, 30'000);
-    auto opt_arena = gzip.arena(true, 30'000);
-    const std::size_t base_control = base_arena->controlBytes();
-    const std::size_t opt_bytes = opt_arena->bytes();
-    base_arena.reset();
-    opt_arena.reset();
+    gzip.arena(false, 30'000);
+    gzip.arena(true, 30'000);
+    const std::size_t gzip_bytes = gzip.arenaBytesResident();
+    const PlacedWorkload &vpr = cache.get("vpr"); // more recently used
+    const std::size_t vpr_bytes = vpr.arena(true, 30'000)->bytes();
 
-    // A budget that fits one arena sheds only the older one's
-    // control part; the workload itself (an expensive build) and
-    // the data stream survive.
-    EXPECT_EQ(cache.evictToBudget(opt_bytes), base_control);
+    // A budget that fits vpr's arena sheds both of gzip's, the LRU
+    // entry's, as one eviction; both workloads (expensive builds)
+    // survive.
+    const std::uint64_t ev0 = cache.evictions();
+    EXPECT_EQ(cache.evictToBudget(vpr_bytes), gzip_bytes);
+    EXPECT_EQ(cache.evictions(), ev0 + 1);
     EXPECT_TRUE(cache.contains("gzip"));
-    EXPECT_EQ(cache.bytesResident(), opt_bytes);
+    EXPECT_TRUE(cache.contains("vpr"));
+    EXPECT_EQ(cache.bytesResident(), vpr_bytes);
 
-    // When the remaining arena is pinned by a replay, the granular
-    // path yields nothing and evictToBudget falls back to dropping
-    // the whole entry (the cache's reference, not the replay's).
-    auto held = gzip.arena(true, 30'000);
+    // When the remaining arena is held by a replay, shedding yields
+    // nothing and evictToBudget falls back to erasing whole unpinned
+    // entries (the cache's reference to the arena, not the replay's).
+    auto held = vpr.arena(true, 30'000);
     cache.evictToBudget(0);
     EXPECT_FALSE(cache.contains("gzip"));
+    EXPECT_FALSE(cache.contains("vpr"));
     EXPECT_EQ(cache.bytesResident(), 0u);
     EXPECT_GE(OracleArena::liveBytes(), held->bytes());
+}
+
+/**
+ * A pinned entry is never erased, but its cached arenas that no
+ * replay holds are shed all the same.
+ */
+TEST(WorkloadCache, EvictToBudgetShedsUnusedArenasOfPinnedEntries)
+{
+    WorkloadCache &cache = WorkloadCache::instance();
+    cache.clear();
+    const auto pin = cache.getShared("gzip");
+    const std::size_t bytes = pin->arena(true, 30'000)->bytes();
+
+    const std::uint64_t ev0 = cache.evictions();
+    EXPECT_EQ(cache.evictToBudget(0), bytes);
+    EXPECT_EQ(cache.evictions(), ev0 + 1);
+    EXPECT_TRUE(cache.contains("gzip"));
+    EXPECT_EQ(pin->arenaBytesResident(), 0u);
+    EXPECT_EQ(cache.bytesResident(), 0u);
+
+    // Pinned and held: nothing to evict, and nothing is.
+    const auto held = pin->arena(true, 30'000);
+    EXPECT_EQ(cache.evictToBudget(0), 0u);
+    EXPECT_EQ(cache.evictions(), ev0 + 1);
+    EXPECT_TRUE(cache.contains("gzip"));
+    EXPECT_EQ(pin->cachedArena(true, 0), held);
+    cache.clear();
 }
 
 /**
@@ -459,7 +476,7 @@ TEST(WorkloadCache, ArenaQueriesDoNotWaitForADecode)
         std::this_thread::yield();
 
     EXPECT_EQ(gzip.arena(false, 30'000), base);
-    EXPECT_EQ(gzip.arenaBytes(true), 0u);
+    EXPECT_EQ(gzip.cachedArena(true, 0), nullptr);
     EXPECT_FALSE(decoded) << "the queries waited for the decode";
     decode.join();
     EXPECT_EQ(cache.bytesResident(),
@@ -551,36 +568,6 @@ TEST(WorkloadCache, ConcurrentLayoutDecodesMatchSequentialOnes)
     }
     EXPECT_EQ(got[0]->dataStream().size(), data->size());
     cache.clear();
-}
-
-/**
- * Evicting one layout frees its control part alone while the other
- * layout holds the data stream; evicting the other frees the rest,
- * back to the live bytes before the decodes.
- */
-TEST(WorkloadCache, EvictingOneLayoutFreesOnlyItsControlPart)
-{
-    WorkloadCache &cache = WorkloadCache::instance();
-    cache.clear();
-    const std::size_t live0 = OracleArena::liveBytes();
-    const PlacedWorkload &gzip = cache.get("gzip");
-    std::size_t base_control = 0, opt_control = 0, data_bytes = 0;
-    {
-        auto base = gzip.arena(false, 30'000);
-        auto opt = gzip.arena(true, 30'000);
-        base_control = base->controlBytes();
-        opt_control = opt->controlBytes();
-        data_bytes = base->dataStream().bytes();
-    }
-    EXPECT_EQ(gzip.arenaBytes(false), base_control + data_bytes);
-
-    EXPECT_EQ(gzip.evictArena(false), base_control);
-    EXPECT_EQ(gzip.arenaBytesResident(), opt_control + data_bytes);
-    EXPECT_EQ(OracleArena::liveBytes() - live0, opt_control + data_bytes);
-
-    EXPECT_EQ(gzip.evictArena(true), opt_control + data_bytes);
-    EXPECT_EQ(gzip.arenaBytesResident(), 0u);
-    EXPECT_EQ(OracleArena::liveBytes(), live0);
 }
 
 /**

@@ -317,7 +317,8 @@ TEST_F(FaultTest, InjectedArenaAllocThrowsBadAlloc)
     const PlacedWorkload &gzip = cache.get("gzip");
     fault::arm("arena.alloc", 0, 1);
     EXPECT_THROW(gzip.arena(true, 30'000), std::bad_alloc);
-    EXPECT_EQ(gzip.arenaBytes(true), 0u) << "no partial arena";
+    EXPECT_EQ(gzip.cachedArena(true, 0), nullptr) << "no partial arena";
+    EXPECT_EQ(gzip.arenaBytesResident(), 0u) << "nor a decode counted";
     auto arena = gzip.arena(true, 30'000); // trigger spent
     ASSERT_TRUE(arena);
     EXPECT_GT(arena->bytes(), 0u);

@@ -7,8 +7,7 @@
  * The commands, their arguments and the submit and shutdown options
  * come from the protocol's declaration (serve/protocol.cc); `sfetchctl
  * --help` lists them. ADDR is `unix:PATH`, `tcp:HOST:PORT`, or a bare
- * Unix socket path (default unix:/tmp/sfetchd.sock); --socket PATH
- * survives as an alias for --connect.
+ * Unix socket path (default unix:/tmp/sfetchd.sock).
  *
  * submit prints every streamed line (ack, row frames, summary) to
  * stdout as it arrives, so `sfetchctl submit ... | jq` follows a
@@ -51,8 +50,6 @@ main(int argc, char **argv)
     cli.addOption("--connect", "ADDR",
                   "daemon address: unix:PATH, tcp:HOST:PORT, or a "
                   "bare socket path (default /tmp/sfetchd.sock)",
-                  [&](const std::string &v) { socket_path = v; });
-    cli.addOption("--socket", "PATH", "alias for --connect",
                   [&](const std::string &v) { socket_path = v; });
     cli.addOption("--retries", "N",
                   "retry a refused connect N times with backoff "

@@ -17,8 +17,6 @@
  *           [--worker-retries N] [--worker-retry-delay-ms MS]
  *           [--worker-retry-max-delay-ms MS]
  *
- * --socket PATH survives as an alias for --listen unix:PATH.
- *
  * Each of the --workers concurrent jobs sweeps its points on its share
  * of the cores, max(1, cores / workers) threads, unless the submit
  * asks for a "jobs" count of its own (clamped to the cores).
@@ -83,23 +81,15 @@ main(int argc, char **argv)
                   "listen address: unix:PATH or tcp:HOST:PORT "
                   "(default unix:/tmp/sfetchd.sock)",
                   [&](const std::string &v) { cfg.socketPath = v; });
-    cli.addOption("--socket", "PATH",
-                  "alias for --listen with a Unix socket path",
-                  [&](const std::string &v) { cfg.socketPath = v; });
     cli.addOption("--worker", "ADDR[,ADDR...]",
                   "worker daemon address(es); any --worker makes this "
                   "daemon a multi-node front that shards submits "
                   "across the workers (repeatable; bare HOST:PORT "
                   "means tcp:HOST:PORT)",
                   [&](const std::string &v) {
-                      for (std::string addr :
-                           CliParser::parseNameList(v)) {
-                          if (addr.rfind("unix:", 0) != 0 &&
-                              addr.rfind("tcp:", 0) != 0 &&
-                              addr.find(':') != std::string::npos)
-                              addr = "tcp:" + addr;
+                      for (std::string &addr :
+                           CliParser::parseNameList(v))
                           cfg.workerAddrs.push_back(std::move(addr));
-                      }
                   });
     cli.addOption("--shard-retries", "N",
                   "front mode: stream losses one chunk may survive "
