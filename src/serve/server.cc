@@ -73,11 +73,12 @@ writeMetrics(JsonObjectWriter &w, const MetricsRegistry &metrics,
 } // namespace
 
 /**
- * One submitted sweep. A connection thread (the submitter's, or a
- * token resubmitter's after a crash) is the sole consumer of `out`;
- * the worker running the job is the sole producer. Everything else
- * about the job is reached through atomics or is written once before
- * `closed`.
+ * One submitted sweep, held in jobs_ until it retires. A connection
+ * thread (the submitter's, or a token resubmitter's after a crash) is
+ * the sole consumer of `out`; the worker running the job is the sole
+ * producer. Everything else about the job is reached through atomics
+ * or is written once before `closed`. Once both sides have let go
+ * (releaseJob()), only its JobSummary is kept.
  */
 struct Server::Job
 {
@@ -101,7 +102,7 @@ struct Server::Job
     std::atomic<std::uint64_t> pointsDone{0};
     std::atomic<std::int64_t> lastProgressMs{0}; //!< watchdog clock
 
-    std::mutex mu; //!< out, closed, everAttached
+    std::mutex mu; //!< out, closed, everAttached, workerDone, streamDone
     std::condition_variable cv;
     std::deque<std::string> out;
     bool closed = false;
@@ -109,6 +110,12 @@ struct Server::Job
      * detached: rows buffer in `out` until the original submitter
      * resubmits its token and attaches. */
     bool everAttached = true;
+    /** The worker is back from runJob(): the job is finalized, and
+     * its points and counts are final. */
+    bool workerDone = false;
+    /** No consumer will stream the job again: its stream ended or
+     * broke. Rows pushed after this are dropped, not buffered. */
+    bool streamDone = false;
 
     /** Journalled shard dispatches from a front daemon's previous
      * life, for token reuse on recovery (runJobSharded). */
@@ -137,6 +144,12 @@ Server::Server(ServeConfig cfg) : cfg_(std::move(cfg))
     metrics_.gauge("jobs_running",
                    [this] { return countJobs(JobState::Running); },
                    M::kStats | M::kHealth);
+    metrics_.gauge("jobs_live",
+                   [this] {
+                       std::lock_guard<std::mutex> lock(mu_);
+                       return jobs_.size();
+                   },
+                   M::kStats | M::kHealth);
     metrics_.gauge("queue_depth", queued, M::kHealth);
     metrics_.gauge("workers_configured",
                    [n = cfg_.workerAddrs.size()] { return n; });
@@ -160,6 +173,10 @@ Server::Server(ServeConfig cfg) : cfg_(std::move(cfg))
     metrics_.gauge("resident_workload_bytes",
                    [&cache] { return cache.workloadBytes(); });
     metrics_.gauge("live_arena_bytes", &OracleArena::liveBytes);
+    metrics_.gauge("arena_decodes", &PlacedWorkload::arenaDecodes);
+    metrics_.gauge("arena_decode_ms", [] {
+        return PlacedWorkload::arenaDecodeNanos() / 1'000'000;
+    });
     metrics_.gauge("mem_budget_bytes",
                    [n = cfg_.memBudgetBytes] { return n; });
     metrics_.flag("journal_degraded",
@@ -542,18 +559,19 @@ Server::handleSubmit(const Request &req, const std::string &line,
     const std::string token = req.text("token");
     if (!token.empty()) {
         std::shared_ptr<Job> existing;
+        JobSummary summary;
+        std::uint64_t id = 0;
         {
             std::lock_guard<std::mutex> lock(mu_);
             auto it = tokens_.find(token);
             if (it != tokens_.end()) {
-                auto jt = jobs_.find(it->second);
-                if (jt != jobs_.end())
-                    existing = jt->second;
+                id = it->second;
+                existing = lookupJob(id, summary);
             }
         }
-        if (existing) {
+        if (id != 0) {
             bool attach = false;
-            {
+            if (existing) {
                 std::lock_guard<std::mutex> lock(existing->mu);
                 if (!existing->everAttached) {
                     existing->everAttached = true;
@@ -561,30 +579,24 @@ Server::handleSubmit(const Request &req, const std::string &line,
                 }
             }
             if (attach) {
-                log("job " + std::to_string(existing->id) +
-                    ": token '" + token + "' reattached");
+                log("job " + std::to_string(id) + ": token '" + token +
+                    "' reattached");
                 JsonObjectWriter w;
                 w.field("ok", true)
-                    .field("job", existing->id)
+                    .field("job", id)
                     .field("points", static_cast<std::uint64_t>(
                                          existing->pointCount))
                     .field("attached", true);
                 if (!ch.writeLine(w.str()) ||
                     !streamJob(existing, ch))
                     existing->cancel = true;
+                releaseJob(existing, false);
             } else {
                 JsonObjectWriter w;
                 w.field("ok", true)
-                    .field("job", existing->id)
-                    .field("duplicate", true)
-                    .field("state",
-                           jobStateName(static_cast<int>(
-                               existing->state.load())))
-                    .field("points_done",
-                           existing->pointsDone.load())
-                    .field("of", static_cast<std::uint64_t>(
-                                     existing->pointCount))
-                    .field("done", true);
+                    .field("job", id)
+                    .field("duplicate", true);
+                writeSummary(w, summary).field("done", true);
                 ch.writeLine(w.str());
             }
             return;
@@ -668,16 +680,13 @@ Server::handleSubmit(const Request &req, const std::string &line,
                    job->arenaWanted != ArenaChoice::Off &&
                        job->estArenaBytes > 0 &&
                        job->estArenaBytes <= cfg_.memBudgetBytes);
-        if (!ch.writeLine(w.str())) {
+        if (!ch.writeLine(w.str()) || !streamJob(job, ch)) {
+            // Peer vanished or stalled past the write deadline: stop
+            // burning cycles on rows nobody will read.
             job->cancel = true;
-            return;
         }
     }
-    if (!streamJob(job, ch)) {
-        // Peer vanished or stalled past the write deadline: stop
-        // burning cycles on rows nobody will read.
-        job->cancel = true;
-    }
+    releaseJob(job, false);
 }
 
 bool
@@ -724,8 +733,10 @@ Server::recoverJobs()
             job->specJson = rec.spec;
             job->priorShards = rec.shards;
             // No consumer yet: buffer every row until the submitter
-            // resubmits its token and attaches.
+            // resubmits its token and attaches. Without a token no one
+            // can attach, so nothing is buffered.
             job->everAttached = false;
+            job->streamDone = job->token.empty();
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 job->id = nextJobId_++;
@@ -754,21 +765,24 @@ Server::recoverJobs()
 std::string
 Server::handleJobVerb(const Request &req, bool cancel)
 {
-    std::shared_ptr<Job> job = findJob(req.u64("job"));
-    if (!job)
-        throw ProtocolError("unknown_job", "no such job");
-    const JobState s = job->state.load();
+    const std::uint64_t id = req.u64("job");
+    JobSummary summary;
+    std::shared_ptr<Job> job;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        job = lookupJob(id, summary);
+    }
     JsonObjectWriter w;
-    w.field("ok", true).field("job", job->id);
+    w.field("ok", true).field("job", id);
     if (cancel) {
-        const bool live = s == JobState::Queued || s == JobState::Running;
+        // Only a live job is queued or running; a retired one is not.
+        const bool live = summary.state == JobState::Queued ||
+                          summary.state == JobState::Running;
         if (live)
             job->cancel = true;
         w.field("cancelled", live);
     } else {
-        w.field("state", jobStateName(static_cast<int>(s)))
-            .field("points_done", job->pointsDone.load())
-            .field("of", static_cast<std::uint64_t>(job->pointCount));
+        writeSummary(w, summary);
     }
     return w.str();
 }
@@ -827,6 +841,7 @@ Server::workerLoop()
         if (journal_)
             journal_->started(job->id);
         runJob(job);
+        releaseJob(job, true);
     }
 }
 
@@ -918,9 +933,6 @@ Server::runJob(const std::shared_ptr<Job> &job)
         // into a front for subsequent jobs (and deregistering the
         // last one flips it back).
         runJobSharded(job);
-        std::lock_guard<std::mutex> lock(job->mu);
-        job->points.clear();
-        job->points.shrink_to_fit();
         return;
     }
     // Pin every workload for the duration of the run: the driver's
@@ -968,14 +980,6 @@ Server::runJob(const std::shared_ptr<Job> &job)
         releaseReservation(job);
         finishJob(job, JobState::Failed, e.what(), 0.0, false);
     }
-    // The sweep is over (only now is the grid certain to be idle —
-    // a watchdog finalize can land while the driver still runs, so
-    // finishJob itself must not touch `points`); drop it so finished
-    // jobs parked in jobs_ for status queries cost bytes, not
-    // megabytes.
-    std::lock_guard<std::mutex> lock(job->mu);
-    job->points.clear();
-    job->points.shrink_to_fit();
 }
 
 namespace
@@ -1420,9 +1424,41 @@ Server::pushLine(const std::shared_ptr<Job> &job, std::string line)
 {
     {
         std::lock_guard<std::mutex> lock(job->mu);
+        if (job->streamDone)
+            return; // no consumer will ever read it
         job->out.push_back(std::move(line));
     }
     job->cv.notify_all();
+}
+
+void
+Server::releaseJob(const std::shared_ptr<Job> &job, bool worker)
+{
+    {
+        std::lock_guard<std::mutex> lock(job->mu);
+        if (worker) {
+            // Only now is the grid certain to be idle: a watchdog
+            // finalize can land while the driver still runs, so
+            // finishJob itself must not touch `points`.
+            job->workerDone = true;
+            std::vector<SweepPoint>().swap(job->points);
+        } else {
+            job->streamDone = true;
+            std::deque<std::string>().swap(job->out);
+        }
+        if (!job->workerDone || !job->streamDone)
+            return;
+    }
+    // Both sides are done: the state and counts are final, and no
+    // one will read a row again. Keep only what `status`, `cancel`
+    // and a token duplicate read, so a finished job costs a summary
+    // however many rows it streamed.
+    const JobSummary summary = summaryOf(*job);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (retired_.size() < job->id)
+        retired_.resize(job->id);
+    retired_[job->id - 1] = summary;
+    jobs_.erase(job->id);
 }
 
 void
@@ -1466,12 +1502,37 @@ Server::finishJob(const std::shared_ptr<Job> &job, JobState state,
         std::to_string(job->pointCount) + " points)");
 }
 
-std::shared_ptr<Server::Job>
-Server::findJob(std::uint64_t id) const
+Server::JobSummary
+Server::summaryOf(const Job &job)
 {
-    std::lock_guard<std::mutex> lock(mu_);
+    // State first: once it reads terminal, the count read after it
+    // is final.
+    return {job.state.load(), job.pointsDone.load(),
+            static_cast<std::uint64_t>(job.pointCount)};
+}
+
+std::shared_ptr<Server::Job>
+Server::lookupJob(std::uint64_t id, JobSummary &summary) const
+{
     auto it = jobs_.find(id);
-    return it == jobs_.end() ? nullptr : it->second;
+    if (it != jobs_.end()) {
+        summary = summaryOf(*it->second);
+        return it->second;
+    }
+    // Every issued id not in jobs_ has retired; id 0 wraps past the
+    // end like an id never issued.
+    if (id - 1 >= retired_.size())
+        throw ProtocolError("unknown_job", "no such job");
+    summary = retired_[id - 1];
+    return nullptr;
+}
+
+JsonObjectWriter &
+Server::writeSummary(JsonObjectWriter &w, const JobSummary &summary)
+{
+    return w.field("state", jobStateName(static_cast<int>(summary.state)))
+        .field("points_done", summary.pointsDone)
+        .field("of", summary.of);
 }
 
 std::uint64_t

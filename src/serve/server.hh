@@ -50,11 +50,24 @@
  * journalled (serve/journal.hh) and unfinished jobs are re-queued on
  * restart; a client that tagged its submit with a "token" can
  * resubmit the same token after a daemon crash and either *attach*
- * to the recovered job's stream (every row is buffered for exactly
- * this purpose) or, if the job already streamed to someone, get a
- * one-line duplicate summary. Connections carry idle/write deadlines
- * ("timeout"), and a watchdog retires jobs whose current point
- * exceeds --point-timeout as "stuck", freeing their admission slot.
+ * to the recovered job's stream (a recovered job with a token buffers
+ * every row for exactly this purpose) or, if the job already streamed
+ * to someone, get a one-line duplicate summary. Connections carry
+ * idle/write deadlines ("timeout"), and a watchdog marks jobs whose
+ * current point exceeds --point-timeout as "stuck", freeing their
+ * admission slot.
+ *
+ * Job lifetime: a job is held whole in jobs_ while it is queued or
+ * running, while its stream drains, and, when recovered with a token,
+ * until that token attaches. Once its worker is done and no consumer
+ * will stream it again (its stream ended or broke), it retires: all
+ * the daemon keeps is its {state, points_done, of} summary under its
+ * id, from which `status`, `cancel` and a token duplicate answer
+ * exactly as they did for the live job. Rows stop being buffered the
+ * moment the consumer is gone: a dropped stream's remaining rows are
+ * discarded, and a recovered job without a token (no one can attach)
+ * buffers none. So a daemon's memory does not grow with the jobs it
+ * has served; the `jobs_live` gauge counts the jobs held whole.
  *
  * Ordering: rows stream in completion order, and the framing always
  * carries the point index. By default a job's sweep runs on its share
@@ -107,9 +120,9 @@
  * Metrics: each `stats`/`health` key is declared once, in the
  * daemon's MetricsRegistry (util/metrics.hh), by its owner — job,
  * row, shard and connection counters with their members below; job
- * depths, connections, cache, arena bytes, budget, journal and uptime
- * gauges in the Server constructor; fleet size, per-state counts,
- * deaths and probe totals in FleetManager's.
+ * depths, connections, cache, arena bytes and decodes, budget,
+ * journal and uptime gauges in the Server constructor; fleet size,
+ * per-state counts, deaths and probe totals in FleetManager's.
  */
 
 #ifndef SFETCH_SERVE_SERVER_HH
@@ -133,6 +146,7 @@ namespace sfetch
 {
 
 class LineChannel;
+class JsonObjectWriter;
 class JobJournal;
 class FleetManager;
 class Request;
@@ -279,6 +293,15 @@ class Server
 
     struct Job;
 
+    /** What `status`, `cancel` and a token duplicate report of a job:
+     * all that is kept of it once it retires. */
+    struct JobSummary
+    {
+        JobState state = JobState::Queued;
+        std::uint64_t pointsDone = 0;
+        std::uint64_t of = 0;
+    };
+
     void acceptLoop();
     void workerLoop();
     void watchdogLoop();
@@ -315,14 +338,27 @@ class Server
     bool decideArena(const std::shared_ptr<Job> &job);
     /** Return a decideArena() reservation to the budget pool. */
     void releaseReservation(const std::shared_ptr<Job> &job);
+    /** Queue @p line for @p job's consumer; dropped once none will
+     * read it. */
     void pushLine(const std::shared_ptr<Job> &job, std::string line);
+    /** The worker (@p worker) or the consumer is done with @p job;
+     * the second to let go retires it from jobs_ to its summary. */
+    void releaseJob(const std::shared_ptr<Job> &job, bool worker);
     /** Finalize once (first caller wins — worker vs watchdog): set
      * the terminal state, counters, journal record, summary line. */
     void finishJob(const std::shared_ptr<Job> &job, JobState state,
                    const std::string &error, double wall_seconds,
                    bool used_arena);
 
-    std::shared_ptr<Job> findJob(std::uint64_t id) const;
+    static JobSummary summaryOf(const Job &job);
+    /** @p id's summary, and the job while it is live (null once
+     * retired); throws unknown_job for an id never issued. Call with
+     * mu_ held. */
+    std::shared_ptr<Job> lookupJob(std::uint64_t id,
+                                   JobSummary &summary) const;
+    /** The summary's "state", "points_done" and "of" fields. */
+    static JsonObjectWriter &writeSummary(JsonObjectWriter &w,
+                                          const JobSummary &summary);
     /** Jobs currently in @p state (a gauge's read). */
     std::uint64_t countJobs(JobState state) const;
     void log(const std::string &msg) const;
@@ -363,10 +399,15 @@ class Server
     std::unique_ptr<FleetManager> fleet_;
     std::int64_t startMs_ = 0; //!< start() time, for uptime_seconds
 
-    mutable std::mutex mu_; //!< jobs_, queue_, tokens_, nextJobId_
+    mutable std::mutex mu_; //!< jobs_, retired_, queue_, tokens_, nextJobId_
     std::condition_variable queueCv_;
     std::deque<std::shared_ptr<Job>> queue_;
+    /** Live jobs: queued, running, still streaming, or recovered and
+     * waiting for their token to attach. */
     std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
+    /** Retired jobs' summaries, by id - 1: every issued id is in
+     * jobs_ or here. */
+    std::vector<JobSummary> retired_;
     std::map<std::string, std::uint64_t> tokens_; //!< token -> job id
     std::uint64_t nextJobId_ = 1;
 

@@ -1,5 +1,7 @@
 #include "sim/experiment.hh"
 
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
 
 #include "core/stream_builder.hh"
@@ -9,6 +11,15 @@
 
 namespace sfetch
 {
+
+namespace
+{
+
+/** Process-wide decode counters (see PlacedWorkload::arenaDecodes()). */
+std::atomic<std::uint64_t> g_arenaDecodes{0};
+std::atomic<std::uint64_t> g_arenaDecodeNanos{0};
+
+} // namespace
 
 PlacedWorkload::PlacedWorkload(const std::string &bench_spec)
     : name_(canonicalBenchSpec(bench_spec)),
@@ -73,6 +84,7 @@ PlacedWorkload::arena(bool optimized, InstCount total_insts) const
     // WorkloadCache::evictToBudget() goes on to evict whole
     // workloads just as it would once the arena is resident.
     std::shared_ptr<const OracleArena> fresh;
+    const auto t0 = std::chrono::steady_clock::now();
     try {
         std::shared_ptr<DataStream> data;
         {
@@ -93,6 +105,12 @@ PlacedWorkload::arena(bool optimized, InstCount total_insts) const
         decoding_[l] = 0;
         throw;
     }
+    g_arenaDecodes.fetch_add(1, std::memory_order_relaxed);
+    g_arenaDecodeNanos.fetch_add(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count(),
+        std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(arenaMu_);
     // A dropArenas() during the decode cleared the count: the caller
     // still gets its arena, but the cache does not keep it.
@@ -101,6 +119,18 @@ PlacedWorkload::arena(bool optimized, InstCount total_insts) const
         arenas_[l] = fresh;
     }
     return fresh;
+}
+
+std::uint64_t
+PlacedWorkload::arenaDecodes()
+{
+    return g_arenaDecodes.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+PlacedWorkload::arenaDecodeNanos()
+{
+    return g_arenaDecodeNanos.load(std::memory_order_relaxed);
 }
 
 std::shared_ptr<const OracleArena>

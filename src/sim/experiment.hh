@@ -131,6 +131,15 @@ class PlacedWorkload
     arena(bool optimized, InstCount total_insts) const;
 
     /**
+     * Process-wide count of the arenas arena() has decoded, and
+     * their summed decode wall time in ns, over every workload: what
+     * sfetchd's `stats` reports as `arena_decodes` and
+     * `arena_decode_ms`.
+     */
+    static std::uint64_t arenaDecodes();
+    static std::uint64_t arenaDecodeNanos();
+
+    /**
      * The cached arena for the layout when one exists and already
      * covers @p total_insts; null otherwise (never builds).
      */

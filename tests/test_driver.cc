@@ -364,11 +364,17 @@ TEST(WorkloadCache, ShedArenasKeepsHeldArenasAndTheWorkload)
     WorkloadCache &cache = WorkloadCache::instance();
     cache.clear();
     const std::size_t live0 = OracleArena::liveBytes();
+    const std::uint64_t decodes0 = PlacedWorkload::arenaDecodes();
+    const std::uint64_t nanos0 = PlacedWorkload::arenaDecodeNanos();
     const PlacedWorkload &gzip = cache.get("gzip");
     auto held = gzip.arena(true, 30'000); // a replay in flight
     const std::size_t base_control =
         gzip.arena(false, 30'000)->controlBytes();
     const std::size_t held_bytes = held->bytes();
+    // Two decodes, each timed; a hit decodes nothing.
+    EXPECT_EQ(gzip.arena(true, 20'000), held);
+    EXPECT_EQ(PlacedWorkload::arenaDecodes(), decodes0 + 2);
+    EXPECT_GT(PlacedWorkload::arenaDecodeNanos(), nanos0);
 
     EXPECT_EQ(gzip.shedArenas(), base_control);
     EXPECT_EQ(gzip.cachedArena(false, 0), nullptr);
@@ -388,6 +394,7 @@ TEST(WorkloadCache, ShedArenasKeepsHeldArenasAndTheWorkload)
     auto again = gzip.arena(true, 30'000);
     ASSERT_TRUE(again);
     EXPECT_EQ(cache.bytesResident(), again->bytes());
+    EXPECT_EQ(PlacedWorkload::arenaDecodes(), decodes0 + 3);
     cache.clear();
 }
 

@@ -441,6 +441,7 @@ const Shape kStatsShape = {
     {"jobs_recovered", Kind::Number},
     {"jobs_queued", Kind::Number},
     {"jobs_running", Kind::Number},
+    {"jobs_live", Kind::Number},
     {"rows_streamed", Kind::Number},
     {"arena_fallbacks", Kind::Number},
     {"workers_configured", Kind::Number},
@@ -463,6 +464,8 @@ const Shape kStatsShape = {
     {"cache_evictions", Kind::Number},
     {"resident_arena_bytes", Kind::Number},
     {"live_arena_bytes", Kind::Number},
+    {"arena_decodes", Kind::Number},
+    {"arena_decode_ms", Kind::Number},
     {"mem_budget_bytes", Kind::Number},
     {"journal_degraded", Kind::Bool},
     {"workers", Kind::Array},
@@ -501,6 +504,7 @@ const Shape kHealthShape = {
     {"draining", Kind::Bool},
     {"jobs_queued", Kind::Number},
     {"jobs_running", Kind::Number},
+    {"jobs_live", Kind::Number},
     {"queue_depth", Kind::Number},
     {"journal_degraded", Kind::Bool},
     {"uptime_seconds", Kind::Number},

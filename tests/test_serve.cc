@@ -179,6 +179,64 @@ constexpr const char *kSubmit1 =
     "\"arch\": \"stream\", \"widths\": [8], "
     "\"insts\": 2000, \"warmup\": 400}";
 
+/** @p submit_json (an object) with @p token added. */
+std::string
+withToken(const std::string &submit_json, const std::string &token)
+{
+    return submit_json.substr(0, submit_json.size() - 1) +
+           ", \"token\": \"" + token + "\"}";
+}
+
+/** Poll @p server's metric @p name until it reads @p want (at most
+ * ~10 s); true when it did. */
+bool
+awaitMetric(const Server &server, const std::string &name,
+            std::uint64_t want)
+{
+    for (int i = 0; i < 1000; ++i) {
+        if (server.metrics().value(name) == want)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+}
+
+/** The exact `status` reply of a job. */
+std::string
+statusLine(std::uint64_t job, const std::string &state,
+           std::uint64_t done, std::uint64_t of)
+{
+    return "{\"ok\": true, \"job\": " + std::to_string(job) +
+           ", \"state\": \"" + state + "\", \"points_done\": " +
+           std::to_string(done) + ", \"of\": " + std::to_string(of) +
+           "}";
+}
+
+/** The exact one-line reply to a resubmit of a known token. */
+std::string
+duplicateLine(std::uint64_t job, const std::string &state,
+              std::uint64_t done, std::uint64_t of)
+{
+    return "{\"ok\": true, \"job\": " + std::to_string(job) +
+           ", \"duplicate\": true, \"state\": \"" + state +
+           "\", \"points_done\": " + std::to_string(done) +
+           ", \"of\": " + std::to_string(of) + ", \"done\": true}";
+}
+
+/** Every line the daemon sends back for @p submit_json. */
+std::vector<std::string>
+submitLines(const std::string &socket, const std::string &submit_json)
+{
+    std::vector<std::string> lines;
+    ServeClient client(socket);
+    client.submitStream(submit_json,
+                        [&](const JsonValue &, const std::string &line) {
+                            lines.push_back(line);
+                            return true;
+                        });
+    return lines;
+}
+
 } // namespace
 
 /**
@@ -660,6 +718,178 @@ TEST(Serve, StatusCancelStatsAndShutdownVerbs)
 
     // Fully stopped: the socket file is gone and connecting fails.
     EXPECT_THROW(ServeClient dead(sock), std::runtime_error);
+}
+
+TEST(Serve, RetiredJobsAnswerStatusCancelAndDuplicatesAsBefore)
+{
+    Server server(testConfig("retired"));
+    server.start();
+    const std::string &sock = server.config().socketPath;
+
+    // Four jobs streamed to completion, two with tokens.
+    struct Run
+    {
+        std::string submit;
+        std::string token;
+        std::uint64_t points;
+        std::uint64_t id = 0;
+    };
+    std::vector<Run> runs = {{kSubmit6, "", 6},
+                             {withToken(kSubmit1, "ret-a"), "ret-a", 1},
+                             {kSubmit1, "", 1},
+                             {withToken(kSubmit6, "ret-b"), "ret-b", 6}};
+    for (Run &run : runs) {
+        Stream s = collect(sock, run.submit);
+        ASSERT_TRUE(s.done);
+        run.id = s.ack.at("job").asU64();
+    }
+    // Each retires once its stream has ended and its worker let go:
+    // no Job object is left.
+    ASSERT_TRUE(awaitMetric(server, "jobs_live", 0));
+    EXPECT_EQ(server.metrics().value("jobs_queued"), 0u);
+    EXPECT_EQ(server.metrics().value("jobs_running"), 0u);
+
+    ServeClient client(sock);
+    for (const Run &run : runs) {
+        const std::string id = std::to_string(run.id);
+        EXPECT_EQ(client.requestRaw("{\"verb\": \"status\", \"job\": " +
+                                    id + "}"),
+                  statusLine(run.id, "done", run.points, run.points));
+        EXPECT_EQ(client.requestRaw("{\"verb\": \"cancel\", \"job\": " +
+                                    id + "}"),
+                  "{\"ok\": true, \"job\": " + id +
+                      ", \"cancelled\": false}");
+        if (run.token.empty())
+            continue;
+        // The token still names the job: one duplicate line, no run.
+        EXPECT_EQ(submitLines(sock, run.submit),
+                  std::vector<std::string>{duplicateLine(
+                      run.id, "done", run.points, run.points)});
+    }
+    EXPECT_EQ(server.metrics().value("jobs_submitted"), runs.size())
+        << "token resubmits never create a second job";
+    EXPECT_EQ(server.metrics().value("jobs_live"), 0u);
+
+    // Ids never issued stay unknown, either side of the retired ones.
+    for (std::uint64_t unknown : {std::uint64_t(0), runs.back().id + 1}) {
+        for (const char *verb : {"status", "cancel"}) {
+            JsonValue r = client.request(
+                std::string("{\"verb\": \"") + verb +
+                "\", \"job\": " + std::to_string(unknown) + "}");
+            EXPECT_FALSE(r.at("ok").asBool());
+            EXPECT_EQ(r.at("reason").asString(), "unknown_job")
+                << verb << " " << unknown;
+        }
+    }
+    server.stop(true);
+}
+
+TEST(Serve, RecoveredJobIsNotRetiredBeforeItsTokenAttaches)
+{
+    // A crashed daemon's journal: one tokened job and one tokenless
+    // job, both in flight.
+    const std::string dir = freshStateDir("unattached");
+    const std::string spec = withToken(kSubmit1, "t-wait");
+    {
+        JobJournal j(dir);
+        j.submitted(4, "t-wait", spec);
+        j.started(4);
+        j.submitted(5, "", kSubmit1);
+        j.started(5);
+    }
+    ServeConfig cfg = testConfig("unattached");
+    cfg.stateDir = dir;
+    Server server(cfg);
+    server.start();
+    ASSERT_EQ(server.metrics().value("jobs_recovered"), 2u);
+
+    // Both re-run to completion. The tokenless one has no one to
+    // stream to and retires; the tokened one keeps its rows for the
+    // submitter.
+    ASSERT_TRUE(awaitMetric(server, "jobs_served", 2));
+    ASSERT_TRUE(awaitMetric(server, "jobs_live", 1));
+    ServeClient client(cfg.socketPath);
+    EXPECT_EQ(client.requestRaw("{\"verb\": \"status\", \"job\": 1}"),
+              statusLine(1, "done", 1, 1));
+    EXPECT_EQ(client.requestRaw("{\"verb\": \"status\", \"job\": 2}"),
+              statusLine(2, "done", 1, 1));
+
+    // The token attaches and receives the buffered row and summary.
+    std::vector<std::string> lines = submitLines(cfg.socketPath, spec);
+    ASSERT_EQ(lines.size(), 3u);
+    const JsonValue ack = JsonReader(lines[0]).parse();
+    EXPECT_TRUE(ack.at("attached").asBool());
+    EXPECT_EQ(ack.at("job").asU64(), 1u);
+    EXPECT_EQ(JsonReader(lines[1]).parse().at("point").asU64(), 0u);
+    EXPECT_EQ(JsonReader(lines[2]).parse().at("state").asString(),
+              "done");
+
+    // Now it has streamed: it retires, and its token is a duplicate.
+    ASSERT_TRUE(awaitMetric(server, "jobs_live", 0));
+    EXPECT_EQ(submitLines(cfg.socketPath, spec),
+              std::vector<std::string>{duplicateLine(1, "done", 1, 1)});
+    server.stop(true);
+}
+
+TEST(Serve, DroppedStreamIsRetiredAndItsTokenStillAnswers)
+{
+    // Loopback TCP: the write after the submitter closes still lands
+    // in the kernel, so the one-point job finishes `done` rather than
+    // racing its own cancellation.
+    ServeConfig cfg = testConfig("dropped");
+    cfg.socketPath = "tcp:127.0.0.1:0";
+    Server server(cfg);
+    server.start();
+    const std::string addr = server.listenAddress();
+
+    const std::string spec = withToken(kSubmit1, "t-drop");
+    std::uint64_t id = 0;
+    {
+        ServeClient client(addr);
+        // Read the ack, then hang up without reading a row.
+        EXPECT_FALSE(client.submitStream(
+            spec, [&](const JsonValue &parsed, const std::string &) {
+                id = parsed.at("job").asU64();
+                return false;
+            }));
+    }
+    ASSERT_NE(id, 0u);
+    ServeClient ctl(addr);
+    const std::string status =
+        "{\"verb\": \"status\", \"job\": " + std::to_string(id) + "}";
+    std::string reply;
+    for (int i = 0; i < 1000; ++i) {
+        reply = ctl.requestRaw(status);
+        if (reply == statusLine(id, "done", 1, 1))
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(reply, statusLine(id, "done", 1, 1));
+    // The job and whatever rows it still held are freed.
+    ASSERT_TRUE(awaitMetric(server, "jobs_live", 0));
+    EXPECT_EQ(submitLines(addr, spec),
+              std::vector<std::string>{duplicateLine(id, "done", 1, 1)});
+
+    // A six-point job dropped mid-stream ends cancelled or done,
+    // whichever its last point races, and retires either way: the
+    // rows after the break are not kept for anyone.
+    const std::string spec6 = withToken(kSubmit6, "t-drop6");
+    {
+        ServeClient client(addr);
+        client.submitStream(
+            spec6, [](const JsonValue &, const std::string &) {
+                return false;
+            });
+    }
+    ASSERT_TRUE(awaitMetric(server, "jobs_live", 0));
+    const JsonValue last = ctl.request("{\"verb\": \"status\", \"job\": " +
+                                       std::to_string(id + 1) + "}");
+    const std::string state = last.at("state").asString();
+    EXPECT_TRUE(state == "cancelled" || state == "done") << state;
+    EXPECT_EQ(submitLines(addr, spec6),
+              std::vector<std::string>{duplicateLine(
+                  id + 1, state, last.at("points_done").asU64(), 6)});
+    server.stop(true);
 }
 
 TEST(Serve, DrainingServerRejectsNewSubmits)
