@@ -52,19 +52,6 @@ renderStarted(std::uint64_t id)
 }
 
 std::string
-renderShard(std::uint64_t id, const ShardRecord &s)
-{
-    return JsonObjectWriter()
-        .field("rec", "shard")
-        .field("job", id)
-        .field("gen", static_cast<std::uint64_t>(s.gen))
-        .field("shard", static_cast<std::uint64_t>(s.shard))
-        .field("worker", s.worker)
-        .field("token", s.token)
-        .str();
-}
-
-std::string
 renderWorker(const std::string &addr, bool registered)
 {
     return JsonObjectWriter()
@@ -72,20 +59,6 @@ renderWorker(const std::string &addr, bool registered)
         .field("addr", addr)
         .field("op", registered ? "register" : "deregister")
         .str();
-}
-
-/** Insert @p s into @p shards, replacing an existing (gen, shard)
- * entry — a re-dispatch supersedes the original assignment. */
-void
-upsertShard(std::vector<ShardRecord> &shards, ShardRecord s)
-{
-    for (ShardRecord &have : shards) {
-        if (have.gen == s.gen && have.shard == s.shard) {
-            have = std::move(s);
-            return;
-        }
-    }
-    shards.push_back(std::move(s));
 }
 
 /** write(2) all of @p text to @p fd, riding out EINTR/short writes. */
@@ -164,18 +137,6 @@ JobJournal::recover()
                 auto it = open.find(id);
                 if (it != open.end())
                     it->second.started = true;
-            } else if (kind == "shard") {
-                auto it = open.find(id);
-                if (it != open.end()) {
-                    ShardRecord s;
-                    s.gen = static_cast<unsigned>(
-                        rec.at("gen").asU64());
-                    s.shard = static_cast<unsigned>(
-                        rec.at("shard").asU64());
-                    s.worker = rec.at("worker").asString();
-                    s.token = rec.at("token").asString();
-                    upsertShard(it->second.shards, std::move(s));
-                }
             } else if (kind == "finished") {
                 open.erase(id);
             } else {
@@ -216,10 +177,6 @@ JobJournal::rewriteLog()
             text += renderStarted(id);
             text += '\n';
         }
-        for (const ShardRecord &s : entry.shards) {
-            text += renderShard(id, s);
-            text += '\n';
-        }
     }
     bool ok = writeAll(tfd, text) && ::fdatasync(tfd) == 0;
     ::close(tfd);
@@ -241,7 +198,7 @@ JobJournal::reset(const std::vector<RecoveredJob> &live)
     std::lock_guard<std::mutex> lock(mu_);
     live_.clear();
     for (const RecoveredJob &job : live)
-        live_[job.id] = Live{job.token, job.spec, false, job.shards};
+        live_[job.id] = Live{job.token, job.spec, false};
     if (!rewriteLog())
         degraded_ = true;
 }
@@ -280,7 +237,7 @@ JobJournal::submitted(std::uint64_t id, const std::string &token,
                       const std::string &spec_json)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    live_[id] = Live{token, spec_json, false, {}};
+    live_[id] = Live{token, spec_json, false};
     appendLine(renderSubmitted(id, token, spec_json));
 }
 
@@ -319,18 +276,6 @@ JobJournal::worker(const std::string &addr, bool registered)
     std::lock_guard<std::mutex> lock(mu_);
     upsertWorkerOp(addr, registered);
     appendLine(renderWorker(addr, registered));
-}
-
-void
-JobJournal::shard(std::uint64_t id, unsigned gen, unsigned shard_idx,
-                  const std::string &worker, const std::string &token)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ShardRecord s{gen, shard_idx, worker, token};
-    auto it = live_.find(id);
-    if (it != live_.end())
-        upsertShard(it->second.shards, s);
-    appendLine(renderShard(id, s));
 }
 
 void

@@ -6,15 +6,9 @@
  *
  *     {"rec": "submitted", "job": 3, "token": "t-3", "spec": {...}}
  *     {"rec": "started",   "job": 3}
- *     {"rec": "shard",     "job": 3, "gen": 0, "shard": 1,
- *      "worker": "tcp:h:9", "token": "sfo.t-3.g0.s1"}
  *     {"rec": "finished",  "job": 3, "state": "done"}
  *     {"rec": "worker",    "addr": "tcp:h:9", "op": "register"}
  *
- * `shard` records exist only on a multi-node front daemon: they pin
- * down which worker received which slice of a fanned-out job under
- * which idempotency token, so a restarted front daemon re-attaches
- * to still-running worker jobs instead of re-simulating them.
  * `worker` records journal dynamic fleet membership (the `register`
  * and `deregister` protocol verbs): replaying them restores the
  * fleet a restarted front should probe and dispatch to, including
@@ -27,8 +21,12 @@
  * queued *and* in-flight jobs alike — so the server can re-queue
  * them from their stored spec and replay them from scratch
  * (simulation is deterministic, so a re-run is bit-identical, which
- * is the crash-recovery contract the tests enforce). Torn or
- * corrupt lines are counted and skipped, never fatal.
+ * is the crash-recovery contract the tests enforce). A front daemon
+ * recovers a fanned-out job the same way: it re-dispatches every
+ * chunk, so no record of which worker got which chunk is kept. Torn
+ * or corrupt lines, and lines of a record kind this daemon does not
+ * know (such as the `shard` records older fronts wrote), are counted
+ * and skipped, never fatal.
  *
  * The log is compacted (live records rewritten to a temp file, then
  * rename(2)'d into place) whenever finished jobs dominate it, so a
@@ -54,20 +52,6 @@
 namespace sfetch
 {
 
-/**
- * One shard dispatch of a fanned-out job (multi-node front daemon):
- * which worker got which generation/shard, under which idempotency
- * token. Recovered so a restarted front daemon can re-attach to
- * still-running worker jobs instead of recomputing them.
- */
-struct ShardRecord
-{
-    unsigned gen = 0;    //!< fan-out generation (0 = first dispatch)
-    unsigned shard = 0;  //!< shard index within the generation
-    std::string worker;  //!< worker address the shard went to
-    std::string token;   //!< idempotency token used on the worker
-};
-
 /** One not-yet-finished job reconstructed from the log. */
 struct RecoveredJob
 {
@@ -75,7 +59,6 @@ struct RecoveredJob
     std::string token;     //!< client idempotency token ("" if none)
     std::string spec;      //!< original submit request, verbatim JSON
     bool started = false;  //!< was in flight (not just queued) at crash
-    std::vector<ShardRecord> shards; //!< fan-out dispatches, if any
 };
 
 class JobJournal
@@ -126,11 +109,6 @@ class JobJournal
     /** Journal that a worker picked the job up. */
     void started(std::uint64_t id);
 
-    /** Journal a shard dispatch of job @p id to @p worker. Re-
-     * dispatches of the same (gen, shard) overwrite on recovery. */
-    void shard(std::uint64_t id, unsigned gen, unsigned shard_idx,
-               const std::string &worker, const std::string &token);
-
     /** Journal a fleet membership change: @p registered true for
      * `register`, false for `deregister`. */
     void worker(const std::string &addr, bool registered);
@@ -153,7 +131,6 @@ class JobJournal
         std::string token;
         std::string spec;
         bool started = false;
-        std::vector<ShardRecord> shards;
     };
 
     /** Append one NDJSON line + fdatasync; flips degraded_ on any

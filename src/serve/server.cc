@@ -116,10 +116,6 @@ struct Server::Job
     /** No consumer will stream the job again: its stream ended or
      * broke. Rows pushed after this are dropped, not buffered. */
     bool streamDone = false;
-
-    /** Journalled shard dispatches from a front daemon's previous
-     * life, for token reuse on recovery (runJobSharded). */
-    std::vector<ShardRecord> priorShards;
 };
 
 Server::Server(ServeConfig cfg) : cfg_(std::move(cfg))
@@ -731,7 +727,6 @@ Server::recoverJobs()
                 makeJob(Request(submit.fields, json));
             job->token = rec.token;
             job->specJson = rec.spec;
-            job->priorShards = rec.shards;
             // No consumer yet: buffer every row until the submitter
             // resubmits its token and attaches. Without a token no one
             // can attach, so nothing is buffered.
@@ -1013,7 +1008,7 @@ rowPayloadOf(const std::string &frame)
 std::string
 shardSubmitJson(const std::vector<SweepPoint> &points,
                 const std::vector<std::size_t> &indices,
-                const std::string &token, ArenaChoice arena)
+                ArenaChoice arena)
 {
     const VerbSpec &submit =
         ProtocolSchema::instance().verb(VerbSpec::Id::Submit);
@@ -1032,36 +1027,11 @@ shardSubmitJson(const std::vector<SweepPoint> &points,
                    .set("warmup", cfg.warmupInsts)
                    .str();
     }
-    RequestWriter w(submit);
-    w.setJson("points", pts + "]").set("jobs", 1).setChoice("arena", arena);
-    if (!token.empty())
-        w.set("token", token);
-    return w.str();
-}
-
-/** FNV-1a over a shard's identity (worker address + global indices +
- * grid size), folded into shard tokens so a token can only ever
- * attach to a job with exactly this slice on exactly this worker. */
-std::uint64_t
-shardSliceHash(const std::string &worker,
-               const std::vector<std::size_t> &indices,
-               std::size_t total)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    for (char c : worker) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    mix(total);
-    for (std::size_t i : indices)
-        mix(i);
-    return h;
+    return RequestWriter(submit)
+        .setJson("points", pts + "]")
+        .set("jobs", 1)
+        .setChoice("arena", arena)
+        .str();
 }
 
 } // namespace
@@ -1108,7 +1078,6 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
         std::size_t next = 0;  //!< next global index to emit
         std::size_t deliveredCount = 0;
         unsigned inFlight = 0; //!< chunks on a wire right now
-        unsigned chunkSeq = 0; //!< journal shard numbering
         bool failed = false;   //!< structural-failure latch
         std::string failReason;
         bool allArena = true;
@@ -1125,45 +1094,9 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
         d.queue.push_back(std::move(c));
     }
 
-    // Shard tokens: deterministic from the client token (so a
-    // restarted front re-derives them and re-attaches to worker jobs
-    // that are still running) plus the slice hash (so a token can
-    // never attach to a differently-sliced job).
-    const std::string tokenBase =
-        "sfo." + (job->token.empty()
-                      ? "j" + std::to_string(job->id)
-                      : job->token);
-
     // Dispatch one chunk to one worker. Returns true when every
-    // point was delivered (failures requeue their undelivered rest).
+    // point was delivered; any failure requeues the undelivered rest.
     auto runChunk = [&](const std::string &addr, Chunk chunk) {
-        unsigned seq;
-        {
-            std::lock_guard<std::mutex> lock(d.mu);
-            seq = d.chunkSeq++;
-        }
-        const std::uint64_t h =
-            shardSliceHash(addr, chunk.indices, total);
-        std::string token = tokenBase + ".g" +
-                            std::to_string(chunk.attempts) + ".s" +
-                            std::to_string(seq) + ".h" +
-                            std::to_string(h);
-        // A journalled dispatch of this same slice to this same
-        // worker carries the token of a job the worker may still be
-        // running: reuse it and attach instead of re-simulating.
-        // (Generation/sequence are ignored — chunk-to-worker
-        // assignment is nondeterministic under work stealing, so
-        // only the (worker, slice) identity is stable.)
-        const std::string suffix = ".h" + std::to_string(h);
-        for (const ShardRecord &rec : job->priorShards)
-            if (rec.worker == addr &&
-                rec.token.size() > suffix.size() &&
-                rec.token.compare(rec.token.size() - suffix.size(),
-                                  suffix.size(), suffix) == 0)
-                token = rec.token;
-        if (journal_)
-            journal_->shard(job->id, chunk.attempts, seq, addr,
-                            token);
         shardsDispatched_.fetch_add(1);
         if (chunk.attempts > 0) {
             shardRetries_.fetch_add(1);
@@ -1176,17 +1109,15 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
         }
         bool acked = false; // the worker took the chunk
         try {
-            ServeClient::ConnectRetry retry;
-            retry.retries = cfg_.workerRetries;
-            retry.baseDelayMs = cfg_.workerRetryDelayMs;
-            retry.maxDelayMs = cfg_.workerRetryMaxDelayMs;
-            retry.connectTimeoutMs = cfg_.probeTimeoutMs;
-            retry.seed = job->id * 1315423911ull + seq + 1;
-            ServeClient wc(addr, retry);
+            // One connect attempt: a worker that is not there costs
+            // a requeue, and the next pull goes by fleet health.
+            ServeClient::ConnectRetry once;
+            once.connectTimeoutMs = cfg_.probeTimeoutMs;
+            ServeClient wc(addr, once);
             if (cfg_.pointTimeoutMs > 0)
                 wc.setReadTimeout(cfg_.pointTimeoutMs);
             wc.submitStream(
-                shardSubmitJson(job->points, chunk.indices, token,
+                shardSubmitJson(job->points, chunk.indices,
                                 job->arenaWanted),
                 [&](const JsonValue &parsed, const std::string &raw) {
                     if (job->cancel.load())
@@ -1254,11 +1185,12 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
         // (usable() goes false at dead) without any job-level state.
         fleet_->reportDispatchFailure(addr);
         // A failure before the ack (no connect, or a submit refused
-        // queue_full/draining/busy) never ran anything: requeue at no cost to the chunk's
-        // attempt budget — the worker's own march to `dead` is what
-        // bounds futile re-dispatch. A stream-level failure (acked,
-        // then lost rows) spends an attempt; a chunk that exhausts
-        // cfg_.shardRetries stream losses fails the job structurally.
+        // queue_full/draining/busy) never ran anything: requeue at no
+        // cost to the chunk's attempt budget — the worker's own march
+        // to `dead` is what bounds futile re-dispatch. A stream-level
+        // failure (acked, then lost rows) spends an attempt; a chunk
+        // that exhausts cfg_.shardRetries stream losses fails the job
+        // structurally.
         rest.attempts = chunk.attempts + (acked ? 1 : 0);
         {
             std::lock_guard<std::mutex> lock(d.mu);

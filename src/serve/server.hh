@@ -101,15 +101,17 @@
  * whose worker dies or stalls mid-stream returns its undelivered
  * points to the front of the queue immediately (attempt count + 1,
  * structural failure once a chunk's stream breaks more than
- * shardRetries times); a dispatch the worker never acks (no
- * connect, or a refused submit: queue_full, draining, busy) re-queues
- * without burning an attempt and instead feeds the fleet health
- * state machine (serve/fleet.hh) — only `dead` workers are excluded
- * from pulls, and the job fails structurally when every member is
- * dead with points still undelivered. Chunk dispatches are
- * journalled (`shard` records) under slice-hashed idempotency
- * tokens so a restarted front re-attaches to still-running worker
- * jobs instead of re-simulating.
+ * shardRetries times); a dispatch the worker never acks (its one
+ * connect attempt, bounded by probeTimeoutMs, fails, or it refuses
+ * the submit: queue_full, draining, busy) re-queues without burning
+ * an attempt and instead feeds the fleet health state machine
+ * (serve/fleet.hh) — only `dead` workers are excluded from pulls,
+ * and the job fails structurally when every member is dead with
+ * points still undelivered. That requeue is a chunk's only failure
+ * path: shard submits carry no token and nothing about them is
+ * journalled, so a restarted front re-runs each recovered job like
+ * any other, and its rows are bit-identical because simulation is
+ * deterministic.
  *
  * Fleet health: a background prober drives each member through
  * alive -> suspect -> dead -> recovering from `health`-verb probes
@@ -180,14 +182,9 @@ struct ServeConfig
     /** Fleet heartbeat period per worker, ms; <=0 disables the
      * background prober. */
     int probeIntervalMs = 1000;
-    /** Connect + reply deadline for one heartbeat probe, ms. */
+    /** Connect + reply deadline for one heartbeat probe, ms; also
+     * the deadline of a chunk dispatch's one connect attempt. */
     int probeTimeoutMs = 1000;
-    /** Connect retries per chunk dispatch towards a worker. */
-    int workerRetries = 4;
-    /** First-retry backoff for chunk dispatch connects, ms. */
-    int workerRetryDelayMs = 25;
-    /** Backoff cap for chunk dispatch connects, ms. */
-    int workerRetryMaxDelayMs = 400;
     /** Worker threads = jobs simulating concurrently. 0 picks
      * hardware_concurrency(). Each job's sweep defaults to
      * max(1, hardware_concurrency() / workers) threads. */

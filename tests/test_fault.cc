@@ -569,13 +569,18 @@ TEST_F(FaultTest, JournalToleratesTornAndCorruptLines)
         f << "{\"rec\": \"finis\n";
         f << "complete garbage, not json\n";
         f << "{\"rec\": \"unknown-kind\", \"job\": 9}\n";
+        // Older front daemons journalled chunk dispatches; this one
+        // re-dispatches every chunk, so the record is just unknown.
+        f << "{\"rec\": \"shard\", \"job\": 1, \"gen\": 0, "
+             "\"shard\": 0, \"worker\": \"tcp:127.0.0.1:9\", "
+             "\"token\": \"sfo.tok.g0.s0.h1\"}\n";
     }
     JobJournal j(dir);
     std::vector<RecoveredJob> live = j.recover();
     ASSERT_EQ(live.size(), 1u);
     EXPECT_EQ(live[0].id, 1u);
     EXPECT_EQ(live[0].spec, spec);
-    EXPECT_EQ(j.torn(), 3u);
+    EXPECT_EQ(j.torn(), 4u);
 }
 
 TEST_F(FaultTest, JournalResetRestartsTheLogInANewIdSpace)

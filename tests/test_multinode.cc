@@ -5,18 +5,21 @@
  * merged row stream a client sees from the front is bit-identical to
  * both a single-daemon run and the offline SweepDriver — including
  * when a worker is killed mid-sweep and its points are re-dispatched
- * to a survivor — and a fully dead fleet fails the job structurally
+ * to a survivor, and when a restarted front re-runs a job from its
+ * journal — and a fully dead fleet fails the job structurally
  * instead of hanging or crashing.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "serve/client.hh"
@@ -663,4 +666,182 @@ TEST(MultiNode, RejectingWorkerSpendsNoStreamRetry)
     front.stop(true);
     workerA.stop(true);
     workerB.stop(false); // cancel the captive job
+}
+
+namespace
+{
+
+/** A state dir with no journal left over from earlier runs. */
+std::string
+freshStateDir(const char *tag)
+{
+    const std::string dir = "/tmp/sfetch-multinode-" +
+                            std::to_string(::getpid()) + "-" + tag;
+    ::mkdir(dir.c_str(), 0755);
+    ::unlink((dir + "/jobs.ndjson").c_str());
+    ::unlink((dir + "/jobs.ndjson.tmp").c_str());
+    return dir;
+}
+
+/** Poll @p server's metric @p name until it reads @p want (at most
+ * ~10 s); true when it did. */
+bool
+awaitMetric(const Server &server, const std::string &name,
+            std::uint64_t want)
+{
+    for (int i = 0; i < 1000; ++i) {
+        if (server.metrics().value(name) == want)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+}
+
+/** The token an older front put on its first dispatch of grid points
+ * @p indices (of @p total) to @p worker, and journalled in a `shard`
+ * record: "sfo.<client token>.g0.s0.h<hash>", the hash being FNV-1a
+ * over the worker address, the grid size and the indices. */
+std::string
+olderFrontShardToken(const std::string &client_token,
+                     const std::string &worker,
+                     const std::vector<std::size_t> &indices,
+                     std::size_t total)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    for (char c : worker) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    mix(total);
+    for (std::size_t i : indices)
+        mix(i);
+    return "sfo." + client_token + ".g0.s0.h" + std::to_string(h);
+}
+
+} // namespace
+
+TEST(MultiNode, RestartedFrontFinishesARecoveredJob)
+{
+    SweepDriver offline(1);
+    offline.setQuiet(true);
+    ResultSet expect = offline.run(grid12());
+
+    Server worker(tcpConfig());
+    worker.start();
+    const std::string addr = worker.listenAddress();
+
+    // An older front dispatched the grid's first chunk to this worker
+    // under a shard token, and the worker ran it to done: a resubmit
+    // of that token now gets a one-line duplicate summary, no rows.
+    const std::string shard_token =
+        olderFrontShardToken("t-front", addr, {0, 1, 2, 3}, 12);
+    std::string points;
+    for (const char *arch : {"stream", "ev8", "ftb", "seq"})
+        points += std::string(points.empty() ? "[" : ", ") +
+                  "{\"bench\": \"gzip\", \"spec\": \"" + arch +
+                  "\", \"width\": 2, \"layout\": \"opt\", "
+                  "\"insts\": 20000, \"warmup\": 4000}";
+    Stream chunk = collect(
+        addr, "{\"verb\": \"submit\", \"points\": " + points +
+                  "], \"jobs\": 1, \"token\": \"" + shard_token + "\"}");
+    ASSERT_TRUE(chunk.done);
+    ASSERT_EQ(chunk.frames.size(), 4u);
+
+    // That front's journal as a crash left it: the tokened job was
+    // in flight, and its chunk's dispatch was journalled.
+    const std::string dir = freshStateDir("front");
+    const std::string submit12 = kSubmit12;
+    const std::string spec = submit12.substr(0, submit12.size() - 1) +
+                             ", \"token\": \"t-front\"}";
+    {
+        std::ofstream f(dir + "/jobs.ndjson");
+        f << "{\"rec\": \"submitted\", \"job\": 1, \"token\": "
+             "\"t-front\", \"spec\": "
+          << spec << "}\n"
+          << "{\"rec\": \"started\", \"job\": 1}\n"
+          << "{\"rec\": \"shard\", \"job\": 1, \"gen\": 0, \"shard\": 0, "
+             "\"worker\": \""
+          << addr << "\", \"token\": \"" << shard_token << "\"}\n";
+    }
+
+    ServeConfig front_cfg = tcpConfig();
+    front_cfg.workerAddrs = {addr};
+    front_cfg.stateDir = dir;
+    Server front(front_cfg);
+    front.start();
+    EXPECT_EQ(front.metrics().value("jobs_recovered"), 1u);
+
+    // The restarted front re-runs the whole job; the client's token
+    // attaches to it and gets every row, bit-identical to offline.
+    Stream merged = collect(front.listenAddress(), spec);
+    ASSERT_TRUE(merged.done);
+    EXPECT_TRUE(JsonReader(merged.raw[0]).parse().at("attached").asBool())
+        << merged.raw[0];
+    EXPECT_EQ(merged.summary.at("state").asString(), "done")
+        << merged.raw.back();
+    expectStreamMatches(merged, expect, true);
+    EXPECT_EQ(front.metrics().value("worker_deaths"), 0u);
+    EXPECT_EQ(front.metrics().value("shard_retries"), 0u);
+
+    front.stop(true);
+    worker.stop(true);
+}
+
+TEST(MultiNode, WorkerRecoveredShardJobRetires)
+{
+    const std::string dir = freshStateDir("worker");
+    ServeConfig worker_cfg = tcpConfig();
+    worker_cfg.stateDir = dir;
+    Server worker(worker_cfg);
+    worker.start();
+    ServeConfig front_cfg = tcpConfig();
+    front_cfg.workerAddrs = {worker.listenAddress()};
+    Server front(front_cfg);
+    front.start();
+
+    SweepDriver offline(1);
+    offline.setQuiet(true);
+    expectStreamMatches(collect(front.listenAddress(), kSubmit12),
+                        offline.run(grid12()), true);
+    front.stop(true);
+    worker.stop(true);
+
+    // The worker's journal holds one tokenless job per chunk. Drop
+    // the `finished` records: that is the journal a kill -9 leaves.
+    std::ifstream in(dir + "/jobs.ndjson");
+    std::string line, unfinished;
+    std::uint64_t submitted = 0;
+    while (std::getline(in, line)) {
+        const JsonValue rec = JsonReader(line).parse();
+        const std::string &kind = rec.at("rec").asString();
+        if (kind == "submitted") {
+            ++submitted;
+            EXPECT_EQ(rec.find("token"), nullptr)
+                << "a shard submit carries a token: " << line;
+        }
+        if (kind != "finished")
+            unfinished += line + "\n";
+    }
+    EXPECT_EQ(submitted, 3u); // 12 points in 4-point chunks
+    const std::string copy = freshStateDir("worker-copy");
+    std::ofstream(copy + "/jobs.ndjson") << unfinished;
+
+    // A worker restarted on it re-runs every job; no one can attach
+    // to a tokenless job, so each retires once it has run.
+    ServeConfig restarted_cfg = tcpConfig();
+    restarted_cfg.stateDir = copy;
+    Server restarted(restarted_cfg);
+    restarted.start();
+    EXPECT_EQ(restarted.metrics().value("jobs_recovered"), submitted);
+    EXPECT_TRUE(awaitMetric(restarted, "jobs_served", submitted));
+    EXPECT_TRUE(awaitMetric(restarted, "jobs_live", 0))
+        << restarted.metrics().value("jobs_live")
+        << " recovered job(s) still held";
+    restarted.stop(true);
 }

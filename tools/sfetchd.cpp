@@ -14,8 +14,6 @@
  *           [--max-conns N] [--max-jobs-per-client N]
  *           [--shard-retries N] [--chunk-points N]
  *           [--probe-interval MS] [--probe-timeout MS]
- *           [--worker-retries N] [--worker-retry-delay-ms MS]
- *           [--worker-retry-max-delay-ms MS]
  *
  * Each of the --workers concurrent jobs sweeps its points on its share
  * of the cores, max(1, cores / workers) threads, unless the submit
@@ -25,8 +23,10 @@
  * multi-node *front*: submits are split into --chunk-points chunks
  * pulled by idle workers (work stealing) and the row streams merged
  * back in point order, bit-identical to a single-daemon run; a
- * worker lost mid-sweep only costs a re-dispatch of its undelivered
- * points (see serve/server.hh). The fleet is also dynamic: the
+ * worker lost mid-sweep, or one that cannot be reached on the one
+ * connect attempt each dispatch makes (bounded by --probe-timeout),
+ * only costs a re-dispatch of its undelivered points (see
+ * serve/server.hh). The fleet is also dynamic: the
  * `register`/`deregister` verbs (sfetchctl register ADDR) grow and
  * shrink it at runtime, and a background prober drives per-worker
  * alive/suspect/dead/recovering health on --probe-interval.
@@ -114,30 +114,10 @@ main(int argc, char **argv)
                   });
     cli.addOption("--probe-timeout", "MS",
                   "front mode: connect+reply deadline per heartbeat "
-                  "probe (default 1000)",
+                  "probe, and connect deadline per chunk dispatch "
+                  "(default 1000)",
                   [&](const std::string &v) {
                       cfg.probeTimeoutMs = static_cast<int>(
-                          CliParser::parseU64(v));
-                  });
-    cli.addOption("--worker-retries", "N",
-                  "front mode: connect attempts per chunk dispatch "
-                  "beyond the first (default 4)",
-                  [&](const std::string &v) {
-                      cfg.workerRetries = static_cast<int>(
-                          CliParser::parseU64(v));
-                  });
-    cli.addOption("--worker-retry-delay-ms", "MS",
-                  "front mode: base backoff between connect retries "
-                  "(default 25)",
-                  [&](const std::string &v) {
-                      cfg.workerRetryDelayMs = static_cast<int>(
-                          CliParser::parseU64(v));
-                  });
-    cli.addOption("--worker-retry-max-delay-ms", "MS",
-                  "front mode: backoff cap between connect retries "
-                  "(default 400)",
-                  [&](const std::string &v) {
-                      cfg.workerRetryMaxDelayMs = static_cast<int>(
                           CliParser::parseU64(v));
                   });
     cli.addOption("--workers", "N",
