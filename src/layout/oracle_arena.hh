@@ -225,7 +225,7 @@ class OracleArena
      * The placed binary the path was decoded from. Replay is only
      * meaningful against this exact image (a base-layout arena
      * replayed on the optimized image would yield silently wrong
-     * PCs) — runOn() enforces identity.
+     * PCs) — the Processor constructor enforces identity.
      */
     const CodeImage *image() const { return image_; }
 

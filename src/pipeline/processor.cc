@@ -13,8 +13,7 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
                      const CodeImage &image, const WorkloadModel &model,
                      MemoryHierarchy *mem, std::uint64_t seed,
                      const OracleArena *arena)
-    : cfg_(cfg), engine_(engine), mem_(mem),
-      expectedPc_(image.entryAddr()), rob_(cfg.robSize)
+    : cfg_(cfg), engine_(engine), mem_(mem), rob_(cfg.robSize)
 {
     // Runtime check, not an assert: the width comes from user
     // configuration, and overrunning the inline FetchBundle array in
@@ -26,12 +25,24 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
             std::to_string(FetchBundle::kCapacity));
     }
 
-    batched_ = cfg_.batchedReplay;
     if (minWindowInsts(cfg_) > kOracleWindowInsts / 2)
         throw std::invalid_argument(
             "ProcessorConfig: ROB plus fetch buffer exceed half "
             "the committed-path window (" +
             std::to_string(kOracleWindowInsts) + " entries)");
+    // A shared arena replaces the private decoder of (image, model,
+    // seed), so it must be that decoder's path: otherwise the seed
+    // would be silently ignored, or the engine would fetch from an
+    // image whose pcs the arena's path does not follow.
+    if (arena && arena->seed() != seed)
+        throw std::invalid_argument(
+            "Processor: the arena was decoded with seed " +
+            std::to_string(arena->seed()) + ", not this run's seed " +
+            std::to_string(seed));
+    if (arena && arena->image() != &image)
+        throw std::invalid_argument(
+            "Processor: the arena was decoded from a different "
+            "image than this run simulates");
     window_ = arena ? std::make_unique<OracleWindow>(
                           *arena, kOracleWindowInsts)
                     : std::make_unique<OracleWindow>(
@@ -73,43 +84,18 @@ Processor::committedBranch(std::uint64_t pos, std::uint8_t mb) const
     return cb;
 }
 
-void
-Processor::commitStep(SimStats &st)
-{
-    unsigned n = 0;
-    while (!rob_.empty() && n < cfg_.width &&
-           totalCommitted_ < stopAt_ &&
-           rob_.front().completeAt <= now_) {
-        ++n;
-        const std::uint64_t pos = totalCommitted_++;
-        if (measuring_)
-            ++st.committedInsts;
-
-        const std::uint8_t mb = metaAt(pos);
-        if (mb & kMetaBranchBits) {
-            const CommittedBranch cb = committedBranch(pos, mb);
-            engine_->trainCommit(cb);
-            if (measuring_) {
-                ++st.committedBranches;
-                if (cb.type == BranchType::CondDirect)
-                    ++st.committedCondBranches;
-            }
-        }
-        rob_.pop_front();
-    }
-}
-
 /**
- * Batched commit: find the ready run at the ROB head first (ready
- * entries are the common case, so the scan is a short branch-free
- * walk over at most `width` contiguous entries), then retire it with
- * one bulk pop and one set of counter updates. The run is
+ * Commit: retire the ready run at the ROB head, at most `width`
+ * entries (and no further than stopAt_), in program order. The scan
+ * finds the run first (ready entries are the common case, so it is a
+ * short branch-free walk over contiguous entries), then retires it
+ * with one bulk pop and one set of counter updates. The run is
  * consecutive committed positions, so one movemask over the packed
- * meta span finds every branch; only those entries are touched, in
- * run order, exactly as the scalar loop interleaved them.
+ * meta span finds every branch; only those entries are touched, and
+ * the engine trains on them one at a time in commit order.
  */
 void
-Processor::commitStepBatched(SimStats &st)
+Processor::commitStep(SimStats &st)
 {
     const std::size_t lim = std::min<std::size_t>(
         {static_cast<std::size_t>(cfg_.width), rob_.size(),
@@ -178,24 +164,13 @@ Processor::dispatchOne(std::uint64_t pos)
     }
 }
 
-void
-Processor::dispatchStep(SimStats &)
-{
-    prefetchData();
-    unsigned n = 0;
-    while (dispatchPos_ < fetchPos_ && n < cfg_.width && !rob_.full()) {
-        ++n;
-        dispatchOne(dispatchPos_++);
-    }
-}
-
 /**
- * Batched dispatch: the admissible run length (width, buffer
- * occupancy, ROB space) is computed once and the per-entry loop runs
- * without those checks.
+ * Dispatch: the admissible run length (width, buffer occupancy, ROB
+ * space) is computed once and the per-entry loop runs without those
+ * checks.
  */
 void
-Processor::dispatchStepBatched(SimStats &)
+Processor::dispatchStep(SimStats &)
 {
     prefetchData();
     const std::uint64_t n = std::min<std::uint64_t>(
@@ -216,7 +191,6 @@ Processor::redirectStep()
     diverged_ = false;
     redirectPending_ = false;
     redirectTimeKnown_ = false;
-    expectedPc_ = faulting_.target;
     // The faulting branch remains the newest correct-path fetch.
 }
 
@@ -273,10 +247,7 @@ Processor::fetchStep(SimStats &st)
     if (measuring_ && full_opportunity && !out.empty())
         ++st.fetchCyclesAttempted;
 
-    if (batched_)
-        verifyBundleBatched(st, full_opportunity);
-    else
-        verifyBundleScalar(st, full_opportunity);
+    verifyBundle(st, full_opportunity);
 
     // Watchdog: an engine that followed a garbage target (bad RAS
     // value, stale indirect) can run out of the image and go silent
@@ -297,58 +268,25 @@ Processor::checkpointBranch(std::uint64_t pos, std::uint64_t token)
     const CommittedBranch cb = committedBranch(pos, metaAt(pos));
     prev_.pos = pos;
     prev_.resolved = {cb.pc, cb.type, cb.taken, cb.target, token};
-    havePrev_ = true;
-}
-
-void
-Processor::verifyBundleScalar(SimStats &st, bool full_opportunity)
-{
-    if (!diverged_)
-        ensureFetchWindow();
-    for (const FetchRun &run : bundle_) {
-        for (std::uint32_t i = 0; i < run.len; ++i) {
-            const Addr pc = run.start + instsToBytes(i);
-            if (!diverged_ && pc == expectedPc_) {
-                if (fetchPos_ >= path_.last)
-                    throwPathExhausted();
-                const std::uint64_t pos = fetchPos_++;
-                expectedPc_ = pcAt(pos + 1);
-                lastWasBranch_ = (metaAt(pos) & kMetaBranchBits) != 0;
-                if (lastWasBranch_)
-                    checkpointBranch(pos, run.token);
-                if (measuring_) {
-                    ++st.fetchedCorrect;
-                    if (full_opportunity)
-                        ++st.fetchOppInsts;
-                }
-                continue;
-            }
-
-            // Wrong path instruction.
-            if (!diverged_)
-                declareDivergence(st);
-            if (measuring_)
-                ++st.fetchedWrong;
-        }
-    }
 }
 
 /**
  * Bundle-at-once oracle verify, run by run.
  *
- * The scalar loop compares each fetched PC against expectedPc_ one
- * instruction at a time. A fetched run is sequential, and so is the
- * committed path between taken branches, so each run is compared
- * with the committed offset span from where the previous run's match
- * ended: the matched lengths sum to the number of correct-path
- * instructions, and the first run that stops short holds the
- * divergence point. The matched prefix is then ingested by advancing
- * fetchPos_, with branch bookkeeping driven by a movemask over the
- * packed meta bytes rather than a branchy per-instruction test, and
- * bulk statistics updates.
+ * Fetched instructions are on the correct path up to the first whose
+ * pc differs from the committed path's next pc; that one, and every
+ * instruction after it until the redirect, is wrong path. A fetched
+ * run is sequential, and so is the committed path between taken
+ * branches, so each run is compared with the committed offset span
+ * from where the previous run's match ended: the matched lengths sum
+ * to the number of correct-path instructions, and the first run that
+ * stops short holds the divergence point. The matched prefix is then
+ * ingested by advancing fetchPos_, with branch bookkeeping driven by a
+ * movemask over the packed meta bytes rather than a branchy
+ * per-instruction test, and bulk statistics updates.
  */
 void
-Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
+Processor::verifyBundle(SimStats &st, bool full_opportunity)
 {
     const unsigned n = bundle_.size();
     if (n == 0)
@@ -358,11 +296,11 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
     if (!diverged_) {
         ensureFetchWindow();
         const std::uint64_t pos = fetchPos_;
-        // Entries [pos, last] are readable, the last being the
-        // successor of the final instruction: matching it means the
-        // committed path ran out mid-bundle (diagnosed below), so it
-        // is part of the compare — exactly the instructions the
-        // scalar loop would have tried to ingest.
+        // Entries [pos, last] are readable. Entry `last` holds only
+        // the pc after the final instruction the window can ingest,
+        // so a fetch that matches it has run past the end of the
+        // committed path; it is part of the compare so that this is
+        // diagnosed below.
         const unsigned lim = static_cast<unsigned>(
             std::min<std::uint64_t>(n, path_.last + 1 - pos));
 
@@ -387,12 +325,11 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
 
         if (m > 0) {
             fetchPos_ += m;
-            expectedPc_ = base + offs[m];
 
-            // Branch positions of the whole match in one meta scan:
-            // only the last branch matters for the divergence
-            // checkpoint (the scalar loop overwrote prev_ at each),
-            // and it takes the token of the run that holds it.
+            // Branch positions of the whole match in one meta scan.
+            // The divergence checkpoint is the newest correct-path
+            // branch fetched, so only the match's last branch is
+            // checkpointed, with the token of the run that holds it.
             const std::uint32_t bmask = simd::maskTestU8(
                 path_.meta + (pos - path_.first), m, kMetaBranchBits);
             if (bmask) {
@@ -423,7 +360,7 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
 void
 Processor::declareDivergence(SimStats &st)
 {
-    if (!havePrev_ || !lastWasBranch_) {
+    if (!lastWasBranch_) {
         throw std::runtime_error(
             "fetch engine protocol violation: divergence without a "
             "preceding branch");
@@ -476,13 +413,8 @@ Processor::run(InstCount insts, InstCount warmup_insts)
         Cycle last_progress = now_;
         InstCount last = totalCommitted_;
         while (totalCommitted_ < until_total) {
-            if (batched_) {
-                commitStepBatched(st);
-                dispatchStepBatched(st);
-            } else {
-                commitStep(st);
-                dispatchStep(st);
-            }
+            commitStep(st);
+            dispatchStep(st);
             redirectStep();
             fetchStep(st);
             ++now_;

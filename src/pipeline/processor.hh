@@ -52,16 +52,6 @@ struct ProcessorConfig
     Cycle deadlockCycles = 200000;
 
     /**
-     * Batched replay core: process fetch/dispatch/commit in runs
-     * over contiguous memory instead of one instruction per loop
-     * iteration. Bit-identical to the scalar paths by construction
-     * (enforced by the window invariance suite in
-     * test_workload_diff.cc); off switches every batch stage back to
-     * the scalar reference, which reads the same committed path.
-     */
-    bool batchedReplay = true;
-
-    /**
      * Stop each run() phase at an exact committed-instruction
      * boundary by capping the final commit cycle at the remaining
      * count, instead of letting it overshoot by up to width-1.
@@ -255,7 +245,9 @@ class Processor
      *        from the same image/model/@p seed). When set, the run's
      *        window is refilled from it instead of from a private
      *        decoder of the live generator — bit-identical, with no
-     *        workload-model work per instruction.
+     *        workload-model work per instruction. An arena decoded
+     *        from another image or with another seed is refused with
+     *        std::invalid_argument.
      */
     Processor(const ProcessorConfig &cfg, FetchEngine *engine,
               const CodeImage &image, const WorkloadModel &model,
@@ -268,9 +260,6 @@ class Processor
      * @return measured statistics.
      */
     SimStats run(InstCount insts, InstCount warmup_insts = 0);
-
-    /** Total cycles simulated so far (including warmup). */
-    Cycle now() const { return now_; }
 
   private:
     /**
@@ -325,18 +314,14 @@ class Processor
     [[noreturn]] void throwPathExhausted() const;
 
     void commitStep(SimStats &st);
-    void commitStepBatched(SimStats &st);
     void dispatchStep(SimStats &st);
-    void dispatchStepBatched(SimStats &st);
     /** Dispatch committed position @p pos into a fresh ROB entry. */
     void dispatchOne(std::uint64_t pos);
     void prefetchData();
     void redirectStep();
     void fetchStep(SimStats &st);
     /** Bundle-at-once oracle verify + ingest. */
-    void verifyBundleBatched(SimStats &st, bool full_opportunity);
-    /** Per-instruction verify + ingest (the scalar reference). */
-    void verifyBundleScalar(SimStats &st, bool full_opportunity);
+    void verifyBundle(SimStats &st, bool full_opportunity);
     /** Checkpoint the branch at @p pos fetched with @p token. */
     void checkpointBranch(std::uint64_t pos, std::uint64_t token);
     void declareDivergence(SimStats &st);
@@ -369,7 +354,6 @@ class Processor
     std::uint64_t dataPrefetched_ = 0;
 
     Cycle now_ = 0;
-    Addr expectedPc_;
     /**
      * The fetch buffer holds committed positions [dispatchPos_,
      * fetchPos_); the ROB holds [totalCommitted_, dispatchPos_).
@@ -391,10 +375,9 @@ class Processor
     /**
      * Divergence attribution state. A divergence can only legally
      * follow a branch, so only branches are checkpointed into prev_;
-     * lastWasBranch_ tracks whether the newest correct-path fetch
-     * actually was that branch.
+     * lastWasBranch_ says whether the newest correct-path fetch was
+     * a branch, i.e. the one prev_ holds.
      */
-    bool havePrev_ = false;
     bool lastWasBranch_ = false;
     PrevBranch prev_;
 
@@ -403,8 +386,6 @@ class Processor
 
     bool measuring_ = false;
 
-    /** Batch stages enabled (ProcessorConfig::batchedReplay). */
-    bool batched_ = true;
     /** Commit cap for exactInstStop; no bound when disabled. */
     InstCount stopAt_ = ~InstCount(0);
 };

@@ -205,14 +205,6 @@ runOn(const PlacedWorkload &work, const CodeImage &image,
 {
     if (SFETCH_FAULT("sim.run"))
         throw std::runtime_error("runOn: injected fault at sim.run");
-    if (arena && arena->seed() != kRefSeed)
-        throw std::invalid_argument(
-            "runOn: the arena was not decoded with the ref seed "
-            "this run uses");
-    if (arena && arena->image() != &image)
-        throw std::invalid_argument(
-            "runOn: the arena was decoded from a different "
-            "workload or layout than this run simulates");
 
     MemoryConfig mc;
     mc.l1i.lineBytes = cfg.lineBytes();
@@ -222,7 +214,6 @@ runOn(const PlacedWorkload &work, const CodeImage &image,
 
     ProcessorConfig pc;
     pc.width = cfg.width;
-    pc.batchedReplay = tuning.batchedReplay;
     pc.exactInstStop = tuning.exactInstStop;
 
     Processor proc(pc, engine.get(), image, work.model(), &mem,

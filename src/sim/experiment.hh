@@ -207,19 +207,12 @@ class PlacedWorkload
 };
 
 /**
- * Execution knobs for runOn() that are not part of the modelled
- * machine configuration.
+ * Run options for runOn() outside the modelled machine configuration
+ * (SimConfig). The one there is, the exact instruction stop, serves
+ * the throughput harness.
  */
 struct RunTuning
 {
-    /**
-     * Run the batched replay core (bulk oracle verify, run-drained
-     * commit/dispatch, SIMD meta scans). Off = the scalar reference
-     * loop over the same committed path. Pure host-side choice:
-     * SimStats are bit-identical either way (proven by the golden
-     * and window invariance suites).
-     */
-    bool batchedReplay = true;
     /**
      * Stop committing exactly at the instruction budget instead of
      * letting the final cycle's full commit overshoot by up to
@@ -237,7 +230,8 @@ struct RunTuning
  * non-null the run reads the committed path *and* the data-address
  * stream from that shared pre-decode (which must come from this
  * workload's arena()/cachedArena(), i.e. be decoded with the `ref`
- * seed on the configured layout); the sweep driver passes one when
+ * seed on the configured layout; the Processor refuses any other
+ * with std::invalid_argument); the sweep driver passes one when
  * several points share one (workload, layout, run length).
  * Otherwise the run decodes a private, constant-size window from the
  * live generator as it goes. Both are bit-identical.

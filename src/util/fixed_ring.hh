@@ -101,9 +101,9 @@ class FixedRing
     }
 
     /**
-     * Drop the @p n front elements at once: the batched commit and
-     * dispatch drains retire whole runs with two index updates
-     * instead of one pop per element.
+     * Drop the @p n front elements at once: commit retires a whole
+     * run from the ROB with two index updates instead of one pop per
+     * element.
      */
     void
     pop_front_n(std::size_t n)

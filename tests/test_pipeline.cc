@@ -230,3 +230,30 @@ TEST(Processor, WrongPathInstructionsAreObserved)
     // wrong paths (the trace-driven wrong-path model at work).
     EXPECT_GT(st.fetchedWrong, 1000u);
 }
+
+// A shared arena stands in for the private decoder of (image, model,
+// seed), so the constructor refuses one decoded with another seed or
+// from another image, whoever builds the Processor.
+TEST(Processor, RefusesAnArenaOfAnotherSeedOrImage)
+{
+    Harness h(noisyLoop(), "stream");
+    const CodeImage twin(h.work.program, baselineOrder(h.work.program));
+    const OracleArena arena(*h.img, h.work.model, kRefSeed, 1'000);
+    auto refusal = [&](const CodeImage &image, std::uint64_t seed) {
+        try {
+            Processor(ProcessorConfig{}, h.engine.get(), image,
+                      h.work.model, h.mem.get(), seed, &arena);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(refusal(*h.img, kRefSeed + 1),
+              "Processor: the arena was decoded with seed " +
+                  std::to_string(kRefSeed) + ", not this run's seed " +
+                  std::to_string(kRefSeed + 1));
+    EXPECT_EQ(refusal(twin, kRefSeed),
+              "Processor: the arena was decoded from a different image "
+              "than this run simulates");
+    EXPECT_EQ(refusal(*h.img, kRefSeed), "accepted");
+}

@@ -3,21 +3,27 @@
  * Cross-module property tests: invariants that must hold for every
  * suite workload, layout, and architecture — placement totality,
  * oracle/image agreement, predictor learnability across bias levels,
- * and end-to-end conservation laws of the processor model.
+ * end-to-end conservation laws of the processor model, and the
+ * front-end checker: a per-instruction reference, independent of the
+ * processor's committed-path window, for its oracle verify.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "bpred/gskew.hh"
 #include "bpred/perceptron.hh"
 #include "layout/layout_opt.hh"
 #include "layout/oracle.hh"
 #include "pipeline/processor.hh"
+#include "sim/engine_registry.hh"
 #include "sim/experiment.hh"
 #include "sim/workload_cache.hh"
+#include "workload/workload_registry.hh"
 #include "workload/suite.hh"
 
 using namespace sfetch;
@@ -238,27 +244,167 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<1>(info.param));
     });
 
-// ---- bundle shape: every engine delivers well-formed runs ----
+// ---- the front-end checker: the reference for the oracle verify ----
 
 namespace
 {
 
 /**
- * A FetchEngine decorator: forwards everything to the real engine
- * and checks the shape of every bundle it delivers to the processor.
+ * A FetchEngine decorator that forwards everything to the real
+ * engine and checks the front end's side of the protocol from
+ * outside the processor. The first violation throws
+ * std::logic_error, which ends the run.
+ *
+ * Shape: every bundle is well-formed runs inside the image, no larger
+ * than the ask, and one run per cycle for the engines that promise it.
+ *
+ * Per instruction: the checker reads the committed path from its own
+ * OracleStream (the generator itself, not the processor's window or
+ * its walker) and classifies every fetched instruction as correct or
+ * wrong path. An instruction is correct while no divergence is
+ * pending and its pc is the committed path's next pc; the first one
+ * that is not starts a divergence, charged to the last correct-path
+ * instruction, which must be a branch. From then on every
+ * instruction is wrong path until the redirect, which must deliver
+ * that branch exactly: pc, type, direction, successor and the token
+ * of the run that held it. Each trainCommit() must be the next
+ * committed-path branch, in order, and already fetched.
+ *
+ * Silent divergence: an engine that runs astray without fetching a
+ * wrong-path instruction goes quiet, and the processor's watchdog
+ * declares the divergence after more than kSilenceBound consecutive
+ * empty bundles. The checker sees that divergence only when its
+ * redirect arrives, and counts the mispredict then; a redirect with
+ * no divergence pending is legal only after such a silence. When the
+ * run ends with the trailing silence past the bound and no redirect
+ * yet, the watchdog has fired and counted its mispredict, so
+ * finish() counts that pending divergence too.
+ *
+ * Tallies: the checker keeps its own count of every front-end
+ * SimStats field (a bundle counts as a full-width opportunity when it
+ * is non-empty and the ask was the full width) and finish() requires
+ * the run's to equal them exactly, so the run must measure every
+ * cycle the checker saw (no warm-up).
  */
-class BundleShapeChecker : public FetchEngine
+class FrontEndChecker : public FetchEngine
 {
   public:
-    BundleShapeChecker(FetchEngine &inner, const CodeImage &image,
-                       bool one_run_per_cycle)
-        : inner_(inner), image_(image), oneRun_(one_run_per_cycle)
+    /** The processor watchdog's bound on silent fetch cycles. */
+    static constexpr std::uint64_t kSilenceBound = 512;
+
+    FrontEndChecker(FetchEngine &inner, const CodeImage &image,
+                    const WorkloadModel &model, unsigned width,
+                    bool one_run_per_cycle)
+        : inner_(inner), image_(image), width_(width),
+          oneRun_(one_run_per_cycle),
+          fetchPath_(image, model, kRefSeed),
+          commitPath_(image, model, kRefSeed),
+          next_(fetchPath_.next())
     {}
 
     void
     fetchCycle(Cycle now, unsigned max_insts, FetchBundle &out) override
     {
         inner_.fetchCycle(now, max_insts, out);
+        checkShape(now, max_insts, out);
+        const bool full = max_insts == width_ && !out.empty();
+        tally_.fetchCyclesAttempted += full;
+        if (out.empty()) {
+            silence_ += !diverged_;
+            return;
+        }
+        silence_ = 0;
+        for (const FetchRun &r : out)
+            for (std::uint32_t i = 0; i < r.len; ++i)
+                fetchInst(r.start + instsToBytes(i), r.token, full);
+    }
+
+    void
+    redirect(const ResolvedBranch &rb) override
+    {
+        if (!diverged_) {
+            // Nothing wrong was fetched: the watchdog's divergence.
+            if (silence_ <= kSilenceBound)
+                fail("redirect with no divergence pending after " +
+                     std::to_string(silence_) + " silent cycles");
+            diverge();
+            ++silentDivergences_;
+        }
+        if (rb.pc != owed_.pc || rb.type != owed_.type ||
+            rb.taken != owed_.taken || rb.target != owed_.target ||
+            rb.token != owed_.token)
+            fail("redirect to " + hex(rb.pc) + " token " +
+                 std::to_string(rb.token) + ", not to the last "
+                 "correct-path branch " + hex(owed_.pc) + " token " +
+                 std::to_string(owed_.token));
+        diverged_ = false;
+        silence_ = 0;
+        inner_.redirect(rb);
+    }
+
+    void
+    trainCommit(const CommittedBranch &cb) override
+    {
+        OracleInst oi;
+        do {
+            oi = commitPath_.next();
+        } while (!oi.isBranch());
+        // fetchPath_ has also produced next_, which is not fetched.
+        if (commitPath_.instCount() >= fetchPath_.instCount())
+            fail("commit of " + hex(cb.pc) + " before it was fetched");
+        if (cb.pc != oi.pc || cb.type != oi.btype ||
+            cb.taken != oi.taken || cb.target != oi.nextPc)
+            fail("trainCommit " + hex(cb.pc) + ", not the next "
+                 "committed branch " + hex(oi.pc));
+        ++tally_.committedBranches;
+        tally_.committedCondBranches += oi.btype == BranchType::CondDirect;
+        inner_.trainCommit(cb);
+    }
+
+    std::string name() const override { return inner_.name(); }
+    StatSet stats() const override { return inner_.stats(); }
+
+    /**
+     * Close the run: count a silent divergence still pending, check
+     * that no committed branch went untrained, and compare the
+     * tallies with @p st, the run's statistics (measured without
+     * warm-up).
+     */
+    void
+    finish(const SimStats &st)
+    {
+        if (!diverged_ && silence_ > kSilenceBound) {
+            diverge();
+            ++silentDivergences_;
+        }
+        while (commitPath_.instCount() < st.committedInsts)
+            if (commitPath_.next().isBranch())
+                fail("committed branch never trained on");
+
+#define SFETCH_CHECK_TALLY(m)                                          \
+        if (st.m != tally_.m)                                           \
+            fail(#m " is " + std::to_string(st.m) + ", the checker "    \
+                 "counted " + std::to_string(tally_.m));
+        SFETCH_CHECK_TALLY(fetchedCorrect)
+        SFETCH_CHECK_TALLY(fetchedWrong)
+        SFETCH_CHECK_TALLY(fetchCyclesAttempted)
+        SFETCH_CHECK_TALLY(fetchOppInsts)
+        SFETCH_CHECK_TALLY(mispredicts)
+        SFETCH_CHECK_TALLY(condMispredicts)
+        SFETCH_CHECK_TALLY(committedBranches)
+        SFETCH_CHECK_TALLY(committedCondBranches)
+        for (std::size_t t = 0; t < SimStats::kNumBranchTypes; ++t)
+            SFETCH_CHECK_TALLY(mispredictsByType[t])
+#undef SFETCH_CHECK_TALLY
+    }
+
+    /** Divergences the watchdog declared, seen at their redirect. */
+    std::uint64_t silentDivergences() const { return silentDivergences_; }
+
+  private:
+    void
+    checkShape(Cycle now, unsigned max_insts, const FetchBundle &out)
+    {
         unsigned sum = 0;
         for (const FetchRun &r : out) {
             sum += r.len;
@@ -275,84 +421,267 @@ class BundleShapeChecker : public FetchEngine
             fail(now, "bundle larger than the ask");
         if (oneRun_ && out.numRuns() > 1)
             fail(now, "more than one run in a cycle");
-        insts_ += out.size();
     }
 
-    void redirect(const ResolvedBranch &rb) override { inner_.redirect(rb); }
+    void
+    fetchInst(Addr pc, std::uint64_t token, bool full)
+    {
+        if (!diverged_ && pc == next_.pc) {
+            ++tally_.fetchedCorrect;
+            tally_.fetchOppInsts += full;
+            lastWasBranch_ = next_.isBranch();
+            if (lastWasBranch_)
+                last_ = {next_.pc, next_.btype, next_.taken, next_.nextPc,
+                         token};
+            next_ = fetchPath_.next();
+            return;
+        }
+        if (!diverged_)
+            diverge();
+        ++tally_.fetchedWrong;
+    }
+
+    /** Charge a divergence to the last correct-path branch. */
+    void
+    diverge()
+    {
+        if (!lastWasBranch_)
+            fail("divergence not after a correct-path branch");
+        diverged_ = true;
+        silence_ = 0;
+        owed_ = last_;
+        ++tally_.mispredicts;
+        tally_.condMispredicts += owed_.type == BranchType::CondDirect;
+        ++tally_.mispredictsByType[static_cast<unsigned>(owed_.type)];
+    }
+
+    static std::string
+    hex(Addr a)
+    {
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "%#llx",
+                      static_cast<unsigned long long>(a));
+        return buf;
+    }
+
+    [[noreturn]] static void
+    fail(const std::string &what)
+    {
+        throw std::logic_error("front-end check: " + what);
+    }
+
+    [[noreturn]] static void
+    fail(Cycle now, const char *what)
+    {
+        fail(std::string(what) + " at cycle " + std::to_string(now));
+    }
+
+    FetchEngine &inner_;
+    const CodeImage &image_;
+    unsigned width_;
+    bool oneRun_;
+
+    /** The committed path as fetch meets it; next_ is its head. */
+    OracleStream fetchPath_;
+    /** The committed path as commit trains on it. */
+    OracleStream commitPath_;
+    OracleInst next_;
+
+    bool lastWasBranch_ = false;
+    ResolvedBranch last_;  //!< last correct-path branch fetched
+    bool diverged_ = false;
+    ResolvedBranch owed_;  //!< what the pending redirect must deliver
+    std::uint64_t silence_ = 0;
+
+    SimStats tally_;
+    std::uint64_t silentDivergences_ = 0;
+};
+
+/**
+ * Stalls the engine it wraps the way a fetch gone astray does: every
+ * `period` cycles, after the next bundle that ends in a branch, it
+ * delivers nothing until a redirect arrives.
+ */
+class StallingEngine : public FetchEngine
+{
+  public:
+    StallingEngine(FetchEngine &inner, const CodeImage &image,
+                   Cycle period)
+        : inner_(inner), image_(image), period_(period)
+    {}
+
+    void
+    fetchCycle(Cycle now, unsigned max_insts, FetchBundle &out) override
+    {
+        if (stalled_)
+            return;
+        inner_.fetchCycle(now, max_insts, out);
+        if (now < nextStall_ || out.empty())
+            return;
+        const FetchRun &last = out.run(out.numRuns() - 1);
+        if (image_.inst(last.start + instsToBytes(last.len - 1)).btype !=
+            BranchType::None) {
+            stalled_ = true;
+            nextStall_ = now + period_;
+        }
+    }
+
+    void
+    redirect(const ResolvedBranch &rb) override
+    {
+        stalled_ = false;
+        inner_.redirect(rb);
+    }
+
     void
     trainCommit(const CommittedBranch &cb) override
     {
         inner_.trainCommit(cb);
     }
     std::string name() const override { return inner_.name(); }
-    StatSet stats() const override { return inner_.stats(); }
-
-    std::uint64_t violations() const { return violations_; }
-    const std::string &firstViolation() const { return first_; }
-    std::uint64_t insts() const { return insts_; }
 
   private:
-    void
-    fail(Cycle now, const char *what)
-    {
-        if (violations_++ == 0)
-            first_ = std::string(what) + " at cycle " +
-                std::to_string(now);
-    }
-
     FetchEngine &inner_;
     const CodeImage &image_;
-    bool oneRun_;
-    std::uint64_t violations_ = 0;
-    std::string first_;
-    std::uint64_t insts_ = 0;
+    Cycle period_;
+    Cycle nextStall_ = 0;
+    bool stalled_ = false;
 };
+
+/** One checked run's set-up. */
+struct CheckRun
+{
+    unsigned width = 8;
+    bool optimized = true;
+    const OracleArena *arena = nullptr; //!< null: a private window
+    bool exactStop = false;
+    /** Stall the engine every this many cycles (0: never). */
+    Cycle stallPeriod = 0;
+};
+
+/**
+ * Run @p insts instructions of @p arch on @p work under the checker,
+ * with no warm-up, and return the silent divergences it saw; a
+ * violation throws.
+ */
+std::uint64_t
+checkedRun(const PlacedWorkload &work, const std::string &arch,
+           InstCount insts, const CheckRun &how)
+{
+    SimConfig cfg(arch);
+    cfg.width = how.width;
+    const CodeImage &image = work.image(how.optimized);
+    MemoryConfig mc;
+    mc.l1i.lineBytes = cfg.lineBytes();
+    MemoryHierarchy mem(mc);
+    auto engine = cfg.makeEngine(image, &mem);
+    StallingEngine stalling(*engine, image, how.stallPeriod);
+    FetchEngine &front =
+        how.stallPeriod ? static_cast<FetchEngine &>(stalling) : *engine;
+    FrontEndChecker chk(front, image, work.model(), how.width,
+                        arch == "ftb" || arch == "stream" ||
+                            arch == "seq");
+    ProcessorConfig pc;
+    pc.width = how.width;
+    pc.exactInstStop = how.exactStop;
+    Processor proc(pc, &chk, image, work.model(), &mem, kRefSeed,
+                   how.arena);
+    const SimStats st = proc.run(insts);
+    chk.finish(st);
+    if (how.exactStop && st.committedInsts != insts)
+        throw std::logic_error("the exact stop overshot");
+    return chk.silentDivergences();
+}
+
+/** One checker-suite input: a workload and an engine. */
+struct CheckCase
+{
+    std::string bench;
+    std::string arch;
+    /** Run with ProcessorConfig::exactInstStop. */
+    bool exactStop = false;
+};
+
+/** Every registered family plus gzip, as the invariance suite runs. */
+std::vector<CheckCase>
+checkCases(bool exact_stop)
+{
+    std::vector<std::string> benches = {"gzip"};
+    if (!exact_stop) {
+        benches = WorkloadRegistry::instance().tokens();
+        benches.push_back("gzip");
+    }
+    std::vector<CheckCase> cases;
+    for (const std::string &bench : benches)
+        for (const std::string &arch : EngineRegistry::instance().tokens())
+            cases.push_back({bench, arch, exact_stop});
+    return cases;
+}
 
 } // namespace
 
-class BundleShape
-    : public ::testing::TestWithParam<std::tuple<const char *, const char *>>
+class FrontEndCheck : public ::testing::TestWithParam<CheckCase>
 {};
 
-TEST_P(BundleShape, EveryBundleIsWellFormedRuns)
+// Every engine, at widths 4 and 8, on both layouts, reading its
+// committed path from a private window and from a shared arena, over
+// runs that cross several window refills.
+TEST_P(FrontEndCheck, EveryInstructionAgreesWithTheReference)
 {
-    auto [family, arch] = GetParam();
-    const std::string a = arch;
-    const PlacedWorkload &work = WorkloadCache::instance().get(family);
+    constexpr InstCount insts = 30'000;
+    static_assert(insts > 6 * Processor::kOracleWindowInsts,
+                  "the run must cross several window refills");
+    const CheckCase &c = GetParam();
+    const PlacedWorkload &work = WorkloadCache::instance().get(c.bench);
     for (unsigned width : {4u, 8u}) {
         for (bool opt : {false, true}) {
-            SimConfig cfg(arch);
-            cfg.width = width;
-            const CodeImage &image = work.image(opt);
-            MemoryConfig mc;
-            mc.l1i.lineBytes = cfg.lineBytes();
-            MemoryHierarchy mem(mc);
-            auto engine = cfg.makeEngine(image, &mem);
-            BundleShapeChecker chk(
-                *engine, image, a == "ftb" || a == "stream" || a == "seq");
-            ProcessorConfig pc;
-            pc.width = width;
-            Processor proc(pc, &chk, image, work.model(), &mem,
-                           kRefSeed);
-            proc.run(50'000, 10'000);
-            EXPECT_EQ(chk.violations(), 0u)
-                << "width " << width << (opt ? " opt: " : " base: ")
-                << chk.firstViolation();
-            EXPECT_GE(chk.insts(), 60'000u);
+            const auto arena = work.arena(opt, insts + kFetchAheadMargin);
+            for (const OracleArena *source : {(const OracleArena *)nullptr,
+                                              arena.get()}) {
+                try {
+                    checkedRun(work, c.arch, insts,
+                               {width, opt, source, c.exactStop});
+                } catch (const std::exception &e) {
+                    ADD_FAILURE() << "width " << width
+                                  << (opt ? " opt " : " base ")
+                                  << (source ? "arena: " : "window: ")
+                                  << e.what();
+                }
+            }
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Engines, BundleShape,
-    ::testing::Combine(::testing::Values("synth", "loops", "server",
-                                         "thrash", "phased"),
-                       ::testing::Values("ev8", "ftb", "stream",
-                                         "trace", "seq")),
-    [](const auto &info) {
-        return std::string(std::get<0>(info.param)) + "_" +
-               std::get<1>(info.param);
+    Matrix, FrontEndCheck, ::testing::ValuesIn(checkCases(false)),
+    [](const ::testing::TestParamInfo<CheckCase> &info) {
+        return info.param.bench + "_" + info.param.arch;
     });
+
+// The exact instruction stop is a different stopping rule, not a
+// different front end: the same checks hold under it.
+INSTANTIATE_TEST_SUITE_P(
+    ExactStop, FrontEndCheck, ::testing::ValuesIn(checkCases(true)),
+    [](const ::testing::TestParamInfo<CheckCase> &info) {
+        return info.param.bench + "_" + info.param.arch;
+    });
+
+// A stall after a correct-path branch trips the processor's watchdog,
+// which charges the divergence to that branch; the checker sees it
+// only at the redirect, and every tally must still agree.
+TEST(FrontEndWatchdog, SilentDivergenceIsChargedToTheLastBranch)
+{
+    const PlacedWorkload &work = WorkloadCache::instance().get("gzip");
+    for (const std::string &arch : EngineRegistry::instance().tokens()) {
+        CheckRun how;
+        how.stallPeriod = 2'000;
+        try {
+            EXPECT_GT(checkedRun(work, arch, 30'000, how), 0u) << arch;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << arch << ": " << e.what();
+        }
+    }
+}
 
 // ---- layout quality across the whole suite ----
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -358,6 +359,40 @@ TEST(FixedRing, FifoOrderAcrossWraparound)
         r.pop_front();
         EXPECT_TRUE(r.empty());
     }
+}
+
+// The ROB retires only through pop_front_n and reads through at(i),
+// so both are pinned against a std::deque on a ring whose capacity
+// (5) is not its storage size (8): bulk pops of every length from 0
+// to size(), over enough rounds that the head crosses the storage
+// end several times, with front() and every at(i) checked after each.
+TEST(FixedRing, BulkPopsAcrossTheWrapMatchADeque)
+{
+    FixedRing<int> r(5);
+    std::deque<int> ref;
+    int next = 0;
+    std::size_t popped = 0;
+    for (int round = 0; round < 12; ++round) {
+        while (!r.full()) {
+            r.push_back(next);
+            ref.push_back(next++);
+        }
+        ASSERT_EQ(ref.size(), 5u);
+        // n runs 0, 1, ..., 5 across the rounds; n == size() empties it.
+        const std::size_t n = std::size_t(round) % (ref.size() + 1);
+        r.pop_front_n(n);
+        ref.erase(ref.begin(), ref.begin() + std::ptrdiff_t(n));
+        popped += n;
+        ASSERT_EQ(r.size(), ref.size()) << "round " << round;
+        EXPECT_EQ(r.empty(), ref.empty());
+        if (!ref.empty()) {
+            EXPECT_EQ(r.front(), ref.front()) << "round " << round;
+        }
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            EXPECT_EQ(r.at(i), ref[i]) << "round " << round << " at " << i;
+    }
+    // The head went round the 8-slot storage more than three times.
+    EXPECT_GT(popped, 3u * 8u);
 }
 
 TEST(FixedRing, PushBackSlotIsInPlace)

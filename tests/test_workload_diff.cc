@@ -9,8 +9,9 @@
  *    one suite preset, every registered fetch engine at two pipe
  *    widths produces bit-identical SimStats whether its committed
  *    path is generated live into a private window or read from a
- *    shared whole-run arena, and whether the batched core or the
- *    scalar reference loop reads it;
+ *    shared whole-run arena (the per-instruction front-end checker
+ *    in test_properties.cc checks the verify itself over the same
+ *    families, and test_golden_stats pins commit and dispatch);
  *  - cross-engine invariants every scenario must satisfy (an
  *    optimized-layout stream front end beats predictionless
  *    next-line fetch);
@@ -388,8 +389,6 @@ TEST(WorkloadDiff, CommittedPathSourceIsInvisibleEverywhere)
                   "the run must cross many window refills");
     const std::vector<std::string> engines =
         EngineRegistry::instance().tokens();
-    RunTuning scalar;
-    scalar.batchedReplay = false;
 
     for (const std::string &bench : diffBenches()) {
         const PlacedWorkload &work =
@@ -406,11 +405,8 @@ TEST(WorkloadDiff, CommittedPathSourceIsInvisibleEverywhere)
                 const std::string what = bench + " x " + arch + " w" +
                                          std::to_string(width);
 
-                SimStats live = runOn(work, cfg);
-                EXPECT_EQ(live, runOn(work, cfg, arena.get()))
+                EXPECT_EQ(runOn(work, cfg), runOn(work, cfg, arena.get()))
                     << what << ": shared arena diverged";
-                EXPECT_EQ(live, runOn(work, cfg, nullptr, scalar))
-                    << what << ": scalar reference diverged";
             }
         }
     }
@@ -422,7 +418,8 @@ TEST(WorkloadDiff, ExactInstStopCommitsExactlyTheBudget)
     // default run overshoots by up to width-1 (the whole final
     // commit cycle retires), the exact stop reports committedInsts
     // equal to the budget — on every engine, so the bench's Minsts/s
-    // denominators are comparable across rows.
+    // denominators are comparable across rows. The checker suite in
+    // test_properties.cc checks the exact-stop runs' front end.
     RunTuning exact;
     exact.exactInstStop = true;
     const PlacedWorkload &work = WorkloadCache::instance().get("gzip");
@@ -436,14 +433,6 @@ TEST(WorkloadDiff, ExactInstStopCommitsExactlyTheBudget)
         EXPECT_LT(loose.committedInsts, cfg.insts + cfg.width)
             << arch;
         EXPECT_EQ(tight.committedInsts, cfg.insts) << arch;
-
-        // The exact stop is a different stopping rule, not a
-        // different simulator: scalar and batched cores must still
-        // agree bit for bit under it.
-        RunTuning exact_scalar = exact;
-        exact_scalar.batchedReplay = false;
-        SimStats tight_scalar = runOn(work, cfg, nullptr, exact_scalar);
-        EXPECT_EQ(tight, tight_scalar) << arch;
     }
 }
 
@@ -465,23 +454,19 @@ TEST(WorkloadDiff, StreamBeatsNextLineOnEveryFamily)
 
 TEST(WorkloadDiff, RunningPastTheCommittedPathThrows)
 {
-    RunTuning scalar;
-    scalar.batchedReplay = false;
     const PlacedWorkload &work = WorkloadCache::instance().get("loops");
     SimConfig cfg = smallCfg("stream");
 
     OracleArena short_arena(work.image(cfg.optimizedLayout),
                             work.model(), kRefSeed, 1'000);
-    for (const RunTuning &tuning : {RunTuning{}, scalar}) {
-        try {
-            runOn(work, cfg, &short_arena, tuning);
-            ADD_FAILURE() << "a run past the arena's end completed";
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find(
-                          "the shared arena ends there"),
-                      std::string::npos)
-                << e.what();
-        }
+    try {
+        runOn(work, cfg, &short_arena);
+        ADD_FAILURE() << "a run past the arena's end completed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "the shared arena ends there"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
